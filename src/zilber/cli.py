@@ -484,6 +484,11 @@ def cmd_promonoidal(args):
               "entries": args.entries, "k_max": args.k_max,
               "length": args.length, "trials": args.trials,
               "seed": args.seed}
+    if args.b < 0:
+        # every check but product-colimit reads --b; a negative bound
+        # leaves Δ≤b empty and the sweep, coyoneda and operator checks
+        # would pass without checking anything
+        raise InputError("--b must be nonnegative")
     for check in args.check:
         if check == "mu-assoc":
             if args.entries is None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,33 @@ def _enumerate_monotone_cached(m, n):
 def enumerate_monotone(m, n):
     """All monotone maps [m] -> [n], lexicographic; there are C(m+n+1, m+1)."""
     return list(_enumerate_monotone_cached(m, n))
+
+
+@lru_cache(maxsize=None)
+def monotone_position(m, n):
+    """The index of each monotone map [m] -> [n] in enumerate_monotone(m, n),
+    keyed by its values (read-only)."""
+    return MappingProxyType({f.values: i for i, f in
+                             enumerate(_enumerate_monotone_cached(m, n))})
+
+
+@lru_cache(maxsize=None)
+def comp_table(a, b, c):
+    """Composition by index: comp_table(a, b, c)[g][f] is the index of
+    g ∘ f, for f the f-th map [a] -> [b] and g the g-th map [b] -> [c] in
+    enumerate_monotone order."""
+    pos = monotone_position(a, c)
+    fs = [f.values for f in _enumerate_monotone_cached(a, b)]
+    return tuple(tuple(pos[tuple(g.values[v] for v in fv)] for fv in fs)
+                 for g in _enumerate_monotone_cached(b, c))
+
+
+def generating_maps(b):
+    """The cofaces and codegeneracies among [0], ..., [b]; they generate
+    every monotone map between these objects."""
+    gens = [coface(n, i) for n in range(1, b + 1) for i in range(n + 1)]
+    gens += [codegeneracy(n, i) for n in range(b) for i in range(n + 1)]
+    return gens
 
 
 def enumerate_surjections(m, n):
@@ -244,11 +272,6 @@ class Shuffle:
     def first_moves(self):
         """0-based step positions where the first coordinate increases."""
         return tuple(i - 1 for i in self.interleaving)
-
-    @property
-    def second_moves(self):
-        first = set(self.interleaving)
-        return tuple(i - 1 for i in range(1, self.p + self.q + 1) if i not in first)
 
     def components(self):
         """The two projections [p+q] -> [p] and [p+q] -> [q] of the chain."""

@@ -1,68 +1,64 @@
-"""Finite-category profunctor calculus: coends by union-find, profunctor
-composition, n-ary promonoidal multimorphism spaces, multimorphism spaces
-for the simplex category and its ℕ-semidirect variant, the
-left-Kan-extension dichotomy, colimit presentations of products of
-simplices, and a bounded category-of-operators fragment.
+"""Finite-category profunctor calculus: coends, profunctor composition,
+n-ary promonoidal multimorphism spaces, multimorphism spaces for the
+simplex category and its ℕ-semidirect variant, the left-Kan-extension
+dichotomy, colimit presentations of products of simplices, and a bounded
+category-of-operators fragment.
+
+Every coend goes through ``coend``, an array union-find over elements
+interned to integers.  The checks over the truncated simplex category Δ≤b
+hand it integer tuples: a monotone map is its index in enumerate_monotone,
+composites come from delta.comp_table, and MonotoneMaps are rebuilt only
+for a failing certificate's witness.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .delta import (MonotoneMap, StrictMonotoneIntoProduct, codegeneracy,
-                    coface, enumerate_monotone, identity_map,
-                    product_nondegenerate, product_points)
+from .delta import (PosetPoint, coface, comp_table, enumerate_injections,
+                    enumerate_monotone, generating_maps, identity_map,
+                    monotone_count, monotone_position, product_nondegenerate)
 from .simplicial import CheckCertificate
 
 
 # ---------------------------------------------------------------------------
-# union-find
+# the coend engine
 
 
-class UnionFind:
-    def __init__(self):
-        self.parent = {}
+def coend(objects, elements, generators, push, pull):
+    """Classes of ⊔_d elements(d), d in ``objects``, under the relations of
+    ``generators``: push(h) and pull(h) are equally long sequences and h
+    identifies push(h)[i] with pull(h)[i].  Elements are hashable tokens,
+    distinct across objects, interned to indices in enumeration order.
 
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
+    Returns the class representatives, each the element of smallest index
+    in its class, and a dict sending every element to its representative;
+    both are in index order and independent of the order of relations."""
+    index = {}
+    for d in objects:
+        for x in elements(d):
+            index.setdefault(x, len(index))
+    parent = list(range(len(index)))
+    size = [1] * len(index)
 
-    def find(self, x):
-        self.add(x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def find(a):
+        while parent[a] != a:
+            # path halving: point a at its grandparent and move there
+            parent[a] = a = parent[parent[a]]
+        return a
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-    def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
-
-
-def _key(x):
-    return repr(x)
-
-
-def canonical_classes(uf):
-    """Classes with deterministic minimal representatives, sorted."""
-    cls = []
-    reps = {}
-    for group in uf.classes():
-        r = min(group, key=_key)
-        cls.append(r)
-        for x in group:
-            reps[x] = r
-    cls.sort(key=_key)
-    return cls, reps
+    at = index.__getitem__
+    for h in generators:
+        for u, v in zip(map(at, push(h)), map(at, pull(h))):
+            a, b = find(u), find(v)
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+    least = {}
+    reps = {x: least.setdefault(find(i), x) for x, i in index.items()}
+    return list(least.values()), reps
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +192,8 @@ def delta_leq(b, check=True):
     ident = {n: identity_map(n) for n in objects}
     comp = {(g, f): g.compose(f) for g in morphisms for f in morphisms
             if f.codomain_top == g.domain_top}
-    gens = [coface(n, i) for n in range(1, b + 1) for i in range(n + 1)]
-    gens += [codegeneracy(n, i) for n in range(b) for i in range(n + 1)]
     return FiniteCategory(objects, morphisms, src, tgt, ident, comp,
-                          check=check, gens=gens)
+                          check=check, gens=generating_maps(b))
 
 
 def opposite(C, check=False):
@@ -301,56 +295,64 @@ class CoendSet:
 
 
 def coend_set(P):
-    """Coend of P : C^op × C -> Set via union-find over ⊔_c P(c, c);
-    representatives are minimal under a fixed total order, so the result is
-    independent of enumeration order."""
+    """Coend of P : C^op × C -> Set over the elements (c, x) of
+    ⊔_c P(c, c); the relation of f : c -> d identifies (c, x·f) with
+    (d, f·x) for x in P(d, c)."""
     C = P.C
-    uf = UnionFind()
-    for c in C.objects:
-        for x in P.value(c, c):
-            uf.add((c, x))
-    for f in C.generating_morphisms():
+
+    def push(f):
         c, d = C.src[f], C.tgt[f]
-        for x in P.value(d, c):
-            u = (c, P.action(f, x, C.ident[c]))
-            v = (d, P.action(C.ident[d], x, f))
-            uf.union(u, v)
-    classes, reps = canonical_classes(uf)
-    return CoendSet(classes, reps)
+        return [(c, P.action(f, x, C.ident[c])) for x in P.value(d, c)]
+
+    def pull(f):
+        c, d = C.src[f], C.tgt[f]
+        return [(d, P.action(C.ident[d], x, f)) for x in P.value(d, c)]
+
+    return CoendSet(*coend(C.objects,
+                           lambda c: [(c, x) for x in P.value(c, c)],
+                           C.generating_morphisms(), push, pull))
+
+
+def _composite_coend(D, left, right, push, pull):
+    """∫^d left(d) × right(d) over D, with elements (d, x, y): for
+    f : d1 -> d2, x in left(d1) and y in right(d2), the relation of f
+    identifies (d2, push(x, f), y) with (d1, x, pull(f, y))."""
+
+    def pushed(f):
+        d1, d2 = D.src[f], D.tgt[f]
+        xs = [push(x, f) for x in left(d1)]
+        return [(d2, x, y) for x in xs for y in right(d2)]
+
+    def pulled(f):
+        d1, d2 = D.src[f], D.tgt[f]
+        ys = [pull(f, y) for y in right(d2)]
+        return [(d1, x, y) for x in left(d1) for y in ys]
+
+    return coend(D.objects,
+                 lambda d: [(d, x, y) for x in left(d) for y in right(d)],
+                 D.generating_morphisms(), pushed, pulled)
 
 
 def compose_profunctors(P, Q, check=False):
     """P : C ↛ D composed with Q : D ↛ E; the value at (c, e) is
-    ∫^d P(c, d) × Q(d, e), with elements stored as canonical (d, x, y)
+    ∫^d P(c, d) × Q(d, e), with elements stored as (d, x, y) class
     representatives."""
     C, D, E = P.C, P.D, Q.D
-    values = {}
-    reps = {}
+    coends = {}
     for c in C.objects:
         for e in E.objects:
-            uf = UnionFind()
-            for d in D.objects:
-                for x in P.value(c, d):
-                    for y in Q.value(d, e):
-                        uf.add((d, x, y))
-            for f in D.generating_morphisms():
-                d1, d2 = D.src[f], D.tgt[f]
-                for x in P.value(c, d1):
-                    for y in Q.value(d2, e):
-                        push_x = P.action(C.ident[c], x, f)
-                        pull_y = Q.action(f, y, E.ident[e])
-                        uf.union((d2, push_x, y), (d1, x, pull_y))
-            cls, rp = canonical_classes(uf)
-            values[(c, e)] = cls
-            reps[(c, e)] = rp
+            coends[(c, e)] = _composite_coend(
+                D, lambda d: P.value(c, d), lambda d: Q.value(d, e),
+                lambda x, f: P.action(C.ident[c], x, f),
+                lambda f, y: Q.action(f, y, E.ident[e]))
 
     def action(f, elem, g):
-        c, e = C.tgt[f], E.src[g]
         d, x, y = elem
         moved = (d, P.action(f, x, D.ident[d]), Q.action(D.ident[d], y, g))
-        return reps[(C.src[f], E.tgt[g])][moved]
+        return coends[(C.src[f], E.tgt[g])][1][moved]
 
-    return SetProfunctor(C, E, values, action, check=check)
+    return SetProfunctor(C, E, {k: cls for k, (cls, _) in coends.items()},
+                         action, check=check)
 
 
 def coyoneda_check(P):
@@ -398,6 +400,7 @@ def delta_op_promonoidal(b, check_base=False):
     category truncated at [b]: μ([p],[q];[n]) is the set of monotone maps
     [n] -> [p] × [q], i.e. pairs of monotone maps out of [n], and the unit
     is the terminal profunctor (every [n] -> [0] is unique)."""
+    _nonnegative("b", [b])
     base = opposite(delta_leq(b, check=check_base))
 
     cache = {}
@@ -421,16 +424,6 @@ def delta_op_promonoidal(b, check_base=False):
         return "*"
 
     return PromonoidalData(base, mu_value, mu_act, eta_value, eta_act)
-
-
-def trivial_promonoidal():
-    base = discrete_category(["*"])
-    return PromonoidalData(
-        base,
-        lambda c1, c2, cp: ["*"],
-        lambda f1, f2, x, g: "*",
-        lambda c: ["*"],
-        lambda x, g: "*")
 
 
 class NaryMu:
@@ -466,21 +459,12 @@ class NaryMu:
             out = (list(data.mu_value(inputs[0], inputs[1], output)), None)
         else:
             head, last = inputs[:-1], inputs[-1]
-            uf = UnionFind()
-            for d in base.objects:
-                for u in self.space(head, d):
-                    for y in data.mu_value(d, last, output):
-                        uf.add((d, u, y))
-            for h in base.generating_morphisms():
-                d1, d2 = base.src[h], base.tgt[h]
-                for u in self.space(head, d1):
-                    pushed = self.act_out(head, d1, u, h)
-                    for y in data.mu_value(d2, last, output):
-                        pulled = data.mu_act(h, base.ident[last], y,
-                                             base.ident[output])
-                        uf.union(((d2, pushed, y)), ((d1, u, pulled)))
-            cls, reps = canonical_classes(uf)
-            out = (cls, reps)
+            out = _composite_coend(
+                base, lambda d: self.space(head, d),
+                lambda d: data.mu_value(d, last, output),
+                lambda u, h: self.act_out(head, base.src[h], u, h),
+                lambda h, y: data.mu_act(h, base.ident[last], y,
+                                         base.ident[output]))
         self._cache[key] = out
         return out
 
@@ -503,81 +487,125 @@ class NaryMu:
         return self.canon(inputs, b_out, moved)
 
 
+# ---------------------------------------------------------------------------
+# coends over Δ≤b: a monotone map is its index in enumerate_monotone
+
+
+def _indexed(maps):
+    """Monotone maps f : [a] -> [c] as triples (a, c, index of f)."""
+    return [(f.domain_top, f.codomain_top,
+             monotone_position(f.domain_top, f.codomain_top)[f.values])
+            for f in maps]
+
+
+def _family(d, ts, idxs):
+    """The maps [d] -> [t_i] of the given indices, as MonotoneMaps."""
+    return tuple(enumerate_monotone(d, t)[i] for i, t in zip(idxs, ts))
+
+
+def _delta_coend(x, F, act, gens):
+    """∫^{[d]} Δ([x], [d]) × F(d) over the objects d of F, presented by the
+    indexed Δ-maps γ = (a, c, g) of gens: elements are (d, φ, u), φ indexing
+    a map [x] -> [d] and u the list F[d], and γ identifies (c, γ∘φ, u) with
+    (a, φ, u·γ) for φ : [x] -> [a], where act(F[c][u], γ) = F[a][u·γ]."""
+
+    def elements(d):
+        return [(d, phi, u) for phi in range(monotone_count(x, d))
+                for u in range(len(F[d]))]
+
+    def push(gen):
+        a, c, g = gen
+        return [(c, gphi, u) for gphi in comp_table(x, a, c)[g]
+                for u in range(len(F[c]))]
+
+    def pull(gen):
+        a, c, g = gen
+        pos = {v: i for i, v in enumerate(F[a])}
+        moved = [pos[act(v, gen)] for v in F[c]]
+        return [(a, phi, ug) for phi in range(monotone_count(x, a))
+                for ug in moved]
+
+    return coend(F, elements, gens, push, pull)
+
+
+def _hom_coend(x, ts, b, s=1):
+    """_delta_coend over Δ≤b for F(d) = ∏_i Δ([d], [t_i]) × S, |S| = s, with
+    F(d) listing (f_1, ..., f_n, j): f_i indexes a map [d] -> [t_i], j < s.
+    Returns the classes, the representatives and F."""
+    F = {d: [f + (j,) for f in itertools.product(
+             *(range(monotone_count(d, t)) for t in ts)) for j in range(s)]
+         for d in range(b + 1)}
+
+    def act(v, gen):
+        a, c, g = gen
+        return tuple(comp_table(a, c, t)[f][g]
+                     for f, t in zip(v, ts)) + v[-1:]
+
+    return (*_delta_coend(x, F, act, _indexed(generating_maps(b))), F)
+
+
+def _nonnegative(name, values):
+    """values as a list; empty or negative ones leave nothing to certify."""
+    values = list(values)
+    if not values or min(values) < 0:
+        raise ValueError(f"{name} must be nonempty and nonnegative, "
+                         f"got {values}")
+    return values
+
+
 def delta_mu_unit_check(b):
     """For the Δᵒᵖ data: μ(η, c; c') ≅ Hom(c, c') via the canonical map
-    that forgets the unit coordinate, for all c, c' <= b."""
-    data = delta_op_promonoidal(b)
-    base = data.base
-    for c in base.objects:
-        for cp in base.objects:
-            uf = UnionFind()
-            for d in base.objects:
-                for e in data.eta_value(d):
-                    for y in data.mu_value(d, c, cp):
-                        uf.add((d, e, y))
-            for h in base.generating_morphisms():
-                d1, d2 = base.src[h], base.tgt[h]
-                for e in data.eta_value(d1):
-                    pushed = data.eta_act(e, h)
-                    for y in data.mu_value(d2, c, cp):
-                        pulled = data.mu_act(h, base.ident[c], y,
-                                             base.ident[cp])
-                        uf.union((d2, pushed, y), (d1, e, pulled))
-            cls, reps = canonical_classes(uf)
-            images = {}
-            for elem in cls:
-                d, e, (f, g) = elem
+    that forgets the unit coordinate, for all c, c' <= b.
+
+    The coend ∫^d η(d) × μ(d, c; c') has elements (d, *, (f, g)) with
+    f : [c'] -> [d] and g : [c'] -> [c], and the map sends them to g."""
+    _nonnegative("b", [b])
+    for c in range(b + 1):
+        for cp in range(b + 1):
+            classes, _, F = _hom_coend(cp, (), b, monotone_count(cp, c))
+            images = set()
+            for d, f, u in classes:
+                (g,) = F[d][u]
                 if g in images:
-                    return CheckCertificate(False, witness=(c, cp, elem),
+                    maps = _family(cp, (d, c), (f, g))
+                    return CheckCertificate(False,
+                                            witness=(c, cp, (d, "*", maps)),
                                             detail="unit map not injective")
-                images[g] = elem
-            if set(images) != set(base.hom(c, cp)):
+                images.add(g)
+            if len(images) != monotone_count(cp, c):
                 return CheckCertificate(False, witness=(c, cp),
                                         detail="unit map not surjective")
     return CheckCertificate(True, detail="μ(η, c; c') ≅ Hom(c, c')")
+
+
+def _nesting_bijective(a, c, e, n, b):
+    """Whether ∫^d μ(a, c; d) × μ(d, e; n) over d <= b maps bijectively onto
+    the monotone maps [n] -> [a]×[c]×[e] by (d, (f_a, f_c), (h, f_e)) ↦
+    (f_a∘h, f_c∘h, f_e).  The right nesting ∫^d μ(q, r; d) × μ(p, d; n) of
+    the ternary μ on (p, q, r) is this coend for (a, c, e) = (q, r, p)."""
+    classes, _, F = _hom_coend(n, (a, c), b, monotone_count(n, e))
+    images = set()
+    for d, h, u in classes:
+        fa, fc, fe = F[d][u]
+        images.add((comp_table(n, d, a)[fa][h], comp_table(n, d, c)[fc][h],
+                    fe))
+    size = monotone_count(n, a) * monotone_count(n, c) * monotone_count(n, e)
+    return len(images) == len(classes) == size
 
 
 def delta_mu_associativity_check(p, q, r, b):
     """Three-way bijection for the Δᵒᵖ data: both nestings of the ternary μ
     on ([p],[q],[r]) biject with monotone maps [n] -> [p]×[q]×[r], for every
     output [n] with n <= b."""
-    data = delta_op_promonoidal(b)
-    base = data.base
-    nm = NaryMu(data)
-    for n in base.objects:
-        target = set((f.values, g.values, h.values)
-                     for f in enumerate_monotone(n, p)
-                     for g in enumerate_monotone(n, q)
-                     for h in enumerate_monotone(n, r))
+    _nonnegative("b", [b])
+    _nonnegative("entries", [p, q, r])
+    for n in range(b + 1):
         # left nesting: ∫^d μ(p,q;d) × μ(d,r;n)
-        left = nm.space((p, q, r), n)
-        left_images = set()
-        for (d, (f1, f2), (h, f3)) in left:
-            left_images.add((f1.compose(h).values, f2.compose(h).values,
-                             f3.values))
-        if len(left_images) != len(left) or left_images != target:
+        if not _nesting_bijective(p, q, r, n, b):
             return CheckCertificate(False, witness=("left", n),
                                     detail="left nesting is not in bijection")
         # right nesting: ∫^d μ(q,r;d) × μ(p,d;n)
-        uf = UnionFind()
-        for d in base.objects:
-            for u in data.mu_value(q, r, d):
-                for y in data.mu_value(p, d, n):
-                    uf.add((d, u, y))
-        for hmor in base.generating_morphisms():
-            d1, d2 = base.src[hmor], base.tgt[hmor]
-            for u in data.mu_value(q, r, d1):
-                pushed = data.mu_act(base.ident[q], base.ident[r], u, hmor)
-                for y in data.mu_value(p, d2, n):
-                    pulled = data.mu_act(base.ident[p], hmor, y,
-                                         base.ident[n])
-                    uf.union((d2, pushed, y), (d1, u, pulled))
-        cls, _ = canonical_classes(uf)
-        right_images = set()
-        for (d, (f2, f3), (f1, h)) in cls:
-            right_images.add((f1.values, f2.compose(h).values,
-                              f3.compose(h).values))
-        if len(right_images) != len(cls) or right_images != target:
+        if not _nesting_bijective(q, r, p, n, b):
             return CheckCertificate(False, witness=("right", n),
                                     detail="right nesting is not in bijection")
     return CheckCertificate(True,
@@ -626,34 +654,28 @@ def left_kan_check(ns, b, m_range):
     pairs (k <= b, monotone φ : [m] -> [k]), of H([k]); the canonical map
     sends (k, φ, h) to h ∘ φ.  Passes iff the map is a bijection for every
     m in m_range; the expected dichotomy is pass iff Σ n_i <= b."""
-    for m in m_range:
-        uf = UnionFind()
-        for k in range(b + 1):
-            for phi in enumerate_monotone(m, k):
-                for h in mul_delta(ns, k):
-                    uf.add((k, phi, h))
-        gammas = [coface(k, i) for k in range(1, b + 1) for i in range(k + 1)]
-        gammas += [codegeneracy(k, i) for k in range(b) for i in range(k + 1)]
-        for gamma in gammas:
-            kp, k = gamma.domain_top, gamma.codomain_top
-            for phip in enumerate_monotone(m, kp):
-                phi = gamma.compose(phip)
-                for h in mul_delta(ns, k):
-                    hk = tuple(hi.compose(gamma) for hi in h)
-                    uf.union((k, phi, h), (kp, phip, hk))
-        cls, _ = canonical_classes(uf)
+    ns = tuple(_nonnegative("ns", ns))
+    _nonnegative("b", [b])
+    for m in _nonnegative("m", m_range):
+        classes, _, F = _hom_coend(m, ns, b)
         images = {}
-        for (k, phi, h) in cls:
-            img = tuple(hi.compose(phi) for hi in h)
+        for k, phi, u in classes:
+            img = tuple(comp_table(m, k, n)[h][phi]
+                        for h, n in zip(F[k][u], ns))
             if img in images:
+                pair = [(k2, enumerate_monotone(m, k2)[phi2],
+                         _family(k2, ns, F[k2][u2]))
+                        for k2, phi2, u2 in ((k, phi, u), images[img])]
                 return CheckCertificate(
-                    False, witness=(m, (k, phi, h), images[img]),
+                    False, witness=(m, *pair),
                     detail=f"canonical map not injective at m={m}")
-            images[img] = (k, phi, h)
-        missing = [t for t in mul_delta(ns, m) if t not in images]
-        if missing:
+            images[img] = (k, phi, u)
+        targets = itertools.product(*(range(monotone_count(m, n))
+                                      for n in ns))
+        missing = next((t for t in targets if t not in images), None)
+        if missing is not None:
             return CheckCertificate(
-                False, witness=(m, missing[0]),
+                False, witness=(m, _family(m, ns, missing)),
                 detail=f"canonical map not surjective at m={m}")
     return CheckCertificate(True,
                             detail="Kan extension agrees on the given range")
@@ -663,29 +685,20 @@ def left_kan_check(ns, b, m_range):
 # products of simplices as colimits
 
 
-def _monotone_into_product(ns, k):
-    """All monotone maps [k] -> ∏_i [n_i], as tuples of PosetPoints."""
-    pts = product_points(ns)
-    out = []
+def _colimit_coend(k, nondeg):
+    """The set colimit of the k-simplices of Δ^σ over the nondegenerate
+    simplices σ ∈ nondeg[d], a coend over the injections of Δ, which the
+    cofaces generate: the coface ι identifies (σ, ι∘β) with (σ∘ι, β)."""
+    chains = {d: [sigma.points for sigma in sigmas]
+              for d, sigmas in nondeg.items()}
 
-    def extend(chain):
-        if len(chain) == k + 1:
-            out.append(tuple(chain))
-            return
-        last = chain[-1]
-        for p in pts:
-            if last.leq(p):
-                extend(chain + [p])
+    def face(points, gen):
+        a, c, g = gen
+        return tuple(points[v] for v in enumerate_monotone(a, c)[g].values)
 
-    for p in pts:
-        extend([p])
-    return out
-
-
-def _strict_monotone_maps(d, e):
-    """Strictly monotone (injective) maps [d] -> [e]."""
-    return [f for f in enumerate_monotone(d, e)
-            if len(set(f.values)) == d + 1]
+    cofaces = _indexed(coface(d, i) for d in nondeg if d > 0
+                       for i in range(d + 1))
+    return _delta_coend(k, chains, face, cofaces)
 
 
 def product_simplices_colimit_check(ns, k_range):
@@ -694,67 +707,52 @@ def product_simplices_colimit_check(ns, k_range):
     onto the monotone maps [k] -> ∏_i [n_i], and that the image
     factorization of each such map is an initial object of its comma
     category of presentations."""
-    ns = tuple(ns)
+    ns = tuple(_nonnegative("ns", ns))
     total = sum(ns)
     nondeg = {d: product_nondegenerate(ns, d) for d in range(total + 1)}
-    for k in k_range:
-        uf = UnionFind()
+    for k in _nonnegative("k", k_range):
+        classes, reps = _colimit_coend(k, nondeg)
+        alphas = {d: enumerate_monotone(k, d) for d in nondeg}
+        image = {(d, a, s): tuple(nondeg[d][s].points[v]
+                                  for v in alphas[d][a].values)
+                 for d, a, s in reps}
         presentations = {}
-        for d in range(total + 1):
-            for sigma in nondeg[d]:
-                for alpha in enumerate_monotone(k, d):
-                    uf.add((sigma, alpha))
-                    img = tuple(sigma.points[alpha(i)] for i in range(k + 1))
-                    presentations.setdefault(img, []).append((sigma, alpha))
-        # codimension-one faces generate all injections
-        for d in range(1, total + 1):
-            for iota in _strict_monotone_maps(d - 1, d):
-                for sigma in nondeg[d]:
-                    sub = StrictMonotoneIntoProduct(
-                        ns, tuple(sigma.points[v] for v in iota.values))
-                    for beta in enumerate_monotone(k, d - 1):
-                        uf.union((sigma, iota.compose(beta)), (sub, beta))
-        cls, _ = canonical_classes(uf)
-        images = {}
-        for (sigma, alpha) in cls:
-            img = tuple(sigma.points[alpha(i)] for i in range(k + 1))
-            if img in images:
-                return CheckCertificate(False, witness=(k, (sigma, alpha)),
+        for (d, a, s), img in image.items():
+            presentations.setdefault(img, []).append(
+                (nondeg[d][s], alphas[d][a]))
+        images = set()
+        for d, a, s in classes:
+            if image[(d, a, s)] in images:
+                witness = (k, (nondeg[d][s], alphas[d][a]))
+                return CheckCertificate(False, witness=witness,
                                         detail=f"colimit map not injective "
                                                f"at level {k}")
-            images[img] = (sigma, alpha)
-        allmaps = _monotone_into_product(ns, k)
-        if set(images) != set(allmaps):
+            images.add(image[(d, a, s)])
+        # a map into the product poset is monotone iff its components are
+        allmaps = [tuple(map(PosetPoint, zip(*(f.values for f in fam))))
+                   for fam in mul_delta(ns, k)]
+        if images != set(allmaps):
             missing = next(t for t in allmaps if t not in images)
             return CheckCertificate(False, witness=(k, missing),
                                     detail=f"colimit map not surjective at "
                                            f"level {k}")
-        # cofinality: the image factorization is initial among presentations
-        for tau in allmaps:
-            distinct = []
-            epi_vals = []
-            for pt in tau:
-                if not distinct or distinct[-1].factors != pt.factors:
-                    distinct.append(pt)
-                epi_vals.append(len(distinct) - 1)
-            d_im = len(distinct) - 1
-            sigma_im = None
-            for s in nondeg[d_im]:
-                if s.points == tuple(distinct):
-                    sigma_im = s
-                    break
-            if sigma_im is None:
+        # cofinality: the image factorization τ = σ_im ∘ ε is initial among
+        # the presentations τ = σ ∘ α, so exactly one injection ι has
+        # σ ∘ ι = σ_im and ι ∘ ε = α
+        for tau, pres in presentations.items():
+            image_chain = tuple(dict.fromkeys(tau))
+            epi = [image_chain.index(pt) for pt in tau]
+            d_im = len(image_chain) - 1
+            if all(s.points != image_chain for s in nondeg[d_im]):
                 return CheckCertificate(False, witness=(k, tau),
                                         detail="image chain is not a "
                                                "nondegenerate simplex")
-            for sigma, alpha in presentations.get(tau, []):
-                d = sigma.degree
-                arrows = [
-                    iota for iota in _strict_monotone_maps(d_im, d)
-                    if tuple(sigma.points[v] for v in iota.values)
-                    == sigma_im.points
-                    and tuple(iota(epi_vals[i]) for i in range(k + 1))
-                    == tuple(alpha(i) for i in range(k + 1))]
+            for sigma, alpha in pres:
+                arrows = [iota for iota in enumerate_injections(d_im,
+                                                                sigma.degree)
+                          if tuple(sigma.points[v] for v in iota.values)
+                          == image_chain
+                          and tuple(iota(e) for e in epi) == alpha.values]
                 if len(arrows) != 1:
                     return CheckCertificate(
                         False, witness=(k, tau, (sigma, alpha)),

@@ -42,6 +42,25 @@ def test_promonoidal_left_kan_failure_has_witness_and_exit_1(capsys):
     assert failing and failing[0].get("witness") is not None
 
 
+@pytest.mark.parametrize("argv", [
+    ["--check", "product-colimit", "--ns", "1,-1"],
+    ["--check", "product-colimit", "--k-max", "-1"],
+    ["--check", "unit", "--b", "-1"],
+    ["--check", "mu-assoc", "--entries", "1,1,-1", "--b", "1"],
+    ["--check", "mu-assoc", "--b", "-1"],
+    ["--check", "coyoneda", "--b", "-1"],
+    ["--check", "left-kan", "--ns", "1,1", "--b", "2", "--m", "-1"],
+    ["--check", "left-kan", "--ns", "1,-1", "--b", "2"],
+    ["--check", "left-kan", "--b", "-1"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_promonoidal_vacuous_input_is_an_input_error(capsys, argv):
+    # each of these once checked nothing and passed, or failed as if a
+    # certificate had found a counterexample
+    code, rep, err = run(capsys, ["promonoidal"] + argv)
+    assert code == 2 and rep is None
+    assert "error" in json.loads(err)
+
+
 def test_skeleta_filtered_ez_on_points_passes(capsys):
     code, rep, _ = run(capsys, ["skeleta", "delta0", "delta0",
                                 "--filtered-ez"])

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from zilber.delta import MonotoneMap
 from zilber.promonoidal import (FiniteCategory, arrow_fiber_nn, coend_set,
                                 coyoneda_check, delta_leq,
                                 delta_mu_associativity_check,
@@ -89,6 +90,37 @@ def test_left_kan_comparison_dichotomy():
         assert left_kan_check(ns, b, range(3)).ok
     cert = left_kan_check([1, 1], 1, range(3))
     assert not cert.ok and cert.witness is not None
+
+
+@pytest.mark.parametrize("ns,b", [([1, 1], 1), ([2, 1], 2), ([2, 2], 3),
+                                  ([1], 0), ([2, 2], 0)])
+def test_left_kan_witnesses_are_monotone_maps(ns, b):
+    # above the bound the comparison misses a family [m] -> [n_i]
+    cert = left_kan_check(ns, b, [b + 1])
+    assert not cert.ok
+    m, family = cert.witness
+    assert m == b + 1
+    assert all(isinstance(f, MonotoneMap) for f in family)
+    assert [(f.domain_top, f.codomain_top) for f in family] == \
+        [(m, n) for n in ns]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: delta_mu_unit_check(-1),
+    lambda: delta_mu_associativity_check(1, 1, 1, -1),
+    lambda: delta_mu_associativity_check(1, -1, 1, 2),
+    lambda: left_kan_check([1, 1], -1, range(3)),
+    lambda: left_kan_check([1, -1], 2, range(3)),
+    lambda: left_kan_check([1, 1], 2, range(0)),
+    lambda: left_kan_check([1, 1], 2, [1, -1]),
+    lambda: product_simplices_colimit_check([1, -1], range(3)),
+    lambda: product_simplices_colimit_check([1, 1], []),
+    lambda: product_simplices_colimit_check([1, 1], [-1]),
+    lambda: delta_op_promonoidal(-1),
+])
+def test_vacuous_or_negative_inputs_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_product_of_simplices_is_colimit_of_its_nondegenerates():
