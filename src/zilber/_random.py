@@ -18,8 +18,7 @@ def _random_unimodular(rng, n, ops=None):
     operations."""
     if ops is None:
         ops = n + rng.randrange(3)
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    U, Uinv = la.identity(n), la.identity(n)
     for _ in range(ops if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = rng.choice([-2, -1, 1, 2])
@@ -52,23 +51,16 @@ def rand_complex(rng, top_degree=3, max_total_rank=10):
             total += 1
     diffs = {}
     for n in range(1, top_degree + 1):
-        if ranks[n] and ranks[n - 1]:
-            M = [[0] * ranks[n] for _ in range(ranks[n - 1])]
-            for (deg, row, col, val) in entries:
-                if deg == n:
-                    M[row][col] = val
-            diffs[n] = M
-    C = ChainComplex(ranks, diffs)
+        M = la.zeros(ranks[n - 1], ranks[n])
+        for (deg, row, col, val) in entries:
+            if deg == n:
+                M[row][col] = val
+        diffs[n] = M
     # conjugate by unimodular matrices, one per degree
     us = [(_random_unimodular(rng, ranks[n])) for n in range(top_degree + 1)]
-    new_diffs = {}
-    for n in range(1, top_degree + 1):
-        rn, rm = ranks[n], ranks[n - 1]
-        M = la.mat_mul_shaped(us[n - 1][0], (rm, rm), C.diff(n), (rm, rn))
-        M = la.mat_mul_shaped(M, (rm, rn), us[n][1], (rn, rn))
-        if rm and rn:
-            new_diffs[n] = M
-    return ChainComplex(ranks, new_diffs)
+    return ChainComplex(ranks, {
+        n: la.mat_mul(la.mat_mul(us[n - 1][0], diffs[n]), us[n][1])
+        for n in range(1, top_degree + 1)})
 
 
 def rand_simplicial(rng, dim_bound=3, max_total_rank=6):
@@ -93,7 +85,7 @@ def corrupt_simplicial(rng, A, attempts=8):
     slots = []
     for kind, mats in (("face", A.face_mats), ("degen", A.degen_mats)):
         for key, M in mats.items():
-            if M and any(len(r) for r in M):
+            if all(la.dims(M)):
                 slots.append((kind, key))
     if not slots:
         return None
@@ -102,9 +94,8 @@ def corrupt_simplicial(rng, A, attempts=8):
         faces = copy.deepcopy(A.face_mats)
         degens = copy.deepcopy(A.degen_mats)
         M = faces[key] if kind == "face" else degens[key]
-        rows = [i for i, r in enumerate(M) if len(r)]
-        i = rng.choice(rows)
-        j = rng.randrange(len(M[i]))
+        i = rng.randrange(len(M))
+        j = rng.randrange(M.ncols)
         M[i][j] += rng.choice([1, -1, 2])
         B = type(A)(A.dim_bound, A.ranks, faces, degens, check=False)
         try:
@@ -123,9 +114,7 @@ def rand_filtration(rng, p_max=4, top_degree=3, max_total_rank=8):
     stages = []
     for p in range(p_max + 1):
         if p == p_max:
-            stages.append({n: [[1 if i == j else 0
-                                for j in range(C.rank(n))]
-                               for i in range(C.rank(n))]
+            stages.append({n: la.identity(C.rank(n))
                            for n in range(top_degree + 1)})
             break
         for _ in range(rng.randrange(3)):
@@ -136,9 +125,6 @@ def rand_filtration(rng, p_max=4, top_degree=3, max_total_rank=8):
             acc[n].append(v)
             if n >= 1 and C.rank(n - 1):
                 acc[n - 1].append(la.mat_vec(C.diff(n), v))
-        stage = {}
-        for n in range(top_degree + 1):
-            rn = C.rank(n)
-            stage[n] = [[v[i] for v in acc[n]] for i in range(rn)]
-        stages.append(stage)
+        stages.append({n: la.from_columns(acc[n], C.rank(n))
+                       for n in range(top_degree + 1)})
     return FilteredChainComplex(C, stages, p_max)

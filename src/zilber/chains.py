@@ -82,10 +82,12 @@ class ChainComplex:
     def __init__(self, ranks, diffs, check=True):
         self.ranks = list(ranks)
         self.top_degree = len(self.ranks) - 1
-        self.diffs = dict(diffs)
+        self.diffs = {}
         for n in range(1, self.top_degree + 1):
-            if n not in self.diffs:
-                self.diffs[n] = la.zeros(self.ranks[n - 1], self.ranks[n])
+            M = diffs.get(n)
+            r, c = self.ranks[n - 1], self.ranks[n]
+            self.diffs[n] = (la.zeros(r, c) if M is None
+                             else la.as_matrix(M, r, c, f"differential d_{n}"))
         if check:
             self._validate()
 
@@ -101,9 +103,6 @@ class ChainComplex:
         return la.zeros(self.rank(n - 1), self.rank(n))
 
     def _validate(self):
-        for n in range(1, self.top_degree + 1):
-            if not la.shape_ok(self.diffs[n], self.ranks[n - 1], self.ranks[n]):
-                raise ValueError(f"differential d_{n} has wrong shape")
         for n in range(2, self.top_degree + 1):
             if not la.is_zero(la.mat_mul(self.diffs[n - 1], self.diffs[n])):
                 raise ValueError(f"d_{n-1} ∘ d_{n} != 0")
@@ -112,9 +111,6 @@ class ChainComplex:
         return (isinstance(other, ChainComplex) and self.ranks == other.ranks
                 and all(la.mat_eq(self.diff(n), other.diff(n))
                         for n in range(1, self.top_degree + 1)))
-
-    def euler_characteristic(self):
-        return sum((-1) ** n * r for n, r in enumerate(self.ranks))
 
     def to_payload(self):
         return {
@@ -158,29 +154,25 @@ class ChainMap:
     def __init__(self, source, target, mats, check=True):
         self.source = source
         self.target = target
-        self.mats = dict(mats)
-        top = max(source.top_degree, target.top_degree)
-        for n in range(top + 1):
-            if n not in self.mats:
-                self.mats[n] = la.zeros(target.rank(n), source.rank(n))
+        self.mats = {}
+        for n in range(max(source.top_degree, target.top_degree) + 1):
+            M = mats.get(n)
+            r, c = target.rank(n), source.rank(n)
+            self.mats[n] = (la.zeros(r, c) if M is None else la.as_matrix(
+                M, r, c, f"chain map component {n}"))
         if check:
             self._validate()
 
     def mat(self, n):
-        return self.mats.get(n, la.zeros(self.target.rank(n), self.source.rank(n)))
+        if n in self.mats:
+            return self.mats[n]
+        return la.zeros(self.target.rank(n), self.source.rank(n))
 
     def _validate(self):
         top = max(self.source.top_degree, self.target.top_degree)
-        for n in range(top + 1):
-            if not la.shape_ok(self.mats[n], self.target.rank(n), self.source.rank(n)):
-                raise ValueError(f"chain map component {n} has wrong shape")
         for n in range(1, top + 1):
-            lhs = la.mat_mul_shaped(
-                self.mat(n - 1), (self.target.rank(n - 1), self.source.rank(n - 1)),
-                self.source.diff(n), (self.source.rank(n - 1), self.source.rank(n)))
-            rhs = la.mat_mul_shaped(
-                self.target.diff(n), (self.target.rank(n - 1), self.target.rank(n)),
-                self.mat(n), (self.target.rank(n), self.source.rank(n)))
+            lhs = la.mat_mul(self.mat(n - 1), self.source.diff(n))
+            rhs = la.mat_mul(self.target.diff(n), self.mat(n))
             if lhs != rhs:
                 raise ValueError(f"chain map does not commute with d at degree {n}")
 
@@ -200,25 +192,15 @@ def identity_chain_map(C):
 # homology
 
 
-def smith_normal_form(M):
-    """Re-exported for the public surface of this module."""
-    return la.smith_normal_form(M)
+def _homology_subquotient(C, n):
+    """H_n(C) = ker d_n / im d_{n+1} as a Subquotient of C_n."""
+    return Subquotient(C.rank(n), la.kernel_basis(C.diff(n)),
+                       la.image_basis(C.diff(n + 1)))
 
 
 def homology_subquotients(C):
     """Per degree, the Subquotient ker d_n / im d_{n+1} (with lifts)."""
-    out = []
-    for n in range(C.top_degree + 1):
-        rn = C.rank(n)
-        if n == 0:
-            zgens = la.identity(rn)
-        else:
-            cols = la.kernel_basis(C.diff(n), ncols=rn)
-            zgens = la.from_columns(cols, rows=rn)
-        bcols = la.image_basis(C.diff(n + 1)) if n < C.top_degree else []
-        bgens = la.from_columns(bcols, rows=rn) if bcols else [[] for _ in range(rn)]
-        out.append(Subquotient(rn, zgens, bgens))
-    return out
+    return [_homology_subquotient(C, n) for n in range(C.top_degree + 1)]
 
 
 def homology(C):
@@ -226,27 +208,18 @@ def homology(C):
     return [invariants_of_subquotient(sq) for sq in homology_subquotients(C)]
 
 
-def subquotient_homology(ambient_dim, z_gens, b_gens):
-    """Canonical invariants of Z/B for subgroups of ℤ^ambient_dim given by
-    generator columns; raises if B is not contained in Z."""
-    return invariants_of_subquotient(Subquotient(ambient_dim, z_gens, b_gens))
-
-
 def induced_homology_matrices(f):
     """Per degree n, the matrix of H_n(f) in the canonical cyclic-generator
     coordinates of source and target homology (columns indexed by source
     generators)."""
     top = max(f.source.top_degree, f.target.top_degree)
-    hs = homology_subquotients(f.source)
-    ht = homology_subquotients(f.target)
     out = []
     for n in range(top + 1):
-        sq_s = hs[n] if n < len(hs) else la.Subquotient(0, [], [])
-        sq_t = ht[n] if n < len(ht) else la.Subquotient(0, [], [])
+        sq_s = _homology_subquotient(f.source, n)
+        sq_t = _homology_subquotient(f.target, n)
         M = la.zeros(sq_t.ngens, sq_s.ngens)
         for col, lift in enumerate(sq_s.lifts):
-            image = la.mat_vec(f.mat(n), lift) if f.target.rank(n) else []
-            for row, c in enumerate(sq_t.coords(image)):
+            for row, c in enumerate(sq_t.coords(la.mat_vec(f.mat(n), lift))):
                 M[row][col] = c
         out.append(M)
     return out
@@ -260,23 +233,15 @@ def is_homology_isomorphism(f):
     isomorphism type, surjective implies bijective): the cokernel of
     [induced matrix | torsion relations] must vanish."""
     top = max(f.source.top_degree, f.target.top_degree)
-    hs = homology_subquotients(f.source)
-    ht = homology_subquotients(f.target)
     mats = induced_homology_matrices(f)
     for n in range(top + 1):
-        sq_s = hs[n] if n < len(hs) else la.Subquotient(0, [], [])
-        sq_t = ht[n] if n < len(ht) else la.Subquotient(0, [], [])
+        sq_s = _homology_subquotient(f.source, n)
+        sq_t = _homology_subquotient(f.target, n)
         if sq_s.orders != sq_t.orders:
             return False
         g = sq_t.ngens
-        if g == 0:
-            continue
-        rel = la.zeros(g, 0)
-        for i, o in enumerate(sq_t.orders):
-            if o:
-                col = [0] * g
-                col[i] = o
-                rel = la.hstack(rel, la.from_columns([col], rows=g))
+        rel = la.from_columns([[o if j == i else 0 for j in range(g)]
+                               for i, o in enumerate(sq_t.orders) if o], g)
         aug = la.hstack(mats[n], rel)
         S = la.smith_normal_form(aug)[1]
         diag = [S[i][i] for i in range(min(la.dims(S)))]
@@ -307,11 +272,7 @@ def hom_rank(C, D):
                 for k in range(D.rank(n)):
                     row[offsets[n] + k * C.rank(n) + j] -= dd[i][k]
                 rows.append(row)
-    if total == 0:
-        return 0
-    if not rows:
-        return total
-    return total - la.rank(rows)
+    return total - la.rank(la.Matrix(rows, total))
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +376,3 @@ def direct_sum(C, D):
                 M[C.rank(n - 1) + i][C.rank(n) + j] = b[i][j]
         diffs[n] = M
     return ChainComplex(ranks, diffs)
-
-
-def suspension_data(C):
-    """Total free rank and entry bound, used by tests sizing random inputs."""
-    total = sum(C.ranks)
-    bound = max((abs(x) for n in range(1, C.top_degree + 1)
-                 for row in C.diff(n) for x in row), default=0)
-    return total, bound

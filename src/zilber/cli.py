@@ -45,6 +45,8 @@ def resolve_dim_bound(requested):
     cap = max_dim()
     if requested is None:
         return min(3, cap)
+    if requested < 0:
+        raise InputError("--dim-bound must be nonnegative")
     if requested > cap:
         raise InputError(f"--dim-bound {requested} exceeds ZILBER_MAX_DIM={cap}")
     return requested
@@ -175,7 +177,17 @@ def cmd_doldkan(args):
               "random_objects": args.random_objects,
               "fuzz": args.fuzz, "hom_table": args.hom_table,
               "seed": args.seed}
-    if args.input is not None:
+    counts = ("random_complexes", "random_objects", "fuzz", "hom_table")
+    for name in counts:
+        if getattr(args, name) < 0:
+            raise InputError(f"--{name.replace('_', '-')} must be nonnegative")
+    if args.input is None:
+        if args.roundtrip:
+            raise InputError("--roundtrip needs an input space")
+        if not any(getattr(args, name) for name in counts):
+            raise InputError("nothing to check: give an input space or a "
+                             "positive count")
+    else:
         X = load_space(args.input, dim_bound)
         A = free_abelian(X)
         nres = doldkan.normalize(A)
@@ -311,10 +323,19 @@ def cmd_skeleta(args):
               "day_unit": args.day_unit, "day_symmetry": args.day_symmetry,
               "day_assoc": args.day_assoc, "trials": args.trials,
               "seed": args.seed, "dim_bound": dim_bound}
-    if args.first is not None and args.second is not None:
+    pqn = (args.p, args.q, args.n) != (None, None, None)
+    day = args.day_unit or args.day_symmetry or args.day_assoc
+    if not (pqn or args.filtered_ez or day):
+        raise InputError("nothing to check: give --p/--q/--n, --filtered-ez "
+                         "or a --day-* law")
+    if (pqn or args.filtered_ez) and None in (args.first, args.second):
+        raise InputError("--p/--q/--n and --filtered-ez need two spaces")
+    if day and args.trials < 1:
+        raise InputError("--trials must be positive")
+    if pqn or args.filtered_ez:
         X = load_space(args.first, dim_bound)
         Y = load_space(args.second, dim_bound)
-        if args.p is not None or args.q is not None or args.n is not None:
+        if pqn:
             if None in (args.p, args.q, args.n):
                 raise InputError("--p, --q, --n must be given together")
             certs.append(cert_dict(
@@ -408,6 +429,8 @@ def cmd_ss(args):
               "seed": args.seed, "dim_bound": dim_bound}
     token = args.input
     if token == "random":
+        if args.trials < 1:
+            raise InputError("--trials must be positive")
         rng = random.Random(args.seed)
         bad = None
         for t in range(args.trials):
@@ -528,6 +551,9 @@ def cmd_promonoidal(args):
                     ns, range(args.k_max + 1)),
                 "product-colimit"))
         elif check == "operator-frag":
+            if args.trials < 1 or args.length < 0:
+                raise InputError("operator-frag needs --trials >= 1 and "
+                                 "--length >= 0")
             rng = random.Random(args.seed)
             frag = promonoidal.operator_category_fragment(
                 promonoidal.delta_op_multicategory(args.b), args.length)

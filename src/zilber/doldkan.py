@@ -45,10 +45,8 @@ class NormalizationResult:
 
 def _degenerate_span(A, n):
     """Generator columns of D_n = Σ_i im(s_i) inside A_n."""
-    if n == 0:
-        return [[] for _ in range(A.ranks[0])]
-    mats = [A.degen_mats[(n - 1, i)] for i in range(n)]
-    return la.hstack(*mats) if mats else [[] for _ in range(A.ranks[n])]
+    return la.hstack(la.zeros(A.ranks[n], 0),
+                     *[A.degen_mats[(n - 1, i)] for i in range(n)])
 
 
 def normalize(A, moore="upper"):
@@ -67,42 +65,27 @@ def normalize(A, moore="upper"):
     dranks = []
     for n in range(D + 1):
         rn = A.ranks[n]
-        dg = _degenerate_span(A, n)
-        ncols = la.dims(dg)[1]
-        if ncols == 0:
-            proj = la.identity(rn)
+        U, S, _, _, _ = la._smith_with_inverses(_degenerate_span(A, n))
+        diag = [S[i][i] for i in range(min(la.dims(S)))]
+        r = sum(1 for d in diag if d)
+        if any(d not in (0, 1) for d in diag):
+            raise ValueError(
+                "degenerate subgroup is not a direct summand; "
+                "input is not a valid simplicial abelian group")
+        proj = la.Matrix(U[r:], rn)
+        # section through the Moore subcomplex
+        if n == 0:
             sec = la.identity(rn)
-            dr = 0
         else:
-            U, S, V, Uinv, _ = la._smith_with_inverses(dg)
-            m = min(la.dims(S))
-            diag = [S[i][i] for i in range(m)]
-            r = sum(1 for d in diag if d)
-            if any(d not in (0, 1) for d in diag):
-                raise ValueError(
-                    "degenerate subgroup is not a direct summand; "
-                    "input is not a valid simplicial abelian group")
-            dr = r
-            proj = [U[i] for i in range(r, rn)]
-            # section through the Moore subcomplex
-            if n == 0:
-                sec = la.identity(rn)
-            else:
-                if moore == "upper":
-                    stack = la.vstack(*[A.face_mats[(n, i)] for i in range(1, n + 1)])
-                else:
-                    stack = la.vstack(*[A.face_mats[(n, i)] for i in range(n)])
-                kcols = la.kernel_basis(stack, ncols=rn)
-                K = la.from_columns(kcols, rows=rn) if kcols else [[] for _ in range(rn)]
-                PK = la.mat_mul(proj, K) if rn - r else []
-                if len(kcols) != rn - r:
-                    raise ValueError("Moore subcomplex rank mismatch")
-                inv = la.inverse_unimodular(PK) if rn - r else []
-                sec = la.mat_mul(K, inv) if rn - r else [[] for _ in range(rn)]
+            faces = range(1, n + 1) if moore == "upper" else range(n)
+            K = la.kernel_basis(la.vstack(*[A.face_mats[(n, i)] for i in faces]))
+            if K.ncols != rn - r:
+                raise ValueError("Moore subcomplex rank mismatch")
+            sec = la.mat_mul(K, la.inverse_unimodular(la.mat_mul(proj, K)))
         projs[n] = proj
         secs[n] = sec
-        nranks.append(rn - dr)
-        dranks.append(dr)
+        nranks.append(rn - r)
+        dranks.append(r)
     ndiffs = {}
     for n in range(1, D + 1):
         ndiffs[n] = la.mat_mul(projs[n - 1], la.mat_mul(C.diff(n), secs[n]))
@@ -225,11 +208,9 @@ def gamma_normalize_comparison(A, nres=None):
         cols = []
         for (eta, t) in gamma_basis(N, n):
             op = A.operator_matrix(eta)
-            sec_col = [nres.section.mat(eta.codomain_top)[i][t]
-                       for i in range(A.ranks[eta.codomain_top])]
+            sec_col = [row[t] for row in nres.section.mat(eta.codomain_top)]
             cols.append(la.mat_vec(op, sec_col))
-        mats.append(la.from_columns(cols, rows=A.ranks[n]) if cols
-                    else [[] for _ in range(A.ranks[n])])
+        mats.append(la.from_columns(cols, A.ranks[n]))
     return mats
 
 
@@ -250,11 +231,7 @@ def normalized_gamma_comparison(C, dim_bound):
         for row, (eta, t) in enumerate(basis):
             if eta.domain_top == eta.codomain_top == n and t < C.rank(n):
                 incl[row][t] = 1
-        M = la.mat_mul_shaped(nres.projection.mat(n), (N.rank(n), G.ranks[n]),
-                              incl, (G.ranks[n], C.rank(n)))
-        if sign < 0:
-            M = [[-v for v in row] for row in M]
-        mats[n] = M
+        mats[n] = la.mat_scale(sign, la.mat_mul(nres.projection.mat(n), incl))
         sign = sign * (-1 if (n + 1) % 2 else 1)
     return ChainMap(C, N, mats)
 
@@ -266,22 +243,16 @@ def is_chain_iso(f):
     for n in range(top + 1):
         if f.source.rank(n) != f.target.rank(n):
             return False
-        if f.source.rank(n):
-            try:
-                la.inverse_unimodular(f.mat(n))
-            except ValueError:
-                return False
+        try:
+            la.inverse_unimodular(f.mat(n))
+        except ValueError:
+            return False
     return True
 
 
 def is_levelwise_unimodular(mats, ranks):
-    for n, M in enumerate(mats):
-        if ranks[n] == 0:
-            if la.dims(M)[1] not in (0, ranks[n]):
-                return False
-            continue
-        r, c = la.dims(M)
-        if r != c or r != ranks[n]:
+    for M, r in zip(mats, ranks):
+        if la.dims(M) != (r, r):
             return False
         try:
             la.inverse_unimodular(M)

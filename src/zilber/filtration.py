@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 
 from . import intlinalg as la
-from .chains import ChainComplex, TensorBasis, tensor, unit_complex
+from .chains import ChainComplex, tensor, unit_complex
 from .delta import enumerate_surjections
 from .doldkan import normalize, unnormalized_chains
 from .ez import shuffle_product
@@ -24,21 +24,22 @@ class FilteredChainComplex:
     def __init__(self, ambient, stages, p_max, check=True):
         self.ambient = ambient
         self.p_max = p_max
+        if len(stages) != p_max + 1:
+            raise ValueError("stages must have p_max + 1 entries")
         # stages[p][n] is an ambient.rank(n)-row matrix of generator columns
-        self.stages = [dict(stages[p]) for p in range(p_max + 1)]
-        for p in range(p_max + 1):
-            for n in range(ambient.top_degree + 1):
-                if n not in self.stages[p]:
-                    self.stages[p][n] = [[] for _ in range(ambient.rank(n))]
+        self.stages = [
+            {n: la.as_matrix(stages[p].get(n, la.zeros(ambient.rank(n), 0)),
+                             ambient.rank(n), what=f"stage ({p},{n})")
+             for n in range(ambient.top_degree + 1)}
+            for p in range(p_max + 1)]
         if check:
             self._validate()
 
     def stage(self, p, n):
         """Generator columns of F_p in degree n (p is clamped to [−1, p_max];
         p < 0 gives the zero subgroup)."""
-        rn = self.ambient.rank(n)
         if p < 0 or n < 0 or n > self.ambient.top_degree:
-            return [[] for _ in range(rn)]
+            return la.zeros(self.ambient.rank(n), 0)
         return self.stages[min(p, self.p_max)][n]
 
     def member(self, p, n, v):
@@ -49,10 +50,7 @@ class FilteredChainComplex:
         top = self.ambient.top_degree
         for p in range(self.p_max + 1):
             for n in range(top + 1):
-                M = self.stages[p][n]
-                if not la.shape_ok(M, self.ambient.rank(n), la.dims(M)[1]):
-                    raise ValueError(f"stage ({p},{n}) has wrong row count")
-                for v in la.columns(M):
+                for v in la.columns(self.stages[p][n]):
                     if n >= 1:
                         dv = la.mat_vec(self.ambient.diff(n), v)
                         if not la.in_span(self.stage(p, n - 1), dv):
@@ -129,18 +127,12 @@ def skeletal_filtration(A, ambient="normalized", moore="upper"):
     for p in range(D + 1):
         stage = {}
         for k in range(D + 1):
-            mats = []
-            for j in range(min(p, k) + 1):
-                for eta in enumerate_surjections(k, j):
-                    mats.append(A.operator_matrix(eta))
-            cols = la.hstack(*mats) if mats else [[] for _ in range(A.ranks[k])]
+            cols = la.hstack(*[A.operator_matrix(eta)
+                               for j in range(min(p, k) + 1)
+                               for eta in enumerate_surjections(k, j)])
             if nres:
-                cols = la.mat_mul_shaped(
-                    nres.projection.mat(k), (amb.rank(k), A.ranks[k]),
-                    cols, (A.ranks[k], la.dims(cols)[1]))
-            basis = la.image_basis(cols)
-            stage[k] = (la.from_columns(basis, rows=amb.rank(k)) if basis
-                        else [[] for _ in range(amb.rank(k))])
+                cols = la.mat_mul(nres.projection.mat(k), cols)
+            stage[k] = la.image_basis(cols)
         stages.append(stage)
     return FilteredChainComplex(amb, stages, D)
 
@@ -172,10 +164,7 @@ def day_convolution(F, G):
                                         if v:
                                             vec[tb.index(k, a, i, b, j)] += u * v
                             cols.append(vec)
-            basis = la.image_basis(la.from_columns(cols, rows=E.rank(k))
-                                   if cols else [[] for _ in range(E.rank(k))])
-            stage[k] = (la.from_columns(basis, rows=E.rank(k)) if basis
-                        else [[] for _ in range(E.rank(k))])
+            stage[k] = la.image_basis(la.from_columns(cols, E.rank(k)))
         stages.append(stage)
     out = FilteredChainComplex(E, stages, p_max)
     out.basis = tb
@@ -204,9 +193,7 @@ def convolution_symmetry_check(F, G):
     mats = _koszul_swap(FG.basis, GF.basis)
     for p in range(FG.p_max + 1):
         for n in range(FG.ambient.top_degree + 1):
-            cols = [la.mat_vec(mats[n], v) for v in la.columns(FG.stage(p, n))]
-            img = (la.from_columns(cols, rows=GF.ambient.rank(n)) if cols
-                   else [[] for _ in range(GF.ambient.rank(n))])
+            img = la.mat_mul(mats[n], FG.stage(p, n))
             if not la.spans_equal(img, GF.stage(p, n)):
                 return CheckCertificate(False, witness=(p, n),
                                         detail=f"swap image of stage {p} "
@@ -225,9 +212,7 @@ def convolution_associativity_check(F, G, H):
     mats = _tensor_associator(L.basis, FG.basis, R.basis, GH.basis)
     for p in range(L.p_max + 1):
         for n in range(L.ambient.top_degree + 1):
-            cols = [la.mat_vec(mats[n], v) for v in la.columns(L.stage(p, n))]
-            img = (la.from_columns(cols, rows=R.ambient.rank(n)) if cols
-                   else [[] for _ in range(R.ambient.rank(n))])
+            img = la.mat_mul(mats[n], L.stage(p, n))
             if not la.spans_equal(img, R.stage(p, n)):
                 return CheckCertificate(False, witness=(p, n),
                                         detail=f"associator image of stage {p} "
@@ -310,8 +295,7 @@ class FilteredPairing:
                                         for j, v in enumerate(y):
                                             if v:
                                                 vec[tb.index(n, a, i, b, j)] += u * v
-                                img = la.mat_vec(self.m.mat(n), vec) \
-                                    if self.H.ambient.rank(n) else []
+                                img = la.mat_vec(self.m.mat(n), vec)
                                 if not self.H.member(p + q, n, img):
                                     return CheckCertificate(
                                         False, witness=(p, q, n),
@@ -326,17 +310,12 @@ class FilteredPairing:
         tb = conv.basis
         for n in range(min(tb.top_degree, self.basis.top_degree) + 1):
             src = conv.stage(0, n)
-            cols = [la.mat_vec(self.m.mat(n), v) if self.H.ambient.rank(n) else []
-                    for v in la.columns(src)]
-            img = (la.from_columns(cols, rows=self.H.ambient.rank(n)) if cols
-                   else [[] for _ in range(self.H.ambient.rank(n))])
+            img = la.mat_mul(self.m.mat(n), src)
             if not la.spans_equal(img, self.H.stage(0, n)):
                 return CheckCertificate(False, witness=n,
                                         detail=f"stage-0 image differs from "
                                                f"H_0 in degree {n}")
-            src_basis = la.image_basis(src)
-            img_basis = la.image_basis(img)
-            if len(src_basis) != len(img_basis):
+            if la.rank(src) != la.rank(img):
                 return CheckCertificate(False, witness=n,
                                         detail=f"stage-0 map not injective "
                                                f"in degree {n}")

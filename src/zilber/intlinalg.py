@@ -1,104 +1,88 @@
 """Exact integer linear algebra: Smith normal form, kernels, spans, subquotients.
 
-All matrices are lists of lists of Python ints (row-major).  Everything here
-is exact; there is no floating point anywhere in this package.
+A matrix is a ``Matrix``: the list of its rows, each a plain list of Python
+ints, which also carries its column count, so that a matrix with no rows or
+no columns keeps its shape.  Everything here is exact; there is no floating
+point anywhere in this package.
 """
 
 from __future__ import annotations
 
 
+class Matrix(list):
+    """A dense integer matrix: a list of plain row lists plus ``ncols``.
+
+    Indexing, ``len`` (the row count), iteration and JSON encoding are
+    those of the row list."""
+
+    __slots__ = ("ncols",)
+
+    def __init__(self, rows, ncols):
+        self.extend(rows)
+        self.ncols = ncols
+
+
+def as_matrix(M, r, c=None, what="matrix"):
+    """M as an r x c Matrix, or ValueError if it has another shape.  A
+    Matrix is checked by its recorded shape and returned as is; a list of
+    rows (outside input) is checked row by row.  With c None any width is
+    accepted, and a list with no rows has none."""
+    if isinstance(M, Matrix):
+        if dims(M) != (r, M.ncols if c is None else c):
+            raise ValueError(f"{what} has wrong shape")
+        return M
+    if c is None:
+        c = len(M[0]) if M else 0
+    if len(M) != r or any(len(row) != c for row in M):
+        raise ValueError(f"{what} has wrong shape")
+    return Matrix(M, c)
+
+
+def _eye(n):
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
+    return Matrix([[0] * cols for _ in range(rows)], cols)
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return Matrix(_eye(n), n)
 
 
 def dims(M):
-    return len(M), (len(M[0]) if M else 0)
-
-
-def mat_copy(M):
-    return [row[:] for row in M]
-
-
-def mat_neg(M):
-    return [[-x for x in row] for row in M]
+    return len(M), M.ncols
 
 
 def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)],
+                  A.ncols)
 
 
 def mat_scale(k, M):
-    return [[k * x for x in row] for row in M]
-
-
-def shape_ok(M, r, c):
-    """Shape check tolerating the ambiguity of 0-row / 0-column matrices."""
-    if r == 0:
-        return M == [] or (len(M) == 0)
-    if len(M) != r:
-        return False
-    return all(len(row) == c for row in M)
+    return Matrix([[k * x for x in row] for row in M], M.ncols)
 
 
 def mat_mul(A, B):
     ra, ca = dims(A)
     rb, cb = dims(B)
-    if ra == 0:
-        return []
     if ca != rb:
-        if ca == 0 and rb == 0:
-            return zeros(ra, cb)
-        if cb == 0:
-            return [[] for _ in range(ra)]
         raise ValueError(f"dimension mismatch in mat_mul: {ra}x{ca} times {rb}x{cb}")
     out = zeros(ra, cb)
-    for i in range(ra):
-        Ai = A[i]
-        Oi = out[i]
-        for k in range(ca):
-            a = Ai[k]
+    for Ai, Oi in zip(A, out):
+        for a, Bk in zip(Ai, B):
             if a:
-                Bk = B[k]
-                for j in range(cb):
-                    Oi[j] += a * Bk[j]
-    return out
-
-
-def mat_mul_shaped(A, ashape, B, bshape):
-    """Product with explicit shapes, so 0-row/0-column matrices are handled
-    unambiguously."""
-    ra, ca = ashape
-    rb, cb = bshape
-    if ca != rb:
-        raise ValueError("dimension mismatch in mat_mul_shaped")
-    out = zeros(ra, cb)
-    for i in range(ra):
-        Ai = A[i]
-        Oi = out[i]
-        for k in range(ca):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(cb):
-                    Oi[j] += a * Bk[j]
+                for j, b in enumerate(Bk):
+                    if b:
+                        Oi[j] += a * b
     return out
 
 
 def mat_vec(M, v):
     return [sum(a * b for a, b in zip(row, v)) for row in M]
-
-
-def transpose(M):
-    r, c = dims(M)
-    return [[M[i][j] for i in range(r)] for j in range(c)]
 
 
 def mat_eq(A, B):
@@ -111,31 +95,28 @@ def is_zero(M):
 
 def hstack(*mats):
     """Concatenate matrices horizontally.  All must have the same row count."""
-    mats = [M for M in mats if dims(M)[1] > 0 or dims(M)[0] > 0]
-    if not mats:
-        return []
-    rows = len(mats[0])
-    return [sum((M[i] for M in mats), []) for i in range(rows)]
+    r = len(mats[0])
+    if any(len(M) != r for M in mats):
+        raise ValueError("row count mismatch in hstack")
+    return Matrix([[x for row in rows for x in row] for rows in zip(*mats)],
+                  sum(M.ncols for M in mats))
 
 
 def vstack(*mats):
-    out = []
-    for M in mats:
-        out.extend(mat_copy(M))
-    return out
+    """Concatenate matrices vertically.  All must have the same column count."""
+    c = mats[0].ncols
+    if any(M.ncols != c for M in mats):
+        raise ValueError("column count mismatch in vstack")
+    return Matrix([row[:] for M in mats for row in M], c)
 
 
 def columns(M):
-    r, c = dims(M)
-    return [[M[i][j] for i in range(r)] for j in range(c)]
+    return [[row[j] for row in M] for j in range(M.ncols)]
 
 
-def from_columns(cols, rows=None):
-    """Build a matrix whose columns are the given vectors."""
-    if not cols:
-        return [[] for _ in range(rows)] if rows else []
-    r = len(cols[0])
-    return [[col[i] for col in cols] for i in range(r)]
+def from_columns(cols, nrows):
+    """The nrows x len(cols) matrix whose columns are the given vectors."""
+    return Matrix([[col[i] for col in cols] for i in range(nrows)], len(cols))
 
 
 def kron(A, B):
@@ -159,10 +140,12 @@ def _smith_with_inverses(M):
     Pivots are chosen with minimal absolute value to bound entry growth;
     diagonal entries are nonnegative and form a divisibility chain.
     """
-    S = mat_copy(M)
-    r, c = dims(S)
-    U, Uinv = identity(r), identity(r)
-    V, Vinv = identity(c), identity(c)
+    r, c = dims(M)
+    # plain row lists while pivoting (indexing a list subclass is slower);
+    # wrapped as Matrix on return
+    S = [row[:] for row in M]
+    U, Uinv = _eye(r), _eye(r)
+    V, Vinv = _eye(c), _eye(c)
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
@@ -259,7 +242,8 @@ def _smith_with_inverses(M):
         if S[t][t] == 0:
             break
 
-    return U, S, V, Uinv, Vinv
+    return (Matrix(U, r), Matrix(S, c), Matrix(V, c), Matrix(Uinv, r),
+            Matrix(Vinv, c))
 
 
 def smith_normal_form(M):
@@ -282,52 +266,41 @@ def rank(M):
     return sum(1 for d in snf_diagonal(M) if d != 0)
 
 
-def kernel_basis(M, ncols=None):
-    """Basis (as columns) of the integer kernel of M; the kernel is saturated,
-    so this is a genuine ℤ-basis.
-
-    ncols disambiguates the column count when M has no rows (the empty
-    list), in which case the kernel is all of ℤ^ncols."""
+def kernel_basis(M):
+    """Basis of the integer kernel of M, as the columns of a Matrix; the
+    kernel is saturated, so this is a genuine ℤ-basis."""
     r, c = dims(M)
-    if r == 0 and ncols is not None:
-        c = ncols
-    if c == 0:
-        return []
-    if r == 0:
-        return [[1 if i == j else 0 for i in range(c)] for j in range(c)]
-    U, S, V, _, _ = _smith_with_inverses(M)
+    _, S, V, _, _ = _smith_with_inverses(M)
     n = min(r, c)
-    ker_cols = [j for j in range(c) if j >= n or S[j][j] == 0]
-    return [[V[i][j] for i in range(c)] for j in ker_cols]
+    ker = [j for j in range(c) if j >= n or S[j][j] == 0]
+    return Matrix([[row[j] for j in ker] for row in V], len(ker))
 
 
 def image_basis(M):
-    """Basis (as column vectors) of the column span of M."""
+    """Basis of the column span of M, as the columns of a Matrix."""
     r, c = dims(M)
-    U, S, V, Uinv, _ = _smith_with_inverses(M)
-    n = min(r, c)
-    cols = []
-    for j in range(n):
-        d = S[j][j]
-        if d:
-            cols.append([Uinv[i][j] * d for i in range(r)])
-    return cols
+    _, S, _, Uinv, _ = _smith_with_inverses(M)
+    pivots = [(j, S[j][j]) for j in range(min(r, c)) if S[j][j]]
+    return Matrix([[row[j] * d for j, d in pivots] for row in Uinv],
+                  len(pivots))
 
 
 def solve(M, b):
     """One integer solution x of M x = b, or None if none exists."""
-    X = solve_matrix(M, from_columns([b], rows=len(M)))
+    X = solve_matrix(M, Matrix([[x] for x in b], 1))
     if X is None:
         return None
     return [row[0] for row in X]
 
 
 def solve_matrix(M, B):
-    """Integer solution X of M X = B (B given columnwise), or None."""
+    """Integer solution X of M X = B, or None if none exists."""
     r, c = dims(M)
     rb, cb = dims(B)
     if rb != r:
         raise ValueError("row count mismatch in solve_matrix")
+    if cb == 0:
+        return zeros(c, 0)  # nothing to solve: skip the SNF
     U, S, V, _, _ = _smith_with_inverses(M)
     C = mat_mul(U, B)
     n = min(r, c)
@@ -354,9 +327,6 @@ def in_span(gens, v):
 
 def span_contains(A, B):
     """Is every column of B in the integer column span of A?"""
-    rb, cb = dims(B)
-    if cb == 0:
-        return True
     return solve_matrix(A, B) is not None
 
 
@@ -380,42 +350,32 @@ def inverse_unimodular(M):
 class Subquotient:
     """A subquotient Z/B of ℤ^n, with generator lifts and coordinates.
 
-    Z and B are given by integer generator columns; B must be contained in
-    the span of Z.  The quotient is put in invariant-factor form: it is
-    ⊕_i ℤ/orders[i] with the convention order 0 = ℤ, and ``lifts`` holds an
-    ambient representative for each cyclic summand generator.
+    Z and B are given by Matrices of generator columns with n rows; B must
+    be contained in the span of Z.  The quotient is put in invariant-factor
+    form: it is ⊕_i ℤ/orders[i] with the convention order 0 = ℤ, and
+    ``lifts`` holds an ambient representative for each cyclic summand
+    generator.
     """
 
     def __init__(self, ambient_dim, z_gens, b_gens):
+        if len(z_gens) != ambient_dim or len(b_gens) != ambient_dim:
+            raise ValueError("generators must be given as an ambient_dim-row matrix")
         self.ambient_dim = ambient_dim
-        z_gens = _normalize_gens(z_gens, ambient_dim)
-        b_gens = _normalize_gens(b_gens, ambient_dim)
-        zb = image_basis(z_gens) if dims(z_gens)[1] else []
-        self._zbasis = from_columns(zb, rows=ambient_dim) if zb else [[] for _ in range(ambient_dim)]
-        r = len(zb)
-        self._zrank = r
-        if dims(b_gens)[1]:
-            R = solve_matrix(self._zbasis, b_gens) if r else None
-            if r == 0:
-                if not is_zero(b_gens):
-                    raise ValueError("B is not contained in Z")
-                R = zeros(0, dims(b_gens)[1])
-            if R is None:
-                raise ValueError("B is not contained in Z")
-        else:
-            R = zeros(r, 0)
+        self._zbasis = image_basis(z_gens)
+        r = self._zbasis.ncols
+        R = solve_matrix(self._zbasis, b_gens)
+        if R is None:
+            raise ValueError("B is not contained in Z")
         U, S, V, Uinv, _ = _smith_with_inverses(R)
-        n = min(dims(S)) if R else 0
+        n = min(dims(S))
         diag = [S[i][i] for i in range(n)] + [0] * (r - n)
         kept = [i for i in range(r) if diag[i] != 1]
         self.orders = [diag[i] for i in kept]
         self._U = U
         self._kept = kept
         # ambient lift of generator i: zbasis * (Uinv column i)
-        self.lifts = []
-        for i in kept:
-            col = [Uinv[j][i] for j in range(r)]
-            self.lifts.append(mat_vec(self._zbasis, col) if r else [0] * ambient_dim)
+        self.lifts = [mat_vec(self._zbasis, [row[i] for row in Uinv])
+                      for i in kept]
         self.free_rank = sum(1 for o in self.orders if o == 0)
         self.torsion = [o for o in self.orders if o >= 2]
 
@@ -427,16 +387,11 @@ class Subquotient:
         return self.free_rank, tuple(self.torsion)
 
     def contains(self, v):
-        return self._zrank > 0 and solve(self._zbasis, v) is not None or \
-            (self._zrank == 0 and all(x == 0 for x in v))
+        return solve(self._zbasis, v) is not None
 
     def coords(self, v):
         """Coordinates of the class of v on the cyclic generators (reduced
         mod torsion orders).  Raises ValueError if v is not in Z."""
-        if self._zrank == 0:
-            if any(x != 0 for x in v):
-                raise ValueError("vector not in the subgroup Z")
-            return []
         c = solve(self._zbasis, v)
         if c is None:
             raise ValueError("vector not in the subgroup Z")
@@ -452,14 +407,3 @@ class Subquotient:
 
     def reduce(self, coords):
         return [c % o if o else c for c, o in zip(coords, self.orders)]
-
-
-def _normalize_gens(gens, ambient_dim):
-    """Accept a matrix or a list of column vectors; return a matrix with
-    ambient_dim rows."""
-    if not gens:
-        return [[] for _ in range(ambient_dim)]
-    if isinstance(gens[0], list) and len(gens) == ambient_dim and \
-            (not gens[0] or isinstance(gens[0][0], int)):
-        return gens
-    raise ValueError("generators must be given as an ambient_dim-row matrix")

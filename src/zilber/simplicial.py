@@ -64,9 +64,6 @@ class SimplicialSet:
                     self._degenerate[k2].update(self.degens[(k2 - 1, i)].values())
         return self._degenerate[k]
 
-    def is_degenerate(self, k, x):
-        return x in self.degenerate_set(k)
-
     def nondegenerate_counts(self):
         return tuple(len(self.levels[k]) - len(self.degenerate_set(k))
                      for k in range(self.dim_bound + 1))
@@ -152,21 +149,6 @@ class SimplicialSet:
                                 raise SimplicialIdentityError(
                                     f"d_{i} s_{j} != s_{j} d_{i-1} at level {k}")
 
-    # -- operators from arbitrary monotone maps -----------------------------
-
-    def apply_map(self, f, x):
-        """X(f)(x) for f : [m] -> [k] monotone and x a k-simplex."""
-        epi, mono = epi_mono_factorize(f)
-        level = f.codomain_top
-        for i in factor_into_cofaces(mono):
-            x = self.faces[(level, i)][x]
-            level -= 1
-        word = factor_into_codegeneracies(epi)
-        for j in reversed(word):
-            x = self.degens[(level, j)][x]
-            level += 1
-        return x
-
     # -- serialization ------------------------------------------------------
 
     def to_payload(self):
@@ -197,15 +179,17 @@ class SimplicialSet:
             raise ValueError("not an ssimp payload")
         D = payload["dim_bound"]
         levels = [list(range(n)) for n in payload["levels"]]
-        faces = {}
-        for key, arr in payload["faces"].items():
-            k, i = (int(t) for t in key.split(","))
-            faces[(k, i)] = {x: arr[x] for x in levels[k]}
-        degens = {}
-        for key, arr in payload["degens"].items():
-            k, i = (int(t) for t in key.split(","))
-            degens[(k, i)] = {x: arr[x] for x in levels[k]}
-        return cls(D, levels, faces, degens)
+
+        def tables(entries):
+            out = {}
+            for key, arr in entries.items():
+                k, i = (int(t) for t in key.split(","))
+                if not 0 <= k < len(levels) or len(arr) != len(levels[k]):
+                    raise ValueError(f"operator table {key} has wrong length")
+                out[(k, i)] = dict(enumerate(arr))
+            return out
+
+        return cls(D, levels, tables(payload["faces"]), tables(payload["degens"]))
 
     @classmethod
     def load(cls, path):
@@ -341,8 +325,8 @@ def product(X, Y):
 
 def skeleton(X, n):
     """The n-skeleton as a sub-simplicial-set (same simplex identifiers)."""
-    if n > X.dim_bound:
-        raise ValueError("skeleton degree exceeds dim_bound")
+    if not 0 <= n <= X.dim_bound:
+        raise ValueError("skeleton degree must lie in 0..dim_bound")
     D = X.dim_bound
     keep = [set(X.levels[k]) for k in range(min(n, D) + 1)]
     for k in range(n + 1, D + 1):
@@ -534,11 +518,22 @@ class SimplicialAbelianGroup:
 
     def __init__(self, dim_bound, ranks, face_mats, degen_mats, check=True):
         self.dim_bound = dim_bound
-        self.ranks = list(ranks)
+        self.ranks = r = list(ranks)
         if len(self.ranks) != dim_bound + 1:
             raise ValueError("ranks must have dim_bound + 1 entries")
-        self.face_mats = face_mats
-        self.degen_mats = degen_mats
+        try:
+            self.face_mats = {
+                (k, i): la.as_matrix(face_mats[(k, i)], r[k - 1], r[k],
+                                     f"face matrix ({k},{i})")
+                for k in range(1, dim_bound + 1) for i in range(k + 1)}
+            self.degen_mats = {
+                (k, i): la.as_matrix(degen_mats[(k, i)], r[k + 1], r[k],
+                                     f"degeneracy matrix ({k},{i})")
+                for k in range(dim_bound) for i in range(k + 1)}
+        except KeyError as exc:
+            raise SimplicialIdentityError(f"operator matrix {exc} is missing")
+        except ValueError as exc:
+            raise SimplicialIdentityError(str(exc))
         if check:
             self._validate()
 
@@ -550,61 +545,34 @@ class SimplicialAbelianGroup:
 
     def _validate(self):
         D = self.dim_bound
-        for k in range(1, D + 1):
-            for i in range(k + 1):
-                M = self.face_mats.get((k, i))
-                if M is None or not la.shape_ok(M, self.ranks[k - 1], self.ranks[k]):
-                    raise SimplicialIdentityError(f"face matrix ({k},{i}) has wrong shape")
-        for k in range(D):
-            for i in range(k + 1):
-                M = self.degen_mats.get((k, i))
-                if M is None or not la.shape_ok(M, self.ranks[k + 1], self.ranks[k]):
-                    raise SimplicialIdentityError(f"degeneracy matrix ({k},{i}) has wrong shape")
-        r = self.ranks
-
-        def fshape(k):
-            return (r[k - 1], r[k])
-
-        def sshape(k):
-            return (r[k + 1], r[k])
-
+        F, S = self.face_mats, self.degen_mats
         for k in range(2, D + 1):
             for j in range(1, k + 1):
                 for i in range(j):
-                    lhs = la.mat_mul_shaped(self.face_mats[(k - 1, i)], fshape(k - 1),
-                                            self.face_mats[(k, j)], fshape(k))
-                    rhs = la.mat_mul_shaped(self.face_mats[(k - 1, j - 1)], fshape(k - 1),
-                                            self.face_mats[(k, i)], fshape(k))
+                    lhs = la.mat_mul(F[(k - 1, i)], F[(k, j)])
+                    rhs = la.mat_mul(F[(k - 1, j - 1)], F[(k, i)])
                     if not la.mat_eq(lhs, rhs):
                         raise SimplicialIdentityError(
                             f"d_{i} d_{j} != d_{j-1} d_{i} at level {k}")
         for k in range(D - 1):
             for j in range(k + 1):
                 for i in range(j + 1):
-                    lhs = la.mat_mul_shaped(self.degen_mats[(k + 1, i)], sshape(k + 1),
-                                            self.degen_mats[(k, j)], sshape(k))
-                    rhs = la.mat_mul_shaped(self.degen_mats[(k + 1, j + 1)], sshape(k + 1),
-                                            self.degen_mats[(k, i)], sshape(k))
+                    lhs = la.mat_mul(S[(k + 1, i)], S[(k, j)])
+                    rhs = la.mat_mul(S[(k + 1, j + 1)], S[(k, i)])
                     if not la.mat_eq(lhs, rhs):
                         raise SimplicialIdentityError(
                             f"s_{i} s_{j} != s_{j+1} s_{i} at level {k}")
         for k in range(D):
             for j in range(k + 1):
-                S = self.degen_mats[(k, j)]
                 for i in range(k + 2):
-                    F = self.face_mats[(k + 1, i)]
-                    got = la.mat_mul_shaped(F, fshape(k + 1), S, sshape(k))
+                    got = la.mat_mul(F[(k + 1, i)], S[(k, j)])
                     if i == j or i == j + 1:
                         want = la.identity(self.ranks[k])
                     elif i < j:
-                        want = (la.mat_mul_shaped(self.degen_mats[(k - 1, j - 1)], sshape(k - 1),
-                                                  self.face_mats[(k, i)], fshape(k))
-                                if k >= 1 else None)
+                        want = la.mat_mul(S[(k - 1, j - 1)], F[(k, i)])
                     else:
-                        want = (la.mat_mul_shaped(self.degen_mats[(k - 1, j)], sshape(k - 1),
-                                                  self.face_mats[(k, i - 1)], fshape(k))
-                                if k >= 1 else None)
-                    if want is not None and not la.mat_eq(got, want):
+                        want = la.mat_mul(S[(k - 1, j)], F[(k, i - 1)])
+                    if not la.mat_eq(got, want):
                         raise SimplicialIdentityError(
                             f"mixed identity d_{i} s_{j} fails at level {k}")
 
@@ -613,17 +581,12 @@ class SimplicialAbelianGroup:
         arbitrary monotone map f."""
         epi, mono = epi_mono_factorize(f)
         level = f.codomain_top
-        cols = self.ranks[level]
-        M = la.identity(cols)
+        M = la.identity(self.ranks[level])
         for i in factor_into_cofaces(mono):
-            M = la.mat_mul_shaped(self.face_mats[(level, i)],
-                                  (self.ranks[level - 1], self.ranks[level]),
-                                  M, (self.ranks[level], cols))
+            M = la.mat_mul(self.face_mats[(level, i)], M)
             level -= 1
         for j in reversed(factor_into_codegeneracies(epi)):
-            M = la.mat_mul_shaped(self.degen_mats[(level, j)],
-                                  (self.ranks[level + 1], self.ranks[level]),
-                                  M, (self.ranks[level], cols))
+            M = la.mat_mul(self.degen_mats[(level, j)], M)
             level += 1
         return M
 
@@ -650,18 +613,6 @@ def free_abelian(X):
                 M[X.index[k + 1][s[x]]][j] = 1
             degen_mats[(k, i)] = M
     return SimplicialAbelianGroup(D, ranks, face_mats, degen_mats, check=False)
-
-
-def free_abelian_map(f):
-    """Matrices of ℤ[f] per level for a simplicial map f."""
-    X, Y = f.source, f.target
-    out = []
-    for k in range(X.dim_bound + 1):
-        M = la.zeros(len(Y.levels[k]), len(X.levels[k]))
-        for j, x in enumerate(X.levels[k]):
-            M[Y.index[k][f.components[k][x]]][j] = 1
-        out.append(M)
-    return out
 
 
 def sab_tensor(A, B):

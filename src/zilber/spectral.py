@@ -17,10 +17,6 @@ CONVENTION = ("E_1^{p,q} = H_{p+q}(F_p/F_{p-1}); pages are the subquotient "
               "pages of the filtered complex, with no reindexing")
 
 
-def _empty(rows):
-    return [[] for _ in range(rows)]
-
-
 class SpectralSequence:
     """Pages E_r^{p,q} of a FilteredChainComplex as Subquotients of the
     ambient chain groups, with differentials d_r computed on lifts.
@@ -70,40 +66,23 @@ class SpectralSequence:
 
     def _z_gens(self, p, n, r):
         """Generators of {x in F_p, deg n : dx in F_{p-r}}."""
-        amb = self.F.ambient
         S = self.F.stage(p, n)
-        k = la.dims(S)[1]
-        if k == 0:
-            return _empty(amb.rank(n))
         if n == 0:
             return S
-        dS = la.mat_mul_shaped(amb.diff(n), (amb.rank(n - 1), amb.rank(n)),
-                               S, (amb.rank(n), k))
-        T = self.F.stage(p - r, n - 1)
-        kt = la.dims(T)[1]
-        neg = [[-x for x in row] for row in T] if kt else T
-        aug = la.hstack(dS, neg) if kt else dS
-        ker = la.kernel_basis(aug, ncols=k + kt)
-        cols = [la.mat_vec(S, kv[:k]) for kv in ker]
-        basis = la.image_basis(la.from_columns(cols, rows=amb.rank(n))
-                               if cols else _empty(amb.rank(n)))
-        return (la.from_columns(basis, rows=amb.rank(n)) if basis
-                else _empty(amb.rank(n)))
+        dS = la.mat_mul(self.F.ambient.diff(n), S)
+        return _span_of_preimage(S, dS, self.F.stage(p - r, n - 1))
+
+    def _z(self, r, p, n):
+        """Z_r^{p, n-p}; zero for p < 0 and above the top degree."""
+        Z = self._Z[r]
+        return Z[(p, n)] if (p, n) in Z else \
+            la.zeros(self.F.ambient.rank(n), 0)
 
     def _b_gens(self, p, n, r):
-        amb = self.F.ambient
-        parts = []
-        if p >= 1:
-            parts.append(self._Z[r - 1][(p - 1, n)])
-        if n + 1 <= amb.top_degree:
-            Zup = self._Z[r - 1][(p + r - 1, n + 1)]
-            k = la.dims(Zup)[1]
-            if k:
-                parts.append(la.mat_mul_shaped(
-                    amb.diff(n + 1), (amb.rank(n), amb.rank(n + 1)),
-                    Zup, (amb.rank(n + 1), k)))
-        parts = [M for M in parts if la.dims(M)[1]]
-        return la.hstack(*parts) if parts else _empty(amb.rank(n))
+        """Generators of B_r^{p, n-p} = Z_{r-1}^{p-1} + d Z_{r-1}^{p+r-1}."""
+        d = self.F.ambient.diff(n + 1)
+        return la.hstack(self._z(r - 1, p - 1, n),
+                         la.mat_mul(d, self._z(r - 1, p + r - 1, n + 1)))
 
     def _differentials(self, r):
         """d_r on lifts: matrix per entry (p,q) into (p-r, q+r-1) in the
@@ -139,10 +118,7 @@ class SpectralSequence:
             M2 = self.diffs[r].get((p - r, q + r - 1))
             if tgt is None or M2 is None or not tgt.ngens:
                 continue
-            src_n = self.pages[r][(p, q)].ngens
-            prod = la.mat_mul_shaped(M2, (tgt.ngens, mid.ngens),
-                                     M, (mid.ngens, src_n))
-            for i, row in enumerate(prod):
+            for i, row in enumerate(la.mat_mul(M2, M)):
                 o = tgt.orders[i]
                 for v in row:
                     if (v % o if o else v) != 0:
@@ -158,17 +134,9 @@ class SpectralSequence:
         for (p, q), sq_next in self.pages[r + 1].items():
             n = p + q
             b_r = self._b_gens(p, n, r)
-            z_next = self._Z[r + 1][(p, n)]
-            num = la.hstack(z_next, b_r) if la.dims(b_r)[1] else z_next
-            parts = [b_r] if la.dims(b_r)[1] else []
-            if n + 1 <= amb.top_degree:
-                Zin = self._Z[r][(p + r, n + 1)]
-                k = la.dims(Zin)[1]
-                if k:
-                    parts.append(la.mat_mul_shaped(
-                        amb.diff(n + 1), (amb.rank(n), amb.rank(n + 1)),
-                        Zin, (amb.rank(n + 1), k)))
-            den = la.hstack(*parts) if parts else _empty(amb.rank(n))
+            num = la.hstack(self._Z[r + 1][(p, n)], b_r)
+            den = la.hstack(b_r, la.mat_mul(amb.diff(n + 1),
+                                            self._z(r, p + r, n + 1)))
             hsq = la.Subquotient(amb.rank(n), num, den)
             if hsq.orders != sq_next.orders:
                 return CheckCertificate(
@@ -184,26 +152,14 @@ class SpectralSequence:
         top = amb.top_degree
         einf = self.infinity()
         for n in range(top + 1):
-            if n == 0:
-                kern = la.identity(amb.rank(0))
-            else:
-                kern = la.from_columns(
-                    la.kernel_basis(amb.diff(n), ncols=amb.rank(n)),
-                    rows=amb.rank(n))
-            if n < top:
-                imcols = la.image_basis(amb.diff(n + 1))
-                im = (la.from_columns(imcols, rows=amb.rank(n)) if imcols
-                      else _empty(amb.rank(n)))
-            else:
-                im = _empty(amb.rank(n))
+            kern = la.kernel_basis(amb.diff(n))
+            im = la.image_basis(amb.diff(n + 1))
+            zp1 = la.zeros(amb.rank(n), 0)  # ker d ∩ F_{-1} = 0
             for p in range(self.F.p_max + 1):
-                zp = _intersect_spans(kern, self.F.stage(p, n), amb.rank(n))
-                zp1 = _intersect_spans(kern, self.F.stage(p - 1, n),
-                                       amb.rank(n))
-                num = la.hstack(zp, im) if la.dims(im)[1] else zp
-                den_parts = [M for M in (zp1, im) if la.dims(M)[1]]
-                den = la.hstack(*den_parts) if den_parts else _empty(amb.rank(n))
-                gr = la.Subquotient(amb.rank(n), num, den)
+                zp = _span_of_preimage(kern, kern, self.F.stage(p, n))
+                gr = la.Subquotient(amb.rank(n), la.hstack(zp, im),
+                                    la.hstack(zp1, im))
+                zp1 = zp
                 if gr.orders != einf[(p, n - p)].orders:
                     return CheckCertificate(
                         False, witness=(p, n - p),
@@ -236,18 +192,13 @@ class SpectralSequence:
         }
 
 
-def _intersect_spans(A, B, rows):
-    """Generator columns of span(A) ∩ span(B) in ℤ^rows."""
-    ka, kb = la.dims(A)[1], la.dims(B)[1]
-    if ka == 0 or kb == 0:
-        return _empty(rows)
-    negB = [[-x for x in row] for row in B]
-    aug = la.hstack(A, negB)
-    ker = la.kernel_basis(aug, ncols=ka + kb)
-    cols = [la.mat_vec(A, kv[:ka]) for kv in ker]
-    basis = la.image_basis(la.from_columns(cols, rows=rows) if cols
-                           else _empty(rows))
-    return la.from_columns(basis, rows=rows) if basis else _empty(rows)
+def _span_of_preimage(A, M, B):
+    """A basis of {A x : M x ∈ span(B)}, the span of A times the top rows of
+    ker [M | -B].  With M = A this is span(A) ∩ span(B)."""
+    if not A.ncols:
+        return A  # the zero span; skips two SNFs
+    ker = la.kernel_basis(la.hstack(M, la.mat_scale(-1, B)))
+    return la.image_basis(la.mat_mul(A, la.Matrix(ker[:A.ncols], ker.ncols)))
 
 
 def compute_pages(F, r_max=None):
@@ -318,14 +269,7 @@ class PagePairing:
                 for j, v in enumerate(y):
                     if v:
                         vec[tb.index(n, n1, i, n2, j)] += u * v
-        if not self.P.H.ambient.rank(n):
-            return []
         return la.mat_vec(self.P.m.mat(n), vec)
-
-    def product_coords(self, pq1, i, pq2, j):
-        """Coordinates of [x_i · y_j] in the target entry of E_r(H)."""
-        tgt = self.S_H.pages[self.r][(pq1[0] + pq2[0], pq1[1] + pq2[1])]
-        return tgt.coords(self.products[(pq1, pq2)][i][j])
 
     def _well_defined_check(self):
         r = self.r
@@ -402,8 +346,7 @@ def leibniz_check(pairing, r=None):
         sign = -1 if (p + q) % 2 else 1
         for i in range(sf.ngens):
             for j in range(sg.ngens):
-                c = src.coords(tbl[i][j])
-                lhs = la.mat_vec(d_h, c) if tgt.ngens else []
+                lhs = la.mat_vec(d_h, src.coords(tbl[i][j]))
                 rhs = [0] * tgt.ngens
                 if (f_tgt, pq2) in pairing.products:
                     for k in range(S_F.pages[r][f_tgt].ngens):
@@ -427,12 +370,7 @@ def leibniz_check(pairing, r=None):
 
 
 def _invariant_factors(M):
-    _, S, _ = la.smith_normal_form(M)
-    out = []
-    for i in range(min(len(S), len(S[0]) if S else 0)):
-        if S[i][i]:
-            out.append(abs(S[i][i]))
-    return out
+    return [d for d in la.snf_diagonal(M) if d]
 
 
 def heart_check(A, moore="upper"):
@@ -463,10 +401,8 @@ def heart_check(A, moore="upper"):
                 False, witness=(p, 0),
                 detail=f"rank {sq.free_rank} != normalized rank {N.rank(p)}")
     for p in range(1, F.p_max + 1):
-        d1 = S.diffs[1].get((p, 0))
-        if d1 is None:
-            d1 = _empty(S.pages[1][(p - 1, 0)].ngens)
-        if _invariant_factors(d1) != _invariant_factors(N.diff(p)):
+        if _invariant_factors(S.diffs[1][(p, 0)]) != \
+                _invariant_factors(N.diff(p)):
             return CheckCertificate(False, witness=p,
                                     detail="d_1 invariant factors differ "
                                            "from the normalized differential")

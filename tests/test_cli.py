@@ -43,20 +43,32 @@ def test_promonoidal_left_kan_failure_has_witness_and_exit_1(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--check", "product-colimit", "--ns", "1,-1"],
-    ["--check", "product-colimit", "--k-max", "-1"],
-    ["--check", "unit", "--b", "-1"],
-    ["--check", "mu-assoc", "--entries", "1,1,-1", "--b", "1"],
-    ["--check", "mu-assoc", "--b", "-1"],
-    ["--check", "coyoneda", "--b", "-1"],
-    ["--check", "left-kan", "--ns", "1,1", "--b", "2", "--m", "-1"],
-    ["--check", "left-kan", "--ns", "1,-1", "--b", "2"],
-    ["--check", "left-kan", "--b", "-1"],
-], ids=lambda argv: " ".join(argv[1:]))
+    ["promonoidal", "--check", "product-colimit", "--ns", "1,-1"],
+    ["promonoidal", "--check", "product-colimit", "--k-max", "-1"],
+    ["promonoidal", "--check", "unit", "--b", "-1"],
+    ["promonoidal", "--check", "mu-assoc", "--entries", "1,1,-1", "--b", "1"],
+    ["promonoidal", "--check", "mu-assoc", "--b", "-1"],
+    ["promonoidal", "--check", "coyoneda", "--b", "-1"],
+    ["promonoidal", "--check", "left-kan", "--ns", "1,1", "--b", "2", "--m", "-1"],
+    ["promonoidal", "--check", "left-kan", "--ns", "1,-1", "--b", "2"],
+    ["promonoidal", "--check", "left-kan", "--b", "-1"],
+    ["promonoidal", "--check", "operator-frag", "--trials", "0"],
+    ["promonoidal", "--check", "operator-frag", "--length", "-1"],
+    ["doldkan", "--hom-table", "-3"],
+    ["doldkan", "--fuzz", "-2"],
+    ["doldkan", "--random-complexes", "-1"],
+    ["doldkan"],
+    ["ss", "random", "--trials", "0"],
+    ["skeleta", "--day-unit", "--trials", "-1"],
+    ["skeleta"],
+    ["skeleta", "delta1", "delta1", "--p", "-1", "--q", "0", "--n", "1"],
+    ["ez", "delta0", "delta0", "--check", "aw", "--dim-bound", "-1"],
+], ids=lambda argv: " ".join(argv[2:] if argv[0] == "promonoidal" else argv))
 def test_promonoidal_vacuous_input_is_an_input_error(capsys, argv):
     # each of these once checked nothing and passed, or failed as if a
-    # certificate had found a counterexample
-    code, rep, err = run(capsys, ["promonoidal"] + argv)
+    # certificate had found a counterexample; promonoidal cases keep their
+    # ids without the command name
+    code, rep, err = run(capsys, argv)
     assert code == 2 and rep is None
     assert "error" in json.loads(err)
 
@@ -74,10 +86,18 @@ def test_unknown_builtin_is_an_input_error(capsys):
 
 
 def test_malformed_payload_is_an_input_error(tmp_path, capsys):
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"format": "ssimp", "version": 1}))
-    code, rep, err = run(capsys, ["homology", str(p)])
-    assert code == 2
+    from zilber.filtration import unit_filtration
+    from zilber.simplicial import circle
+    short = circle(2).to_payload()
+    short["faces"]["1,0"].pop()
+    unstaged = unit_filtration(1).to_payload()
+    unstaged["p_max"] = 3
+    for command, payload in (("homology", {"format": "ssimp", "version": 1}),
+                             ("homology", short), ("ss", unstaged)):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(payload))
+        code, rep, err = run(capsys, [command, str(p)])
+        assert code == 2
 
 
 def test_reports_are_deterministic_modulo_timing(capsys):

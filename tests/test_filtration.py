@@ -19,7 +19,7 @@ from zilber.simplicial import circle, free_abelian, standard_simplex
 
 
 def stage_rank(F, p, n):
-    return len(la.image_basis(F.stage(p, n)))
+    return la.image_basis(F.stage(p, n)).ncols
 
 
 def test_skeletal_filtration_of_interval():
