@@ -208,9 +208,9 @@ def homology(C):
     return [invariants_of_subquotient(sq) for sq in homology_subquotients(C)]
 
 
-def induced_homology_matrices(f):
-    """Per degree n, the matrix of H_n(f) in the canonical cyclic-generator
-    coordinates of source and target homology (columns indexed by source
+def _induced_homology(f):
+    """Per degree n: H_n(source), H_n(target) and the matrix of H_n(f) in
+    their canonical cyclic-generator coordinates (columns indexed by source
     generators)."""
     top = max(f.source.top_degree, f.target.top_degree)
     out = []
@@ -221,8 +221,13 @@ def induced_homology_matrices(f):
         for col, lift in enumerate(sq_s.lifts):
             for row, c in enumerate(sq_t.coords(la.mat_vec(f.mat(n), lift))):
                 M[row][col] = c
-        out.append(M)
+        out.append((sq_s, sq_t, M))
     return out
+
+
+def induced_homology_matrices(f):
+    """Per degree n, the matrix of H_n(f) (see _induced_homology)."""
+    return [M for _, _, M in _induced_homology(f)]
 
 
 def is_homology_isomorphism(f):
@@ -232,17 +237,13 @@ def is_homology_isomorphism(f):
     map is surjective (for finitely generated abelian groups of the same
     isomorphism type, surjective implies bijective): the cokernel of
     [induced matrix | torsion relations] must vanish."""
-    top = max(f.source.top_degree, f.target.top_degree)
-    mats = induced_homology_matrices(f)
-    for n in range(top + 1):
-        sq_s = _homology_subquotient(f.source, n)
-        sq_t = _homology_subquotient(f.target, n)
+    for sq_s, sq_t, M in _induced_homology(f):
         if sq_s.orders != sq_t.orders:
             return False
         g = sq_t.ngens
         rel = la.from_columns([[o if j == i else 0 for j in range(g)]
                                for i, o in enumerate(sq_t.orders) if o], g)
-        aug = la.hstack(mats[n], rel)
+        aug = la.hstack(M, rel)
         S = la.smith_normal_form(aug)[1]
         diag = [S[i][i] for i in range(min(la.dims(S)))]
         if sum(1 for d in diag if d) < g or any(abs(d) != 1 for d in diag if d):

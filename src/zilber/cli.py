@@ -194,7 +194,7 @@ def cmd_doldkan(args):
         results["normalized_ranks"] = list(nres.normalized.ranks)
         results["homotopy_groups"] = invariants_dict(doldkan.homotopy_groups(A))
         if args.roundtrip:
-            comp = doldkan.gamma_normalize_comparison(A, nres)
+            comp = doldkan.gamma_normalize_comparison(A)
             ok = doldkan.is_levelwise_unimodular(comp, A.ranks)
             certs.append(bool_cert(ok, "gamma-normalize-roundtrip",
                                    "Γ of the normalization maps levelwise "
@@ -330,6 +330,9 @@ def cmd_skeleta(args):
                          "or a --day-* law")
     if (pqn or args.filtered_ez) and None in (args.first, args.second):
         raise InputError("--p/--q/--n and --filtered-ez need two spaces")
+    if not (pqn or args.filtered_ez) and (args.first, args.second) != (
+            None, None):
+        raise InputError("the --day-* laws take no spaces")
     if day and args.trials < 1:
         raise InputError("--trials must be positive")
     if pqn or args.filtered_ez:

@@ -40,7 +40,6 @@ class NormalizationResult:
     projection: ChainMap
     section: ChainMap
     unnormalized: ChainComplex
-    degenerate_ranks: list
 
 
 def _degenerate_span(A, n):
@@ -56,13 +55,21 @@ def normalize(A, moore="upper"):
     The section embeds the quotient as the Moore subcomplex: with
     moore="upper" this is ∩_{i>=1} ker d_i, with moore="lower" it is
     ∩_{i<=n-1} ker d_i.  Both split the same projection.
+
+    Computed once per (A, moore) and kept on A, which is not mutated after
+    construction; every caller shares the result, which must not be mutated.
     """
+    if moore not in A.normalizations:
+        A.normalizations[moore] = _normalize(A, moore)
+    return A.normalizations[moore]
+
+
+def _normalize(A, moore):
     C = unnormalized_chains(A)
     D = A.dim_bound
     projs = {}
     secs = {}
     nranks = []
-    dranks = []
     for n in range(D + 1):
         rn = A.ranks[n]
         U, S, _, _, _ = la._smith_with_inverses(_degenerate_span(A, n))
@@ -85,7 +92,6 @@ def normalize(A, moore="upper"):
         projs[n] = proj
         secs[n] = sec
         nranks.append(rn - r)
-        dranks.append(r)
     ndiffs = {}
     for n in range(1, D + 1):
         ndiffs[n] = la.mat_mul(projs[n - 1], la.mat_mul(C.diff(n), secs[n]))
@@ -95,7 +101,7 @@ def normalize(A, moore="upper"):
     for n in range(D + 1):
         if not la.mat_eq(la.mat_mul(projs[n], secs[n]), la.identity(nranks[n])):
             raise AssertionError("projection ∘ section is not the identity")
-    return NormalizationResult(N, projection, section, C, dranks)
+    return NormalizationResult(N, projection, section, C)
 
 
 def homotopy_groups(A):
@@ -196,12 +202,11 @@ def interval_object(n, dim_bound):
     return gamma(disk(n).to_chain_complex(), dim_bound)
 
 
-def gamma_normalize_comparison(A, nres=None):
+def gamma_normalize_comparison(A):
     """The canonical comparison Γ(𝒩(A)) -> A: per level, a square integer
     matrix; returns the list of matrices.  The comparison is an isomorphism
     iff every matrix is unimodular."""
-    if nres is None:
-        nres = normalize(A)
+    nres = normalize(A)
     N = nres.normalized
     mats = []
     for n in range(A.dim_bound + 1):

@@ -6,7 +6,7 @@ chain-map law, unitality, AW∘∇ = id, symmetry, and associativity.
 from __future__ import annotations
 
 from . import intlinalg as la
-from .chains import ChainComplex, ChainMap, TensorBasis, tensor, tensor_map
+from .chains import ChainMap, identity_chain_map, tensor, tensor_map
 from .delta import MonotoneMap, shuffles
 from .doldkan import normalize, unnormalized_chains
 from .simplicial import CheckCertificate, sab_tensor
@@ -63,49 +63,16 @@ def unnormalized_shuffle(A, B):
     return ChainMap(T, CAB, mats), tb, AB
 
 
-def unnormalized_aw(A, B):
-    """AW : C(A⊗B) -> C(A) ⊗ C(B), the front-face/back-face formula.
+class _ShuffleProduct:
+    """The Eilenberg-Zilber pair of A and B on normalized chains.
 
-    Returns (chain map, target TensorBasis, A⊗B)."""
-    if A.dim_bound != B.dim_bound:
-        raise ValueError("dim_bound mismatch")
-    D = A.dim_bound
-    AB = sab_tensor(A, B)
-    CA = unnormalized_chains(A)
-    CB = unnormalized_chains(B)
-    CAB = unnormalized_chains(AB)
-    T, tb = tensor(CA, CB, top_degree=D)
-    mats = {}
-    for n in range(D + 1):
-        M = la.zeros(T.rank(n), CAB.rank(n))
-        bn = B.ranks[n]
-        for p in range(n + 1):
-            q = n - p
-            F = A.operator_matrix(front_face(n, p))
-            G = B.operator_matrix(back_face(n, q))
-            for a in range(A.ranks[n]):
-                for b in range(bn):
-                    col = a * bn + b
-                    for i in range(A.ranks[p]):
-                        u = F[i][a]
-                        if not u:
-                            continue
-                        for j in range(B.ranks[q]):
-                            v = G[j][b]
-                            if v:
-                                M[tb.index(n, p, i, q, j)][col] += u * v
-        mats[n] = M
-    return ChainMap(CAB, T, mats), tb, AB
-
-
-class LaxStructureMap:
-    """The normalized shuffle product ∇ : 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B).
-
-    Validated at construction: the map is a chain map and its degree-0
-    component is the canonical basis identification (the identity matrix).
-    Normalization data for A, B, and A⊗B and the unnormalized map are kept
-    for downstream use (filtered pairings, symmetry and associativity
-    checks).
+    The shuffle product ∇ : 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B) is built at construction
+    and validated: it is a chain map and its degree-0 component is the
+    canonical basis identification (the identity matrix).  The
+    Alexander-Whitney map is built on demand by alexander_whitney().  Both
+    use the one A⊗B, unnormalized ∇ and tensor bases made here and the
+    normalizations of A, B and A⊗B, which are kept for downstream use
+    (filtered pairings, symmetry and associativity checks).
     """
 
     def __init__(self, A, B, moore="upper"):
@@ -133,34 +100,55 @@ class LaxStructureMap:
             raise AssertionError("degree-0 component is not the canonical "
                                  "identification")
 
+    def alexander_whitney(self):
+        """AW : 𝒩(A⊗B) -> 𝒩(A)⊗𝒩(B): the front-face/back-face formula on
+        unnormalized chains, between the normalizations."""
+        A, B, tb = self.A, self.B, self.unnormalized_basis
+        T, CAB = self.unnormalized.source, self.unnormalized.target
+        mats = {}
+        for n in range(A.dim_bound + 1):
+            M = la.zeros(T.rank(n), CAB.rank(n))
+            bn = B.ranks[n]
+            for p in range(n + 1):
+                q = n - p
+                F = A.operator_matrix(front_face(n, p))
+                G = B.operator_matrix(back_face(n, q))
+                for a in range(A.ranks[n]):
+                    for b in range(bn):
+                        col = a * bn + b
+                        for i in range(A.ranks[p]):
+                            u = F[i][a]
+                            if not u:
+                                continue
+                            for j in range(B.ranks[q]):
+                                v = G[j][b]
+                                if v:
+                                    M[tb.index(n, p, i, q, j)][col] += u * v
+            mats[n] = M
+        aw_un = ChainMap(CAB, T, mats)
+        projproj = ChainMap(T, self.source,
+                            tensor_map(self.norm_A.projection,
+                                       self.norm_B.projection,
+                                       tb, self.source_basis),
+                            check=False)
+        f = projproj.compose(aw_un.compose(self.norm_AB.section))
+        f._validate()
+        return f
+
 
 def shuffle_product(A, B, moore="upper"):
-    """The lax structure map 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B) (see LaxStructureMap)."""
-    return LaxStructureMap(A, B, moore=moore)
-
-
-def alexander_whitney(A, B, moore="upper"):
-    """AW : 𝒩(A⊗B) -> 𝒩(A)⊗𝒩(B) on normalized chains."""
-    aw_un, tb_un, AB = unnormalized_aw(A, B)
-    nA = normalize(A, moore=moore)
-    nB = normalize(B, moore=moore)
-    nAB = normalize(AB, moore=moore)
-    NT, ntb = tensor(nA.normalized, nB.normalized, top_degree=A.dim_bound)
-    projproj = ChainMap(aw_un.target, NT,
-                        tensor_map(nA.projection, nB.projection, tb_un, ntb),
-                        check=False)
-    f = projproj.compose(aw_un.compose(nAB.section))
-    f._validate()
-    return f
+    """The Eilenberg-Zilber pair of A and B (see _ShuffleProduct): .map is
+    the lax structure map 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B), .alexander_whitney()
+    builds AW."""
+    return _ShuffleProduct(A, B, moore=moore)
 
 
 def aw_nabla_identity_check(A, B, moore="upper"):
     """Certifies AW ∘ ∇ = id on 𝒩(A)⊗𝒩(B)."""
-    nabla = shuffle_product(A, B, moore=moore)
-    aw = alexander_whitney(A, B, moore=moore)
-    comp = aw.compose(nabla.map)
+    sp = shuffle_product(A, B, moore=moore)
+    comp = sp.alexander_whitney().compose(sp.map)
     for n in range(A.dim_bound + 1):
-        if not la.mat_eq(comp.mat(n), la.identity(nabla.source.rank(n))):
+        if not la.mat_eq(comp.mat(n), la.identity(sp.source.rank(n))):
             return CheckCertificate(False, witness=n,
                                     detail=f"AW∘∇ differs from id in degree {n}")
     return CheckCertificate(True, detail="AW∘∇ = id degreewise")
@@ -178,10 +166,10 @@ def _koszul_swap(tb_src, tb_tgt):
     return mats
 
 
-def _simplicial_swap_chain(A, B, AB, BA):
-    """The levelwise transposition C(A⊗B) -> C(B⊗A) as a chain map."""
-    CAB = unnormalized_chains(AB)
-    CBA = unnormalized_chains(BA)
+def _simplicial_swap_chain(ab, ba):
+    """The levelwise transposition C(A⊗B) -> C(B⊗A) between the
+    unnormalized targets of the shuffle products ab and ba, as a chain map."""
+    A, B = ab.A, ab.B
     mats = {}
     for n in range(A.dim_bound + 1):
         an, bn = A.ranks[n], B.ranks[n]
@@ -190,14 +178,14 @@ def _simplicial_swap_chain(A, B, AB, BA):
             for b in range(bn):
                 M[b * an + a][a * bn + b] = 1
         mats[n] = M
-    return ChainMap(CAB, CBA, mats)
+    return ChainMap(ab.unnormalized.target, ba.unnormalized.target, mats)
 
 
 def symmetry_check(A, B, moore="upper"):
     """Certifies ∇_{B,A} ∘ (Koszul swap) = 𝒩(swap) ∘ ∇_{A,B}."""
     ez_ab = shuffle_product(A, B, moore=moore)
     ez_ba = shuffle_product(B, A, moore=moore)
-    swap_chain = _simplicial_swap_chain(A, B, ez_ab.product, ez_ba.product)
+    swap_chain = _simplicial_swap_chain(ez_ab, ez_ba)
     n_swap = ez_ba.norm_AB.projection.compose(
         swap_chain.compose(ez_ab.norm_AB.section))
     lhs = ez_ba.map.compose(
@@ -252,10 +240,7 @@ def associativity_check(A, B, C, moore="upper"):
     T_left, tb_left = tensor(ez_ab.source, NC, top_degree=D)
     nabla_tensor_id = ChainMap(
         T_left, ez_ab_c.source,
-        tensor_map(ez_ab.map,
-                   ChainMap(NC, NC,
-                            {n: la.identity(NC.rank(n)) for n in range(D + 1)},
-                            check=False),
+        tensor_map(ez_ab.map, identity_chain_map(NC),
                    tb_left, ez_ab_c.source_basis),
         check=False)
     left = ez_ab_c.map.compose(nabla_tensor_id)
@@ -267,10 +252,8 @@ def associativity_check(A, B, C, moore="upper"):
                      check=False)
     id_tensor_nabla = ChainMap(
         T_right, ez_a_bc.source,
-        tensor_map(ChainMap(NA, NA,
-                            {n: la.identity(NA.rank(n)) for n in range(D + 1)},
-                            check=False),
-                   ez_bc.map, tb_right, ez_a_bc.source_basis),
+        tensor_map(identity_chain_map(NA), ez_bc.map,
+                   tb_right, ez_a_bc.source_basis),
         check=False)
     right = ez_a_bc.map.compose(id_tensor_nabla.compose(assoc))
     for n in range(D + 1):

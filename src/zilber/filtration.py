@@ -10,7 +10,7 @@ import json
 from . import intlinalg as la
 from .chains import ChainComplex, tensor, unit_complex
 from .delta import enumerate_surjections
-from .doldkan import normalize, unnormalized_chains
+from .doldkan import normalize
 from .ez import shuffle_product
 from .simplicial import CheckCertificate
 
@@ -89,8 +89,11 @@ class FilteredChainComplex:
             raise ValueError("not a filt payload")
         ambient = ChainComplex.from_payload(payload["ambient"])
         p_max = payload["p_max"]
-        stages = [{int(n): M for n, M in stage.items()}
-                  for stage in payload["stages"]]
+        stages = []
+        for stage in payload["stages"]:
+            if not isinstance(stage, dict):
+                raise ValueError("a filt stage must map degrees to matrices")
+            stages.append({int(n): M for n, M in stage.items()})
         return cls(ambient, stages, p_max)
 
     @classmethod
@@ -110,19 +113,15 @@ def unit_filtration(p_max=0):
     return constant_filtration(unit_complex(), p_max)
 
 
-def skeletal_filtration(A, ambient="normalized", moore="upper"):
+def skeletal_filtration(A, moore="upper"):
     """The chain-level skeletal filtration of a simplicial abelian group.
 
     Stage p in degree k is the span of the images of all operators induced
     by surjections [k] ->> [j] with j <= p (the chains supported on the
-    p-skeleton).  With ambient="normalized" (the default) the stages are
-    pushed into 𝒩(A) through the normalization projection; with
-    ambient="unnormalized" they live in C(A).  Stabilizes at
-    p_max = dim_bound."""
+    p-skeleton), pushed into 𝒩(A) through the normalization projection.
+    Stabilizes at p_max = dim_bound."""
     D = A.dim_bound
-    C = unnormalized_chains(A)
-    nres = normalize(A, moore=moore) if ambient == "normalized" else None
-    amb = nres.normalized if nres else C
+    nres = normalize(A, moore=moore)
     stages = []
     for p in range(D + 1):
         stage = {}
@@ -130,11 +129,21 @@ def skeletal_filtration(A, ambient="normalized", moore="upper"):
             cols = la.hstack(*[A.operator_matrix(eta)
                                for j in range(min(p, k) + 1)
                                for eta in enumerate_surjections(k, j)])
-            if nres:
-                cols = la.mat_mul(nres.projection.mat(k), cols)
-            stage[k] = la.image_basis(cols)
+            stage[k] = la.image_basis(la.mat_mul(nres.projection.mat(k), cols))
         stages.append(stage)
-    return FilteredChainComplex(amb, stages, D)
+    return FilteredChainComplex(nres.normalized, stages, D)
+
+
+def _tensor_column(tb, p, x, q, y):
+    """The coordinates of x ⊗ y in degree p + q of the tensor complex with
+    basis tb, for x of degree p and y of degree q."""
+    vec = [0] * len(tb.basis[p + q])
+    for i, u in enumerate(x):
+        if u:
+            for j, v in enumerate(y):
+                if v:
+                    vec[tb.index(p + q, p, i, q, j)] += u * v
+    return vec
 
 
 def day_convolution(F, G):
@@ -157,13 +166,7 @@ def day_convolution(F, G):
                         continue
                     for x in la.columns(F.stage(p, a)):
                         for y in la.columns(G.stage(q, b)):
-                            vec = [0] * E.rank(k)
-                            for i, u in enumerate(x):
-                                if u:
-                                    for j, v in enumerate(y):
-                                        if v:
-                                            vec[tb.index(k, a, i, b, j)] += u * v
-                            cols.append(vec)
+                            cols.append(_tensor_column(tb, a, x, b, y))
             stage[k] = la.image_basis(la.from_columns(cols, E.rank(k)))
         stages.append(stage)
     out = FilteredChainComplex(E, stages, p_max)
@@ -289,13 +292,8 @@ class FilteredPairing:
                             continue
                         for x in la.columns(self.F.stage(p, a)):
                             for y in la.columns(self.G.stage(q, b)):
-                                vec = [0] * len(tb.basis[n])
-                                for i, u in enumerate(x):
-                                    if u:
-                                        for j, v in enumerate(y):
-                                            if v:
-                                                vec[tb.index(n, a, i, b, j)] += u * v
-                                img = la.mat_vec(self.m.mat(n), vec)
+                                img = la.mat_vec(self.m.mat(n),
+                                                 _tensor_column(tb, a, x, b, y))
                                 if not self.H.member(p + q, n, img):
                                     return CheckCertificate(
                                         False, witness=(p, q, n),

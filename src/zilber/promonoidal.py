@@ -1,8 +1,7 @@
 """Finite-category profunctor calculus: coends, profunctor composition,
 n-ary promonoidal multimorphism spaces, multimorphism spaces for the
-simplex category and its ℕ-semidirect variant, the left-Kan-extension
-dichotomy, colimit presentations of products of simplices, and a bounded
-category-of-operators fragment.
+simplex category, the left-Kan-extension dichotomy, colimit presentations
+of products of simplices, and a bounded category-of-operators fragment.
 
 Every coend goes through ``coend``, an array union-find over elements
 interned to integers.  The checks over the truncated simplex category Δ≤b
@@ -124,36 +123,6 @@ class FiniteCategory:
                         continue
                     if self.comp[(hg, f)] != self.comp[(h, self.comp[(g, f)])]:
                         raise ValueError("associativity fails")
-
-    def to_payload(self):
-        oid = {c: f"o{i}" for i, c in enumerate(self.objects)}
-        mid = {f: f"m{i}" for i, f in enumerate(self.morphisms)}
-        return {
-            "format": "cat",
-            "version": 1,
-            "objects": [str(c) for c in self.objects],
-            "morphisms": [{"id": mid[f], "label": str(f),
-                           "src": oid[self.src[f]], "tgt": oid[self.tgt[f]]}
-                          for f in self.morphisms],
-            "identity": {oid[c]: mid[self.ident[c]] for c in self.objects},
-            "composition": {f"{mid[g]}|{mid[f]}": mid[h]
-                            for (g, f), h in self.comp.items()},
-        }
-
-    @classmethod
-    def from_payload(cls, payload):
-        if payload.get("format") != "cat":
-            raise ValueError("not a cat payload")
-        objects = [f"o{i}" for i in range(len(payload["objects"]))]
-        morphisms = [m["id"] for m in payload["morphisms"]]
-        src = {m["id"]: m["src"] for m in payload["morphisms"]}
-        tgt = {m["id"]: m["tgt"] for m in payload["morphisms"]}
-        ident = dict(payload["identity"])
-        comp = {}
-        for key, h in payload["composition"].items():
-            g, f = key.split("|")
-            comp[(g, f)] = h
-        return cls(objects, morphisms, src, tgt, ident, comp)
 
 
 def discrete_category(objects):
@@ -613,7 +582,7 @@ def delta_mu_associativity_check(p, q, r, b):
 
 
 # ---------------------------------------------------------------------------
-# multimorphism spaces for Δᵒᵖ and ℕ⋉Δᵒᵖ
+# multimorphism spaces for Δᵒᵖ
 
 
 def mul_delta(ns, m):
@@ -623,26 +592,6 @@ def mul_delta(ns, m):
     for n in ns:
         out = [t + (f,) for t in out for f in enumerate_monotone(m, n)]
     return out
-
-
-def mul_nn_delta(a_list, n_list, b, m):
-    """Multimorphisms ((a_i, [n_i]))_i -> (b, [m]) in the semidirect product
-    of ℕ with the simplex-category filtration: empty unless Σ a_i <= b, in
-    which case the space is Mul_Δᵒᵖ({[n_i]}; [m]).
-
-    Requires n_i <= a_i and m <= b."""
-    if len(a_list) != len(n_list):
-        raise ValueError("arity mismatch")
-    for a, n in zip(a_list, n_list):
-        if n > a:
-            raise ValueError(f"object constraint violated: [{n}] exceeds "
-                             f"filtration stage {a}")
-    if m > b:
-        raise ValueError(f"object constraint violated: [{m}] exceeds "
-                         f"filtration stage {b}")
-    if sum(a_list) > b:
-        return []
-    return mul_delta(n_list, m)
 
 
 def left_kan_check(ns, b, m_range):
@@ -898,45 +847,3 @@ class OperatorCategoryFragment:
 
 def operator_category_fragment(model, N):
     return OperatorCategoryFragment(model, N)
-
-
-def arrow_fiber_nn(a_list, b):
-    """The fiber over b of the additive arrow construction on ℕ^k: the
-    poset of tuples x with Σ x_i <= b, ordered componentwise."""
-    k = len(a_list)
-    objs = [t for t in itertools.product(range(b + 1), repeat=k)
-            if sum(t) <= b]
-    return poset_category(objs,
-                          lambda x, y: all(u <= v for u, v in zip(x, y)))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def profunctor_to_payload(P):
-    oc = {c: f"c{i}" for i, c in enumerate(P.C.objects)}
-    od = {d: f"d{i}" for i, d in enumerate(P.D.objects)}
-    ids = {}
-    for (c, d), elems in P.values.items():
-        for i, x in enumerate(elems):
-            ids[(c, d, x)] = f"x{oc[c]}_{od[d]}_{i}"
-    action = {}
-    for f in P.C.morphisms:
-        for g in P.D.morphisms:
-            c, d = P.C.tgt[f], P.D.src[g]
-            for x in P.value(c, d):
-                y = P.action(f, x, g)
-                fk = P.C.morphisms.index(f)
-                gk = P.D.morphisms.index(g)
-                action[f"m{fk}|{ids[(c, d, x)]}|n{gk}"] = \
-                    ids[(P.C.src[f], P.D.tgt[g], y)]
-    return {
-        "format": "prof",
-        "version": 1,
-        "source": P.C.to_payload(),
-        "target": P.D.to_payload(),
-        "values": {f"{oc[c]}|{od[d]}": [ids[(c, d, x)] for x in elems]
-                   for (c, d), elems in P.values.items()},
-        "action": action,
-    }

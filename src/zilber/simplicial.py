@@ -1,5 +1,5 @@
-"""Truncated simplicial sets, bisimplicial sets, simplicial abelian groups,
-products, skeleta, and diagonal realization.
+"""Truncated simplicial sets, simplicial abelian groups, products and
+skeleta.
 
 Every object is truncated at a stored dim_bound D.  Constructors verify all
 simplicial identities; invalid operator data raises SimplicialIdentityError.
@@ -395,129 +395,18 @@ def skeleton_product_check(X, Y, p, q, n):
 
 
 # ---------------------------------------------------------------------------
-# bisimplicial sets
-
-
-class BiSimplicialSet:
-    """A D-truncated bisimplicial set: levels[(k, r)] with horizontal
-    operators acting on k and vertical ones on r."""
-
-    def __init__(self, dim_bound, levels, hfaces, hdegens, vfaces, vdegens, check=True):
-        self.dim_bound = dim_bound
-        self.levels = levels
-        self.hfaces = hfaces
-        self.hdegens = hdegens
-        self.vfaces = vfaces
-        self.vdegens = vdegens
-        if check:
-            self._validate()
-
-    def _row(self, r):
-        """Row r as a simplicial set in the horizontal direction."""
-        D = self.dim_bound
-        levels = [self.levels[(k, r)] for k in range(D + 1)]
-        faces = {(k, i): self.hfaces[(k, r, i)] for k in range(1, D + 1)
-                 for i in range(k + 1)}
-        degens = {(k, i): self.hdegens[(k, r, i)] for k in range(D)
-                  for i in range(k + 1)}
-        return SimplicialSet(D, levels, faces, degens)
-
-    def _column(self, k):
-        D = self.dim_bound
-        levels = [self.levels[(k, r)] for r in range(D + 1)]
-        faces = {(r, i): self.vfaces[(k, r, i)] for r in range(1, D + 1)
-                 for i in range(r + 1)}
-        degens = {(r, i): self.vdegens[(k, r, i)] for r in range(D)
-                  for i in range(r + 1)}
-        return SimplicialSet(D, levels, faces, degens)
-
-    def _validate(self):
-        D = self.dim_bound
-        for r in range(D + 1):
-            self._row(r)
-        for k in range(D + 1):
-            self._column(k)
-        # horizontal and vertical operators commute
-        for k in range(D + 1):
-            for r in range(D + 1):
-                for x in self.levels[(k, r)]:
-                    for i in range(k + 1):
-                        if k >= 1:
-                            for j in range(r + 1):
-                                if r >= 1:
-                                    a = self.vfaces[(k - 1, r, j)][self.hfaces[(k, r, i)][x]]
-                                    b = self.hfaces[(k, r - 1, i)][self.vfaces[(k, r, j)][x]]
-                                    if a != b:
-                                        raise SimplicialIdentityError(
-                                            "horizontal and vertical faces do not commute")
-                    for i in range(k + 1):
-                        if k < D:
-                            for j in range(r + 1):
-                                if r < D:
-                                    a = self.vdegens[(k + 1, r, j)][self.hdegens[(k, r, i)][x]]
-                                    b = self.hdegens[(k, r + 1, i)][self.vdegens[(k, r, j)][x]]
-                                    if a != b:
-                                        raise SimplicialIdentityError(
-                                            "horizontal and vertical degeneracies do not commute")
-
-
-def external_product(X, Y):
-    """The bisimplicial set (k, r) -> X_k × Y_r."""
-    if X.dim_bound != Y.dim_bound:
-        raise ValueError("dim_bound mismatch")
-    D = X.dim_bound
-    levels = {(k, r): [(x, y) for x in X.levels[k] for y in Y.levels[r]]
-              for k in range(D + 1) for r in range(D + 1)}
-    hfaces, hdegens, vfaces, vdegens = {}, {}, {}, {}
-    for k in range(D + 1):
-        for r in range(D + 1):
-            for i in range(k + 1):
-                if k >= 1:
-                    f = X.faces[(k, i)]
-                    hfaces[(k, r, i)] = {(x, y): (f[x], y) for x, y in levels[(k, r)]}
-                if k < D:
-                    s = X.degens[(k, i)]
-                    hdegens[(k, r, i)] = {(x, y): (s[x], y) for x, y in levels[(k, r)]}
-            for j in range(r + 1):
-                if r >= 1:
-                    f = Y.faces[(r, j)]
-                    vfaces[(k, r, j)] = {(x, y): (x, f[y]) for x, y in levels[(k, r)]}
-                if r < D:
-                    s = Y.degens[(r, j)]
-                    vdegens[(k, r, j)] = {(x, y): (x, s[y]) for x, y in levels[(k, r)]}
-    return BiSimplicialSet(D, levels, hfaces, hdegens, vfaces, vdegens)
-
-
-def diagonal(B):
-    """The diagonal simplicial set of a bisimplicial set: level n is
-    B_{n,n}, with operators the horizontal-then-vertical composites."""
-    D = B.dim_bound
-    levels = [list(B.levels[(n, n)]) for n in range(D + 1)]
-    faces = {}
-    degens = {}
-    for n in range(1, D + 1):
-        for i in range(n + 1):
-            h = B.hfaces[(n, n, i)]
-            v = B.vfaces[(n - 1, n, i)]
-            faces[(n, i)] = {x: v[h[x]] for x in levels[n]}
-    for n in range(D):
-        for i in range(n + 1):
-            h = B.hdegens[(n, n, i)]
-            v = B.vdegens[(n + 1, n, i)]
-            degens[(n, i)] = {x: v[h[x]] for x in levels[n]}
-    return SimplicialSet(D, levels, faces, degens)
-
-
-# ---------------------------------------------------------------------------
 # simplicial abelian groups
 
 
 class SimplicialAbelianGroup:
     """A D-truncated simplicial abelian group: free ℤ-modules per level with
-    integer matrices for faces and degeneracies."""
+    integer matrices for faces and degeneracies.  Not mutated after
+    construction: normalizations maps a Moore convention to the result of
+    doldkan.normalize, computed once."""
 
     def __init__(self, dim_bound, ranks, face_mats, degen_mats, check=True):
         self.dim_bound = dim_bound
+        self.normalizations = {}
         self.ranks = r = list(ranks)
         if len(self.ranks) != dim_bound + 1:
             raise ValueError("ranks must have dim_bound + 1 entries")

@@ -63,6 +63,7 @@ def test_promonoidal_left_kan_failure_has_witness_and_exit_1(capsys):
     ["skeleta"],
     ["skeleta", "delta1", "delta1", "--p", "-1", "--q", "0", "--n", "1"],
     ["ez", "delta0", "delta0", "--check", "aw", "--dim-bound", "-1"],
+    ["skeleta", "no-such-space", "other", "--day-unit", "--trials", "1"],
 ], ids=lambda argv: " ".join(argv[2:] if argv[0] == "promonoidal" else argv))
 def test_promonoidal_vacuous_input_is_an_input_error(capsys, argv):
     # each of these once checked nothing and passed, or failed as if a
@@ -92,8 +93,11 @@ def test_malformed_payload_is_an_input_error(tmp_path, capsys):
     short["faces"]["1,0"].pop()
     unstaged = unit_filtration(1).to_payload()
     unstaged["p_max"] = 3
+    listed = unit_filtration(0).to_payload()
+    listed["stages"] = [[]]
     for command, payload in (("homology", {"format": "ssimp", "version": 1}),
-                             ("homology", short), ("ss", unstaged)):
+                             ("homology", short), ("ss", unstaged),
+                             ("ss", listed)):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(payload))
         code, rep, err = run(capsys, [command, str(p)])

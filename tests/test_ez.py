@@ -6,10 +6,12 @@ import pytest
 
 from zilber import intlinalg as la
 from zilber.chains import homology, is_homology_isomorphism
-from zilber.ez import (alexander_whitney, associativity_check,
-                       aw_nabla_identity_check, shuffle_product,
-                       symmetry_check, unitality_check)
+from zilber.doldkan import normalize
+from zilber.ez import (associativity_check, aw_nabla_identity_check,
+                       shuffle_product, symmetry_check, unitality_check)
+from zilber.filtration import filtered_ez
 from zilber.simplicial import circle, free_abelian, product, standard_simplex
+from zilber.spectral import heart_check
 
 SPACES = {
     "pt": lambda D: standard_simplex(0, D),
@@ -68,6 +70,23 @@ def test_torus_kunneth_isomorphism():
     assert is_homology_isomorphism(sp.map)
 
 
+def test_homology_isomorphism_builds_each_subquotient_once(monkeypatch):
+    from zilber import chains
+    A = free_abelian(circle(2))
+    f = shuffle_product(A, A).map
+    built = []
+    worker = chains._homology_subquotient
+
+    def counting(C, n):
+        built.append((C, n))
+        return worker(C, n)
+
+    monkeypatch.setattr(chains, "_homology_subquotient", counting)
+    assert is_homology_isomorphism(f)
+    # H_0, H_1, H_2 of the source and of the target
+    assert len(built) == 6
+
+
 def test_moore_conventions_agree_on_induced_homology():
     A, B = sab("s1"), sab("d1")
     up = shuffle_product(A, B, moore="upper")
@@ -75,3 +94,42 @@ def test_moore_conventions_agree_on_induced_homology():
     assert is_homology_isomorphism(up.map) == is_homology_isomorphism(lo.map)
     assert [x.free_rank for x in homology(up.target)] \
         == [x.free_rank for x in homology(lo.target)]
+
+
+@pytest.fixture
+def normalizations(monkeypatch):
+    """The (object, moore) pairs actually normalized, cache hits excluded."""
+    from zilber import doldkan
+    calls = []
+    worker = doldkan._normalize
+
+    def counting(A, moore):
+        calls.append((A, moore))
+        return worker(A, moore)
+
+    monkeypatch.setattr(doldkan, "_normalize", counting)
+    return calls
+
+
+@pytest.mark.parametrize("check, arity, expected", [
+    (aw_nabla_identity_check, 2, 3),  # A, B, A⊗B
+    (symmetry_check, 2, 4),  # A, B, A⊗B, B⊗A
+    (associativity_check, 3, 7),  # A, B, C, A⊗B, B⊗C, (A⊗B)⊗C, A⊗(B⊗C)
+    (filtered_ez, 2, 3),  # A, B, A⊗B
+    (heart_check, 1, 1),
+    (unitality_check, 2, 0),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_each_certificate_normalizes_each_object_once(normalizations, check,
+                                                      arity, expected):
+    # distinct objects, so that no count is lowered by A being B
+    check(*[sab(name) for name in ("d1", "s1", "d1")[:arity]])
+    assert len(normalizations) == expected
+
+
+def test_normalization_is_kept_per_moore_convention(normalizations):
+    A = sab("s1")
+    upper = normalize(A, "upper")
+    assert normalize(A) is upper and normalize(A, moore="upper") is upper
+    lower = normalize(A, "lower")
+    assert lower is not upper and normalize(A, "lower") is lower
+    assert normalizations == [(A, "upper"), (A, "lower")]

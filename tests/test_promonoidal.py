@@ -2,22 +2,20 @@
 the opposite simplex category, and the associated category of operators."""
 
 import itertools
-import json
 import random
 
 import pytest
 
 from zilber.delta import MonotoneMap
-from zilber.promonoidal import (FiniteCategory, arrow_fiber_nn, coend_set,
-                                coyoneda_check, delta_leq,
+from zilber.promonoidal import (coend_set, coyoneda_check, delta_leq,
                                 delta_mu_associativity_check,
                                 delta_mu_unit_check, delta_op_multicategory,
                                 delta_op_promonoidal, discrete_category,
                                 hom_profunctor, left_kan_check, mul_delta,
-                                mul_nn_delta, operator_category_fragment,
-                                opposite, poset_category,
+                                operator_category_fragment, opposite,
+                                poset_category,
                                 product_simplices_colimit_check,
-                                profunctor_to_payload, trivial_multicategory)
+                                trivial_multicategory)
 
 
 def test_simplex_category_truncation_sizes():
@@ -71,16 +69,6 @@ def test_multimorphism_spaces_count_monotone_tuples():
     from zilber.delta import monotone_count
     assert len(mul_delta([1, 1], 2)) == monotone_count(2, 1) ** 2
     assert len(mul_delta([], 0)) == 1  # the empty tuple
-
-
-def test_bounded_multimorphisms_dichotomy_and_errors():
-    # nonempty exactly when the bound accommodates the total
-    assert mul_nn_delta([1, 1], [1, 1], 2, 1)
-    assert mul_nn_delta([2, 2], [1, 1], 3, 1) == []
-    with pytest.raises(ValueError):
-        mul_nn_delta([1], [2], 3, 1)  # entry exceeds its arity bound
-    with pytest.raises(ValueError):
-        mul_nn_delta([1], [1], 2, 3)  # output exceeds the bound
 
 
 def test_left_kan_comparison_dichotomy():
@@ -150,28 +138,6 @@ def test_trivial_operator_fragment_counts_pointed_maps():
     frag = operator_category_fragment(trivial_multicategory(), 2)
     # morphisms <2> -> <1> are the pointed maps {0,1,2} -> {0,1}
     assert len(frag.morphisms_between(("*", "*"), ("*",))) == 4
-
-
-def test_arrow_fiber_poset_sizes():
-    from math import comb
-    for b in range(4):
-        P = arrow_fiber_nn([0, 0], b)
-        assert len(P.objects) == comb(b + 2, 2)
-
-
-def test_category_payload_roundtrip():
-    C = delta_leq(2)
-    payload = json.loads(json.dumps(C.to_payload()))
-    D = FiniteCategory.from_payload(payload)
-    D._validate()
-    assert len(D.morphisms) == len(C.morphisms)
-    assert len(D.objects) == len(C.objects)
-
-
-def test_profunctor_payload_is_serializable():
-    P = hom_profunctor(poset_category([0, 1], lambda a, b: a <= b))
-    payload = json.loads(json.dumps(profunctor_to_payload(P)))
-    assert payload["format"] == "prof" and payload["version"] == 1
 
 
 def test_nary_multiplication_size_matches_iterated_coend_formula():

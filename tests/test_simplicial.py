@@ -7,9 +7,8 @@ import pytest
 
 from zilber import _random as zrandom
 from zilber.simplicial import (CheckCertificate, SimplicialIdentityError,
-                               SimplicialSet, circle, diagonal,
-                               external_product, free_abelian, point, product,
-                               skeleton, skeleton_product_check,
+                               SimplicialSet, circle, free_abelian, point,
+                               product, skeleton, skeleton_product_check,
                                standard_simplex)
 
 
@@ -104,14 +103,6 @@ def test_validator_rejects_corrupted_matrices():
             continue
         with pytest.raises(SimplicialIdentityError):
             B._validate()
-
-
-def test_diagonal_of_external_product_is_product():
-    X, Y = standard_simplex(1, 2), circle(2)
-    D = diagonal(external_product(X, Y))
-    P = product(X, Y)
-    for k in range(3):
-        assert D.level_size(k) == P.level_size(k)
 
 
 def test_certificate_dict_shape():
