@@ -404,20 +404,10 @@ def cmd_skeleta(args):
 
 
 def _ss_checks(S, certs, prefix=""):
-    for r in range(1, S.r_top + 1):
-        c = S.d_squared_check(r)
+    for name, c in spectral._invariant_checks(S):
         if not c.ok:
-            certs.append(cert_dict(c, f"{prefix}d-squared-r{r}"))
+            certs.append(cert_dict(c, prefix + name))
             return False
-        if r + 1 <= S.r_top:
-            c = S.page_recursion_check(r)
-            if not c.ok:
-                certs.append(cert_dict(c, f"{prefix}page-recursion-r{r}"))
-                return False
-    c = S.convergence_check()
-    if not c.ok:
-        certs.append(cert_dict(c, f"{prefix}convergence"))
-        return False
     return True
 
 
@@ -694,10 +684,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(json.dumps({"error": str(exc), "exit": EXIT_INPUT}),
-              file=sys.stderr)
-        return EXIT_INPUT
     except (SimplicialIdentityError, ValueError, KeyError, TypeError) as exc:
         print(json.dumps({"error": str(exc), "exit": EXIT_INPUT}),
               file=sys.stderr)

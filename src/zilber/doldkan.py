@@ -9,13 +9,19 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .chains import ChainComplex, ChainMap, homology
-from .delta import (MonotoneMap, coface, codegeneracy, enumerate_surjections,
-                    epi_mono_factorize, identity_map)
+from .delta import (coface, codegeneracy, enumerate_surjections,
+                    epi_mono_factorize)
 from .simplicial import SimplicialAbelianGroup
 
 
 def unnormalized_chains(A):
-    """C_n = A_n with d = Σ (-1)^i d_i."""
+    """C(A): C_n = A_n with d = Σ (-1)^i d_i, computed once and kept on A."""
+    if A.chains is None:
+        A.chains = _unnormalized_chains(A)
+    return A.chains
+
+
+def _unnormalized_chains(A):
     diffs = {}
     for n in range(1, A.dim_bound + 1):
         M = la.zeros(A.ranks[n - 1], A.ranks[n])
@@ -39,7 +45,6 @@ class NormalizationResult:
     normalized: ChainComplex
     projection: ChainMap
     section: ChainMap
-    unnormalized: ChainComplex
 
 
 def _degenerate_span(A, n):
@@ -54,11 +59,15 @@ def normalize(A, moore="upper"):
 
     The section embeds the quotient as the Moore subcomplex: with
     moore="upper" this is ∩_{i>=1} ker d_i, with moore="lower" it is
-    ∩_{i<=n-1} ker d_i.  Both split the same projection.
+    ∩_{i<=n-1} ker d_i.  Both give the same complex and projection; the
+    sections differ by degenerate chains, which the projection kills, so
+    ∇, AW and the skeletal filtrations do not depend on the convention.
 
     Computed once per (A, moore) and kept on A, which is not mutated after
     construction; every caller shares the result, which must not be mutated.
     """
+    if moore not in ("upper", "lower"):
+        raise ValueError(f"unknown Moore convention {moore!r}")
     if moore not in A.normalizations:
         A.normalizations[moore] = _normalize(A, moore)
     return A.normalizations[moore]
@@ -101,7 +110,7 @@ def _normalize(A, moore):
     for n in range(D + 1):
         if not la.mat_eq(la.mat_mul(projs[n], secs[n]), la.identity(nranks[n])):
             raise AssertionError("projection ∘ section is not the identity")
-    return NormalizationResult(N, projection, section, C)
+    return NormalizationResult(N, projection, section)
 
 
 def homotopy_groups(A):
@@ -244,15 +253,9 @@ def normalized_gamma_comparison(C, dim_bound):
 def is_chain_iso(f):
     """True if a chain map has levelwise unimodular (square invertible over ℤ)
     components."""
-    top = max(f.source.top_degree, f.target.top_degree)
-    for n in range(top + 1):
-        if f.source.rank(n) != f.target.rank(n):
-            return False
-        try:
-            la.inverse_unimodular(f.mat(n))
-        except ValueError:
-            return False
-    return True
+    degrees = range(max(f.source.top_degree, f.target.top_degree) + 1)
+    return is_levelwise_unimodular((f.mat(n) for n in degrees),
+                                   [f.source.rank(n) for n in degrees])
 
 
 def is_levelwise_unimodular(mats, ranks):

@@ -75,16 +75,16 @@ class _ShuffleProduct:
     (filtered pairings, symmetry and associativity checks).
     """
 
-    def __init__(self, A, B, moore="upper"):
+    def __init__(self, A, B):
         self.A = A
         self.B = B
         nabla_un, tb_un, AB = unnormalized_shuffle(A, B)
         self.product = AB
         self.unnormalized = nabla_un
         self.unnormalized_basis = tb_un
-        self.norm_A = normalize(A, moore=moore)
-        self.norm_B = normalize(B, moore=moore)
-        self.norm_AB = normalize(AB, moore=moore)
+        self.norm_A = normalize(A)
+        self.norm_B = normalize(B)
+        self.norm_AB = normalize(AB)
         NT, ntb = tensor(self.norm_A.normalized, self.norm_B.normalized,
                          top_degree=A.dim_bound)
         self.source = NT
@@ -136,16 +136,16 @@ class _ShuffleProduct:
         return f
 
 
-def shuffle_product(A, B, moore="upper"):
+def shuffle_product(A, B):
     """The Eilenberg-Zilber pair of A and B (see _ShuffleProduct): .map is
     the lax structure map 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B), .alexander_whitney()
     builds AW."""
-    return _ShuffleProduct(A, B, moore=moore)
+    return _ShuffleProduct(A, B)
 
 
-def aw_nabla_identity_check(A, B, moore="upper"):
+def aw_nabla_identity_check(A, B):
     """Certifies AW ∘ ∇ = id on 𝒩(A)⊗𝒩(B)."""
-    sp = shuffle_product(A, B, moore=moore)
+    sp = shuffle_product(A, B)
     comp = sp.alexander_whitney().compose(sp.map)
     for n in range(A.dim_bound + 1):
         if not la.mat_eq(comp.mat(n), la.identity(sp.source.rank(n))):
@@ -181,10 +181,10 @@ def _simplicial_swap_chain(ab, ba):
     return ChainMap(ab.unnormalized.target, ba.unnormalized.target, mats)
 
 
-def symmetry_check(A, B, moore="upper"):
+def symmetry_check(A, B):
     """Certifies ∇_{B,A} ∘ (Koszul swap) = 𝒩(swap) ∘ ∇_{A,B}."""
-    ez_ab = shuffle_product(A, B, moore=moore)
-    ez_ba = shuffle_product(B, A, moore=moore)
+    ez_ab = shuffle_product(A, B)
+    ez_ba = shuffle_product(B, A)
     swap_chain = _simplicial_swap_chain(ez_ab, ez_ba)
     n_swap = ez_ba.norm_AB.projection.compose(
         swap_chain.compose(ez_ab.norm_AB.section))
@@ -219,17 +219,17 @@ def _tensor_associator(tb_left, tb_ab, tb_right, tb_bc):
     return mats
 
 
-def associativity_check(A, B, C, moore="upper"):
+def associativity_check(A, B, C):
     """Certifies ∇ ∘ (∇⊗id) = ∇ ∘ (id⊗∇) ∘ assoc on normalized chains.
 
     The levelwise tensor of simplicial abelian groups is strictly
     associative (Kronecker products associate on the nose), so both
     composites land in the same normalized complex of A⊗B⊗C."""
     D = A.dim_bound
-    ez_ab = shuffle_product(A, B, moore=moore)
-    ez_bc = shuffle_product(B, C, moore=moore)
-    ez_ab_c = shuffle_product(ez_ab.product, C, moore=moore)
-    ez_a_bc = shuffle_product(A, ez_bc.product, moore=moore)
+    ez_ab = shuffle_product(A, B)
+    ez_bc = shuffle_product(B, C)
+    ez_ab_c = shuffle_product(ez_ab.product, C)
+    ez_a_bc = shuffle_product(A, ez_bc.product)
     for n in range(D + 1):
         if ez_ab_c.product.ranks[n] != ez_a_bc.product.ranks[n]:
             raise AssertionError("tensor of simplicial groups not strictly "

@@ -11,7 +11,7 @@ from . import intlinalg as la
 from .chains import ChainComplex, tensor, unit_complex
 from .delta import enumerate_surjections
 from .doldkan import normalize
-from .ez import shuffle_product
+from .ez import _koszul_swap, _tensor_associator, shuffle_product
 from .simplicial import CheckCertificate
 
 
@@ -113,7 +113,7 @@ def unit_filtration(p_max=0):
     return constant_filtration(unit_complex(), p_max)
 
 
-def skeletal_filtration(A, moore="upper"):
+def skeletal_filtration(A):
     """The chain-level skeletal filtration of a simplicial abelian group.
 
     Stage p in degree k is the span of the images of all operators induced
@@ -121,7 +121,7 @@ def skeletal_filtration(A, moore="upper"):
     p-skeleton), pushed into 𝒩(A) through the normalization projection.
     Stabilizes at p_max = dim_bound."""
     D = A.dim_bound
-    nres = normalize(A, moore=moore)
+    nres = normalize(A)
     stages = []
     for p in range(D + 1):
         stage = {}
@@ -190,7 +190,6 @@ def filtrations_stagewise_equal(F, G):
 def convolution_symmetry_check(F, G):
     """Certifies F ⊛ G ≅ G ⊛ F stagewise: the signed swap of the ambient
     tensor carries each stage span onto the corresponding stage span."""
-    from .ez import _koszul_swap
     FG = day_convolution(F, G)
     GF = day_convolution(G, F)
     mats = _koszul_swap(FG.basis, GF.basis)
@@ -207,7 +206,6 @@ def convolution_symmetry_check(F, G):
 def convolution_associativity_check(F, G, H):
     """Certifies (F ⊛ G) ⊛ H ≅ F ⊛ (G ⊛ H) stagewise under the canonical
     associator of the ambient tensor."""
-    from .ez import _tensor_associator
     FG = day_convolution(F, G)
     GH = day_convolution(G, H)
     L = day_convolution(FG, H)
@@ -321,12 +319,12 @@ class FilteredPairing:
                                 detail="filtration-0 component is an isomorphism")
 
 
-def filtered_ez(A, B, moore="upper"):
+def filtered_ez(A, B):
     """The shuffle product as a filtered pairing between skeletal
     filtrations: sk(A) ⊗ sk(B) -> sk(A⊗B), with the containment certificate
     computed at construction."""
-    sp = shuffle_product(A, B, moore=moore)
-    F = skeletal_filtration(A, moore=moore)
-    G = skeletal_filtration(B, moore=moore)
-    H = skeletal_filtration(sp.product, moore=moore)
+    sp = shuffle_product(A, B)
+    F = skeletal_filtration(A)
+    G = skeletal_filtration(B)
+    H = skeletal_filtration(sp.product)
     return FilteredPairing(F, G, H, sp.map, sp.source_basis)

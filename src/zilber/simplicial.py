@@ -401,11 +401,12 @@ def skeleton_product_check(X, Y, p, q, n):
 class SimplicialAbelianGroup:
     """A D-truncated simplicial abelian group: free ℤ-modules per level with
     integer matrices for faces and degeneracies.  Not mutated after
-    construction: normalizations maps a Moore convention to the result of
-    doldkan.normalize, computed once."""
+    construction, so doldkan keeps C(A) in chains (None until asked for)
+    and normalize's result per Moore convention in normalizations."""
 
     def __init__(self, dim_bound, ranks, face_mats, degen_mats, check=True):
         self.dim_bound = dim_bound
+        self.chains = None
         self.normalizations = {}
         self.ranks = r = list(ranks)
         if len(self.ranks) != dim_bound + 1:

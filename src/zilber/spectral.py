@@ -11,6 +11,8 @@ reindexing is applied.
 from __future__ import annotations
 
 from . import intlinalg as la
+from .doldkan import normalize
+from .filtration import _tensor_column, skeletal_filtration
 from .simplicial import CheckCertificate
 
 CONVENTION = ("E_1^{p,q} = H_{p+q}(F_p/F_{p-1}); pages are the subquotient "
@@ -201,22 +203,24 @@ def _span_of_preimage(A, M, B):
     return la.image_basis(la.mat_mul(A, la.Matrix(ker[:A.ncols], ker.ncols)))
 
 
+def _invariant_checks(S):
+    """(name, certificate) for d_r² = 0 and page recursion on every page,
+    then convergence; lazy, so a caller can stop at the first failure."""
+    for r in range(1, S.r_top + 1):
+        yield f"d-squared-r{r}", S.d_squared_check(r)
+        if r < S.r_top:
+            yield f"page-recursion-r{r}", S.page_recursion_check(r)
+    yield "convergence", S.convergence_check()
+
+
 def compute_pages(F, r_max=None):
     """SpectralSequence of a filtered complex with all invariants asserted:
     d_r² = 0 and page recursion for every computed page, and E_∞ equal to
     the associated graded of homology."""
     S = SpectralSequence(F, r_max)
-    for r in range(1, S.r_top + 1):
-        cert = S.d_squared_check(r)
+    for _, cert in _invariant_checks(S):
         if not cert.ok:
             raise AssertionError(cert.detail)
-        if r + 1 <= S.r_top:
-            cert = S.page_recursion_check(r)
-            if not cert.ok:
-                raise AssertionError(cert.detail)
-    cert = S.convergence_check()
-    if not cert.ok:
-        raise AssertionError(cert.detail)
     return S
 
 
@@ -259,17 +263,11 @@ class PagePairing:
 
     def _multiply(self, n1, x, n2, y):
         """Ambient representative of m(x ⊗ y) in degree n1 + n2."""
-        tb = self.P.basis
         n = n1 + n2
-        if n > tb.top_degree:
+        if n > self.P.basis.top_degree:
             return [0] * self.P.H.ambient.rank(n)
-        vec = [0] * len(tb.basis[n])
-        for i, u in enumerate(x):
-            if u:
-                for j, v in enumerate(y):
-                    if v:
-                        vec[tb.index(n, n1, i, n2, j)] += u * v
-        return la.mat_vec(self.P.m.mat(n), vec)
+        return la.mat_vec(self.P.m.mat(n),
+                          _tensor_column(self.P.basis, n1, x, n2, y))
 
     def _well_defined_check(self):
         r = self.r
@@ -373,7 +371,7 @@ def _invariant_factors(M):
     return [d for d in la.snf_diagonal(M) if d]
 
 
-def heart_check(A, moore="upper"):
+def heart_check(A):
     """The first page of the skeletal filtration of A, with its d_1, is
     isomorphic as a chain complex to the normalized chains of A: the page
     is concentrated in q = 0, each E_1^{p,0} is free of the normalized
@@ -381,11 +379,8 @@ def heart_check(A, moore="upper"):
     normalized differentials.  (Ranks plus invariant factors of the
     differentials determine a bounded complex of finitely generated free
     abelian groups up to isomorphism.)"""
-    from .doldkan import normalize
-    from .filtration import skeletal_filtration
-
-    N = normalize(A, moore=moore).normalized
-    F = skeletal_filtration(A, moore=moore)
+    N = normalize(A).normalized
+    F = skeletal_filtration(A)
     S = SpectralSequence(F, r_max=1)
     for (p, q), sq in S.pages[1].items():
         if q != 0:

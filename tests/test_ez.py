@@ -1,11 +1,13 @@
 """Shuffle product and Alexander-Whitney map on normalized complexes."""
 
+import copy
 import itertools
 
 import pytest
 
 from zilber import intlinalg as la
-from zilber.chains import homology, is_homology_isomorphism
+from zilber.chains import (ChainMap, homology, is_homology_isomorphism,
+                           tensor_map)
 from zilber.doldkan import normalize
 from zilber.ez import (associativity_check, aw_nabla_identity_check,
                        shuffle_product, symmetry_check, unitality_check)
@@ -18,10 +20,12 @@ SPACES = {
     "d1": lambda D: standard_simplex(1, D),
     "s1": lambda D: circle(D),
 }
+# the benchmark's corpus {Δ⁰, Δ¹, Δ², S¹}
+CORPUS = {**SPACES, "d2": lambda D: standard_simplex(2, D)}
 
 
 def sab(name, D=2):
-    return free_abelian(SPACES[name](D))
+    return free_abelian(CORPUS[name](D))
 
 
 def test_shuffle_map_is_a_chain_map():
@@ -87,13 +91,35 @@ def test_homology_isomorphism_builds_each_subquotient_once(monkeypatch):
     assert len(built) == 6
 
 
-def test_moore_conventions_agree_on_induced_homology():
-    A, B = sab("s1"), sab("d1")
-    up = shuffle_product(A, B, moore="upper")
-    lo = shuffle_product(A, B, moore="lower")
-    assert is_homology_isomorphism(up.map) == is_homology_isomorphism(lo.map)
-    assert [x.free_rank for x in homology(up.target)] \
-        == [x.free_rank for x in homology(lo.target)]
+def _same_maps(f, g):
+    top = max(f.source.top_degree, f.target.top_degree)
+    return all(la.mat_eq(f.mat(n), g.mat(n)) for n in range(top + 1))
+
+
+def test_moore_convention_changes_only_the_section():
+    # The lower convention has the upper one's complex and projection, and
+    # ∇ and AW rebuilt from its sections are those of shuffle_product.
+    sections_differ = False
+    for a, b in itertools.product(CORPUS, repeat=2):
+        sp = shuffle_product(sab(a), sab(b))
+        lo = copy.copy(sp)
+        for attr, X in (("norm_A", sp.A), ("norm_B", sp.B),
+                        ("norm_AB", sp.product)):
+            upper, lower = getattr(sp, attr), normalize(X, "lower")
+            N, M = upper.normalized, lower.normalized
+            assert N.ranks == M.ranks and all(
+                la.mat_eq(N.diff(n), M.diff(n)) for n in range(len(N.ranks)))
+            assert _same_maps(upper.projection, lower.projection)
+            sections_differ |= not _same_maps(upper.section, lower.section)
+            setattr(lo, attr, lower)
+        secsec = ChainMap(sp.source, sp.unnormalized.source,
+                          tensor_map(lo.norm_A.section, lo.norm_B.section,
+                                     sp.source_basis, sp.unnormalized_basis),
+                          check=False)
+        nabla = lo.norm_AB.projection.compose(sp.unnormalized.compose(secsec))
+        assert _same_maps(nabla, sp.map)
+        assert _same_maps(lo.alexander_whitney(), sp.alexander_whitney())
+    assert sections_differ
 
 
 @pytest.fixture
@@ -133,3 +159,40 @@ def test_normalization_is_kept_per_moore_convention(normalizations):
     lower = normalize(A, "lower")
     assert lower is not upper and normalize(A, "lower") is lower
     assert normalizations == [(A, "upper"), (A, "lower")]
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """The objects whose unnormalized chains are actually built."""
+    from zilber import doldkan
+    calls = []
+    worker = doldkan._unnormalized_chains
+
+    def counting(A):
+        calls.append(A)
+        return worker(A)
+
+    monkeypatch.setattr(doldkan, "_unnormalized_chains", counting)
+    return calls
+
+
+@pytest.mark.parametrize("check, arity, expected", [
+    (aw_nabla_identity_check, 2, 3),  # A, B, A⊗B
+    (symmetry_check, 2, 4),  # A, B, A⊗B, B⊗A
+    (associativity_check, 3, 7),  # A, B, C, A⊗B, B⊗C, (A⊗B)⊗C, A⊗(B⊗C)
+    (filtered_ez, 2, 3),  # A, B, A⊗B
+    (heart_check, 1, 1),
+    (unitality_check, 2, 3),  # A, B, A⊗B
+], ids=lambda x: getattr(x, "__name__", None))
+def test_each_certificate_builds_each_objects_chains_once(chain_builds, check,
+                                                         arity, expected):
+    check(*[sab(name) for name in ("d1", "s1", "d1")[:arity]])
+    assert len(chain_builds) == expected
+    assert len(set(map(id, chain_builds))) == expected
+
+
+def test_unknown_moore_convention_is_rejected(normalizations):
+    X = free_abelian(product(circle(3), standard_simplex(1, 3)))
+    with pytest.raises(ValueError, match="Moore convention"):
+        normalize(X, "Upper")
+    assert X.normalizations == {} and normalizations == []

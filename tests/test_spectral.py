@@ -43,6 +43,23 @@ def test_random_filtrations_satisfy_all_page_invariants():
         compute_pages(F)  # asserts d_r²=0, recursion, convergence
 
 
+def test_invariant_checks_are_named_and_stop_at_the_first_failure(
+        monkeypatch):
+    from zilber import cli
+    from zilber.simplicial import CheckCertificate
+    from zilber.spectral import _invariant_checks
+    F = skeletal_filtration(free_abelian(standard_simplex(1, 1)))
+    assert [name for name, _ in _invariant_checks(SpectralSequence(F))] == [
+        "d-squared-r1", "page-recursion-r1", "d-squared-r2", "convergence"]
+    monkeypatch.setattr(SpectralSequence, "page_recursion_check",
+                        lambda self, r: CheckCertificate(False, detail="forced"))
+    certs = []
+    assert not cli._ss_checks(SpectralSequence(F), certs, prefix="trial0-")
+    assert [c["check"] for c in certs] == ["trial0-page-recursion-r1"]
+    with pytest.raises(AssertionError, match="forced"):
+        compute_pages(F)
+
+
 def test_leibniz_rule_on_shuffle_pairing():
     A = free_abelian(standard_simplex(1, 2))
     B = free_abelian(circle(2))
