@@ -3,7 +3,9 @@ invocation producing a deterministic JSON report (identical inputs give
 identical reports once the timing field is ignored).
 
 Exit codes: 0 when every certificate in the report passes, 1 when any
-certificate fails (the report carries the witness), 2 on input errors.
+certificate fails (the report carries the witness), 2 on input errors, 3 on
+an internal error (a failed self-check of the library, such as an
+AssertionError), with a JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .simplicial import (SimplicialIdentityError, SimplicialSet, circle,
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 BUILTIN_SPACES = ("delta0", "delta1", "delta2", "delta3", "point", "s1",
                   "torus")
@@ -685,9 +688,14 @@ def main(argv=None):
     try:
         return args.func(args)
     except (SimplicialIdentityError, ValueError, KeyError, TypeError) as exc:
-        print(json.dumps({"error": str(exc), "exit": EXIT_INPUT}),
-              file=sys.stderr)
-        return EXIT_INPUT
+        return _error_exit(exc, EXIT_INPUT)
+    except AssertionError as exc:
+        return _error_exit(exc, EXIT_INTERNAL)
+
+
+def _error_exit(exc, code):
+    print(json.dumps({"error": str(exc), "exit": code}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -310,19 +310,6 @@ def shuffle_sign_by_inversions(p, q, interleaving):
     return -1 if inv % 2 else 1
 
 
-def shuffle_sign_by_products(p, q, interleaving):
-    """Cross-check formula: product over (i, j) with i a first-coordinate
-    step and j a second-coordinate step of +1 if i < j and -1 if i > j."""
-    first = sorted(interleaving)
-    rest = [i for i in range(1, p + q + 1) if i not in set(first)]
-    sign = 1
-    for i in first:
-        for j in rest:
-            if i > j:
-                sign = -sign
-    return sign
-
-
 def shuffles(p, q):
     """All (p,q)-shuffles with signs, lexicographic on the interleaving."""
     out = []

@@ -53,15 +53,124 @@ def _degenerate_span(A, n):
                      *[A.degen_mats[(n - 1, i)] for i in range(n)])
 
 
+def _degenerate_coordinates(A, n):
+    """The basis indices of A_n that the degeneracies s_i : A_{n-1} -> A_n
+    hit, when every column of every s_i is a unit vector (so D_n is the
+    span of those basis vectors); None when some column is not."""
+    hit = set()
+    for i in range(n):
+        M = A.degen_mats[(n - 1, i)]
+        cols = []
+        for k, row in enumerate(M):
+            nnz = len(row) - row.count(0)
+            if not nnz:
+                continue
+            if row.count(1) != nnz:
+                return None
+            hit.add(k)
+            j = -1
+            for _ in range(nnz):
+                j = row.index(1, j + 1)
+                cols.append(j)
+        if len(cols) != M.ncols or len(set(cols)) != M.ncols:
+            return None
+    return hit
+
+
+def _quotient_by_degenerates(A, n):
+    """(proj, lifts): proj : A_n -> A_n / D_n in a chosen basis, and lifts,
+    sparse vectors {index: entry} of A_n that proj sends to that basis."""
+    rn = A.ranks[n]
+    hit = _degenerate_coordinates(A, n)
+    if hit is not None:
+        # D_n is a coordinate subspace: keep the other coordinates
+        keep = [k for k in range(rn) if k not in hit]
+        proj = la.zeros(len(keep), rn)
+        for j, k in enumerate(keep):
+            proj[j][k] = 1
+        return proj, [{k: 1} for k in keep]
+    U, S, _, Uinv, _ = la._smith_with_inverses(_degenerate_span(A, n))
+    diag = [S[i][i] for i in range(min(la.dims(S)))]
+    if any(d not in (0, 1) for d in diag):
+        raise ValueError(
+            "degenerate subgroup is not a direct summand; "
+            "input is not a valid simplicial abelian group")
+    r = sum(1 for d in diag if d)
+    lifts = [{i: row[j] for i, row in enumerate(Uinv) if row[j]}
+             for j in range(r, rn)]
+    return la.Matrix(U[r:], rn), lifts
+
+
+def _sparse_action(M):
+    """v -> M v on sparse vectors {index: entry}; each column of M is read
+    the first time it is needed."""
+    cols = {}
+
+    def act(v):
+        out = {}
+        for c, x in v.items():
+            col = cols.get(c)
+            if col is None:
+                col = cols[c] = [(i, row[c]) for i, row in enumerate(M)
+                                 if row[c]]
+            for i, a in col:
+                out[i] = out.get(i, 0) + a * x
+        return {i: x for i, x in out.items() if x}
+    return act
+
+
+def _moore_section(A, n, moore, lifts):
+    """P_n applied to each lift, as sparse vectors, where P_n is the
+    idempotent of A_n onto the Moore subgroup with kernel D_n, applying the
+    rightmost factor first:
+    upper P_n = (1 - s_0 d_1)(1 - s_1 d_2)⋯(1 - s_{n-1} d_n),
+    lower P_n = (1 - s_{n-1} d_{n-1})⋯(1 - s_0 d_0).
+    Raises ValueError unless the Moore faces (d_1..d_n, resp. d_0..d_{n-1})
+    kill every result."""
+    steps = ([(i, i + 1) for i in reversed(range(n))] if moore == "upper"
+             else [(i, i) for i in range(n)])
+    acts = [(_sparse_action(A.degen_mats[(n - 1, i)]),
+             _sparse_action(A.face_mats[(n, j)])) for i, j in steps]
+    out = []
+    for v in lifts:
+        for s, d in acts:
+            v = dict(v)
+            for i, x in s(d(v)).items():
+                v[i] = v.get(i, 0) - x
+        v = {i: x for i, x in v.items() if x}
+        if any(d(v) for _, d in acts):
+            raise ValueError("section leaves the Moore subcomplex; "
+                             "input is not a valid simplicial abelian group")
+        out.append(v)
+    return out
+
+
+def _sparse_matrix(cols, nrows):
+    """The nrows-row Matrix whose columns are the sparse vectors cols."""
+    M = la.zeros(nrows, len(cols))
+    for j, v in enumerate(cols):
+        for i, x in v.items():
+            M[i][j] = x
+    return M
+
+
 def normalize(A, moore="upper"):
     """Normalization of a simplicial abelian group as the quotient of the
-    unnormalized chains by the degenerate subcomplex.
+    unnormalized chains by the degenerate subcomplex D.
 
     The section embeds the quotient as the Moore subcomplex: with
     moore="upper" this is ∩_{i>=1} ker d_i, with moore="lower" it is
-    ∩_{i<=n-1} ker d_i.  Both give the same complex and projection; the
-    sections differ by degenerate chains, which the projection kills, so
-    ∇, AW and the skeletal filtrations do not depend on the convention.
+    ∩_{i<=n-1} ker d_i.  It is P_n applied to lifts of the normalized
+    basis, where P_n is the idempotent built from faces and degeneracies
+    that kills D_n and fixes the Moore subgroup (see _moore_section).
+    When every degeneracy matrix into level n has unit-vector columns, as
+    for ℤ[X], tensor products of such groups and Γ(C), D_n is spanned by
+    basis vectors: the normalized basis is the other basis vectors, in
+    index order, and the projection restricts coordinates.  Otherwise the
+    Smith normal form of the degenerate span splits D_n off.  Both
+    conventions give the same complex and projection; the sections differ
+    by degenerate chains, which the projection kills, so ∇, AW and the
+    skeletal filtrations do not depend on the convention.
 
     Computed once per (A, moore) and kept on A, which is not mutated after
     construction; every caller shares the result, which must not be mutated.
@@ -77,38 +186,22 @@ def _normalize(A, moore):
     C = unnormalized_chains(A)
     D = A.dim_bound
     projs = {}
-    secs = {}
-    nranks = []
+    cols = {}  # the section's columns, as sparse vectors
     for n in range(D + 1):
-        rn = A.ranks[n]
-        U, S, _, _, _ = la._smith_with_inverses(_degenerate_span(A, n))
-        diag = [S[i][i] for i in range(min(la.dims(S)))]
-        r = sum(1 for d in diag if d)
-        if any(d not in (0, 1) for d in diag):
-            raise ValueError(
-                "degenerate subgroup is not a direct summand; "
-                "input is not a valid simplicial abelian group")
-        proj = la.Matrix(U[r:], rn)
-        # section through the Moore subcomplex
-        if n == 0:
-            sec = la.identity(rn)
-        else:
-            faces = range(1, n + 1) if moore == "upper" else range(n)
-            K = la.kernel_basis(la.vstack(*[A.face_mats[(n, i)] for i in faces]))
-            if K.ncols != rn - r:
-                raise ValueError("Moore subcomplex rank mismatch")
-            sec = la.mat_mul(K, la.inverse_unimodular(la.mat_mul(proj, K)))
-        projs[n] = proj
-        secs[n] = sec
-        nranks.append(rn - r)
+        projs[n], lifts = _quotient_by_degenerates(A, n)
+        cols[n] = _moore_section(A, n, moore, lifts)
+    nranks = [len(cols[n]) for n in range(D + 1)]
     ndiffs = {}
     for n in range(1, D + 1):
-        ndiffs[n] = la.mat_mul(projs[n - 1], la.mat_mul(C.diff(n), secs[n]))
+        d, proj = _sparse_action(C.diff(n)), _sparse_action(projs[n - 1])
+        ndiffs[n] = _sparse_matrix([proj(d(v)) for v in cols[n]], nranks[n - 1])
     N = ChainComplex(nranks, ndiffs)
     projection = ChainMap(C, N, projs)
-    section = ChainMap(N, C, secs)
+    section = ChainMap(N, C, {n: _sparse_matrix(cols[n], A.ranks[n])
+                              for n in range(D + 1)})
     for n in range(D + 1):
-        if not la.mat_eq(la.mat_mul(projs[n], secs[n]), la.identity(nranks[n])):
+        proj = _sparse_action(projs[n])
+        if any(proj(v) != {j: 1} for j, v in enumerate(cols[n])):
             raise AssertionError("projection ∘ section is not the identity")
     return NormalizationResult(N, projection, section)
 
@@ -204,11 +297,6 @@ def gamma(C, dim_bound):
         for i in range(n + 1):
             degen_mats[(n, i)] = gamma_operator(C, codegeneracy(n, i), basis)
     return SimplicialAbelianGroup(dim_bound, ranks, face_mats, degen_mats)
-
-
-def interval_object(n, dim_bound):
-    """Γ(Dⁿ), the representing object of 'level-n element with boundary'."""
-    return gamma(disk(n).to_chain_complex(), dim_bound)
 
 
 def gamma_normalize_comparison(A):

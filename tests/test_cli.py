@@ -104,6 +104,19 @@ def test_malformed_payload_is_an_input_error(tmp_path, capsys):
         assert code == 2
 
 
+def test_internal_error_exits_3(capsys, monkeypatch):
+    from zilber import doldkan
+
+    def broken(A, moore):
+        raise AssertionError("projection ∘ section is not the identity")
+
+    monkeypatch.setattr(doldkan, "_normalize", broken)
+    code, rep, err = run(capsys, ["homology", "torus"])
+    assert code == 3 and rep is None
+    assert json.loads(err) == {
+        "error": "projection ∘ section is not the identity", "exit": 3}
+
+
 def test_reports_are_deterministic_modulo_timing(capsys):
     _, rep1, _ = run(capsys, ["ss", "sk:s1", "--heart"])
     _, rep2, _ = run(capsys, ["ss", "sk:s1", "--heart"])

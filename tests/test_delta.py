@@ -9,7 +9,21 @@ from zilber.delta import (MonotoneMap, Shuffle, coface, codegeneracy,
                           factor_into_cofaces, factor_into_codegeneracies,
                           identity_map, monotone_count, product_nondegenerate,
                           product_points, shuffle_sign_by_inversions,
-                          shuffle_sign_by_products, shuffles)
+                          shuffles)
+
+
+def shuffle_sign_by_products(p, q, interleaving):
+    """Independent sign oracle: the product over (i, j), with i a
+    first-coordinate step and j a second-coordinate step, of +1 if i < j and
+    -1 if i > j."""
+    first = sorted(interleaving)
+    rest = [i for i in range(1, p + q + 1) if i not in set(first)]
+    sign = 1
+    for i in first:
+        for j in rest:
+            if i > j:
+                sign = -sign
+    return sign
 
 
 def test_monotone_enumeration_counts():

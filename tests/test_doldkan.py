@@ -2,15 +2,19 @@
 
 import random
 
+import pytest
+
 from zilber import _random as zrandom
 from zilber import intlinalg as la
 from zilber.chains import homology
 from zilber.doldkan import (disk, gamma, gamma_normalize_comparison,
-                            homotopy_groups, interval_object, is_chain_iso,
+                            homotopy_groups, is_chain_iso,
                             is_levelwise_unimodular,
                             normalized_gamma_comparison, normalize,
                             unnormalized_chains)
-from zilber.simplicial import circle, free_abelian, product, standard_simplex
+from zilber.ez import aw_nabla_identity_check, symmetry_check, unitality_check
+from zilber.simplicial import (SimplicialAbelianGroup, circle, free_abelian,
+                               product, standard_simplex)
 
 
 def test_unnormalized_chains_of_triangle():
@@ -54,7 +58,7 @@ def test_homotopy_groups_of_circle_and_torus():
 
 def test_gamma_of_disk_is_interval_object():
     # Γ(D^n) levelwise rank: surjections [m] ->> [n] plus those onto [n-1]
-    A = interval_object(1, 3)
+    A = gamma(disk(1).to_chain_complex(), 3)
     assert A.ranks == [1, 2, 3, 4]
     A._validate()
 
@@ -88,3 +92,126 @@ def test_disk_chain_complexes():
     assert D.ranks == [0, 1, 1]
     assert all(inv.is_trivial or n == 0
                for n, inv in enumerate(homology(D)))
+
+
+# ---------------------------------------------------------------------------
+# the two normalization paths: coordinate degeneracies and Smith normal form
+
+
+def _conjugate(A, rng):
+    """A with the basis of each level n changed by (-1)^n times a random
+    unimodular matrix: isomorphic to A, but its degeneracies no longer have
+    unit-vector columns (the sign alone flips those of rank-1 levels), so
+    normalize takes the Smith-normal-form path."""
+    g = []
+    for n, r in enumerate(A.ranks):
+        U, Uinv = zrandom._random_unimodular(rng, r, ops=2 * r)
+        g.append((U, Uinv) if n % 2 == 0
+                 else (la.mat_scale(-1, U), la.mat_scale(-1, Uinv)))
+    faces = {(n, i): la.mat_mul(g[n - 1][0], la.mat_mul(M, g[n][1]))
+             for (n, i), M in A.face_mats.items()}
+    degens = {(n, i): la.mat_mul(g[n + 1][0], la.mat_mul(M, g[n][1]))
+              for (n, i), M in A.degen_mats.items()}
+    return SimplicialAbelianGroup(A.dim_bound, A.ranks, faces, degens)
+
+
+def _kernel_normalization(A, moore):
+    """Oracle for the Smith-normal-form path: per level, the projection
+    U[r:] from the SNF of the degenerate span and the section K (proj K)⁻¹,
+    where K is a kernel basis of the stacked Moore faces."""
+    projs, secs = [], []
+    for n, rn in enumerate(A.ranks):
+        span = la.hstack(la.zeros(rn, 0),
+                         *[A.degen_mats[(n - 1, i)] for i in range(n)])
+        U, S, _, _, _ = la._smith_with_inverses(span)
+        r = sum(1 for i in range(min(la.dims(S))) if S[i][i])
+        proj = la.Matrix(U[r:], rn)
+        if n == 0:
+            sec = la.identity(rn)
+        else:
+            faces = range(1, n + 1) if moore == "upper" else range(n)
+            K = la.kernel_basis(
+                la.vstack(*[A.face_mats[(n, i)] for i in faces]))
+            sec = la.mat_mul(K, la.inverse_unimodular(la.mat_mul(proj, K)))
+        projs.append(proj)
+        secs.append(sec)
+    return projs, secs
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Counts Smith normal forms computed while the test runs."""
+    calls = []
+    real = la._smith_with_inverses
+
+    def counting(M):
+        calls.append(la.dims(M))
+        return real(M)
+
+    monkeypatch.setattr(la, "_smith_with_inverses", counting)
+    return calls
+
+
+def _snf_path_objects():
+    rng = random.Random(11)
+    spaces = [standard_simplex(1, 3), standard_simplex(2, 3), circle(3),
+              product(circle(2), standard_simplex(1, 2))]
+    objs = [_conjugate(free_abelian(X), rng) for X in spaces]
+    objs += [_conjugate(zrandom.rand_simplicial(rng, dim_bound=3), rng)
+             for _ in range(8)]
+    return objs
+
+
+@pytest.mark.parametrize("moore", ["upper", "lower"])
+def test_snf_path_matches_the_kernel_section(moore, snf_calls):
+    for A in _snf_path_objects():
+        res = normalize(A, moore)
+        assert snf_calls
+        snf_calls.clear()
+        projs, secs = _kernel_normalization(A, moore)
+        for n in range(A.dim_bound + 1):
+            assert la.mat_eq(res.projection.mat(n), projs[n])
+            assert la.mat_eq(res.section.mat(n), secs[n])
+
+
+def _invariants(A):
+    return [(h.free_rank, tuple(h.torsion))
+            for h in homology(normalize(A).normalized)]
+
+
+@pytest.mark.parametrize("X", [standard_simplex(0, 2), standard_simplex(1, 2),
+                               standard_simplex(2, 2), circle(2)],
+                         ids=["d0", "d1", "d2", "s1"])
+def test_coordinate_and_snf_paths_agree(X, snf_calls):
+    A = free_abelian(X)
+    B = _conjugate(A, random.Random(12))
+    normalize(A)
+    assert not snf_calls
+    assert normalize(B).normalized.ranks == normalize(A).normalized.ranks
+    assert len(snf_calls) == X.dim_bound  # one per level above 0
+    assert _invariants(B) == _invariants(A)
+    for check in (aw_nabla_identity_check, unitality_check, symmetry_check):
+        assert check(A, A).ok
+        assert check(B, B).ok
+
+
+@pytest.mark.parametrize("moore,i,v", [("upper", 1, 0), ("lower", 0, 1)])
+def test_broken_face_is_caught_by_the_moore_check(moore, i, v):
+    # at bound 1, where d² = 0 cannot catch it
+    A = free_abelian(standard_simplex(1, 1))
+    faces = {k: la.Matrix([row[:] for row in M], M.ncols)
+             for k, M in A.face_mats.items()}
+    # d_i sends the degenerate edge s_0(v) to the other vertex: d_i s_0 != id
+    e = [row[v] for row in A.degen_mats[(0, 0)]].index(1)
+    faces[(1, i)][v][e], faces[(1, i)][1 - v][e] = 0, 1
+    B = SimplicialAbelianGroup(A.dim_bound, A.ranks, faces, A.degen_mats,
+                               check=False)
+    with pytest.raises(ValueError, match="Moore subcomplex"):
+        normalize(B, moore)
+
+
+def test_free_objects_normalize_without_smith_normal_form(snf_calls):
+    X = product(circle(3), standard_simplex(2, 3))
+    N = normalize(free_abelian(X)).normalized
+    assert tuple(N.ranks) == X.nondegenerate_counts()
+    assert snf_calls == []

@@ -8,8 +8,9 @@ import pytest
 
 from zilber import _random as zrandom
 from zilber import intlinalg as la
-from zilber.chains import homology
-from zilber.filtration import (FilteredChainComplex, constant_filtration,
+from zilber.chains import ChainMap, homology, identity_chain_map
+from zilber.filtration import (FilteredChainComplex, FilteredPairing,
+                               _tensor_column, constant_filtration,
                                convolution_associativity_check,
                                convolution_symmetry_check, day_convolution,
                                filtered_ez, filtrations_stagewise_equal,
@@ -89,6 +90,54 @@ def test_filtered_ez_containment_and_unit_stage():
     P = filtered_ez(A, B)
     assert P.containment_certificate().ok
     assert P.filtration_zero_certificate().ok
+
+
+def _first_escape(P):
+    """Oracle for the containment certificate: test m(x ⊗ y) ∈ H_{p+q} one
+    generator pair at a time and return the first failing (p, q, n)."""
+    tb = P.basis
+    for p in range(P.F.p_max + 1):
+        for q in range(P.G.p_max + 1):
+            for n in range(tb.top_degree + 1):
+                for a in range(min(n, P.F.ambient.top_degree) + 1):
+                    if n - a > P.G.ambient.top_degree:
+                        continue
+                    for x in la.columns(P.F.stage(p, a)):
+                        for y in la.columns(P.G.stage(q, n - a)):
+                            img = la.mat_vec(P.m.mat(n), _tensor_column(
+                                tb, a, x, n - a, y))
+                            if not la.in_span(P.H.stage(p + q, n), img):
+                                return p, q, n
+    return None
+
+
+def test_containment_witness_is_the_first_escaping_triple():
+    rng = random.Random(26)
+    witnesses = set()
+    for _ in range(40):
+        # F ⊛ G with the identity is a compatible pairing; one perturbed
+        # entry of the identity may make it escape
+        F, G = (zrandom.rand_filtration(rng, p_max=2, max_total_rank=4)
+                for _ in range(2))
+        H = day_convolution(F, G)
+        P = FilteredPairing(F, G, H, identity_chain_map(H.ambient), H.basis)
+        # perturb one entry of m: the pairing need not be compatible now
+        mats = {n: la.Matrix([row[:] for row in M], M.ncols)
+                for n, M in P.m.mats.items()}
+        n = rng.choice([n for n, M in mats.items() if all(la.dims(M))])
+        mats[n][rng.randrange(len(mats[n]))][rng.randrange(mats[n].ncols)] \
+            += rng.choice([-1, 1])
+        m = ChainMap(P.m.source, P.m.target, mats, check=False)
+        Q = FilteredPairing(P.F, P.G, P.H, m, P.basis, check=False)
+        cert = Q.containment_certificate()
+        want = _first_escape(Q)
+        assert cert.ok == (want is None)
+        if want is not None:
+            p, q, k = want
+            assert cert.witness == want
+            assert cert.detail == f"m(F_{p} ⊗ G_{q}) escapes H_{p+q} in degree {k}"
+            witnesses.add(want)
+    assert len(witnesses) >= 3
 
 
 def test_filtration_validation_rejects_non_closed_stage():
