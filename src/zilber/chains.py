@@ -244,8 +244,7 @@ def is_homology_isomorphism(f):
         rel = la.from_columns([[o if j == i else 0 for j in range(g)]
                                for i, o in enumerate(sq_t.orders) if o], g)
         aug = la.hstack(M, rel)
-        S = la.smith_normal_form(aug)[1]
-        diag = [S[i][i] for i in range(min(la.dims(S)))]
+        diag = la.snf_diagonal(aug)
         if sum(1 for d in diag if d) < g or any(abs(d) != 1 for d in diag if d):
             return False
     return True

@@ -89,7 +89,8 @@ def _quotient_by_degenerates(A, n):
         for j, k in enumerate(keep):
             proj[j][k] = 1
         return proj, [{k: 1} for k in keep]
-    U, S, _, Uinv, _ = la._smith_with_inverses(_degenerate_span(A, n))
+    U, S, _, Uinv, _ = la._smith_with_inverses(_degenerate_span(A, n),
+                                               ("U", "Uinv"))
     diag = [S[i][i] for i in range(min(la.dims(S)))]
     if any(d not in (0, 1) for d in diag):
         raise ValueError(

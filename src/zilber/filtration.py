@@ -46,21 +46,33 @@ class FilteredChainComplex:
         top = self.ambient.top_degree
         for p in range(self.p_max + 1):
             for n in range(top + 1):
-                for v in la.columns(self.stages[p][n]):
-                    if n >= 1:
-                        dv = la.mat_vec(self.ambient.diff(n), v)
-                        if not la.in_span(self.stage(p, n - 1), dv):
-                            raise ValueError(
-                                f"stage {p} is not closed under d in degree {n}")
-                    if p < self.p_max and not la.in_span(self.stage(p + 1, n), v):
-                        raise ValueError(
-                            f"stage {p} is not contained in stage {p+1} "
-                            f"in degree {n}")
+                # all columns of the stage at once; only a failure goes
+                # column by column, for the first offending column's message
+                S = self.stages[p][n]
+                closed = n == 0 or la.span_contains(
+                    self.stage(p, n - 1), la.mat_mul(self.ambient.diff(n), S))
+                nested = p == self.p_max or la.span_contains(
+                    self.stage(p + 1, n), S)
+                if not (closed and nested):
+                    self._first_violation(p, n)
         for n in range(top + 1):
-            if not la.spans_equal(self.stage(self.p_max, n),
-                                  la.identity(self.ambient.rank(n))):
+            if not la.spans_lattice(self.stage(self.p_max, n)):
                 raise ValueError(
                     f"top stage does not exhaust the ambient in degree {n}")
+
+    def _first_violation(self, p, n):
+        """Raise for the first column of stage (p, n) that breaks closure
+        under d or nesting in stage p + 1."""
+        for v in la.columns(self.stages[p][n]):
+            if n >= 1:
+                dv = la.mat_vec(self.ambient.diff(n), v)
+                if not la.in_span(self.stage(p, n - 1), dv):
+                    raise ValueError(
+                        f"stage {p} is not closed under d in degree {n}")
+            if p < self.p_max and not la.in_span(self.stage(p + 1, n), v):
+                raise ValueError(
+                    f"stage {p} is not contained in stage {p+1} "
+                    f"in degree {n}")
 
     # -- serialization ------------------------------------------------------
 
@@ -252,7 +264,7 @@ def _saturate_stage(F, p, n):
     whole ambient group, keeping quotient bookkeeping simple)."""
     M = F.stage(p, n)
     rn = F.ambient.rank(n)
-    if la.spans_equal(M, la.identity(rn)):
+    if la.spans_lattice(M):
         return la.identity(rn)
     return M
 
@@ -261,8 +273,10 @@ class FilteredPairing:
     """A chain map m : F_ambient ⊗ G_ambient -> H_ambient compatible with
     the filtrations: m(F_p ⊗ G_q) ⊆ H_{p+q} for all p, q.
 
-    The containment certificate is computed at construction; a violation
-    raises with a witness (p, q, degree)."""
+    The containment certificate is computed at construction, or with
+    check=False on the first call of containment_certificate, and kept; a
+    violation raises with a witness (p, q, degree).  F, G, H and m must not
+    be changed afterwards."""
 
     def __init__(self, F, G, H, m, basis, check=True):
         self.F = F
@@ -270,12 +284,18 @@ class FilteredPairing:
         self.H = H
         self.m = m
         self.basis = basis
+        self._containment = None
         if check:
             cert = self.containment_certificate()
             if not cert.ok:
                 raise ValueError(f"filtration compatibility fails: {cert.detail}")
 
     def containment_certificate(self):
+        if self._containment is None:
+            self._containment = self._check_containment()
+        return self._containment
+
+    def _check_containment(self):
         tb = self.basis
         for p in range(self.F.p_max + 1):
             for q in range(self.G.p_max + 1):

@@ -4,6 +4,14 @@ A matrix is a ``Matrix``: the list of its rows, each a plain list of Python
 ints, which also carries its column count, so that a matrix with no rows or
 no columns keeps its shape.  Everything here is exact; there is no floating
 point anywhere in this package.
+
+Every solver runs one Smith normal form U*M*V = S and builds only the
+transforms it reads: ``snf_diagonal``, ``rank`` and ``spans_lattice`` none,
+``kernel_basis`` V, ``image_basis`` Uinv, ``span_contains`` (so ``in_span``
+and ``spans_equal``) U, ``solve_matrix`` (so ``inverse_unimodular``) U and
+V.  A ``Subquotient`` keeps U and Uinv of its Z generators, which give the
+basis of Z and the coordinates of any vector on it with no further SNF,
+and U and Uinv of the relations of B on that basis.
 """
 
 from __future__ import annotations
@@ -134,52 +142,70 @@ def kron(A, B):
     return out
 
 
-def _smith_with_inverses(M):
+ALL_TRANSFORMS = frozenset(("U", "V", "Uinv", "Vinv"))
+
+
+def _smith_with_inverses(M, track=ALL_TRANSFORMS):
     """Return (U, S, V, Uinv, Vinv) with U*M*V = S in Smith normal form.
 
-    Pivots are chosen with minimal absolute value to bound entry growth;
-    diagonal entries are nonnegative and form a divisibility chain.
+    Only the transforms named in ``track`` (a subset of ALL_TRANSFORMS) are
+    built and updated; the others are returned as None.  The pivots depend
+    on S alone, so S and every tracked transform are the same whatever is
+    tracked.  Pivots are chosen with minimal absolute value to bound entry
+    growth; diagonal entries are nonnegative and form a divisibility chain.
     """
     r, c = dims(M)
     # plain row lists while pivoting (indexing a list subclass is slower);
     # wrapped as Matrix on return
     S = [row[:] for row in M]
-    U, Uinv = _eye(r), _eye(r)
-    V, Vinv = _eye(c), _eye(c)
+    U = _eye(r) if "U" in track else None
+    Uinv = _eye(r) if "Uinv" in track else None
+    V = _eye(c) if "V" in track else None
+    Vinv = _eye(c) if "Vinv" in track else None
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Uinv:
-            row[i], row[j] = row[j], row[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
+        if Uinv is not None:
+            for row in Uinv:
+                row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
         for row in S:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        if V is not None:
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+        if Vinv is not None:
+            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def row_add(i, j, k):
         # row_i += k * row_j ; Uinv column j -= k * column i
         S[i] = [a + k * b for a, b in zip(S[i], S[j])]
-        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
-        for row in Uinv:
-            row[j] -= k * row[i]
+        if U is not None:
+            U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+        if Uinv is not None:
+            for row in Uinv:
+                row[j] -= k * row[i]
 
     def col_add(i, j, k):
         # col_i += k * col_j ; Vinv row j -= k * row i
         for row in S:
             row[i] += k * row[j]
-        for row in V:
-            row[i] += k * row[j]
-        Vinv[j] = [a - k * b for a, b in zip(Vinv[j], Vinv[i])]
+        if V is not None:
+            for row in V:
+                row[i] += k * row[j]
+        if Vinv is not None:
+            Vinv[j] = [a - k * b for a, b in zip(Vinv[j], Vinv[i])]
 
     def row_negate(i):
         S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
-        for row in Uinv:
-            row[i] = -row[i]
+        if U is not None:
+            U[i] = [-a for a in U[i]]
+        if Uinv is not None:
+            for row in Uinv:
+                row[i] = -row[i]
 
     def min_pivot(t):
         pivot = None
@@ -242,35 +268,33 @@ def _smith_with_inverses(M):
         if S[t][t] == 0:
             break
 
-    return (Matrix(U, r), Matrix(S, c), Matrix(V, c), Matrix(Uinv, r),
-            Matrix(Vinv, c))
+    def wrap(T, n):
+        return None if T is None else Matrix(T, n)
 
-
-def smith_normal_form(M):
-    """Smith normal form of an integer matrix.
-
-    Returns (U, S, V) with U*M*V = S, U and V unimodular, S diagonal with
-    nonnegative entries d_1 | d_2 | ... .
-    """
-    U, S, V, _, _ = _smith_with_inverses(M)
-    return U, S, V
+    return wrap(U, r), Matrix(S, c), wrap(V, c), wrap(Uinv, r), wrap(Vinv, c)
 
 
 def snf_diagonal(M):
-    U, S, V = smith_normal_form(M)
-    n = min(dims(S))
-    return [S[i][i] for i in range(n)]
+    S = _smith_with_inverses(M, ())[1]
+    return [S[i][i] for i in range(min(dims(S)))]
 
 
 def rank(M):
     return sum(1 for d in snf_diagonal(M) if d != 0)
 
 
+def spans_lattice(M):
+    """Is the column span of M all of ℤ^rows?  True iff M has as many
+    invariant factors as rows, all equal to 1."""
+    diag = snf_diagonal(M)
+    return len(diag) == len(M) and all(d == 1 for d in diag)
+
+
 def kernel_basis(M):
     """Basis of the integer kernel of M, as the columns of a Matrix; the
     kernel is saturated, so this is a genuine ℤ-basis."""
     r, c = dims(M)
-    _, S, V, _, _ = _smith_with_inverses(M)
+    _, S, V, _, _ = _smith_with_inverses(M, ("V",))
     n = min(r, c)
     ker = [j for j in range(c) if j >= n or S[j][j] == 0]
     return Matrix([[row[j] for j in ker] for row in V], len(ker))
@@ -278,56 +302,59 @@ def kernel_basis(M):
 
 def image_basis(M):
     """Basis of the column span of M, as the columns of a Matrix."""
-    r, c = dims(M)
-    _, S, _, Uinv, _ = _smith_with_inverses(M)
-    pivots = [(j, S[j][j]) for j in range(min(r, c)) if S[j][j]]
+    _, S, _, Uinv, _ = _smith_with_inverses(M, ("Uinv",))
+    return _image_from_snf(S, Uinv)
+
+
+def _image_from_snf(S, Uinv):
+    """The column span of M from U*M*V = S: the columns Uinv[:, j] * d_j
+    over the nonzero diagonal entries d_j of S."""
+    pivots = [(j, S[j][j]) for j in range(min(dims(S))) if S[j][j]]
     return Matrix([[row[j] * d for j, d in pivots] for row in Uinv],
                   len(pivots))
 
 
-def solve(M, b):
-    """One integer solution x of M x = b, or None if none exists."""
-    X = solve_matrix(M, Matrix([[x] for x in b], 1))
-    if X is None:
-        return None
-    return [row[0] for row in X]
+def _diagonal_solve(S, C):
+    """Y with S Y = C for a Smith form S, or None if there is no integer Y.
+    With U*M*V = S and C = U B, the solutions of M X = B are X = V Y."""
+    c = S.ncols
+    Y = zeros(c, C.ncols)
+    for i, ci in enumerate(C):
+        d = S[i][i] if i < c else 0
+        if d == 0:
+            if any(ci):
+                return None
+        elif any(x % d for x in ci):
+            return None
+        else:
+            Y[i] = [x // d for x in ci]
+    return Y
 
 
 def solve_matrix(M, B):
     """Integer solution X of M X = B, or None if none exists."""
-    r, c = dims(M)
-    rb, cb = dims(B)
-    if rb != r:
+    if len(B) != len(M):
         raise ValueError("row count mismatch in solve_matrix")
-    if cb == 0:
-        return zeros(c, 0)  # nothing to solve: skip the SNF
-    U, S, V, _, _ = _smith_with_inverses(M)
-    C = mat_mul(U, B)
-    n = min(r, c)
-    Y = zeros(c, cb)
-    for j in range(cb):
-        for i in range(r):
-            d = S[i][i] if i < n else 0
-            ci = C[i][j]
-            if d == 0:
-                if ci != 0:
-                    return None
-            else:
-                if ci % d:
-                    return None
-                if i < c:
-                    Y[i][j] = ci // d
-    return mat_mul(V, Y)
-
-
-def in_span(gens, v):
-    """Is v in the column span of gens (over ℤ)?"""
-    return solve(gens, v) is not None
+    if not B.ncols:
+        return zeros(M.ncols, 0)  # nothing to solve: skip the SNF
+    U, S, V, _, _ = _smith_with_inverses(M, ("U", "V"))
+    Y = _diagonal_solve(S, mat_mul(U, B))
+    return None if Y is None else mat_mul(V, Y)
 
 
 def span_contains(A, B):
     """Is every column of B in the integer column span of A?"""
-    return solve_matrix(A, B) is not None
+    if len(B) != len(A):
+        raise ValueError("row count mismatch in span_contains")
+    if not B.ncols:
+        return True
+    U, S, _, _, _ = _smith_with_inverses(A, ("U",))
+    return _diagonal_solve(S, mat_mul(U, B)) is not None
+
+
+def in_span(gens, v):
+    """Is v in the column span of gens (over ℤ)?"""
+    return span_contains(gens, Matrix([[x] for x in v], 1))
 
 
 def spans_equal(A, B):
@@ -355,18 +382,27 @@ class Subquotient:
     form: it is ⊕_i ℤ/orders[i] with the convention order 0 = ℤ, and
     ``lifts`` holds an ambient representative for each cyclic summand
     generator.
+
+    One SNF U_Z z_gens V_Z = S_Z gives the basis of Z, Uinv_Z[:, :r] D with
+    D = diag(d_1..d_r) the nonzero invariant factors, and since
+    U_Z zbasis = [D; 0], the coordinates of v on that basis are
+    (U_Z v)_i / d_i, with v in Z iff the division is exact and (U_Z v)_i = 0
+    for i >= r.  Z has full column rank, so these coordinates are unique.
+    A second SNF, of the coordinate matrix R of b_gens, splits the quotient.
     """
 
     def __init__(self, ambient_dim, z_gens, b_gens):
         if len(z_gens) != ambient_dim or len(b_gens) != ambient_dim:
             raise ValueError("generators must be given as an ambient_dim-row matrix")
         self.ambient_dim = ambient_dim
-        self._zbasis = image_basis(z_gens)
+        Uz, Sz, _, Uz_inv, _ = _smith_with_inverses(z_gens, ("U", "Uinv"))
+        self._zbasis = _image_from_snf(Sz, Uz_inv)
         r = self._zbasis.ncols
-        R = solve_matrix(self._zbasis, b_gens)
+        self._Uz, self._Sz = Uz, Sz
+        R = self._z_coords(b_gens)
         if R is None:
             raise ValueError("B is not contained in Z")
-        U, S, V, Uinv, _ = _smith_with_inverses(R)
+        U, S, _, Uinv, _ = _smith_with_inverses(R, ("U", "Uinv"))
         n = min(dims(S))
         diag = [S[i][i] for i in range(n)] + [0] * (r - n)
         kept = [i for i in range(r) if diag[i] != 1]
@@ -386,16 +422,22 @@ class Subquotient:
     def invariants(self):
         return self.free_rank, tuple(self.torsion)
 
+    def _z_coords(self, B):
+        """The coordinates of the columns of B on the basis of Z, as a
+        Matrix, or None if some column is not in Z."""
+        Y = _diagonal_solve(self._Sz, mat_mul(self._Uz, B))
+        return None if Y is None else Matrix(Y[:self._zbasis.ncols], B.ncols)
+
     def contains(self, v):
-        return solve(self._zbasis, v) is not None
+        return self._z_coords(Matrix([[x] for x in v], 1)) is not None
 
     def coords(self, v):
         """Coordinates of the class of v on the cyclic generators (reduced
         mod torsion orders).  Raises ValueError if v is not in Z."""
-        c = solve(self._zbasis, v)
+        c = self._z_coords(Matrix([[x] for x in v], 1))
         if c is None:
             raise ValueError("vector not in the subgroup Z")
-        y = mat_vec(self._U, c)
+        y = mat_vec(self._U, [row[0] for row in c])
         out = []
         for pos, i in enumerate(self._kept):
             o = self.orders[pos]

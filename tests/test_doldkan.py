@@ -123,7 +123,7 @@ def _kernel_normalization(A, moore):
     for n, rn in enumerate(A.ranks):
         span = la.hstack(la.zeros(rn, 0),
                          *[A.degen_mats[(n - 1, i)] for i in range(n)])
-        U, S, _, _, _ = la._smith_with_inverses(span)
+        U, S, _, _, _ = la._smith_with_inverses(span, ("U",))
         r = sum(1 for i in range(min(la.dims(S))) if S[i][i])
         proj = la.Matrix(U[r:], rn)
         if n == 0:
@@ -144,9 +144,9 @@ def snf_calls(monkeypatch):
     calls = []
     real = la._smith_with_inverses
 
-    def counting(M):
+    def counting(M, *args):
         calls.append(la.dims(M))
-        return real(M)
+        return real(M, *args)
 
     monkeypatch.setattr(la, "_smith_with_inverses", counting)
     return calls

@@ -164,3 +164,98 @@ def test_constant_filtration_is_everything_at_stage_zero():
     F = constant_filtration(C)
     for n in range(C.top_degree + 1):
         assert stage_rank(F, 0, n) == C.rank(n)
+
+
+def _per_column_violation(F):
+    """Oracle for FilteredChainComplex validation: every column tested on
+    its own, in stage, degree and column order; the message of the first
+    failure, or None."""
+    top = F.ambient.top_degree
+    for p in range(F.p_max + 1):
+        for n in range(top + 1):
+            for v in la.columns(F.stages[p][n]):
+                if n >= 1 and not la.in_span(
+                        F.stage(p, n - 1), la.mat_vec(F.ambient.diff(n), v)):
+                    return f"stage {p} is not closed under d in degree {n}"
+                if p < F.p_max and not la.in_span(F.stage(p + 1, n), v):
+                    return (f"stage {p} is not contained in stage {p+1} "
+                            f"in degree {n}")
+    for n in range(top + 1):
+        if not la.spans_equal(F.stage(F.p_max, n),
+                              la.identity(F.ambient.rank(n))):
+            return f"top stage does not exhaust the ambient in degree {n}"
+    return None
+
+
+@pytest.mark.parametrize("columns, message", [
+    ([[1, 0], [0, 1]], "stage 0 is not closed under d in degree 1"),
+    ([[0, 1], [1, 0]], "stage 0 is not contained in stage 1 in degree 1")],
+    ids=["closure-first", "nesting-first"])
+def test_validation_reports_the_first_offending_column(columns, message):
+    from zilber.chains import ChainComplex
+    # d e1 = v, d e2 = 0; stage 1 is span(e1) over ℤv.  In stage 0 (zero in
+    # degree 0), e1 breaks closure only and e2 nesting only.
+    C = ChainComplex([1, 2], {1: [[1, 0]]})
+    stages = [{0: [[]], 1: columns},
+              {0: [[1]], 1: [[1], [0]]},
+              {0: [[1]], 1: [[1, 0], [0, 1]]}]
+    with pytest.raises(ValueError) as err:
+        FilteredChainComplex(C, stages, 2)
+    assert str(err.value) == message
+    assert _per_column_violation(FilteredChainComplex(C, stages, 2,
+                                                      check=False)) == message
+
+
+def test_validation_rejects_a_top_stage_of_full_rank_but_index_two():
+    from zilber.chains import ChainComplex
+    C = ChainComplex([1, 1], {1: [[0]]})
+    with pytest.raises(ValueError, match="^top stage does not exhaust the "
+                                         "ambient in degree 1$"):
+        FilteredChainComplex(C, [{0: [[1]], 1: [[2]]}], 0)
+
+
+def test_validation_matches_the_per_column_oracle():
+    rng = random.Random(27)
+    kinds = set()
+    for _ in range(150):
+        F = zrandom.rand_filtration(rng, p_max=3, top_degree=2,
+                                    max_total_rank=5)
+        # one perturbed stage entry may break closure, nesting or exhaustion
+        stages = [{n: la.Matrix([row[:] for row in M], M.ncols)
+                   for n, M in stage.items()} for stage in F.stages]
+        cells = [(p, n, i, j) for p, stage in enumerate(stages)
+                 for n, M in stage.items()
+                 for i in range(len(M)) for j in range(M.ncols)]
+        if cells:
+            p, n, i, j = rng.choice(cells)
+            stages[p][n][i][j] += rng.choice([-1, 1, 2])
+        want = _per_column_violation(
+            FilteredChainComplex(F.ambient, stages, F.p_max, check=False))
+        if want is None:
+            FilteredChainComplex(F.ambient, stages, F.p_max)
+        else:
+            with pytest.raises(ValueError) as err:
+                FilteredChainComplex(F.ambient, stages, F.p_max)
+            assert str(err.value) == want
+            kinds.add(next(k for k in ("closed", "contained", "exhaust")
+                           if k in want))
+    assert kinds == {"closed", "contained", "exhaust"}
+
+
+def test_filtered_ez_computes_its_containment_certificate_once(monkeypatch):
+    calls = []
+    real = FilteredPairing._check_containment
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FilteredPairing, "_check_containment", counting)
+    P = filtered_ez(free_abelian(standard_simplex(1, 2)),
+                    free_abelian(circle(2)))
+    assert P.containment_certificate().ok
+    assert calls == [P]
+    Q = FilteredPairing(P.F, P.G, P.H, P.m, P.basis, check=False)
+    assert calls == [P]
+    assert Q.containment_certificate() is Q.containment_certificate()
+    assert calls == [P, Q]

@@ -1,22 +1,26 @@
 """Exact integer linear algebra against sympy as an oracle, on random small
 matrices of every shape, including those with no rows or no columns."""
 
+import itertools
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy import Matrix as SympyMatrix
 from sympy.matrices.normalforms import invariant_factors
 
+from zilber import _random as zrandom
 from zilber import intlinalg as la
 
 ENTRIES = st.integers(-4, 4)
 
 
 @st.composite
-def matrices(draw, rows=None, max_dim=5):
+def matrices(draw, rows=None, max_dim=5, cols=None):
     r = draw(st.integers(0, max_dim)) if rows is None else rows
-    c = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim)) if cols is None else cols
     M = la.zeros(r, c)
     for row in M:
         for j in range(c):
@@ -81,3 +85,111 @@ def test_products_keep_the_shape_of_empty_factors(r, k, c):
 def test_mat_mul_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         la.mat_mul(la.zeros(2, 3), la.zeros(2, 3))
+
+
+# the transforms by their position in the result (U, S, V, Uinv, Vinv)
+TRANSFORMS = {"U": 0, "V": 2, "Uinv": 3, "Vinv": 4}
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_tracking_a_subset_of_the_transforms_changes_none_of_them(M):
+    full = la._smith_with_inverses(M)
+    for k in range(len(TRANSFORMS) + 1):
+        for track in itertools.combinations(TRANSFORMS, k):
+            out = la._smith_with_inverses(M, track)
+            assert la.mat_eq(out[1], full[1])
+            for name, i in TRANSFORMS.items():
+                if name in track:
+                    assert la.mat_eq(out[i], full[i])
+                else:
+                    assert out[i] is None
+
+
+class SolveSubquotient:
+    """Oracle: Z/B with the basis of Z from image_basis and every
+    coordinate on it from solve_matrix, one SNF per solve."""
+
+    def __init__(self, z_gens, b_gens):
+        self.zbasis = la.image_basis(z_gens)
+        r = self.zbasis.ncols
+        R = la.solve_matrix(self.zbasis, b_gens)
+        U, S, _, Uinv, _ = la._smith_with_inverses(R)
+        n = min(la.dims(S))
+        diag = [S[i][i] for i in range(n)] + [0] * (r - n)
+        self.kept = [i for i in range(r) if diag[i] != 1]
+        self.orders = [diag[i] for i in self.kept]
+        self.U = U
+        self.lifts = [la.mat_vec(self.zbasis, [row[i] for row in Uinv])
+                      for i in self.kept]
+
+    def _solve(self, v):
+        X = la.solve_matrix(self.zbasis, la.Matrix([[x] for x in v], 1))
+        return None if X is None else [row[0] for row in X]
+
+    def contains(self, v):
+        return self._solve(v) is not None
+
+    def coords(self, v):
+        y = la.mat_vec(self.U, self._solve(v))
+        return [y[i] % o if o else y[i] for i, o in zip(self.kept, self.orders)]
+
+
+@st.composite
+def subquotients(draw):
+    """(z_gens, b_gens, R, vectors): Z is spanned by the full-rank n x r
+    matrix Zb, z_gens = Zb W for W whose columns span ℤ^r, B is spanned by
+    b_gens = Zb R (so Z/B is the cokernel of R), and vectors are test
+    vectors of ℤ^n, in Z and not."""
+    n = draw(st.integers(0, 5))
+    r = draw(st.integers(0, n))
+    Zb = draw(matrices(rows=n, cols=r))
+    assume(to_sympy(Zb).rank() == r)
+    W, _ = zrandom._random_unimodular(random.Random(draw(st.integers(0, 999))), r)
+    W = la.hstack(W, draw(matrices(rows=r, max_dim=2)))
+    z_gens = la.mat_mul(Zb, la.Matrix([row[:] for row in W], W.ncols))
+    R = draw(matrices(rows=r, max_dim=4))
+    b_gens = la.mat_mul(Zb, R)
+    inside = la.columns(la.mat_mul(z_gens, draw(matrices(rows=z_gens.ncols,
+                                                         max_dim=3))))
+    anywhere = la.columns(draw(matrices(rows=n, max_dim=3)))
+    return z_gens, b_gens, R, inside, anywhere
+
+
+@settings(max_examples=200, deadline=None)
+@given(subquotients())
+def test_subquotient_matches_the_solve_based_oracle(case):
+    z_gens, b_gens, _, inside, anywhere = case
+    n = len(z_gens)
+    sq = la.Subquotient(n, z_gens, b_gens)
+    oracle = SolveSubquotient(z_gens, b_gens)
+    assert sq.orders == oracle.orders
+    assert sq.lifts == oracle.lifts
+    for v in inside:
+        assert sq.contains(v)
+        assert sq.coords(v) == oracle.coords(v)
+    for v in inside + anywhere + [[2 * x + 1 for x in v] for v in anywhere]:
+        assert sq.contains(v) == oracle.contains(v)
+        if not sq.contains(v):
+            with pytest.raises(ValueError):
+                sq.coords(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subquotients())
+def test_subquotient_invariants_match_sympy(case):
+    z_gens, b_gens, R, _, _ = case
+    factors = ([abs(int(d)) for d in invariant_factors(to_sympy(R), domain=ZZ)]
+               if R.ncols else [])
+    nonzero = [d for d in factors if d]
+    expected = (len(R) - len(nonzero), tuple(d for d in nonzero if d >= 2))
+    assert la.Subquotient(len(z_gens), z_gens, b_gens).invariants() == expected
+
+
+@pytest.mark.parametrize("M, full", [
+    ([[1, 0], [0, 1]], True), ([[2, 3], [0, 0]], False), ([[2, 3]], True),
+    ([[2, 4]], False), ([[2], [0]], False), ([[1, 0]], True)])
+def test_spans_lattice(M, full):
+    assert la.spans_lattice(la.as_matrix(M, len(M))) == full
+    assert la.spans_lattice(la.as_matrix(M, len(M))) == \
+        la.spans_equal(la.as_matrix(M, len(M)), la.identity(len(M)))
