@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Write the report of every acceptance CLI invocation to a directory.
+
+    PYTHONPATH=src python scripts/report_snapshot.py OUTDIR
+
+Runs each invocation of scripts/run_acceptance.sh, plus ``ss random
+--trials 10`` and ``skeleta --day-unit --day-symmetry --day-assoc``, with
+``python -m zilber.cli`` (so the zilber found on PYTHONPATH is the one
+measured).  Each report is written to OUTDIR, one
+file per invocation, with its ``timing`` key removed; what an invocation
+prints on stderr is written beside it, and ``exit_codes.json`` records
+every exit code.  Two snapshots of the same behaviour are byte-identical,
+so comparing two versions of the library is two runs and one
+``diff -r``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+
+def invocations():
+    """The argv lists, in the order of scripts/run_acceptance.sh."""
+    out = [["doldkan", "--fuzz", "500", "--seed", "10001", "--dim-bound", "3"],
+           ["doldkan", "--random-complexes", "100", "--random-objects", "50",
+            "--hom-table", "5", "--seed", "10002", "--dim-bound", "3"]]
+    spaces = ("delta0", "delta1", "delta2", "s1")
+    for a in spaces:
+        for b in spaces:
+            out.append(["ez", a, b, "--check", "chain", "--check", "aw",
+                        "--check", "unital", "--check", "symmetry",
+                        "--dim-bound", "3"])
+    for a, b, c in (("delta1", "delta1", "delta1"), ("delta1", "s1", "delta1"),
+                    ("s1", "s1", "delta0"), ("delta2", "delta1", "s1"),
+                    ("delta2", "delta2", "delta0")):
+        out.append(["ez", a, b, "--third", c, "--check", "assoc",
+                    "--dim-bound", "2"])
+    out.append(["ez", "s1", "s1", "--check", "kunneth", "--dim-bound", "2"])
+    for a in range(4):
+        for b in range(4):
+            for n in range(a + b, 7):
+                out.append(["skeleta", f"delta{a}", f"delta{b}", "--p", str(a),
+                            "--q", str(b), "--n", str(n),
+                            "--dim-bound", str(max(n, 1))])
+    out.append(["skeleta", "delta2", "delta2", "--p", "2", "--q", "2",
+                "--n", "3", "--dim-bound", "4"])
+    for a in spaces:
+        for b in spaces:
+            out.append(["skeleta", a, b, "--filtered-ez", "--dim-bound", "3"])
+    for x in ("delta1", "delta2", "s1", "torus"):
+        out.append(["ss", f"sk:{x}", "--heart"])
+    out.append(["ss", "random", "--trials", "50", "--p-max", "4",
+                "--seed", "10008"])
+    out.append(["ss", "ez:delta1,s1", "--pairing", "--dim-bound", "2"])
+    out.append(["promonoidal", "--check", "unit", "--check", "mu-assoc",
+                "--b", "2"])
+    for ns in ("1,1", "2,1", "2,2"):
+        out.append(["promonoidal", "--check", "product-colimit", "--ns", ns,
+                    "--k-max", "5"])
+    for b in ("2", "3", "4"):
+        out.append(["promonoidal", "--check", "left-kan", "--ns", "1,1",
+                    "--b", b, "--m", "4"])
+    out.append(["promonoidal", "--check", "left-kan", "--ns", "1,1",
+                "--b", "1", "--m", "2"])
+    out.append(["skeleta", "--day-unit", "--trials", "20", "--seed", "10010"])
+    out.append(["skeleta", "--day-symmetry", "--day-assoc", "--trials", "3",
+                "--seed", "10010"])
+    # beyond the acceptance script (which already runs `ss sk:torus --heart`
+    # and `ss ez:delta1,s1 --pairing --dim-bound 2`)
+    out.append(["ss", "random", "--trials", "10"])
+    out.append(["skeleta", "--day-unit", "--day-symmetry", "--day-assoc"])
+    return out
+
+
+def file_stem(argv):
+    """A file name for argv: its words joined by '_'."""
+    return "_".join(argv).replace(":", "-").replace(",", "-")
+
+
+def main(outdir):
+    os.makedirs(outdir, exist_ok=True)
+    codes = {}
+    for argv in invocations():
+        stem = file_stem(argv)
+        proc = subprocess.run([sys.executable, "-m", "zilber.cli", *argv],
+                              capture_output=True, text=True)
+        codes[stem] = proc.returncode
+        if proc.stdout.strip():
+            report = json.loads(proc.stdout)
+            report.pop("timing", None)
+            with open(os.path.join(outdir, stem + ".json"), "w") as fh:
+                json.dump(report, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+        if proc.stderr:
+            with open(os.path.join(outdir, stem + ".stderr"), "w") as fh:
+                fh.write(proc.stderr)
+        print(f"{proc.returncode} {' '.join(argv)}", flush=True)
+    with open(os.path.join(outdir, "exit_codes.json"), "w") as fh:
+        json.dump(codes, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])

@@ -217,11 +217,7 @@ def _induced_homology(f):
     for n in range(top + 1):
         sq_s = _homology_subquotient(f.source, n)
         sq_t = _homology_subquotient(f.target, n)
-        M = la.zeros(sq_t.ngens, sq_s.ngens)
-        for col, lift in enumerate(sq_s.lifts):
-            for row, c in enumerate(sq_t.coords(la.mat_vec(f.mat(n), lift))):
-                M[row][col] = c
-        out.append((sq_s, sq_t, M))
+        out.append((sq_s, sq_t, sq_t.induced_matrix(f.mat(n), sq_s.lifts)))
     return out
 
 
@@ -280,9 +276,11 @@ def hom_rank(C, D):
 
 
 class TensorBasis:
-    """Bookkeeping for the basis of (C ⊗ D): in degree n the basis is the
-    list of (p, i, q, j) with p + q = n, ordered with p descending and then
-    row-major on (i, j)."""
+    """The basis layout of (C ⊗ D) up to top_degree.  In degree n the basis
+    is the blocks C_p ⊗ D_{n-p}, p descending, and each block is in
+    Kronecker order: x_i ⊗ y_j is entry i * rank D_{n-p} + j of its block,
+    the row and column order of la.kron(matrix on C_p, matrix on D_{n-p}).
+    Only the block offsets and the ranks are stored."""
 
     def __init__(self, C, D, top_degree=None):
         self.C = C
@@ -290,72 +288,68 @@ class TensorBasis:
         if top_degree is None:
             top_degree = C.top_degree + D.top_degree
         self.top_degree = top_degree
-        self.basis = []
-        self.position = []
+        self.ranks = []
+        self._offsets = []  # per degree: p -> offset of block (p, n - p)
         for n in range(top_degree + 1):
-            bn = []
-            pos = {}
-            for p in range(min(n, C.top_degree), -1, -1):
-                q = n - p
-                if q > D.top_degree:
-                    continue
-                for i in range(C.rank(p)):
-                    for j in range(D.rank(q)):
-                        pos[(p, i, q, j)] = len(bn)
-                        bn.append((p, i, q, j))
-            self.basis.append(bn)
-            self.position.append(pos)
+            offsets = {}
+            total = 0
+            for p in range(min(n, C.top_degree), max(0, n - D.top_degree) - 1, -1):
+                offsets[p] = total
+                total += C.rank(p) * D.rank(n - p)
+            self._offsets.append(offsets)
+            self.ranks.append(total)
+
+    def rank(self, n):
+        return self.ranks[n] if 0 <= n <= self.top_degree else 0
+
+    def blocks(self, n):
+        """(p, q, offset) for each block C_p ⊗ D_q of degree n, p descending."""
+        if not 0 <= n <= self.top_degree:
+            return []
+        return [(p, n - p, off) for p, off in self._offsets[n].items()]
+
+    def offset(self, n, p):
+        """The index of x_0 ⊗ y_0 in the block (p, n - p) of degree n."""
+        return self._offsets[n][p]
 
     def index(self, n, p, i, q, j):
-        return self.position[n][(p, i, q, j)]
+        return self.offset(n, p) + i * self.D.rank(q) + j
 
 
 def tensor(C, D, top_degree=None):
     """(C ⊗ D, basis): Koszul-signed tensor product, optionally truncated.
 
-    d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy.
+    d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy, so the column block (p, q) of d_n is
+    kron(d_p, 1) in row block (p-1, q) and (-1)^p kron(1, d_q) in row block
+    (p, q-1).
     """
     tb = TensorBasis(C, D, top_degree)
-    ranks = [len(tb.basis[n]) for n in range(tb.top_degree + 1)]
     diffs = {}
     for n in range(1, tb.top_degree + 1):
-        M = la.zeros(ranks[n - 1], ranks[n])
-        for col, (p, i, q, j) in enumerate(tb.basis[n]):
+        M = la.zeros(tb.rank(n - 1), tb.rank(n))
+        for p, q, col in tb.blocks(n):
             if p >= 1:
-                dc = C.diff(p)
-                for i2 in range(C.rank(p - 1)):
-                    v = dc[i2][i]
-                    if v:
-                        M[tb.index(n - 1, p - 1, i2, q, j)][col] += v
+                la.add_kron(M, C.diff(p), la.identity(D.rank(q)),
+                            tb.offset(n - 1, p - 1), col)
             if q >= 1:
-                dd = D.diff(q)
-                sign = -1 if p % 2 else 1
-                for j2 in range(D.rank(q - 1)):
-                    v = dd[j2][j]
-                    if v:
-                        M[tb.index(n - 1, p, i, q - 1, j2)][col] += sign * v
+                la.add_kron(M, la.identity(C.rank(p)), D.diff(q),
+                            tb.offset(n - 1, p), col, -1 if p % 2 else 1)
         diffs[n] = M
-    E = ChainComplex(ranks, diffs)
+    E = ChainComplex(tb.ranks, diffs)
     return E, tb
 
 
 def tensor_map(f, g, tb_source, tb_target):
-    """(f ⊗ g) between tensor complexes with the given bases."""
+    """(f ⊗ g) between tensor complexes with the given bases: kron(f_p, g_q)
+    from each block (p, q) to the block (p, q) of the target."""
     mats = {}
     for n in range(tb_source.top_degree + 1):
-        rows = len(tb_target.basis[n]) if n <= tb_target.top_degree else 0
-        M = la.zeros(rows, len(tb_source.basis[n]))
-        if rows:
-            for col, (p, i, q, j) in enumerate(tb_source.basis[n]):
-                fm = f.mat(p)
-                gm = g.mat(q)
-                for i2 in range(len(fm)):
-                    a = fm[i2][i]
-                    if a:
-                        for j2 in range(len(gm)):
-                            b = gm[j2][j]
-                            if b:
-                                M[tb_target.index(n, p, i2, q, j2)][col] += a * b
+        M = la.zeros(tb_target.rank(n), tb_source.rank(n))
+        if M:
+            for p, q, col in tb_source.blocks(n):
+                fm, gm = f.mat(p), g.mat(q)
+                if fm and gm:  # into a zero group: no target block
+                    la.add_kron(M, fm, gm, tb_target.offset(n, p), col)
         mats[n] = M
     return mats
 

@@ -74,11 +74,24 @@ def load_payload(token):
     """JSON payload from a path or stdin (`-`)."""
     try:
         if token == "-":
-            return json.load(sys.stdin)
-        with open(token) as fh:
-            return json.load(fh)
+            payload = json.load(sys.stdin)
+        else:
+            with open(token) as fh:
+                payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {token}: {exc}")
+    if not isinstance(payload, dict):
+        raise InputError(f"{token} is not a JSON object")
+    return payload
+
+
+def parse_payload(parse, payload, what):
+    """parse(payload), raising a malformed payload (a missing key or a
+    value of the wrong JSON type) as an InputError."""
+    try:
+        return parse(payload)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"invalid {what} payload: {exc}")
 
 
 def load_space(token, dim_bound):
@@ -86,11 +99,8 @@ def load_space(token, dim_bound):
     X = builtin_space(token, dim_bound)
     if X is not None:
         return X
-    payload = load_payload(token)
-    try:
-        return SimplicialSet.from_payload(payload)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"invalid simplicial-set payload: {exc}")
+    return parse_payload(SimplicialSet.from_payload, load_payload(token),
+                         "simplicial-set")
 
 
 def digest(obj):
@@ -150,11 +160,13 @@ def cmd_homology(args):
         payload = load_payload(token)
         fmt = payload.get("format")
         if fmt == "ssimp":
-            X = SimplicialSet.from_payload(payload)
+            X = parse_payload(SimplicialSet.from_payload, payload,
+                              "simplicial-set")
             C = doldkan.normalize(free_abelian(X)).normalized
             kind = "ssimp"
         elif fmt == "chain":
-            C = chains.ChainComplex.from_payload(payload)
+            C = parse_payload(chains.ChainComplex.from_payload, payload,
+                              "chain")
             kind = "chain"
         else:
             raise InputError(f"unrecognized payload format: {fmt!r}")
@@ -470,11 +482,8 @@ def cmd_ss(args):
             certs.append(cert_dict(spectral.heart_check(A), "heart"))
         F = filtration.skeletal_filtration(A)
     else:
-        payload = load_payload(token)
-        try:
-            F = filtration.FilteredChainComplex.from_payload(payload)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InputError(f"invalid filtration payload: {exc}")
+        F = parse_payload(filtration.FilteredChainComplex.from_payload,
+                          load_payload(token), "filtration")
     S = spectral.SpectralSequence(F, r_max=args.pages)
     all_ok = _ss_checks(S, certs)
     if all_ok:

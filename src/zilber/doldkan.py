@@ -26,9 +26,9 @@ def _unnormalized_chains(A):
     for n in range(1, A.dim_bound + 1):
         M = la.zeros(A.ranks[n - 1], A.ranks[n])
         for i in range(n + 1):
-            F = A.face_mats[(n, i)]
-            sign = -1 if i % 2 else 1
-            M = la.mat_add(M, la.mat_scale(sign, F))
+            # M += (-1)^i d_i, in place: kron with the 1 x 1 identity is d_i
+            la.add_kron(M, la.identity(1), A.face_mats[(n, i)],
+                        scale=-1 if i % 2 else 1)
         diffs[n] = M
     return ChainComplex(A.ranks, diffs)
 

@@ -28,7 +28,8 @@ def unnormalized_shuffle(A, B):
     On bidegree (p, q) the column of x ⊗ y is the signed sum over all
     (p,q)-shuffles of (degenerate image of x) ⊗ (degenerate image of y),
     the two degeneracy composites being induced by the components of the
-    shuffle's lattice path.  Returns (chain map, source TensorBasis, A⊗B).
+    shuffle's lattice path: the column block (p, q) is the signed sum of
+    kron(A(s_a), B(s_b)).  Returns (chain map, source TensorBasis, A⊗B).
     """
     if A.dim_bound != B.dim_bound:
         raise ValueError("dim_bound mismatch")
@@ -41,24 +42,11 @@ def unnormalized_shuffle(A, B):
     mats = {}
     for n in range(D + 1):
         M = la.zeros(CAB.rank(n), T.rank(n))
-        ops = {}
-        for (p, i, q, j) in tb.basis[n]:
-            if (p, q) not in ops:
-                ops[(p, q)] = [(sh.sign,
-                                A.operator_matrix(sh.components()[0]),
-                                B.operator_matrix(sh.components()[1]))
-                               for sh in shuffles(p, q)]
-        bn = B.ranks[n]
-        for col, (p, i, q, j) in enumerate(tb.basis[n]):
-            for sign, opA, opB in ops[(p, q)]:
-                for a in range(A.ranks[n]):
-                    u = opA[a][i]
-                    if not u:
-                        continue
-                    for b in range(bn):
-                        v = opB[b][j]
-                        if v:
-                            M[a * bn + b][col] += sign * u * v
+        for p, q, col in tb.blocks(n):
+            for sh in shuffles(p, q):
+                s_a, s_b = sh.components()
+                la.add_kron(M, A.operator_matrix(s_a), B.operator_matrix(s_b),
+                            0, col, sh.sign)
         mats[n] = M
     return ChainMap(T, CAB, mats), tb, AB
 
@@ -102,28 +90,16 @@ class _ShuffleProduct:
 
     def alexander_whitney(self):
         """AW : 𝒩(A⊗B) -> 𝒩(A)⊗𝒩(B): the front-face/back-face formula on
-        unnormalized chains, between the normalizations."""
+        unnormalized chains (row block (p, q) is kron(front, back)), between
+        the normalizations."""
         A, B, tb = self.A, self.B, self.unnormalized_basis
         T, CAB = self.unnormalized.source, self.unnormalized.target
         mats = {}
         for n in range(A.dim_bound + 1):
             M = la.zeros(T.rank(n), CAB.rank(n))
-            bn = B.ranks[n]
-            for p in range(n + 1):
-                q = n - p
-                F = A.operator_matrix(front_face(n, p))
-                G = B.operator_matrix(back_face(n, q))
-                for a in range(A.ranks[n]):
-                    for b in range(bn):
-                        col = a * bn + b
-                        for i in range(A.ranks[p]):
-                            u = F[i][a]
-                            if not u:
-                                continue
-                            for j in range(B.ranks[q]):
-                                v = G[j][b]
-                                if v:
-                                    M[tb.index(n, p, i, q, j)][col] += u * v
+            for p, q, row in tb.blocks(n):
+                la.add_kron(M, A.operator_matrix(front_face(n, p)),
+                            B.operator_matrix(back_face(n, q)), row, 0)
             mats[n] = M
         aw_un = ChainMap(CAB, T, mats)
         projproj = ChainMap(T, self.source,
@@ -155,13 +131,18 @@ def aw_nabla_identity_check(A, B):
 
 
 def _koszul_swap(tb_src, tb_tgt):
-    """The signed swap (C⊗D) -> (D⊗C), x⊗y -> (-1)^{|x||y|} y⊗x."""
+    """The signed swap (C⊗D) -> (D⊗C), x⊗y -> (-1)^{|x||y|} y⊗x: block
+    (p, q) goes to block (q, p), transposing the Kronecker order."""
     mats = {}
     for n in range(tb_src.top_degree + 1):
-        M = la.zeros(len(tb_tgt.basis[n]), len(tb_src.basis[n]))
-        for col, (p, i, q, j) in enumerate(tb_src.basis[n]):
+        M = la.zeros(tb_tgt.rank(n), tb_src.rank(n))
+        for p, q, col in tb_src.blocks(n):
+            row = tb_tgt.offset(n, q)
+            rp, rq = tb_src.C.rank(p), tb_src.D.rank(q)
             sign = -1 if (p * q) % 2 else 1
-            M[tb_tgt.index(n, q, j, p, i)][col] = sign
+            for i in range(rp):
+                for j in range(rq):
+                    M[row + j * rp + i][col + i * rq + j] = sign
         mats[n] = M
     return mats
 
@@ -204,17 +185,24 @@ def _tensor_associator(tb_left, tb_ab, tb_right, tb_bc):
     """The canonical (sign-free) matrices ((C⊗D)⊗E)_n -> (C⊗(D⊗E))_n.
 
     tb_left is the basis of (C⊗D)⊗E with inner basis tb_ab; tb_right is
-    the basis of C⊗(D⊗E) with inner basis tb_bc."""
+    the basis of C⊗(D⊗E) with inner basis tb_bc.  The part of block
+    ((p, q), r) is kron(1, ι) into block (p, q + r), with ι the inclusion
+    of D_q ⊗ E_r into (D⊗E)_{q+r}."""
     mats = {}
     for n in range(tb_left.top_degree + 1):
-        M = la.zeros(len(tb_right.basis[n]), len(tb_left.basis[n]))
-        for col, (m, I, r, k) in enumerate(tb_left.basis[n]):
-            p, i, q, j = tb_ab.basis[m][I]
-            s = q + r
-            if s > tb_bc.top_degree or n - p > tb_bc.top_degree:
-                continue
-            J = tb_bc.index(s, q, j, r, k)
-            M[tb_right.index(n, p, i, s, J)][col] = 1
+        M = la.zeros(tb_right.rank(n), tb_left.rank(n))
+        for m, r, col in tb_left.blocks(n):
+            re = tb_left.D.rank(r)
+            for p, q, inner in tb_ab.blocks(m):
+                s = q + r
+                if s > tb_bc.top_degree:
+                    continue
+                width = tb_ab.D.rank(q) * re
+                at = tb_bc.offset(s, q)
+                inclusion = la.vstack(la.zeros(at, width), la.identity(width),
+                                      la.zeros(tb_bc.rank(s) - at - width, width))
+                la.add_kron(M, la.identity(tb_ab.C.rank(p)), inclusion,
+                            tb_right.offset(n, p), col + inner * re)
         mats[n] = M
     return mats
 
@@ -268,21 +256,19 @@ def unitality_check(A, B):
     the canonical identification x⊗y -> x·(iterated degeneracy of y) (and
     symmetrically), i.e. the single trivial shuffle with sign +1."""
     nabla, tb, AB = unnormalized_shuffle(A, B)
-    D = A.dim_bound
-    for n in range(D + 1):
-        bn = B.ranks[n]
+    for n in range(A.dim_bound + 1):
         M = nabla.mat(n)
-        for col, (p, i, q, j) in enumerate(tb.basis[n]):
+        for p, q, off in tb.blocks(n):
             if p and q:
                 continue
-            sh = shuffles(p, q)[0]
-            opA = A.operator_matrix(sh.components()[0])
-            opB = B.operator_matrix(sh.components()[1])
-            for a in range(A.ranks[n]):
-                for b in range(bn):
-                    if M[a * bn + b][col] != opA[a][i] * opB[b][j]:
-                        return CheckCertificate(
-                            False, witness=(n, p, i, q, j),
-                            detail="edge bidegree is not the canonical "
-                                   "identification")
+            s_a, s_b = shuffles(p, q)[0].components()
+            want = la.columns(la.kron(A.operator_matrix(s_a),
+                                      B.operator_matrix(s_b)))
+            for c, column in enumerate(want):
+                if any(row[off + c] != x for row, x in zip(M, column)):
+                    i, j = divmod(c, B.ranks[q])
+                    return CheckCertificate(
+                        False, witness=(n, p, i, q, j),
+                        detail="edge bidegree is not the canonical "
+                               "identification")
     return CheckCertificate(True, detail="∇ is unital on edge bidegrees")

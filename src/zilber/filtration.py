@@ -145,13 +145,23 @@ def skeletal_filtration(A):
 def _tensor_column(tb, p, x, q, y):
     """The coordinates of x ⊗ y in degree p + q of the tensor complex with
     basis tb, for x of degree p and y of degree q."""
-    vec = [0] * len(tb.basis[p + q])
-    for i, u in enumerate(x):
-        if u:
-            for j, v in enumerate(y):
-                if v:
-                    vec[tb.index(p + q, p, i, q, j)] += u * v
-    return vec
+    n = p + q
+    col = la.zeros(tb.rank(n), 1)
+    la.add_kron(col, la.Matrix([[u] for u in x], 1),
+                la.Matrix([[v] for v in y], 1), tb.offset(n, p))
+    return [v for v, in col]
+
+
+def _kron_columns(nrows, pieces):
+    """The nrows-row matrix whose columns are those of kron(X, Y), moved
+    down to row offset off, for (off, X, Y) in pieces, left to right."""
+    pieces = [(off, X, Y) for off, X, Y in pieces if X.ncols and Y.ncols]
+    M = la.zeros(nrows, sum(X.ncols * Y.ncols for _, X, Y in pieces))
+    col = 0
+    for off, X, Y in pieces:
+        la.add_kron(M, X, Y, off, col)
+        col += X.ncols * Y.ncols
+    return M
 
 
 def day_convolution(F, G):
@@ -161,22 +171,17 @@ def day_convolution(F, G):
     ambient is stored as .basis."""
     E, tb = tensor(F.ambient, G.ambient)
     p_max = F.p_max + G.p_max
-    stages = []
-    for n in range(p_max + 1):
-        stage = {}
-        for k in range(E.top_degree + 1):
-            cols = []
-            for p in range(n + 1):
-                q = n - p
-                for a in range(min(k, F.ambient.top_degree) + 1):
-                    b = k - a
-                    if b > G.ambient.top_degree:
-                        continue
-                    for x in la.columns(F.stage(p, a)):
-                        for y in la.columns(G.stage(q, b)):
-                            cols.append(_tensor_column(tb, a, x, b, y))
-            stage[k] = la.image_basis(la.from_columns(cols, E.rank(k)))
-        stages.append(stage)
+    stages = [{} for _ in range(p_max + 1)]
+    for k in range(E.top_degree + 1):
+        # the x ⊗ y of degree k with x in F_p and y in G_q are the columns
+        # of kron(F_p, G_q) in each block (a, k - a), a ascending
+        splits = [(off, [F.stage(p, a) for p in range(p_max + 1)],
+                   [G.stage(q, b) for q in range(p_max + 1)])
+                  for a, b, off in reversed(tb.blocks(k))]
+        for n in range(p_max + 1):
+            stages[n][k] = la.image_basis(_kron_columns(
+                tb.rank(k), [(off, Fa[p], Gb[n - p]) for p in range(n + 1)
+                             for off, Fa, Gb in splits]))
     out = FilteredChainComplex(E, stages, p_max)
     out.basis = tb
     return out
@@ -246,14 +251,8 @@ def graded_pieces(F):
             if sq.torsion:
                 raise ValueError("graded piece has torsion; not a free complex")
         ranks = [sq.ngens for sq in sqs]
-        diffs = {}
-        for n in range(1, top + 1):
-            M = la.zeros(ranks[n - 1], ranks[n])
-            for col, lift in enumerate(sqs[n].lifts):
-                dv = la.mat_vec(F.ambient.diff(n), lift)
-                for row, c in enumerate(sqs[n - 1].coords(dv)):
-                    M[row][col] = c
-            diffs[n] = M
+        diffs = {n: sqs[n - 1].induced_matrix(F.ambient.diff(n), sqs[n].lifts)
+                 for n in range(1, top + 1)}
         out.append((ChainComplex(ranks, diffs),
                     [list(sq.lifts) for sq in sqs]))
     return out
@@ -301,13 +300,10 @@ class FilteredPairing:
             for q in range(self.G.p_max + 1):
                 for n in range(tb.top_degree + 1):
                     # every x ⊗ y of F_p ⊗ G_q in degree n, tested at once
-                    cols = [_tensor_column(tb, a, x, n - a, y)
-                            for a in range(min(n, self.F.ambient.top_degree) + 1)
-                            if n - a <= self.G.ambient.top_degree
-                            for x in la.columns(self.F.stage(p, a))
-                            for y in la.columns(self.G.stage(q, n - a))]
-                    imgs = la.mat_mul(self.m.mat(n),
-                                      la.from_columns(cols, len(tb.basis[n])))
+                    cols = _kron_columns(tb.rank(n), [
+                        (off, self.F.stage(p, a), self.G.stage(q, b))
+                        for a, b, off in reversed(tb.blocks(n))])
+                    imgs = la.mat_mul(self.m.mat(n), cols)
                     if not la.span_contains(self.H.stage(p + q, n), imgs):
                         return CheckCertificate(
                             False, witness=(p, q, n),

@@ -5,6 +5,10 @@ ints, which also carries its column count, so that a matrix with no rows or
 no columns keeps its shape.  Everything here is exact; there is no floating
 point anywhere in this package.
 
+``add_kron`` adds a scaled Kronecker product into a block of a matrix; it
+is the one way tensor-product matrices are built (``kron``, ``sab_tensor``
+and the block layout of ``chains.TensorBasis``).
+
 Every solver runs one Smith normal form U*M*V = S and builds only the
 transforms it reads: ``snf_diagonal``, ``rank`` and ``spans_lattice`` none,
 ``kernel_basis`` V, ``image_basis`` Uinv, ``span_contains`` (so ``in_span``
@@ -65,11 +69,6 @@ def dims(M):
     return len(M), M.ncols
 
 
-def mat_add(A, B):
-    return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)],
-                  A.ncols)
-
-
 def mat_scale(k, M):
     return Matrix([[k * x for x in row] for row in M], M.ncols)
 
@@ -127,18 +126,27 @@ def from_columns(cols, nrows):
     return Matrix([[col[i] for col in cols] for i in range(nrows)], len(cols))
 
 
+def add_kron(M, A, B, row=0, col=0, scale=1):
+    """M[row + i*rb + k][col + j*cb + l] += scale * A[i][j] * B[k][l]: adds
+    scale * kron(A, B) into the block of M at (row, col), in place, touching
+    only the products of nonzero entries."""
+    rb, cb = dims(B)
+    nonzero_B = [[(l, b) for l, b in enumerate(Bk) if b] for Bk in B]
+    for i, Ai in enumerate(A):
+        for j, a in enumerate(Ai):
+            if a:
+                a *= scale
+                c = col + j * cb
+                for k, Bk in enumerate(nonzero_B, row + i * rb):
+                    Mk = M[k]
+                    for l, b in Bk:
+                        Mk[c + l] += a * b
+
+
 def kron(A, B):
     """Kronecker product: (A ⊗ B)[i*rb+k][j*cb+l] = A[i][j]*B[k][l]."""
-    ra, ca = dims(A)
-    rb, cb = dims(B)
-    out = zeros(ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            a = A[i][j]
-            if a:
-                for k in range(rb):
-                    for l in range(cb):
-                        out[i * rb + k][j * cb + l] = a * B[k][l]
+    out = zeros(len(A) * len(B), A.ncols * B.ncols)
+    add_kron(out, A, B)
     return out
 
 
@@ -443,6 +451,12 @@ class Subquotient:
             o = self.orders[pos]
             out.append(y[i] % o if o else y[i])
         return out
+
+    def induced_matrix(self, M, lifts):
+        """The matrix of v -> M v on the given vectors (one column each), in
+        the generator coordinates of this subquotient."""
+        return from_columns([self.coords(mat_vec(M, v)) for v in lifts],
+                            self.ngens)
 
     def is_zero_class(self, v):
         return all(x == 0 for x in self.coords(v))

@@ -92,16 +92,9 @@ class SpectralSequence:
         amb = self.F.ambient
         out = {}
         for (p, q), sq in self.pages[r].items():
-            n = p + q
             tgt = self.pages[r].get((p - r, q + r - 1))
-            rows = tgt.ngens if tgt else 0
-            M = la.zeros(rows, sq.ngens)
-            if rows and n >= 1:
-                for col, lift in enumerate(sq.lifts):
-                    dv = la.mat_vec(amb.diff(n), lift)
-                    for row, c in enumerate(tgt.coords(dv)):
-                        M[row][col] = c
-            out[(p, q)] = M
+            out[(p, q)] = (tgt.induced_matrix(amb.diff(p + q), sq.lifts)
+                           if tgt and tgt.ngens else la.zeros(0, sq.ngens))
         return out
 
     def entry(self, r, p, q):

@@ -104,6 +104,24 @@ def test_malformed_payload_is_an_input_error(tmp_path, capsys):
         assert code == 2
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("homology", "[1]"), ("doldkan", "[1]"), ("ss", "[1]"),
+    ("homology", "null"), ("doldkan", '"ssimp"'), ("ss", "3"),
+    ("homology", '{"format": "chain", "ranks": [1], "differentials": []}'),
+    ("homology", '{"format": "ssimp", "dim_bound": 0, "levels": [1], '
+                 '"faces": [], "degens": {}}'),
+    ("ss", '{"format": "filt", "ambient": [], "p_max": 0, "stages": [{}]}'),
+])
+def test_payload_of_the_wrong_json_type_is_an_input_error(
+        capsys, monkeypatch, command, payload):
+    # these once exited 1 with an AttributeError traceback, as if a
+    # certificate had failed
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, rep, err = run(capsys, [command, "-"])
+    assert code == 2 and rep is None
+    assert json.loads(err)["exit"] == 2
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     from zilber import doldkan
 

@@ -1,0 +1,187 @@
+"""The block layout of tensor products against its definition, entry by
+entry: in degree n the basis of C ⊗ D is the (p, i, q, j) with p + q = n,
+p descending, then i, then j.  Every oracle here enumerates that list and
+places one entry at a time; the library places Kronecker blocks."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zilber import _random as zrandom
+from zilber import intlinalg as la
+from zilber.chains import ChainComplex, ChainMap, direct_sum, tensor, tensor_map
+from zilber.delta import shuffles
+from zilber.ez import back_face, front_face, shuffle_product
+from zilber.filtration import _tensor_column
+from zilber.simplicial import circle, free_abelian, standard_simplex
+
+
+def basis(C, D, top):
+    """Per degree n <= top, the position of each (p, i, q, j)."""
+    out = []
+    for n in range(top + 1):
+        elems = [(p, i, n - p, j)
+                 for p in range(min(n, C.top_degree), -1, -1)
+                 if n - p <= D.top_degree
+                 for i in range(C.rank(p)) for j in range(D.rank(n - p))]
+        out.append({e: k for k, e in enumerate(elems)})
+    return out
+
+
+def tensor_map_oracle(f, g, src, tgt):
+    """f ⊗ g from the basis src to the basis tgt, one entry at a time (zero
+    into the degrees that tgt truncates)."""
+    mats = {}
+    for n, positions in enumerate(src):
+        rows = tgt[n] if n < len(tgt) else {}
+        M = la.zeros(len(rows), len(positions))
+        for (p, i, q, j), col in positions.items() if rows else ():
+            fm, gm = f.mat(p), g.mat(q)
+            for i2 in range(len(fm)):
+                for j2 in range(len(gm)):
+                    if fm[i2][i] * gm[j2][j]:
+                        M[rows[(p, i2, q, j2)]][col] += fm[i2][i] * gm[j2][j]
+        mats[n] = M
+    return mats
+
+
+def random_complex(rng):
+    return zrandom.rand_complex(rng, top_degree=rng.randint(0, 2),
+                                max_total_rank=rng.randint(0, 6))
+
+
+def random_chain_map(rng, C):
+    """k·U : C -> E ⊕ C', with C' the conjugate of C by levelwise unimodular
+    U, E another random complex and k a small integer."""
+    top = C.top_degree
+    us = [zrandom._random_unimodular(rng, C.rank(n)) for n in range(top + 1)]
+    conj = ChainComplex(C.ranks, {
+        n: la.mat_mul(la.mat_mul(us[n - 1][0], C.diff(n)), us[n][1])
+        for n in range(1, top + 1)})
+    E = zrandom.rand_complex(rng, top_degree=top, max_total_rank=3)
+    k = rng.choice([1, -1, 2, 3])
+    return ChainMap(C, direct_sum(E, conj), {
+        n: la.vstack(la.zeros(E.rank(n), C.rank(n)), la.mat_scale(k, U))
+        for n, (U, _) in enumerate(us)})
+
+
+def truncation(rng, C, D):
+    return rng.choice([None, rng.randint(0, C.top_degree + D.top_degree)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_tensor_differential_is_the_koszul_formula(rng):
+    C, D = random_complex(rng), random_complex(rng)
+    E, tb = tensor(C, D, truncation(rng, C, D))
+    positions = basis(C, D, tb.top_degree)
+    assert E.ranks == [len(pos) for pos in positions]
+    for n in range(1, tb.top_degree + 1):
+        want = la.zeros(len(positions[n - 1]), len(positions[n]))
+        # d(x_i ⊗ y_j) = dx_i ⊗ y_j + (-1)^p x_i ⊗ dy_j
+        for (p, i, q, j), col in positions[n].items():
+            for i2 in range(C.rank(p - 1) if p else 0):
+                want[positions[n - 1][(p - 1, i2, q, j)]][col] += \
+                    C.diff(p)[i2][i]
+            for j2 in range(D.rank(q - 1) if q else 0):
+                want[positions[n - 1][(p, i, q - 1, j2)]][col] += \
+                    (-1) ** p * D.diff(q)[j2][j]
+        assert E.diff(n) == want
+        for (p, i, q, j), k in positions[n].items():
+            assert tb.index(n, p, i, q, j) == k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_tensor_map_is_the_entrywise_product(rng):
+    C, D = random_complex(rng), random_complex(rng)
+    f, g = random_chain_map(rng, C), random_chain_map(rng, D)
+    _, tb_src = tensor(C, D, truncation(rng, C, D))
+    _, tb_tgt = tensor(f.target, g.target, truncation(rng, C, D))
+    want = tensor_map_oracle(
+        f, g, basis(C, D, tb_src.top_degree),
+        basis(f.target, g.target, tb_tgt.top_degree))
+    assert tensor_map(f, g, tb_src, tb_tgt) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_tensor_column_is_the_entrywise_product(rng):
+    C, D = random_complex(rng), random_complex(rng)
+    _, tb = tensor(C, D)
+    positions = basis(C, D, tb.top_degree)
+    p = rng.randint(0, C.top_degree)
+    q = rng.randint(0, D.top_degree)
+    x = [rng.randint(-3, 3) for _ in range(C.rank(p))]
+    y = [rng.randint(-3, 3) for _ in range(D.rank(q))]
+    want = [0] * len(positions[p + q])
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            want[positions[p + q][(p, i, q, j)]] += u * v
+    assert _tensor_column(tb, p, x, q, y) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_add_kron_adds_a_scaled_block(rng):
+    def rand(r, c):
+        return la.Matrix([[rng.randint(-2, 2) for _ in range(c)]
+                          for _ in range(r)], c)
+
+    A, B = rand(rng.randint(0, 3), rng.randint(0, 3)), \
+        rand(rng.randint(0, 3), rng.randint(0, 3))
+    row, col, scale = rng.randint(0, 2), rng.randint(0, 2), rng.randint(-2, 2)
+    M = rand(row + len(A) * len(B) + 1, col + A.ncols * B.ncols + 1)
+    want = la.Matrix([r[:] for r in M], M.ncols)
+    for i in range(len(A)):
+        for j in range(A.ncols):
+            for k in range(len(B)):
+                for m in range(B.ncols):
+                    want[row + i * len(B) + k][col + j * B.ncols + m] += \
+                        scale * A[i][j] * B[k][m]
+    la.add_kron(M, A, B, row, col, scale)
+    assert M == want
+
+
+PAIRS = [("delta1", "s1"), ("s1", "delta1"), ("s1", "s1")]
+
+
+def space(name, dim_bound):
+    X = standard_simplex(1, dim_bound) if name == "delta1" else circle(dim_bound)
+    return free_abelian(X)
+
+
+@pytest.mark.parametrize("a, b", PAIRS, ids=lambda name: name)
+def test_shuffle_and_alexander_whitney_are_entrywise_sums(a, b):
+    D = 3
+    A, B = space(a, D), space(b, D)
+    sp = shuffle_product(A, B)
+    nA, nB, nAB = sp.norm_A, sp.norm_B, sp.norm_AB
+    un = basis(nA.projection.source, nB.projection.source, D)
+    norm = basis(nA.normalized, nB.normalized, D)
+    aw_map = sp.alexander_whitney()
+    for n in range(D + 1):
+        bn = B.ranks[n]
+        # ∇(x_i ⊗ y_j) = Σ over (p, q)-shuffles of ± s_a x_i ⊗ s_b y_j
+        nabla = la.zeros(A.ranks[n] * bn, len(un[n]))
+        # AW(a ⊗ b) = Σ_p (front face of a) ⊗ (back face of b)
+        aw = la.zeros(len(un[n]), A.ranks[n] * bn)
+        for (p, i, q, j), k in un[n].items():
+            for sh in shuffles(p, q):
+                opA = A.operator_matrix(sh.components()[0])
+                opB = B.operator_matrix(sh.components()[1])
+                for x in range(A.ranks[n]):
+                    for y in range(bn):
+                        nabla[x * bn + y][k] += sh.sign * opA[x][i] * opB[y][j]
+            front = A.operator_matrix(front_face(n, p))
+            back = B.operator_matrix(back_face(n, q))
+            for x in range(A.ranks[n]):
+                for y in range(bn):
+                    aw[k][x * bn + y] += front[i][x] * back[j][y]
+        assert sp.unnormalized.mat(n) == nabla
+        secsec = tensor_map_oracle(nA.section, nB.section, norm, un)[n]
+        assert sp.map.mat(n) == la.mat_mul(
+            nAB.projection.mat(n), la.mat_mul(nabla, secsec))
+        projproj = tensor_map_oracle(nA.projection, nB.projection, un, norm)[n]
+        assert aw_map.mat(n) == la.mat_mul(
+            projproj, la.mat_mul(aw, nAB.section.mat(n)))
