@@ -1,6 +1,7 @@
 """Seeded random generators for property suites: chain complexes with
 d² = 0 by construction, simplicial abelian groups via the inverse
-normalization functor, single-entry corruptions, and random filtrations.
+normalization functor, their levelwise unimodular conjugates, single-entry
+corruptions, and random filtrations.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from . import intlinalg as la
 from .chains import ChainComplex
 from .doldkan import gamma
 from .filtration import FilteredChainComplex
+from .simplicial import SimplicialAbelianGroup
 
 
 def _random_unimodular(rng, n, ops=None):
@@ -68,6 +70,23 @@ def rand_simplicial(rng, dim_bound=3, max_total_rank=6):
     of a random chain complex, so all simplicial identities hold."""
     C = rand_complex(rng, top_degree=dim_bound, max_total_rank=max_total_rank)
     return gamma(C, dim_bound)
+
+
+def conjugate_simplicial(rng, A):
+    """A with the basis of each level n changed by (-1)^n times a random
+    unimodular matrix: isomorphic to A, but its degeneracies no longer have
+    unit-vector columns (the sign alone flips those of rank-1 levels), so
+    normalize takes the Smith-normal-form path."""
+    g = []
+    for n, r in enumerate(A.ranks):
+        U, Uinv = _random_unimodular(rng, r, ops=2 * r)
+        g.append((U, Uinv) if n % 2 == 0
+                 else (la.mat_scale(-1, U), la.mat_scale(-1, Uinv)))
+    faces = {(n, i): la.mat_mul(g[n - 1][0], la.mat_mul(M, g[n][1]))
+             for (n, i), M in A.face_mats.items()}
+    degens = {(n, i): la.mat_mul(g[n + 1][0], la.mat_mul(M, g[n][1]))
+              for (n, i), M in A.degen_mats.items()}
+    return SimplicialAbelianGroup(A.dim_bound, A.ranks, faces, degens)
 
 
 def corrupt_simplicial(rng, A, attempts=8):

@@ -312,9 +312,6 @@ class TensorBasis:
         """The index of x_0 ⊗ y_0 in the block (p, n - p) of degree n."""
         return self._offsets[n][p]
 
-    def index(self, n, p, i, q, j):
-        return self.offset(n, p) + i * self.D.rank(q) + j
-
 
 def tensor(C, D, top_degree=None):
     """(C ⊗ D, basis): Koszul-signed tensor product, optionally truncated.
@@ -352,21 +349,3 @@ def tensor_map(f, g, tb_source, tb_target):
                     la.add_kron(M, fm, gm, tb_target.offset(n, p), col)
         mats[n] = M
     return mats
-
-
-def direct_sum(C, D):
-    top = max(C.top_degree, D.top_degree)
-    ranks = [C.rank(n) + D.rank(n) for n in range(top + 1)]
-    diffs = {}
-    for n in range(1, top + 1):
-        M = la.zeros(ranks[n - 1], ranks[n])
-        a = C.diff(n)
-        b = D.diff(n)
-        for i in range(C.rank(n - 1)):
-            for j in range(C.rank(n)):
-                M[i][j] = a[i][j]
-        for i in range(D.rank(n - 1)):
-            for j in range(D.rank(n)):
-                M[C.rank(n - 1) + i][C.rank(n) + j] = b[i][j]
-        diffs[n] = M
-    return ChainComplex(ranks, diffs)

@@ -3,9 +3,10 @@ invocation producing a deterministic JSON report (identical inputs give
 identical reports once the timing field is ignored).
 
 Exit codes: 0 when every certificate in the report passes, 1 when any
-certificate fails (the report carries the witness), 2 on input errors, 3 on
-an internal error (a failed self-check of the library, such as an
-AssertionError), with a JSON error on stderr.
+certificate fails (the report carries the witness), 2 on input errors
+(InputError, SimplicialIdentityError, any ValueError), 3 on an internal
+error (a failed self-check of the library, such as an AssertionError, or a
+KeyError or TypeError raised inside it), with a JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -696,9 +697,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SimplicialIdentityError, ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # InputError, SimplicialIdentityError too
         return _error_exit(exc, EXIT_INPUT)
-    except AssertionError as exc:
+    except (AssertionError, KeyError, TypeError) as exc:
+        # payload parsers raise these as InputError (parse_payload), so
+        # here they come from a fault of the library
         return _error_exit(exc, EXIT_INTERNAL)
 
 

@@ -127,18 +127,19 @@ def skeletal_filtration(A):
     Stage p in degree k is the span of the images of all operators induced
     by surjections [k] ->> [j] with j <= p (the chains supported on the
     p-skeleton), pushed into 𝒩(A) through the normalization projection.
-    Stabilizes at p_max = dim_bound."""
+    Stabilizes at p_max = dim_bound.  For p >= k every surjection out of
+    [k] counts, so stage (p, k) is stage (k, k), computed once and shared."""
     D = A.dim_bound
     nres = normalize(A)
-    stages = []
-    for p in range(D + 1):
-        stage = {}
-        for k in range(D + 1):
-            cols = la.hstack(*[A.operator_matrix(eta)
-                               for j in range(min(p, k) + 1)
+    stages = [{} for _ in range(D + 1)]
+    for k in range(D + 1):
+        for p in range(k + 1):
+            cols = la.hstack(*[A.operator_matrix(eta) for j in range(p + 1)
                                for eta in enumerate_surjections(k, j)])
-            stage[k] = la.image_basis(la.mat_mul(nres.projection.mat(k), cols))
-        stages.append(stage)
+            stages[p][k] = la.image_basis(
+                la.mat_mul(nres.projection.mat(k), cols))
+        for p in range(k + 1, D + 1):
+            stages[p][k] = stages[k][k]
     return FilteredChainComplex(nres.normalized, stages, D)
 
 

@@ -20,6 +20,8 @@ and U and Uinv of the relations of B on that basis.
 
 from __future__ import annotations
 
+from itertools import compress
+
 
 class Matrix(list):
     """A dense integer matrix: a list of plain row lists plus ``ncols``.
@@ -74,17 +76,18 @@ def mat_scale(k, M):
 
 
 def mat_mul(A, B):
+    """A * B, touching only the products of nonzero entries: compress skips
+    the zeros of each row of A and of each row of B it meets."""
     ra, ca = dims(A)
     rb, cb = dims(B)
     if ca != rb:
         raise ValueError(f"dimension mismatch in mat_mul: {ra}x{ca} times {rb}x{cb}")
     out = zeros(ra, cb)
+    cols = range(cb)
     for Ai, Oi in zip(A, out):
-        for a, Bk in zip(Ai, B):
-            if a:
-                for j, b in enumerate(Bk):
-                    if b:
-                        Oi[j] += a * b
+        for a, Bk in compress(zip(Ai, B), Ai):
+            for j in compress(cols, Bk):
+                Oi[j] += a * Bk[j]
     return out
 
 

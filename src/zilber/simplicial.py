@@ -402,12 +402,14 @@ class SimplicialAbelianGroup:
     """A D-truncated simplicial abelian group: free ℤ-modules per level with
     integer matrices for faces and degeneracies.  Not mutated after
     construction, so doldkan keeps C(A) in chains (None until asked for)
-    and normalize's result per Moore convention in normalizations."""
+    and normalize's result per Moore convention in normalizations, and
+    operator_matrix keeps X(f) per monotone map f in operators."""
 
     def __init__(self, dim_bound, ranks, face_mats, degen_mats, check=True):
         self.dim_bound = dim_bound
         self.chains = None
         self.normalizations = {}
+        self.operators = {}
         self.ranks = r = list(ranks)
         if len(self.ranks) != dim_bound + 1:
             raise ValueError("ranks must have dim_bound + 1 entries")
@@ -468,7 +470,12 @@ class SimplicialAbelianGroup:
 
     def operator_matrix(self, f):
         """The matrix of X(f) : X_{f.codomain_top} -> X_{f.domain_top} for an
-        arbitrary monotone map f."""
+        arbitrary monotone map f.
+
+        Computed once per f and kept in operators; every caller shares the
+        matrix, which must not be mutated."""
+        if f in self.operators:
+            return self.operators[f]
         epi, mono = epi_mono_factorize(f)
         level = f.codomain_top
         M = la.identity(self.ranks[level])
@@ -478,6 +485,7 @@ class SimplicialAbelianGroup:
         for j in reversed(factor_into_codegeneracies(epi)):
             M = la.mat_mul(self.degen_mats[(level, j)], M)
             level += 1
+        self.operators[f] = M
         return M
 
 

@@ -8,7 +8,7 @@ import pytest
 from zilber import _random as zrandom
 from zilber import intlinalg as la
 from zilber.chains import (AbelianGroupInvariants, ChainComplex, ChainMap,
-                           direct_sum, hom_rank, homology,
+                           hom_rank, homology,
                            identity_chain_map, is_homology_isomorphism,
                            induced_homology_matrices, tensor, tensor_map,
                            unit_complex, zero_complex)
@@ -29,7 +29,7 @@ def test_homology_of_two_term_multiplication():
 
 
 def test_homology_of_spheres_and_sums():
-    C = direct_sum(sphere_complex(0), sphere_complex(2))
+    C = ChainComplex([1, 0, 1], {})  # the sum of S^0 and S^2
     h = homology(C)
     assert [x.free_rank for x in h] == [1, 0, 1]
     assert all(not x.torsion for x in h)

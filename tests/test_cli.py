@@ -135,6 +135,22 @@ def test_internal_error_exits_3(capsys, monkeypatch):
         "error": "projection ∘ section is not the identity", "exit": 3}
 
 
+@pytest.mark.parametrize("exc", [KeyError("missing operator"),
+                                 TypeError("unhashable type: 'list'")])
+def test_library_key_and_type_errors_exit_3(capsys, monkeypatch, exc):
+    # a KeyError or TypeError from inside the library is a fault of the
+    # library, not of the input, so it must not read as exit 2
+    from zilber import doldkan
+
+    def broken(A, moore):
+        raise exc
+
+    monkeypatch.setattr(doldkan, "_normalize", broken)
+    code, rep, err = run(capsys, ["homology", "torus"])
+    assert code == 3 and rep is None
+    assert json.loads(err) == {"error": str(exc), "exit": 3}
+
+
 def test_reports_are_deterministic_modulo_timing(capsys):
     _, rep1, _ = run(capsys, ["ss", "sk:s1", "--heart"])
     _, rep2, _ = run(capsys, ["ss", "sk:s1", "--heart"])

@@ -98,23 +98,6 @@ def test_disk_chain_complexes():
 # the two normalization paths: coordinate degeneracies and Smith normal form
 
 
-def _conjugate(A, rng):
-    """A with the basis of each level n changed by (-1)^n times a random
-    unimodular matrix: isomorphic to A, but its degeneracies no longer have
-    unit-vector columns (the sign alone flips those of rank-1 levels), so
-    normalize takes the Smith-normal-form path."""
-    g = []
-    for n, r in enumerate(A.ranks):
-        U, Uinv = zrandom._random_unimodular(rng, r, ops=2 * r)
-        g.append((U, Uinv) if n % 2 == 0
-                 else (la.mat_scale(-1, U), la.mat_scale(-1, Uinv)))
-    faces = {(n, i): la.mat_mul(g[n - 1][0], la.mat_mul(M, g[n][1]))
-             for (n, i), M in A.face_mats.items()}
-    degens = {(n, i): la.mat_mul(g[n + 1][0], la.mat_mul(M, g[n][1]))
-              for (n, i), M in A.degen_mats.items()}
-    return SimplicialAbelianGroup(A.dim_bound, A.ranks, faces, degens)
-
-
 def _kernel_normalization(A, moore):
     """Oracle for the Smith-normal-form path: per level, the projection
     U[r:] from the SNF of the degenerate span and the section K (proj K)⁻¹,
@@ -156,9 +139,9 @@ def _snf_path_objects():
     rng = random.Random(11)
     spaces = [standard_simplex(1, 3), standard_simplex(2, 3), circle(3),
               product(circle(2), standard_simplex(1, 2))]
-    objs = [_conjugate(free_abelian(X), rng) for X in spaces]
-    objs += [_conjugate(zrandom.rand_simplicial(rng, dim_bound=3), rng)
-             for _ in range(8)]
+    objs = [zrandom.conjugate_simplicial(rng, free_abelian(X)) for X in spaces]
+    objs += [zrandom.conjugate_simplicial(
+        rng, zrandom.rand_simplicial(rng, dim_bound=3)) for _ in range(8)]
     return objs
 
 
@@ -184,7 +167,7 @@ def _invariants(A):
                          ids=["d0", "d1", "d2", "s1"])
 def test_coordinate_and_snf_paths_agree(X, snf_calls):
     A = free_abelian(X)
-    B = _conjugate(A, random.Random(12))
+    B = zrandom.conjugate_simplicial(random.Random(12), A)
     normalize(A)
     assert not snf_calls
     assert normalize(B).normalized.ranks == normalize(A).normalized.ranks

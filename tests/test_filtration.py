@@ -9,6 +9,8 @@ import pytest
 from zilber import _random as zrandom
 from zilber import intlinalg as la
 from zilber.chains import ChainMap, homology, identity_chain_map
+from zilber.delta import enumerate_surjections
+from zilber.doldkan import normalize
 from zilber.filtration import (FilteredChainComplex, FilteredPairing,
                                _tensor_column, constant_filtration,
                                convolution_associativity_check,
@@ -16,7 +18,7 @@ from zilber.filtration import (FilteredChainComplex, FilteredPairing,
                                filtered_ez, filtrations_stagewise_equal,
                                graded_pieces, skeletal_filtration,
                                unit_filtration)
-from zilber.simplicial import circle, free_abelian, standard_simplex
+from zilber.simplicial import circle, free_abelian, product, standard_simplex
 
 
 def stage_rank(F, p, n):
@@ -37,6 +39,42 @@ def test_skeletal_stages_are_nested_and_exhaustive():
     assert F.p_max == 3
     for n in range(4):
         assert stage_rank(F, F.p_max, n) == F.ambient.rank(n)
+
+
+def skeletal_stages_one_by_one(A):
+    """stages[p][k] for every p and k, each computed on its own from the
+    surjections [k] ->> [j], j <= p."""
+    proj = normalize(A).projection
+    return [{k: la.image_basis(la.mat_mul(proj.mat(k), la.hstack(
+                *[A.operator_matrix(eta) for j in range(min(p, k) + 1)
+                  for eta in enumerate_surjections(k, j)])))
+             for k in range(A.dim_bound + 1)}
+            for p in range(A.dim_bound + 1)]
+
+
+SKELETAL_GROUPS = {
+    "Z[s1]": lambda: free_abelian(circle(3)),
+    "Z[delta2]": lambda: free_abelian(standard_simplex(2, 3)),
+    # not free: image_basis changes the basis of some stages
+    "conjugate": lambda: zrandom.conjugate_simplicial(
+        random.Random(3), free_abelian(product(standard_simplex(1, 3),
+                                               circle(3)))),
+}
+
+
+@pytest.mark.parametrize("name", SKELETAL_GROUPS)
+def test_skeletal_stages_match_the_per_stage_computation(name):
+    A = SKELETAL_GROUPS[name]()
+    F = skeletal_filtration(A)
+    want = skeletal_stages_one_by_one(A)
+    assert F.p_max == A.dim_bound
+    for p in range(F.p_max + 1):
+        for k in range(A.dim_bound + 1):
+            assert la.mat_eq(F.stage(p, k), want[p][k])
+    if name == "conjugate":
+        assert any(F.stage(p, k) != la.identity(F.ambient.rank(k))
+                   for p in range(F.p_max + 1) for k in range(p + 1)
+                   if F.stage(p, k).ncols == F.ambient.rank(k))
 
 
 def test_graded_pieces_of_triangle_concentrated_in_stage_degree():

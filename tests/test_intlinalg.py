@@ -82,6 +82,30 @@ def test_products_keep_the_shape_of_empty_factors(r, k, c):
     assert la.dims(P) == (r, c) and la.is_zero(P)
 
 
+@st.composite
+def sparse_matrices(draw, rows, cols):
+    """Mostly-zero matrices with negative and very large entries, and with
+    some rows and columns forced to zero."""
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                      st.integers(-2 ** 80, 2 ** 80))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    return la.Matrix([[0 if i in zero_rows or j in zero_cols else draw(entry)
+                       for j in range(cols)] for i in range(rows)], cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mat_mul_matches_the_triple_loop(data):
+    r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
+    A = data.draw(sparse_matrices(r, k))
+    B = data.draw(sparse_matrices(k, c))
+    want = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(c)]
+            for i in range(r)]
+    P = la.mat_mul(A, B)
+    assert la.dims(P) == (r, c) and P == want
+
+
 def test_mat_mul_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         la.mat_mul(la.zeros(2, 3), la.zeros(2, 3))

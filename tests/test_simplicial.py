@@ -6,10 +6,15 @@ import random
 import pytest
 
 from zilber import _random as zrandom
+from zilber import intlinalg as la
+from zilber.delta import (enumerate_monotone, epi_mono_factorize,
+                          factor_into_codegeneracies, factor_into_cofaces)
+from zilber.ez import shuffle_product
+from zilber.filtration import skeletal_filtration
 from zilber.simplicial import (CheckCertificate, SimplicialIdentityError,
                                SimplicialSet, circle, free_abelian, point,
-                               product, skeleton, skeleton_product_check,
-                               standard_simplex)
+                               product, sab_tensor, skeleton,
+                               skeleton_product_check, standard_simplex)
 
 
 def test_standard_simplex_level_sizes():
@@ -109,3 +114,77 @@ def test_certificate_dict_shape():
     c = CheckCertificate(False, witness=(1, "x"), detail="why")
     d = c.to_dict()
     assert d["pass"] is False and "witness" in d and d["detail"] == "why"
+
+
+# ---------------------------------------------------------------------------
+# operator matrices X(f), computed once per group
+
+
+def operator_by_products(A, f):
+    """X(f) as a chain of products from the identity: the faces of the
+    mono part of f, then the degeneracies of its epi part."""
+    epi, mono = epi_mono_factorize(f)
+    level = f.codomain_top
+    M = la.identity(A.ranks[level])
+    for i in factor_into_cofaces(mono):
+        M = la.mat_mul(A.face_mats[(level, i)], M)
+        level -= 1
+    for j in reversed(factor_into_codegeneracies(epi)):
+        M = la.mat_mul(A.degen_mats[(level, j)], M)
+        level += 1
+    return M
+
+
+D = 3
+
+
+def operator_groups():
+    return {
+        "Z[delta2]": free_abelian(standard_simplex(2, D)),
+        "Z[s1] (x) Z[delta1]": sab_tensor(free_abelian(circle(D)),
+                                          free_abelian(standard_simplex(1, D))),
+        "conjugate of Z[delta1 x s1]": zrandom.conjugate_simplicial(
+            random.Random(3), free_abelian(product(standard_simplex(1, D),
+                                                   circle(D)))),
+    }
+
+
+def all_monotone_maps():
+    return [f for m in range(D + 1) for n in range(D + 1)
+            for f in enumerate_monotone(m, n)]
+
+
+@pytest.mark.parametrize("name", operator_groups())
+def test_operator_matrix_is_the_product_chain_and_kept(name):
+    A = operator_groups()[name]
+    for f in all_monotone_maps():
+        M = A.operator_matrix(f)
+        assert la.dims(M) == (A.ranks[f.domain_top], A.ranks[f.codomain_top])
+        assert la.mat_eq(M, operator_by_products(A, f))
+        assert A.operator_matrix(f) is M  # computed once, then kept
+
+
+def test_operator_matrix_of_a_simplex_precomposes():
+    # in Z[delta2] the simplex v : [n] -> [2] goes to v o f under X(f)
+    X = standard_simplex(2, D)
+    A = free_abelian(X)
+    for f in all_monotone_maps():
+        want = la.zeros(A.ranks[f.domain_top], A.ranks[f.codomain_top])
+        for j, v in enumerate(X.levels[f.codomain_top]):
+            want[X.index[f.domain_top][tuple(v[i] for i in f.values)]][j] = 1
+        assert la.mat_eq(A.operator_matrix(f), want)
+
+
+def test_cached_operators_survive_their_callers():
+    # the products, AW and skeletal filtrations share the kept matrices;
+    # none of them may change one
+    A = free_abelian(standard_simplex(1, D))
+    B = zrandom.conjugate_simplicial(random.Random(4), free_abelian(circle(D)))
+    sp = shuffle_product(A, B)
+    sp.alexander_whitney()
+    for G in (A, B, sp.product):
+        skeletal_filtration(G)
+    for G in (A, B, sp.product):
+        assert G.operators
+        for f, M in G.operators.items():
+            assert la.mat_eq(M, operator_by_products(G, f))
