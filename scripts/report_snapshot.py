@@ -4,7 +4,8 @@
     PYTHONPATH=src python scripts/report_snapshot.py OUTDIR
 
 Runs each invocation of scripts/run_acceptance.sh, plus ``ss random
---trials 10`` and ``skeleta --day-unit --day-symmetry --day-assoc``, with
+--trials 10``, ``skeleta --day-unit --day-symmetry --day-assoc`` and
+``promonoidal --check coyoneda --check operator-frag``, with
 ``python -m zilber.cli`` (so the zilber found on PYTHONPATH is the one
 measured).  Each report is written to OUTDIR, one
 file per invocation, with its ``timing`` key removed; what an invocation
@@ -70,6 +71,8 @@ def invocations():
     # and `ss ez:delta1,s1 --pairing --dim-bound 2`)
     out.append(["ss", "random", "--trials", "10"])
     out.append(["skeleta", "--day-unit", "--day-symmetry", "--day-assoc"])
+    out.append(["promonoidal", "--check", "coyoneda", "--check",
+                "operator-frag"])
     return out
 
 

@@ -1,0 +1,34 @@
+#!/usr/bin/env python3
+"""Count the source lines of the zilber library.
+
+    python scripts/sloc.py [SRC_DIR]
+
+Prints, for each module of SRC_DIR (default: src/zilber next to this
+script) and in total, the lines that are neither blank nor comments.
+Docstrings count as code.
+"""
+
+import pathlib
+import sys
+
+
+def sloc(path):
+    """Lines of path that are neither blank nor a comment."""
+    lines = (line.strip() for line in path.read_text().splitlines())
+    return sum(1 for line in lines if line and not line.startswith("#"))
+
+
+def main(src):
+    total = 0
+    for path in sorted(src.glob("*.py")):
+        n = sloc(path)
+        total += n
+        print(f"{n:6d}  {path.name}")
+    print(f"{total:6d}  total")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 2:
+        sys.exit(__doc__)
+    default = pathlib.Path(__file__).resolve().parent.parent / "src" / "zilber"
+    main(pathlib.Path(sys.argv[1]) if len(sys.argv) == 2 else default)

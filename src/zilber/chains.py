@@ -7,7 +7,6 @@ chain of invariant factors (each >= 2, each dividing the next).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import intlinalg as la
@@ -40,36 +39,6 @@ class AbelianGroupInvariants:
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
-    def direct_sum(self, other):
-        # merge invariant factors of a direct sum back into a divisibility chain
-        from math import gcd
-        factors = list(self.torsion) + list(other.torsion)
-        primary = {}
-        for f in factors:
-            n = f
-            p = 2
-            while p * p <= n:
-                if n % p == 0:
-                    e = 0
-                    while n % p == 0:
-                        n //= p
-                        e += 1
-                    primary.setdefault(p, []).append(p ** e)
-                p += 1
-            if n > 1:
-                primary.setdefault(n, []).append(n)
-        chains = []
-        for p, powers in primary.items():
-            powers.sort()
-            chains.append(powers)
-        width = max((len(c) for c in chains), default=0)
-        out = [1] * width
-        for c in chains:
-            for i, v in enumerate(reversed(c)):
-                out[width - 1 - i] *= v
-        return AbelianGroupInvariants(self.free_rank + other.free_rank,
-                                      tuple(v for v in out if v > 1))
-
 
 def invariants_of_subquotient(sq):
     return AbelianGroupInvariants(sq.free_rank, tuple(sq.torsion))
@@ -77,19 +46,23 @@ def invariants_of_subquotient(sq):
 
 class ChainComplex:
     """A nonnegatively graded chain complex of free ℤ-modules, zero above
-    top_degree.  diffs[n] is the matrix of d_n : C_n -> C_{n-1} (n >= 1)."""
+    top_degree.  diffs[n] is the matrix of d_n : C_n -> C_{n-1} for
+    1 <= n <= top_degree; a missing one is zero."""
 
-    def __init__(self, ranks, diffs, check=True):
+    def __init__(self, ranks, diffs):
         self.ranks = list(ranks)
         self.top_degree = len(self.ranks) - 1
+        for n in diffs:
+            if not 1 <= n <= self.top_degree:
+                raise ValueError(f"differential d_{n} lies outside degrees "
+                                 f"1..{self.top_degree}")
         self.diffs = {}
         for n in range(1, self.top_degree + 1):
             M = diffs.get(n)
             r, c = self.ranks[n - 1], self.ranks[n]
             self.diffs[n] = (la.zeros(r, c) if M is None
                              else la.as_matrix(M, r, c, f"differential d_{n}"))
-        if check:
-            self._validate()
+        self._validate()
 
     def rank(self, n):
         if 0 <= n <= self.top_degree:
@@ -121,26 +94,12 @@ class ChainComplex:
                               for n in range(1, self.top_degree + 1)},
         }
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_payload(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
     @classmethod
     def from_payload(cls, payload):
         if payload.get("format") != CHAIN_FORMAT:
             raise ValueError("not a chain payload")
         diffs = {int(n): M for n, M in payload["differentials"].items()}
         return cls(payload["ranks"], diffs)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_payload(json.load(fh))
-
-
-def zero_complex(top_degree=0):
-    return ChainComplex([0] * (top_degree + 1), {})
 
 
 def unit_complex():

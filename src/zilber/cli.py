@@ -145,6 +145,22 @@ def bool_cert(ok, name, detail="", witness=None):
             "witness": repr(witness) if witness is not None else None}
 
 
+def _inputs(args, **resolved):
+    """A report's inputs: the parsed arguments, with resolved values."""
+    inputs = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func")}
+    inputs.update(resolved)
+    return inputs
+
+
+def _trials_cert(name, detail, trials, trial):
+    """bool_cert of trial(0), ..., trial(trials - 1), each returning None
+    when it passes and a witness when it fails; the first witness ends the
+    run and fails the certificate."""
+    bad = next((w for w in map(trial, range(trials)) if w is not None), None)
+    return bool_cert(bad is None, name, detail, witness=bad)
+
+
 # ---------------------------------------------------------------------------
 # homology
 
@@ -172,7 +188,7 @@ def cmd_homology(args):
         else:
             raise InputError(f"unrecognized payload format: {fmt!r}")
     inv = chains.homology(C)
-    inputs = {"input": token, "kind": kind, "dim_bound": dim_bound}
+    inputs = _inputs(args, kind=kind, dim_bound=dim_bound)
     results = {"homology": invariants_dict(inv),
                "ranks": list(C.ranks)}
     return emit("homology", inputs, results, [], started)
@@ -187,12 +203,7 @@ def cmd_doldkan(args):
     dim_bound = resolve_dim_bound(args.dim_bound)
     certs = []
     results = {}
-    inputs = {"input": args.input, "dim_bound": dim_bound,
-              "roundtrip": args.roundtrip,
-              "random_complexes": args.random_complexes,
-              "random_objects": args.random_objects,
-              "fuzz": args.fuzz, "hom_table": args.hom_table,
-              "seed": args.seed}
+    inputs = _inputs(args, dim_bound=dim_bound)
     counts = ("random_complexes", "random_objects", "fuzz", "hom_table")
     for name in counts:
         if getattr(args, name) < 0:
@@ -216,50 +227,47 @@ def cmd_doldkan(args):
                                    "Γ of the normalization maps levelwise "
                                    "isomorphically onto the input"))
     rng = random.Random(args.seed)
+
+    def complex_trial(t):
+        C = zrandom.rand_complex(rng, top_degree=dim_bound)
+        f = doldkan.normalized_gamma_comparison(C, dim_bound)
+        return None if doldkan.is_chain_iso(f) else t
+
+    def object_trial(t):
+        A = zrandom.rand_simplicial(rng, dim_bound=min(dim_bound, 3))
+        comp = doldkan.gamma_normalize_comparison(A)
+        return None if doldkan.is_levelwise_unimodular(comp, A.ranks) else t
+
+    def fuzz_trial(t):
+        A = zrandom.rand_simplicial(rng, dim_bound=min(dim_bound, 3))
+        try:
+            A._validate()
+        except SimplicialIdentityError as exc:
+            return (t, "valid object rejected", str(exc))
+        B = zrandom.corrupt_simplicial(rng, A)
+        if B is None:
+            return None
+        try:
+            B._validate()
+        except SimplicialIdentityError:
+            return None
+        return (t, "corruption accepted")
+
     if args.random_complexes:
-        bad = None
-        for t in range(args.random_complexes):
-            C = zrandom.rand_complex(rng, top_degree=dim_bound)
-            f = doldkan.normalized_gamma_comparison(C, dim_bound)
-            if not doldkan.is_chain_iso(f):
-                bad = t
-                break
-        certs.append(bool_cert(bad is None, "normalize-gamma-roundtrip",
-                               f"{args.random_complexes} random complexes",
-                               witness=bad))
+        certs.append(_trials_cert(
+            "normalize-gamma-roundtrip",
+            f"{args.random_complexes} random complexes",
+            args.random_complexes, complex_trial))
     if args.random_objects:
-        bad = None
-        for t in range(args.random_objects):
-            A = zrandom.rand_simplicial(rng, dim_bound=min(dim_bound, 3))
-            comp = doldkan.gamma_normalize_comparison(A)
-            if not doldkan.is_levelwise_unimodular(comp, A.ranks):
-                bad = t
-                break
-        certs.append(bool_cert(bad is None, "gamma-normalize-roundtrip",
-                               f"{args.random_objects} random objects",
-                               witness=bad))
+        certs.append(_trials_cert(
+            "gamma-normalize-roundtrip",
+            f"{args.random_objects} random objects",
+            args.random_objects, object_trial))
     if args.fuzz:
-        bad = None
-        for t in range(args.fuzz):
-            A = zrandom.rand_simplicial(rng, dim_bound=min(dim_bound, 3))
-            try:
-                A._validate()
-            except SimplicialIdentityError as exc:
-                bad = (t, "valid object rejected", str(exc))
-                break
-            B = zrandom.corrupt_simplicial(rng, A)
-            if B is None:
-                continue
-            try:
-                B._validate()
-                bad = (t, "corruption accepted")
-                break
-            except SimplicialIdentityError:
-                pass
-        certs.append(bool_cert(bad is None, "simplicial-identity-fuzz",
-                               f"{args.fuzz} random objects validated and "
-                               f"single-entry corruptions rejected",
-                               witness=bad))
+        certs.append(_trials_cert(
+            "simplicial-identity-fuzz",
+            f"{args.fuzz} random objects validated and single-entry "
+            f"corruptions rejected", args.fuzz, fuzz_trial))
     if args.hom_table:
         m_top = args.hom_table
         table = {}
@@ -286,9 +294,7 @@ def cmd_ez(args):
     dim_bound = resolve_dim_bound(args.dim_bound)
     A = free_abelian(load_space(args.first, dim_bound))
     B = free_abelian(load_space(args.second, dim_bound))
-    inputs = {"first": args.first, "second": args.second,
-              "third": args.third, "check": args.check,
-              "dim_bound": dim_bound}
+    inputs = _inputs(args, dim_bound=dim_bound)
     certs = []
     results = {}
     for check in args.check:
@@ -334,11 +340,7 @@ def cmd_skeleta(args):
     dim_bound = resolve_dim_bound(args.dim_bound)
     certs = []
     results = {}
-    inputs = {"first": args.first, "second": args.second, "p": args.p,
-              "q": args.q, "n": args.n, "filtered_ez": args.filtered_ez,
-              "day_unit": args.day_unit, "day_symmetry": args.day_symmetry,
-              "day_assoc": args.day_assoc, "trials": args.trials,
-              "seed": args.seed, "dim_bound": dim_bound}
+    inputs = _inputs(args, dim_bound=dim_bound)
     pqn = (args.p, args.q, args.n) != (None, None, None)
     day = args.day_unit or args.day_symmetry or args.day_assoc
     if not (pqn or args.filtered_ez or day):
@@ -372,46 +374,34 @@ def cmd_skeleta(args):
                 certs.append(bool_cert(False, "filtered-ez-containment",
                                        str(exc)))
     rng = random.Random(args.seed)
+    unit = filtration.unit_filtration()
+
+    def unit_trial(t):
+        F = zrandom.rand_filtration(rng)
+        conv = filtration.day_convolution(F, unit)
+        return None if filtration.filtrations_stagewise_equal(conv, F) else t
+
+    def law_trial(check, arity, top_degree, max_total_rank):
+        def trial(t):
+            fs = [zrandom.rand_filtration(rng, p_max=2, top_degree=top_degree,
+                                          max_total_rank=max_total_rank)
+                  for _ in range(arity)]
+            cert = check(*fs)
+            return None if cert.ok else (t, cert.detail)
+        return trial
+
     if args.day_unit:
-        bad = None
-        unit = filtration.unit_filtration()
-        for t in range(args.trials):
-            F = zrandom.rand_filtration(rng)
-            conv = filtration.day_convolution(F, unit)
-            if not filtration.filtrations_stagewise_equal(conv, F):
-                bad = t
-                break
-        certs.append(bool_cert(bad is None, "day-unit",
-                               f"F ⊛ 1 = F stagewise for {args.trials} "
-                               f"random filtrations", witness=bad))
+        certs.append(_trials_cert(
+            "day-unit", f"F ⊛ 1 = F stagewise for {args.trials} random "
+            f"filtrations", args.trials, unit_trial))
     if args.day_symmetry:
-        bad = None
-        for t in range(args.trials):
-            F = zrandom.rand_filtration(rng, p_max=2, top_degree=2,
-                                        max_total_rank=4)
-            G = zrandom.rand_filtration(rng, p_max=2, top_degree=2,
-                                        max_total_rank=4)
-            cert = filtration.convolution_symmetry_check(F, G)
-            if not cert.ok:
-                bad = (t, cert.detail)
-                break
-        certs.append(bool_cert(bad is None, "day-symmetry",
-                               f"{args.trials} random pairs", witness=bad))
+        certs.append(_trials_cert(
+            "day-symmetry", f"{args.trials} random pairs", args.trials,
+            law_trial(filtration.convolution_symmetry_check, 2, 2, 4)))
     if args.day_assoc:
-        bad = None
-        for t in range(args.trials):
-            F = zrandom.rand_filtration(rng, p_max=2, top_degree=1,
-                                        max_total_rank=3)
-            G = zrandom.rand_filtration(rng, p_max=2, top_degree=1,
-                                        max_total_rank=3)
-            H = zrandom.rand_filtration(rng, p_max=2, top_degree=1,
-                                        max_total_rank=3)
-            cert = filtration.convolution_associativity_check(F, G, H)
-            if not cert.ok:
-                bad = (t, cert.detail)
-                break
-        certs.append(bool_cert(bad is None, "day-associativity",
-                               f"{args.trials} random triples", witness=bad))
+        certs.append(_trials_cert(
+            "day-associativity", f"{args.trials} random triples", args.trials,
+            law_trial(filtration.convolution_associativity_check, 3, 1, 3)))
     return emit("skeleta", inputs, results, certs, started)
 
 
@@ -432,26 +422,22 @@ def cmd_ss(args):
     dim_bound = resolve_dim_bound(args.dim_bound)
     certs = []
     results = {}
-    inputs = {"input": args.input, "pages": args.pages,
-              "pairing": args.pairing, "heart": args.heart,
-              "trials": args.trials, "p_max": args.p_max,
-              "seed": args.seed, "dim_bound": dim_bound}
+    inputs = _inputs(args, dim_bound=dim_bound)
     token = args.input
     if token == "random":
         if args.trials < 1:
             raise InputError("--trials must be positive")
         rng = random.Random(args.seed)
-        bad = None
-        for t in range(args.trials):
+
+        def trial(t):
             F = zrandom.rand_filtration(rng, p_max=args.p_max)
             S = spectral.SpectralSequence(F, r_max=args.pages)
-            if not _ss_checks(S, certs, prefix=f"trial{t}-"):
-                bad = t
-                break
-        certs.append(bool_cert(bad is None, "random-filtration-suite",
-                               f"{args.trials} random filtrations: d_r²=0, "
-                               f"page recursion, and convergence to the "
-                               f"associated graded", witness=bad))
+            return None if _ss_checks(S, certs, prefix=f"trial{t}-") else t
+
+        certs.append(_trials_cert(
+            "random-filtration-suite", f"{args.trials} random filtrations: "
+            f"d_r²=0, page recursion, and convergence to the associated "
+            f"graded", args.trials, trial))
         return emit("ss", inputs, results, certs, started)
     if token.startswith("ez:"):
         names = token[3:].split(",")
@@ -509,10 +495,7 @@ def cmd_promonoidal(args):
     started = time.time()
     certs = []
     results = {}
-    inputs = {"check": args.check, "ns": args.ns, "b": args.b, "m": args.m,
-              "entries": args.entries, "k_max": args.k_max,
-              "length": args.length, "trials": args.trials,
-              "seed": args.seed}
+    inputs = _inputs(args)
     if args.b < 0:
         # every check but product-colimit reads --b; a negative bound
         # leaves Δ≤b empty and the sweep, coyoneda and operator checks
@@ -563,32 +546,28 @@ def cmd_promonoidal(args):
             rng = random.Random(args.seed)
             frag = promonoidal.operator_category_fragment(
                 promonoidal.delta_op_multicategory(args.b), args.length)
-            bad = None
-            done = 0
-            while done < args.trials:
-                objs = frag.objects
-                a, b_, c_, d_ = (rng.choice(objs) for _ in range(4))
-                ms1 = frag.morphisms_between(a, b_)
-                ms2 = frag.morphisms_between(b_, c_)
-                ms3 = frag.morphisms_between(c_, d_)
-                if not (ms1 and ms2 and ms3):
-                    continue
-                f = rng.choice(ms1)
-                g = rng.choice(ms2)
-                h = rng.choice(ms3)
-                lhs = frag.compose(h, frag.compose(g, f))
-                rhs = frag.compose(frag.compose(h, g), f)
-                if lhs != rhs:
-                    bad = (a, b_, c_, d_)
-                    break
+
+            def trial(t):
+                # draw objects until the three hom-sets are all nonempty
+                ms1 = ms2 = ms3 = None
+                while not (ms1 and ms2 and ms3):
+                    a, b_, c_, d_ = (rng.choice(frag.objects)
+                                     for _ in range(4))
+                    ms1 = frag.morphisms_between(a, b_)
+                    ms2 = frag.morphisms_between(b_, c_)
+                    ms3 = frag.morphisms_between(c_, d_)
+                f, g, h = rng.choice(ms1), rng.choice(ms2), rng.choice(ms3)
+                if frag.compose(h, frag.compose(g, f)) != \
+                        frag.compose(frag.compose(h, g), f):
+                    return (a, b_, c_, d_)
                 if frag.compose(f, frag.identity(a)) != f:
-                    bad = ("unit", a, b_)
-                    break
-                done += 1
-            certs.append(bool_cert(bad is None, "operator-frag",
-                                   f"associativity and unit laws on "
-                                   f"{args.trials} random composable "
-                                   f"triples", witness=bad))
+                    return ("unit", a, b_)
+                return None
+
+            certs.append(_trials_cert(
+                "operator-frag", f"associativity and unit laws on "
+                f"{args.trials} random composable triples", args.trials,
+                trial))
         else:
             raise InputError(f"unknown check {check!r}")
     return emit("promonoidal", inputs, results, certs, started)

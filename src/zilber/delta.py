@@ -180,9 +180,6 @@ class PosetPoint:
     def leq(self, other):
         return all(a <= b for a, b in zip(self.factors, other.factors))
 
-    def __lt__(self, other):
-        return self.factors < other.factors
-
 
 @dataclass(frozen=True)
 class StrictMonotoneIntoProduct:
@@ -204,11 +201,6 @@ class StrictMonotoneIntoProduct:
     @property
     def degree(self):
         return len(self.points) - 1
-
-    def component(self, i):
-        """The i-th coordinate projection as a MonotoneMap [k] -> [n_i]."""
-        return MonotoneMap(self.degree, self.bounds[i],
-                           tuple(p.factors[i] for p in self.points))
 
 
 def product_points(ns):
@@ -287,11 +279,6 @@ class Shuffle:
             ys.append(b)
         return (MonotoneMap(self.p + self.q, self.p, tuple(xs)),
                 MonotoneMap(self.p + self.q, self.q, tuple(ys)))
-
-    def to_chain(self):
-        sm, sp = self.components()
-        pts = tuple(PosetPoint((sm(i), sp(i))) for i in range(self.p + self.q + 1))
-        return StrictMonotoneIntoProduct((self.p, self.q), pts)
 
 
 def shuffle_sign_by_inversions(p, q, interleaving):

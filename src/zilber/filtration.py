@@ -5,8 +5,6 @@ group, graded pieces, and filtered pairings induced by the shuffle product.
 
 from __future__ import annotations
 
-import json
-
 from . import intlinalg as la
 from .chains import ChainComplex, tensor, unit_complex
 from .delta import enumerate_surjections
@@ -26,6 +24,11 @@ class FilteredChainComplex:
         self.p_max = p_max
         if len(stages) != p_max + 1:
             raise ValueError("stages must have p_max + 1 entries")
+        for p, stage in enumerate(stages):
+            for n in stage:
+                if not 0 <= n <= ambient.top_degree:
+                    raise ValueError(f"stage ({p},{n}) lies outside degrees "
+                                     f"0..{ambient.top_degree}")
         # stages[p][n] is an ambient.rank(n)-row matrix of generator columns
         self.stages = [
             {n: la.as_matrix(stages[p].get(n, la.zeros(ambient.rank(n), 0)),
@@ -87,10 +90,6 @@ class FilteredChainComplex:
                        for p in range(self.p_max + 1)],
         }
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_payload(), fh)
-
     @classmethod
     def from_payload(cls, payload):
         if payload.get("format") != "filt":
@@ -103,11 +102,6 @@ class FilteredChainComplex:
                 raise ValueError("a filt stage must map degrees to matrices")
             stages.append({int(n): M for n, M in stage.items()})
         return cls(ambient, stages, p_max)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_payload(json.load(fh))
 
 
 def constant_filtration(C, p_max=0):

@@ -405,7 +405,6 @@ class Subquotient:
     def __init__(self, ambient_dim, z_gens, b_gens):
         if len(z_gens) != ambient_dim or len(b_gens) != ambient_dim:
             raise ValueError("generators must be given as an ambient_dim-row matrix")
-        self.ambient_dim = ambient_dim
         Uz, Sz, _, Uz_inv, _ = _smith_with_inverses(z_gens, ("U", "Uinv"))
         self._zbasis = _image_from_snf(Sz, Uz_inv)
         r = self._zbasis.ncols
@@ -429,9 +428,6 @@ class Subquotient:
     @property
     def ngens(self):
         return len(self.orders)
-
-    def invariants(self):
-        return self.free_rank, tuple(self.torsion)
 
     def _z_coords(self, B):
         """The coordinates of the columns of B on the basis of Z, as a

@@ -81,10 +81,6 @@ class FiniteCategory:
         if check:
             self._validate()
 
-    def compose(self, g, f):
-        """g ∘ f (f first)."""
-        return self.comp[(g, f)]
-
     def hom(self, c, d):
         return [f for f in self.morphisms
                 if self.src[f] == c and self.tgt[f] == d]
@@ -165,13 +161,13 @@ def delta_leq(b, check=True):
                           check=check, gens=generating_maps(b))
 
 
-def opposite(C, check=False):
+def opposite(C):
     """The opposite category on the same tokens (already validated via C)."""
     src = {f: C.tgt[f] for f in C.morphisms}
     tgt = {f: C.src[f] for f in C.morphisms}
     comp = {(g, f): h for (f, g), h in C.comp.items()}
     return FiniteCategory(C.objects, C.morphisms, src, tgt, C.ident, comp,
-                          check=check, gens=C.gens)
+                          check=False, gens=C.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +245,10 @@ def hom_profunctor(C):
     return SetProfunctor(C, C, values, action, check=False)
 
 
-class CoendSet:
-    """∫^c P(c, c): canonical class representatives with a section."""
-
-    def __init__(self, classes, reps):
-        self.classes = classes
-        self._reps = reps
-
-    def rep(self, c, x):
-        return self._reps[(c, x)]
-
-    def __len__(self):
-        return len(self.classes)
-
-
 def coend_set(P):
     """Coend of P : C^op × C -> Set over the elements (c, x) of
     ⊔_c P(c, c); the relation of f : c -> d identifies (c, x·f) with
-    (d, f·x) for x in P(d, c)."""
+    (d, f·x) for x in P(d, c).  Returns ``coend``'s (classes, reps)."""
     C = P.C
 
     def push(f):
@@ -277,9 +259,8 @@ def coend_set(P):
         c, d = C.src[f], C.tgt[f]
         return [(d, P.action(C.ident[d], x, f)) for x in P.value(d, c)]
 
-    return CoendSet(*coend(C.objects,
-                           lambda c: [(c, x) for x in P.value(c, c)],
-                           C.generating_morphisms(), push, pull))
+    return coend(C.objects, lambda c: [(c, x) for x in P.value(c, c)],
+                 C.generating_morphisms(), push, pull)
 
 
 def _composite_coend(D, left, right, push, pull):
@@ -302,7 +283,7 @@ def _composite_coend(D, left, right, push, pull):
                  D.generating_morphisms(), pushed, pulled)
 
 
-def compose_profunctors(P, Q, check=False):
+def compose_profunctors(P, Q):
     """P : C ↛ D composed with Q : D ↛ E; the value at (c, e) is
     ∫^d P(c, d) × Q(d, e), with elements stored as (d, x, y) class
     representatives."""
@@ -321,7 +302,7 @@ def compose_profunctors(P, Q, check=False):
         return coends[(C.src[f], E.tgt[g])][1][moved]
 
     return SetProfunctor(C, E, {k: cls for k, (cls, _) in coends.items()},
-                         action, check=check)
+                         action, check=False)
 
 
 def coyoneda_check(P):
@@ -364,13 +345,13 @@ class PromonoidalData:
         self.eta_act = eta_act
 
 
-def delta_op_promonoidal(b, check_base=False):
+def delta_op_promonoidal(b):
     """The Eilenberg-Zilber promonoidal structure on the opposite simplex
     category truncated at [b]: μ([p],[q];[n]) is the set of monotone maps
     [n] -> [p] × [q], i.e. pairs of monotone maps out of [n], and the unit
     is the terminal profunctor (every [n] -> [0] is unique)."""
     _nonnegative("b", [b])
-    base = opposite(delta_leq(b, check=check_base))
+    base = opposite(delta_leq(b, check=False))
 
     cache = {}
 
@@ -729,15 +710,6 @@ class MulticategoryModel:
         self.permute = permute
 
 
-def trivial_multicategory():
-    return MulticategoryModel(
-        ["*"],
-        lambda cs, c: ["*"],
-        lambda c: "*",
-        lambda y, xs: "*",
-        lambda y, idxs: "*")
-
-
 def delta_op_multicategory(b):
     """Objects [0..b]; mul({[n_i]}; [m]) = monotone [m] -> ∏[n_i];
     substitution composes componentwise."""
@@ -791,7 +763,6 @@ class OperatorCategoryFragment:
 
     def __init__(self, model, N):
         self.model = model
-        self.N = N
         self.objects = []
         for n in range(N + 1):
             self.objects.extend(itertools.product(model.objects, repeat=n))

@@ -9,8 +9,6 @@ level indices.
 
 from __future__ import annotations
 
-import json
-
 from . import intlinalg as la
 from .delta import (MonotoneMap, enumerate_monotone, epi_mono_factorize,
                     factor_into_cofaces, factor_into_codegeneracies)
@@ -42,15 +40,8 @@ class SimplicialSet:
         self._degenerate = None
         if check:
             self._validate()
-        self.skeletal_bound = self._observed_skeletal_bound()
 
     # -- basic access -------------------------------------------------------
-
-    def face(self, k, i, x):
-        return self.faces[(k, i)][x]
-
-    def degen(self, k, i, x):
-        return self.degens[(k, i)][x]
 
     def level_size(self, k):
         return len(self.levels[k])
@@ -67,14 +58,6 @@ class SimplicialSet:
     def nondegenerate_counts(self):
         return tuple(len(self.levels[k]) - len(self.degenerate_set(k))
                      for k in range(self.dim_bound + 1))
-
-    def _observed_skeletal_bound(self):
-        n = 0
-        for k in range(self.dim_bound, -1, -1):
-            if len(self.levels[k]) > len(self.degenerate_set(k)):
-                n = k
-                break
-        return n
 
     # -- validation ---------------------------------------------------------
 
@@ -168,11 +151,6 @@ class SimplicialSet:
                 self.index[k + 1][table[x]] for x in self.levels[k]]
         return payload
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_payload(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
     @classmethod
     def from_payload(cls, payload):
         if payload.get("format") != SSIMP_FORMAT:
@@ -191,60 +169,12 @@ class SimplicialSet:
 
         return cls(D, levels, tables(payload["faces"]), tables(payload["degens"]))
 
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_payload(json.load(fh))
-
     def __eq__(self, other):
         return (isinstance(other, SimplicialSet)
                 and self.dim_bound == other.dim_bound
                 and self.levels == other.levels
                 and self.faces == other.faces
                 and self.degens == other.degens)
-
-
-class SimplicialMap:
-    """A map of simplicial sets: one dict per level, commuting with all
-    operators."""
-
-    def __init__(self, source, target, components, check=True):
-        self.source = source
-        self.target = target
-        self.components = components
-        if check:
-            self._validate()
-
-    def _validate(self):
-        X, Y = self.source, self.target
-        if X.dim_bound != Y.dim_bound:
-            raise ValueError("dim_bound mismatch")
-        for k in range(X.dim_bound + 1):
-            comp = self.components[k]
-            if set(comp) != set(X.levels[k]):
-                raise ValueError(f"component {k} not total")
-        for k in range(1, X.dim_bound + 1):
-            for i in range(k + 1):
-                for x in X.levels[k]:
-                    if self.components[k - 1][X.face(k, i, x)] != \
-                            Y.face(k, i, self.components[k][x]):
-                        raise ValueError(f"map does not commute with d_{i} at level {k}")
-        for k in range(X.dim_bound):
-            for i in range(k + 1):
-                for x in X.levels[k]:
-                    if self.components[k + 1][X.degen(k, i, x)] != \
-                            Y.degen(k, i, self.components[k][x]):
-                        raise ValueError(f"map does not commute with s_{i} at level {k}")
-
-    def __call__(self, k, x):
-        return self.components[k][x]
-
-    def compose(self, other):
-        """self ∘ other."""
-        comps = [{x: self.components[k][other.components[k][x]]
-                  for x in other.source.levels[k]}
-                 for k in range(other.source.dim_bound + 1)]
-        return SimplicialMap(other.source, self.target, comps, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +195,6 @@ def standard_simplex(n, dim_bound):
         for i in range(k + 1):
             degens[(k, i)] = {v: v[:i] + (v[i],) + v[i:] for v in levels[k]}
     return SimplicialSet(dim_bound, levels, faces, degens)
-
-
-def point(dim_bound):
-    return standard_simplex(0, dim_bound)
 
 
 def circle(dim_bound):
@@ -428,12 +354,6 @@ class SimplicialAbelianGroup:
             raise SimplicialIdentityError(str(exc))
         if check:
             self._validate()
-
-    def face(self, k, i):
-        return self.face_mats[(k, i)]
-
-    def degen(self, k, i):
-        return self.degen_mats[(k, i)]
 
     def _validate(self):
         D = self.dim_bound

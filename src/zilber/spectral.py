@@ -36,7 +36,6 @@ class SpectralSequence:
         p_max = F.p_max
         if r_max is None:
             r_max = p_max + 1
-        self.r_max = r_max
         self.r_inf = p_max + 1
         r_top = max(r_max, self.r_inf)
         self.r_top = r_top
@@ -96,9 +95,6 @@ class SpectralSequence:
             out[(p, q)] = (tgt.induced_matrix(amb.diff(p + q), sq.lifts)
                            if tgt and tgt.ngens else la.zeros(0, sq.ngens))
         return out
-
-    def entry(self, r, p, q):
-        return self.pages[r][(p, q)]
 
     def infinity(self):
         return self.pages[self.r_inf]

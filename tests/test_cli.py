@@ -95,9 +95,19 @@ def test_malformed_payload_is_an_input_error(tmp_path, capsys):
     unstaged["p_max"] = 3
     listed = unit_filtration(0).to_payload()
     listed["stages"] = [[]]
-    for command, payload in (("homology", {"format": "ssimp", "version": 1}),
-                             ("homology", short), ("ss", unstaged),
-                             ("ss", listed)):
+    cases = [("homology", {"format": "ssimp", "version": 1}),
+             ("homology", short), ("ss", unstaged), ("ss", listed)]
+    # a differential or a stage outside the degrees of the complex was
+    # once dropped, and the homology of another complex reported, exit 0
+    for key in ("0", "5"):
+        cases.append(("homology", {"format": "chain", "version": 1,
+                                   "ranks": [1, 1],
+                                   "differentials": {"1": [[0]], key: [[7]]}}))
+    for degree in ("-1", "1"):
+        off = unit_filtration(1).to_payload()
+        off["stages"][0][degree] = [[1]]
+        cases.append(("ss", off))
+    for command, payload in cases:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(payload))
         code, rep, err = run(capsys, [command, str(p)])

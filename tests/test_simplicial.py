@@ -12,8 +12,8 @@ from zilber.delta import (enumerate_monotone, epi_mono_factorize,
 from zilber.ez import shuffle_product
 from zilber.filtration import skeletal_filtration
 from zilber.simplicial import (CheckCertificate, SimplicialIdentityError,
-                               SimplicialSet, circle, free_abelian, point,
-                               product, sab_tensor, skeleton,
+                               SimplicialSet, circle, free_abelian, product,
+                               sab_tensor, skeleton,
                                skeleton_product_check, standard_simplex)
 
 
