@@ -6,8 +6,6 @@ corruptions, and random filtrations.
 
 from __future__ import annotations
 
-import copy
-
 from . import intlinalg as la
 from .chains import ChainComplex
 from .doldkan import gamma
@@ -110,10 +108,10 @@ def corrupt_simplicial(rng, A, attempts=8):
         return None
     for _ in range(attempts):
         kind, key = rng.choice(slots)
-        faces = copy.deepcopy(A.face_mats)
-        degens = copy.deepcopy(A.degen_mats)
-        M = faces[key] if kind == "face" else degens[key]
-        i = rng.randrange(len(M))
+        faces, degens = dict(A.face_mats), dict(A.degen_mats)
+        mats = faces if kind == "face" else degens
+        mats[key] = M = la.dense(mats[key])  # a fresh Matrix
+        i = rng.randrange(M.nrows)
         j = rng.randrange(M.ncols)
         M[i][j] += rng.choice([1, -1, 2])
         B = type(A)(A.dim_bound, A.ranks, faces, degens, check=False)

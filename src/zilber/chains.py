@@ -47,7 +47,9 @@ def invariants_of_subquotient(sq):
 class ChainComplex:
     """A nonnegatively graded chain complex of free ℤ-modules, zero above
     top_degree.  diffs[n] is the matrix of d_n : C_n -> C_{n-1} for
-    1 <= n <= top_degree; a missing one is zero."""
+    1 <= n <= top_degree; a missing one is zero.  The complex is sparse,
+    and stores every differential as la.Sparse, if some given one is
+    sparse; otherwise every one is a dense la.Matrix."""
 
     def __init__(self, ranks, diffs):
         self.ranks = list(ranks)
@@ -56,12 +58,14 @@ class ChainComplex:
             if not 1 <= n <= self.top_degree:
                 raise ValueError(f"differential d_{n} lies outside degrees "
                                  f"1..{self.top_degree}")
+        self.sparse = any(isinstance(M, la.Sparse) for M in diffs.values())
         self.diffs = {}
         for n in range(1, self.top_degree + 1):
             M = diffs.get(n)
             r, c = self.ranks[n - 1], self.ranks[n]
-            self.diffs[n] = (la.zeros(r, c) if M is None
-                             else la.as_matrix(M, r, c, f"differential d_{n}"))
+            self.diffs[n] = (la.zeros(r, c, self.sparse) if M is None
+                             else _as_form(M, r, c, f"differential d_{n}",
+                                           self.sparse))
         self._validate()
 
     def rank(self, n):
@@ -73,7 +77,7 @@ class ChainComplex:
         """d_n : C_n -> C_{n-1}; zero matrix outside the stored range."""
         if 1 <= n <= self.top_degree:
             return self.diffs[n]
-        return la.zeros(self.rank(n - 1), self.rank(n))
+        return la.zeros(self.rank(n - 1), self.rank(n), self.sparse)
 
     def _validate(self):
         for n in range(2, self.top_degree + 1):
@@ -90,7 +94,7 @@ class ChainComplex:
             "format": CHAIN_FORMAT,
             "version": CHAIN_VERSION,
             "ranks": self.ranks,
-            "differentials": {str(n): self.diffs[n]
+            "differentials": {str(n): la.dense(self.diffs[n])
                               for n in range(1, self.top_degree + 1)},
         }
 
@@ -107,32 +111,41 @@ def unit_complex():
     return ChainComplex([1], {})
 
 
+def _as_form(M, r, c, what, sparse):
+    return (la.as_sparse if sparse else la.as_matrix)(M, r, c, what)
+
+
 class ChainMap:
-    """A degreewise integer matrix commuting with the differentials."""
+    """A degreewise integer matrix commuting with the differentials, stored
+    as la.Sparse if the source or the target is sparse and as la.Matrix
+    otherwise: a composite of sparse maps between dense complexes, such as
+    projection ∘ ∇ ∘ section, is made dense here."""
 
     def __init__(self, source, target, mats, check=True):
         self.source = source
         self.target = target
+        self.sparse = source.sparse or target.sparse
         self.mats = {}
         for n in range(max(source.top_degree, target.top_degree) + 1):
             M = mats.get(n)
             r, c = target.rank(n), source.rank(n)
-            self.mats[n] = (la.zeros(r, c) if M is None else la.as_matrix(
-                M, r, c, f"chain map component {n}"))
+            self.mats[n] = (la.zeros(r, c, self.sparse) if M is None else
+                            _as_form(M, r, c, f"chain map component {n}",
+                                     self.sparse))
         if check:
             self._validate()
 
     def mat(self, n):
         if n in self.mats:
             return self.mats[n]
-        return la.zeros(self.target.rank(n), self.source.rank(n))
+        return la.zeros(self.target.rank(n), self.source.rank(n), self.sparse)
 
     def _validate(self):
         top = max(self.source.top_degree, self.target.top_degree)
         for n in range(1, top + 1):
             lhs = la.mat_mul(self.mat(n - 1), self.source.diff(n))
             rhs = la.mat_mul(self.target.diff(n), self.mat(n))
-            if lhs != rhs:
+            if not la.mat_eq(lhs, rhs):
                 raise ValueError(f"chain map does not commute with d at degree {n}")
 
     def compose(self, other):
@@ -143,8 +156,8 @@ class ChainMap:
 
 
 def identity_chain_map(C):
-    return ChainMap(C, C, {n: la.identity(C.rank(n)) for n in range(C.top_degree + 1)},
-                    check=False)
+    return ChainMap(C, C, {n: la.identity(C.rank(n), C.sparse)
+                           for n in range(C.top_degree + 1)}, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -273,38 +286,42 @@ class TensorBasis:
 
 
 def tensor(C, D, top_degree=None):
-    """(C ⊗ D, basis): Koszul-signed tensor product, optionally truncated.
+    """(C ⊗ D, basis): Koszul-signed tensor product, optionally truncated;
+    sparse if C or D is.
 
     d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy, so the column block (p, q) of d_n is
     kron(d_p, 1) in row block (p-1, q) and (-1)^p kron(1, d_q) in row block
     (p, q-1).
     """
     tb = TensorBasis(C, D, top_degree)
+    sparse = C.sparse or D.sparse
     diffs = {}
     for n in range(1, tb.top_degree + 1):
-        M = la.zeros(tb.rank(n - 1), tb.rank(n))
+        terms = []
         for p, q, col in tb.blocks(n):
             if p >= 1:
-                la.add_kron(M, C.diff(p), la.identity(D.rank(q)),
-                            tb.offset(n - 1, p - 1), col)
+                terms.append((C.diff(p), la.identity(D.rank(q), sparse),
+                              tb.offset(n - 1, p - 1), col, 1))
             if q >= 1:
-                la.add_kron(M, la.identity(C.rank(p)), D.diff(q),
-                            tb.offset(n - 1, p), col, -1 if p % 2 else 1)
-        diffs[n] = M
+                terms.append((la.identity(C.rank(p), sparse), D.diff(q),
+                              tb.offset(n - 1, p), col, -1 if p % 2 else 1))
+        diffs[n] = la.kron_sum(tb.rank(n - 1), tb.rank(n), terms, sparse)
     E = ChainComplex(tb.ranks, diffs)
     return E, tb
 
 
 def tensor_map(f, g, tb_source, tb_target):
     """(f ⊗ g) between tensor complexes with the given bases: kron(f_p, g_q)
-    from each block (p, q) to the block (p, q) of the target."""
+    from each block (p, q) to the block (p, q) of the target; sparse if f
+    or g is."""
     mats = {}
     for n in range(tb_source.top_degree + 1):
-        M = la.zeros(tb_target.rank(n), tb_source.rank(n))
-        if M:
+        terms = []
+        if tb_target.rank(n):
             for p, q, col in tb_source.blocks(n):
                 fm, gm = f.mat(p), g.mat(q)
-                if fm and gm:  # into a zero group: no target block
-                    la.add_kron(M, fm, gm, tb_target.offset(n, p), col)
-        mats[n] = M
+                if fm.nrows and gm.nrows:  # into a zero group: no target block
+                    terms.append((fm, gm, tb_target.offset(n, p), col, 1))
+        mats[n] = la.kron_sum(tb_target.rank(n), tb_source.rank(n), terms,
+                              f.sparse or g.sparse)
     return mats

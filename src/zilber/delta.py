@@ -260,25 +260,25 @@ class Shuffle:
         if self.sign not in (1, -1):
             raise ValueError("sign must be ±1")
 
-    @property
-    def first_moves(self):
-        """0-based step positions where the first coordinate increases."""
-        return tuple(i - 1 for i in self.interleaving)
-
     def components(self):
-        """The two projections [p+q] -> [p] and [p+q] -> [q] of the chain."""
-        first = set(self.first_moves)
-        a = b = 0
-        xs, ys = [a], [b]
-        for t in range(self.p + self.q):
-            if t in first:
-                a += 1
-            else:
-                b += 1
-            xs.append(a)
-            ys.append(b)
-        return (MonotoneMap(self.p + self.q, self.p, tuple(xs)),
-                MonotoneMap(self.p + self.q, self.q, tuple(ys)))
+        """The two projections [p+q] -> [p] and [p+q] -> [q] of the chain,
+        computed once per shuffle."""
+        return _shuffle_components(self.p, self.q, self.interleaving)
+
+
+@lru_cache(maxsize=None)
+def _shuffle_components(p, q, interleaving):
+    first = {i - 1 for i in interleaving}
+    a = b = 0
+    xs, ys = [a], [b]
+    for t in range(p + q):
+        if t in first:
+            a += 1
+        else:
+            b += 1
+        xs.append(a)
+        ys.append(b)
+    return (MonotoneMap(p + q, p, tuple(xs)), MonotoneMap(p + q, q, tuple(ys)))
 
 
 def shuffle_sign_by_inversions(p, q, interleaving):
@@ -297,14 +297,14 @@ def shuffle_sign_by_inversions(p, q, interleaving):
     return -1 if inv % 2 else 1
 
 
+@lru_cache(maxsize=None)
 def shuffles(p, q):
-    """All (p,q)-shuffles with signs, lexicographic on the interleaving."""
-    out = []
-    for comb_ in combinations(range(1, p + q + 1), p):
-        sign = shuffle_sign_by_inversions(p, q, comb_)
-        out.append(Shuffle(p, q, tuple(comb_), sign))
-    out.sort(key=lambda s: s.interleaving)
-    return out
+    """All (p,q)-shuffles with signs, lexicographic on the interleaving, as
+    a tuple computed once per shape."""
+    return tuple(sorted((Shuffle(p, q, comb_,
+                                 shuffle_sign_by_inversions(p, q, comb_))
+                         for comb_ in combinations(range(1, p + q + 1), p)),
+                        key=lambda s: s.interleaving))
 
 
 def monotone_count(m, n):

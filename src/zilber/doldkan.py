@@ -15,22 +15,18 @@ from .simplicial import SimplicialAbelianGroup
 
 
 def unnormalized_chains(A):
-    """C(A): C_n = A_n with d = Σ (-1)^i d_i, computed once and kept on A."""
+    """C(A): C_n = A_n with d = Σ (-1)^i d_i, sparse, computed once and kept
+    on A."""
     if A.chains is None:
         A.chains = _unnormalized_chains(A)
     return A.chains
 
 
 def _unnormalized_chains(A):
-    diffs = {}
-    for n in range(1, A.dim_bound + 1):
-        M = la.zeros(A.ranks[n - 1], A.ranks[n])
-        for i in range(n + 1):
-            # M += (-1)^i d_i, in place: kron with the 1 x 1 identity is d_i
-            la.add_kron(M, la.identity(1), A.face_mats[(n, i)],
-                        scale=-1 if i % 2 else 1)
-        diffs[n] = M
-    return ChainComplex(A.ranks, diffs)
+    return ChainComplex(A.ranks, {
+        n: la.mat_sum([(-1 if i % 2 else 1, A.face_mats[(n, i)])
+                       for i in range(n + 1)])
+        for n in range(1, A.dim_bound + 1)})
 
 
 @dataclass
@@ -40,17 +36,12 @@ class NormalizationResult:
     projection : C(A) -> normalized (degreewise surjective, kernel the
     degenerate subcomplex); section : normalized -> C(A) is a chain map
     with projection ∘ section = id, landing in the Moore subcomplex.
+    Both are sparse; the normalized complex is dense.
     """
 
     normalized: ChainComplex
     projection: ChainMap
     section: ChainMap
-
-
-def _degenerate_span(A, n):
-    """Generator columns of D_n = Σ_i im(s_i) inside A_n."""
-    return la.hstack(la.zeros(A.ranks[n], 0),
-                     *[A.degen_mats[(n - 1, i)] for i in range(n)])
 
 
 def _degenerate_coordinates(A, n):
@@ -59,100 +50,56 @@ def _degenerate_coordinates(A, n):
     span of those basis vectors); None when some column is not."""
     hit = set()
     for i in range(n):
-        M = A.degen_mats[(n - 1, i)]
-        cols = []
-        for k, row in enumerate(M):
-            nnz = len(row) - row.count(0)
-            if not nnz:
-                continue
-            if row.count(1) != nnz:
+        for col in A.degen_mats[(n - 1, i)]:
+            if len(col) != 1 or col[0][1] != 1:
                 return None
-            hit.add(k)
-            j = -1
-            for _ in range(nnz):
-                j = row.index(1, j + 1)
-                cols.append(j)
-        if len(cols) != M.ncols or len(set(cols)) != M.ncols:
-            return None
+            hit.add(col[0][0])
     return hit
 
 
 def _quotient_by_degenerates(A, n):
     """(proj, lifts): proj : A_n -> A_n / D_n in a chosen basis, and lifts,
-    sparse vectors {index: entry} of A_n that proj sends to that basis."""
+    the columns of A_n that proj sends to that basis, both sparse."""
     rn = A.ranks[n]
     hit = _degenerate_coordinates(A, n)
     if hit is not None:
         # D_n is a coordinate subspace: keep the other coordinates
         keep = [k for k in range(rn) if k not in hit]
-        proj = la.zeros(len(keep), rn)
-        for j, k in enumerate(keep):
-            proj[j][k] = 1
-        return proj, [{k: 1} for k in keep]
-    U, S, _, Uinv, _ = la._smith_with_inverses(_degenerate_span(A, n),
-                                               ("U", "Uinv"))
+        pos = {k: j for j, k in enumerate(keep)}
+        proj = la.Sparse([((pos[k], 1),) if k in pos else ()
+                          for k in range(rn)], len(keep))
+        return proj, la.Sparse([((k, 1),) for k in keep], rn)
+    span = la.hstack(la.zeros(rn, 0, True),
+                     *[A.degen_mats[(n - 1, i)] for i in range(n)])
+    U, S, _, Uinv, _ = la._smith_with_inverses(la.dense(span), ("U", "Uinv"))
     diag = [S[i][i] for i in range(min(la.dims(S)))]
     if any(d not in (0, 1) for d in diag):
         raise ValueError(
             "degenerate subgroup is not a direct summand; "
             "input is not a valid simplicial abelian group")
     r = sum(1 for d in diag if d)
-    lifts = [{i: row[j] for i, row in enumerate(Uinv) if row[j]}
-             for j in range(r, rn)]
-    return la.Matrix(U[r:], rn), lifts
-
-
-def _sparse_action(M):
-    """v -> M v on sparse vectors {index: entry}; each column of M is read
-    the first time it is needed."""
-    cols = {}
-
-    def act(v):
-        out = {}
-        for c, x in v.items():
-            col = cols.get(c)
-            if col is None:
-                col = cols[c] = [(i, row[c]) for i, row in enumerate(M)
-                                 if row[c]]
-            for i, a in col:
-                out[i] = out.get(i, 0) + a * x
-        return {i: x for i, x in out.items() if x}
-    return act
+    lifts = la.Matrix([row[r:] for row in Uinv], rn - r)
+    return la.to_sparse(la.Matrix(U[r:], rn)), la.to_sparse(lifts)
 
 
 def _moore_section(A, n, moore, lifts):
-    """P_n applied to each lift, as sparse vectors, where P_n is the
-    idempotent of A_n onto the Moore subgroup with kernel D_n, applying the
-    rightmost factor first:
+    """P_n applied to the lifts, where P_n is the idempotent of A_n onto
+    the Moore subgroup with kernel D_n, applying the rightmost factor
+    first:
     upper P_n = (1 - s_0 d_1)(1 - s_1 d_2)⋯(1 - s_{n-1} d_n),
     lower P_n = (1 - s_{n-1} d_{n-1})⋯(1 - s_0 d_0).
     Raises ValueError unless the Moore faces (d_1..d_n, resp. d_0..d_{n-1})
     kill every result."""
     steps = ([(i, i + 1) for i in reversed(range(n))] if moore == "upper"
              else [(i, i) for i in range(n)])
-    acts = [(_sparse_action(A.degen_mats[(n - 1, i)]),
-             _sparse_action(A.face_mats[(n, j)])) for i, j in steps]
-    out = []
-    for v in lifts:
-        for s, d in acts:
-            v = dict(v)
-            for i, x in s(d(v)).items():
-                v[i] = v.get(i, 0) - x
-        v = {i: x for i, x in v.items() if x}
-        if any(d(v) for _, d in acts):
-            raise ValueError("section leaves the Moore subcomplex; "
-                             "input is not a valid simplicial abelian group")
-        out.append(v)
-    return out
-
-
-def _sparse_matrix(cols, nrows):
-    """The nrows-row Matrix whose columns are the sparse vectors cols."""
-    M = la.zeros(nrows, len(cols))
-    for j, v in enumerate(cols):
-        for i, x in v.items():
-            M[i][j] = x
-    return M
+    ops = [(A.degen_mats[(n - 1, i)], A.face_mats[(n, j)]) for i, j in steps]
+    V = lifts
+    for s, d in ops:
+        V = la.mat_sum([(1, V), (-1, la.mat_mul(s, la.mat_mul(d, V)))])
+    if not all(la.is_zero(la.mat_mul(d, V)) for _, d in ops):
+        raise ValueError("section leaves the Moore subcomplex; "
+                         "input is not a valid simplicial abelian group")
+    return V
 
 
 def normalize(A, moore="upper"):
@@ -186,23 +133,20 @@ def normalize(A, moore="upper"):
 def _normalize(A, moore):
     C = unnormalized_chains(A)
     D = A.dim_bound
-    projs = {}
-    cols = {}  # the section's columns, as sparse vectors
+    projs, secs = {}, {}
     for n in range(D + 1):
         projs[n], lifts = _quotient_by_degenerates(A, n)
-        cols[n] = _moore_section(A, n, moore, lifts)
-    nranks = [len(cols[n]) for n in range(D + 1)]
-    ndiffs = {}
-    for n in range(1, D + 1):
-        d, proj = _sparse_action(C.diff(n)), _sparse_action(projs[n - 1])
-        ndiffs[n] = _sparse_matrix([proj(d(v)) for v in cols[n]], nranks[n - 1])
-    N = ChainComplex(nranks, ndiffs)
+        secs[n] = _moore_section(A, n, moore, lifts)
+    nranks = [secs[n].ncols for n in range(D + 1)]
+    # proj ∘ d ∘ section lands in the normalized complex: made dense here
+    N = ChainComplex(nranks, {
+        n: la.dense(la.mat_mul(projs[n - 1], la.mat_mul(C.diff(n), secs[n])))
+        for n in range(1, D + 1)})
     projection = ChainMap(C, N, projs)
-    section = ChainMap(N, C, {n: _sparse_matrix(cols[n], A.ranks[n])
-                              for n in range(D + 1)})
+    section = ChainMap(N, C, secs)
     for n in range(D + 1):
-        proj = _sparse_action(projs[n])
-        if any(proj(v) != {j: 1} for j, v in enumerate(cols[n])):
+        if not la.mat_eq(la.mat_mul(projs[n], secs[n]),
+                         la.identity(nranks[n], True)):
             raise AssertionError("projection ∘ section is not the identity")
     return NormalizationResult(N, projection, section)
 
@@ -265,23 +209,25 @@ def _gamma_component(C, eta, alpha):
 
 
 def gamma_operator(C, alpha, basis_by_level):
-    """Matrix of Γ(C)(alpha) : Γ(C)_n -> Γ(C)_m for alpha : [m] -> [n]."""
+    """Sparse matrix of Γ(C)(alpha) : Γ(C)_n -> Γ(C)_m for alpha : [m] -> [n]."""
     m, n = alpha.domain_top, alpha.codomain_top
     src = basis_by_level[n]
     tgt = basis_by_level[m]
     pos = {b: i for i, b in enumerate(tgt)}
-    M = la.zeros(len(tgt), len(src))
-    for col, (eta, t) in enumerate(src):
+    cols = []
+    for eta, t in src:
         eta_prime, mode, k = _gamma_component(C, eta, alpha)
         if mode == "id":
-            M[pos[(eta_prime, t)]][col] += 1
+            cols.append(((pos[(eta_prime, t)], 1),))
         elif mode == "d":
-            d = C.diff(k)
-            for t2 in range(C.rank(k - 1)):
-                v = d[t2][t]
-                if v:
-                    M[pos[(eta_prime, t2)]][col] += v
-    return M
+            # the generators of one summand are consecutive in the basis,
+            # so rows ascend with t2
+            d = la.dense(C.diff(k))
+            cols.append(tuple((pos[(eta_prime, t2)], d[t2][t])
+                              for t2 in range(C.rank(k - 1)) if d[t2][t]))
+        else:
+            cols.append(())
+    return la.Sparse(cols, len(tgt))
 
 
 def gamma(C, dim_bound):
@@ -303,17 +249,17 @@ def gamma(C, dim_bound):
 def gamma_normalize_comparison(A):
     """The canonical comparison Γ(𝒩(A)) -> A: per level, a square integer
     matrix; returns the list of matrices.  The comparison is an isomorphism
-    iff every matrix is unimodular."""
+    iff every matrix is unimodular.  The columns of the summand of the
+    surjection eta : [n] ->> [k] are those of A(eta) ∘ section_k, in the
+    order of gamma_basis."""
     nres = normalize(A)
     N = nres.normalized
     mats = []
     for n in range(A.dim_bound + 1):
-        cols = []
-        for (eta, t) in gamma_basis(N, n):
-            op = A.operator_matrix(eta)
-            sec_col = [row[t] for row in nres.section.mat(eta.codomain_top)]
-            cols.append(la.mat_vec(op, sec_col))
-        mats.append(la.from_columns(cols, A.ranks[n]))
+        blocks = [la.mat_mul(A.operator_matrix(eta), nres.section.mat(k))
+                  for k in range(min(n, N.top_degree) + 1)
+                  for eta in enumerate_surjections(n, k)]
+        mats.append(la.dense(la.hstack(*blocks)))
     return mats
 
 
@@ -330,11 +276,10 @@ def normalized_gamma_comparison(C, dim_bound):
     sign = 1
     for n in range(dim_bound + 1):
         basis = gamma_basis(C, n)
-        incl = la.zeros(len(basis), C.rank(n))
-        for row, (eta, t) in enumerate(basis):
-            if eta.domain_top == eta.codomain_top == n and t < C.rank(n):
-                incl[row][t] = 1
-        mats[n] = la.mat_scale(sign, la.mat_mul(nres.projection.mat(n), incl))
+        incl = la.Sparse([((row, 1),) for row, (eta, _) in enumerate(basis)
+                          if eta.codomain_top == n], len(basis))
+        mats[n] = la.mat_scale(sign, la.dense(
+            la.mat_mul(nres.projection.mat(n), incl)))
         sign = sign * (-1 if (n + 1) % 2 else 1)
     return ChainMap(C, N, mats)
 

@@ -22,8 +22,20 @@ def back_face(n, q):
     return MonotoneMap(q, n, tuple(range(n - q, n + 1)))
 
 
+def _shuffle_terms(A, B, p, q, col):
+    """The kron_sum terms of ∇ on the column block (p, q) at column col:
+    sign · kron(A(s_a), B(s_b)) over the (p,q)-shuffles, with (s_a, s_b)
+    the components of the shuffle's lattice path."""
+    terms = []
+    for sh in shuffles(p, q):
+        s_a, s_b = sh.components()
+        terms.append((A.operator_matrix(s_a), B.operator_matrix(s_b), 0, col,
+                      sh.sign))
+    return terms
+
+
 def unnormalized_shuffle(A, B):
-    """∇ : C(A) ⊗ C(B) -> C(A⊗B).
+    """∇ : C(A) ⊗ C(B) -> C(A⊗B), sparse.
 
     On bidegree (p, q) the column of x ⊗ y is the signed sum over all
     (p,q)-shuffles of (degenerate image of x) ⊗ (degenerate image of y),
@@ -39,15 +51,10 @@ def unnormalized_shuffle(A, B):
     CB = unnormalized_chains(B)
     CAB = unnormalized_chains(AB)
     T, tb = tensor(CA, CB, top_degree=D)
-    mats = {}
-    for n in range(D + 1):
-        M = la.zeros(CAB.rank(n), T.rank(n))
-        for p, q, col in tb.blocks(n):
-            for sh in shuffles(p, q):
-                s_a, s_b = sh.components()
-                la.add_kron(M, A.operator_matrix(s_a), B.operator_matrix(s_b),
-                            0, col, sh.sign)
-        mats[n] = M
+    mats = {n: la.kron_sum(CAB.rank(n), T.rank(n),
+                           [term for p, q, col in tb.blocks(n)
+                            for term in _shuffle_terms(A, B, p, q, col)], True)
+            for n in range(D + 1)}
     return ChainMap(T, CAB, mats), tb, AB
 
 
@@ -94,13 +101,11 @@ class _ShuffleProduct:
         the normalizations."""
         A, B, tb = self.A, self.B, self.unnormalized_basis
         T, CAB = self.unnormalized.source, self.unnormalized.target
-        mats = {}
-        for n in range(A.dim_bound + 1):
-            M = la.zeros(T.rank(n), CAB.rank(n))
-            for p, q, row in tb.blocks(n):
-                la.add_kron(M, A.operator_matrix(front_face(n, p)),
-                            B.operator_matrix(back_face(n, q)), row, 0)
-            mats[n] = M
+        mats = {n: la.kron_sum(T.rank(n), CAB.rank(n), [
+            (A.operator_matrix(front_face(n, p)),
+             B.operator_matrix(back_face(n, q)), row, 0, 1)
+            for p, q, row in tb.blocks(n)], True)
+            for n in range(A.dim_bound + 1)}
         aw_un = ChainMap(CAB, T, mats)
         projproj = ChainMap(T, self.source,
                             tensor_map(self.norm_A.projection,
@@ -149,16 +154,14 @@ def _koszul_swap(tb_src, tb_tgt):
 
 def _simplicial_swap_chain(ab, ba):
     """The levelwise transposition C(A⊗B) -> C(B⊗A) between the
-    unnormalized targets of the shuffle products ab and ba, as a chain map."""
+    unnormalized targets of the shuffle products ab and ba, as a sparse
+    chain map."""
     A, B = ab.A, ab.B
     mats = {}
     for n in range(A.dim_bound + 1):
         an, bn = A.ranks[n], B.ranks[n]
-        M = la.zeros(bn * an, an * bn)
-        for a in range(an):
-            for b in range(bn):
-                M[b * an + a][a * bn + b] = 1
-        mats[n] = M
+        mats[n] = la.Sparse([((b * an + a, 1),) for a in range(an)
+                             for b in range(bn)], bn * an)
     return ChainMap(ab.unnormalized.target, ba.unnormalized.target, mats)
 
 
@@ -190,7 +193,7 @@ def _tensor_associator(tb_left, tb_ab, tb_right, tb_bc):
     of D_q ⊗ E_r into (D⊗E)_{q+r}."""
     mats = {}
     for n in range(tb_left.top_degree + 1):
-        M = la.zeros(tb_right.rank(n), tb_left.rank(n))
+        terms = []
         for m, r, col in tb_left.blocks(n):
             re = tb_left.D.rank(r)
             for p, q, inner in tb_ab.blocks(m):
@@ -201,9 +204,9 @@ def _tensor_associator(tb_left, tb_ab, tb_right, tb_bc):
                 at = tb_bc.offset(s, q)
                 inclusion = la.vstack(la.zeros(at, width), la.identity(width),
                                       la.zeros(tb_bc.rank(s) - at - width, width))
-                la.add_kron(M, la.identity(tb_ab.C.rank(p)), inclusion,
-                            tb_right.offset(n, p), col + inner * re)
-        mats[n] = M
+                terms.append((la.identity(tb_ab.C.rank(p)), inclusion,
+                              tb_right.offset(n, p), col + inner * re, 1))
+        mats[n] = la.kron_sum(tb_right.rank(n), tb_left.rank(n), terms)
     return mats
 
 
@@ -251,21 +254,26 @@ def associativity_check(A, B, C):
     return CheckCertificate(True, detail="∇ is associative")
 
 
+def _edge_map(n, k):
+    """[n] -> [k] for k in (0, n): the constant map or the identity."""
+    return MonotoneMap(n, k, tuple(range(n + 1)) if k else (0,) * (n + 1))
+
+
 def unitality_check(A, B):
     """Certifies that the unnormalized ∇ on bidegrees (p, 0) and (0, q) is
     the canonical identification x⊗y -> x·(iterated degeneracy of y) (and
-    symmetrically), i.e. the single trivial shuffle with sign +1."""
-    nabla, tb, AB = unnormalized_shuffle(A, B)
+    symmetrically), i.e. the single trivial shuffle with sign +1.  Only
+    those edge blocks of ∇ are built, each as the signed sum over its
+    shuffles, and compared column by column."""
     for n in range(A.dim_bound + 1):
-        M = nabla.mat(n)
-        for p, q, off in tb.blocks(n):
-            if p and q:
-                continue
-            s_a, s_b = shuffles(p, q)[0].components()
-            want = la.columns(la.kron(A.operator_matrix(s_a),
-                                      B.operator_matrix(s_b)))
-            for c, column in enumerate(want):
-                if any(row[off + c] != x for row, x in zip(M, column)):
+        rows = A.ranks[n] * B.ranks[n]
+        for p, q in ((n, 0), (0, n)) if n else ((0, 0),):
+            got = la.kron_sum(rows, A.ranks[p] * B.ranks[q],
+                              _shuffle_terms(A, B, p, q, 0), True)
+            want = la.kron(A.operator_matrix(_edge_map(n, p)),
+                           B.operator_matrix(_edge_map(n, q)))
+            for c, (x, y) in enumerate(zip(got, want)):
+                if x != y:
                     i, j = divmod(c, B.ranks[q])
                     return CheckCertificate(
                         False, witness=(n, p, i, q, j),

@@ -131,7 +131,7 @@ def skeletal_filtration(A):
             cols = la.hstack(*[A.operator_matrix(eta) for j in range(p + 1)
                                for eta in enumerate_surjections(k, j)])
             stages[p][k] = la.image_basis(
-                la.mat_mul(nres.projection.mat(k), cols))
+                la.dense(la.mat_mul(nres.projection.mat(k), cols)))
         for p in range(k + 1, D + 1):
             stages[p][k] = stages[k][k]
     return FilteredChainComplex(nres.normalized, stages, D)
@@ -141,22 +141,22 @@ def _tensor_column(tb, p, x, q, y):
     """The coordinates of x ⊗ y in degree p + q of the tensor complex with
     basis tb, for x of degree p and y of degree q."""
     n = p + q
-    col = la.zeros(tb.rank(n), 1)
-    la.add_kron(col, la.Matrix([[u] for u in x], 1),
-                la.Matrix([[v] for v in y], 1), tb.offset(n, p))
+    col = la.kron_sum(tb.rank(n), 1, [(la.Matrix([[u] for u in x], 1),
+                                       la.Matrix([[v] for v in y], 1),
+                                       tb.offset(n, p), 0, 1)])
     return [v for v, in col]
 
 
 def _kron_columns(nrows, pieces):
     """The nrows-row matrix whose columns are those of kron(X, Y), moved
     down to row offset off, for (off, X, Y) in pieces, left to right."""
-    pieces = [(off, X, Y) for off, X, Y in pieces if X.ncols and Y.ncols]
-    M = la.zeros(nrows, sum(X.ncols * Y.ncols for _, X, Y in pieces))
+    terms = []
     col = 0
     for off, X, Y in pieces:
-        la.add_kron(M, X, Y, off, col)
-        col += X.ncols * Y.ncols
-    return M
+        if X.ncols and Y.ncols:
+            terms.append((X, Y, off, col, 1))
+            col += X.ncols * Y.ncols
+    return la.kron_sum(nrows, col, terms)
 
 
 def day_convolution(F, G):

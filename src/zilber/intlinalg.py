@@ -1,13 +1,30 @@
 """Exact integer linear algebra: Smith normal form, kernels, spans, subquotients.
 
-A matrix is a ``Matrix``: the list of its rows, each a plain list of Python
-ints, which also carries its column count, so that a matrix with no rows or
-no columns keeps its shape.  Everything here is exact; there is no floating
-point anywhere in this package.
+A matrix comes in one of two forms, both with ``nrows`` and ``ncols``, so
+that a matrix with no rows or no columns keeps its shape:
 
-``add_kron`` adds a scaled Kronecker product into a block of a matrix; it
-is the one way tensor-product matrices are built (``kron``, ``sab_tensor``
-and the block layout of ``chains.TensorBasis``).
+- ``Matrix``, dense: the list of its rows, each a plain list of Python ints.
+  The normalized complexes, every Smith normal form and all of
+  ``spectral`` use it.
+- ``Sparse``: the tuple of its columns, each a tuple of ``(row, value)``
+  pairs with nonzero values, rows ascending.  Every object whose rank is
+  the unnormalized rank uses it: the faces and degeneracies of a
+  simplicial abelian group and every X(f), the unnormalized chains C(A),
+  the unnormalized ∇ and AW, and the C(A) side of each projection and
+  section.  For ℤ[X] each column of an operator is one ``(row, 1)`` pair,
+  so products and Kronecker products are index arithmetic.
+
+``mat_mul``, ``mat_eq``, ``is_zero``, ``hstack`` and ``kron`` take either
+form, and an operation with a ``Sparse`` operand gives a ``Sparse``; the
+signed sum ``mat_sum`` gives a ``Sparse``.  ``dense`` converts where a composite of sparse maps lands in
+a normalized complex (``chains.ChainMap`` stores a map between two dense
+complexes densely) or reaches a Smith normal form.  Everything here is
+exact; there is no floating point anywhere in this package.
+
+``kron_sum`` adds scaled Kronecker products into blocks of a matrix of
+either form; it is the one way tensor-product matrices are built
+(``kron``, ``sab_tensor``, ∇, AW and the block layout of
+``chains.TensorBasis``).
 
 Every solver runs one Smith normal form U*M*V = S and builds only the
 transforms it reads: ``snf_diagonal``, ``rank`` and ``spans_lattice`` none,
@@ -35,21 +52,76 @@ class Matrix(list):
         self.extend(rows)
         self.ncols = ncols
 
+    nrows = property(list.__len__)
+
+
+class Sparse(tuple):
+    """A sparse integer matrix: the tuple of its columns, each a tuple of
+    (row, value) pairs with nonzero values and rows ascending, plus
+    ``nrows``.  Immutable, so matrices share columns freely.  Indexing,
+    ``len`` (the column count), iteration, equality and JSON encoding are
+    those of the column tuple; ``mat_eq`` also compares shapes.  Tested
+    with ``type(M) is Sparse``, which is cheaper than isinstance on the
+    many small dense matrices: not to be subclassed."""
+
+    def __new__(cls, cols, nrows):
+        self = super().__new__(cls, cols)
+        self.nrows = nrows
+        return self
+
+    def __getnewargs__(self):
+        return tuple(self), self.nrows
+
+    @property
+    def ncols(self):
+        return len(self)
+
 
 def as_matrix(M, r, c=None, what="matrix"):
     """M as an r x c Matrix, or ValueError if it has another shape.  A
-    Matrix is checked by its recorded shape and returned as is; a list of
-    rows (outside input) is checked row by row.  With c None any width is
-    accepted, and a list with no rows has none."""
-    if isinstance(M, Matrix):
+    Matrix is checked by its recorded shape and returned as is, a Sparse
+    is checked and made dense; a list of rows (outside input) is checked
+    row by row.  With c None any width is accepted, and a list with no rows
+    has none."""
+    if isinstance(M, (Matrix, Sparse)):
         if dims(M) != (r, M.ncols if c is None else c):
             raise ValueError(f"{what} has wrong shape")
-        return M
+        return dense(M)
     if c is None:
         c = len(M[0]) if M else 0
     if len(M) != r or any(len(row) != c for row in M):
         raise ValueError(f"{what} has wrong shape")
     return Matrix(M, c)
+
+
+def as_sparse(M, r, c, what="matrix"):
+    """M as an r x c Sparse (see as_matrix)."""
+    if type(M) is Sparse:
+        if dims(M) != (r, c):
+            raise ValueError(f"{what} has wrong shape")
+        return M
+    return to_sparse(as_matrix(M, r, c, what))
+
+
+def to_sparse(M):
+    """M as a Sparse; a Sparse is returned as is."""
+    if type(M) is Sparse:
+        return M
+    if not M:
+        return zeros(0, M.ncols, True)
+    return Sparse([tuple((i, x) for i, x in enumerate(col) if x)
+                   for col in zip(*M)], len(M))
+
+
+def dense(M):
+    """M as a Matrix; a Matrix is returned as is."""
+    if type(M) is not Sparse:
+        return M
+    out = zeros(M.nrows, M.ncols)
+    for j, col in enumerate(M):
+        for i, x in col:
+            out[i][j] = x
+    return out
 
 
 def _eye(n):
@@ -59,16 +131,45 @@ def _eye(n):
     return rows
 
 
-def zeros(rows, cols):
+def zeros(rows, cols, sparse=False):
+    if sparse:
+        return Sparse(((),) * cols, rows)
     return Matrix([[0] * cols for _ in range(rows)], cols)
 
 
-def identity(n):
+def identity(n, sparse=False):
+    if sparse:
+        return Sparse([((j, 1),) for j in range(n)], n)
     return Matrix(_eye(n), n)
 
 
 def dims(M):
+    if type(M) is Sparse:
+        return M.nrows, len(M)
     return len(M), M.ncols
+
+
+def _column(pairs):
+    """The canonical column of a list of (row, value) pairs with nonzero
+    values: equal rows summed, zeros dropped, rows ascending."""
+    if len(pairs) < 2:
+        return tuple(pairs)
+    if len(dict(pairs)) == len(pairs):
+        pairs.sort()
+        return tuple(pairs)
+    acc = {}  # some row repeats: sum its values
+    for i, x in pairs:
+        acc[i] = acc.get(i, 0) + x
+    if 0 in acc.values():
+        return tuple([t for t in sorted(acc.items()) if t[1]])
+    return tuple(sorted(acc.items()))
+
+
+def _is_sparse(*mats):
+    for M in mats:
+        if type(M) is Sparse:
+            return True
+    return False
 
 
 def mat_scale(k, M):
@@ -76,12 +177,26 @@ def mat_scale(k, M):
 
 
 def mat_mul(A, B):
-    """A * B, touching only the products of nonzero entries: compress skips
-    the zeros of each row of A and of each row of B it meets."""
+    """A * B, touching only the products of nonzero entries.  Dense: compress
+    skips the zeros of each row of A and of each row of B it meets.  Sparse
+    (if either factor is): each column of B picks the columns of A it
+    names, and a column (k, 1) of B is column k of A, shared."""
     ra, ca = dims(A)
     rb, cb = dims(B)
     if ca != rb:
         raise ValueError(f"dimension mismatch in mat_mul: {ra}x{ca} times {rb}x{cb}")
+    if type(A) is Sparse or type(B) is Sparse:
+        A, B = to_sparse(A), to_sparse(B)
+        out = []
+        for Bj in B:
+            if len(Bj) != 1:
+                out.append(_column([(i, a * b) for k, b in Bj for i, a in A[k]]))
+            elif Bj[0][1] == 1:
+                out.append(A[Bj[0][0]])
+            else:
+                k, b = Bj[0]
+                out.append(tuple([(i, a * b) for i, a in A[k]]))
+        return Sparse(out, ra)
     out = zeros(ra, cb)
     cols = range(cb)
     for Ai, Oi in zip(A, out):
@@ -91,29 +206,52 @@ def mat_mul(A, B):
     return out
 
 
+def mat_sum(terms):
+    """The signed sum Σ scale * M over (scale, M) in terms, a nonempty list
+    of matrices of one shape, as a Sparse."""
+    shape = dims(terms[0][1])
+    if any(dims(M) != shape for _, M in terms):
+        raise ValueError("shape mismatch in mat_sum")
+    scales = [scale for scale, _ in terms if scale]
+    mats = [to_sparse(M) for scale, M in terms if scale]
+    return Sparse([_column([(i, s * x) for s, col in zip(scales, cols)
+                            for i, x in col]) for cols in zip(*mats)]
+                  if mats else ((),) * shape[1], shape[0])
+
+
 def mat_vec(M, v):
     return [sum(a * b for a, b in zip(row, v)) for row in M]
 
 
 def mat_eq(A, B):
-    return dims(A) == dims(B) and all(ra == rb for ra, rb in zip(A, B))
+    if dims(A) != dims(B):
+        return False
+    if _is_sparse(A, B):
+        return tuple.__eq__(to_sparse(A), to_sparse(B))
+    return all(ra == rb for ra, rb in zip(A, B))
 
 
 def is_zero(M):
+    if type(M) is Sparse:
+        return not any(M)
     return all(all(x == 0 for x in row) for row in M)
 
 
 def hstack(*mats):
-    """Concatenate matrices horizontally.  All must have the same row count."""
-    r = len(mats[0])
-    if any(len(M) != r for M in mats):
+    """Concatenate matrices horizontally.  All must have the same row count;
+    the result is sparse if any of them is."""
+    r = mats[0].nrows
+    if any(M.nrows != r for M in mats):
         raise ValueError("row count mismatch in hstack")
+    if _is_sparse(*mats):
+        return Sparse([col for M in mats for col in to_sparse(M)], r)
     return Matrix([[x for row in rows for x in row] for rows in zip(*mats)],
                   sum(M.ncols for M in mats))
 
 
 def vstack(*mats):
-    """Concatenate matrices vertically.  All must have the same column count."""
+    """Concatenate dense matrices vertically.  All must have the same column
+    count."""
     c = mats[0].ncols
     if any(M.ncols != c for M in mats):
         raise ValueError("column count mismatch in vstack")
@@ -131,8 +269,8 @@ def from_columns(cols, nrows):
 
 def add_kron(M, A, B, row=0, col=0, scale=1):
     """M[row + i*rb + k][col + j*cb + l] += scale * A[i][j] * B[k][l]: adds
-    scale * kron(A, B) into the block of M at (row, col), in place, touching
-    only the products of nonzero entries."""
+    scale * kron(A, B) into the block of the dense M at (row, col), in
+    place, touching only the products of nonzero entries."""
     rb, cb = dims(B)
     nonzero_B = [[(l, b) for l, b in enumerate(Bk) if b] for Bk in B]
     for i, Ai in enumerate(A):
@@ -146,11 +284,38 @@ def add_kron(M, A, B, row=0, col=0, scale=1):
                         Mk[c + l] += a * b
 
 
+def kron_sum(nrows, ncols, terms, sparse=False):
+    """The nrows x ncols matrix Σ scale * kron(A, B), each product with its
+    top left entry at (row, col), over (A, B, row, col, scale) in terms:
+    a Sparse if sparse, else a Matrix built by add_kron."""
+    if not sparse:
+        M = zeros(nrows, ncols)
+        for A, B, row, col, scale in terms:
+            add_kron(M, dense(A), dense(B), row, col, scale)
+        return M
+    cols = [[] for _ in range(ncols)]
+    for A, B, row, col, scale in terms:
+        if not scale:
+            continue
+        B = to_sparse(B)
+        rb, cb = dims(B)
+        for j, Aj in enumerate(to_sparse(A)):
+            if not Aj:
+                continue
+            blocks = [(row + i * rb, scale * a) for i, a in Aj]
+            for Bl, out in zip(B, cols[col + j * cb:col + (j + 1) * cb]):
+                out.extend((r + k, s * b) for r, s in blocks for k, b in Bl)
+    return Sparse(list(map(_column, cols)), nrows)
+
+
 def kron(A, B):
-    """Kronecker product: (A ⊗ B)[i*rb+k][j*cb+l] = A[i][j]*B[k][l]."""
-    out = zeros(len(A) * len(B), A.ncols * B.ncols)
-    add_kron(out, A, B)
-    return out
+    """Kronecker product: (A ⊗ B)[i*rb+k][j*cb+l] = A[i][j]*B[k][l]; sparse
+    if either factor is."""
+    if not _is_sparse(A, B):
+        return kron_sum(A.nrows * B.nrows, A.ncols * B.ncols, [(A, B, 0, 0, 1)])
+    A, B, rb = to_sparse(A), to_sparse(B), B.nrows
+    return Sparse([tuple([(i * rb + k, a * b) for i, a in Aj for k, b in Bl])
+                   for Aj in A for Bl in B], A.nrows * rb)
 
 
 ALL_TRANSFORMS = frozenset(("U", "V", "Uinv", "Vinv"))

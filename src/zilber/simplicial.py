@@ -18,6 +18,19 @@ class SimplicialIdentityError(ValueError):
     """Raised when operator data violates a simplicial identity."""
 
 
+def _reject_unknown_operators(faces, degens, D, what):
+    """Raise for a face or degeneracy key (k, i) that no D-truncated object
+    has: faces need 1 <= k <= D, degeneracies 0 <= k < D, and 0 <= i <= k."""
+    for table, levels, kind in ((faces, range(1, D + 1), "face"),
+                                (degens, range(D), "degeneracy")):
+        keys = {(k, i) for k in levels for i in range(k + 1)}
+        for key in table:
+            if key not in keys:
+                raise SimplicialIdentityError(
+                    f"{kind} {key} is not an operator of a {D}-truncated "
+                    f"{what}")
+
+
 SSIMP_FORMAT = "ssimp"
 SSIMP_VERSION = 1
 
@@ -63,6 +76,7 @@ class SimplicialSet:
 
     def _validate(self):
         D = self.dim_bound
+        _reject_unknown_operators(self.faces, self.degens, D, "simplicial set")
         lv_sets = [set(lv) for lv in self.levels]
         for k in range(1, D + 1):
             for i in range(k + 1):
@@ -326,7 +340,9 @@ def skeleton_product_check(X, Y, p, q, n):
 
 class SimplicialAbelianGroup:
     """A D-truncated simplicial abelian group: free ℤ-modules per level with
-    integer matrices for faces and degeneracies.  Not mutated after
+    integer matrices for faces and degeneracies, stored as la.Sparse (the
+    constructor also takes dense matrices or row lists, and rejects an
+    operator at an index the truncation does not have).  Not mutated after
     construction, so doldkan keeps C(A) in chains (None until asked for)
     and normalize's result per Moore convention in normalizations, and
     operator_matrix keeps X(f) per monotone map f in operators."""
@@ -339,13 +355,15 @@ class SimplicialAbelianGroup:
         self.ranks = r = list(ranks)
         if len(self.ranks) != dim_bound + 1:
             raise ValueError("ranks must have dim_bound + 1 entries")
+        _reject_unknown_operators(face_mats, degen_mats, dim_bound,
+                                  "simplicial abelian group")
         try:
             self.face_mats = {
-                (k, i): la.as_matrix(face_mats[(k, i)], r[k - 1], r[k],
+                (k, i): la.as_sparse(face_mats[(k, i)], r[k - 1], r[k],
                                      f"face matrix ({k},{i})")
                 for k in range(1, dim_bound + 1) for i in range(k + 1)}
             self.degen_mats = {
-                (k, i): la.as_matrix(degen_mats[(k, i)], r[k + 1], r[k],
+                (k, i): la.as_sparse(degen_mats[(k, i)], r[k + 1], r[k],
                                      f"degeneracy matrix ({k},{i})")
                 for k in range(dim_bound) for i in range(k + 1)}
         except KeyError as exc:
@@ -379,7 +397,7 @@ class SimplicialAbelianGroup:
                 for i in range(k + 2):
                     got = la.mat_mul(F[(k + 1, i)], S[(k, j)])
                     if i == j or i == j + 1:
-                        want = la.identity(self.ranks[k])
+                        want = la.identity(self.ranks[k], True)
                     elif i < j:
                         want = la.mat_mul(S[(k - 1, j - 1)], F[(k, i)])
                     else:
@@ -398,7 +416,7 @@ class SimplicialAbelianGroup:
             return self.operators[f]
         epi, mono = epi_mono_factorize(f)
         level = f.codomain_top
-        M = la.identity(self.ranks[level])
+        M = la.identity(self.ranks[level], True)
         for i in factor_into_cofaces(mono):
             M = la.mat_mul(self.face_mats[(level, i)], M)
             level -= 1
@@ -410,32 +428,28 @@ class SimplicialAbelianGroup:
 
 
 def free_abelian(X):
-    """ℤ[X]: rank |X_k| per level, operators as 0/1 matrices in the order of
-    X.levels."""
+    """ℤ[X]: rank |X_k| per level, each operator column the unit vector of
+    the image simplex, in the order of X.levels."""
     D = X.dim_bound
     ranks = [len(X.levels[k]) for k in range(D + 1)]
-    face_mats = {}
-    degen_mats = {}
-    for k in range(1, D + 1):
-        for i in range(k + 1):
-            M = la.zeros(ranks[k - 1], ranks[k])
-            f = X.faces[(k, i)]
-            for j, x in enumerate(X.levels[k]):
-                M[X.index[k - 1][f[x]]][j] = 1
-            face_mats[(k, i)] = M
-    for k in range(D):
-        for i in range(k + 1):
-            M = la.zeros(ranks[k + 1], ranks[k])
-            s = X.degens[(k, i)]
-            for j, x in enumerate(X.levels[k]):
-                M[X.index[k + 1][s[x]]][j] = 1
-            degen_mats[(k, i)] = M
+
+    def unit_columns(table, k, image_level):
+        index = X.index[image_level]
+        return la.Sparse([((index[table[x]], 1),) for x in X.levels[k]],
+                         ranks[image_level])
+
+    face_mats = {(k, i): unit_columns(X.faces[(k, i)], k, k - 1)
+                 for k in range(1, D + 1) for i in range(k + 1)}
+    degen_mats = {(k, i): unit_columns(X.degens[(k, i)], k, k + 1)
+                  for k in range(D) for i in range(k + 1)}
     return SimplicialAbelianGroup(D, ranks, face_mats, degen_mats, check=False)
 
 
 def sab_tensor(A, B):
     """Levelwise tensor product of simplicial abelian groups (Kronecker
-    operators); the basis at level k is ordered (a-index major)."""
+    operators); the basis at level k is ordered (a-index major).  On sparse
+    operators with unit columns, as for ℤ[X], each column of a Kronecker
+    product is the one pair (i * rank_B + k, 1): index arithmetic."""
     if A.dim_bound != B.dim_bound:
         raise ValueError("dim_bound mismatch")
     D = A.dim_bound

@@ -107,6 +107,14 @@ def test_malformed_payload_is_an_input_error(tmp_path, capsys):
         off = unit_filtration(1).to_payload()
         off["stages"][0][degree] = [[1]]
         cases.append(("ss", off))
+    # operator tables at indices no 2-truncated simplicial set has were
+    # once kept (and written back out by to_payload), exit 0
+    extra_face, extra_degen = ("faces", "1,7", [0, 0]), ("degens", "0,3", [0])
+    for tables in ([extra_face], [extra_degen], [extra_face, extra_degen]):
+        extra = circle(2).to_payload()
+        for table, key, values in tables:
+            extra[table][key] = values
+        cases.append(("homology", extra))
     for command, payload in cases:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(payload))

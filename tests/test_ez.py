@@ -4,6 +4,8 @@ import copy
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zilber import intlinalg as la
 from zilber.chains import (ChainMap, homology, is_homology_isomorphism,
@@ -182,7 +184,7 @@ def chain_builds(monkeypatch):
     (associativity_check, 3, 7),  # A, B, C, A⊗B, B⊗C, (A⊗B)⊗C, A⊗(B⊗C)
     (filtered_ez, 2, 3),  # A, B, A⊗B
     (heart_check, 1, 1),
-    (unitality_check, 2, 3),  # A, B, A⊗B
+    (unitality_check, 2, 0),  # only the edge blocks of ∇, from operators
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_each_certificate_builds_each_objects_chains_once(chain_builds, check,
                                                          arity, expected):
@@ -196,3 +198,81 @@ def test_unknown_moore_convention_is_rejected(normalizations):
     with pytest.raises(ValueError, match="Moore convention"):
         normalize(X, "Upper")
     assert X.normalizations == {} and normalizations == []
+
+
+# ---------------------------------------------------------------------------
+# the closed formulas of Eilenberg and Mac Lane on nondegenerate simplices
+
+
+def _nondegenerate(X, n):
+    """The nondegenerate n-simplices of X, in the order of X.levels."""
+    return [x for x in X.levels[n] if x not in X.degenerate_set(n)]
+
+
+def _product_basis(X, Y, n):
+    """The nondegenerate n-simplices (x, y) of X × Y, those in the image of
+    no s_i, x-major in the order of X.levels and Y.levels."""
+    degenerate = {(X.degens[(n - 1, i)][x], Y.degens[(n - 1, i)][y])
+                  for i in range(n)
+                  for x in X.levels[n - 1] for y in Y.levels[n - 1]}
+    return [(x, y) for x in X.levels[n] for y in Y.levels[n]
+            if (x, y) not in degenerate]
+
+
+def _tensor_basis(X, Y, n):
+    """The basis (p, x, y) of (𝒩ℤ[X] ⊗ 𝒩ℤ[Y])_n: blocks p descending, then
+    x, then y."""
+    return [(p, x, y) for p in range(n, -1, -1)
+            for x in _nondegenerate(X, p) for y in _nondegenerate(Y, n - p)]
+
+
+def _degenerate(X, x, k, steps):
+    """s_{j_r} ⋯ s_{j_1} x for steps j_1 < ⋯ < j_r, x of degree k."""
+    for j in steps:
+        x = X.degens[(k, j)][x]
+        k += 1
+    return x
+
+
+def nabla_by_formula(X, Y, n):
+    """∇(x ⊗ y) = Σ sign(μ, ν) (s_ν x, s_μ y) over the (p, q)-shuffles (μ, ν)
+    of {0, ..., n - 1}, degenerate terms dropped; rows are the nondegenerate
+    n-simplices of X × Y."""
+    rows = {z: i for i, z in enumerate(_product_basis(X, Y, n))}
+    cols = _tensor_basis(X, Y, n)
+    M = la.zeros(len(rows), len(cols))
+    for c, (p, x, y) in enumerate(cols):
+        for mu in itertools.combinations(range(n), p):
+            nu = [t for t in range(n) if t not in mu]
+            z = (_degenerate(X, x, p, nu), _degenerate(Y, y, n - p, mu))
+            if z in rows:
+                M[rows[z]][c] += (-1) ** sum(m - i for i, m in enumerate(mu))
+    return M
+
+
+def aw_by_formula(X, Y, n):
+    """AW(x, y) = Σ_p (front p-face of x) ⊗ (back (n-p)-face of y),
+    degenerate terms dropped."""
+    cols = _product_basis(X, Y, n)
+    rows = {z: i for i, z in enumerate(_tensor_basis(X, Y, n))}
+    M = la.zeros(len(rows), len(cols))
+    for c, (x, y) in enumerate(cols):
+        for p in range(n + 1):
+            front, back = x, y
+            for k in range(n, p, -1):
+                front = X.faces[(k, k)][front]
+            for k in range(n, n - p, -1):
+                back = Y.faces[(k, 0)][back]
+            if (p, front, back) in rows:
+                M[rows[(p, front, back)]][c] += 1
+    return M
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(CORPUS)), st.sampled_from(sorted(CORPUS)),
+       st.integers(0, 3))
+def test_nabla_and_aw_are_the_closed_formulas(a, b, n):
+    X, Y = CORPUS[a](3), CORPUS[b](3)
+    sp = shuffle_product(free_abelian(X), free_abelian(Y))
+    assert sp.map.mat(n) == nabla_by_formula(X, Y, n)
+    assert sp.alexander_whitney().mat(n) == aw_by_formula(X, Y, n)

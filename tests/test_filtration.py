@@ -45,9 +45,9 @@ def skeletal_stages_one_by_one(A):
     """stages[p][k] for every p and k, each computed on its own from the
     surjections [k] ->> [j], j <= p."""
     proj = normalize(A).projection
-    return [{k: la.image_basis(la.mat_mul(proj.mat(k), la.hstack(
+    return [{k: la.image_basis(la.dense(la.mat_mul(proj.mat(k), la.hstack(
                 *[A.operator_matrix(eta) for j in range(min(p, k) + 1)
-                  for eta in enumerate_surjections(k, j)])))
+                  for eta in enumerate_surjections(k, j)]))))
              for k in range(A.dim_bound + 1)}
             for p in range(A.dim_bound + 1)]
 

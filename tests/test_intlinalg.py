@@ -1,7 +1,9 @@
 """Exact integer linear algebra against sympy as an oracle, on random small
 matrices of every shape, including those with no rows or no columns."""
 
+import copy
 import itertools
+import json
 import random
 
 import pytest
@@ -109,6 +111,66 @@ def test_mat_mul_matches_the_triple_loop(data):
 def test_mat_mul_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         la.mat_mul(la.zeros(2, 3), la.zeros(2, 3))
+    with pytest.raises(ValueError):
+        la.mat_mul(la.zeros(2, 3, True), la.zeros(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# the sparse column form against the dense one
+
+
+def assert_canonical(S, M):
+    """S is the Sparse form of the Matrix M: same shape and entries, each
+    column its nonzero entries with rows ascending."""
+    assert isinstance(S, la.Sparse) and la.dims(S) == la.dims(M)
+    assert la.dense(S) == M and la.dense(S).ncols == M.ncols
+    assert [list(col) for col in S] == [
+        [(i, row[j]) for i, row in enumerate(M) if row[j]]
+        for j in range(M.ncols)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sparse_operations_match_the_dense_ones(data):
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    A, A2 = (data.draw(sparse_matrices(r, k)) for _ in range(2))
+    B = data.draw(sparse_matrices(k, c))
+    SA, SA2, SB = map(la.to_sparse, (A, A2, B))
+    assert_canonical(SA, A)
+    assert la.to_sparse(SA) is SA and la.dense(A) is A
+    # product, also of a sparse and a dense factor
+    for X, Y in ((SA, SB), (SA, B), (A, SB)):
+        assert_canonical(la.mat_mul(X, Y), la.mat_mul(A, B))
+    # [A A] [B; -B] = 0: every product that meets cancels
+    assert_canonical(la.mat_mul(la.hstack(SA, SA),
+                                la.vstack(B, la.mat_scale(-1, B))),
+                     la.zeros(r, c))
+    # signed sum
+    s, t = (data.draw(st.integers(-2, 2)) for _ in range(2))
+    want = la.Matrix([[s * x + t * y for x, y in zip(ra, rb)]
+                      for ra, rb in zip(A, A2)], k)
+    assert_canonical(la.mat_sum([(s, SA), (t, A2)]), want)
+    assert_canonical(la.mat_sum([(s, A), (t, A2)]), want)
+    assert_canonical(la.mat_sum([(s, SA), (-s, A)]), la.zeros(r, k))
+    # equality and the zero test
+    assert la.mat_eq(SA, SA2) == la.mat_eq(SA, A2) == (A == A2)
+    assert la.mat_eq(SA, A) and la.is_zero(SA) == la.is_zero(A)
+    assert not la.mat_eq(la.zeros(r, k + 1, True), la.zeros(r, k))
+    # Kronecker products, alone and summed into overlapping blocks
+    assert_canonical(la.kron(SA, SB), la.kron(A, B))
+    assert_canonical(la.hstack(SA, A2), la.hstack(A, A2))
+    row, col = (data.draw(st.integers(0, 2)) for _ in range(2))
+    rows, cols = row + r * k + 1, col + k * c + 1
+    terms = [(A, B, row, col, s), (A2, B, 0, 0, t), (A2, B, row, col, 1),
+             (A, B, row, col, -s)]
+    assert_canonical(
+        la.kron_sum(rows, cols, [(la.to_sparse(X), la.to_sparse(Y), *rest)
+                                 for X, Y, *rest in terms], True),
+        la.kron_sum(rows, cols, terms))
+    # JSON, hashing of its columns, copies
+    assert json.loads(json.dumps(SA)) == [[list(p) for p in col] for col in SA]
+    hash(tuple(map(tuple, SA)))
+    assert la.mat_eq(copy.deepcopy(SA), SA)
 
 
 # the transforms by their position in the result (U, S, V, Uinv, Vinv)

@@ -11,8 +11,9 @@ from zilber.delta import (enumerate_monotone, epi_mono_factorize,
                           factor_into_codegeneracies, factor_into_cofaces)
 from zilber.ez import shuffle_product
 from zilber.filtration import skeletal_filtration
-from zilber.simplicial import (CheckCertificate, SimplicialIdentityError,
-                               SimplicialSet, circle, free_abelian, product,
+from zilber.simplicial import (CheckCertificate, SimplicialAbelianGroup,
+                               SimplicialIdentityError, SimplicialSet, circle,
+                               free_abelian, product,
                                sab_tensor, skeleton,
                                skeleton_product_check, standard_simplex)
 
@@ -97,6 +98,45 @@ def test_free_abelian_of_product_has_multiplied_ranks():
     A = free_abelian(product(X, Y))
     for k in range(3):
         assert A.ranks[k] == X.level_size(k) * Y.level_size(k)
+
+
+def test_operators_are_stored_sparse_and_accepted_back():
+    A = free_abelian(circle(2))
+    for M in [*A.face_mats.values(), *A.degen_mats.values()]:
+        assert isinstance(M, la.Sparse)
+        assert all(len(col) == 1 and col[0][1] == 1 for col in M)
+    # the constructor takes the stored form and dense matrices alike
+    dense = {k: la.dense(M) for k, M in A.degen_mats.items()}
+    for degens in (A.degen_mats, dense):
+        B = SimplicialAbelianGroup(2, A.ranks, A.face_mats, degens)
+        assert B.degen_mats == A.degen_mats
+
+
+def test_free_tensor_cube_stores_only_its_nonzero_entries():
+    # ℤ[Δ²]^{⊗3} at bound 3: 27, 216, 1000 and 3375 simplices per level;
+    # every operator column is one entry, a dense cell would be 99.9% zeros
+    A = free_abelian(standard_simplex(2, 3))
+    G = sab_tensor(sab_tensor(A, A), A)
+    assert G.ranks == [27, 216, 1000, 3375]
+    for M in [*G.face_mats.values(), *G.degen_mats.values()]:
+        stored = sum(map(len, M))
+        assert stored == M.ncols == sum(len(row) - row.count(0)
+                                        for row in la.dense(M))
+
+
+def test_operators_at_unknown_indices_are_rejected():
+    X = circle(2)
+    faces = {**X.faces, (1, 7): X.faces[(1, 0)]}
+    degens = {**X.degens, (0, 3): X.degens[(0, 0)]}
+    for f, s in ((faces, X.degens), (X.faces, degens)):
+        with pytest.raises(SimplicialIdentityError, match="not an operator"):
+            SimplicialSet(2, X.levels, f, s)
+    A = free_abelian(X)
+    faces = {**A.face_mats, (1, 7): A.face_mats[(1, 0)]}
+    degens = {**A.degen_mats, (0, 3): A.degen_mats[(0, 0)]}
+    for f, s in ((faces, A.degen_mats), (A.face_mats, degens)):
+        with pytest.raises(SimplicialIdentityError, match="not an operator"):
+            SimplicialAbelianGroup(2, A.ranks, f, s)
 
 
 def test_validator_rejects_corrupted_matrices():

@@ -36,7 +36,7 @@ def tensor_map_oracle(f, g, src, tgt):
         rows = tgt[n] if n < len(tgt) else {}
         M = la.zeros(len(rows), len(positions))
         for (p, i, q, j), col in positions.items() if rows else ():
-            fm, gm = f.mat(p), g.mat(q)
+            fm, gm = la.dense(f.mat(p)), la.dense(g.mat(q))
             for i2 in range(len(fm)):
                 for j2 in range(len(gm)):
                     if fm[i2][i] * gm[j2][j]:
@@ -184,20 +184,20 @@ def test_shuffle_and_alexander_whitney_are_entrywise_sums(a, b):
         aw = la.zeros(len(un[n]), A.ranks[n] * bn)
         for (p, i, q, j), k in un[n].items():
             for sh in shuffles(p, q):
-                opA = A.operator_matrix(sh.components()[0])
-                opB = B.operator_matrix(sh.components()[1])
+                opA = la.dense(A.operator_matrix(sh.components()[0]))
+                opB = la.dense(B.operator_matrix(sh.components()[1]))
                 for x in range(A.ranks[n]):
                     for y in range(bn):
                         nabla[x * bn + y][k] += sh.sign * opA[x][i] * opB[y][j]
-            front = A.operator_matrix(front_face(n, p))
-            back = B.operator_matrix(back_face(n, q))
+            front = la.dense(A.operator_matrix(front_face(n, p)))
+            back = la.dense(B.operator_matrix(back_face(n, q)))
             for x in range(A.ranks[n]):
                 for y in range(bn):
                     aw[k][x * bn + y] += front[i][x] * back[j][y]
-        assert sp.unnormalized.mat(n) == nabla
+        assert la.dense(sp.unnormalized.mat(n)) == nabla
         secsec = tensor_map_oracle(nA.section, nB.section, norm, un)[n]
         assert sp.map.mat(n) == la.mat_mul(
-            nAB.projection.mat(n), la.mat_mul(nabla, secsec))
+            la.dense(nAB.projection.mat(n)), la.mat_mul(nabla, secsec))
         projproj = tensor_map_oracle(nA.projection, nB.projection, un, norm)[n]
         assert aw_map.mat(n) == la.mat_mul(
-            projproj, la.mat_mul(aw, nAB.section.mat(n)))
+            projproj, la.mat_mul(aw, la.dense(nAB.section.mat(n))))
