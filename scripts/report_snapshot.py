@@ -4,8 +4,10 @@
     PYTHONPATH=src python scripts/report_snapshot.py OUTDIR
 
 Runs each invocation of scripts/run_acceptance.sh, plus ``ss random
---trials 10``, ``skeleta --day-unit --day-symmetry --day-assoc`` and
-``promonoidal --check coyoneda --check operator-frag``, with
+--trials 10``, ``skeleta --day-unit --day-symmetry --day-assoc``,
+``promonoidal --check coyoneda --check operator-frag``, ``homology torus``
+and ``doldkan s1 --roundtrip`` / ``doldkan torus --roundtrip`` (a builtin
+space through free_abelian), with
 ``python -m zilber.cli`` (so the zilber found on PYTHONPATH is the one
 measured).  Each report is written to OUTDIR, one
 file per invocation, with its ``timing`` key removed; what an invocation
@@ -73,6 +75,9 @@ def invocations():
     out.append(["skeleta", "--day-unit", "--day-symmetry", "--day-assoc"])
     out.append(["promonoidal", "--check", "coyoneda", "--check",
                 "operator-frag"])
+    out.append(["homology", "torus"])
+    for x in ("s1", "torus"):
+        out.append(["doldkan", x, "--roundtrip"])
     return out
 
 

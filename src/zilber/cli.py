@@ -104,6 +104,19 @@ def load_space(token, dim_bound):
                          "simplicial-set")
 
 
+def load_spaces(tokens, dim_bound):
+    """The spaces of tokens (None skipped), which must share one
+    dim_bound: a payload carries its own."""
+    tokens = [t for t in tokens if t is not None]
+    spaces = [load_space(t, dim_bound) for t in tokens]
+    for token, X in zip(tokens[1:], spaces[1:]):
+        if X.dim_bound != spaces[0].dim_bound:
+            raise InputError(f"dim_bound mismatch: {tokens[0]} has "
+                             f"{spaces[0].dim_bound}, {token} has "
+                             f"{X.dim_bound}")
+    return spaces
+
+
 def digest(obj):
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()
@@ -292,8 +305,8 @@ def cmd_doldkan(args):
 def cmd_ez(args):
     started = time.time()
     dim_bound = resolve_dim_bound(args.dim_bound)
-    A = free_abelian(load_space(args.first, dim_bound))
-    B = free_abelian(load_space(args.second, dim_bound))
+    A, B, *third = map(free_abelian, load_spaces(
+        (args.first, args.second, args.third), dim_bound))
     inputs = _inputs(args, dim_bound=dim_bound)
     certs = []
     results = {}
@@ -314,10 +327,10 @@ def cmd_ez(args):
         elif check == "symmetry":
             certs.append(cert_dict(ez.symmetry_check(A, B), "symmetry"))
         elif check == "assoc":
-            if args.third is None:
+            if not third:
                 raise InputError("--check assoc requires --third")
-            C = free_abelian(load_space(args.third, dim_bound))
-            certs.append(cert_dict(ez.associativity_check(A, B, C), "assoc"))
+            certs.append(cert_dict(ez.associativity_check(A, B, *third),
+                                   "assoc"))
         elif check == "kunneth":
             sp = ez.shuffle_product(A, B)
             ok = chains.is_homology_isomorphism(sp.map)
@@ -354,8 +367,7 @@ def cmd_skeleta(args):
     if day and args.trials < 1:
         raise InputError("--trials must be positive")
     if pqn or args.filtered_ez:
-        X = load_space(args.first, dim_bound)
-        Y = load_space(args.second, dim_bound)
+        X, Y = load_spaces((args.first, args.second), dim_bound)
         if pqn:
             if None in (args.p, args.q, args.n):
                 raise InputError("--p, --q, --n must be given together")

@@ -2,15 +2,17 @@
 skeleta.
 
 Every object is truncated at a stored dim_bound D.  Constructors verify all
-simplicial identities; invalid operator data raises SimplicialIdentityError.
-Simplex identifiers are arbitrary hashables; serialization replaces them by
-level indices.
+simplicial identities, through one checker that sets and groups share;
+invalid operator data raises SimplicialIdentityError.  A simplicial set
+names its k-simplices by index 0..|X_k|-1: its operator tables are tuples
+of indices, and the identifiers in levels serve only payloads and
+witnesses.
 """
 
 from __future__ import annotations
 
 from . import intlinalg as la
-from .delta import (MonotoneMap, enumerate_monotone, epi_mono_factorize,
+from .delta import (enumerate_monotone, epi_mono_factorize,
                     factor_into_cofaces, factor_into_codegeneracies)
 
 
@@ -31,6 +33,46 @@ def _reject_unknown_operators(faces, degens, D, what):
                     f"{what}")
 
 
+def _check_identities(D, F, S, compose, equal, identity):
+    """Raise SimplicialIdentityError at the first simplicial identity that
+    the faces F[(k, i)] and degeneracies S[(k, i)] of a D-truncated object
+    break: d∘d, then s∘s, then d∘s.  compose(g, f) is g∘f, equal compares
+    two composites and identity(k) is the identity of level k."""
+    for k in range(2, D + 1):
+        for j in range(1, k + 1):
+            for i in range(j):
+                if not equal(compose(F[(k - 1, i)], F[(k, j)]),
+                             compose(F[(k - 1, j - 1)], F[(k, i)])):
+                    raise SimplicialIdentityError(
+                        f"d_{i} d_{j} != d_{j-1} d_{i} at level {k}")
+    for k in range(D - 1):
+        for j in range(k + 1):
+            for i in range(j + 1):
+                if not equal(compose(S[(k + 1, i)], S[(k, j)]),
+                             compose(S[(k + 1, j + 1)], S[(k, i)])):
+                    raise SimplicialIdentityError(
+                        f"s_{i} s_{j} != s_{j+1} s_{i} at level {k}")
+    for k in range(D):
+        for j in range(k + 1):
+            for i in range(k + 2):
+                if i == j or i == j + 1:
+                    want, name = identity(k), "id"
+                elif i < j:
+                    want = compose(S[(k - 1, j - 1)], F[(k, i)])
+                    name = f"s_{j-1} d_{i}"
+                else:
+                    want = compose(S[(k - 1, j)], F[(k, i - 1)])
+                    name = f"s_{j} d_{i-1}"
+                if not equal(compose(F[(k + 1, i)], S[(k, j)]), want):
+                    raise SimplicialIdentityError(
+                        f"d_{i} s_{j} != {name} at level {k}")
+
+
+def _compose_tables(g, f):
+    """g∘f for index tables, as a list: quicker to build than a tuple."""
+    return [g[a] for a in f]
+
+
 SSIMP_FORMAT = "ssimp"
 SSIMP_VERSION = 1
 
@@ -38,150 +80,88 @@ SSIMP_VERSION = 1
 class SimplicialSet:
     """A D-truncated simplicial set.
 
-    levels[k] is the list of k-simplices; faces[(k, i)] and degens[(k, i)]
-    are total dicts on levels[k] landing in levels k-1 and k+1.
+    levels[k] is the list of k-simplices, by identifier; the simplex at
+    index a of levels[k] is a.  faces[(k, i)] and degens[(k, i)] are tuples
+    (the constructor takes any sequences) of length |levels[k]| whose entry
+    a is the index of the image of a in level k-1 or k+1.
     """
 
-    def __init__(self, dim_bound, levels, faces, degens, check=True):
+    def __init__(self, dim_bound, levels, faces, degens):
+        if dim_bound < 0:
+            raise SimplicialIdentityError("dim_bound must be nonnegative")
         self.dim_bound = dim_bound
         self.levels = [list(lv) for lv in levels]
         if len(self.levels) != dim_bound + 1:
             raise ValueError("levels must have dim_bound + 1 entries")
-        self.faces = faces
-        self.degens = degens
-        self.index = [{x: i for i, x in enumerate(lv)} for lv in self.levels]
-        self._degenerate = None
-        if check:
-            self._validate()
+        self.faces = {key: tuple(t) for key, t in faces.items()}
+        self.degens = {key: tuple(t) for key, t in degens.items()}
+        self._validate()
 
     # -- basic access -------------------------------------------------------
 
     def level_size(self, k):
         return len(self.levels[k])
 
-    def degenerate_set(self, k):
-        """The set of degenerate k-simplices (images of degeneracies)."""
-        if self._degenerate is None:
-            self._degenerate = [set() for _ in range(self.dim_bound + 1)]
-            for k2 in range(1, self.dim_bound + 1):
-                for i in range(k2):
-                    self._degenerate[k2].update(self.degens[(k2 - 1, i)].values())
-        return self._degenerate[k]
-
     def nondegenerate_counts(self):
-        return tuple(len(self.levels[k]) - len(self.degenerate_set(k))
-                     for k in range(self.dim_bound + 1))
+        """Per level, the simplices in the image of no degeneracy."""
+        return tuple(len(self.levels[k]) - len(
+            {a for i in range(k) for a in self.degens[(k - 1, i)]})
+            for k in range(self.dim_bound + 1))
 
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
+        """Every table present, of the length of its level, with entries
+        indices of the target level; then the simplicial identities."""
         D = self.dim_bound
         _reject_unknown_operators(self.faces, self.degens, D, "simplicial set")
-        lv_sets = [set(lv) for lv in self.levels]
-        for k in range(1, D + 1):
-            for i in range(k + 1):
-                f = self.faces.get((k, i))
-                if f is None or set(f) != lv_sets[k]:
-                    raise SimplicialIdentityError(f"face ({k},{i}) not total")
-                if not set(f.values()) <= lv_sets[k - 1]:
-                    raise SimplicialIdentityError(f"face ({k},{i}) lands outside level {k-1}")
-        for k in range(D):
-            for i in range(k + 1):
-                s = self.degens.get((k, i))
-                if s is None or set(s) != lv_sets[k]:
-                    raise SimplicialIdentityError(f"degeneracy ({k},{i}) not total")
-                if not set(s.values()) <= lv_sets[k + 1]:
-                    raise SimplicialIdentityError(f"degeneracy ({k},{i}) lands outside level {k+1}")
-        # d_i d_j = d_{j-1} d_i  (i < j)
-        for k in range(2, D + 1):
-            for j in range(1, k + 1):
-                for i in range(j):
-                    fa = self.faces[(k, j)]
-                    fb = self.faces[(k - 1, i)]
-                    fc = self.faces[(k, i)]
-                    fd = self.faces[(k - 1, j - 1)]
-                    for x in self.levels[k]:
-                        if fb[fa[x]] != fd[fc[x]]:
-                            raise SimplicialIdentityError(
-                                f"d_{i} d_{j} != d_{j-1} d_{i} at level {k}")
-        # s_i s_j = s_{j+1} s_i  (i <= j)
-        for k in range(D - 1):
-            for j in range(k + 1):
-                for i in range(j + 1):
-                    sa = self.degens[(k, j)]
-                    sb = self.degens[(k + 1, i)]
-                    sc = self.degens[(k, i)]
-                    sd = self.degens[(k + 1, j + 1)]
-                    for x in self.levels[k]:
-                        if sb[sa[x]] != sd[sc[x]]:
-                            raise SimplicialIdentityError(
-                                f"s_{i} s_{j} != s_{j+1} s_{i} at level {k}")
-        # mixed identities: d_i s_j
-        for k in range(D):
-            for j in range(k + 1):
-                s = self.degens[(k, j)]
-                for i in range(k + 2):
-                    f = self.faces[(k + 1, i)]
-                    if i == j or i == j + 1:
-                        for x in self.levels[k]:
-                            if f[s[x]] != x:
-                                raise SimplicialIdentityError(
-                                    f"d_{i} s_{j} != id at level {k}")
-                    elif i < j:
-                        if k == 0:
-                            continue
-                        sb = self.degens[(k - 1, j - 1)]
-                        fb = self.faces[(k, i)]
-                        for x in self.levels[k]:
-                            if f[s[x]] != sb[fb[x]]:
-                                raise SimplicialIdentityError(
-                                    f"d_{i} s_{j} != s_{j-1} d_{i} at level {k}")
-                    else:  # i > j + 1
-                        if k == 0:
-                            continue
-                        sb = self.degens[(k - 1, j)]
-                        fb = self.faces[(k, i - 1)]
-                        for x in self.levels[k]:
-                            if f[s[x]] != sb[fb[x]]:
-                                raise SimplicialIdentityError(
-                                    f"d_{i} s_{j} != s_{j} d_{i-1} at level {k}")
+        sizes = [len(lv) for lv in self.levels]
+        for table, kind, levels, step in (
+                (self.faces, "face", range(1, D + 1), -1),
+                (self.degens, "degeneracy", range(D), 1)):
+            for k in levels:
+                for i in range(k + 1):
+                    t = table.get((k, i))
+                    if t is None or len(t) != sizes[k]:
+                        raise SimplicialIdentityError(
+                            f"{kind} ({k},{i}) not total")
+                    if t and (set(map(type, t)) != {int} or min(t) < 0
+                              or max(t) >= sizes[k + step]):
+                        raise SimplicialIdentityError(
+                            f"{kind} ({k},{i}) lands outside level {k+step}")
+        _check_identities(D, self.faces, self.degens, _compose_tables,
+                          list.__eq__, lambda k: list(range(sizes[k])))
 
     # -- serialization ------------------------------------------------------
 
     def to_payload(self):
-        payload = {
+        return {
             "format": SSIMP_FORMAT,
             "version": SSIMP_VERSION,
             "dim_bound": self.dim_bound,
             "levels": [len(lv) for lv in self.levels],
-            "faces": {},
-            "degens": {},
+            "faces": {f"{k},{i}": list(t)
+                      for (k, i), t in sorted(self.faces.items())},
+            "degens": {f"{k},{i}": list(t)
+                       for (k, i), t in sorted(self.degens.items())},
         }
-        for (k, i), table in sorted(self.faces.items()):
-            payload["faces"][f"{k},{i}"] = [
-                self.index[k - 1][table[x]] for x in self.levels[k]]
-        for (k, i), table in sorted(self.degens.items()):
-            payload["degens"][f"{k},{i}"] = [
-                self.index[k + 1][table[x]] for x in self.levels[k]]
-        return payload
 
     @classmethod
     def from_payload(cls, payload):
         if payload.get("format") != SSIMP_FORMAT:
             raise ValueError("not an ssimp payload")
-        D = payload["dim_bound"]
-        levels = [list(range(n)) for n in payload["levels"]]
+
+        sizes = payload["levels"]
+        if any(type(n) is not int or n < 0 for n in sizes):
+            raise SimplicialIdentityError(
+                "level sizes must be nonnegative integers")
 
         def tables(entries):
-            out = {}
-            for key, arr in entries.items():
-                k, i = (int(t) for t in key.split(","))
-                if not 0 <= k < len(levels) or len(arr) != len(levels[k]):
-                    raise ValueError(f"operator table {key} has wrong length")
-                out[(k, i)] = dict(enumerate(arr))
-            return out
+            return {tuple(int(t) for t in key.split(",")): arr
+                    for key, arr in entries.items()}
 
-        return cls(D, levels, tables(payload["faces"]), tables(payload["degens"]))
+        return cls(payload["dim_bound"], [range(n) for n in sizes],
+                   tables(payload["faces"]), tables(payload["degens"]))
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialSet)
@@ -195,102 +175,92 @@ class SimplicialSet:
 # constructions on simplicial sets
 
 
+def _from_functions(dim_bound, levels, face, degen):
+    """The simplicial set on levels whose operators send the identifier x
+    to face(x, i) and degen(x, i)."""
+    index = [{x: a for a, x in enumerate(lv)} for lv in levels]
+    faces = {(k, i): [index[k - 1][face(x, i)] for x in levels[k]]
+             for k in range(1, dim_bound + 1) for i in range(k + 1)}
+    degens = {(k, i): [index[k + 1][degen(x, i)] for x in levels[k]]
+              for k in range(dim_bound) for i in range(k + 1)}
+    return SimplicialSet(dim_bound, levels, faces, degens)
+
+
+def _delete(v, i):
+    return v[:i] + v[i + 1:]
+
+
+def _repeat(v, i):
+    return v[:i] + (v[i],) + v[i:]
+
+
 def standard_simplex(n, dim_bound):
     """The standard n-simplex truncated at dim_bound; k-simplices are the
     value tuples of monotone maps [k] -> [n]."""
     levels = [[f.values for f in enumerate_monotone(k, n)]
               for k in range(dim_bound + 1)]
-    faces = {}
-    degens = {}
-    for k in range(1, dim_bound + 1):
-        for i in range(k + 1):
-            faces[(k, i)] = {v: v[:i] + v[i + 1:] for v in levels[k]}
-    for k in range(dim_bound):
-        for i in range(k + 1):
-            degens[(k, i)] = {v: v[:i] + (v[i],) + v[i:] for v in levels[k]}
-    return SimplicialSet(dim_bound, levels, faces, degens)
+    return _from_functions(dim_bound, levels, _delete, _repeat)
 
 
 def circle(dim_bound):
     """The simplicial circle Δ¹ with its boundary collapsed: one vertex, one
     nondegenerate edge.  k-simplices are the nonconstant monotone maps
     [k] -> [1] plus the collapsed basepoint '*'."""
-    full = [[f.values for f in enumerate_monotone(k, 1)]
-            for k in range(dim_bound + 1)]
 
     def collapse(v):
         return "*" if len(set(v)) == 1 else v
 
-    levels = [sorted({collapse(v) for v in full[k]}, key=str)
-              for k in range(dim_bound + 1)]
-    faces = {}
-    degens = {}
-    for k in range(1, dim_bound + 1):
-        table = {}
-        for i in range(k + 1):
-            table = {}
-            for x in levels[k]:
-                v = x if x != "*" else tuple([0] * (k + 1))
-                table[x] = collapse(v[:i] + v[i + 1:])
-            faces[(k, i)] = table
-    for k in range(dim_bound):
-        for i in range(k + 1):
-            table = {}
-            for x in levels[k]:
-                v = x if x != "*" else tuple([0] * (k + 1))
-                table[x] = collapse(v[:i] + (v[i],) + v[i:])
-            degens[(k, i)] = table
-    return SimplicialSet(dim_bound, levels, faces, degens)
+    levels = [sorted({collapse(f.values) for f in enumerate_monotone(k, 1)},
+                     key=str) for k in range(dim_bound + 1)]
+    return _from_functions(
+        dim_bound, levels,
+        lambda x, i: x if x == "*" else collapse(_delete(x, i)),
+        lambda x, i: x if x == "*" else _repeat(x, i))
 
 
 def product(X, Y):
-    """Levelwise Cartesian product with diagonal operators."""
+    """Levelwise Cartesian product with diagonal operators; (x, y) has index
+    x·|Y_k| + y, x-major as in sab_tensor."""
     if X.dim_bound != Y.dim_bound:
         raise ValueError("product requires equal dim_bound; truncate first")
     D = X.dim_bound
     levels = [[(x, y) for x in X.levels[k] for y in Y.levels[k]]
               for k in range(D + 1)]
-    faces = {}
-    degens = {}
-    for k in range(1, D + 1):
-        for i in range(k + 1):
-            fx, fy = X.faces[(k, i)], Y.faces[(k, i)]
-            faces[(k, i)] = {(x, y): (fx[x], fy[y]) for x, y in levels[k]}
-    for k in range(D):
-        for i in range(k + 1):
-            sx, sy = X.degens[(k, i)], Y.degens[(k, i)]
-            degens[(k, i)] = {(x, y): (sx[x], sy[y]) for x, y in levels[k]}
+
+    def pairs(fx, fy, level):
+        n = len(Y.levels[level])
+        return [a * n + b for a in fx for b in fy]
+
+    faces = {(k, i): pairs(X.faces[(k, i)], Y.faces[(k, i)], k - 1)
+             for k in range(1, D + 1) for i in range(k + 1)}
+    degens = {(k, i): pairs(X.degens[(k, i)], Y.degens[(k, i)], k + 1)
+              for k in range(D) for i in range(k + 1)}
     return SimplicialSet(D, levels, faces, degens)
 
 
 def skeleton(X, n):
-    """The n-skeleton as a sub-simplicial-set (same simplex identifiers)."""
+    """The n-skeleton as a sub-simplicial-set (same simplex identifiers, in
+    the order of X.levels)."""
     if not 0 <= n <= X.dim_bound:
         raise ValueError("skeleton degree must lie in 0..dim_bound")
     D = X.dim_bound
-    keep = [set(X.levels[k]) for k in range(min(n, D) + 1)]
+    keep = [range(len(X.levels[k])) for k in range(n + 1)]
     for k in range(n + 1, D + 1):
-        prev = keep[k - 1]
-        cur = set()
-        for i in range(k):
-            s = X.degens[(k - 1, i)]
-            cur.update(s[x] for x in prev)
-        keep.append(cur)
-    levels = [[x for x in X.levels[k] if x in keep[k]] for k in range(D + 1)]
-    faces = {}
-    degens = {}
-    for k in range(1, D + 1):
-        for i in range(k + 1):
-            f = X.faces[(k, i)]
-            table = {x: f[x] for x in levels[k]}
-            if any(v not in keep[k - 1] for v in table.values()):
-                raise SimplicialIdentityError("skeleton not closed under faces")
-            faces[(k, i)] = table
-    for k in range(D):
-        for i in range(k + 1):
-            s = X.degens[(k, i)]
-            degens[(k, i)] = {x: s[x] for x in levels[k]}
-    return SimplicialSet(D, levels, faces, degens, check=False)
+        keep.append(sorted({X.degens[(k - 1, i)][a]
+                            for i in range(k) for a in keep[k - 1]}))
+    # the index in the skeleton of each kept simplex of X; a face landing
+    # on a dropped one maps to None, which the constructor rejects
+    new = [{a: b for b, a in enumerate(kept)} for kept in keep]
+
+    def restrict(table, k, step):
+        return [new[k + step].get(table[a]) for a in keep[k]]
+
+    return SimplicialSet(
+        D, [[X.levels[k][a] for a in keep[k]] for k in range(D + 1)],
+        {(k, i): restrict(X.faces[(k, i)], k, -1)
+         for k in range(1, D + 1) for i in range(k + 1)},
+        {(k, i): restrict(X.degens[(k, i)], k, 1)
+         for k in range(D) for i in range(k + 1)})
 
 
 class CheckCertificate:
@@ -374,37 +344,9 @@ class SimplicialAbelianGroup:
             self._validate()
 
     def _validate(self):
-        D = self.dim_bound
-        F, S = self.face_mats, self.degen_mats
-        for k in range(2, D + 1):
-            for j in range(1, k + 1):
-                for i in range(j):
-                    lhs = la.mat_mul(F[(k - 1, i)], F[(k, j)])
-                    rhs = la.mat_mul(F[(k - 1, j - 1)], F[(k, i)])
-                    if not la.mat_eq(lhs, rhs):
-                        raise SimplicialIdentityError(
-                            f"d_{i} d_{j} != d_{j-1} d_{i} at level {k}")
-        for k in range(D - 1):
-            for j in range(k + 1):
-                for i in range(j + 1):
-                    lhs = la.mat_mul(S[(k + 1, i)], S[(k, j)])
-                    rhs = la.mat_mul(S[(k + 1, j + 1)], S[(k, i)])
-                    if not la.mat_eq(lhs, rhs):
-                        raise SimplicialIdentityError(
-                            f"s_{i} s_{j} != s_{j+1} s_{i} at level {k}")
-        for k in range(D):
-            for j in range(k + 1):
-                for i in range(k + 2):
-                    got = la.mat_mul(F[(k + 1, i)], S[(k, j)])
-                    if i == j or i == j + 1:
-                        want = la.identity(self.ranks[k], True)
-                    elif i < j:
-                        want = la.mat_mul(S[(k - 1, j - 1)], F[(k, i)])
-                    else:
-                        want = la.mat_mul(S[(k - 1, j)], F[(k, i - 1)])
-                    if not la.mat_eq(got, want):
-                        raise SimplicialIdentityError(
-                            f"mixed identity d_{i} s_{j} fails at level {k}")
+        _check_identities(self.dim_bound, self.face_mats, self.degen_mats,
+                          la.mat_mul, la.mat_eq,
+                          lambda k: la.identity(self.ranks[k], True))
 
     def operator_matrix(self, f):
         """The matrix of X(f) : X_{f.codomain_top} -> X_{f.domain_top} for an
@@ -433,14 +375,12 @@ def free_abelian(X):
     D = X.dim_bound
     ranks = [len(X.levels[k]) for k in range(D + 1)]
 
-    def unit_columns(table, k, image_level):
-        index = X.index[image_level]
-        return la.Sparse([((index[table[x]], 1),) for x in X.levels[k]],
-                         ranks[image_level])
+    def unit_columns(table, image_level):
+        return la.Sparse([((a, 1),) for a in table], ranks[image_level])
 
-    face_mats = {(k, i): unit_columns(X.faces[(k, i)], k, k - 1)
+    face_mats = {(k, i): unit_columns(X.faces[(k, i)], k - 1)
                  for k in range(1, D + 1) for i in range(k + 1)}
-    degen_mats = {(k, i): unit_columns(X.degens[(k, i)], k, k + 1)
+    degen_mats = {(k, i): unit_columns(X.degens[(k, i)], k + 1)
                   for k in range(D) for i in range(k + 1)}
     return SimplicialAbelianGroup(D, ranks, face_mats, degen_mats, check=False)
 

@@ -115,11 +115,43 @@ def test_malformed_payload_is_an_input_error(tmp_path, capsys):
         for table, key, values in tables:
             extra[table][key] = values
         cases.append(("homology", extra))
+    # a negative bound or level size, and a table entry that is not an
+    # index of its target level, were once accepted, exit 0
+    cases.append(("doldkan", {"format": "ssimp", "version": 1,
+                              "dim_bound": -1, "levels": [], "faces": {},
+                              "degens": {}}))
+    floating = circle(2).to_payload()
+    floating["faces"]["2,0"][1] = 1.0
+    cases.append(("homology", floating))
+    cases.append(("homology", {"format": "ssimp", "version": 1,
+                               "dim_bound": 0, "levels": [-2], "faces": {},
+                               "degens": {}}))
     for command, payload in cases:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(payload))
         code, rep, err = run(capsys, [command, str(p)])
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ez", "P", "s1", "--check", "chain"],
+    ["ez", "P", "s1", "--check", "aw"],
+    ["ez", "P", "s1", "--check", "kunneth"],
+    ["ez", "P", "s1", "--check", "unital"],
+    ["ez", "s1", "s1", "--third", "P", "--check", "assoc"],
+    ["skeleta", "P", "s1", "--filtered-ez"],
+], ids=" ".join)
+def test_spaces_of_different_bounds_are_an_input_error(tmp_path, capsys,
+                                                       argv):
+    # P, a payload of bound 2, against s1 at the default bound 3 once
+    # failed a certificate (exit 1) or passed the unital one (exit 0)
+    from zilber.simplicial import circle
+    p = tmp_path / "circle2.json"
+    p.write_text(json.dumps(circle(2).to_payload()))
+    code, rep, err = run(capsys, [str(p) if a == "P" else a for a in argv])
+    assert code == 2 and rep is None
+    message = json.loads(err)["error"]
+    assert "has 2" in message and "has 3" in message
 
 
 @pytest.mark.parametrize("command, payload", [

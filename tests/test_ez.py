@@ -205,18 +205,21 @@ def test_unknown_moore_convention_is_rejected(normalizations):
 
 
 def _nondegenerate(X, n):
-    """The nondegenerate n-simplices of X, in the order of X.levels."""
-    return [x for x in X.levels[n] if x not in X.degenerate_set(n)]
+    """The indices of the nondegenerate n-simplices of X, those in the
+    image of no s_i, ascending."""
+    degenerate = {x for i in range(n) for x in X.degens[(n - 1, i)]}
+    return [x for x in range(X.level_size(n)) if x not in degenerate]
 
 
 def _product_basis(X, Y, n):
-    """The nondegenerate n-simplices (x, y) of X × Y, those in the image of
-    no s_i, x-major in the order of X.levels and Y.levels."""
+    """The nondegenerate n-simplices (x, y) of X × Y, by the indices of x
+    and y, those in the image of no s_i, x-major."""
     degenerate = {(X.degens[(n - 1, i)][x], Y.degens[(n - 1, i)][y])
                   for i in range(n)
-                  for x in X.levels[n - 1] for y in Y.levels[n - 1]}
-    return [(x, y) for x in X.levels[n] for y in Y.levels[n]
-            if (x, y) not in degenerate]
+                  for x in range(X.level_size(n - 1))
+                  for y in range(Y.level_size(n - 1))}
+    return [(x, y) for x in range(X.level_size(n))
+            for y in range(Y.level_size(n)) if (x, y) not in degenerate]
 
 
 def _tensor_basis(X, Y, n):
@@ -227,7 +230,8 @@ def _tensor_basis(X, Y, n):
 
 
 def _degenerate(X, x, k, steps):
-    """s_{j_r} ⋯ s_{j_1} x for steps j_1 < ⋯ < j_r, x of degree k."""
+    """s_{j_r} ⋯ s_{j_1} x for steps j_1 < ⋯ < j_r, x the index of a
+    simplex of degree k."""
     for j in steps:
         x = X.degens[(k, j)][x]
         k += 1

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zilber import _random as zrandom
 from zilber import intlinalg as la
@@ -150,6 +152,184 @@ def test_validator_rejects_corrupted_matrices():
             B._validate()
 
 
+# ---------------------------------------------------------------------------
+# index tables against the identifier tables they replace
+
+
+def identity_walk(payload):
+    """The message with which a payload's tables break a simplicial
+    identity, or None: a walk over every simplex of dicts keyed by
+    identifier, the way simplicial sets were once checked."""
+    D = payload["dim_bound"]
+    levels = [range(n) for n in payload["levels"]]
+
+    def tables(entries):
+        return {tuple(int(t) for t in key.split(",")): dict(enumerate(arr))
+                for key, arr in entries.items()}
+
+    faces, degens = tables(payload["faces"]), tables(payload["degens"])
+    lv_sets = [set(lv) for lv in levels]
+    for k in range(1, D + 1):
+        for i in range(k + 1):
+            f = faces.get((k, i))
+            if f is None or set(f) != lv_sets[k]:
+                return f"face ({k},{i}) not total"
+            if not set(f.values()) <= lv_sets[k - 1]:
+                return f"face ({k},{i}) lands outside level {k-1}"
+    for k in range(D):
+        for i in range(k + 1):
+            s = degens.get((k, i))
+            if s is None or set(s) != lv_sets[k]:
+                return f"degeneracy ({k},{i}) not total"
+            if not set(s.values()) <= lv_sets[k + 1]:
+                return f"degeneracy ({k},{i}) lands outside level {k+1}"
+    for k in range(2, D + 1):
+        for j in range(1, k + 1):
+            for i in range(j):
+                fa, fb = faces[(k, j)], faces[(k - 1, i)]
+                fc, fd = faces[(k, i)], faces[(k - 1, j - 1)]
+                if any(fb[fa[x]] != fd[fc[x]] for x in levels[k]):
+                    return f"d_{i} d_{j} != d_{j-1} d_{i} at level {k}"
+    for k in range(D - 1):
+        for j in range(k + 1):
+            for i in range(j + 1):
+                sa, sb = degens[(k, j)], degens[(k + 1, i)]
+                sc, sd = degens[(k, i)], degens[(k + 1, j + 1)]
+                if any(sb[sa[x]] != sd[sc[x]] for x in levels[k]):
+                    return f"s_{i} s_{j} != s_{j+1} s_{i} at level {k}"
+    for k in range(D):
+        for j in range(k + 1):
+            s = degens[(k, j)]
+            for i in range(k + 2):
+                f = faces[(k + 1, i)]
+                if i == j or i == j + 1:
+                    if any(f[s[x]] != x for x in levels[k]):
+                        return f"d_{i} s_{j} != id at level {k}"
+                elif i < j:
+                    sb, fb = degens[(k - 1, j - 1)], faces[(k, i)]
+                    if any(f[s[x]] != sb[fb[x]] for x in levels[k]):
+                        return f"d_{i} s_{j} != s_{j-1} d_{i} at level {k}"
+                else:
+                    sb, fb = degens[(k - 1, j)], faces[(k, i - 1)]
+                    if any(f[s[x]] != sb[fb[x]] for x in levels[k]):
+                        return f"d_{i} s_{j} != s_{j} d_{i-1} at level {k}"
+    return None
+
+
+def _delete(v, i):
+    return v[:i] + v[i + 1:]
+
+
+def _repeat(v, i):
+    return v[:i] + (v[i],) + v[i:]
+
+
+def _collapse(v):
+    return "*" if len(set(v)) == 1 else v
+
+
+# each space with its face and degeneracy on identifiers
+SIMPLEX_OPS = (_delete, _repeat)
+CIRCLE_OPS = (lambda x, i: "*" if x == "*" else _collapse(_delete(x, i)),
+              lambda x, i: "*" if x == "*" else _repeat(x, i))
+
+
+def _pair_ops(a, b):
+    return (lambda z, i: (a[0](z[0], i), b[0](z[1], i)),
+            lambda z, i: (a[1](z[0], i), b[1](z[1], i)))
+
+
+IDENTIFIED_SPACES = {
+    "delta2": (lambda D: standard_simplex(2, D), SIMPLEX_OPS),
+    "s1": (circle, CIRCLE_OPS),
+    "torus": (lambda D: product(circle(D), circle(D)),
+              _pair_ops(CIRCLE_OPS, CIRCLE_OPS)),
+    "delta1 x s1": (lambda D: product(standard_simplex(1, D), circle(D)),
+                    _pair_ops(SIMPLEX_OPS, CIRCLE_OPS)),
+}
+
+
+def free_group_of_tables(payload):
+    """The group whose operators are the unit columns of a payload's tables,
+    built without a SimplicialSet."""
+    ranks = payload["levels"]
+
+    def unit_columns(entries, step):
+        out = {}
+        for key, arr in entries.items():
+            k, i = map(int, key.split(","))
+            out[(k, i)] = la.Sparse([((a, 1),) for a in arr], ranks[k + step])
+        return out
+
+    return SimplicialAbelianGroup(payload["dim_bound"], ranks,
+                                  unit_columns(payload["faces"], -1),
+                                  unit_columns(payload["degens"], 1))
+
+
+def rejection(build, payload):
+    """The message with which build(payload) raises, or None."""
+    try:
+        build(payload)
+    except SimplicialIdentityError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(IDENTIFIED_SPACES)), st.integers(2, 3),
+       st.data())
+def test_one_corrupted_entry_is_rejected_as_the_identity_walk_rejects_it(
+        name, D, data):
+    payload = IDENTIFIED_SPACES[name][0](D).to_payload()
+    kind = data.draw(st.sampled_from(["faces", "degens"]))
+    key = data.draw(st.sampled_from(sorted(payload[kind])))
+    table = payload[kind][key]
+    k = int(key.split(",")[0])
+    target = payload["levels"][k - 1 if kind == "faces" else k + 1]
+    table[data.draw(st.integers(0, len(table) - 1))] = data.draw(
+        st.integers(-1, target))
+    want = identity_walk(payload)
+    assert rejection(SimplicialSet.from_payload, payload) == want
+    if "lands outside" not in str(want):
+        # ℤ of the same tables breaks the same identity, in the same words
+        assert rejection(free_group_of_tables, payload) == want
+
+
+def test_sets_and_groups_name_a_broken_mixed_identity_alike():
+    # Δ¹ at bound 1 with s_0 sending the vertex 0 to the edge 01
+    payload = standard_simplex(1, 1).to_payload()
+    payload["degens"]["0,0"][0] = 1
+    for build in (SimplicialSet.from_payload, free_group_of_tables):
+        assert rejection(build, payload) == "d_0 s_0 != id at level 0"
+
+
+@pytest.mark.parametrize("name", sorted(IDENTIFIED_SPACES))
+def test_free_abelian_is_the_unit_columns_of_the_identifier_tables(name):
+    space, (face, degen) = IDENTIFIED_SPACES[name]
+    for D in (2, 3):
+        X = space(D)
+        A = free_abelian(X)
+        index = [{x: a for a, x in enumerate(lv)} for lv in X.levels]
+        for mats, op, step in ((A.face_mats, face, -1),
+                               (A.degen_mats, degen, 1)):
+            for (k, i), M in mats.items():
+                want = la.Sparse([((index[k + step][op(x, i)], 1),)
+                                  for x in X.levels[k]], A.ranks[k + step])
+                assert la.mat_eq(M, want)
+
+
+def test_negative_bound_and_entries_that_are_not_indices_are_rejected():
+    with pytest.raises(SimplicialIdentityError, match="nonnegative"):
+        SimplicialSet(-1, [], {}, {})
+    # face (2,0) of the circle lands in level 1, of two simplices
+    for bad in (1.0, True, "1", None, -1, 2):
+        payload = circle(2).to_payload()
+        payload["faces"]["2,0"][1] = bad
+        with pytest.raises(SimplicialIdentityError,
+                           match=r"face \(2,0\) lands outside level 1"):
+            SimplicialSet.from_payload(payload)
+
+
 def test_certificate_dict_shape():
     c = CheckCertificate(False, witness=(1, "x"), detail="why")
     d = c.to_dict()
@@ -211,7 +391,8 @@ def test_operator_matrix_of_a_simplex_precomposes():
     for f in all_monotone_maps():
         want = la.zeros(A.ranks[f.domain_top], A.ranks[f.codomain_top])
         for j, v in enumerate(X.levels[f.codomain_top]):
-            want[X.index[f.domain_top][tuple(v[i] for i in f.values)]][j] = 1
+            want[X.levels[f.domain_top].index(
+                tuple(v[i] for i in f.values))][j] = 1
         assert la.mat_eq(A.operator_matrix(f), want)
 
 
