@@ -194,6 +194,7 @@ def cmd_homology(args):
                               "simplicial-set")
             C = doldkan.normalize(free_abelian(X)).normalized
             kind = "ssimp"
+            dim_bound = X.dim_bound
         elif fmt == "chain":
             C = parse_payload(chains.ChainComplex.from_payload, payload,
                               "chain")
@@ -307,7 +308,7 @@ def cmd_ez(args):
     dim_bound = resolve_dim_bound(args.dim_bound)
     A, B, *third = map(free_abelian, load_spaces(
         (args.first, args.second, args.third), dim_bound))
-    inputs = _inputs(args, dim_bound=dim_bound)
+    inputs = _inputs(args, dim_bound=A.dim_bound)
     certs = []
     results = {}
     for check in args.check:
@@ -353,7 +354,6 @@ def cmd_skeleta(args):
     dim_bound = resolve_dim_bound(args.dim_bound)
     certs = []
     results = {}
-    inputs = _inputs(args, dim_bound=dim_bound)
     pqn = (args.p, args.q, args.n) != (None, None, None)
     day = args.day_unit or args.day_symmetry or args.day_assoc
     if not (pqn or args.filtered_ez or day):
@@ -368,6 +368,7 @@ def cmd_skeleta(args):
         raise InputError("--trials must be positive")
     if pqn or args.filtered_ez:
         X, Y = load_spaces((args.first, args.second), dim_bound)
+        dim_bound = X.dim_bound
         if pqn:
             if None in (args.p, args.q, args.n):
                 raise InputError("--p, --q, --n must be given together")
@@ -414,7 +415,8 @@ def cmd_skeleta(args):
         certs.append(_trials_cert(
             "day-associativity", f"{args.trials} random triples", args.trials,
             law_trial(filtration.convolution_associativity_check, 3, 1, 3)))
-    return emit("skeleta", inputs, results, certs, started)
+    return emit("skeleta", _inputs(args, dim_bound=dim_bound), results, certs,
+                started)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +436,6 @@ def cmd_ss(args):
     dim_bound = resolve_dim_bound(args.dim_bound)
     certs = []
     results = {}
-    inputs = _inputs(args, dim_bound=dim_bound)
     token = args.input
     if token == "random":
         if args.trials < 1:
@@ -450,15 +451,16 @@ def cmd_ss(args):
             "random-filtration-suite", f"{args.trials} random filtrations: "
             f"d_r²=0, page recursion, and convergence to the associated "
             f"graded", args.trials, trial))
-        return emit("ss", inputs, results, certs, started)
+        return emit("ss", _inputs(args, dim_bound=dim_bound), results, certs,
+                    started)
     if token.startswith("ez:"):
         names = token[3:].split(",")
         if len(names) != 2:
             raise InputError("ez: input takes two space tokens, e.g. "
                              "ez:delta1,delta1")
-        A = free_abelian(load_space(names[0], dim_bound))
-        B = free_abelian(load_space(names[1], dim_bound))
-        P = filtration.filtered_ez(A, B)
+        X, Y = load_spaces(names, dim_bound)
+        dim_bound = X.dim_bound
+        P = filtration.filtered_ez(free_abelian(X), free_abelian(Y))
         S_F = spectral.SpectralSequence(P.F)
         S_G = spectral.SpectralSequence(P.G)
         S_H = spectral.SpectralSequence(P.H)
@@ -473,9 +475,11 @@ def cmd_ss(args):
                     continue
                 certs.append(cert_dict(spectral.leibniz_check(pairing),
                                        f"leibniz-r{r}"))
-        return emit("ss", inputs, results, certs, started)
+        return emit("ss", _inputs(args, dim_bound=dim_bound), results, certs,
+                    started)
     if token.startswith("sk:"):
         X = load_space(token[3:], dim_bound)
+        dim_bound = X.dim_bound
         A = free_abelian(X)
         if args.heart:
             certs.append(cert_dict(spectral.heart_check(A), "heart"))
@@ -489,7 +493,8 @@ def cmd_ss(args):
         certs.append(bool_cert(True, "spectral-invariants",
                                "d_r²=0, page recursion, convergence"))
     results["spectral"] = S.to_report()
-    return emit("ss", inputs, results, certs, started)
+    return emit("ss", _inputs(args, dim_bound=dim_bound), results, certs,
+                started)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,8 @@ class SimplicialAbelianGroup:
     operator_matrix keeps X(f) per monotone map f in operators."""
 
     def __init__(self, dim_bound, ranks, face_mats, degen_mats, check=True):
+        if dim_bound < 0:
+            raise SimplicialIdentityError("dim_bound must be nonnegative")
         self.dim_bound = dim_bound
         self.chains = None
         self.normalizations = {}

@@ -27,63 +27,97 @@ class SpectralSequence:
     B_r^{p,q} = Z_{r-1}^{p-1,q+1} + d(Z_{r-1}^{p+r-1,q-r+2}); the entry is
     Z_r/B_r.  Pages are computed for 1 <= r <= r_top where
     r_top = max(r_max, p_max + 1); the page at p_max + 1 is stable and is
-    exposed as the infinity page."""
+    exposed as the infinity page.
+
+    Z_r^{p,n} (ambient degree n = p+q) reads only the stages F_p and
+    F_{p-r}, and ``F.stage`` clamps p to [-1, p_max], so Z, B and the
+    entries are built lazily, once per key, in caches that live as long as
+    the instance:
+
+    - Z_r^{p,n} is keyed by (min(p, p_max), clamp(p - r), n), and Z_0 and
+      degree 0 by (min(p, p_max), n); p < 0 or n outside 0..top is the
+      zero group, keyed (-1, n);
+    - B_r^{p,n} by the pair of keys of Z_{r-1}^{p-1,n} and
+      Z_{r-1}^{p+r-1,n+1};
+    - an entry's Subquotient by (key of Z, key of B), so the pages past
+      r_inf share the Subquotients of E_∞."""
 
     def __init__(self, F, r_max=None):
         self.F = F
         amb = F.ambient
-        top = amb.top_degree
         p_max = F.p_max
         if r_max is None:
             r_max = p_max + 1
         self.r_inf = p_max + 1
         r_top = max(r_max, self.r_inf)
         self.r_top = r_top
-        # Z[r][(p, n)]: generator columns of Z_r^{p, n-p} in ambient degree n
-        Z = [dict() for _ in range(r_top + 1)]
-        p_hi = p_max + r_top
-        for p in range(p_hi + 1):
-            for n in range(top + 1):
-                Z[0][(p, n)] = F.stage(p, n)
-        for r in range(1, r_top + 1):
-            for p in range(p_hi + 1):
-                for n in range(top + 1):
-                    Z[r][(p, n)] = self._z_gens(p, n, r)
-        self._Z = Z
+        self._zs = {}  # Z key -> generator columns
+        self._bs = {}  # B key -> generator columns
+        self._entries = {}  # (Z key, B key) -> Subquotient
         self.pages = {}
         self.diffs = {}
         for r in range(1, r_top + 1):
-            entries = {}
-            for p in range(p_max + 1):
-                for n in range(top + 1):
-                    q = n - p
-                    zg = Z[r][(p, n)]
-                    bg = self._b_gens(p, n, r)
-                    entries[(p, q)] = la.Subquotient(amb.rank(n), zg, bg)
-            self.pages[r] = entries
+            self.pages[r] = {(p, n - p): self._entry(r, p, n)
+                             for p in range(p_max + 1)
+                             for n in range(amb.top_degree + 1)}
             self.diffs[r] = self._differentials(r)
 
     # -- construction helpers ----------------------------------------------
 
-    def _z_gens(self, p, n, r):
-        """Generators of {x in F_p, deg n : dx in F_{p-r}}."""
-        S = self.F.stage(p, n)
-        if n == 0:
-            return S
-        dS = la.mat_mul(self.F.ambient.diff(n), S)
-        return _span_of_preimage(S, dS, self.F.stage(p - r, n - 1))
+    def _z_key(self, r, p, n):
+        F = self.F
+        if p < 0 or not 0 <= n <= F.ambient.top_degree:
+            return (-1, n)
+        if r == 0 or n == 0:
+            return (min(p, F.p_max), n)
+        return (min(p, F.p_max), max(-1, min(p - r, F.p_max)), n)
+
+    def _b_key(self, r, p, n):
+        return (self._z_key(r - 1, p - 1, n),
+                self._z_key(r - 1, p + r - 1, n + 1))
+
+    def _z_of(self, key):
+        """Generators of Z for a key of _z_key: the stage F_a in degree n
+        for key (a, n), {x in F_a, deg n : dx in F_b} for key (a, b, n)."""
+        Z = self._zs.get(key)
+        if Z is None:
+            if len(key) == 2:
+                Z = self.F.stage(*key)
+            else:
+                a, b, n = key
+                S = self.F.stage(a, n)
+                dS = la.mat_mul(self.F.ambient.diff(n), S)
+                Z = _span_of_preimage(S, dS, self.F.stage(b, n - 1))
+            self._zs[key] = Z
+        return Z
 
     def _z(self, r, p, n):
-        """Z_r^{p, n-p}; zero for p < 0 and above the top degree."""
-        Z = self._Z[r]
-        return Z[(p, n)] if (p, n) in Z else \
-            la.zeros(self.F.ambient.rank(n), 0)
+        """Z_r^{p, n-p}; zero for p < 0 and outside the degrees."""
+        return self._z_of(self._z_key(r, p, n))
+
+    def _b_of(self, key):
+        """Generators of B for a key of _b_key: Z_1 + d Z_2 for the pair of
+        Z keys, d from the degree of Z_2."""
+        B = self._bs.get(key)
+        if B is None:
+            k1, k2 = key
+            d = self.F.ambient.diff(k2[-1])
+            B = self._bs[key] = la.hstack(self._z_of(k1),
+                                          la.mat_mul(d, self._z_of(k2)))
+        return B
 
     def _b_gens(self, p, n, r):
         """Generators of B_r^{p, n-p} = Z_{r-1}^{p-1} + d Z_{r-1}^{p+r-1}."""
-        d = self.F.ambient.diff(n + 1)
-        return la.hstack(self._z(r - 1, p - 1, n),
-                         la.mat_mul(d, self._z(r - 1, p + r - 1, n + 1)))
+        return self._b_of(self._b_key(r, p, n))
+
+    def _entry(self, r, p, n):
+        """E_r^{p, n-p} = Z_r/B_r as a Subquotient of the degree-n chains."""
+        key = (self._z_key(r, p, n), self._b_key(r, p, n))
+        sq = self._entries.get(key)
+        if sq is None:
+            sq = self._entries[key] = la.Subquotient(
+                self.F.ambient.rank(n), self._z_of(key[0]), self._b_of(key[1]))
+        return sq
 
     def _differentials(self, r):
         """d_r on lifts: matrix per entry (p,q) into (p-r, q+r-1) in the
@@ -125,7 +159,7 @@ class SpectralSequence:
         for (p, q), sq_next in self.pages[r + 1].items():
             n = p + q
             b_r = self._b_gens(p, n, r)
-            num = la.hstack(self._Z[r + 1][(p, n)], b_r)
+            num = la.hstack(self._z(r + 1, p, n), b_r)
             den = la.hstack(b_r, la.mat_mul(amb.diff(n + 1),
                                             self._z(r, p + r, n + 1)))
             hsq = la.Subquotient(amb.rank(n), num, den)

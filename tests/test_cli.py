@@ -140,6 +140,7 @@ def test_malformed_payload_is_an_input_error(tmp_path, capsys):
     ["ez", "P", "s1", "--check", "unital"],
     ["ez", "s1", "s1", "--third", "P", "--check", "assoc"],
     ["skeleta", "P", "s1", "--filtered-ez"],
+    ["ss", "ez:P,s1"],
 ], ids=" ".join)
 def test_spaces_of_different_bounds_are_an_input_error(tmp_path, capsys,
                                                        argv):
@@ -148,10 +149,29 @@ def test_spaces_of_different_bounds_are_an_input_error(tmp_path, capsys,
     from zilber.simplicial import circle
     p = tmp_path / "circle2.json"
     p.write_text(json.dumps(circle(2).to_payload()))
-    code, rep, err = run(capsys, [str(p) if a == "P" else a for a in argv])
+    code, rep, err = run(capsys, [a.replace("P", str(p)) for a in argv])
     assert code == 2 and rep is None
     message = json.loads(err)["error"]
     assert "has 2" in message and "has 3" in message
+
+
+@pytest.mark.parametrize("argv", [
+    ["ez", "P", "P", "--check", "unital"],
+    ["ez", "P", "P", "--third", "P", "--check", "assoc"],
+    ["skeleta", "P", "P", "--filtered-ez"],
+    ["skeleta", "P", "P", "--p", "1", "--q", "1", "--n", "2"],
+    ["ss", "ez:P,P"],
+    ["ss", "sk:P"],
+    ["homology", "P"],
+], ids=" ".join)
+def test_report_records_the_bound_of_the_loaded_spaces(tmp_path, capsys,
+                                                       argv):
+    # payloads of bound 2 were once reported at the default bound 3
+    from zilber.simplicial import circle
+    p = tmp_path / "circle2.json"
+    p.write_text(json.dumps(circle(2).to_payload()))
+    code, rep, _ = run(capsys, [a.replace("P", str(p)) for a in argv])
+    assert code == 0 and rep["inputs"]["dim_bound"] == 2
 
 
 @pytest.mark.parametrize("command, payload", [

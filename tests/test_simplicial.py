@@ -319,8 +319,11 @@ def test_free_abelian_is_the_unit_columns_of_the_identifier_tables(name):
 
 
 def test_negative_bound_and_entries_that_are_not_indices_are_rejected():
-    with pytest.raises(SimplicialIdentityError, match="nonnegative"):
-        SimplicialSet(-1, [], {}, {})
+    # a group of bound -1 once built with no levels
+    for cls in (SimplicialSet, SimplicialAbelianGroup):
+        with pytest.raises(SimplicialIdentityError,
+                           match="^dim_bound must be nonnegative$"):
+            cls(-1, [], {}, {})
     # face (2,0) of the circle lands in level 1, of two simplices
     for bad in (1.0, True, "1", None, -1, 2):
         payload = circle(2).to_payload()

@@ -6,10 +6,13 @@ import random
 import pytest
 
 from zilber import _random as zrandom
+from zilber import intlinalg as la
+from zilber import spectral
 from zilber.filtration import filtered_ez, skeletal_filtration
 from zilber.simplicial import circle, free_abelian, product, standard_simplex
-from zilber.spectral import (PagePairing, SpectralSequence, compute_pages,
-                             heart_check, induced_pairing, leibniz_check)
+from zilber.spectral import (PagePairing, SpectralSequence, _invariant_checks,
+                             _span_of_preimage, compute_pages, heart_check,
+                             induced_pairing, leibniz_check)
 
 
 def test_first_page_with_d1_is_normalized_chains():
@@ -43,11 +46,106 @@ def test_random_filtrations_satisfy_all_page_invariants():
         compute_pages(F)  # asserts d_r²=0, recursion, convergence
 
 
+def pages_by_definition(F, r_top):
+    """(pages, diffs) with Z_r = {x in F_p : dx in F_{p-r}} and
+    B_r = Z_{r-1}^{p-1} + d Z_{r-1}^{p+r-1} built afresh for every
+    (r, p, n), nothing shared between entries or pages."""
+    amb = F.ambient
+    top = amb.top_degree
+
+    def z(r, p, n):
+        if p < 0 or not 0 <= n <= top:
+            return la.zeros(amb.rank(n), 0)
+        S = F.stage(p, n)
+        if r == 0 or n == 0:
+            return S
+        return _span_of_preimage(S, la.mat_mul(amb.diff(n), S),
+                                 F.stage(p - r, n - 1))
+
+    def b(r, p, n):
+        return la.hstack(z(r - 1, p - 1, n),
+                         la.mat_mul(amb.diff(n + 1), z(r - 1, p + r - 1, n + 1)))
+
+    pages, diffs = {}, {}
+    for r in range(1, r_top + 1):
+        pages[r] = {(p, n - p): la.Subquotient(amb.rank(n), z(r, p, n),
+                                               b(r, p, n))
+                    for p in range(F.p_max + 1) for n in range(top + 1)}
+        diffs[r] = {}
+        for (p, q), sq in pages[r].items():
+            tgt = pages[r].get((p - r, q + r - 1))
+            diffs[r][(p, q)] = (tgt.induced_matrix(amb.diff(p + q), sq.lifts)
+                                if tgt and tgt.ngens else la.zeros(0, sq.ngens))
+    return pages, diffs
+
+
+def test_keyed_pages_equal_the_pages_built_by_definition():
+    rng = random.Random(47)
+    for t in range(12):
+        F = zrandom.rand_filtration(rng, p_max=1 + t % 4, max_total_rank=7)
+        S = SpectralSequence(F, r_max=F.p_max + 2)
+        pages, diffs = pages_by_definition(F, S.r_top)
+        assert S.pages.keys() == pages.keys()
+        for r, entries in pages.items():
+            assert S.pages[r].keys() == entries.keys()
+            for pq, sq in entries.items():
+                assert S.pages[r][pq].orders == sq.orders, (t, r, pq)
+                assert S.pages[r][pq].lifts == sq.lifts, (t, r, pq)
+                assert la.mat_eq(S.diffs[r][pq], diffs[r][pq]), (t, r, pq)
+
+
+def test_each_z_is_computed_once_per_distinct_stage_pair(monkeypatch):
+    F = zrandom.rand_filtration(random.Random(5), p_max=3)
+    calls = []
+
+    def counted(A, M, B):
+        calls.append(None)
+        return _span_of_preimage(A, M, B)
+
+    monkeypatch.setattr(spectral, "_span_of_preimage", counted)
+    S = SpectralSequence(F, r_max=F.p_max + 3)
+    top, p_max = F.ambient.top_degree, F.p_max
+    # the (r, p, n) of every Z an entry or a B reads
+    read = set()
+    for r in range(1, S.r_top + 1):
+        for p in range(p_max + 1):
+            for n in range(top + 1):
+                read |= {(r, p, n), (r - 1, p - 1, n), (r - 1, p + r - 1, n + 1)}
+    # Z_r^{p,n} for r, n >= 1 is {x in F_p : dx in F_{p-r}}, and the stage
+    # index clamps to [-1, p_max]
+    pairs = {(min(p, p_max), max(-1, min(p - r, p_max)), n)
+             for r, p, n in read if r >= 1 and p >= 0 and 1 <= n <= top}
+    assert len(calls) == len(pairs)
+    assert len(pairs) < sum(1 for r, p, n in read
+                            if r >= 1 and p >= 0 and 1 <= n <= top)
+
+
+def test_pages_past_r_inf_are_the_infinity_page():
+    rng = random.Random(53)
+    filtrations = [skeletal_filtration(free_abelian(
+        product(circle(2), circle(2))))]
+    filtrations += [zrandom.rand_filtration(rng, p_max=1 + t % 4)
+                    for t in range(6)]
+    for F in filtrations:
+        r_inf = F.p_max + 1
+        S = SpectralSequence(F, r_max=r_inf + 2)
+        assert S.r_top == r_inf + 2
+        inf = S.infinity()
+        for r in range(r_inf + 1, S.r_top + 1):
+            assert {pq: sq.orders for pq, sq in S.pages[r].items()} == {
+                pq: sq.orders for pq, sq in inf.items()}
+            assert all(la.is_zero(M) for M in S.diffs[r].values())
+        names = [name for name, _ in _invariant_checks(S)]
+        assert names[-3:] == [f"page-recursion-r{r_inf + 1}",
+                              f"d-squared-r{r_inf + 2}", "convergence"]
+        for name, cert in _invariant_checks(S):
+            assert cert.ok, name
+
+
 def test_invariant_checks_are_named_and_stop_at_the_first_failure(
         monkeypatch):
     from zilber import cli
     from zilber.simplicial import CheckCertificate
-    from zilber.spectral import _invariant_checks
     F = skeletal_filtration(free_abelian(standard_simplex(1, 1)))
     assert [name for name, _ in _invariant_checks(SpectralSequence(F))] == [
         "d-squared-r1", "page-recursion-r1", "d-squared-r2", "convergence"]
