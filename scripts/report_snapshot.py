@@ -9,16 +9,21 @@ Runs each invocation of scripts/run_acceptance.sh, plus ``ss random
 and ``doldkan s1 --roundtrip`` / ``doldkan torus --roundtrip`` (a builtin
 space through free_abelian), with
 ``python -m zilber.cli`` (so the zilber found on PYTHONPATH is the one
-measured).  Each report is written to OUTDIR, one
-file per invocation, with its ``timing`` key removed; what an invocation
-prints on stderr is written beside it, and ``exit_codes.json`` records
-every exit code.  Two snapshots of the same behaviour are byte-identical,
-so comparing two versions of the library is two runs and one
-``diff -r``.
+measured).  Then it writes three payloads, built by that zilber, to
+OUTDIR as ``payload_NAME.json`` and feeds each on stdin (``-``): the ssimp
+payload of ``circle(2)`` to ``homology`` and ``doldkan --roundtrip``, the
+chain payload of a seeded ``rand_complex`` to ``homology``, and the filt
+payload of a seeded ``rand_filtration`` to ``ss``.  Each report is written
+to OUTDIR, one file per invocation, with its ``timing`` key removed; what
+an invocation prints on stderr is written beside it, and
+``exit_codes.json`` records every exit code.  Two snapshots of the same
+behaviour are byte-identical, so comparing two versions of the library is
+two runs and one ``diff -r``.
 """
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -81,6 +86,21 @@ def invocations():
     return out
 
 
+def payloads():
+    """(name, payload, argvs): each payload with the argvs that read it
+    from stdin."""
+    from zilber import _random as zrandom
+    from zilber.simplicial import circle
+    return [
+        ("ssimp", circle(2).to_payload(),
+         [["homology", "-"], ["doldkan", "-", "--roundtrip"]]),
+        ("chain", zrandom.rand_complex(random.Random(10011)).to_payload(),
+         [["homology", "-"]]),
+        ("filt", zrandom.rand_filtration(random.Random(10012)).to_payload(),
+         [["ss", "-"]]),
+    ]
+
+
 def file_stem(argv):
     """A file name for argv: its words joined by '_'."""
     return "_".join(argv).replace(":", "-").replace(",", "-")
@@ -88,11 +108,16 @@ def file_stem(argv):
 
 def main(outdir):
     os.makedirs(outdir, exist_ok=True)
+    runs = [(file_stem(argv), argv, None) for argv in invocations()]
+    for name, payload, argvs in payloads():
+        text = json.dumps(payload)
+        with open(os.path.join(outdir, f"payload_{name}.json"), "w") as fh:
+            fh.write(text + "\n")
+        runs += [(f"{file_stem(argv)}_{name}", argv, text) for argv in argvs]
     codes = {}
-    for argv in invocations():
-        stem = file_stem(argv)
+    for stem, argv, stdin in runs:
         proc = subprocess.run([sys.executable, "-m", "zilber.cli", *argv],
-                              capture_output=True, text=True)
+                              input=stdin, capture_output=True, text=True)
         codes[stem] = proc.returncode
         if proc.stdout.strip():
             report = json.loads(proc.stdout)

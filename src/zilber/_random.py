@@ -18,7 +18,8 @@ def _random_unimodular(rng, n, ops=None):
     operations."""
     if ops is None:
         ops = n + rng.randrange(3)
-    U, Uinv = la.identity(n), la.identity(n)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    Uinv = [row[:] for row in U]
     for _ in range(ops if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = rng.choice([-2, -1, 1, 2])
@@ -27,7 +28,7 @@ def _random_unimodular(rng, n, ops=None):
         # inverse accumulates the inverse operations on the right
         for t in range(n):
             Uinv[t][j] -= c * Uinv[t][i]
-    return U, Uinv
+    return la.as_sparse(U, n, n), la.as_sparse(Uinv, n, n)
 
 
 def rand_complex(rng, top_degree=3, max_total_rank=10):
@@ -51,11 +52,11 @@ def rand_complex(rng, top_degree=3, max_total_rank=10):
             total += 1
     diffs = {}
     for n in range(1, top_degree + 1):
-        M = la.zeros(ranks[n - 1], ranks[n])
+        cols = [()] * ranks[n]
         for (deg, row, col, val) in entries:
             if deg == n:
-                M[row][col] = val
-        diffs[n] = M
+                cols[col] = ((row, val),)
+        diffs[n] = la.Sparse(cols, ranks[n - 1])
     # conjugate by unimodular matrices, one per degree
     us = [(_random_unimodular(rng, ranks[n])) for n in range(top_degree + 1)]
     return ChainComplex(ranks, {
@@ -110,10 +111,13 @@ def corrupt_simplicial(rng, A, attempts=8):
         kind, key = rng.choice(slots)
         faces, degens = dict(A.face_mats), dict(A.degen_mats)
         mats = faces if kind == "face" else degens
-        mats[key] = M = la.dense(mats[key])  # a fresh Matrix
+        M = mats[key]
         i = rng.randrange(M.nrows)
         j = rng.randrange(M.ncols)
-        M[i][j] += rng.choice([1, -1, 2])
+        unit = [()] * M.ncols
+        unit[j] = ((i, 1),)
+        mats[key] = la.mat_sum([(1, M), (rng.choice([1, -1, 2]),
+                                         la.Sparse(unit, M.nrows))])
         B = type(A)(A.dim_bound, A.ranks, faces, degens, check=False)
         try:
             B._validate()

@@ -47,9 +47,8 @@ def invariants_of_subquotient(sq):
 class ChainComplex:
     """A nonnegatively graded chain complex of free ℤ-modules, zero above
     top_degree.  diffs[n] is the matrix of d_n : C_n -> C_{n-1} for
-    1 <= n <= top_degree; a missing one is zero.  The complex is sparse,
-    and stores every differential as la.Sparse, if some given one is
-    sparse; otherwise every one is a dense la.Matrix."""
+    1 <= n <= top_degree; a missing one is zero.  A differential may be
+    given as a list of rows (payload input)."""
 
     def __init__(self, ranks, diffs):
         self.ranks = list(ranks)
@@ -58,14 +57,12 @@ class ChainComplex:
             if not 1 <= n <= self.top_degree:
                 raise ValueError(f"differential d_{n} lies outside degrees "
                                  f"1..{self.top_degree}")
-        self.sparse = any(isinstance(M, la.Sparse) for M in diffs.values())
         self.diffs = {}
         for n in range(1, self.top_degree + 1):
             M = diffs.get(n)
             r, c = self.ranks[n - 1], self.ranks[n]
-            self.diffs[n] = (la.zeros(r, c, self.sparse) if M is None
-                             else _as_form(M, r, c, f"differential d_{n}",
-                                           self.sparse))
+            self.diffs[n] = (la.zeros(r, c) if M is None else
+                             la.as_sparse(M, r, c, f"differential d_{n}"))
         self._validate()
 
     def rank(self, n):
@@ -77,7 +74,7 @@ class ChainComplex:
         """d_n : C_n -> C_{n-1}; zero matrix outside the stored range."""
         if 1 <= n <= self.top_degree:
             return self.diffs[n]
-        return la.zeros(self.rank(n - 1), self.rank(n), self.sparse)
+        return la.zeros(self.rank(n - 1), self.rank(n))
 
     def _validate(self):
         for n in range(2, self.top_degree + 1):
@@ -94,7 +91,7 @@ class ChainComplex:
             "format": CHAIN_FORMAT,
             "version": CHAIN_VERSION,
             "ranks": self.ranks,
-            "differentials": {str(n): la.dense(self.diffs[n])
+            "differentials": {str(n): la.rows(self.diffs[n])
                               for n in range(1, self.top_degree + 1)},
         }
 
@@ -111,34 +108,26 @@ def unit_complex():
     return ChainComplex([1], {})
 
 
-def _as_form(M, r, c, what, sparse):
-    return (la.as_sparse if sparse else la.as_matrix)(M, r, c, what)
-
-
 class ChainMap:
-    """A degreewise integer matrix commuting with the differentials, stored
-    as la.Sparse if the source or the target is sparse and as la.Matrix
-    otherwise: a composite of sparse maps between dense complexes, such as
-    projection ∘ ∇ ∘ section, is made dense here."""
+    """A degreewise integer matrix commuting with the differentials; a
+    missing component is zero."""
 
     def __init__(self, source, target, mats, check=True):
         self.source = source
         self.target = target
-        self.sparse = source.sparse or target.sparse
         self.mats = {}
         for n in range(max(source.top_degree, target.top_degree) + 1):
             M = mats.get(n)
             r, c = target.rank(n), source.rank(n)
-            self.mats[n] = (la.zeros(r, c, self.sparse) if M is None else
-                            _as_form(M, r, c, f"chain map component {n}",
-                                     self.sparse))
+            self.mats[n] = (la.zeros(r, c) if M is None else
+                            la.as_sparse(M, r, c, f"chain map component {n}"))
         if check:
             self._validate()
 
     def mat(self, n):
         if n in self.mats:
             return self.mats[n]
-        return la.zeros(self.target.rank(n), self.source.rank(n), self.sparse)
+        return la.zeros(self.target.rank(n), self.source.rank(n))
 
     def _validate(self):
         top = max(self.source.top_degree, self.target.top_degree)
@@ -156,7 +145,7 @@ class ChainMap:
 
 
 def identity_chain_map(C):
-    return ChainMap(C, C, {n: la.identity(C.rank(n), C.sparse)
+    return ChainMap(C, C, {n: la.identity(C.rank(n))
                            for n in range(C.top_degree + 1)}, check=False)
 
 
@@ -209,8 +198,7 @@ def is_homology_isomorphism(f):
         if sq_s.orders != sq_t.orders:
             return False
         g = sq_t.ngens
-        rel = la.from_columns([[o if j == i else 0 for j in range(g)]
-                               for i, o in enumerate(sq_t.orders) if o], g)
+        rel = la.Sparse([((i, o),) for i, o in enumerate(sq_t.orders) if o], g)
         aug = la.hstack(M, rel)
         diag = la.snf_diagonal(aug)
         if sum(1 for d in diag if d) < g or any(abs(d) != 1 for d in diag if d):
@@ -227,20 +215,18 @@ def hom_rank(C, D):
     for n in range(top + 1):
         offsets[n] = total
         total += D.rank(n) * C.rank(n)
-    rows = []
+    terms = []
+    eqs = 0
     for n in range(1, top + 1):
-        # f_{n-1} d^C_n - d^D_n f_n = 0 : one equation per (i, j)
-        dc = C.diff(n)
-        dd = D.diff(n)
-        for i in range(D.rank(n - 1)):
-            for j in range(C.rank(n)):
-                row = [0] * total
-                for k in range(C.rank(n - 1)):
-                    row[offsets[n - 1] + i * C.rank(n - 1) + k] += dc[k][j]
-                for k in range(D.rank(n)):
-                    row[offsets[n] + k * C.rank(n) + j] -= dd[i][k]
-                rows.append(row)
-    return total - la.rank(la.Matrix(rows, total))
+        # f_{n-1} d^C_n - d^D_n f_n = 0: the equation of entry (i, j) is
+        # row eqs + i * C.rank(n) + j and the unknown f_n[k][j] column
+        # offsets[n] + k * C.rank(n) + j, so the block is
+        # kron(1, (d^C_n)^T) - kron(d^D_n, 1)
+        terms += [(la.identity(D.rank(n - 1)), la.transpose(C.diff(n)),
+                   eqs, offsets[n - 1], 1),
+                  (D.diff(n), la.identity(C.rank(n)), eqs, offsets[n], -1)]
+        eqs += D.rank(n - 1) * C.rank(n)
+    return total - la.rank(la.kron_sum(eqs, total, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -286,34 +272,31 @@ class TensorBasis:
 
 
 def tensor(C, D, top_degree=None):
-    """(C ⊗ D, basis): Koszul-signed tensor product, optionally truncated;
-    sparse if C or D is.
+    """(C ⊗ D, basis): Koszul-signed tensor product, optionally truncated.
 
     d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy, so the column block (p, q) of d_n is
     kron(d_p, 1) in row block (p-1, q) and (-1)^p kron(1, d_q) in row block
     (p, q-1).
     """
     tb = TensorBasis(C, D, top_degree)
-    sparse = C.sparse or D.sparse
     diffs = {}
     for n in range(1, tb.top_degree + 1):
         terms = []
         for p, q, col in tb.blocks(n):
             if p >= 1:
-                terms.append((C.diff(p), la.identity(D.rank(q), sparse),
+                terms.append((C.diff(p), la.identity(D.rank(q)),
                               tb.offset(n - 1, p - 1), col, 1))
             if q >= 1:
-                terms.append((la.identity(C.rank(p), sparse), D.diff(q),
+                terms.append((la.identity(C.rank(p)), D.diff(q),
                               tb.offset(n - 1, p), col, -1 if p % 2 else 1))
-        diffs[n] = la.kron_sum(tb.rank(n - 1), tb.rank(n), terms, sparse)
+        diffs[n] = la.kron_sum(tb.rank(n - 1), tb.rank(n), terms)
     E = ChainComplex(tb.ranks, diffs)
     return E, tb
 
 
 def tensor_map(f, g, tb_source, tb_target):
     """(f ⊗ g) between tensor complexes with the given bases: kron(f_p, g_q)
-    from each block (p, q) to the block (p, q) of the target; sparse if f
-    or g is."""
+    from each block (p, q) to the block (p, q) of the target."""
     mats = {}
     for n in range(tb_source.top_degree + 1):
         terms = []
@@ -322,6 +305,5 @@ def tensor_map(f, g, tb_source, tb_target):
                 fm, gm = f.mat(p), g.mat(q)
                 if fm.nrows and gm.nrows:  # into a zero group: no target block
                     terms.append((fm, gm, tb_target.offset(n, p), col, 1))
-        mats[n] = la.kron_sum(tb_target.rank(n), tb_source.rank(n), terms,
-                              f.sparse or g.sparse)
+        mats[n] = la.kron_sum(tb_target.rank(n), tb_source.rank(n), terms)
     return mats

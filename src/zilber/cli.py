@@ -40,9 +40,12 @@ class InputError(ValueError):
 
 def max_dim():
     try:
-        return max(0, int(os.environ.get("ZILBER_MAX_DIM", "6")))
+        cap = int(os.environ.get("ZILBER_MAX_DIM", "6"))
     except ValueError:
         raise InputError("ZILBER_MAX_DIM must be an integer")
+    if cap < 0:
+        raise InputError("ZILBER_MAX_DIM must be nonnegative")
+    return cap
 
 
 def resolve_dim_bound(requested):
@@ -199,6 +202,7 @@ def cmd_homology(args):
             C = parse_payload(chains.ChainComplex.from_payload, payload,
                               "chain")
             kind = "chain"
+            dim_bound = None  # a chain complex has no truncation bound
         else:
             raise InputError(f"unrecognized payload format: {fmt!r}")
     inv = chains.homology(C)
@@ -217,7 +221,6 @@ def cmd_doldkan(args):
     dim_bound = resolve_dim_bound(args.dim_bound)
     certs = []
     results = {}
-    inputs = _inputs(args, dim_bound=dim_bound)
     counts = ("random_complexes", "random_objects", "fuzz", "hom_table")
     for name in counts:
         if getattr(args, name) < 0:
@@ -230,6 +233,7 @@ def cmd_doldkan(args):
                              "positive count")
     else:
         X = load_space(args.input, dim_bound)
+        dim_bound = X.dim_bound  # a payload carries its own
         A = free_abelian(X)
         nres = doldkan.normalize(A)
         results["normalized_ranks"] = list(nres.normalized.ranks)
@@ -296,7 +300,8 @@ def cmd_doldkan(args):
         results["hom_table"] = table
         certs.append(bool_cert(ok, "disk-hom-table",
                                "rank 1 exactly when n is m or m+1"))
-    return emit("doldkan", inputs, results, certs, started)
+    return emit("doldkan", _inputs(args, dim_bound=dim_bound), results, certs,
+                started)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +442,8 @@ def cmd_ss(args):
     certs = []
     results = {}
     token = args.input
+    if args.pages is not None and args.pages < 1:
+        raise InputError("--pages must be positive")
     if token == "random":
         if args.trials < 1:
             raise InputError("--trials must be positive")
@@ -503,9 +510,12 @@ def cmd_ss(args):
 
 def _parse_int_list(text, name):
     try:
-        return [int(t) for t in text.split(",") if t != ""]
+        out = [int(t) for t in text.split(",") if t != ""]
     except ValueError:
+        out = []
+    if not out:
         raise InputError(f"--{name} expects comma-separated integers")
+    return out
 
 
 def cmd_promonoidal(args):
@@ -545,13 +555,13 @@ def cmd_promonoidal(args):
                 promonoidal.coyoneda_check(promonoidal.hom_profunctor(C)),
                 "coyoneda"))
         elif check == "left-kan":
-            ns = _parse_int_list(args.ns or "1,1", "ns")
+            ns = _parse_int_list("1,1" if args.ns is None else args.ns, "ns")
             ms = range(args.m + 1) if args.m is not None else range(5)
             cert = promonoidal.left_kan_check(ns, args.b, ms)
             results["left_kan_expected_pass"] = sum(ns) <= args.b
             certs.append(cert_dict(cert, "left-kan"))
         elif check == "product-colimit":
-            ns = _parse_int_list(args.ns or "1,1", "ns")
+            ns = _parse_int_list("1,1" if args.ns is None else args.ns, "ns")
             certs.append(cert_dict(
                 promonoidal.product_simplices_colimit_check(
                     ns, range(args.k_max + 1)),

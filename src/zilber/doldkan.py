@@ -15,8 +15,8 @@ from .simplicial import SimplicialAbelianGroup
 
 
 def unnormalized_chains(A):
-    """C(A): C_n = A_n with d = Σ (-1)^i d_i, sparse, computed once and kept
-    on A."""
+    """C(A): C_n = A_n with d = Σ (-1)^i d_i, computed once and kept on
+    A."""
     if A.chains is None:
         A.chains = _unnormalized_chains(A)
     return A.chains
@@ -36,7 +36,6 @@ class NormalizationResult:
     projection : C(A) -> normalized (degreewise surjective, kernel the
     degenerate subcomplex); section : normalized -> C(A) is a chain map
     with projection ∘ section = id, landing in the Moore subcomplex.
-    Both are sparse; the normalized complex is dense.
     """
 
     normalized: ChainComplex
@@ -59,7 +58,7 @@ def _degenerate_coordinates(A, n):
 
 def _quotient_by_degenerates(A, n):
     """(proj, lifts): proj : A_n -> A_n / D_n in a chosen basis, and lifts,
-    the columns of A_n that proj sends to that basis, both sparse."""
+    the columns of A_n that proj sends to that basis."""
     rn = A.ranks[n]
     hit = _degenerate_coordinates(A, n)
     if hit is not None:
@@ -69,17 +68,16 @@ def _quotient_by_degenerates(A, n):
         proj = la.Sparse([((pos[k], 1),) if k in pos else ()
                           for k in range(rn)], len(keep))
         return proj, la.Sparse([((k, 1),) for k in keep], rn)
-    span = la.hstack(la.zeros(rn, 0, True),
+    span = la.hstack(la.zeros(rn, 0),
                      *[A.degen_mats[(n - 1, i)] for i in range(n)])
-    U, S, _, Uinv, _ = la._smith_with_inverses(la.dense(span), ("U", "Uinv"))
-    diag = [S[i][i] for i in range(min(la.dims(S)))]
+    U, diag, _, Uinv, _ = la._smith_with_inverses(span, ("U", "Uinv"))
     if any(d not in (0, 1) for d in diag):
         raise ValueError(
             "degenerate subgroup is not a direct summand; "
             "input is not a valid simplicial abelian group")
     r = sum(1 for d in diag if d)
-    lifts = la.Matrix([row[r:] for row in Uinv], rn - r)
-    return la.to_sparse(la.Matrix(U[r:], rn)), la.to_sparse(lifts)
+    return (la.as_sparse(U[r:], rn - r, rn),
+            la.as_sparse([row[r:] for row in Uinv], rn, rn - r))
 
 
 def _moore_section(A, n, moore, lifts):
@@ -138,15 +136,14 @@ def _normalize(A, moore):
         projs[n], lifts = _quotient_by_degenerates(A, n)
         secs[n] = _moore_section(A, n, moore, lifts)
     nranks = [secs[n].ncols for n in range(D + 1)]
-    # proj ∘ d ∘ section lands in the normalized complex: made dense here
     N = ChainComplex(nranks, {
-        n: la.dense(la.mat_mul(projs[n - 1], la.mat_mul(C.diff(n), secs[n])))
+        n: la.mat_mul(projs[n - 1], la.mat_mul(C.diff(n), secs[n]))
         for n in range(1, D + 1)})
     projection = ChainMap(C, N, projs)
     section = ChainMap(N, C, secs)
     for n in range(D + 1):
         if not la.mat_eq(la.mat_mul(projs[n], secs[n]),
-                         la.identity(nranks[n], True)):
+                         la.identity(nranks[n])):
             raise AssertionError("projection ∘ section is not the identity")
     return NormalizationResult(N, projection, section)
 
@@ -209,7 +206,7 @@ def _gamma_component(C, eta, alpha):
 
 
 def gamma_operator(C, alpha, basis_by_level):
-    """Sparse matrix of Γ(C)(alpha) : Γ(C)_n -> Γ(C)_m for alpha : [m] -> [n]."""
+    """The matrix of Γ(C)(alpha) : Γ(C)_n -> Γ(C)_m for alpha : [m] -> [n]."""
     m, n = alpha.domain_top, alpha.codomain_top
     src = basis_by_level[n]
     tgt = basis_by_level[m]
@@ -222,9 +219,8 @@ def gamma_operator(C, alpha, basis_by_level):
         elif mode == "d":
             # the generators of one summand are consecutive in the basis,
             # so rows ascend with t2
-            d = la.dense(C.diff(k))
-            cols.append(tuple((pos[(eta_prime, t2)], d[t2][t])
-                              for t2 in range(C.rank(k - 1)) if d[t2][t]))
+            cols.append(tuple((pos[(eta_prime, t2)], x)
+                              for t2, x in C.diff(k)[t]))
         else:
             cols.append(())
     return la.Sparse(cols, len(tgt))
@@ -259,7 +255,7 @@ def gamma_normalize_comparison(A):
         blocks = [la.mat_mul(A.operator_matrix(eta), nres.section.mat(k))
                   for k in range(min(n, N.top_degree) + 1)
                   for eta in enumerate_surjections(n, k)]
-        mats.append(la.dense(la.hstack(*blocks)))
+        mats.append(la.hstack(*blocks))
     return mats
 
 
@@ -278,8 +274,7 @@ def normalized_gamma_comparison(C, dim_bound):
         basis = gamma_basis(C, n)
         incl = la.Sparse([((row, 1),) for row, (eta, _) in enumerate(basis)
                           if eta.codomain_top == n], len(basis))
-        mats[n] = la.mat_scale(sign, la.dense(
-            la.mat_mul(nres.projection.mat(n), incl)))
+        mats[n] = la.mat_scale(sign, la.mat_mul(nres.projection.mat(n), incl))
         sign = sign * (-1 if (n + 1) % 2 else 1)
     return ChainMap(C, N, mats)
 

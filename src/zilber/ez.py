@@ -35,7 +35,7 @@ def _shuffle_terms(A, B, p, q, col):
 
 
 def unnormalized_shuffle(A, B):
-    """∇ : C(A) ⊗ C(B) -> C(A⊗B), sparse.
+    """∇ : C(A) ⊗ C(B) -> C(A⊗B).
 
     On bidegree (p, q) the column of x ⊗ y is the signed sum over all
     (p,q)-shuffles of (degenerate image of x) ⊗ (degenerate image of y),
@@ -53,7 +53,7 @@ def unnormalized_shuffle(A, B):
     T, tb = tensor(CA, CB, top_degree=D)
     mats = {n: la.kron_sum(CAB.rank(n), T.rank(n),
                            [term for p, q, col in tb.blocks(n)
-                            for term in _shuffle_terms(A, B, p, q, col)], True)
+                            for term in _shuffle_terms(A, B, p, q, col)])
             for n in range(D + 1)}
     return ChainMap(T, CAB, mats), tb, AB
 
@@ -104,7 +104,7 @@ class _ShuffleProduct:
         mats = {n: la.kron_sum(T.rank(n), CAB.rank(n), [
             (A.operator_matrix(front_face(n, p)),
              B.operator_matrix(back_face(n, q)), row, 0, 1)
-            for p, q, row in tb.blocks(n)], True)
+            for p, q, row in tb.blocks(n)])
             for n in range(A.dim_bound + 1)}
         aw_un = ChainMap(CAB, T, mats)
         projproj = ChainMap(T, self.source,
@@ -140,22 +140,20 @@ def _koszul_swap(tb_src, tb_tgt):
     (p, q) goes to block (q, p), transposing the Kronecker order."""
     mats = {}
     for n in range(tb_src.top_degree + 1):
-        M = la.zeros(tb_tgt.rank(n), tb_src.rank(n))
-        for p, q, col in tb_src.blocks(n):
+        cols = []  # column col + i * rq + j of block (p, q), in order
+        for p, q, _ in tb_src.blocks(n):
             row = tb_tgt.offset(n, q)
             rp, rq = tb_src.C.rank(p), tb_src.D.rank(q)
             sign = -1 if (p * q) % 2 else 1
-            for i in range(rp):
-                for j in range(rq):
-                    M[row + j * rp + i][col + i * rq + j] = sign
-        mats[n] = M
+            cols += [((row + j * rp + i, sign),)
+                     for i in range(rp) for j in range(rq)]
+        mats[n] = la.Sparse(cols, tb_tgt.rank(n))
     return mats
 
 
 def _simplicial_swap_chain(ab, ba):
     """The levelwise transposition C(A⊗B) -> C(B⊗A) between the
-    unnormalized targets of the shuffle products ab and ba, as a sparse
-    chain map."""
+    unnormalized targets of the shuffle products ab and ba."""
     A, B = ab.A, ab.B
     mats = {}
     for n in range(A.dim_bound + 1):
@@ -202,8 +200,8 @@ def _tensor_associator(tb_left, tb_ab, tb_right, tb_bc):
                     continue
                 width = tb_ab.D.rank(q) * re
                 at = tb_bc.offset(s, q)
-                inclusion = la.vstack(la.zeros(at, width), la.identity(width),
-                                      la.zeros(tb_bc.rank(s) - at - width, width))
+                inclusion = la.Sparse([((at + t, 1),) for t in range(width)],
+                                      tb_bc.rank(s))
                 terms.append((la.identity(tb_ab.C.rank(p)), inclusion,
                               tb_right.offset(n, p), col + inner * re, 1))
         mats[n] = la.kron_sum(tb_right.rank(n), tb_left.rank(n), terms)
@@ -269,7 +267,7 @@ def unitality_check(A, B):
         rows = A.ranks[n] * B.ranks[n]
         for p, q in ((n, 0), (0, n)) if n else ((0, 0),):
             got = la.kron_sum(rows, A.ranks[p] * B.ranks[q],
-                              _shuffle_terms(A, B, p, q, 0), True)
+                              _shuffle_terms(A, B, p, q, 0))
             want = la.kron(A.operator_matrix(_edge_map(n, p)),
                            B.operator_matrix(_edge_map(n, q)))
             for c, (x, y) in enumerate(zip(got, want)):

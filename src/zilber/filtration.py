@@ -31,7 +31,7 @@ class FilteredChainComplex:
                                      f"0..{ambient.top_degree}")
         # stages[p][n] is an ambient.rank(n)-row matrix of generator columns
         self.stages = [
-            {n: la.as_matrix(stages[p].get(n, la.zeros(ambient.rank(n), 0)),
+            {n: la.as_sparse(stages[p].get(n, la.zeros(ambient.rank(n), 0)),
                              ambient.rank(n), what=f"stage ({p},{n})")
              for n in range(ambient.top_degree + 1)}
             for p in range(p_max + 1)]
@@ -85,7 +85,7 @@ class FilteredChainComplex:
             "version": 1,
             "ambient": self.ambient.to_payload(),
             "p_max": self.p_max,
-            "stages": [{str(n): self.stages[p][n]
+            "stages": [{str(n): la.rows(self.stages[p][n])
                         for n in range(self.ambient.top_degree + 1)}
                        for p in range(self.p_max + 1)],
         }
@@ -131,7 +131,7 @@ def skeletal_filtration(A):
             cols = la.hstack(*[A.operator_matrix(eta) for j in range(p + 1)
                                for eta in enumerate_surjections(k, j)])
             stages[p][k] = la.image_basis(
-                la.dense(la.mat_mul(nres.projection.mat(k), cols)))
+                la.mat_mul(nres.projection.mat(k), cols))
         for p in range(k + 1, D + 1):
             stages[p][k] = stages[k][k]
     return FilteredChainComplex(nres.normalized, stages, D)
@@ -141,10 +141,10 @@ def _tensor_column(tb, p, x, q, y):
     """The coordinates of x ⊗ y in degree p + q of the tensor complex with
     basis tb, for x of degree p and y of degree q."""
     n = p + q
-    col = la.kron_sum(tb.rank(n), 1, [(la.Matrix([[u] for u in x], 1),
-                                       la.Matrix([[v] for v in y], 1),
+    col = la.kron_sum(tb.rank(n), 1, [(la.from_columns([x], len(x)),
+                                       la.from_columns([y], len(y)),
                                        tb.offset(n, p), 0, 1)])
-    return [v for v, in col]
+    return la.columns(col)[0]
 
 
 def _kron_columns(nrows, pieces):

@@ -310,12 +310,12 @@ def skeleton_product_check(X, Y, p, q, n):
 
 class SimplicialAbelianGroup:
     """A D-truncated simplicial abelian group: free ℤ-modules per level with
-    integer matrices for faces and degeneracies, stored as la.Sparse (the
-    constructor also takes dense matrices or row lists, and rejects an
-    operator at an index the truncation does not have).  Not mutated after
-    construction, so doldkan keeps C(A) in chains (None until asked for)
-    and normalize's result per Moore convention in normalizations, and
-    operator_matrix keeps X(f) per monotone map f in operators."""
+    integer matrices for faces and degeneracies (the constructor also takes
+    row lists, and rejects an operator at an index the truncation does not
+    have).  Not mutated after construction, so doldkan keeps C(A) in chains
+    (None until asked for) and normalize's result per Moore convention in
+    normalizations, and operator_matrix keeps X(f) per monotone map f in
+    operators."""
 
     def __init__(self, dim_bound, ranks, face_mats, degen_mats, check=True):
         if dim_bound < 0:
@@ -348,7 +348,7 @@ class SimplicialAbelianGroup:
     def _validate(self):
         _check_identities(self.dim_bound, self.face_mats, self.degen_mats,
                           la.mat_mul, la.mat_eq,
-                          lambda k: la.identity(self.ranks[k], True))
+                          lambda k: la.identity(self.ranks[k]))
 
     def operator_matrix(self, f):
         """The matrix of X(f) : X_{f.codomain_top} -> X_{f.domain_top} for an
@@ -360,7 +360,7 @@ class SimplicialAbelianGroup:
             return self.operators[f]
         epi, mono = epi_mono_factorize(f)
         level = f.codomain_top
-        M = la.identity(self.ranks[level], True)
+        M = la.identity(self.ranks[level])
         for i in factor_into_cofaces(mono):
             M = la.mat_mul(self.face_mats[(level, i)], M)
             level -= 1
@@ -389,7 +389,7 @@ def free_abelian(X):
 
 def sab_tensor(A, B):
     """Levelwise tensor product of simplicial abelian groups (Kronecker
-    operators); the basis at level k is ordered (a-index major).  On sparse
+    operators); the basis at level k is ordered (a-index major).  On
     operators with unit columns, as for ℤ[X], each column of a Kronecker
     product is the one pair (i * rank_B + k, 1): index arithmetic."""
     if A.dim_bound != B.dim_bound:

@@ -48,6 +48,8 @@ class SpectralSequence:
         p_max = F.p_max
         if r_max is None:
             r_max = p_max + 1
+        if r_max < 1:
+            raise ValueError(f"r_max must be at least 1, not {r_max}")
         self.r_inf = p_max + 1
         r_top = max(r_max, self.r_inf)
         self.r_top = r_top
@@ -143,9 +145,9 @@ class SpectralSequence:
             M2 = self.diffs[r].get((p - r, q + r - 1))
             if tgt is None or M2 is None or not tgt.ngens:
                 continue
-            for i, row in enumerate(la.mat_mul(M2, M)):
-                o = tgt.orders[i]
-                for v in row:
+            for col in la.mat_mul(M2, M):
+                for i, v in col:
+                    o = tgt.orders[i]
                     if (v % o if o else v) != 0:
                         return CheckCertificate(False, witness=(r, p, q),
                                                 detail="d_r ∘ d_r != 0")
@@ -204,7 +206,7 @@ class SpectralSequence:
                     continue
                 tbl[f"{p},{q}"] = {
                     "orders": list(sq.orders),
-                    "d": self.diffs[r][(p, q)],
+                    "d": la.rows(self.diffs[r][(p, q)]),
                 }
             pages[str(r)] = tbl
         return {
@@ -218,12 +220,13 @@ class SpectralSequence:
 
 
 def _span_of_preimage(A, M, B):
-    """A basis of {A x : M x ∈ span(B)}, the span of A times the top rows of
+    """A basis of {A x : M x ∈ span(B)}, the span of [A | 0] times
     ker [M | -B].  With M = A this is span(A) ∩ span(B)."""
     if not A.ncols:
         return A  # the zero span; skips two SNFs
     ker = la.kernel_basis(la.hstack(M, la.mat_scale(-1, B)))
-    return la.image_basis(la.mat_mul(A, la.Matrix(ker[:A.ncols], ker.ncols)))
+    return la.image_basis(la.mat_mul(la.hstack(A, la.zeros(A.nrows, B.ncols)),
+                                     ker))
 
 
 def _invariant_checks(S):
@@ -370,17 +373,13 @@ def leibniz_check(pairing, r=None):
                 lhs = la.mat_vec(d_h, src.coords(tbl[i][j]))
                 rhs = [0] * tgt.ngens
                 if (f_tgt, pq2) in pairing.products:
-                    for k in range(S_F.pages[r][f_tgt].ngens):
-                        a = d_f[k][i]
-                        if a:
-                            _, pc = coords_of_product(f_tgt, k, pq2, j)
-                            rhs = [u + a * v for u, v in zip(rhs, pc)]
+                    for k, a in d_f[i]:
+                        _, pc = coords_of_product(f_tgt, k, pq2, j)
+                        rhs = [u + a * v for u, v in zip(rhs, pc)]
                 if (pq1, g_tgt) in pairing.products:
-                    for k in range(S_G.pages[r][g_tgt].ngens):
-                        b = d_g[k][j]
-                        if b:
-                            _, pc = coords_of_product(pq1, i, g_tgt, k)
-                            rhs = [u + sign * b * v for u, v in zip(rhs, pc)]
+                    for k, b in d_g[j]:
+                        _, pc = coords_of_product(pq1, i, g_tgt, k)
+                        rhs = [u + sign * b * v for u, v in zip(rhs, pc)]
                 lhs = tgt.reduce(lhs)
                 rhs = tgt.reduce(rhs)
                 if lhs != rhs:

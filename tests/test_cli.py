@@ -52,6 +52,7 @@ def test_promonoidal_left_kan_failure_has_witness_and_exit_1(capsys):
     ["promonoidal", "--check", "left-kan", "--ns", "1,1", "--b", "2", "--m", "-1"],
     ["promonoidal", "--check", "left-kan", "--ns", "1,-1", "--b", "2"],
     ["promonoidal", "--check", "left-kan", "--b", "-1"],
+    ["promonoidal", "--check", "left-kan", "--ns", ""],
     ["promonoidal", "--check", "operator-frag", "--trials", "0"],
     ["promonoidal", "--check", "operator-frag", "--length", "-1"],
     ["doldkan", "--hom-table", "-3"],
@@ -59,6 +60,7 @@ def test_promonoidal_left_kan_failure_has_witness_and_exit_1(capsys):
     ["doldkan", "--random-complexes", "-1"],
     ["doldkan"],
     ["ss", "random", "--trials", "0"],
+    ["ss", "sk:s1", "--pages", "-2"],
     ["skeleta", "--day-unit", "--trials", "-1"],
     ["skeleta"],
     ["skeleta", "delta1", "delta1", "--p", "-1", "--q", "0", "--n", "1"],
@@ -163,15 +165,24 @@ def test_spaces_of_different_bounds_are_an_input_error(tmp_path, capsys,
     ["ss", "ez:P,P"],
     ["ss", "sk:P"],
     ["homology", "P"],
+    ["doldkan", "P"],
+    ["doldkan", "P", "--roundtrip"],
+    ["homology", "C", "--dim-bound", "1"],
 ], ids=" ".join)
 def test_report_records_the_bound_of_the_loaded_spaces(tmp_path, capsys,
                                                        argv):
-    # payloads of bound 2 were once reported at the default bound 3
+    # payloads of bound 2 were once reported at the default bound 3, and a
+    # chain payload C (top degree 2) at the requested bound; it has none
+    from zilber.chains import ChainComplex
     from zilber.simplicial import circle
     p = tmp_path / "circle2.json"
     p.write_text(json.dumps(circle(2).to_payload()))
-    code, rep, _ = run(capsys, [a.replace("P", str(p)) for a in argv])
-    assert code == 0 and rep["inputs"]["dim_bound"] == 2
+    c = tmp_path / "chain.json"
+    c.write_text(json.dumps(ChainComplex([1, 1, 1], {}).to_payload()))
+    code, rep, _ = run(capsys, [str(c) if a == "C" else a.replace("P", str(p))
+                                for a in argv])
+    assert code == 0
+    assert rep["inputs"]["dim_bound"] == (None if "C" in argv else 2)
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -241,6 +252,14 @@ def test_dimension_cap_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("ZILBER_MAX_DIM", "1")
     code, rep, err = run(capsys, ["homology", "delta2", "--dim-bound", "3"])
     assert code == 2
+
+
+def test_negative_dimension_cap_is_an_input_error(capsys, monkeypatch):
+    # a cap of -1 was once clamped to 0, and homology torus reported H_0 only
+    monkeypatch.setenv("ZILBER_MAX_DIM", "-1")
+    code, rep, err = run(capsys, ["homology", "torus"])
+    assert code == 2 and rep is None
+    assert json.loads(err)["error"] == "ZILBER_MAX_DIM must be nonnegative"
 
 
 def test_doldkan_roundtrip_and_fuzz(capsys):

@@ -104,17 +104,17 @@ def _kernel_normalization(A, moore):
     where K is a kernel basis of the stacked Moore faces."""
     projs, secs = [], []
     for n, rn in enumerate(A.ranks):
-        span = la.dense(la.hstack(la.zeros(rn, 0),
-                                  *[A.degen_mats[(n - 1, i)] for i in range(n)]))
-        U, S, _, _, _ = la._smith_with_inverses(span, ("U",))
-        r = sum(1 for i in range(min(la.dims(S))) if S[i][i])
-        proj = la.Matrix(U[r:], rn)
+        span = la.hstack(la.zeros(rn, 0),
+                         *[A.degen_mats[(n - 1, i)] for i in range(n)])
+        U, diag, _, _, _ = la._smith_with_inverses(span, ("U",))
+        r = sum(1 for d in diag if d)
+        proj = la.as_sparse(U[r:], rn - r, rn)
         if n == 0:
             sec = la.identity(rn)
         else:
             faces = range(1, n + 1) if moore == "upper" else range(n)
-            K = la.kernel_basis(
-                la.vstack(*[la.dense(A.face_mats[(n, i)]) for i in faces]))
+            stacked = [row for i in faces for row in la.rows(A.face_mats[(n, i)])]
+            K = la.kernel_basis(la.as_sparse(stacked, len(stacked), rn))
             sec = la.mat_mul(K, la.inverse_unimodular(la.mat_mul(proj, K)))
         projs.append(proj)
         secs.append(sec)
@@ -182,9 +182,9 @@ def test_coordinate_and_snf_paths_agree(X, snf_calls):
 def test_broken_face_is_caught_by_the_moore_check(moore, i, v):
     # at bound 1, where d² = 0 cannot catch it
     A = free_abelian(standard_simplex(1, 1))
-    faces = {k: la.dense(M) for k, M in A.face_mats.items()}
+    faces = {k: la.rows(M) for k, M in A.face_mats.items()}
     # d_i sends the degenerate edge s_0(v) to the other vertex: d_i s_0 != id
-    e = [row[v] for row in la.dense(A.degen_mats[(0, 0)])].index(1)
+    e = [row[v] for row in la.rows(A.degen_mats[(0, 0)])].index(1)
     faces[(1, i)][v][e], faces[(1, i)][1 - v][e] = 0, 1
     B = SimplicialAbelianGroup(A.dim_bound, A.ranks, faces, A.degen_mats,
                                check=False)

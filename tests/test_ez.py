@@ -244,7 +244,7 @@ def nabla_by_formula(X, Y, n):
     n-simplices of X × Y."""
     rows = {z: i for i, z in enumerate(_product_basis(X, Y, n))}
     cols = _tensor_basis(X, Y, n)
-    M = la.zeros(len(rows), len(cols))
+    M = [[0] * len(cols) for _ in rows]
     for c, (p, x, y) in enumerate(cols):
         for mu in itertools.combinations(range(n), p):
             nu = [t for t in range(n) if t not in mu]
@@ -259,7 +259,7 @@ def aw_by_formula(X, Y, n):
     degenerate terms dropped."""
     cols = _product_basis(X, Y, n)
     rows = {z: i for i, z in enumerate(_tensor_basis(X, Y, n))}
-    M = la.zeros(len(rows), len(cols))
+    M = [[0] * len(cols) for _ in rows]
     for c, (x, y) in enumerate(cols):
         for p in range(n + 1):
             front, back = x, y
@@ -278,5 +278,5 @@ def aw_by_formula(X, Y, n):
 def test_nabla_and_aw_are_the_closed_formulas(a, b, n):
     X, Y = CORPUS[a](3), CORPUS[b](3)
     sp = shuffle_product(free_abelian(X), free_abelian(Y))
-    assert sp.map.mat(n) == nabla_by_formula(X, Y, n)
-    assert sp.alexander_whitney().mat(n) == aw_by_formula(X, Y, n)
+    assert la.rows(sp.map.mat(n)) == nabla_by_formula(X, Y, n)
+    assert la.rows(sp.alexander_whitney().mat(n)) == aw_by_formula(X, Y, n)

@@ -45,9 +45,9 @@ def skeletal_stages_one_by_one(A):
     """stages[p][k] for every p and k, each computed on its own from the
     surjections [k] ->> [j], j <= p."""
     proj = normalize(A).projection
-    return [{k: la.image_basis(la.dense(la.mat_mul(proj.mat(k), la.hstack(
+    return [{k: la.image_basis(la.mat_mul(proj.mat(k), la.hstack(
                 *[A.operator_matrix(eta) for j in range(min(p, k) + 1)
-                  for eta in enumerate_surjections(k, j)]))))
+                  for eta in enumerate_surjections(k, j)])))
              for k in range(A.dim_bound + 1)}
             for p in range(A.dim_bound + 1)]
 
@@ -160,11 +160,12 @@ def test_containment_witness_is_the_first_escaping_triple():
         H = day_convolution(F, G)
         P = FilteredPairing(F, G, H, identity_chain_map(H.ambient), H.basis)
         # perturb one entry of m: the pairing need not be compatible now
-        mats = {n: la.Matrix([row[:] for row in M], M.ncols)
-                for n, M in P.m.mats.items()}
+        mats = dict(P.m.mats)
         n = rng.choice([n for n, M in mats.items() if all(la.dims(M))])
-        mats[n][rng.randrange(len(mats[n]))][rng.randrange(mats[n].ncols)] \
+        M = la.rows(mats[n])
+        M[rng.randrange(len(M))][rng.randrange(mats[n].ncols)] \
             += rng.choice([-1, 1])
+        mats[n] = la.as_sparse(M, *la.dims(mats[n]))
         m = ChainMap(P.m.source, P.m.target, mats, check=False)
         Q = FilteredPairing(P.F, P.G, P.H, m, P.basis, check=False)
         cert = Q.containment_certificate()
@@ -259,14 +260,15 @@ def test_validation_matches_the_per_column_oracle():
         F = zrandom.rand_filtration(rng, p_max=3, top_degree=2,
                                     max_total_rank=5)
         # one perturbed stage entry may break closure, nesting or exhaustion
-        stages = [{n: la.Matrix([row[:] for row in M], M.ncols)
-                   for n, M in stage.items()} for stage in F.stages]
+        stages = [dict(stage) for stage in F.stages]
         cells = [(p, n, i, j) for p, stage in enumerate(stages)
                  for n, M in stage.items()
-                 for i in range(len(M)) for j in range(M.ncols)]
+                 for i in range(M.nrows) for j in range(M.ncols)]
         if cells:
             p, n, i, j = rng.choice(cells)
-            stages[p][n][i][j] += rng.choice([-1, 1, 2])
+            M = la.rows(stages[p][n])
+            M[i][j] += rng.choice([-1, 1, 2])
+            stages[p][n] = la.as_sparse(M, *la.dims(stages[p][n]))
         want = _per_column_violation(
             FilteredChainComplex(F.ambient, stages, F.p_max, check=False))
         if want is None:

@@ -23,16 +23,16 @@ ENTRIES = st.integers(-4, 4)
 def matrices(draw, rows=None, max_dim=5, cols=None):
     r = draw(st.integers(0, max_dim)) if rows is None else rows
     c = draw(st.integers(0, max_dim)) if cols is None else cols
-    M = la.zeros(r, c)
+    M = [[0] * c for _ in range(r)]
     for row in M:
         for j in range(c):
             row[j] = draw(ENTRIES)
-    return M
+    return la.as_sparse(M, r, c)
 
 
 def to_sympy(M):
     r, c = la.dims(M)
-    return SympyMatrix(r, c, [x for row in M for x in row])
+    return SympyMatrix(r, c, [x for row in la.rows(M) for x in row])
 
 
 @settings(max_examples=200, deadline=None)
@@ -42,23 +42,24 @@ def test_snf_diagonal_matches_sympy_invariant_factors(M):
     assert la.snf_diagonal(M) == expected
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrices())
-def test_snf_is_certified_by_its_unimodular_factors(M):
+def check_snf(M):
+    """U*M*V = S with unimodular U and V, from the transforms' inverses,
+    and S a nonnegative divisibility chain on its diagonal."""
     r, c = la.dims(M)
-    U, S, V, Uinv, Vinv = la._smith_with_inverses(M)
+    U, diag, V, Uinv, Vinv = la._smith_with_inverses(M)
+    U, Uinv = la.as_sparse(U, r, r), la.as_sparse(Uinv, r, r)
+    V, Vinv = la.as_sparse(V, c, c), la.as_sparse(Vinv, c, c)
+    assert len(diag) == min(r, c)
+    S = la.from_columns([[diag[j] if i == j else 0 for i in range(r)]
+                         for j in range(c)], r)
     assert la.mat_eq(la.mat_mul(la.mat_mul(U, M), V), S)
     assert la.mat_eq(la.mat_mul(U, Uinv), la.identity(r))
     assert la.mat_eq(la.mat_mul(V, Vinv), la.identity(c))
-    diag = [S[i][i] for i in range(min(r, c))]
-    assert all(S[i][j] == 0 for i in range(r) for j in range(c) if i != j)
     assert all(d >= 0 for d in diag)
     assert all(b % a == 0 for a, b in zip(diag, diag[1:]) if a)
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrices())
-def test_kernel_basis_is_a_basis_of_the_kernel(M):
+def check_kernel(M):
     r, c = la.dims(M)
     K = la.kernel_basis(M)
     assert la.dims(K) == (c, c - to_sympy(M).rank())
@@ -67,15 +68,39 @@ def test_kernel_basis_is_a_basis_of_the_kernel(M):
     assert all(d == 1 for d in la.snf_diagonal(K))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_solve_matrix_solves_every_consistent_system(data):
-    M = data.draw(matrices())
-    X0 = data.draw(matrices(rows=la.dims(M)[1], max_dim=3))
+def check_solve(M, X0):
     B = la.mat_mul(M, X0)
     X = la.solve_matrix(M, B)
     assert X is not None
     assert la.mat_eq(la.mat_mul(M, X), B)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_snf_is_certified_by_its_unimodular_factors(M):
+    check_snf(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_kernel_basis_is_a_basis_of_the_kernel(M):
+    check_kernel(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solve_matrix_solves_every_consistent_system(data):
+    M = data.draw(matrices())
+    check_solve(M, data.draw(matrices(rows=la.dims(M)[1], max_dim=3)))
+
+
+@pytest.mark.parametrize("r, c", [(0, 3), (3, 0), (0, 0)])
+def test_snf_kernel_and_solve_of_matrices_without_entries(r, c):
+    M = la.zeros(r, c)
+    check_snf(M)
+    check_kernel(M)
+    for k in (0, 2):
+        check_solve(M, la.zeros(c, k))
 
 
 @pytest.mark.parametrize("r, k, c", [(2, 0, 3), (0, 3, 2), (3, 2, 0), (0, 0, 0)])
@@ -92,8 +117,8 @@ def sparse_matrices(draw, rows, cols):
                       st.integers(-2 ** 80, 2 ** 80))
     zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
     zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
-    return la.Matrix([[0 if i in zero_rows or j in zero_cols else draw(entry)
-                       for j in range(cols)] for i in range(rows)], cols)
+    return [[0 if i in zero_rows or j in zero_cols else draw(entry)
+             for j in range(cols)] for i in range(rows)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,29 +129,70 @@ def test_mat_mul_matches_the_triple_loop(data):
     B = data.draw(sparse_matrices(k, c))
     want = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(c)]
             for i in range(r)]
-    P = la.mat_mul(A, B)
-    assert la.dims(P) == (r, c) and P == want
+    P = la.mat_mul(la.as_sparse(A, r, k), la.as_sparse(B, k, c))
+    assert la.dims(P) == (r, c) and la.rows(P) == want
 
 
 def test_mat_mul_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         la.mat_mul(la.zeros(2, 3), la.zeros(2, 3))
     with pytest.raises(ValueError):
-        la.mat_mul(la.zeros(2, 3, True), la.zeros(2, 3))
+        la.mat_mul(la.zeros(0, 3), la.zeros(2, 0))
 
 
 # ---------------------------------------------------------------------------
-# the sparse column form against the dense one
+# the column form against row lists
 
 
-def assert_canonical(S, M):
-    """S is the Sparse form of the Matrix M: same shape and entries, each
+def dense_mul(A, B, c):
+    """A * B on row lists, B of width c: compress skips the zeros of each
+    row of A and of each row of B it meets."""
+    out = [[0] * c for _ in A]
+    cols = range(c)
+    for Ai, Oi in zip(A, out):
+        for a, Bk in itertools.compress(zip(Ai, B), Ai):
+            for j in itertools.compress(cols, Bk):
+                Oi[j] += a * Bk[j]
+    return out
+
+
+def dense_sum(terms):
+    """Σ scale * M over (scale, M) in terms, row lists of one shape."""
+    return [[sum(s * x for s, x in zip([s for s, _ in terms], xs))
+             for xs in zip(*rows)] for rows in zip(*[M for _, M in terms])]
+
+
+def dense_hstack(*mats):
+    return [[x for row in rows for x in row] for rows in zip(*mats)]
+
+
+def dense_kron_sum(nrows, ncols, terms):
+    """Σ scale * kron(A, B) over row lists, each product with its top left
+    entry at (row, col): M[row + i*rb + k][col + j*cb + l] +=
+    scale * A[i][j] * B[k][l], over the products of nonzero entries."""
+    M = [[0] * ncols for _ in range(nrows)]
+    for A, B, row, col, scale in terms:
+        rb, cb = len(B), len(B[0]) if B else 0
+        nonzero_B = [[(l, b) for l, b in enumerate(Bk) if b] for Bk in B]
+        for i, Ai in enumerate(A):
+            for j, a in enumerate(Ai):
+                if a:
+                    a *= scale
+                    c = col + j * cb
+                    for k, Bk in enumerate(nonzero_B, row + i * rb):
+                        for l, b in Bk:
+                            M[k][c + l] += a * b
+    return M
+
+
+def assert_canonical(S, M, c):
+    """S is the r x c matrix of the row list M: same shape and entries, each
     column its nonzero entries with rows ascending."""
-    assert isinstance(S, la.Sparse) and la.dims(S) == la.dims(M)
-    assert la.dense(S) == M and la.dense(S).ncols == M.ncols
+    assert isinstance(S, la.Sparse) and la.dims(S) == (len(M), c)
+    assert la.rows(S) == M
     assert [list(col) for col in S] == [
         [(i, row[j]) for i, row in enumerate(M) if row[j]]
-        for j in range(M.ncols)]
+        for j in range(c)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -135,45 +201,59 @@ def test_sparse_operations_match_the_dense_ones(data):
     r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
     A, A2 = (data.draw(sparse_matrices(r, k)) for _ in range(2))
     B = data.draw(sparse_matrices(k, c))
-    SA, SA2, SB = map(la.to_sparse, (A, A2, B))
-    assert_canonical(SA, A)
-    assert la.to_sparse(SA) is SA and la.dense(A) is A
-    # product, also of a sparse and a dense factor
-    for X, Y in ((SA, SB), (SA, B), (A, SB)):
-        assert_canonical(la.mat_mul(X, Y), la.mat_mul(A, B))
+    SA, SA2, SB = (la.as_sparse(A, r, k), la.as_sparse(A2, r, k),
+                   la.as_sparse(B, k, c))
+    assert_canonical(SA, A, k)
+    assert la.as_sparse(SA, r, k) is SA
+    # rows are the JSON form, and read back
+    assert la.mat_eq(la.as_sparse(la.rows(SA), r, k), SA)
+    assert json.dumps(la.rows(SA)) == json.dumps(A)
+    # product, vector product, transpose and columns
+    assert_canonical(la.mat_mul(SA, SB), dense_mul(A, B, c), c)
+    v = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    assert la.mat_vec(SA, v) == [sum(x * y for x, y in zip(row, v))
+                                 for row in A]
+    assert_canonical(la.transpose(SA), [list(col) for col in zip(*A)]
+                     if r else [[] for _ in range(k)], r)
+    assert la.columns(SA) == ([list(col) for col in zip(*A)]
+                              if r else [[] for _ in range(k)])
+    assert la.mat_eq(la.from_columns(la.columns(SA), r), SA)
     # [A A] [B; -B] = 0: every product that meets cancels
     assert_canonical(la.mat_mul(la.hstack(SA, SA),
-                                la.vstack(B, la.mat_scale(-1, B))),
-                     la.zeros(r, c))
-    # signed sum
+                                la.as_sparse(B + [[-x for x in row] for row in B],
+                                             2 * k, c)),
+                     [[0] * c for _ in range(r)], c)
+    # signed sum and scaling
     s, t = (data.draw(st.integers(-2, 2)) for _ in range(2))
-    want = la.Matrix([[s * x + t * y for x, y in zip(ra, rb)]
-                      for ra, rb in zip(A, A2)], k)
-    assert_canonical(la.mat_sum([(s, SA), (t, A2)]), want)
-    assert_canonical(la.mat_sum([(s, A), (t, A2)]), want)
-    assert_canonical(la.mat_sum([(s, SA), (-s, A)]), la.zeros(r, k))
+    assert_canonical(la.mat_sum([(s, SA), (t, SA2)]),
+                     dense_sum([(s, A), (t, A2)]), k)
+    assert_canonical(la.mat_sum([(s, SA), (-s, SA)]),
+                     [[0] * k for _ in range(r)], k)
+    assert_canonical(la.mat_scale(s, SA), dense_sum([(s, A)]), k)
     # equality and the zero test
-    assert la.mat_eq(SA, SA2) == la.mat_eq(SA, A2) == (A == A2)
-    assert la.mat_eq(SA, A) and la.is_zero(SA) == la.is_zero(A)
-    assert not la.mat_eq(la.zeros(r, k + 1, True), la.zeros(r, k))
+    assert la.mat_eq(SA, SA2) == (A == A2)
+    assert la.is_zero(SA) == all(x == 0 for row in A for x in row)
+    assert not la.mat_eq(la.zeros(r, k + 1), la.zeros(r, k))
     # Kronecker products, alone and summed into overlapping blocks
-    assert_canonical(la.kron(SA, SB), la.kron(A, B))
-    assert_canonical(la.hstack(SA, A2), la.hstack(A, A2))
+    assert_canonical(la.kron(SA, SB),
+                     dense_kron_sum(r * k, k * c, [(A, B, 0, 0, 1)]), k * c)
+    assert_canonical(la.hstack(SA, SA2), dense_hstack(A, A2), 2 * k)
     row, col = (data.draw(st.integers(0, 2)) for _ in range(2))
     rows, cols = row + r * k + 1, col + k * c + 1
     terms = [(A, B, row, col, s), (A2, B, 0, 0, t), (A2, B, row, col, 1),
              (A, B, row, col, -s)]
     assert_canonical(
-        la.kron_sum(rows, cols, [(la.to_sparse(X), la.to_sparse(Y), *rest)
-                                 for X, Y, *rest in terms], True),
-        la.kron_sum(rows, cols, terms))
+        la.kron_sum(rows, cols, [(la.as_sparse(X, len(X), k),
+                                  la.as_sparse(Y, k, c), *rest)
+                                 for X, Y, *rest in terms]),
+        dense_kron_sum(rows, cols, terms), cols)
     # JSON, hashing of its columns, copies
     assert json.loads(json.dumps(SA)) == [[list(p) for p in col] for col in SA]
     hash(tuple(map(tuple, SA)))
     assert la.mat_eq(copy.deepcopy(SA), SA)
 
 
-# the transforms by their position in the result (U, S, V, Uinv, Vinv)
+# the transforms by their position in the result (U, diag, V, Uinv, Vinv)
 TRANSFORMS = {"U": 0, "V": 2, "Uinv": 3, "Vinv": 4}
 
 
@@ -184,10 +264,10 @@ def test_tracking_a_subset_of_the_transforms_changes_none_of_them(M):
     for k in range(len(TRANSFORMS) + 1):
         for track in itertools.combinations(TRANSFORMS, k):
             out = la._smith_with_inverses(M, track)
-            assert la.mat_eq(out[1], full[1])
+            assert out[1] == full[1]
             for name, i in TRANSFORMS.items():
                 if name in track:
-                    assert la.mat_eq(out[i], full[i])
+                    assert out[i] == full[i]
                 else:
                     assert out[i] is None
 
@@ -200,9 +280,8 @@ class SolveSubquotient:
         self.zbasis = la.image_basis(z_gens)
         r = self.zbasis.ncols
         R = la.solve_matrix(self.zbasis, b_gens)
-        U, S, _, Uinv, _ = la._smith_with_inverses(R)
-        n = min(la.dims(S))
-        diag = [S[i][i] for i in range(n)] + [0] * (r - n)
+        U, diag, _, Uinv, _ = la._smith_with_inverses(R)
+        diag = diag + [0] * (r - len(diag))
         self.kept = [i for i in range(r) if diag[i] != 1]
         self.orders = [diag[i] for i in self.kept]
         self.U = U
@@ -210,14 +289,14 @@ class SolveSubquotient:
                       for i in self.kept]
 
     def _solve(self, v):
-        X = la.solve_matrix(self.zbasis, la.Matrix([[x] for x in v], 1))
-        return None if X is None else [row[0] for row in X]
+        X = la.solve_matrix(self.zbasis, la.from_columns([v], len(v)))
+        return None if X is None else la.columns(X)[0]
 
     def contains(self, v):
         return self._solve(v) is not None
 
     def coords(self, v):
-        y = la.mat_vec(self.U, self._solve(v))
+        y = [sum(a * b for a, b in zip(row, self._solve(v))) for row in self.U]
         return [y[i] % o if o else y[i] for i, o in zip(self.kept, self.orders)]
 
 
@@ -233,7 +312,7 @@ def subquotients(draw):
     assume(to_sympy(Zb).rank() == r)
     W, _ = zrandom._random_unimodular(random.Random(draw(st.integers(0, 999))), r)
     W = la.hstack(W, draw(matrices(rows=r, max_dim=2)))
-    z_gens = la.mat_mul(Zb, la.Matrix([row[:] for row in W], W.ncols))
+    z_gens = la.mat_mul(Zb, W)
     R = draw(matrices(rows=r, max_dim=4))
     b_gens = la.mat_mul(Zb, R)
     inside = la.columns(la.mat_mul(z_gens, draw(matrices(rows=z_gens.ncols,
@@ -246,7 +325,7 @@ def subquotients(draw):
 @given(subquotients())
 def test_subquotient_matches_the_solve_based_oracle(case):
     z_gens, b_gens, _, inside, anywhere = case
-    n = len(z_gens)
+    n = z_gens.nrows
     sq = la.Subquotient(n, z_gens, b_gens)
     oracle = SolveSubquotient(z_gens, b_gens)
     assert sq.orders == oracle.orders
@@ -268,8 +347,8 @@ def test_subquotient_invariants_match_sympy(case):
     factors = ([abs(int(d)) for d in invariant_factors(to_sympy(R), domain=ZZ)]
                if R.ncols else [])
     nonzero = [d for d in factors if d]
-    expected = (len(R) - len(nonzero), tuple(d for d in nonzero if d >= 2))
-    sq = la.Subquotient(len(z_gens), z_gens, b_gens)
+    expected = (R.nrows - len(nonzero), tuple(d for d in nonzero if d >= 2))
+    sq = la.Subquotient(z_gens.nrows, z_gens, b_gens)
     assert (sq.free_rank, tuple(sq.torsion)) == expected
 
 
@@ -277,6 +356,6 @@ def test_subquotient_invariants_match_sympy(case):
     ([[1, 0], [0, 1]], True), ([[2, 3], [0, 0]], False), ([[2, 3]], True),
     ([[2, 4]], False), ([[2], [0]], False), ([[1, 0]], True)])
 def test_spans_lattice(M, full):
-    assert la.spans_lattice(la.as_matrix(M, len(M))) == full
-    assert la.spans_lattice(la.as_matrix(M, len(M))) == \
-        la.spans_equal(la.as_matrix(M, len(M)), la.identity(len(M)))
+    assert la.spans_lattice(la.as_sparse(M, len(M))) == full
+    assert la.spans_lattice(la.as_sparse(M, len(M))) == \
+        la.spans_equal(la.as_sparse(M, len(M)), la.identity(len(M)))

@@ -107,9 +107,9 @@ def test_operators_are_stored_sparse_and_accepted_back():
     for M in [*A.face_mats.values(), *A.degen_mats.values()]:
         assert isinstance(M, la.Sparse)
         assert all(len(col) == 1 and col[0][1] == 1 for col in M)
-    # the constructor takes the stored form and dense matrices alike
-    dense = {k: la.dense(M) for k, M in A.degen_mats.items()}
-    for degens in (A.degen_mats, dense):
+    # the constructor takes the stored form and row lists alike
+    rows = {k: la.rows(M) for k, M in A.degen_mats.items()}
+    for degens in (A.degen_mats, rows):
         B = SimplicialAbelianGroup(2, A.ranks, A.face_mats, degens)
         assert B.degen_mats == A.degen_mats
 
@@ -123,7 +123,7 @@ def test_free_tensor_cube_stores_only_its_nonzero_entries():
     for M in [*G.face_mats.values(), *G.degen_mats.values()]:
         stored = sum(map(len, M))
         assert stored == M.ncols == sum(len(row) - row.count(0)
-                                        for row in la.dense(M))
+                                        for row in la.rows(M))
 
 
 def test_operators_at_unknown_indices_are_rejected():
@@ -392,11 +392,12 @@ def test_operator_matrix_of_a_simplex_precomposes():
     X = standard_simplex(2, D)
     A = free_abelian(X)
     for f in all_monotone_maps():
-        want = la.zeros(A.ranks[f.domain_top], A.ranks[f.codomain_top])
+        r, c = A.ranks[f.domain_top], A.ranks[f.codomain_top]
+        want = [[0] * c for _ in range(r)]
         for j, v in enumerate(X.levels[f.codomain_top]):
             want[X.levels[f.domain_top].index(
                 tuple(v[i] for i in f.values))][j] = 1
-        assert la.mat_eq(A.operator_matrix(f), want)
+        assert la.mat_eq(A.operator_matrix(f), la.as_sparse(want, r, c))
 
 
 def test_cached_operators_survive_their_callers():

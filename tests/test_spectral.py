@@ -142,6 +142,15 @@ def test_pages_past_r_inf_are_the_infinity_page():
             assert cert.ok, name
 
 
+@pytest.mark.parametrize("r_max", [0, -2])
+def test_a_page_bound_below_one_is_rejected(r_max):
+    # r_max = -2 once computed pages 1 to p_max + 1 as if it were absent
+    F = zrandom.rand_filtration(random.Random(54), p_max=2)
+    with pytest.raises(ValueError, match=f"^r_max must be at least 1, "
+                                         f"not {r_max}$"):
+        SpectralSequence(F, r_max=r_max)
+
+
 def test_invariant_checks_are_named_and_stop_at_the_first_failure(
         monkeypatch):
     from zilber import cli

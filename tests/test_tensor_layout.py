@@ -16,6 +16,10 @@ from zilber.filtration import _tensor_column
 from zilber.simplicial import circle, free_abelian, standard_simplex
 
 
+def zeros(r, c):
+    return [[0] * c for _ in range(r)]
+
+
 def basis(C, D, top):
     """Per degree n <= top, the position of each (p, i, q, j)."""
     out = []
@@ -30,13 +34,13 @@ def basis(C, D, top):
 
 def tensor_map_oracle(f, g, src, tgt):
     """f ⊗ g from the basis src to the basis tgt, one entry at a time (zero
-    into the degrees that tgt truncates)."""
+    into the degrees that tgt truncates), as row lists."""
     mats = {}
     for n, positions in enumerate(src):
         rows = tgt[n] if n < len(tgt) else {}
-        M = la.zeros(len(rows), len(positions))
+        M = zeros(len(rows), len(positions))
         for (p, i, q, j), col in positions.items() if rows else ():
-            fm, gm = la.dense(f.mat(p)), la.dense(g.mat(q))
+            fm, gm = la.rows(f.mat(p)), la.rows(g.mat(q))
             for i2 in range(len(fm)):
                 for j2 in range(len(gm)):
                     if fm[i2][i] * gm[j2][j]:
@@ -51,10 +55,10 @@ def direct_sum(C, D):
     ranks = [C.rank(n) + D.rank(n) for n in range(top + 1)]
     diffs = {}
     for n in range(1, top + 1):
-        M = la.zeros(ranks[n - 1], ranks[n])
-        for i, row in enumerate(C.diff(n)):
+        M = zeros(ranks[n - 1], ranks[n])
+        for i, row in enumerate(la.rows(C.diff(n))):
             M[i][:C.rank(n)] = row
-        for i, row in enumerate(D.diff(n), C.rank(n - 1)):
+        for i, row in enumerate(la.rows(D.diff(n)), C.rank(n - 1)):
             M[i][C.rank(n):] = row
         diffs[n] = M
     return ChainComplex(ranks, diffs)
@@ -76,7 +80,7 @@ def random_chain_map(rng, C):
     E = zrandom.rand_complex(rng, top_degree=top, max_total_rank=3)
     k = rng.choice([1, -1, 2, 3])
     return ChainMap(C, direct_sum(E, conj), {
-        n: la.vstack(la.zeros(E.rank(n), C.rank(n)), la.mat_scale(k, U))
+        n: zeros(E.rank(n), C.rank(n)) + la.rows(la.mat_scale(k, U))
         for n, (U, _) in enumerate(us)})
 
 
@@ -92,16 +96,16 @@ def test_tensor_differential_is_the_koszul_formula(rng):
     positions = basis(C, D, tb.top_degree)
     assert E.ranks == [len(pos) for pos in positions]
     for n in range(1, tb.top_degree + 1):
-        want = la.zeros(len(positions[n - 1]), len(positions[n]))
+        want = zeros(len(positions[n - 1]), len(positions[n]))
         # d(x_i ⊗ y_j) = dx_i ⊗ y_j + (-1)^p x_i ⊗ dy_j
         for (p, i, q, j), col in positions[n].items():
             for i2 in range(C.rank(p - 1) if p else 0):
                 want[positions[n - 1][(p - 1, i2, q, j)]][col] += \
-                    C.diff(p)[i2][i]
+                    la.rows(C.diff(p))[i2][i]
             for j2 in range(D.rank(q - 1) if q else 0):
                 want[positions[n - 1][(p, i, q - 1, j2)]][col] += \
-                    (-1) ** p * D.diff(q)[j2][j]
-        assert E.diff(n) == want
+                    (-1) ** p * la.rows(D.diff(q))[j2][j]
+        assert la.rows(E.diff(n)) == want
         # x_i ⊗ y_j sits at entry i * rank D_q + j of its block
         for (p, i, q, j), k in positions[n].items():
             assert tb.offset(n, p) + i * D.rank(q) + j == k
@@ -117,7 +121,8 @@ def test_tensor_map_is_the_entrywise_product(rng):
     want = tensor_map_oracle(
         f, g, basis(C, D, tb_src.top_degree),
         basis(f.target, g.target, tb_tgt.top_degree))
-    assert tensor_map(f, g, tb_src, tb_tgt) == want
+    assert {n: la.rows(M) for n, M in
+            tensor_map(f, g, tb_src, tb_tgt).items()} == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,24 +144,28 @@ def test_tensor_column_is_the_entrywise_product(rng):
 
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
-def test_add_kron_adds_a_scaled_block(rng):
+def test_kron_sum_adds_a_scaled_block(rng):
     def rand(r, c):
-        return la.Matrix([[rng.randint(-2, 2) for _ in range(c)]
-                          for _ in range(r)], c)
+        return [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
 
-    A, B = rand(rng.randint(0, 3), rng.randint(0, 3)), \
-        rand(rng.randint(0, 3), rng.randint(0, 3))
+    (ra, ca), (rb, cb) = [(rng.randint(0, 3), rng.randint(0, 3))
+                          for _ in range(2)]
+    A, B = rand(ra, ca), rand(rb, cb)
     row, col, scale = rng.randint(0, 2), rng.randint(0, 2), rng.randint(-2, 2)
-    M = rand(row + len(A) * len(B) + 1, col + A.ncols * B.ncols + 1)
-    want = la.Matrix([r[:] for r in M], M.ncols)
-    for i in range(len(A)):
-        for j in range(A.ncols):
-            for k in range(len(B)):
-                for m in range(B.ncols):
-                    want[row + i * len(B) + k][col + j * B.ncols + m] += \
+    r, c = row + ra * rb + 1, col + ca * cb + 1
+    M = rand(r, c)
+    want = [x[:] for x in M]
+    for i in range(ra):
+        for j in range(ca):
+            for k in range(rb):
+                for m in range(cb):
+                    want[row + i * rb + k][col + j * cb + m] += \
                         scale * A[i][j] * B[k][m]
-    la.add_kron(M, A, B, row, col, scale)
-    assert M == want
+    # M is kron(M, 1) at the origin
+    got = la.kron_sum(r, c, [(la.as_sparse(M, r, c), la.identity(1), 0, 0, 1),
+                             (la.as_sparse(A, ra, ca), la.as_sparse(B, rb, cb),
+                              row, col, scale)])
+    assert la.rows(got) == want
 
 
 PAIRS = [("delta1", "s1"), ("s1", "delta1"), ("s1", "s1")]
@@ -179,25 +188,31 @@ def test_shuffle_and_alexander_whitney_are_entrywise_sums(a, b):
     for n in range(D + 1):
         bn = B.ranks[n]
         # ∇(x_i ⊗ y_j) = Σ over (p, q)-shuffles of ± s_a x_i ⊗ s_b y_j
-        nabla = la.zeros(A.ranks[n] * bn, len(un[n]))
+        nabla = zeros(A.ranks[n] * bn, len(un[n]))
         # AW(a ⊗ b) = Σ_p (front face of a) ⊗ (back face of b)
-        aw = la.zeros(len(un[n]), A.ranks[n] * bn)
+        aw = zeros(len(un[n]), A.ranks[n] * bn)
         for (p, i, q, j), k in un[n].items():
             for sh in shuffles(p, q):
-                opA = la.dense(A.operator_matrix(sh.components()[0]))
-                opB = la.dense(B.operator_matrix(sh.components()[1]))
+                opA = la.rows(A.operator_matrix(sh.components()[0]))
+                opB = la.rows(B.operator_matrix(sh.components()[1]))
                 for x in range(A.ranks[n]):
                     for y in range(bn):
                         nabla[x * bn + y][k] += sh.sign * opA[x][i] * opB[y][j]
-            front = la.dense(A.operator_matrix(front_face(n, p)))
-            back = la.dense(B.operator_matrix(back_face(n, q)))
+            front = la.rows(A.operator_matrix(front_face(n, p)))
+            back = la.rows(B.operator_matrix(back_face(n, q)))
             for x in range(A.ranks[n]):
                 for y in range(bn):
                     aw[k][x * bn + y] += front[i][x] * back[j][y]
-        assert la.dense(sp.unnormalized.mat(n)) == nabla
-        secsec = tensor_map_oracle(nA.section, nB.section, norm, un)[n]
-        assert sp.map.mat(n) == la.mat_mul(
-            la.dense(nAB.projection.mat(n)), la.mat_mul(nabla, secsec))
-        projproj = tensor_map_oracle(nA.projection, nB.projection, un, norm)[n]
-        assert aw_map.mat(n) == la.mat_mul(
-            projproj, la.mat_mul(aw, la.dense(nAB.section.mat(n))))
+        assert la.rows(sp.unnormalized.mat(n)) == nabla
+        nabla = la.as_sparse(nabla, A.ranks[n] * bn, len(un[n]))
+        aw = la.as_sparse(aw, len(un[n]), A.ranks[n] * bn)
+        secsec = la.as_sparse(
+            tensor_map_oracle(nA.section, nB.section, norm, un)[n],
+            len(un[n]), len(norm[n]))
+        assert la.mat_eq(sp.map.mat(n), la.mat_mul(
+            nAB.projection.mat(n), la.mat_mul(nabla, secsec)))
+        projproj = la.as_sparse(
+            tensor_map_oracle(nA.projection, nB.projection, un, norm)[n],
+            len(norm[n]), len(un[n]))
+        assert la.mat_eq(aw_map.mat(n), la.mat_mul(
+            projproj, la.mat_mul(aw, nAB.section.mat(n))))
