@@ -112,13 +112,28 @@ def generating_maps(b):
     return gens
 
 
+@lru_cache(maxsize=None)
+def _surjections_cached(m, n):
+    return tuple(f for f in _enumerate_monotone_cached(m, n)
+                 if f.is_surjective)
+
+
+@lru_cache(maxsize=None)
+def _injections_cached(m, n):
+    return tuple(f for f in _enumerate_monotone_cached(m, n)
+                 if f.is_injective)
+
+
 def enumerate_surjections(m, n):
-    """All monotone surjections [m] ->> [n]."""
-    return [f for f in enumerate_monotone(m, n) if f.is_surjective]
+    """All monotone surjections [m] ->> [n], lexicographic; filtered once
+    per (m, n) and kept."""
+    return list(_surjections_cached(m, n))
 
 
 def enumerate_injections(m, n):
-    return [f for f in enumerate_monotone(m, n) if f.is_injective]
+    """All monotone injections [m] -> [n], lexicographic; filtered once
+    per (m, n) and kept."""
+    return list(_injections_cached(m, n))
 
 
 def epi_mono_factorize(f):

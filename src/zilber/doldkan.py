@@ -6,6 +6,7 @@ surjections, disk complexes, and homotopy groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import intlinalg as la
 from .chains import ChainComplex, ChainMap, homology
@@ -187,22 +188,26 @@ def gamma_basis(C, n):
     return out
 
 
-def _gamma_component(C, eta, alpha):
+@lru_cache(maxsize=None)
+def _gamma_component(eta, alpha):
     """Structure constants of the action of alpha : [m] -> [n] on the
-    summand of Γ(C) indexed by eta : [n] ->> [k].
+    summand of Γ(C) indexed by eta : [n] ->> [k], for every C.
 
-    Returns (eta_prime, mode, k) where mode is "id", "d", or None: the
-    component lands in the summand of eta_prime via the identity, via the
-    differential C_k -> C_{k-1}, or is zero.
+    Returns (eta_prime, mode) where mode is "id", "d", or None: with
+    eta ∘ alpha = mono ∘ eta_prime its epi-mono factorization, the
+    component lands in the summand of eta_prime via the identity when mono
+    is the identity of [k], via the differential C_k -> C_{k-1} when mono
+    is the last coface δ_k, and is zero otherwise.  This is combinatorics
+    of Δ alone, so it is computed once per (eta, alpha) and kept, the way
+    ``delta.comp_table`` keeps compositions; Γ(C) for every C reads it.
     """
-    comp = eta.compose(alpha)
-    epi, mono = epi_mono_factorize(comp)
+    eta_prime, mono = epi_mono_factorize(eta.compose(alpha))
     k = eta.codomain_top
     if mono.domain_top == k:
-        return epi, "id", k
+        return eta_prime, "id"
     if mono.domain_top == k - 1 and mono.values == tuple(range(k)):
-        return epi, "d", k
-    return epi, None, k
+        return eta_prime, "d"
+    return eta_prime, None
 
 
 def gamma_operator(C, alpha, basis_by_level):
@@ -213,14 +218,14 @@ def gamma_operator(C, alpha, basis_by_level):
     pos = {b: i for i, b in enumerate(tgt)}
     cols = []
     for eta, t in src:
-        eta_prime, mode, k = _gamma_component(C, eta, alpha)
+        eta_prime, mode = _gamma_component(eta, alpha)
         if mode == "id":
             cols.append(((pos[(eta_prime, t)], 1),))
         elif mode == "d":
             # the generators of one summand are consecutive in the basis,
             # so rows ascend with t2
             cols.append(tuple((pos[(eta_prime, t2)], x)
-                              for t2, x in C.diff(k)[t]))
+                              for t2, x in C.diff(eta.codomain_top)[t]))
         else:
             cols.append(())
     return la.Sparse(cols, len(tgt))

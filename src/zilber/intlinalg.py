@@ -12,7 +12,8 @@ places only:
 
 - the working arrays of the Smith normal form, and the transforms it
   returns, which the solvers, ``Subquotient`` and the normalization read;
-- input at the payload boundary, which ``as_sparse`` checks and converts;
+- input at the payload boundary, which ``as_sparse`` checks (its shape,
+  and that every entry is an ``int``) and converts;
 - ``rows``, which writes a matrix as rows for JSON output.
 
 ``kron_sum`` adds scaled Kronecker products into blocks of a matrix; it
@@ -29,6 +30,8 @@ and U and Uinv of the relations of B on that basis.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 
 class Sparse(tuple):
@@ -54,7 +57,8 @@ class Sparse(tuple):
 def as_sparse(M, r, c=None, what="matrix"):
     """M as an r x c Sparse, or ValueError if it has another shape.  A
     Sparse is checked by its recorded shape and returned as is; a list of
-    rows (outside input) is checked row by row and converted.  With c None
+    rows (outside input) is checked row by row and converted, and every
+    entry must be an ``int`` (not a bool, float or string).  With c None
     any width is accepted, and a list with no rows has none."""
     if type(M) is Sparse:
         if M.nrows != r or c is not None and len(M) != c:
@@ -64,6 +68,8 @@ def as_sparse(M, r, c=None, what="matrix"):
         c = len(M[0]) if M else 0
     if len(M) != r or any(len(row) != c for row in M):
         raise ValueError(f"{what} has wrong shape")
+    if not set(map(type, chain.from_iterable(M))) <= {int}:
+        raise ValueError(f"{what} has an entry that is not an integer")
     return from_columns(list(zip(*M)) if M else [()] * c, r)
 
 
@@ -245,116 +251,116 @@ def _smith_with_inverses(M, track=ALL_TRANSFORMS):
     on S alone, so S and every tracked transform are the same whatever is
     tracked.  Pivots are chosen with minimal absolute value to bound entry
     growth; diagonal entries are nonnegative and form a divisibility chain.
+
+    A matrix with no nonzero entry returns at once: a zero diagonal and
+    identity transforms.  Otherwise one loop applies the elementary row
+    and column operations in place, each to S and to the tracked
+    transforms; a row operation on U is a column operation on Uinv, and a
+    column operation on V a row operation on Vinv.  The rows of S above
+    pivot t are zero off the diagonal, so column operations skip them.
+    ``tests/test_intlinalg.py`` pins all five outputs against an earlier
+    implementation with one helper per operation.
     """
     r, c = dims(M)
-    S = rows(M)  # the working rows
+    n = min(r, c)
     U = _eye(r) if "U" in track else None
     Uinv = _eye(r) if "Uinv" in track else None
     V = _eye(c) if "V" in track else None
     Vinv = _eye(c) if "Vinv" in track else None
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-        if Uinv is not None:
-            for row in Uinv:
-                row[i], row[j] = row[j], row[i]
-
-    def col_swap(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-        if Vinv is not None:
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def row_add(i, j, k):
-        # row_i += k * row_j ; Uinv column j -= k * column i
-        S[i] = [a + k * b for a, b in zip(S[i], S[j])]
-        if U is not None:
-            U[i] = [a + k * b for a, b in zip(U[i], U[j])]
-        if Uinv is not None:
-            for row in Uinv:
-                row[j] -= k * row[i]
-
-    def col_add(i, j, k):
-        # col_i += k * col_j ; Vinv row j -= k * row i
-        for row in S:
-            row[i] += k * row[j]
-        if V is not None:
-            for row in V:
-                row[i] += k * row[j]
-        if Vinv is not None:
-            Vinv[j] = [a - k * b for a, b in zip(Vinv[j], Vinv[i])]
-
-    def row_negate(i):
-        S[i] = [-a for a in S[i]]
-        if U is not None:
-            U[i] = [-a for a in U[i]]
-        if Uinv is not None:
-            for row in Uinv:
-                row[i] = -row[i]
-
-    def min_pivot(t):
-        pivot = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                a = S[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
-                    if best == 1:
-                        return pivot
-        return pivot
-
-    n = min(r, c)
+    if not any(M):
+        return U, [0] * n, V, Uinv, Vinv
+    S = rows(M)  # the working rows
     for t in range(n):
         while True:
-            # re-pick a pivot of minimal absolute value every round: the
-            # pivot magnitude never increases, so entries stay bounded and
-            # each dirty round strictly shrinks it, forcing termination
-            pivot = min_pivot(t)
-            if pivot is None:
+            # re-pick a pivot of minimal absolute value every round, the
+            # first in row-major order: the pivot magnitude never increases,
+            # so entries stay bounded and each dirty round strictly shrinks
+            # it, forcing termination
+            best = 0
+            for i in range(t, r):
+                Si = S[i]
+                for j in range(t, c):
+                    a = Si[j]
+                    if a and (not best or -best < a < best):
+                        best, pi, pj = abs(a), i, j
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
+            if not best:
                 break
-            if pivot != (t, t):
-                row_swap(t, pivot[0])
-                col_swap(t, pivot[1])
-            d = S[t][t]
+            if pi != t:  # swap rows t and pi
+                S[t], S[pi] = S[pi], S[t]
+                if U is not None:
+                    U[t], U[pi] = U[pi], U[t]
+                if Uinv is not None:
+                    for row in Uinv:
+                        row[t], row[pi] = row[pi], row[t]
+            if pj != t:  # swap columns t and pj
+                for i in range(t, r):
+                    row = S[i]
+                    row[t], row[pj] = row[pj], row[t]
+                if V is not None:
+                    for row in V:
+                        row[t], row[pj] = row[pj], row[t]
+                if Vinv is not None:
+                    Vinv[t], Vinv[pj] = Vinv[pj], Vinv[t]
+            St = S[t]
+            d = St[t]
             dirty = False
             for i in range(t + 1, r):
                 if S[i][t]:
-                    row_add(i, t, -(S[i][t] // d))
+                    # row i += k * row t; Uinv column t -= k * column i
+                    k = -(S[i][t] // d)
+                    S[i] = [a + k * b for a, b in zip(S[i], St)]
+                    if U is not None:
+                        U[i] = [a + k * b for a, b in zip(U[i], U[t])]
+                    if Uinv is not None:
+                        for row in Uinv:
+                            row[t] -= k * row[i]
                     if S[i][t]:
                         dirty = True
             for j in range(t + 1, c):
-                if S[t][j]:
-                    col_add(j, t, -(S[t][j] // d))
-                    if S[t][j]:
+                if St[j]:
+                    # column j += k * column t; Vinv row t -= k * row j
+                    k = -(St[j] // d)
+                    for i in range(t, r):
+                        row = S[i]
+                        row[j] += k * row[t]
+                    if V is not None:
+                        for row in V:
+                            row[j] += k * row[t]
+                    if Vinv is not None:
+                        Vinv[t] = [a - k * b for a, b in zip(Vinv[t], Vinv[j])]
+                    if St[j]:
                         dirty = True
             if dirty:
                 continue
             # row and column t are clear; a unit pivot divides everything
             if d == 1 or d == -1:
                 break
-            # enforce that d divides the trailing block (adding the
-            # offending row makes the next round produce a remainder
-            # smaller than |d|)
-            bad = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if S[i][j] % d:
-                        bad = i
-                        break
-                if bad is not None:
+            # enforce that d divides the trailing block: adding the first
+            # row with an entry d does not divide makes the next round
+            # produce a remainder smaller than |d|
+            for bad in range(t + 1, r):
+                if any(x % d for x in S[bad][t + 1:]):
                     break
-            if bad is None:
-                break
-            row_add(t, bad, 1)
-        if S[t][t] < 0:
-            row_negate(t)
+            else:
+                break  # d divides the block: pivot t is done
+            # row t += row bad; Uinv column bad -= column t
+            S[t] = [a + b for a, b in zip(St, S[bad])]
+            if U is not None:
+                U[t] = [a + b for a, b in zip(U[t], U[bad])]
+            if Uinv is not None:
+                for row in Uinv:
+                    row[bad] -= row[t]
+        if S[t][t] < 0:  # negate row t; Uinv column t
+            S[t] = [-a for a in S[t]]
+            if U is not None:
+                U[t] = [-a for a in U[t]]
+            if Uinv is not None:
+                for row in Uinv:
+                    row[t] = -row[t]
         if S[t][t] == 0:
             break
 

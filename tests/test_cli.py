@@ -203,6 +203,36 @@ def test_payload_of_the_wrong_json_type_is_an_input_error(
     assert json.loads(err)["exit"] == 2
 
 
+def _chain_with_entry(x):
+    return {"format": "chain", "version": 1, "ranks": [2, 1],
+            "differentials": {"1": [[x], [1]]}}
+
+
+def _filt_with_entry(x):
+    from zilber.filtration import unit_filtration
+    payload = unit_filtration(1).to_payload()
+    payload["stages"][1]["0"] = [[x]]
+    return payload
+
+
+@pytest.mark.parametrize("command, payload, matrix", [
+    ("homology", _chain_with_entry("a"), "differential d_1"),
+    ("homology", _chain_with_entry(True), "differential d_1"),
+    ("homology", _chain_with_entry(1.5), "differential d_1"),
+    ("ss", _filt_with_entry(True), "stage (1,0)"),
+    ("ss", _filt_with_entry(1.5), "stage (1,0)"),
+])
+def test_matrix_entry_that_is_not_an_integer_is_an_input_error(
+        capsys, monkeypatch, command, payload, matrix):
+    # a string entry once exited 3 as a library fault, true was read as 1
+    # and exited 0, and 1.5 exited 2 with "B is not contained in Z"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, rep, err = run(capsys, [command, "-"])
+    assert code == 2 and rep is None
+    error = json.loads(err)["error"]
+    assert matrix in error and "not an integer" in error
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     from zilber import doldkan
 

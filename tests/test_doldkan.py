@@ -7,9 +7,10 @@ import pytest
 from zilber import _random as zrandom
 from zilber import intlinalg as la
 from zilber.chains import homology
-from zilber.doldkan import (disk, gamma, gamma_normalize_comparison,
-                            homotopy_groups, is_chain_iso,
-                            is_levelwise_unimodular,
+from zilber.delta import coface, codegeneracy, epi_mono_factorize, identity_map
+from zilber.doldkan import (disk, gamma, gamma_basis,
+                            gamma_normalize_comparison, homotopy_groups,
+                            is_chain_iso, is_levelwise_unimodular,
                             normalized_gamma_comparison, normalize,
                             unnormalized_chains)
 from zilber.ez import aw_nabla_identity_check, symmetry_check, unitality_check
@@ -68,6 +69,43 @@ def test_gamma_output_is_always_valid():
     for _ in range(10):
         C = zrandom.rand_complex(rng, top_degree=3)
         gamma(C, 3)._validate()
+
+
+def gamma_operator_by_formula(C, alpha, basis):
+    """The matrix of Γ(C)(alpha) with every structure constant computed
+    afresh: for the generator t of the summand eta, factor eta ∘ alpha =
+    mono ∘ epi; the generator goes to t in the summand epi when mono is an
+    identity, to d(t) there when mono is the last coface, and to 0
+    otherwise."""
+    m, n = alpha.domain_top, alpha.codomain_top
+    tgt = {b: i for i, b in enumerate(basis[m])}
+    M = [[0] * len(basis[n]) for _ in basis[m]]
+    for j, (eta, t) in enumerate(basis[n]):
+        k = eta.codomain_top
+        epi, mono = epi_mono_factorize(eta.compose(alpha))
+        if mono == identity_map(k):
+            M[tgt[(epi, t)]][j] = 1
+        elif k and mono == coface(k, k):
+            for t2, row in enumerate(la.rows(C.diff(k))):
+                M[tgt[(epi, t2)]][j] = row[t]
+    return la.as_sparse(M, len(basis[m]), len(basis[n]))
+
+
+def test_gamma_matrices_match_the_uncached_formula():
+    # complexes of different ranks and top degrees, built one after the
+    # other, read the same table of structure constants: it holds nothing
+    # of the complex it was first filled for
+    rng = random.Random(15)
+    for top, total in [(3, 10), (1, 4), (2, 7), (3, 3), (0, 2), (3, 12)]:
+        C = zrandom.rand_complex(rng, top_degree=top, max_total_rank=total)
+        A = gamma(C, 3)
+        basis = [gamma_basis(C, n) for n in range(4)]
+        for (n, i), M in A.face_mats.items():
+            assert la.mat_eq(M, gamma_operator_by_formula(
+                C, coface(n, i), basis))
+        for (n, i), M in A.degen_mats.items():
+            assert la.mat_eq(M, gamma_operator_by_formula(
+                C, codegeneracy(n, i), basis))
 
 
 def test_normalize_gamma_roundtrip_isomorphism():

@@ -20,13 +20,13 @@ ENTRIES = st.integers(-4, 4)
 
 
 @st.composite
-def matrices(draw, rows=None, max_dim=5, cols=None):
+def matrices(draw, rows=None, max_dim=5, cols=None, entries=ENTRIES):
     r = draw(st.integers(0, max_dim)) if rows is None else rows
     c = draw(st.integers(0, max_dim)) if cols is None else cols
     M = [[0] * c for _ in range(r)]
     for row in M:
         for j in range(c):
-            row[j] = draw(ENTRIES)
+            row[j] = draw(entries)
     return la.as_sparse(M, r, c)
 
 
@@ -270,6 +270,186 @@ def test_tracking_a_subset_of_the_transforms_changes_none_of_them(M):
                     assert out[i] == full[i]
                 else:
                     assert out[i] is None
+
+
+
+
+def reference_smith(M, track=la.ALL_TRANSFORMS):
+    """The Smith normal form as an earlier implementation wrote it, with one
+    helper per elementary operation; la._smith_with_inverses must return
+    exactly its outputs.
+
+    Return (U, diag, V, Uinv, Vinv) with U*M*V = S in Smith normal form,
+    diag the min(rows, cols) diagonal entries of S and the transforms row
+    lists.
+
+    Only the transforms named in ``track`` (a subset of ALL_TRANSFORMS) are
+    built and updated; the others are returned as None.  The pivots depend
+    on S alone, so S and every tracked transform are the same whatever is
+    tracked.  Pivots are chosen with minimal absolute value to bound entry
+    growth; diagonal entries are nonnegative and form a divisibility chain.
+    """
+    r, c = la.dims(M)
+    S = la.rows(M)  # the working rows
+    U = la._eye(r) if "U" in track else None
+    Uinv = la._eye(r) if "Uinv" in track else None
+    V = la._eye(c) if "V" in track else None
+    Vinv = la._eye(c) if "Vinv" in track else None
+
+    def row_swap(i, j):
+        S[i], S[j] = S[j], S[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
+        if Uinv is not None:
+            for row in Uinv:
+                row[i], row[j] = row[j], row[i]
+
+    def col_swap(i, j):
+        for row in S:
+            row[i], row[j] = row[j], row[i]
+        if V is not None:
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+        if Vinv is not None:
+            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def row_add(i, j, k):
+        # row_i += k * row_j ; Uinv column j -= k * column i
+        S[i] = [a + k * b for a, b in zip(S[i], S[j])]
+        if U is not None:
+            U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+        if Uinv is not None:
+            for row in Uinv:
+                row[j] -= k * row[i]
+
+    def col_add(i, j, k):
+        # col_i += k * col_j ; Vinv row j -= k * row i
+        for row in S:
+            row[i] += k * row[j]
+        if V is not None:
+            for row in V:
+                row[i] += k * row[j]
+        if Vinv is not None:
+            Vinv[j] = [a - k * b for a, b in zip(Vinv[j], Vinv[i])]
+
+    def row_negate(i):
+        S[i] = [-a for a in S[i]]
+        if U is not None:
+            U[i] = [-a for a in U[i]]
+        if Uinv is not None:
+            for row in Uinv:
+                row[i] = -row[i]
+
+    def min_pivot(t):
+        pivot = None
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                a = S[i][j]
+                if a != 0 and (best is None or abs(a) < best):
+                    best = abs(a)
+                    pivot = (i, j)
+                    if best == 1:
+                        return pivot
+        return pivot
+
+    n = min(r, c)
+    for t in range(n):
+        while True:
+            # re-pick a pivot of minimal absolute value every round: the
+            # pivot magnitude never increases, so entries stay bounded and
+            # each dirty round strictly shrinks it, forcing termination
+            pivot = min_pivot(t)
+            if pivot is None:
+                break
+            if pivot != (t, t):
+                row_swap(t, pivot[0])
+                col_swap(t, pivot[1])
+            d = S[t][t]
+            dirty = False
+            for i in range(t + 1, r):
+                if S[i][t]:
+                    row_add(i, t, -(S[i][t] // d))
+                    if S[i][t]:
+                        dirty = True
+            for j in range(t + 1, c):
+                if S[t][j]:
+                    col_add(j, t, -(S[t][j] // d))
+                    if S[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # row and column t are clear; a unit pivot divides everything
+            if d == 1 or d == -1:
+                break
+            # enforce that d divides the trailing block (adding the
+            # offending row makes the next round produce a remainder
+            # smaller than |d|)
+            bad = None
+            for i in range(t + 1, r):
+                for j in range(t + 1, c):
+                    if S[i][j] % d:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_add(t, bad, 1)
+        if S[t][t] < 0:
+            row_negate(t)
+        if S[t][t] == 0:
+            break
+
+    return U, [S[i][i] for i in range(n)], V, Uinv, Vinv
+
+
+@st.composite
+def signed_partial_permutations(draw, max_dim=6):
+    """An r x c matrix with at most one nonzero entry, ±1, in each row and
+    each column."""
+    r, c = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    picked_cols = draw(st.permutations(range(c)))[
+        :draw(st.integers(0, min(r, c)))]
+    picked_rows = draw(st.permutations(range(r)))[:len(picked_cols)]
+    M = [[0] * c for _ in range(r)]
+    for i, j in zip(picked_rows, picked_cols):
+        M[i][j] = draw(st.sampled_from((1, -1)))
+    return la.as_sparse(M, r, c)
+
+
+def zero_matrices(max_dim=6):
+    return st.builds(la.zeros, st.integers(0, max_dim),
+                     st.integers(0, max_dim))
+
+
+# matrices whose pivots do not divide the trailing block, with entries
+# growing during elimination, or already in Smith form
+SNF_CASES = [[[2, 0], [0, 3]], [[4, 6], [6, 9]],
+             [[6, 0, 0], [0, 10, 0], [0, 0, 15]],
+             [[0, 0, 0], [0, 0, 5], [0, 7, 0]], [[3, 5, 7], [11, 13, 17]],
+             [[-2, 4], [6, -8], [10, 12]], [[1, 0], [0, 1]], [[0]], [[-3]]]
+
+
+def assert_smith_matches_the_reference(M):
+    for k in range(len(TRANSFORMS) + 1):
+        for track in itertools.combinations(TRANSFORMS, k):
+            assert (la._smith_with_inverses(M, track)
+                    == reference_smith(M, track))
+
+
+@pytest.mark.parametrize("M", [
+    la.zeros(r, c) for r, c in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 2)]
+] + [la.as_sparse(M, len(M)) for M in SNF_CASES])
+def test_smith_form_of_listed_matrices_matches_the_reference(M):
+    assert_smith_matches_the_reference(M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(zero_matrices(), signed_partial_permutations(), matrices(),
+                 matrices(max_dim=7, entries=st.integers(-30, 30))))
+def test_smith_form_matches_the_reference(M):
+    assert_smith_matches_the_reference(M)
 
 
 class SolveSubquotient:
