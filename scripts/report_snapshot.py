@@ -5,9 +5,11 @@
 
 Runs each invocation of scripts/run_acceptance.sh, plus ``ss random
 --trials 10``, ``skeleta --day-unit --day-symmetry --day-assoc``,
-``promonoidal --check coyoneda --check operator-frag``, ``homology torus``
-and ``doldkan s1 --roundtrip`` / ``doldkan torus --roundtrip`` (a builtin
-space through free_abelian), with
+``promonoidal --check coyoneda --check operator-frag``, ``homology torus``,
+``doldkan s1 --roundtrip`` / ``doldkan torus --roundtrip`` (a builtin
+space through free_abelian), ``ez delta2 delta2 --check chain --check aw
+--check symmetry --dim-bound 4`` and ``ez delta2 delta1 --third s1 --check
+assoc --dim-bound 3``, with
 ``python -m zilber.cli`` (so the zilber found on PYTHONPATH is the one
 measured).  Then it writes three payloads, built by that zilber, to
 OUTDIR as ``payload_NAME.json`` and feeds each on stdin (``-``): the ssimp
@@ -83,6 +85,11 @@ def invocations():
     out.append(["homology", "torus"])
     for x in ("s1", "torus"):
         out.append(["doldkan", x, "--roundtrip"])
+    # ∇, AW and the swap at larger bounds than the acceptance script's
+    out.append(["ez", "delta2", "delta2", "--check", "chain", "--check", "aw",
+                "--check", "symmetry", "--dim-bound", "4"])
+    out.append(["ez", "delta2", "delta1", "--third", "s1", "--check", "assoc",
+                "--dim-bound", "3"])
     return out
 
 

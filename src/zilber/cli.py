@@ -311,6 +311,10 @@ def cmd_doldkan(args):
 def cmd_ez(args):
     started = time.time()
     dim_bound = resolve_dim_bound(args.dim_bound)
+    if "assoc" in args.check and args.third is None:
+        raise InputError("--check assoc requires --third")
+    if "assoc" not in args.check and args.third is not None:
+        raise InputError("--third is read only by --check assoc")
     A, B, *third = map(free_abelian, load_spaces(
         (args.first, args.second, args.third), dim_bound))
     inputs = _inputs(args, dim_bound=A.dim_bound)
@@ -333,8 +337,6 @@ def cmd_ez(args):
         elif check == "symmetry":
             certs.append(cert_dict(ez.symmetry_check(A, B), "symmetry"))
         elif check == "assoc":
-            if not third:
-                raise InputError("--check assoc requires --third")
             certs.append(cert_dict(ez.associativity_check(A, B, *third),
                                    "assoc"))
         elif check == "kunneth":

@@ -1,6 +1,13 @@
 """The Eilenberg-Zilber shuffle product and the Alexander-Whitney map on
-unnormalized and normalized chains, with certification helpers for the
-chain-map law, unitality, AW∘∇ = id, symmetry, and associativity.
+normalized chains, with certification helpers for the chain-map law,
+unitality, AW∘∇ = id, symmetry, and associativity.
+
+∇, AW and the symmetry swap are built on the section image: each is the
+unnormalized formula composed with the sections and projections of the
+normalizations, computed factor by factor (kron(X·S, Y·T) = kron(X, Y) ·
+kron(S, T)), so that C(A)⊗C(B) is never built.  The lifts of ∇ and of
+the swap into unnormalized chains, ∇ itself and AW are validated as chain
+maps; the unnormalized ∇ and AW themselves are never built.
 """
 
 from __future__ import annotations
@@ -22,61 +29,41 @@ def back_face(n, q):
     return MonotoneMap(q, n, tuple(range(n - q, n + 1)))
 
 
-def _shuffle_terms(A, B, p, q, col):
-    """The kron_sum terms of ∇ on the column block (p, q) at column col:
-    sign · kron(A(s_a), B(s_b)) over the (p,q)-shuffles, with (s_a, s_b)
+def _shuffle_terms(A, B, p, q, col, right_a, right_b):
+    """The kron_sum terms of ∇ on the column block (p, q) at column col,
+    each factor followed by right_a resp. right_b: sign · kron(A(s_a) ·
+    right_a, B(s_b) · right_b) over the (p,q)-shuffles, with (s_a, s_b)
     the components of the shuffle's lattice path."""
     terms = []
     for sh in shuffles(p, q):
         s_a, s_b = sh.components()
-        terms.append((A.operator_matrix(s_a), B.operator_matrix(s_b), 0, col,
+        terms.append((la.mat_mul(A.operator_matrix(s_a), right_a),
+                      la.mat_mul(B.operator_matrix(s_b), right_b), 0, col,
                       sh.sign))
     return terms
-
-
-def unnormalized_shuffle(A, B):
-    """∇ : C(A) ⊗ C(B) -> C(A⊗B).
-
-    On bidegree (p, q) the column of x ⊗ y is the signed sum over all
-    (p,q)-shuffles of (degenerate image of x) ⊗ (degenerate image of y),
-    the two degeneracy composites being induced by the components of the
-    shuffle's lattice path: the column block (p, q) is the signed sum of
-    kron(A(s_a), B(s_b)).  Returns (chain map, source TensorBasis, A⊗B).
-    """
-    if A.dim_bound != B.dim_bound:
-        raise ValueError("dim_bound mismatch")
-    D = A.dim_bound
-    AB = sab_tensor(A, B)
-    CA = unnormalized_chains(A)
-    CB = unnormalized_chains(B)
-    CAB = unnormalized_chains(AB)
-    T, tb = tensor(CA, CB, top_degree=D)
-    mats = {n: la.kron_sum(CAB.rank(n), T.rank(n),
-                           [term for p, q, col in tb.blocks(n)
-                            for term in _shuffle_terms(A, B, p, q, col)])
-            for n in range(D + 1)}
-    return ChainMap(T, CAB, mats), tb, AB
 
 
 class _ShuffleProduct:
     """The Eilenberg-Zilber pair of A and B on normalized chains.
 
     The shuffle product ∇ : 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B) is built at construction
-    and validated: it is a chain map and its degree-0 component is the
-    canonical basis identification (the identity matrix).  The
-    Alexander-Whitney map is built on demand by alexander_whitney().  Both
-    use the one A⊗B, unnormalized ∇ and tensor bases made here and the
-    normalizations of A, B and A⊗B, which are kept for downstream use
-    (filtered pairings, symmetry and associativity checks).
+    on the section image: in degree n its lift to C_n(A⊗B) is the signed
+    sum over the blocks (p, q) and the (p,q)-shuffles of kron(A(s_a) ·
+    sec_A, B(s_b) · sec_B), that is ∇ on unnormalized chains composed with
+    section ⊗ section, and the projection of A⊗B takes it to 𝒩(A⊗B).  The
+    lift is validated as a chain map 𝒩(A)⊗𝒩(B) -> C(A⊗B), ∇ as a chain
+    map, and its degree-0 component is checked to be the canonical basis
+    identification (the identity matrix).  The Alexander-Whitney map is
+    built on demand by alexander_whitney(), also on the section image.
+    Neither builds C(A)⊗C(B).  The normalizations of A, B and A⊗B are kept
+    for downstream use (filtered pairings, symmetry and associativity
+    checks).
     """
 
     def __init__(self, A, B):
         self.A = A
         self.B = B
-        nabla_un, tb_un, AB = unnormalized_shuffle(A, B)
-        self.product = AB
-        self.unnormalized = nabla_un
-        self.unnormalized_basis = tb_un
+        self.product = AB = sab_tensor(A, B)
         self.norm_A = normalize(A)
         self.norm_B = normalize(B)
         self.norm_AB = normalize(AB)
@@ -85,36 +72,33 @@ class _ShuffleProduct:
         self.source = NT
         self.source_basis = ntb
         self.target = self.norm_AB.normalized
-        secsec = ChainMap(NT, nabla_un.source,
-                          tensor_map(self.norm_A.section, self.norm_B.section,
-                                     ntb, tb_un),
-                          check=False)
-        self.map = self.norm_AB.projection.compose(nabla_un.compose(secsec))
+        sec_a, sec_b = self.norm_A.section, self.norm_B.section
+        lifted = ChainMap(NT, unnormalized_chains(AB), {
+            n: la.kron_sum(AB.ranks[n], NT.rank(n), [
+                term for p, q, col in ntb.blocks(n)
+                for term in _shuffle_terms(A, B, p, q, col, sec_a.mat(p),
+                                           sec_b.mat(q))])
+            for n in range(A.dim_bound + 1)})
+        self.map = self.norm_AB.projection.compose(lifted)
         self.map._validate()
         if not la.mat_eq(self.map.mat(0), la.identity(NT.rank(0))):
             raise AssertionError("degree-0 component is not the canonical "
                                  "identification")
 
     def alexander_whitney(self):
-        """AW : 𝒩(A⊗B) -> 𝒩(A)⊗𝒩(B): the front-face/back-face formula on
-        unnormalized chains (row block (p, q) is kron(front, back)), between
-        the normalizations."""
-        A, B, tb = self.A, self.B, self.unnormalized_basis
-        T, CAB = self.unnormalized.source, self.unnormalized.target
-        mats = {n: la.kron_sum(T.rank(n), CAB.rank(n), [
-            (A.operator_matrix(front_face(n, p)),
-             B.operator_matrix(back_face(n, q)), row, 0, 1)
-            for p, q, row in tb.blocks(n)])
+        """AW : 𝒩(A⊗B) -> 𝒩(A)⊗𝒩(B), validated as a chain map: the
+        front-face/back-face formula on the section image, row block (p, q)
+        in degree n being kron(proj_A · A(front), proj_B · B(back)) times
+        the section of A⊗B."""
+        A, B, tb = self.A, self.B, self.source_basis
+        proj_a, proj_b = self.norm_A.projection, self.norm_B.projection
+        mats = {n: la.mat_mul(la.kron_sum(tb.rank(n), self.product.ranks[n], [
+            (la.mat_mul(proj_a.mat(p), A.operator_matrix(front_face(n, p))),
+             la.mat_mul(proj_b.mat(q), B.operator_matrix(back_face(n, q))),
+             row, 0, 1)
+            for p, q, row in tb.blocks(n)]), self.norm_AB.section.mat(n))
             for n in range(A.dim_bound + 1)}
-        aw_un = ChainMap(CAB, T, mats)
-        projproj = ChainMap(T, self.source,
-                            tensor_map(self.norm_A.projection,
-                                       self.norm_B.projection,
-                                       tb, self.source_basis),
-                            check=False)
-        f = projproj.compose(aw_un.compose(self.norm_AB.section))
-        f._validate()
-        return f
+        return ChainMap(self.target, self.source, mats)
 
 
 def shuffle_product(A, B):
@@ -152,24 +136,26 @@ def _koszul_swap(tb_src, tb_tgt):
 
 
 def _simplicial_swap_chain(ab, ba):
-    """The levelwise transposition C(A⊗B) -> C(B⊗A) between the
-    unnormalized targets of the shuffle products ab and ba."""
+    """𝒩 of the levelwise transposition A⊗B -> B⊗A, for the shuffle
+    products ab and ba: the transposition applied to the columns of the
+    section of A⊗B, validated as a chain map 𝒩(A⊗B) -> C(B⊗A), then
+    projected to 𝒩(B⊗A)."""
     A, B = ab.A, ab.B
     mats = {}
     for n in range(A.dim_bound + 1):
         an, bn = A.ranks[n], B.ranks[n]
-        mats[n] = la.Sparse([((b * an + a, 1),) for a in range(an)
-                             for b in range(bn)], bn * an)
-    return ChainMap(ab.unnormalized.target, ba.unnormalized.target, mats)
+        swap = la.Sparse([((b * an + a, 1),) for a in range(an)
+                          for b in range(bn)], bn * an)
+        mats[n] = la.mat_mul(swap, ab.norm_AB.section.mat(n))
+    lifted = ChainMap(ab.target, unnormalized_chains(ba.product), mats)
+    return ba.norm_AB.projection.compose(lifted)
 
 
 def symmetry_check(A, B):
     """Certifies ∇_{B,A} ∘ (Koszul swap) = 𝒩(swap) ∘ ∇_{A,B}."""
     ez_ab = shuffle_product(A, B)
     ez_ba = shuffle_product(B, A)
-    swap_chain = _simplicial_swap_chain(ez_ab, ez_ba)
-    n_swap = ez_ba.norm_AB.projection.compose(
-        swap_chain.compose(ez_ab.norm_AB.section))
+    n_swap = _simplicial_swap_chain(ez_ab, ez_ba)
     lhs = ez_ba.map.compose(
         ChainMap(ez_ab.source, ez_ba.source,
                  _koszul_swap(ez_ab.source_basis, ez_ba.source_basis),
@@ -267,7 +253,9 @@ def unitality_check(A, B):
         rows = A.ranks[n] * B.ranks[n]
         for p, q in ((n, 0), (0, n)) if n else ((0, 0),):
             got = la.kron_sum(rows, A.ranks[p] * B.ranks[q],
-                              _shuffle_terms(A, B, p, q, 0))
+                              _shuffle_terms(A, B, p, q, 0,
+                                             la.identity(A.ranks[p]),
+                                             la.identity(B.ranks[q])))
             want = la.kron(A.operator_matrix(_edge_map(n, p)),
                            B.operator_matrix(_edge_map(n, q)))
             for c, (x, y) in enumerate(zip(got, want)):

@@ -65,6 +65,8 @@ def test_promonoidal_left_kan_failure_has_witness_and_exit_1(capsys):
     ["skeleta"],
     ["skeleta", "delta1", "delta1", "--p", "-1", "--q", "0", "--n", "1"],
     ["ez", "delta0", "delta0", "--check", "aw", "--dim-bound", "-1"],
+    ["ez", "delta1", "delta1", "--check", "aw", "--third", "s1"],
+    ["ez", "delta1", "delta1", "--check", "chain", "--check", "assoc"],
     ["skeleta", "no-such-space", "other", "--day-unit", "--trials", "1"],
 ], ids=lambda argv: " ".join(argv[2:] if argv[0] == "promonoidal" else argv))
 def test_promonoidal_vacuous_input_is_an_input_error(capsys, argv):

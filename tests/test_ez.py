@@ -1,20 +1,28 @@
 """Shuffle product and Alexander-Whitney map on normalized complexes."""
 
 import copy
+import dataclasses
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zilber import _random as zrandom
+from zilber import ez
 from zilber import intlinalg as la
 from zilber.chains import (ChainMap, homology, is_homology_isomorphism,
-                           tensor_map)
-from zilber.doldkan import normalize
+                           tensor, tensor_map)
+from zilber.delta import shuffles
+from zilber.doldkan import NormalizationResult, normalize, unnormalized_chains
 from zilber.ez import (associativity_check, aw_nabla_identity_check,
-                       shuffle_product, symmetry_check, unitality_check)
+                       back_face, front_face, shuffle_product, symmetry_check,
+                       unitality_check)
 from zilber.filtration import filtered_ez
-from zilber.simplicial import circle, free_abelian, product, standard_simplex
+from zilber.simplicial import (circle, free_abelian, product, sab_tensor,
+                               standard_simplex)
 from zilber.spectral import heart_check
 
 SPACES = {
@@ -98,30 +106,204 @@ def _same_maps(f, g):
     return all(la.mat_eq(f.mat(n), g.mat(n)) for n in range(top + 1))
 
 
+# ---------------------------------------------------------------------------
+# the unnormalized maps, as oracles: the library builds ∇, AW and the swap on
+# the section image only
+
+
+def unnormalized_shuffle(A, B):
+    """∇ : C(A) ⊗ C(B) -> C(A⊗B), validated as a chain map.
+
+    On bidegree (p, q) the column of x ⊗ y is the signed sum over all
+    (p,q)-shuffles of (degenerate image of x) ⊗ (degenerate image of y),
+    the two degeneracy composites being induced by the components of the
+    shuffle's lattice path: the column block (p, q) is the signed sum of
+    kron(A(s_a), B(s_b)).  Returns (chain map, source TensorBasis, A⊗B).
+    """
+    D = A.dim_bound
+    AB = sab_tensor(A, B)
+    T, tb = tensor(unnormalized_chains(A), unnormalized_chains(B),
+                   top_degree=D)
+    mats = {}
+    for n in range(D + 1):
+        terms = []
+        for p, q, col in tb.blocks(n):
+            for sh in shuffles(p, q):
+                s_a, s_b = sh.components()
+                terms.append((A.operator_matrix(s_a), B.operator_matrix(s_b),
+                              0, col, sh.sign))
+        mats[n] = la.kron_sum(AB.ranks[n], T.rank(n), terms)
+    return ChainMap(T, unnormalized_chains(AB), mats), tb, AB
+
+
+def unnormalized_aw(nabla, tb, A, B):
+    """AW : C(A⊗B) -> C(A) ⊗ C(B) between the target and the source of the
+    oracle ∇ (source basis tb), validated as a chain map: row block (p, q)
+    is kron(front face, back face)."""
+    T, CAB = nabla.source, nabla.target
+    return ChainMap(CAB, T, {n: la.kron_sum(T.rank(n), CAB.rank(n), [
+        (A.operator_matrix(front_face(n, p)),
+         B.operator_matrix(back_face(n, q)), row, 0, 1)
+        for p, q, row in tb.blocks(n)]) for n in range(A.dim_bound + 1)})
+
+
+def unnormalized_swap(A, B):
+    """The levelwise transposition C(A⊗B) -> C(B⊗A), validated as a chain
+    map."""
+    mats = {n: la.Sparse([((b * an + a, 1),) for a in range(an)
+                          for b in range(bn)], an * bn)
+            for n, (an, bn) in enumerate(zip(A.ranks, B.ranks))}
+    return ChainMap(unnormalized_chains(sab_tensor(A, B)),
+                    unnormalized_chains(sab_tensor(B, A)), mats)
+
+
+def oracle_maps(sp):
+    """(∇, AW) of sp rebuilt from the oracles and the normalizations that
+    sp holds: proj ∘ ∇_un ∘ (sec ⊗ sec) and (proj ⊗ proj) ∘ AW_un ∘ sec."""
+    nabla_un, tb_un, _ = unnormalized_shuffle(sp.A, sp.B)
+    aw_un = unnormalized_aw(nabla_un, tb_un, sp.A, sp.B)
+    secsec = ChainMap(sp.source, nabla_un.source,
+                      tensor_map(sp.norm_A.section, sp.norm_B.section,
+                                 sp.source_basis, tb_un),
+                      check=False)
+    projproj = ChainMap(nabla_un.source, sp.source,
+                        tensor_map(sp.norm_A.projection,
+                                   sp.norm_B.projection,
+                                   tb_un, sp.source_basis),
+                        check=False)
+    return (sp.norm_AB.projection.compose(nabla_un.compose(secsec)),
+            projproj.compose(aw_un.compose(sp.norm_AB.section)))
+
+
+def with_convention(sp, moore):
+    """A copy of sp holding the normalizations of the given convention."""
+    out = copy.copy(sp)
+    out.norm_A = normalize(sp.A, moore)
+    out.norm_B = normalize(sp.B, moore)
+    out.norm_AB = normalize(sp.product, moore)
+    return out
+
+
 def test_moore_convention_changes_only_the_section():
     # The lower convention has the upper one's complex and projection, and
     # ∇ and AW rebuilt from its sections are those of shuffle_product.
     sections_differ = False
     for a, b in itertools.product(CORPUS, repeat=2):
         sp = shuffle_product(sab(a), sab(b))
-        lo = copy.copy(sp)
-        for attr, X in (("norm_A", sp.A), ("norm_B", sp.B),
-                        ("norm_AB", sp.product)):
-            upper, lower = getattr(sp, attr), normalize(X, "lower")
+        lo = with_convention(sp, "lower")
+        for attr in ("norm_A", "norm_B", "norm_AB"):
+            upper, lower = getattr(sp, attr), getattr(lo, attr)
             N, M = upper.normalized, lower.normalized
             assert N.ranks == M.ranks and all(
                 la.mat_eq(N.diff(n), M.diff(n)) for n in range(len(N.ranks)))
             assert _same_maps(upper.projection, lower.projection)
             sections_differ |= not _same_maps(upper.section, lower.section)
-            setattr(lo, attr, lower)
-        secsec = ChainMap(sp.source, sp.unnormalized.source,
-                          tensor_map(lo.norm_A.section, lo.norm_B.section,
-                                     sp.source_basis, sp.unnormalized_basis),
-                          check=False)
-        nabla = lo.norm_AB.projection.compose(sp.unnormalized.compose(secsec))
+        nabla, _ = oracle_maps(lo)
         assert _same_maps(nabla, sp.map)
         assert _same_maps(lo.alexander_whitney(), sp.alexander_whitney())
     assert sections_differ
+
+
+def _non_free_groups():
+    """Simplicial groups whose degenerate subgroups are not coordinate (the
+    normalization takes its Smith-normal-form path) or whose sections are
+    not: ℤ[Δ¹] and ℤ[S¹] in a random basis, and a random Γ(C)."""
+    rng = random.Random(16)
+    return {
+        "conj-d1": zrandom.conjugate_simplicial(
+            rng, free_abelian(standard_simplex(1, 2))),
+        "conj-s1": zrandom.conjugate_simplicial(rng, free_abelian(circle(2))),
+        "gamma": zrandom.rand_simplicial(rng, dim_bound=2, max_total_rank=4),
+    }
+
+
+NON_FREE = _non_free_groups()
+
+
+def _is_coordinate(M):
+    return all(len(col) == 1 and col[0][1] == 1 for col in M)
+
+
+@pytest.mark.parametrize("a, b", itertools.product(NON_FREE, repeat=2),
+                         ids=lambda name: name)
+def test_maps_on_the_section_image_match_the_oracles_on_non_free_groups(a, b):
+    A, B = NON_FREE[a], NON_FREE[b]
+    ab, ba = shuffle_product(A, B), shuffle_product(B, A)
+    for moore in ("upper", "lower"):
+        lo_ab, lo_ba = with_convention(ab, moore), with_convention(ba, moore)
+        assert not all(_is_coordinate(lo_ab.norm_AB.section.mat(n))
+                       for n in range(A.dim_bound + 1))
+        nabla, aw = oracle_maps(lo_ab)
+        assert _same_maps(ab.map, nabla)
+        assert _same_maps(lo_ab.alexander_whitney(), aw)
+        swap = lo_ba.norm_AB.projection.compose(
+            unnormalized_swap(A, B).compose(lo_ab.norm_AB.section))
+        assert _same_maps(ez._simplicial_swap_chain(lo_ab, lo_ba), swap)
+    assert aw_nabla_identity_check(A, B).ok and symmetry_check(A, B).ok
+
+
+def _corrupt_section(res, n, degenerate):
+    """res with 1 added to entry (k, 0) of its degree-n section.  With
+    degenerate, k is the first row that the projection kills and d_n does
+    not: the projected maps stay chain maps and only a check on the
+    unnormalized side sees the change.  Otherwise k is the first row that
+    the projection keeps."""
+    S, proj = res.section.mats[n], res.projection.mats[n]
+    d = res.projection.source.diff(n)
+    k = next(k for k, col in enumerate(proj)
+             if (not col and d[k] if degenerate else col))
+    unit = la.Sparse((((k, 1),),) + ((),) * (S.ncols - 1), S.nrows)
+    section = ChainMap(res.normalized, res.section.target,
+                       {**res.section.mats, n: la.mat_sum([(1, S),
+                                                           (1, unit)])},
+                       check=False)
+    return NormalizationResult(res.normalized, res.projection, section)
+
+
+def test_lifted_checks_catch_a_wrong_shuffle_sign_or_section_entry(
+        monkeypatch):
+    A, B = sab("d2"), sab("d1")
+
+    def one_sign_flipped(p, q):
+        first, *rest = shuffles(p, q)
+        return (dataclasses.replace(first, sign=-first.sign), *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(ez, "shuffles", one_sign_flipped)
+        with pytest.raises(ValueError, match="does not commute"):
+            shuffle_product(A, B)
+
+    # a degenerate chain added to a section of A: ∇ itself is unchanged, but
+    # its lift to C(A⊗B) is no chain map
+    def section_corrupted(X):
+        return (_corrupt_section(normalize(X), 2, degenerate=True) if X is A
+                else normalize(X))
+
+    with monkeypatch.context() as m:
+        m.setattr(ez, "normalize", section_corrupted)
+        with pytest.raises(ValueError, match="does not commute"):
+            shuffle_product(A, B)
+    # the same change to the section of A⊗B, under the swap
+    ab, ba = shuffle_product(A, B), shuffle_product(B, A)
+    broken = copy.copy(ab)
+    broken.norm_AB = _corrupt_section(ab.norm_AB, 2, degenerate=True)
+    with pytest.raises(ValueError, match="does not commute"):
+        ez._simplicial_swap_chain(broken, ba)
+    ez._simplicial_swap_chain(ab, ba)  # the unpatched maps pass
+
+
+def test_a_wrong_face_or_section_entry_is_caught_by_alexander_whitney(
+        monkeypatch):
+    sp = shuffle_product(sab("d1"), sab("d1"))
+    with monkeypatch.context() as m:
+        m.setattr(ez, "back_face", lambda n, q: front_face(n, q))
+        with pytest.raises(ValueError, match="does not commute"):
+            sp.alexander_whitney()
+    broken = copy.copy(sp)
+    broken.norm_AB = _corrupt_section(sp.norm_AB, 1, degenerate=False)
+    with pytest.raises(ValueError, match="does not commute"):
+        broken.alexander_whitney()
+    sp.alexander_whitney()  # the unpatched map passes
 
 
 @pytest.fixture
@@ -191,6 +373,55 @@ def test_each_certificate_builds_each_objects_chains_once(chain_builds, check,
     check(*[sab(name) for name in ("d1", "s1", "d1")[:arity]])
     assert len(chain_builds) == expected
     assert len(set(map(id, chain_builds))) == expected
+
+
+@pytest.fixture
+def unnormalized_tensors(monkeypatch):
+    """The calls of chains.tensor, in every zilber module that holds it,
+    with a factor that is the unnormalized chains of some object."""
+    from zilber import chains, doldkan
+    built, calls = set(), []
+    worker, tensor_worker = doldkan._unnormalized_chains, chains.tensor
+
+    def building(A):
+        C = worker(A)
+        built.add(id(C))
+        return C
+
+    def tensoring(C, D, top_degree=None):
+        if {id(C), id(D)} & built:
+            calls.append((C, D))
+        return tensor_worker(C, D, top_degree)
+
+    monkeypatch.setattr(doldkan, "_unnormalized_chains", building)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zilber") and \
+                getattr(module, "tensor", None) is tensor_worker:
+            monkeypatch.setattr(module, "tensor", tensoring)
+    # the oracle is the one caller that tensors unnormalized chains
+    monkeypatch.setitem(globals(), "tensor", tensoring)
+    return calls
+
+
+@pytest.mark.parametrize("check, arity", [
+    (shuffle_product, 2),
+    (aw_nabla_identity_check, 2),
+    (symmetry_check, 2),
+    (associativity_check, 3),
+    (filtered_ez, 2),
+    (heart_check, 1),
+    (unitality_check, 2),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_no_certificate_tensors_unnormalized_chains(unnormalized_tensors,
+                                                    check, arity):
+    check(*[sab(name) for name in ("d1", "s1", "d1")[:arity]])
+    assert unnormalized_tensors == []
+
+
+def test_the_oracle_tensors_unnormalized_chains(unnormalized_tensors):
+    # the control: the fixture sees the tensor the library no longer builds
+    unnormalized_shuffle(sab("d1"), sab("s1"))
+    assert len(unnormalized_tensors) == 1
 
 
 def test_unknown_moore_convention_is_rejected(normalizations):

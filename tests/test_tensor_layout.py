@@ -15,6 +15,8 @@ from zilber.ez import back_face, front_face, shuffle_product
 from zilber.filtration import _tensor_column
 from zilber.simplicial import circle, free_abelian, standard_simplex
 
+from test_ez import unnormalized_aw, unnormalized_shuffle
+
 
 def zeros(r, c):
     return [[0] * c for _ in range(r)]
@@ -185,6 +187,8 @@ def test_shuffle_and_alexander_whitney_are_entrywise_sums(a, b):
     un = basis(nA.projection.source, nB.projection.source, D)
     norm = basis(nA.normalized, nB.normalized, D)
     aw_map = sp.alexander_whitney()
+    nabla_un, tb_un, _ = unnormalized_shuffle(A, B)
+    aw_un = unnormalized_aw(nabla_un, tb_un, A, B)
     for n in range(D + 1):
         bn = B.ranks[n]
         # ∇(x_i ⊗ y_j) = Σ over (p, q)-shuffles of ± s_a x_i ⊗ s_b y_j
@@ -203,7 +207,8 @@ def test_shuffle_and_alexander_whitney_are_entrywise_sums(a, b):
             for x in range(A.ranks[n]):
                 for y in range(bn):
                     aw[k][x * bn + y] += front[i][x] * back[j][y]
-        assert la.rows(sp.unnormalized.mat(n)) == nabla
+        assert la.rows(nabla_un.mat(n)) == nabla
+        assert la.rows(aw_un.mat(n)) == aw
         nabla = la.as_sparse(nabla, A.ranks[n] * bn, len(un[n]))
         aw = la.as_sparse(aw, len(un[n]), A.ranks[n] * bn)
         secsec = la.as_sparse(
