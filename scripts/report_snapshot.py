@@ -9,7 +9,9 @@ Runs each invocation of scripts/run_acceptance.sh, plus ``ss random
 ``doldkan s1 --roundtrip`` / ``doldkan torus --roundtrip`` (a builtin
 space through free_abelian), ``ez delta2 delta2 --check chain --check aw
 --check symmetry --dim-bound 4`` and ``ez delta2 delta1 --third s1 --check
-assoc --dim-bound 3``, with
+assoc --dim-bound 3``, ``promonoidal --check coyoneda --check
+operator-frag --b 3 --length 3`` and ``promonoidal --check product-colimit
+--ns 1,1,1 --k-max 3``, with
 ``python -m zilber.cli`` (so the zilber found on PYTHONPATH is the one
 measured).  Then it writes three payloads, built by that zilber, to
 OUTDIR as ``payload_NAME.json`` and feeds each on stdin (``-``): the ssimp
@@ -90,6 +92,11 @@ def invocations():
                 "--check", "symmetry", "--dim-bound", "4"])
     out.append(["ez", "delta2", "delta1", "--third", "s1", "--check", "assoc",
                 "--dim-bound", "3"])
+    # the coends and the product-colimit poset above the default bound
+    out.append(["promonoidal", "--check", "coyoneda", "--check",
+                "operator-frag", "--b", "3", "--length", "3"])
+    out.append(["promonoidal", "--check", "product-colimit", "--ns", "1,1,1",
+                "--k-max", "3"])
     return out
 
 

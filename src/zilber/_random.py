@@ -88,7 +88,7 @@ def conjugate_simplicial(rng, A):
     return SimplicialAbelianGroup(A.dim_bound, A.ranks, faces, degens)
 
 
-def corrupt_simplicial(rng, A, attempts=8):
+def corrupt_simplicial(rng, A):
     """A copy of A with a single structure-matrix entry changed so that
     some simplicial identity fails; returns None if no invalidating
     single-entry change is found.
@@ -97,7 +97,7 @@ def corrupt_simplicial(rng, A, attempts=8):
     vanish, some entries are unconstrained by the identities (e.g. the
     top differential of an object with empty 0- and 1-levels), so a
     perturbation there yields another valid object.  Such perturbations
-    are resampled, up to ``attempts`` times."""
+    are resampled, up to eight times."""
     from .simplicial import SimplicialIdentityError
 
     slots = []
@@ -107,7 +107,7 @@ def corrupt_simplicial(rng, A, attempts=8):
                 slots.append((kind, key))
     if not slots:
         return None
-    for _ in range(attempts):
+    for _ in range(8):
         kind, key = rng.choice(slots)
         faces, degens = dict(A.face_mats), dict(A.degen_mats)
         mats = faces if kind == "face" else degens

@@ -446,6 +446,10 @@ def cmd_ss(args):
     token = args.input
     if args.pages is not None and args.pages < 1:
         raise InputError("--pages must be positive")
+    if args.heart and not token.startswith("sk:"):
+        raise InputError("--heart is read only with an sk: input")
+    if args.pairing and not token.startswith("ez:"):
+        raise InputError("--pairing is read only with an ez: input")
     if token == "random":
         if args.trials < 1:
             raise InputError("--trials must be positive")
@@ -530,6 +534,12 @@ def cmd_promonoidal(args):
         # leaves Δ≤b empty and the sweep, coyoneda and operator checks
         # would pass without checking anything
         raise InputError("--b must be nonnegative")
+    for option, readers in (("ns", ("left-kan", "product-colimit")),
+                            ("entries", ("mu-assoc",)), ("m", ("left-kan",))):
+        if getattr(args, option) is not None \
+                and not set(readers) & set(args.check):
+            raise InputError(f"--{option} is read only by --check "
+                             f"{' or '.join(readers)}")
     for check in args.check:
         if check == "mu-assoc":
             if args.entries is None:

@@ -104,12 +104,17 @@ def comp_table(a, b, c):
                  for g in _enumerate_monotone_cached(b, c))
 
 
+@lru_cache(maxsize=None)
 def generating_maps(b):
-    """The cofaces and codegeneracies among [0], ..., [b]; they generate
-    every monotone map between these objects."""
+    """The cofaces and then the codegeneracies among [0], ..., [b], each as
+    the triple (a, c, i) of a map [a] -> [c] and its index i in
+    enumerate_monotone(a, c); they generate every monotone map between
+    these objects."""
     gens = [coface(n, i) for n in range(1, b + 1) for i in range(n + 1)]
     gens += [codegeneracy(n, i) for n in range(b) for i in range(n + 1)]
-    return gens
+    return tuple((f.domain_top, f.codomain_top,
+                  monotone_position(f.domain_top, f.codomain_top)[f.values])
+                 for f in gens)
 
 
 @lru_cache(maxsize=None)

@@ -4,19 +4,19 @@ simplex category, the left-Kan-extension dichotomy, colimit presentations
 of products of simplices, and a bounded category-of-operators fragment.
 
 Every coend goes through ``coend``, an array union-find over elements
-interned to integers.  The checks over the truncated simplex category Δ≤b
-hand it integer tuples: a monotone map is its index in enumerate_monotone,
-composites come from delta.comp_table, and MonotoneMaps are rebuilt only
-for a failing certificate's witness.
+interned to integers.  Every map of the truncated simplex category Δ≤b is
+the triple (a, c, i) of a map [a] -> [c] and its index i in
+enumerate_monotone(a, c), composed by ``_compose`` through comp_table;
+MonotoneMaps are rebuilt only for witnesses and product-colimit points.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .delta import (PosetPoint, coface, comp_table, enumerate_injections,
-                    enumerate_monotone, generating_maps, identity_map,
-                    monotone_count, monotone_position, product_nondegenerate)
+from .delta import (PosetPoint, comp_table, enumerate_injections,
+                    enumerate_monotone, generating_maps, monotone_count,
+                    monotone_position, product_nondegenerate)
 from .simplicial import CheckCertificate
 
 
@@ -146,17 +146,29 @@ def poset_category(elements, leq):
                           gens=covers)
 
 
+def _compose(g, f):
+    """g ∘ f for maps of Δ as triples (a, c, i), f applied first."""
+    a, b, i = f
+    _, c, j = g
+    return (a, c, comp_table(a, b, c)[j][i])
+
+
+def _identity(n):
+    """The identity of [n] as a triple."""
+    return (n, n, monotone_position(n, n)[tuple(range(n + 1))])
+
+
 def delta_leq(b, check=True):
     """The full subcategory of the simplex category on [0], ..., [b];
-    objects are the integers n for [n], morphisms are MonotoneMaps."""
+    objects are the integers n for [n], morphisms are triples (a, c, i)."""
     objects = list(range(b + 1))
-    morphisms = [f for p in objects for q in objects
-                 for f in enumerate_monotone(p, q)]
-    src = {f: f.domain_top for f in morphisms}
-    tgt = {f: f.codomain_top for f in morphisms}
-    ident = {n: identity_map(n) for n in objects}
-    comp = {(g, f): g.compose(f) for g in morphisms for f in morphisms
-            if f.codomain_top == g.domain_top}
+    morphisms = [(p, q, i) for p in objects for q in objects
+                 for i in range(monotone_count(p, q))]
+    src = {f: f[0] for f in morphisms}
+    tgt = {f: f[1] for f in morphisms}
+    ident = {n: _identity(n) for n in objects}
+    comp = {(g, f): _compose(g, f) for g in morphisms for f in morphisms
+            if f[1] == g[0]}
     return FiniteCategory(objects, morphisms, src, tgt, ident, comp,
                           check=check, gens=generating_maps(b))
 
@@ -181,59 +193,14 @@ class SetProfunctor:
     action(f, x, g) : for f : c' -> c in C, x in P(c, d), g : d -> d' in D,
     the image element in P(c', d')."""
 
-    def __init__(self, C, D, values, action, check=True):
+    def __init__(self, C, D, values, action):
         self.C = C
         self.D = D
         self.values = {k: list(v) for k, v in values.items()}
         self.action = action
-        if check:
-            self._validate()
 
     def value(self, c, d):
         return self.values.get((c, d), [])
-
-    def _validate(self):
-        C, D = self.C, self.D
-        for c in C.objects:
-            for d in D.objects:
-                for x in self.value(c, d):
-                    if self.action(C.ident[c], x, D.ident[d]) != x:
-                        raise ValueError("identity action is not trivial")
-        for f in C.morphisms:
-            for g in D.morphisms:
-                c, d = C.tgt[f], D.src[g]
-                for x in self.value(c, d):
-                    y = self.action(f, x, g)
-                    if y not in self.value(C.src[f], D.tgt[g]):
-                        raise ValueError("action leaves the value set")
-                    two_step = self.action(f, self.action(C.ident[c], x, g),
-                                           D.ident[D.tgt[g]])
-                    if two_step != y:
-                        raise ValueError("actions do not commute")
-        for f2 in C.morphisms:
-            for f1 in C.morphisms:
-                if C.src[f1] != C.tgt[f2]:
-                    continue
-                c = C.tgt[f1]
-                for d in D.objects:
-                    for x in self.value(c, d):
-                        lhs = self.action(C.comp[(f1, f2)], x, D.ident[d])
-                        rhs = self.action(f2, self.action(f1, x, D.ident[d]),
-                                          D.ident[d])
-                        if lhs != rhs:
-                            raise ValueError("contravariant action not functorial")
-        for g2 in D.morphisms:
-            for g1 in D.morphisms:
-                if D.src[g2] != D.tgt[g1]:
-                    continue
-                d = D.src[g1]
-                for c in C.objects:
-                    for x in self.value(c, d):
-                        lhs = self.action(C.ident[c], x, D.comp[(g2, g1)])
-                        rhs = self.action(C.ident[c],
-                                          self.action(C.ident[c], x, g1), g2)
-                        if lhs != rhs:
-                            raise ValueError("covariant action not functorial")
 
 
 def hom_profunctor(C):
@@ -242,7 +209,7 @@ def hom_profunctor(C):
     def action(f, x, g):
         return C.comp[(C.comp[(g, x)], f)]
 
-    return SetProfunctor(C, C, values, action, check=False)
+    return SetProfunctor(C, C, values, action)
 
 
 def coend_set(P):
@@ -302,7 +269,7 @@ def compose_profunctors(P, Q):
         return coends[(C.src[f], E.tgt[g])][1][moved]
 
     return SetProfunctor(C, E, {k: cls for k, (cls, _) in coends.items()},
-                         action, check=False)
+                         action)
 
 
 def coyoneda_check(P):
@@ -348,24 +315,19 @@ class PromonoidalData:
 def delta_op_promonoidal(b):
     """The Eilenberg-Zilber promonoidal structure on the opposite simplex
     category truncated at [b]: μ([p],[q];[n]) is the set of monotone maps
-    [n] -> [p] × [q], i.e. pairs of monotone maps out of [n], and the unit
-    is the terminal profunctor (every [n] -> [0] is unique)."""
+    [n] -> [p] × [q], i.e. pairs of triples out of [n], and the unit is
+    the terminal profunctor (every [n] -> [0] is unique)."""
     _nonnegative("b", [b])
     base = opposite(delta_leq(b, check=False))
 
-    cache = {}
-
     def mu_value(p, q, n):
-        if (p, q, n) not in cache:
-            cache[(p, q, n)] = [(f, g) for f in enumerate_monotone(n, p)
-                                for g in enumerate_monotone(n, q)]
-        return cache[(p, q, n)]
+        return mul_delta((p, q), n)
 
     def mu_act(f1, f2, x, g):
         # base morphisms a -> c are Δ-maps [c] -> [a]; g : c' -> b' is a
         # Δ-map [b'] -> [c']
         f, h = x
-        return (f1.compose(f).compose(g), f2.compose(h).compose(g))
+        return (_compose(_compose(f1, f), g), _compose(_compose(f2, h), g))
 
     def eta_value(n):
         return ["*"]
@@ -441,13 +403,6 @@ class NaryMu:
 # coends over Δ≤b: a monotone map is its index in enumerate_monotone
 
 
-def _indexed(maps):
-    """Monotone maps f : [a] -> [c] as triples (a, c, index of f)."""
-    return [(f.domain_top, f.codomain_top,
-             monotone_position(f.domain_top, f.codomain_top)[f.values])
-            for f in maps]
-
-
 def _family(d, ts, idxs):
     """The maps [d] -> [t_i] of the given indices, as MonotoneMaps."""
     return tuple(enumerate_monotone(d, t)[i] for i, t in zip(idxs, ts))
@@ -491,7 +446,7 @@ def _hom_coend(x, ts, b, s=1):
         return tuple(comp_table(a, c, t)[f][g]
                      for f, t in zip(v, ts)) + v[-1:]
 
-    return (*_delta_coend(x, F, act, _indexed(generating_maps(b))), F)
+    return (*_delta_coend(x, F, act, generating_maps(b)), F)
 
 
 def _nonnegative(name, values):
@@ -568,11 +523,9 @@ def delta_mu_associativity_check(p, q, r, b):
 
 def mul_delta(ns, m):
     """Mul({[n_i]}; [m]) for the opposite simplex category: monotone maps
-    [m] -> ∏_i [n_i], as tuples of componentwise monotone maps."""
-    out = [()]
-    for n in ns:
-        out = [t + (f,) for t in out for f in enumerate_monotone(m, n)]
-    return out
+    [m] -> ∏_i [n_i], as tuples of componentwise maps, each a triple."""
+    return list(itertools.product(
+        *([(m, n, i) for i in range(monotone_count(m, n))] for n in ns)))
 
 
 def left_kan_check(ns, b, m_range):
@@ -618,7 +571,8 @@ def left_kan_check(ns, b, m_range):
 def _colimit_coend(k, nondeg):
     """The set colimit of the k-simplices of Δ^σ over the nondegenerate
     simplices σ ∈ nondeg[d], a coend over the injections of Δ, which the
-    cofaces generate: the coface ι identifies (σ, ι∘β) with (σ∘ι, β)."""
+    injective generating maps (a < c) generate: such a map ι identifies
+    (σ, ι∘β) with (σ∘ι, β)."""
     chains = {d: [sigma.points for sigma in sigmas]
               for d, sigmas in nondeg.items()}
 
@@ -626,9 +580,8 @@ def _colimit_coend(k, nondeg):
         a, c, g = gen
         return tuple(points[v] for v in enumerate_monotone(a, c)[g].values)
 
-    cofaces = _indexed(coface(d, i) for d in nondeg if d > 0
-                       for i in range(d + 1))
-    return _delta_coend(k, chains, face, cofaces)
+    injective = [g for g in generating_maps(max(nondeg)) if g[0] < g[1]]
+    return _delta_coend(k, chains, face, injective)
 
 
 def product_simplices_colimit_check(ns, k_range):
@@ -660,7 +613,8 @@ def product_simplices_colimit_check(ns, k_range):
             images.add(image[(d, a, s)])
         # a map into the product poset is monotone iff its components are
         allmaps = [tuple(map(PosetPoint, zip(*(f.values for f in fam))))
-                   for fam in mul_delta(ns, k)]
+                   for fam in itertools.product(*(enumerate_monotone(k, n)
+                                                  for n in ns))]
         if images != set(allmaps):
             missing = next(t for t in allmaps if t not in images)
             return CheckCertificate(False, witness=(k, missing),
@@ -718,12 +672,12 @@ def delta_op_multicategory(b):
         return mul_delta(cs, m)
 
     def ident(c):
-        return (identity_map(c),)
+        return (_identity(c),)
 
     def subst(y, xs):
         out = []
         for g, x in zip(y, xs):
-            out.extend(h.compose(g) for h in x)
+            out.extend(_compose(h, g) for h in x)
         return tuple(out)
 
     def permute(y, idxs):

@@ -337,13 +337,12 @@ def induced_pairing(P, S_F, S_G, S_H, r):
     return PagePairing(P, S_F, S_G, S_H, r)
 
 
-def leibniz_check(pairing, r=None):
+def leibniz_check(pairing):
     """Verifies d_r(x·y) = d_r(x)·y + (-1)^{p+q} x·d_r(y) on all generator
-    pairs of the page, computed entirely from the page data: products come
-    from the pairing's generator tables and d_r from the spectral
-    sequences, so a corrupted table is detected."""
-    if r is None:
-        r = pairing.r
+    pairs of the pairing's page r, computed entirely from the page data:
+    products come from the pairing's generator tables and d_r from the
+    spectral sequences, so a corrupted table is detected."""
+    r = pairing.r
     S_F, S_G, S_H = pairing.S_F, pairing.S_G, pairing.S_H
 
     def coords_of_product(pq1, i, pq2, j):

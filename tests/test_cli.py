@@ -68,6 +68,12 @@ def test_promonoidal_left_kan_failure_has_witness_and_exit_1(capsys):
     ["ez", "delta1", "delta1", "--check", "aw", "--third", "s1"],
     ["ez", "delta1", "delta1", "--check", "chain", "--check", "assoc"],
     ["skeleta", "no-such-space", "other", "--day-unit", "--trials", "1"],
+    # options that no selected check reads
+    ["ss", "random", "--heart", "--trials", "1"],
+    ["ss", "sk:s1", "--pairing"],
+    ["promonoidal", "--check", "unit", "--ns", "5,5"],
+    ["promonoidal", "--check", "unit", "--entries", "1,2,3"],
+    ["promonoidal", "--check", "coyoneda", "--m", "3"],
 ], ids=lambda argv: " ".join(argv[2:] if argv[0] == "promonoidal" else argv))
 def test_promonoidal_vacuous_input_is_an_input_error(capsys, argv):
     # each of these once checked nothing and passed, or failed as if a

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from zilber.delta import MonotoneMap
+from zilber.delta import (MonotoneMap, codegeneracy, coface,
+                          enumerate_monotone, generating_maps, identity_map)
 from zilber.promonoidal import (MulticategoryModel, coend_set,
-                                coyoneda_check, delta_leq,
+                                compose_profunctors, coyoneda_check, delta_leq,
                                 delta_mu_associativity_check,
                                 delta_mu_unit_check, delta_op_multicategory,
                                 delta_op_promonoidal, discrete_category,
@@ -153,3 +154,103 @@ def test_nary_multiplication_size_matches_iterated_coend_formula():
         got = len(nm.space((1, 1, 1), n))
         want = monotone_count(n, 1) ** 3
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# maps of Δ as triples (a, c, i), against MonotoneMap
+
+
+def _decode(f):
+    a, c, i = f
+    return enumerate_monotone(a, c)[i]
+
+
+@pytest.mark.parametrize("b", range(4))
+def test_triple_composition_and_identities_match_monotone_maps(b):
+    C = delta_leq(b, check=False)
+    for n in C.objects:
+        assert _decode(C.ident[n]) == identity_map(n)
+    composable = sum(1 for g in C.morphisms for f in C.morphisms
+                     if C.src[g] == C.tgt[f])
+    assert len(C.comp) == composable
+    for (g, f), h in C.comp.items():
+        assert _decode(h) == _decode(g).compose(_decode(f))
+
+
+@pytest.mark.parametrize("b", range(4))
+def test_generating_maps_are_the_cofaces_then_the_codegeneracies(b):
+    want = [coface(n, i) for n in range(1, b + 1) for i in range(n + 1)]
+    want += [codegeneracy(n, i) for n in range(b) for i in range(n + 1)]
+    assert [_decode(g) for g in generating_maps(b)] == want
+
+
+@pytest.mark.parametrize("b", range(4))
+def test_mu_action_is_precomposition_of_monotone_maps(b):
+    # base morphisms a -> c are Δ-maps [c] -> [a]; the action sends (f, h)
+    # in μ(p, q; n) to (f1∘f∘g, f2∘h∘g)
+    data = delta_op_promonoidal(b)
+    base = data.base
+    rng = random.Random(b)
+    for _ in range(400):
+        p, q, n = (rng.randrange(b + 1) for _ in range(3))
+        f, h = x = rng.choice(data.mu_value(p, q, n))
+        f1 = rng.choice([u for u in base.morphisms if base.tgt[u] == p])
+        f2 = rng.choice([u for u in base.morphisms if base.tgt[u] == q])
+        g = rng.choice([u for u in base.morphisms if base.src[u] == n])
+        got = data.mu_act(f1, f2, x, g)
+        assert got in data.mu_value(base.src[f1], base.src[f2], base.tgt[g])
+        assert [_decode(u) for u in got] == \
+            [_decode(f1).compose(_decode(f)).compose(_decode(g)),
+             _decode(f2).compose(_decode(h)).compose(_decode(g))]
+
+
+def test_composite_profunctor_action_is_natural():
+    # R = Hom ∘ Hom over Δ≤2: its action keeps elements in the value sets,
+    # fixes them under identities, and the canonical map (d, x, y) ↦ y∘x
+    # commutes with it
+    C = delta_leq(2, check=False)
+    P = hom_profunctor(C)
+    R = compose_profunctors(P, hom_profunctor(C))
+    for f in C.morphisms:
+        for g in C.morphisms:
+            c, e = C.tgt[f], C.src[g]
+            for elem in R.value(c, e):
+                moved = R.action(f, elem, g)
+                assert moved in R.value(C.src[f], C.tgt[g])
+                (_, x, y), (_, x2, y2) = elem, moved
+                assert P.action(C.ident[C.src[f]], x2, y2) == \
+                    P.action(f, P.action(C.ident[c], x, y), g)
+    for c in C.objects:
+        for e in C.objects:
+            for elem in R.value(c, e):
+                assert R.action(C.ident[c], elem, C.ident[e]) == elem
+
+
+def test_nary_mu_at_arities_zero_one_and_four():
+    from zilber.delta import monotone_count
+    from zilber.promonoidal import NaryMu
+    b = 2
+    data = delta_op_promonoidal(b)
+    base = data.base
+    nm = NaryMu(data)
+    for n in range(b + 1):
+        assert nm.space((), n) == ["*"]
+        assert nm.space((1,), n) == base.hom(1, n)
+    # partial sums 1, 1, 2, 2 stay <= b, so μ⁴ is Map([n], ∏[c_i])
+    entries = (1, 0, 1, 0)
+    for n in range(b + 1):
+        want = 1
+        for c in entries:
+            want *= monotone_count(n, c)
+        assert len(nm.space(entries, n)) == want
+    for inputs in ((), (1,), entries):
+        for g in base.morphisms:
+            n, n2 = base.src[g], base.tgt[g]
+            for elem in nm.space(inputs, n):
+                moved = nm.act_out(inputs, n, elem, g)
+                assert moved in nm.space(inputs, n2)
+                assert nm.act_out(inputs, n, elem, base.ident[n]) == elem
+                for g2 in base.morphisms:
+                    if base.src[g2] == n2:
+                        assert nm.act_out(inputs, n2, moved, g2) == \
+                            nm.act_out(inputs, n, elem, base.comp[(g2, g)])
