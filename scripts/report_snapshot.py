@@ -10,8 +10,9 @@ Runs each invocation of scripts/run_acceptance.sh, plus ``ss random
 space through free_abelian), ``ez delta2 delta2 --check chain --check aw
 --check symmetry --dim-bound 4`` and ``ez delta2 delta1 --third s1 --check
 assoc --dim-bound 3``, ``promonoidal --check coyoneda --check
-operator-frag --b 3 --length 3`` and ``promonoidal --check product-colimit
---ns 1,1,1 --k-max 3``, with
+operator-frag --b 3 --length 3``, ``promonoidal --check product-colimit
+--ns 1,1,1 --k-max 3``, ``promonoidal --check unit --check mu-assoc --b 3``
+and the failing ``promonoidal --check left-kan --ns 2,2 --b 3 --m 4``, with
 ``python -m zilber.cli`` (so the zilber found on PYTHONPATH is the one
 measured).  Then it writes three payloads, built by that zilber, to
 OUTDIR as ``payload_NAME.json`` and feeds each on stdin (``-``): the ssimp
@@ -97,6 +98,11 @@ def invocations():
                 "operator-frag", "--b", "3", "--length", "3"])
     out.append(["promonoidal", "--check", "product-colimit", "--ns", "1,1,1",
                 "--k-max", "3"])
+    out.append(["promonoidal", "--check", "unit", "--check", "mu-assoc",
+                "--b", "3"])
+    # a failing extension (2 + 2 > 3), which pins a decoded witness
+    out.append(["promonoidal", "--check", "left-kan", "--ns", "2,2", "--b", "3",
+                "--m", "4"])
     return out
 
 

@@ -3,16 +3,17 @@ n-ary promonoidal multimorphism spaces, multimorphism spaces for the
 simplex category, the left-Kan-extension dichotomy, colimit presentations
 of products of simplices, and a bounded category-of-operators fragment.
 
-Every coend goes through ``coend``, an array union-find over elements
-interned to integers.  Every map of the truncated simplex category Δ≤b is
-the triple (a, c, i) of a map [a] -> [c] and its index i in
-enumerate_monotone(a, c), composed by ``_compose`` through comp_table;
-MonotoneMaps are rebuilt only for witnesses and product-colimit points.
+Every coend is one union-find on integer indices.  Over Δ≤b the element
+(d, φ, u) of ∫^{[d]} Δ([x], [d]) × F(d) is off[d] + φ·|F(d)| + u, and a
+generating map's relations are index arithmetic; ``coend`` interns its
+tokens once.  A map of Δ≤b is the triple (a, c, i) of a map [a] -> [c] and
+its index i in enumerate_monotone(a, c), composed through comp_table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .delta import (PosetPoint, comp_table, enumerate_injections,
                     enumerate_monotone, generating_maps, monotone_count,
@@ -23,41 +24,62 @@ from .simplicial import CheckCertificate
 # ---------------------------------------------------------------------------
 # the coend engine
 
+# The engine peaks at 40 bytes per element (the parent list and its ints,
+# measured on coends of 3-4 M elements): 0.7 GB at the cap.
+COEND_ELEMENT_CAP = 1 << 24
+
+
+class CoendTooLarge(ValueError):
+    """A coend with more elements than COEND_ELEMENT_CAP (CLI exit 2)."""
+
+
+def _capped(n):
+    """n, a coend's element count, if it is within the cap."""
+    if n > COEND_ELEMENT_CAP:
+        raise CoendTooLarge(f"a coend of {n} elements is above the cap of "
+                            f"{COEND_ELEMENT_CAP} elements")
+    return n
+
+
+def _least_representatives(n, relations):
+    """rep, rep[i] the least element of the class of i in 0..n-1 under
+    ``relations``, index sequences (push, pull) identifying push[i] with
+    pull[i].  A union points the larger root at the smaller, so
+    parent[i] <= i and one ascending pass resolves every root."""
+    parent = list(range(_capped(n)))
+    for push, pull in relations:
+        for u, v in zip(push, pull):
+            if parent[u] == parent[v]:  # the common case
+                continue
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u < v:
+                parent[v] = u
+            elif v < u:
+                parent[u] = v
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return parent
+
 
 def coend(objects, elements, generators, push, pull):
-    """Classes of ⊔_d elements(d), d in ``objects``, under the relations of
-    ``generators``: push(h) and pull(h) are equally long sequences and h
-    identifies push(h)[i] with pull(h)[i].  Elements are hashable tokens,
-    distinct across objects, interned to indices in enumeration order.
-
-    Returns the class representatives, each the element of smallest index
-    in its class, and a dict sending every element to its representative;
-    both are in index order and independent of the order of relations."""
+    """Classes of ⊔_d elements(d), d in ``objects``, hashable tokens
+    distinct across objects, where h in ``generators`` identifies push(h)[i]
+    with pull(h)[i].  Returns the representatives, each its class's first
+    element in enumeration order, and a dict sending every element to its
+    representative, both in enumeration order."""
     index = {}
     for d in objects:
         for x in elements(d):
             index.setdefault(x, len(index))
-    parent = list(range(len(index)))
-    size = [1] * len(index)
-
-    def find(a):
-        while parent[a] != a:
-            # path halving: point a at its grandparent and move there
-            parent[a] = a = parent[parent[a]]
-        return a
-
     at = index.__getitem__
-    for h in generators:
-        for u, v in zip(map(at, push(h)), map(at, pull(h))):
-            a, b = find(u), find(v)
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-    least = {}
-    reps = {x: least.setdefault(find(i), x) for x, i in index.items()}
-    return list(least.values()), reps
+    rep = _least_representatives(
+        len(index), ((map(at, push(h)), map(at, pull(h))) for h in generators))
+    tokens = list(index)
+    return ([x for i, x in enumerate(tokens) if rep[i] == i],
+            {x: tokens[r] for x, r in zip(tokens, rep)})
 
 
 # ---------------------------------------------------------------------------
@@ -408,45 +430,73 @@ def _family(d, ts, idxs):
     return tuple(enumerate_monotone(d, t)[i] for i, t in zip(idxs, ts))
 
 
-def _delta_coend(x, F, act, gens):
-    """∫^{[d]} Δ([x], [d]) × F(d) over the objects d of F, presented by the
-    indexed Δ-maps γ = (a, c, g) of gens: elements are (d, φ, u), φ indexing
-    a map [x] -> [d] and u the list F[d], and γ identifies (c, γ∘φ, u) with
-    (a, φ, u·γ) for φ : [x] -> [a], where act(F[c][u], γ) = F[a][u·γ]."""
+def _offsets(x, sizes):
+    """off[d] = Σ_{e < d} |Δ([x], [e])|·sizes[e]; off[-1] counts all."""
+    return list(itertools.accumulate(
+        (monotone_count(x, d) * n for d, n in enumerate(sizes)), initial=0))
 
-    def elements(d):
-        return [(d, phi, u) for phi in range(monotone_count(x, d))
-                for u in range(len(F[d]))]
 
-    def push(gen):
-        a, c, g = gen
-        return [(c, gphi, u) for gphi in comp_table(x, a, c)[g]
-                for u in range(len(F[c]))]
+def _delta_coend(x, sizes, moved, gens):
+    """∫^{[d]} Δ([x], [d]) × F(d), |F(d)| = sizes[d], presented by the Δ-maps
+    γ = (a, c, g) of gens: γ identifies (c, γ∘φ, u) with (a, φ, u·γ) for
+    φ : [x] -> [a], u·γ = moved(γ)[u].  Returns the classes (d, φ, u) and
+    the least-index representatives rep of the elements' indices."""
+    homs = [monotone_count(x, d) for d in range(len(sizes))]
+    off = _offsets(x, sizes)
+    flat = itertools.chain.from_iterable
 
-    def pull(gen):
-        a, c, g = gen
-        pos = {v: i for i, v in enumerate(F[a])}
-        moved = [pos[act(v, gen)] for v in F[c]]
-        return [(a, phi, ug) for phi in range(monotone_count(x, a))
-                for ug in moved]
+    def relations():  # streams: parent is all that is held per element
+        for gen in gens:
+            a, c, g = gen
+            na, nc = sizes[a], sizes[c]
+            pulled = [off[a] + v for v in moved(gen)]
+            pushed = (off[c] + gphi * nc for gphi in comp_table(x, a, c)[g])
+            yield (flat(range(i, i + nc) for i in pushed),
+                   flat(map((phi * na).__add__, pulled)
+                        for phi in range(homs[a])))
 
-    return coend(F, elements, gens, push, pull)
+    rep = _least_representatives(off[-1], relations())
+    classes = []
+    for d, n in enumerate(sizes):
+        for i in range(off[d], off[d + 1]):
+            if rep[i] == i:
+                classes.append((d, *divmod(i - off[d], n)))
+    return classes, rep
+
+
+def _hom_sizes(ts, b, s):
+    """|F(d)| for d <= b, F(d) = ∏_i Δ([d], [t_i]) × range(s)."""
+    return [math.prod(monotone_count(d, t) for t in ts) * s
+            for d in range(b + 1)]
+
+
+def _within_cap(b, coends):
+    """Checks every _hom_coend(x, ts, b, s), (x, ts, s) in coends, against
+    the cap before any is built."""
+    for x, ts, s in coends:
+        _capped(_offsets(x, _hom_sizes(ts, b, s))[-1])
 
 
 def _hom_coend(x, ts, b, s=1):
-    """_delta_coend over Δ≤b for F(d) = ∏_i Δ([d], [t_i]) × S, |S| = s, with
-    F(d) listing (f_1, ..., f_n, j): f_i indexes a map [d] -> [t_i], j < s.
-    Returns the classes, the representatives and F."""
-    F = {d: [f + (j,) for f in itertools.product(
-             *(range(monotone_count(d, t)) for t in ts)) for j in range(s)]
-         for d in range(b + 1)}
+    """_delta_coend over Δ≤b for F(d) = ∏_i Δ([d], [t_i]) × range(s), with
+    u the mixed-radix number of its digits (f_1, ..., f_n, j), on which γ
+    acts by f_i ↦ f_i ∘ γ.  Returns the classes (d, φ, (f_1, ..., j)) and
+    rep."""
 
-    def act(v, gen):
+    def moved(gen):
         a, c, g = gen
-        return tuple(comp_table(a, c, t)[f][g]
-                     for f, t in zip(v, ts)) + v[-1:]
+        out = [0]
+        for t in ts:
+            radix = monotone_count(a, t)
+            image = [row[g] for row in comp_table(a, c, t)]
+            out = [v * radix + h for v in out for h in image]
+        return [v * s + j for v in out for j in range(s)]
 
-    return (*_delta_coend(x, F, act, generating_maps(b)), F)
+    classes, rep = _delta_coend(x, _hom_sizes(ts, b, s), moved,
+                                generating_maps(b))
+    F = [list(itertools.product(*(range(monotone_count(d, t)) for t in ts),
+                                range(s))) for d in range(b + 1)]
+    return [(d, phi, F[d][u]) for d, phi, u in classes], rep
 
 
 def _nonnegative(name, values):
@@ -465,21 +515,21 @@ def delta_mu_unit_check(b):
     The coend ∫^d η(d) × μ(d, c; c') has elements (d, *, (f, g)) with
     f : [c'] -> [d] and g : [c'] -> [c], and the map sends them to g."""
     _nonnegative("b", [b])
-    for c in range(b + 1):
-        for cp in range(b + 1):
-            classes, _, F = _hom_coend(cp, (), b, monotone_count(cp, c))
-            images = set()
-            for d, f, u in classes:
-                (g,) = F[d][u]
-                if g in images:
-                    maps = _family(cp, (d, c), (f, g))
-                    return CheckCertificate(False,
-                                            witness=(c, cp, (d, "*", maps)),
-                                            detail="unit map not injective")
-                images.add(g)
-            if len(images) != monotone_count(cp, c):
-                return CheckCertificate(False, witness=(c, cp),
-                                        detail="unit map not surjective")
+    pairs = [(c, cp) for c in range(b + 1) for cp in range(b + 1)]
+    _within_cap(b, [(cp, (), monotone_count(cp, c)) for c, cp in pairs])
+    for c, cp in pairs:
+        classes, _ = _hom_coend(cp, (), b, monotone_count(cp, c))
+        images = set()
+        for d, f, (g,) in classes:
+            if g in images:
+                maps = _family(cp, (d, c), (f, g))
+                return CheckCertificate(False,
+                                        witness=(c, cp, (d, "*", maps)),
+                                        detail="unit map not injective")
+            images.add(g)
+        if len(images) != monotone_count(cp, c):
+            return CheckCertificate(False, witness=(c, cp),
+                                    detail="unit map not surjective")
     return CheckCertificate(True, detail="μ(η, c; c') ≅ Hom(c, c')")
 
 
@@ -488,10 +538,9 @@ def _nesting_bijective(a, c, e, n, b):
     the monotone maps [n] -> [a]×[c]×[e] by (d, (f_a, f_c), (h, f_e)) ↦
     (f_a∘h, f_c∘h, f_e).  The right nesting ∫^d μ(q, r; d) × μ(p, d; n) of
     the ternary μ on (p, q, r) is this coend for (a, c, e) = (q, r, p)."""
-    classes, _, F = _hom_coend(n, (a, c), b, monotone_count(n, e))
+    classes, _ = _hom_coend(n, (a, c), b, monotone_count(n, e))
     images = set()
-    for d, h, u in classes:
-        fa, fc, fe = F[d][u]
+    for d, h, (fa, fc, fe) in classes:
         images.add((comp_table(n, d, a)[fa][h], comp_table(n, d, c)[fc][h],
                     fe))
     size = monotone_count(n, a) * monotone_count(n, c) * monotone_count(n, e)
@@ -504,6 +553,8 @@ def delta_mu_associativity_check(p, q, r, b):
     output [n] with n <= b."""
     _nonnegative("b", [b])
     _nonnegative("entries", [p, q, r])
+    _within_cap(b, [(n, (a, c), monotone_count(n, e)) for n in range(b + 1)
+                    for a, c, e in ((p, q, r), (q, r, p))])
     for n in range(b + 1):
         # left nesting: ∫^d μ(p,q;d) × μ(d,r;n)
         if not _nesting_bijective(p, q, r, n, b):
@@ -539,20 +590,21 @@ def left_kan_check(ns, b, m_range):
     m in m_range; the expected dichotomy is pass iff Σ n_i <= b."""
     ns = tuple(_nonnegative("ns", ns))
     _nonnegative("b", [b])
-    for m in _nonnegative("m", m_range):
-        classes, _, F = _hom_coend(m, ns, b)
+    ms = _nonnegative("m", m_range)
+    _within_cap(b, [(m, ns, 1) for m in ms])
+    for m in ms:
+        classes, _ = _hom_coend(m, ns, b)
         images = {}
-        for k, phi, u in classes:
-            img = tuple(comp_table(m, k, n)[h][phi]
-                        for h, n in zip(F[k][u], ns))
+        for k, phi, hs in classes:
+            img = tuple(comp_table(m, k, n)[h][phi] for h, n in zip(hs, ns))
             if img in images:
                 pair = [(k2, enumerate_monotone(m, k2)[phi2],
-                         _family(k2, ns, F[k2][u2]))
-                        for k2, phi2, u2 in ((k, phi, u), images[img])]
+                         _family(k2, ns, hs2))
+                        for k2, phi2, hs2 in ((k, phi, hs), images[img])]
                 return CheckCertificate(
                     False, witness=(m, *pair),
                     detail=f"canonical map not injective at m={m}")
-            images[img] = (k, phi, u)
+            images[img] = (k, phi, hs)
         targets = itertools.product(*(range(monotone_count(m, n))
                                       for n in ns))
         missing = next((t for t in targets if t not in images), None)
@@ -568,20 +620,37 @@ def left_kan_check(ns, b, m_range):
 # products of simplices as colimits
 
 
-def _colimit_coend(k, nondeg):
+def _colimit_coend(k, chains):
     """The set colimit of the k-simplices of Δ^σ over the nondegenerate
-    simplices σ ∈ nondeg[d], a coend over the injections of Δ, which the
-    injective generating maps (a < c) generate: such a map ι identifies
-    (σ, ι∘β) with (σ∘ι, β)."""
-    chains = {d: [sigma.points for sigma in sigmas]
-              for d, sigmas in nondeg.items()}
+    simplices σ in chains[d] (tuples of points), a coend over the
+    injections of Δ, which the injective generating maps (a < c) generate:
+    such a map ι identifies (σ, ι∘β) with (σ∘ι, β).  Returns the classes
+    (d, β, σ), σ indexing chains[d], and rep."""
+    index = [{chain: s for s, chain in enumerate(cs)} for cs in chains]
 
-    def face(points, gen):
+    def moved(gen):
         a, c, g = gen
-        return tuple(points[v] for v in enumerate_monotone(a, c)[g].values)
+        values = enumerate_monotone(a, c)[g].values
+        return [index[a][tuple(chain[v] for v in values)]
+                for chain in chains[c]]
 
-    injective = [g for g in generating_maps(max(nondeg)) if g[0] < g[1]]
-    return _delta_coend(k, chains, face, injective)
+    injective = [g for g in generating_maps(len(chains) - 1) if g[0] < g[1]]
+    return _delta_coend(k, list(map(len, chains)), moved, injective)
+
+
+def _faces(chain):
+    """Each face chain∘ι, ι an injection, with the ι (values) giving it."""
+    d = len(chain) - 1
+    out = {}
+    for j in range(d + 1):
+        for iota in enumerate_injections(j, d):
+            out.setdefault(tuple(chain[v] for v in iota.values), []).append(
+                iota.values)
+    return out
+
+
+def _points(chain):
+    return tuple(map(PosetPoint, chain))
 
 
 def product_simplices_colimit_check(ns, k_range):
@@ -589,57 +658,65 @@ def product_simplices_colimit_check(ns, k_range):
     Δ^σ over the nondegenerate simplices σ of ∏_i Δ^{n_i} maps bijectively
     onto the monotone maps [k] -> ∏_i [n_i], and that the image
     factorization of each such map is an initial object of its comma
-    category of presentations."""
+    category of presentations.  Points are coordinate tuples, rebuilt as
+    PosetPoints for witnesses."""
     ns = tuple(_nonnegative("ns", ns))
-    total = sum(ns)
-    nondeg = {d: product_nondegenerate(ns, d) for d in range(total + 1)}
-    for k in _nonnegative("k", k_range):
-        classes, reps = _colimit_coend(k, nondeg)
-        alphas = {d: enumerate_monotone(k, d) for d in nondeg}
-        image = {(d, a, s): tuple(nondeg[d][s].points[v]
-                                  for v in alphas[d][a].values)
-                 for d, a, s in reps}
-        presentations = {}
-        for (d, a, s), img in image.items():
-            presentations.setdefault(img, []).append(
-                (nondeg[d][s], alphas[d][a]))
+    nondeg = [product_nondegenerate(ns, d) for d in range(sum(ns) + 1)]
+    chains = [[tuple(p.factors for p in sigma.points) for sigma in sigmas]
+              for sigmas in nondeg]
+    ks = _nonnegative("k", k_range)
+    for k in ks:
+        _capped(_offsets(k, list(map(len, chains)))[-1])
+    simplices = [set(cs) for cs in chains]
+    faces = [[_faces(chain) for chain in cs] for cs in chains]
+    for k in ks:
+        classes, _ = _colimit_coend(k, chains)
+        alphas = [[f.values for f in enumerate_monotone(k, d)]
+                  for d in range(len(chains))]
+
+        def presentation(d, a, s):
+            return nondeg[d][s], enumerate_monotone(k, d)[a]
+
         images = set()
         for d, a, s in classes:
-            if image[(d, a, s)] in images:
-                witness = (k, (nondeg[d][s], alphas[d][a]))
-                return CheckCertificate(False, witness=witness,
-                                        detail=f"colimit map not injective "
-                                               f"at level {k}")
-            images.add(image[(d, a, s)])
+            img = tuple(chains[d][s][v] for v in alphas[d][a])
+            if img in images:
+                return CheckCertificate(
+                    False, witness=(k, presentation(d, a, s)),
+                    detail=f"colimit map not injective at level {k}")
+            images.add(img)
         # a map into the product poset is monotone iff its components are
-        allmaps = [tuple(map(PosetPoint, zip(*(f.values for f in fam))))
+        allmaps = [tuple(zip(*(f.values for f in fam)))
                    for fam in itertools.product(*(enumerate_monotone(k, n)
                                                   for n in ns))]
         if images != set(allmaps):
             missing = next(t for t in allmaps if t not in images)
-            return CheckCertificate(False, witness=(k, missing),
+            return CheckCertificate(False, witness=(k, _points(missing)),
                                     detail=f"colimit map not surjective at "
                                            f"level {k}")
         # cofinality: the image factorization τ = σ_im ∘ ε is initial among
-        # the presentations τ = σ ∘ α, so exactly one injection ι has
-        # σ ∘ ι = σ_im and ι ∘ ε = α
+        # the presentations τ = σ ∘ α (the elements (d, α, σ)), so exactly
+        # one injection ι has σ ∘ ι = σ_im and ι ∘ ε = α
+        presentations = {}
+        for d, cs in enumerate(chains):
+            for a, alpha in enumerate(alphas[d]):
+                for s, chain in enumerate(cs):
+                    presentations.setdefault(
+                        tuple(chain[v] for v in alpha), []).append((d, a, s))
         for tau, pres in presentations.items():
             image_chain = tuple(dict.fromkeys(tau))
             epi = [image_chain.index(pt) for pt in tau]
-            d_im = len(image_chain) - 1
-            if all(s.points != image_chain for s in nondeg[d_im]):
-                return CheckCertificate(False, witness=(k, tau),
+            if image_chain not in simplices[len(image_chain) - 1]:
+                return CheckCertificate(False, witness=(k, _points(tau)),
                                         detail="image chain is not a "
                                                "nondegenerate simplex")
-            for sigma, alpha in pres:
-                arrows = [iota for iota in enumerate_injections(d_im,
-                                                                sigma.degree)
-                          if tuple(sigma.points[v] for v in iota.values)
-                          == image_chain
-                          and tuple(iota(e) for e in epi) == alpha.values]
+            for d, a, s in pres:
+                arrows = [iota for iota in faces[d][s].get(image_chain, ())
+                          if tuple(iota[e] for e in epi) == alphas[d][a]]
                 if len(arrows) != 1:
                     return CheckCertificate(
-                        False, witness=(k, tau, (sigma, alpha)),
+                        False,
+                        witness=(k, _points(tau), presentation(d, a, s)),
                         detail="image factorization is not initial")
     return CheckCertificate(True,
                             detail="products of simplices are colimits of "

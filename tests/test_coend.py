@@ -1,18 +1,26 @@
 """The coend engine against a breadth-first search over the relation
-graph, and the element and class counts of every coend that the coend
-benchmark family builds.
+graph, the index arithmetic of the coends over Δ≤b against their relations
+written out with MonotoneMaps, the work cap, and the element and class
+counts of every coend that the coend benchmark family builds.
 
 The counts below were recorded from the dictionary union-find over
-MonotoneMap keys that the index-based engine replaced; class
-representatives may differ between the two, the counts may not."""
+MonotoneMap keys that the index-based engine replaced.  The oracle tests
+pin the class representatives too: every element's representative is the
+least index of its class in enumeration order."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zilber.delta import monotone_count, product_nondegenerate
-from zilber.promonoidal import (NaryMu, _colimit_coend, _hom_coend, coend,
-                                delta_op_promonoidal, poset_category)
+from zilber import promonoidal
+from zilber.cli import main
+from zilber.delta import (codegeneracy, coface, enumerate_monotone,
+                          monotone_count, product_nondegenerate)
+from zilber.promonoidal import (CoendTooLarge, NaryMu, _colimit_coend,
+                                _hom_coend, coend, delta_op_promonoidal,
+                                poset_category)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +103,141 @@ def test_coend_ignores_the_order_of_relations(case, rng):
         rng.shuffle(r)
     assert run_coend(objects, elements, shuffled) == \
         run_coend(objects, elements, relations)
+
+
+# ---------------------------------------------------------------------------
+# the index arithmetic over Δ≤b against relations written out with
+# MonotoneMaps
+
+
+def position(f):
+    """The index of a MonotoneMap in enumerate_monotone order."""
+    return enumerate_monotone(f.domain_top, f.codomain_top).index(f)
+
+
+def generators(b):
+    """The cofaces and codegeneracies among [0], ..., [b], as MonotoneMaps."""
+    return ([coface(n, i) for n in range(1, b + 1) for i in range(n + 1)]
+            + [codegeneracy(n, i) for n in range(b) for i in range(n + 1)])
+
+
+def hom_relations(x, ts, b, s):
+    """The elements (d, φ, (f_1, ..., f_n), j) of ∫^{[d]} Δ([x], [d]) ×
+    ∏_i Δ([d], [t_i]) × S, |S| = s, over d <= b, and the relation of every
+    generator γ : [a] -> [c], identifying (c, γ∘φ, f, j) with
+    (a, φ, f∘γ, j)."""
+    def F(d):
+        return itertools.product(
+            itertools.product(*(enumerate_monotone(d, t) for t in ts)),
+            range(s))
+
+    order = [(d, phi, fs, j) for d in range(b + 1)
+             for phi in enumerate_monotone(x, d) for fs, j in F(d)]
+    edges = [((c, gamma.compose(phi), fs, j),
+              (a, phi, tuple(f.compose(gamma) for f in fs), j))
+             for gamma in generators(b)
+             for a, c in [(gamma.domain_top, gamma.codomain_top)]
+             for phi in enumerate_monotone(x, a) for fs, j in F(c)]
+    return order, edges
+
+
+def product_chains(ns):
+    """The nondegenerate simplices of ∏_i Δ^{n_i} by dimension, and each as
+    its tuple of points' coordinates, the form _colimit_coend reads."""
+    nondeg = [product_nondegenerate(ns, d) for d in range(sum(ns) + 1)]
+    return nondeg, [[tuple(p.factors for p in sigma.points)
+                     for sigma in sigmas] for sigmas in nondeg]
+
+
+def colimit_relations(ns, k):
+    """The elements (d, β, σ) of the colimit of the k-simplices of Δ^σ over
+    the nondegenerate simplices σ of ∏_i Δ^{n_i}, and the relation of every
+    coface ι : [a] -> [c], identifying (c, ι∘β, σ) with (a, β, σ∘ι)."""
+    total = sum(ns)
+    nondeg, chains = product_chains(ns)
+    order = [(d, beta, sigma) for d in range(total + 1)
+             for beta in enumerate_monotone(k, d) for sigma in nondeg[d]]
+    edges = []
+    for iota in generators(total):
+        a, c = iota.domain_top, iota.codomain_top
+        if a < c:
+            for beta in enumerate_monotone(k, a):
+                for sigma in nondeg[c]:
+                    face = type(sigma)(sigma.bounds, tuple(
+                        sigma.points[v] for v in iota.values))
+                    edges.append(((c, iota.compose(beta), sigma),
+                                  (a, beta, face)))
+    return order, edges, nondeg, chains
+
+
+HOM_CASES = [  # (x, ts, b, s): b <= 3, up to three factors, s in {1, 2}
+    (x, ts, b, s)
+    for b in range(4) for x in range(3) for s in (1, 2)
+    for ts in [(), (1,), (1, 2), (2, 1), (1, 1), (0, 2, 1), (1, 1, 1)]
+    if b < 3 or x != 1  # the slowest oracles, at b = 3, for x = 0, 2
+]
+
+
+@pytest.mark.parametrize("case", HOM_CASES, ids=str)
+def test_hom_coend_matches_its_relations(case):
+    x, ts, b, s = case
+    order, edges = hom_relations(x, ts, b, s)
+    least = bfs_least(order, edges)
+    classes, rep = _hom_coend(x, ts, b, s)
+    assert rep == least
+    assert classes == [(d, position(phi), tuple(map(position, fs)) + (j,))
+                       for i, (d, phi, fs, j) in enumerate(order)
+                       if least[i] == i]
+
+
+@pytest.mark.parametrize("ns,k", [((1,), 2), ((1, 1), 0), ((1, 1), 2),
+                                  ((2, 1), 1), ((1, 1, 1), 2)], ids=str)
+def test_colimit_coend_matches_its_relations(ns, k):
+    order, edges, nondeg, chains = colimit_relations(ns, k)
+    least = bfs_least(order, edges)
+    classes, rep = _colimit_coend(k, chains)
+    assert rep == least
+    assert classes == [(d, position(beta), nondeg[d].index(sigma))
+                       for i, (d, beta, sigma) in enumerate(order)
+                       if least[i] == i]
+
+
+# ---------------------------------------------------------------------------
+# the work cap
+
+
+def test_a_coend_above_the_cap_is_refused_before_any_work(monkeypatch):
+    built = []
+    monkeypatch.setattr(promonoidal, "_least_representatives",
+                        lambda *args: built.append(args))
+    monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 500)
+    # m = 0 (381 elements) is within the cap and m = 2 (1,153) is not:
+    # the check stops before it builds either
+    with pytest.raises(CoendTooLarge, match="1153 elements"):
+        promonoidal.left_kan_check([2, 2], 2, [0, 2])
+    monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 100)
+    # the first coend above the cap in each check's order is named
+    with pytest.raises(CoendTooLarge, match="150 elements"):
+        promonoidal.delta_mu_unit_check(2)
+    with pytest.raises(CoendTooLarge, match="105 elements"):
+        promonoidal.delta_mu_associativity_check(1, 0, 1, 2)
+    assert built == []
+
+
+def test_the_generic_coend_path_is_capped(monkeypatch):
+    monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 3)
+    elements = {0: ["a", "b"], 1: ["c", "d"]}
+    with pytest.raises(CoendTooLarge, match="4 elements"):
+        coend([0, 1], elements.__getitem__, [], None, None)
+
+
+def test_the_cli_exits_2_on_a_coend_above_the_cap(monkeypatch, capsys):
+    monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 1000)
+    code = main(["promonoidal", "--check", "left-kan", "--ns", "2,2",
+                 "--b", "2", "--m", "3"])
+    out = capsys.readouterr()
+    assert code == 2 and not out.out.strip()
+    assert "1153 elements" in out.err
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +343,7 @@ def test_nesting_coend_counts(key):
 @pytest.mark.parametrize("key", sorted(COLIMIT), ids=str)
 def test_product_colimit_coend_counts(key):
     ns, k = key
-    nondeg = {d: product_nondegenerate(ns, d) for d in range(sum(ns) + 1)}
-    assert counts(_colimit_coend(k, nondeg)) == COLIMIT[key]
+    assert counts(_colimit_coend(k, product_chains(ns)[1])) == COLIMIT[key]
 
 
 @pytest.mark.parametrize("key", sorted(UNIT), ids=str)
