@@ -8,8 +8,10 @@ Runs each invocation of scripts/run_acceptance.sh, plus ``ss random
 ``promonoidal --check coyoneda --check operator-frag``, ``homology torus``,
 ``doldkan s1 --roundtrip`` / ``doldkan torus --roundtrip`` (a builtin
 space through free_abelian), ``ez delta2 delta2 --check chain --check aw
---check symmetry --dim-bound 4`` and ``ez delta2 delta1 --third s1 --check
-assoc --dim-bound 3``, ``promonoidal --check coyoneda --check
+--check symmetry --dim-bound 4``, ``ez s1 delta2 --check chain --check aw
+--check unital --check symmetry --check kunneth --dim-bound 3`` (every
+check of one kept pair) and ``ez delta2 delta1 --third s1 --check assoc
+--dim-bound 3``, ``promonoidal --check coyoneda --check
 operator-frag --b 3 --length 3``, ``promonoidal --check product-colimit
 --ns 1,1,1 --k-max 3``, ``promonoidal --check unit --check mu-assoc --b 3``
 and the failing ``promonoidal --check left-kan --ns 2,2 --b 3 --m 4``, with
@@ -91,6 +93,10 @@ def invocations():
     # ∇, AW and the swap at larger bounds than the acceptance script's
     out.append(["ez", "delta2", "delta2", "--check", "chain", "--check", "aw",
                 "--check", "symmetry", "--dim-bound", "4"])
+    # every check of zilber ez on the one pair (S¹, Δ²) that they share
+    out.append(["ez", "s1", "delta2", "--check", "chain", "--check", "aw",
+                "--check", "unital", "--check", "symmetry", "--check",
+                "kunneth", "--dim-bound", "3"])
     out.append(["ez", "delta2", "delta1", "--third", "s1", "--check", "assoc",
                 "--dim-bound", "3"])
     # the coends and the product-colimit poset above the default bound

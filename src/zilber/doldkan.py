@@ -65,10 +65,10 @@ def _quotient_by_degenerates(A, n):
     if hit is not None:
         # D_n is a coordinate subspace: keep the other coordinates
         keep = [k for k in range(rn) if k not in hit]
-        pos = {k: j for j, k in enumerate(keep)}
-        proj = la.Sparse([((pos[k], 1),) if k in pos else ()
-                          for k in range(rn)], len(keep))
-        return proj, la.Sparse([((k, 1),) for k in keep], rn)
+        u = la.units(rn)
+        pos = {k: u[j] for j, k in enumerate(keep)}
+        proj = la.Sparse([pos.get(k, ()) for k in range(rn)], len(keep))
+        return proj, la.Sparse([u[k] for k in keep], rn)
     span = la.hstack(la.zeros(rn, 0),
                      *[A.degen_mats[(n - 1, i)] for i in range(n)])
     U, diag, _, Uinv, _ = la._smith_with_inverses(span, ("U", "Uinv"))

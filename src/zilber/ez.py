@@ -8,9 +8,14 @@ normalizations, computed factor by factor (kron(X·S, Y·T) = kron(X, Y) ·
 kron(S, T)), so that C(A)⊗C(B) is never built.  The lifts of ∇ and of
 the swap into unnormalized chains, ∇ itself and AW are validated as chain
 maps; the unnormalized ∇ and AW themselves are never built.
+
+Each pair (A, B) is built and validated once: shuffle_product keeps it on
+A, keyed weakly by B, so every certificate on the pair shares one ∇.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from . import intlinalg as la
 from .chains import ChainMap, identity_chain_map, tensor, tensor_map
@@ -57,13 +62,14 @@ class _ShuffleProduct:
     built on demand by alexander_whitney(), also on the section image.
     Neither builds C(A)⊗C(B).  The normalizations of A, B and A⊗B are kept
     for downstream use (filtered pairings, symmetry and associativity
-    checks).
+    checks).  product, if given, is used as A⊗B instead of sab_tensor(A, B)
+    and must equal it.
     """
 
-    def __init__(self, A, B):
+    def __init__(self, A, B, product=None):
         self.A = A
         self.B = B
-        self.product = AB = sab_tensor(A, B)
+        self.product = AB = sab_tensor(A, B) if product is None else product
         self.norm_A = normalize(A)
         self.norm_B = normalize(B)
         self.norm_AB = normalize(AB)
@@ -104,8 +110,30 @@ class _ShuffleProduct:
 def shuffle_product(A, B):
     """The Eilenberg-Zilber pair of A and B (see _ShuffleProduct): .map is
     the lax structure map 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B), .alexander_whitney()
-    builds AW."""
-    return _ShuffleProduct(A, B)
+    builds AW.
+
+    Built and validated once per (A, B) and kept on A in
+    A.shuffle_products, a WeakKeyDictionary keyed by B, so that
+    shuffle_product(A, B) is shuffle_product(A, B).  The kept entry holds
+    the pair's state without A and B and a weak reference to the pair last
+    returned; a new pair over the same state is made only when that one is
+    gone.  So A keeps no partner alive: once B is dropped, its entry goes.
+    Every caller shares the pair, which must not be mutated."""
+    if A.shuffle_products is None:
+        A.shuffle_products = weakref.WeakKeyDictionary()
+    kept = A.shuffle_products.get(B)
+    if kept is None:
+        sp = _ShuffleProduct(A, B)
+        state = {k: v for k, v in vars(sp).items() if k not in ("A", "B")}
+        A.shuffle_products[B] = [state, weakref.ref(sp)]
+        return sp
+    state, ref = kept
+    sp = ref()
+    if sp is None:
+        sp = object.__new__(_ShuffleProduct)
+        vars(sp).update(state, A=A, B=B)
+        kept[1] = weakref.ref(sp)
+    return sp
 
 
 def aw_nabla_identity_check(A, B):
@@ -198,17 +226,22 @@ def associativity_check(A, B, C):
     """Certifies ∇ ∘ (∇⊗id) = ∇ ∘ (id⊗∇) ∘ assoc on normalized chains.
 
     The levelwise tensor of simplicial abelian groups is strictly
-    associative (Kronecker products associate on the nose), so both
-    composites land in the same normalized complex of A⊗B⊗C."""
+    associative (Kronecker products associate on the nose): (A⊗B)⊗C and
+    A⊗(B⊗C) are both built and must have equal face and degeneracy
+    matrices, so both composites land in the one normalized complex of
+    A⊗B⊗C, which is normalized once.  The two triple-level pairs are used
+    once, so they are built directly and not kept."""
     D = A.dim_bound
     ez_ab = shuffle_product(A, B)
     ez_bc = shuffle_product(B, C)
-    ez_ab_c = shuffle_product(ez_ab.product, C)
-    ez_a_bc = shuffle_product(A, ez_bc.product)
-    for n in range(D + 1):
-        if ez_ab_c.product.ranks[n] != ez_a_bc.product.ranks[n]:
-            raise AssertionError("tensor of simplicial groups not strictly "
-                                 "associative")
+    ABC = sab_tensor(ez_ab.product, C)
+    A_BC = sab_tensor(A, ez_bc.product)
+    if ABC.ranks != A_BC.ranks or ABC.face_mats != A_BC.face_mats or \
+            ABC.degen_mats != A_BC.degen_mats:
+        raise AssertionError("tensor of simplicial groups not strictly "
+                             "associative")
+    ez_ab_c = _ShuffleProduct(ez_ab.product, C, product=ABC)
+    ez_a_bc = _ShuffleProduct(A, ez_bc.product, product=ABC)
     NA = ez_ab.norm_A.normalized
     NC = ez_ab_c.norm_B.normalized
     # left: (N_A ⊗ N_B) ⊗ N_C -> N_{A⊗B} ⊗ N_C -> N_{(A⊗B)⊗C}

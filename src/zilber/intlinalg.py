@@ -20,6 +20,12 @@ places only:
 is the one way tensor-product matrices are built (``kron``,
 ``sab_tensor``, ∇, AW and the block layout of ``chains.TensorBasis``).
 
+The unit column ``((r, 1),)`` is one shared tuple per row r (``units``,
+grown on demand): ``identity``, ``kron`` of two unit columns, the
+operators of ℤ[X] and the coordinate normalizations all take it, so the
+many unit columns of free objects and their tensor products cost one
+pointer each.  Columns are immutable, so sharing changes no value.
+
 Every solver runs one Smith normal form U*M*V = S and builds only the
 transforms it reads: ``snf_diagonal``, ``rank`` and ``spans_lattice`` none,
 ``kernel_basis`` V, ``image_basis`` Uinv, ``span_contains`` (so ``in_span``
@@ -31,6 +37,7 @@ and U and Uinv of the relations of B on that basis.
 
 from __future__ import annotations
 
+import threading
 from itertools import chain
 
 
@@ -86,8 +93,21 @@ def zeros(r, c):
     return Sparse(((),) * c, r)
 
 
+_UNITS = []  # _UNITS[r] is the unit column ((r, 1),); only ever appended to
+_UNITS_GROWING = threading.Lock()
+
+
+def units(n):
+    """The shared unit columns: a list whose entry r < n is ((r, 1),).
+    Read it, never mutate it."""
+    if len(_UNITS) < n:
+        with _UNITS_GROWING:  # two growers must not append the same rows
+            _UNITS.extend([((r, 1),) for r in range(len(_UNITS), n)])
+    return _UNITS
+
+
 def identity(n):
-    return Sparse([((j, 1),) for j in range(n)], n)
+    return Sparse(units(n)[:n], n)
 
 
 def dims(M):
@@ -219,10 +239,22 @@ def kron_sum(nrows, ncols, terms):
 
 
 def kron(A, B):
-    """Kronecker product: (A ⊗ B)[i*rb+k][j*cb+l] = A[i][j]*B[k][l]."""
+    """Kronecker product: (A ⊗ B)[i*rb+k][j*cb+l] = A[i][j]*B[k][l].  The
+    product of two unit columns is the shared unit column."""
     rb = B.nrows
-    return Sparse([tuple([(i * rb + k, a * b) for i, a in Aj for k, b in Bl])
-                   for Aj in A for Bl in B], A.nrows * rb)
+    ub = [Bl[0][0] if len(Bl) == 1 and Bl[0][1] == 1 else None for Bl in B]
+    u = units(A.nrows * rb) if any(k is not None for k in ub) else None
+    out = []
+    for Aj in A:
+        if u is not None and len(Aj) == 1 and Aj[0][1] == 1:
+            i = Aj[0][0] * rb
+            out += [u[i + k] if k is not None
+                    else tuple([(i + r, b) for r, b in Bl])
+                    for k, Bl in zip(ub, B)]
+        else:
+            out += [tuple([(i * rb + k, a * b) for i, a in Aj for k, b in Bl])
+                    for Bl in B]
+    return Sparse(out, A.nrows * rb)
 
 
 def _eye(n):

@@ -312,16 +312,19 @@ class SimplicialAbelianGroup:
     """A D-truncated simplicial abelian group: free ℤ-modules per level with
     integer matrices for faces and degeneracies (the constructor also takes
     row lists, and rejects an operator at an index the truncation does not
-    have).  Not mutated after construction, so doldkan keeps C(A) in chains
-    (None until asked for) and normalize's result per Moore convention in
-    normalizations, and operator_matrix keeps X(f) per monotone map f in
-    operators."""
+    have).  Not mutated after construction, so results are kept on it:
+    doldkan keeps C(A) in chains (None until asked for) and normalize's
+    result per Moore convention in normalizations, operator_matrix keeps
+    X(f) per monotone map f in operators, and ez.shuffle_product keeps the
+    Eilenberg-Zilber pair of (A, B) per partner B in shuffle_products (None
+    until asked for; keyed weakly, so A keeps no partner alive)."""
 
     def __init__(self, dim_bound, ranks, face_mats, degen_mats, check=True):
         if dim_bound < 0:
             raise SimplicialIdentityError("dim_bound must be nonnegative")
         self.dim_bound = dim_bound
         self.chains = None
+        self.shuffle_products = None
         self.normalizations = {}
         self.operators = {}
         self.ranks = r = list(ranks)
@@ -344,6 +347,10 @@ class SimplicialAbelianGroup:
             raise SimplicialIdentityError(str(exc))
         if check:
             self._validate()
+
+    def __getstate__(self):
+        # the kept pairs hold weak references; a copy rebuilds them on demand
+        return {**vars(self), "shuffle_products": None}
 
     def _validate(self):
         _check_identities(self.dim_bound, self.face_mats, self.degen_mats,
@@ -378,7 +385,8 @@ def free_abelian(X):
     ranks = [len(X.levels[k]) for k in range(D + 1)]
 
     def unit_columns(table, image_level):
-        return la.Sparse([((a, 1),) for a in table], ranks[image_level])
+        u = la.units(ranks[image_level])
+        return la.Sparse([u[a] for a in table], ranks[image_level])
 
     face_mats = {(k, i): unit_columns(X.faces[(k, i)], k - 1)
                  for k in range(1, D + 1) for i in range(k + 1)}
@@ -391,7 +399,7 @@ def sab_tensor(A, B):
     """Levelwise tensor product of simplicial abelian groups (Kronecker
     operators); the basis at level k is ordered (a-index major).  On
     operators with unit columns, as for ℤ[X], each column of a Kronecker
-    product is the one pair (i * rank_B + k, 1): index arithmetic."""
+    product is the shared unit column of row i * rank_B + k."""
     if A.dim_bound != B.dim_bound:
         raise ValueError("dim_bound mismatch")
     D = A.dim_bound

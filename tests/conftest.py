@@ -1,5 +1,7 @@
 import sys
 
+import pytest
+
 
 def pytest_terminal_summary(terminalreporter):
     mod = (sys.modules.get("test_acceptance")
@@ -9,3 +11,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def shuffle_constructions(monkeypatch):
+    """The (A, B) of every Eilenberg-Zilber pair actually constructed."""
+    from zilber import ez
+    built = []
+    worker = ez._ShuffleProduct.__init__
+
+    def counting(self, A, B, *args):
+        built.append((A, B))
+        worker(self, A, B, *args)
+
+    monkeypatch.setattr(ez._ShuffleProduct, "__init__", counting)
+    return built

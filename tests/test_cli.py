@@ -34,6 +34,15 @@ def test_ez_aw_on_intervals_passes(capsys):
     assert code == 0 and rep["pass"] is True
 
 
+def test_ez_checks_share_one_pair(capsys, shuffle_constructions):
+    code, rep, _ = run(capsys, ["ez", "delta2", "delta2", "--check", "chain",
+                                "--check", "aw", "--check", "unital",
+                                "--check", "symmetry", "--dim-bound", "4"])
+    assert code == 0 and rep["pass"] is True
+    # ∇ of (A, B), which chain, aw and symmetry share, and ∇ of (B, A)
+    assert len(shuffle_constructions) == 2
+
+
 def test_promonoidal_left_kan_failure_has_witness_and_exit_1(capsys):
     code, rep, _ = run(capsys, ["promonoidal", "--check", "left-kan",
                                 "--ns", "1,1", "--b", "1", "--m", "2"])

@@ -2,9 +2,12 @@
 
 import copy
 import dataclasses
+import gc
 import itertools
+import pickle
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +24,8 @@ from zilber.ez import (associativity_check, aw_nabla_identity_check,
                        back_face, front_face, shuffle_product, symmetry_check,
                        unitality_check)
 from zilber.filtration import filtered_ez
-from zilber.simplicial import (circle, free_abelian, product, sab_tensor,
-                               standard_simplex)
+from zilber.simplicial import (SimplicialAbelianGroup, circle, free_abelian,
+                               product, sab_tensor, standard_simplex)
 from zilber.spectral import heart_check
 
 SPACES = {
@@ -65,6 +68,33 @@ def test_associativity_on_small_triples():
         assert associativity_check(sab(a), sab(b), sab(c)).ok
 
 
+def test_associativity_requires_equal_triple_products(monkeypatch):
+    # one operator of A⊗(B⊗C) negated: the ranks still agree, but the two
+    # triple products are no longer one simplicial group
+    A, B, C = sab("d1"), sab("s1"), sab("d1")
+    bc = shuffle_product(B, C).product
+    worker = ez.sab_tensor
+
+    def skewed(X, Y, kind):
+        T = worker(X, Y)
+        if Y is not bc:
+            return T
+        faces, degens = dict(T.face_mats), dict(T.degen_mats)
+        mats = faces if kind == "face" else degens
+        key = min(mats)
+        mats[key] = la.mat_scale(-1, mats[key])
+        return SimplicialAbelianGroup(T.dim_bound, T.ranks, faces, degens,
+                                      check=False)
+
+    for kind in ("face", "degeneracy"):
+        with monkeypatch.context() as m:
+            m.setattr(ez, "sab_tensor", lambda X, Y: skewed(X, Y, kind))
+            with pytest.raises(AssertionError,
+                               match="not strictly associative"):
+                associativity_check(A, B, C)
+    assert associativity_check(A, B, C).ok
+
+
 def test_shuffle_against_point_is_rank_preserving():
     from zilber.doldkan import is_levelwise_unimodular
     A = sab("s1")
@@ -99,6 +129,49 @@ def test_homology_isomorphism_builds_each_subquotient_once(monkeypatch):
     assert is_homology_isomorphism(f)
     # H_0, H_1, H_2 of the source and of the target
     assert len(built) == 6
+
+
+# ---------------------------------------------------------------------------
+# one pair per (A, B), kept on A and keyed weakly by B
+
+
+def test_each_pair_is_built_once_and_kept(shuffle_constructions):
+    A, B = sab("d1"), sab("s1")
+    sp = shuffle_product(A, B)
+    assert shuffle_product(A, B) is sp
+    assert shuffle_product(B, A) is not sp
+    assert aw_nabla_identity_check(A, B).ok and symmetry_check(A, B).ok
+    filtered_ez(A, B)
+    assert shuffle_constructions == [(A, B), (B, A)]
+    # once no caller holds the pair, a new one is made over the kept state
+    kept, first = sp.map, weakref.ref(sp)
+    del sp
+    gc.collect()
+    assert first() is None
+    again = shuffle_product(A, B)
+    assert again.A is A and again.B is B and again.map is kept
+    assert shuffle_product(A, B) is again
+    assert len(shuffle_constructions) == 2
+
+
+def test_a_kept_pair_does_not_keep_its_partner_alive():
+    A, B = sab("d1"), sab("s1")
+    sp = shuffle_product(A, B)
+    assert symmetry_check(A, B).ok  # B now keeps the pair (B, A) too
+    partner = weakref.ref(B)
+    del B, sp
+    gc.collect()
+    assert partner() is None
+    assert len(A.shuffle_products) == 0
+
+
+def test_a_group_with_kept_pairs_pickles_without_them():
+    A, B = sab("d1"), sab("s1")
+    shuffle_product(A, B)
+    copied = pickle.loads(pickle.dumps(A))
+    assert copied.shuffle_products is None
+    assert aw_nabla_identity_check(copied, B).ok
+    assert len(A.shuffle_products) == 1
 
 
 def _same_maps(f, g):
@@ -201,6 +274,10 @@ def test_moore_convention_changes_only_the_section():
         nabla, _ = oracle_maps(lo)
         assert _same_maps(nabla, sp.map)
         assert _same_maps(lo.alexander_whitney(), sp.alexander_whitney())
+        # the copy changed, the kept pair did not
+        assert shuffle_product(sp.A, sp.B) is sp
+        assert sp.norm_AB is normalize(sp.product)
+        assert aw_nabla_identity_check(sp.A, sp.B).ok
     assert sections_differ
 
 
@@ -290,11 +367,15 @@ def test_lifted_checks_catch_a_wrong_shuffle_sign_or_section_entry(
     with pytest.raises(ValueError, match="does not commute"):
         ez._simplicial_swap_chain(broken, ba)
     ez._simplicial_swap_chain(ab, ba)  # the unpatched maps pass
+    # only the copy was corrupted: the kept pairs still certify
+    assert shuffle_product(A, B) is ab and ab.norm_AB is normalize(ab.product)
+    assert aw_nabla_identity_check(A, B).ok and symmetry_check(A, B).ok
 
 
 def test_a_wrong_face_or_section_entry_is_caught_by_alexander_whitney(
         monkeypatch):
-    sp = shuffle_product(sab("d1"), sab("d1"))
+    A, B = sab("d1"), sab("d1")
+    sp = shuffle_product(A, B)
     with monkeypatch.context() as m:
         m.setattr(ez, "back_face", lambda n, q: front_face(n, q))
         with pytest.raises(ValueError, match="does not commute"):
@@ -304,6 +385,7 @@ def test_a_wrong_face_or_section_entry_is_caught_by_alexander_whitney(
     with pytest.raises(ValueError, match="does not commute"):
         broken.alexander_whitney()
     sp.alexander_whitney()  # the unpatched map passes
+    assert shuffle_product(A, B) is sp and aw_nabla_identity_check(A, B).ok
 
 
 @pytest.fixture
@@ -324,7 +406,7 @@ def normalizations(monkeypatch):
 @pytest.mark.parametrize("check, arity, expected", [
     (aw_nabla_identity_check, 2, 3),  # A, B, A⊗B
     (symmetry_check, 2, 4),  # A, B, A⊗B, B⊗A
-    (associativity_check, 3, 7),  # A, B, C, A⊗B, B⊗C, (A⊗B)⊗C, A⊗(B⊗C)
+    (associativity_check, 3, 6),  # A, B, C, A⊗B, B⊗C, A⊗B⊗C
     (filtered_ez, 2, 3),  # A, B, A⊗B
     (heart_check, 1, 1),
     (unitality_check, 2, 0),
@@ -363,7 +445,7 @@ def chain_builds(monkeypatch):
 @pytest.mark.parametrize("check, arity, expected", [
     (aw_nabla_identity_check, 2, 3),  # A, B, A⊗B
     (symmetry_check, 2, 4),  # A, B, A⊗B, B⊗A
-    (associativity_check, 3, 7),  # A, B, C, A⊗B, B⊗C, (A⊗B)⊗C, A⊗(B⊗C)
+    (associativity_check, 3, 6),  # A, B, C, A⊗B, B⊗C, A⊗B⊗C
     (filtered_ez, 2, 3),  # A, B, A⊗B
     (heart_check, 1, 1),
     (unitality_check, 2, 0),  # only the edge blocks of ∇, from operators

@@ -4,6 +4,7 @@ matrices of every shape, including those with no rows or no columns."""
 import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -251,6 +252,58 @@ def test_sparse_operations_match_the_dense_ones(data):
     assert json.loads(json.dumps(SA)) == [[list(p) for p in col] for col in SA]
     hash(tuple(map(tuple, SA)))
     assert la.mat_eq(copy.deepcopy(SA), SA)
+
+
+@st.composite
+def unit_column_matrices(draw, rows, cols):
+    """Row lists whose columns are mostly unit vectors (one entry 1), the
+    rest zero or with another entry."""
+    M = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        kind = draw(st.sampled_from(("unit", "unit", "unit", "zero", "other")))
+        if rows and kind != "zero":
+            for i in draw(st.sets(st.integers(0, rows - 1), min_size=1,
+                                  max_size=1 if kind == "unit" else 2)):
+                M[i][j] = 1 if kind == "unit" else draw(
+                    st.sampled_from((-1, 2)))
+    return M
+
+
+def _is_unit(col):
+    return len(col) == 1 and col[0][1] == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kron_is_the_entrywise_product_and_shares_unit_columns(data):
+    ra, ca, rb, cb = (data.draw(st.integers(0, 4)) for _ in range(4))
+    kinds = st.sampled_from((unit_column_matrices, sparse_matrices))
+    A = data.draw(kinds.flatmap(lambda kind: kind(ra, ca)))
+    B = data.draw(kinds.flatmap(lambda kind: kind(rb, cb)))
+    SA, SB = la.as_sparse(A, ra, ca), la.as_sparse(B, rb, cb)
+    K = la.kron(SA, SB)
+    assert_canonical(K, [[A[i][j] * B[k][l]
+                          for j in range(ca) for l in range(cb)]
+                         for i in range(ra) for k in range(rb)], ca * cb)
+    for col, (Aj, Bl) in zip(K, itertools.product(SA, SB)):
+        if _is_unit(Aj) and _is_unit(Bl):
+            assert col is la.units(ra * rb)[col[0][0]]
+
+
+def test_identity_shares_its_unit_columns():
+    assert la.identity(3)[1] is la.identity(5)[1]
+    assert la.identity(3) == tuple(((j, 1),) for j in range(3))
+    assert la.dims(la.identity(0)) == (0, 0)
+    assert la.units(4)[:4] == [((r, 1),) for r in range(4)]
+
+
+@pytest.mark.parametrize("M", [
+    la.identity(4), la.kron(la.identity(2), la.identity(3)),
+    la.as_sparse([[1, 0, 0], [0, 2, -1]], 2, 3), la.zeros(0, 3),
+    la.zeros(2, 0)], ids=["identity", "kron", "general", "no-rows", "no-cols"])
+def test_matrices_with_shared_columns_pickle(M):
+    back = pickle.loads(pickle.dumps(M))
+    assert type(back) is la.Sparse and la.mat_eq(back, M)
 
 
 # the transforms by their position in the result (U, diag, V, Uinv, Vinv)

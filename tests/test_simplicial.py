@@ -11,6 +11,7 @@ from zilber import _random as zrandom
 from zilber import intlinalg as la
 from zilber.delta import (enumerate_monotone, epi_mono_factorize,
                           factor_into_codegeneracies, factor_into_cofaces)
+from zilber.doldkan import normalize
 from zilber.ez import shuffle_product
 from zilber.filtration import skeletal_filtration
 from zilber.simplicial import (CheckCertificate, SimplicialAbelianGroup,
@@ -124,6 +125,14 @@ def test_free_tensor_cube_stores_only_its_nonzero_entries():
         stored = sum(map(len, M))
         assert stored == M.ncols == sum(len(row) - row.count(0)
                                         for row in la.rows(M))
+    # and each of those entries is a shared unit column, as are the
+    # columns of ℤ[Δ²]'s operators and of its coordinate normalization
+    u = la.units(max(G.ranks))
+    proj = normalize(A).projection
+    for M in [*G.face_mats.values(), *G.degen_mats.values(),
+              *A.face_mats.values(), *A.degen_mats.values(),
+              *(proj.mat(n) for n in range(4))]:
+        assert all(col is u[col[0][0]] for col in M if col)
 
 
 def test_operators_at_unknown_indices_are_rejected():
