@@ -47,19 +47,33 @@ class FilteredChainComplex:
 
     def _validate(self):
         top = self.ambient.top_degree
+        spans = {}  # (rows, stage matrix) -> its Span: one SNF per stage
+
+        def span(p, n):
+            """The Span of the stage (p, n); it serves the closure of
+            (p, n + 1), the nesting of (p - 1, n) and, at p_max,
+            exhaustion."""
+            S = self.stage(p, n)
+            key = (S.nrows, S)
+            if key not in spans:
+                spans[key] = la.Span(S)
+            return spans[key]
+
+        def contains(p, n, B):
+            return not B.ncols or span(p, n).contains(B)
+
         for p in range(self.p_max + 1):
             for n in range(top + 1):
                 # all columns of the stage at once; only a failure goes
                 # column by column, for the first offending column's message
                 S = self.stages[p][n]
-                closed = n == 0 or la.span_contains(
-                    self.stage(p, n - 1), la.mat_mul(self.ambient.diff(n), S))
-                nested = p == self.p_max or la.span_contains(
-                    self.stage(p + 1, n), S)
+                closed = n == 0 or contains(
+                    p, n - 1, la.mat_mul(self.ambient.diff(n), S))
+                nested = p == self.p_max or contains(p + 1, n, S)
                 if not (closed and nested):
                     self._first_violation(p, n)
         for n in range(top + 1):
-            if not la.spans_lattice(self.stage(self.p_max, n)):
+            if not span(self.p_max, n).is_lattice():
                 raise ValueError(
                     f"top stage does not exhaust the ambient in degree {n}")
 
@@ -161,21 +175,27 @@ def _kron_columns(nrows, pieces):
 
 def day_convolution(F, G):
     """F ⊛ G: ambient is the tensor of the ambients; stage n is the span of
-    the images of (stage F_p) ⊗ (stage G_q) over p + q = n.  The resulting
-    filtration stabilizes at p_max(F) + p_max(G).  The TensorBasis of the
-    ambient is stored as .basis."""
+    the images of (stage F_p) ⊗ (stage G_q) over p + q = n, p <= p_max(F)
+    and q <= p_max(G).  The resulting filtration stabilizes at
+    p_max(F) + p_max(G).  The TensorBasis of the ambient is stored as
+    .basis."""
     E, tb = tensor(F.ambient, G.ambient)
     p_max = F.p_max + G.p_max
     stages = [{} for _ in range(p_max + 1)]
     for k in range(E.top_degree + 1):
         # the x ⊗ y of degree k with x in F_p and y in G_q are the columns
         # of kron(F_p, G_q) in each block (a, k - a), a ascending
-        splits = [(off, [F.stage(p, a) for p in range(p_max + 1)],
-                   [G.stage(q, b) for q in range(p_max + 1)])
+        splits = [(off, [F.stage(p, a) for p in range(F.p_max + 1)],
+                   [G.stage(q, b) for q in range(G.p_max + 1)])
                   for a, b, off in reversed(tb.blocks(k))]
         for n in range(p_max + 1):
+            # a term with p > p_max(F) lies in the one at p = p_max(F), and
+            # one with n - p > p_max(G) in the one at n - p = p_max(G),
+            # since the stages are constant past p_max and nested
             stages[n][k] = la.image_basis(_kron_columns(
-                tb.rank(k), [(off, Fa[p], Gb[n - p]) for p in range(n + 1)
+                tb.rank(k), [(off, Fa[p], Gb[n - p])
+                             for p in range(max(0, n - G.p_max),
+                                            min(n, F.p_max) + 1)
                              for off, Fa, Gb in splits]))
     out = FilteredChainComplex(E, stages, p_max)
     out.basis = tb

@@ -29,10 +29,11 @@ pointer each.  Columns are immutable, so sharing changes no value.
 Every solver runs one Smith normal form U*M*V = S and builds only the
 transforms it reads: ``snf_diagonal``, ``rank`` and ``spans_lattice`` none,
 ``kernel_basis`` V, ``image_basis`` Uinv, ``span_contains`` (so ``in_span``
-and ``spans_equal``) U, ``solve_matrix`` (so ``inverse_unimodular``) U and
-V.  A ``Subquotient`` keeps U and Uinv of its Z generators, which give the
-basis of Z and the coordinates of any vector on it with no further SNF,
-and U and Uinv of the relations of B on that basis.
+and ``spans_equal``) and ``Span``, which keeps it for many tests, U,
+``solve_matrix`` (so ``inverse_unimodular``) U and V.  A ``Subquotient``
+keeps U and Uinv of its Z generators, which give the basis of Z and the
+coordinates of any vector on it with no further SNF, and U and Uinv of
+the relations of B on that basis.
 """
 
 from __future__ import annotations
@@ -463,14 +464,31 @@ def solve_matrix(M, B):
     return None if Y is None else _rows_times(V, Y)
 
 
+class Span:
+    """The integer column span of A, factored by one SNF that serves any
+    number of containment tests and the lattice test."""
+
+    def __init__(self, A):
+        self.nrows, self.ncols = dims(A)
+        self._U, self._diag, _, _, _ = _smith_with_inverses(A, ("U",))
+
+    def contains(self, B):
+        """Is every column of B in the span?"""
+        if B.nrows != self.nrows:
+            raise ValueError("row count mismatch in span_contains")
+        return _diagonal_solve(self._diag, _rows_times(self._U, B),
+                               self.ncols) is not None
+
+    def is_lattice(self):
+        """Is the span all of ℤ^rows (see spans_lattice)?"""
+        return len(self._diag) == self.nrows and all(d == 1 for d in self._diag)
+
+
 def span_contains(A, B):
     """Is every column of B in the integer column span of A?"""
     if B.nrows != A.nrows:
         raise ValueError("row count mismatch in span_contains")
-    if not B.ncols:
-        return True
-    U, diag, _, _, _ = _smith_with_inverses(A, ("U",))
-    return _diagonal_solve(diag, _rows_times(U, B), A.ncols) is not None
+    return not B.ncols or Span(A).contains(B)
 
 
 def in_span(gens, v):
@@ -510,11 +528,20 @@ class Subquotient:
     (U_Z v)_i / d_i, with v in Z iff the division is exact and (U_Z v)_i = 0
     for i >= r.  Z has full column rank, so these coordinates are unique.
     A second SNF, of the coordinate matrix R of b_gens, splits the quotient.
+    When z_gens has no nonzero entry there is no SNF at all: Z = 0, so B
+    must be 0 and the quotient is the zero group.
     """
 
     def __init__(self, ambient_dim, z_gens, b_gens):
         if z_gens.nrows != ambient_dim or b_gens.nrows != ambient_dim:
             raise ValueError("generators must be given as an ambient_dim-row matrix")
+        if not any(z_gens):  # Z = 0: no SNF, and only B = 0 is contained
+            if any(b_gens):
+                raise ValueError("B is not contained in Z")
+            self._Uz = None
+            self.orders, self._U, self._kept, self.lifts = [], [], [], []
+            self.free_rank, self.torsion = 0, []
+            return
         Uz, diag_z, _, Uz_inv, _ = _smith_with_inverses(z_gens, ("U", "Uinv"))
         self._zbasis = _image_from_snf(diag_z, Uz_inv)
         r = self._zbasis.ncols
@@ -541,6 +568,8 @@ class Subquotient:
     def _z_coords(self, B):
         """The coordinates of the columns of B on the basis of Z, as a
         matrix, or None if some column is not in Z."""
+        if self._Uz is None:  # Z = 0
+            return None if any(B) else zeros(0, B.ncols)
         return _diagonal_solve(self._diag_z, _rows_times(self._Uz, B),
                                self._zbasis.ncols)
 

@@ -10,6 +10,9 @@ reindexing is applied.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import partial
+
 from . import intlinalg as la
 from .doldkan import normalize
 from .filtration import _tensor_column, skeletal_filtration
@@ -25,26 +28,34 @@ class SpectralSequence:
 
     Z_r^{p,q} = {x in F_p, degree p+q : dx in F_{p-r}} and
     B_r^{p,q} = Z_{r-1}^{p-1,q+1} + d(Z_{r-1}^{p+r-1,q-r+2}); the entry is
-    Z_r/B_r.  Pages are computed for 1 <= r <= r_top where
-    r_top = max(r_max, p_max + 1); the page at p_max + 1 is stable and is
-    exposed as the infinity page.
+    Z_r/B_r.  ``pages`` and ``diffs`` map every r in 1..r_top, where
+    r_top = max(r_max, p_max + 1), to a page; the page at p_max + 1 is
+    stable and is exposed as the infinity page.  r_max sets only how many
+    pages are listed (those past p_max + 1 repeat E_∞): a page and its d_r
+    are built on the first read of one of their entries, once, so a
+    caller that reads page 1 alone builds no other page.
 
-    Z_r^{p,n} (ambient degree n = p+q) reads only the stages F_p and
-    F_{p-r}, and ``F.stage`` clamps p to [-1, p_max], so Z, B and the
-    entries are built lazily, once per key, in caches that live as long as
-    the instance:
+    Z_r^{p,n} (ambient degree n = p+q) reads only the stages F_p in degree
+    n and F_{p-r} in degree n-1.  A stage (p, n) has the id -1 when it has
+    no nonzero column, and otherwise the least p' whose generator matrix in
+    degree n is exactly that of F_p (p is clamped to [-1, p_max] first),
+    so equal stages share their id.  Z, B, the entries and the
+    page-recursion subquotients are built on first use, once per key, in
+    caches that live as long as the instance (no reference cycle holds
+    it):
 
-    - Z_r^{p,n} is keyed by (min(p, p_max), clamp(p - r), n), and Z_0 and
-      degree 0 by (min(p, p_max), n); p < 0 or n outside 0..top is the
-      zero group, keyed (-1, n);
+    - Z_r^{p,n} is keyed by (id of F_p in n, id of F_{p-r} in n-1, n), and
+      Z_0 and degree 0 by (id of F_p in n, n); the zero group (id -1, p < 0
+      or n outside 0..top) is keyed (-1, n);
     - B_r^{p,n} by the pair of keys of Z_{r-1}^{p-1,n} and
       Z_{r-1}^{p+r-1,n+1};
     - an entry's Subquotient by (key of Z, key of B), so the pages past
-      r_inf share the Subquotients of E_∞."""
+      r_inf share the Subquotients of E_∞;
+    - the invariants of the homology of (E_r, d_r) at (p, n) by the keys of
+      Z_{r+1}^{p,n}, B_r^{p,n} and Z_r^{p+r,n+1}."""
 
     def __init__(self, F, r_max=None):
         self.F = F
-        amb = F.ambient
         p_max = F.p_max
         if r_max is None:
             r_max = p_max + 1
@@ -53,84 +64,21 @@ class SpectralSequence:
         self.r_inf = p_max + 1
         r_top = max(r_max, self.r_inf)
         self.r_top = r_top
-        self._zs = {}  # Z key -> generator columns
-        self._bs = {}  # B key -> generator columns
-        self._entries = {}  # (Z key, B key) -> Subquotient
-        self.pages = {}
-        self.diffs = {}
-        for r in range(1, r_top + 1):
-            self.pages[r] = {(p, n - p): self._entry(r, p, n)
-                             for p in range(p_max + 1)
-                             for n in range(amb.top_degree + 1)}
-            self.diffs[r] = self._differentials(r)
-
-    # -- construction helpers ----------------------------------------------
-
-    def _z_key(self, r, p, n):
-        F = self.F
-        if p < 0 or not 0 <= n <= F.ambient.top_degree:
-            return (-1, n)
-        if r == 0 or n == 0:
-            return (min(p, F.p_max), n)
-        return (min(p, F.p_max), max(-1, min(p - r, F.p_max)), n)
-
-    def _b_key(self, r, p, n):
-        return (self._z_key(r - 1, p - 1, n),
-                self._z_key(r - 1, p + r - 1, n + 1))
-
-    def _z_of(self, key):
-        """Generators of Z for a key of _z_key: the stage F_a in degree n
-        for key (a, n), {x in F_a, deg n : dx in F_b} for key (a, b, n)."""
-        Z = self._zs.get(key)
-        if Z is None:
-            if len(key) == 2:
-                Z = self.F.stage(*key)
-            else:
-                a, b, n = key
-                S = self.F.stage(a, n)
-                dS = la.mat_mul(self.F.ambient.diff(n), S)
-                Z = _span_of_preimage(S, dS, self.F.stage(b, n - 1))
-            self._zs[key] = Z
-        return Z
-
-    def _z(self, r, p, n):
-        """Z_r^{p, n-p}; zero for p < 0 and outside the degrees."""
-        return self._z_of(self._z_key(r, p, n))
-
-    def _b_of(self, key):
-        """Generators of B for a key of _b_key: Z_1 + d Z_2 for the pair of
-        Z keys, d from the degree of Z_2."""
-        B = self._bs.get(key)
-        if B is None:
-            k1, k2 = key
-            d = self.F.ambient.diff(k2[-1])
-            B = self._bs[key] = la.hstack(self._z_of(k1),
-                                          la.mat_mul(d, self._z_of(k2)))
-        return B
+        # the lazy pages hold the store, never the instance, so that a
+        # dropped instance is freed at once, with no reference cycle
+        self._store = store = _Store(F)
+        self._recursions = {}  # (Z, B, Z key) -> orders of a homology
+        entries = dict.fromkeys((p, n - p) for p in range(p_max + 1)
+                                for n in range(F.ambient.top_degree + 1))
+        self.pages = {r: _Lazy(entries, partial(store.page, r, entries))
+                      for r in range(1, r_top + 1)}
+        self.diffs = {r: _Lazy(entries, partial(store.differentials, r,
+                                                self.pages[r]))
+                      for r in range(1, r_top + 1)}
 
     def _b_gens(self, p, n, r):
         """Generators of B_r^{p, n-p} = Z_{r-1}^{p-1} + d Z_{r-1}^{p+r-1}."""
-        return self._b_of(self._b_key(r, p, n))
-
-    def _entry(self, r, p, n):
-        """E_r^{p, n-p} = Z_r/B_r as a Subquotient of the degree-n chains."""
-        key = (self._z_key(r, p, n), self._b_key(r, p, n))
-        sq = self._entries.get(key)
-        if sq is None:
-            sq = self._entries[key] = la.Subquotient(
-                self.F.ambient.rank(n), self._z_of(key[0]), self._b_of(key[1]))
-        return sq
-
-    def _differentials(self, r):
-        """d_r on lifts: matrix per entry (p,q) into (p-r, q+r-1) in the
-        cyclic-generator coordinates of the target entry."""
-        amb = self.F.ambient
-        out = {}
-        for (p, q), sq in self.pages[r].items():
-            tgt = self.pages[r].get((p - r, q + r - 1))
-            out[(p, q)] = (tgt.induced_matrix(amb.diff(p + q), sq.lifts)
-                           if tgt and tgt.ngens else la.zeros(0, sq.ngens))
-        return out
+        return self._store.b_of(self._store.b_key(r, p, n))
 
     def infinity(self):
         return self.pages[self.r_inf]
@@ -141,7 +89,6 @@ class SpectralSequence:
         """d_r composed with d_r vanishes (entrywise, modulo target orders)."""
         for (p, q), M in self.diffs[r].items():
             tgt = self.pages[r].get((p - 2 * r, q + 2 * r - 2))
-            mid = self.pages[r].get((p - r, q + r - 1))
             M2 = self.diffs[r].get((p - r, q + r - 1))
             if tgt is None or M2 is None or not tgt.ngens:
                 continue
@@ -158,14 +105,20 @@ class SpectralSequence:
         compares Z_{r+1}/B_{r+1} with (Z_{r+1}+B_r)/(d Z_r^{p+r} + B_r) as
         ambient subquotients."""
         amb = self.F.ambient
+        st = self._store
         for (p, q), sq_next in self.pages[r + 1].items():
             n = p + q
-            b_r = self._b_gens(p, n, r)
-            num = la.hstack(self._z(r + 1, p, n), b_r)
-            den = la.hstack(b_r, la.mat_mul(amb.diff(n + 1),
-                                            self._z(r, p + r, n + 1)))
-            hsq = la.Subquotient(amb.rank(n), num, den)
-            if hsq.orders != sq_next.orders:
+            key = (st.z_key(r + 1, p, n), st.b_key(r, p, n),
+                   st.z_key(r, p + r, n + 1))
+            orders = self._recursions.get(key)
+            if orders is None:
+                b_r = st.b_of(key[1])
+                num = la.hstack(st.z_of(key[0]), b_r)
+                den = la.hstack(b_r, la.mat_mul(amb.diff(n + 1),
+                                                st.z_of(key[2])))
+                orders = self._recursions[key] = la.Subquotient(
+                    amb.rank(n), num, den).orders
+            if orders != sq_next.orders:
                 return CheckCertificate(
                     False, witness=(r, p, q),
                     detail=f"page recursion fails at E_{r+1}^{{{p},{q}}}")
@@ -217,6 +170,135 @@ class SpectralSequence:
             "r_inf": self.r_inf,
             "pages": pages,
         }
+
+
+class _Store:
+    """Z_r, B_r and the entries E_r of one filtered complex, each built on
+    first use and kept under its key (see SpectralSequence)."""
+
+    def __init__(self, F):
+        self.F = F
+        self._ids = _stage_ids(F)
+        self._zs = {}  # Z key -> generator columns
+        self._bs = {}  # B key -> generator columns
+        self._entries = {}  # (Z key, B key) -> Subquotient
+
+    def _id(self, p, n):
+        """The id of the stage F_p in degree n, p clamped to [-1, p_max]."""
+        return -1 if p < 0 else self._ids[n][min(p, self.F.p_max)]
+
+    def z_key(self, r, p, n):
+        if p < 0 or not 0 <= n <= self.F.ambient.top_degree:
+            return (-1, n)
+        a = self._id(p, n)
+        if a < 0 or r == 0 or n == 0:
+            return (a, n)
+        return (a, self._id(p - r, n - 1), n)
+
+    def b_key(self, r, p, n):
+        return (self.z_key(r - 1, p - 1, n),
+                self.z_key(r - 1, p + r - 1, n + 1))
+
+    def z_of(self, key):
+        """Generators of Z for a key of z_key: the stage F_a in degree n
+        for key (a, n), {x in F_a, deg n : dx in F_b} for key (a, b, n)."""
+        Z = self._zs.get(key)
+        if Z is None:
+            if len(key) == 2:
+                Z = self.F.stage(*key)
+            else:
+                a, b, n = key
+                S = self.F.stage(a, n)
+                dS = la.mat_mul(self.F.ambient.diff(n), S)
+                Z = _span_of_preimage(S, dS, self.F.stage(b, n - 1))
+            self._zs[key] = Z
+        return Z
+
+    def b_of(self, key):
+        """Generators of B for a key of b_key: Z_1 + d Z_2 for the pair of
+        Z keys, d from the degree of Z_2."""
+        B = self._bs.get(key)
+        if B is None:
+            k1, k2 = key
+            d = self.F.ambient.diff(k2[-1])
+            B = self._bs[key] = la.hstack(self.z_of(k1),
+                                          la.mat_mul(d, self.z_of(k2)))
+        return B
+
+    def entry(self, r, p, n):
+        """E_r^{p, n-p} = Z_r/B_r as a Subquotient of the degree-n chains."""
+        key = (self.z_key(r, p, n), self.b_key(r, p, n))
+        sq = self._entries.get(key)
+        if sq is None:
+            sq = self._entries[key] = la.Subquotient(
+                self.F.ambient.rank(n), self.z_of(key[0]), self.b_of(key[1]))
+        return sq
+
+    def page(self, r, entries):
+        """The entries (p, q) of page r."""
+        return {(p, q): self.entry(r, p, p + q) for p, q in entries}
+
+    def differentials(self, r, page):
+        """d_r on lifts: matrix per entry (p,q) of page r into (p-r, q+r-1)
+        in the cyclic-generator coordinates of the target entry."""
+        amb = self.F.ambient
+        out = {}
+        for (p, q), sq in page.items():
+            tgt = page.get((p - r, q + r - 1))
+            out[(p, q)] = (tgt.induced_matrix(amb.diff(p + q), sq.lifts)
+                           if tgt and tgt.ngens else la.zeros(0, sq.ngens))
+        return out
+
+
+class _Lazy(Mapping):
+    """A mapping with the keys of the dict ``keys`` whose values build()
+    makes all at once, on the first read of one; iterating the keys, ``in``
+    and ``len`` need no build."""
+
+    def __init__(self, keys, build):
+        self._keys = keys
+        self._build = build
+        self._data = None
+
+    def _built(self):
+        if self._data is None:
+            self._data = self._build()
+        return self._data
+
+    def __getitem__(self, key):
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def get(self, key, default=None):
+        return self._built().get(key, default)
+
+    def items(self):
+        return self._built().items()
+
+    def values(self):
+        return self._built().values()
+
+
+def _stage_ids(F):
+    """ids[n][p]: -1 if the stage F_p has no nonzero column in degree n,
+    else the least p' with the same generator matrix in degree n."""
+    ids = []
+    for n in range(F.ambient.top_degree + 1):
+        first = {}
+        row = []
+        for p in range(F.p_max + 1):
+            S = F.stage(p, n)
+            row.append(first.setdefault(S, p) if any(S) else -1)
+        ids.append(row)
+    return ids
 
 
 def _span_of_preimage(A, M, B):

@@ -12,7 +12,8 @@ from zilber.chains import ChainMap, homology, identity_chain_map
 from zilber.delta import enumerate_surjections
 from zilber.doldkan import normalize
 from zilber.filtration import (FilteredChainComplex, FilteredPairing,
-                               _tensor_column, constant_filtration,
+                               _kron_columns, _tensor_column,
+                               constant_filtration,
                                convolution_associativity_check,
                                convolution_symmetry_check, day_convolution,
                                filtered_ez, filtrations_stagewise_equal,
@@ -102,6 +103,29 @@ def test_day_convolution_with_unit_is_identity():
         assert filtrations_stagewise_equal(conv, F)
 
 
+def test_day_convolution_stages_are_those_of_every_term():
+    # stage n of F ⊛ G sums F_p ⊗ G_{n-p} over the p with p <= p_max(F) and
+    # n - p <= p_max(G) only; the full sum over 0 <= p <= n spans the same
+    rng = random.Random(28)
+    pairs = [(zrandom.rand_filtration(rng, p_max=a, top_degree=2,
+                                      max_total_rank=5),
+              zrandom.rand_filtration(rng, p_max=b, top_degree=2,
+                                      max_total_rank=5))
+             for a, b in [(1, 3), (3, 1), (0, 2), (2, 4)]]
+    F = pairs[0][0]
+    pairs += [(F, unit_filtration()), (unit_filtration(), F),
+              (unit_filtration(2), F)]
+    for F, G in pairs:
+        conv = day_convolution(F, G)
+        tb = conv.basis
+        for n in range(conv.p_max + 1):
+            for k in range(tb.top_degree + 1):
+                full = _kron_columns(tb.rank(k), [
+                    (off, F.stage(p, a), G.stage(n - p, b))
+                    for p in range(n + 1) for a, b, off in tb.blocks(k)])
+                assert la.spans_equal(conv.stage(n, k), full), (n, k)
+
+
 def test_day_convolution_p_max_is_additive():
     rng = random.Random(22)
     F = zrandom.rand_filtration(rng, p_max=2, top_degree=1)
@@ -187,6 +211,29 @@ def test_filtration_validation_rejects_non_closed_stage():
               {0: [[1]], 1: [[1]]}]
     with pytest.raises(ValueError):
         FilteredChainComplex(C, stages, 1)
+
+
+def test_validation_factors_each_distinct_stage_once(monkeypatch):
+    factored = []
+    real = la.Span
+
+    def counted(A):
+        factored.append(A)
+        return real(A)
+
+    monkeypatch.setattr(la, "Span", counted)
+    rng = random.Random(29)
+    filtrations = [zrandom.rand_filtration(rng, p_max=3) for _ in range(8)]
+    filtrations.append(skeletal_filtration(free_abelian(
+        product(circle(2), circle(2)))))
+    for F in filtrations:
+        factored.clear()
+        FilteredChainComplex(F.ambient, F.stages, F.p_max)
+        stages = {(F.ambient.rank(n), F.stage(p, n))
+                  for p in range(F.p_max + 1)
+                  for n in range(F.ambient.top_degree + 1)}
+        assert {(A.nrows, A) for A in factored} <= stages
+        assert len({(A.nrows, A) for A in factored}) == len(factored)
 
 
 def test_filtration_payload_roundtrip():

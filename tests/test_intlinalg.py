@@ -592,3 +592,29 @@ def test_spans_lattice(M, full):
     assert la.spans_lattice(la.as_sparse(M, len(M))) == full
     assert la.spans_lattice(la.as_sparse(M, len(M))) == \
         la.spans_equal(la.as_sparse(M, len(M)), la.identity(len(M)))
+
+
+@pytest.mark.parametrize("z_cols", [0, 2], ids=["no-columns", "zero-columns"])
+def test_a_zero_z_holds_only_the_zero_b(z_cols):
+    z_gens = la.zeros(3, z_cols)
+    sq = la.Subquotient(3, z_gens, la.zeros(3, 2))
+    assert (sq.orders, sq.lifts, sq.free_rank, sq.torsion) == ([], [], 0, [])
+    assert sq.contains([0, 0, 0]) and sq.coords([0, 0, 0]) == []
+    assert not sq.contains([0, 1, 0])
+    with pytest.raises(ValueError, match="^vector not in the subgroup Z$"):
+        sq.coords([0, 1, 0])
+    with pytest.raises(ValueError, match="^B is not contained in Z$"):
+        la.Subquotient(3, z_gens, la.as_sparse([[0], [2], [0]], 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_span_answers_every_containment_and_the_lattice_test(data):
+    A = data.draw(matrices())
+    span = la.Span(A)
+    assert span.is_lattice() == la.spans_lattice(A)
+    for _ in range(3):
+        B = data.draw(matrices(rows=A.nrows, max_dim=3))
+        inside = la.mat_mul(A, data.draw(matrices(rows=A.ncols, max_dim=3)))
+        assert span.contains(B) == (la.solve_matrix(A, B) is not None)
+        assert span.contains(inside)

@@ -2,13 +2,15 @@
 recursion, convergence, first-page identification, Leibniz pairings."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from zilber import _random as zrandom
 from zilber import intlinalg as la
 from zilber import spectral
-from zilber.filtration import filtered_ez, skeletal_filtration
+from zilber.filtration import (day_convolution, filtered_ez,
+                               skeletal_filtration)
 from zilber.simplicial import circle, free_abelian, product, standard_simplex
 from zilber.spectral import (PagePairing, SpectralSequence, _invariant_checks,
                              _span_of_preimage, compute_pages, heart_check,
@@ -94,6 +96,15 @@ def test_keyed_pages_equal_the_pages_built_by_definition():
                 assert la.mat_eq(S.diffs[r][pq], diffs[r][pq]), (t, r, pq)
 
 
+def stage_id(F, p, n):
+    """-1 for a stage with no nonzero column (p < 0 included), else the
+    least p' whose generator matrix equals that of F_p, p clamped."""
+    S = F.stage(p, n)
+    if not any(S):
+        return -1
+    return next(a for a in range(F.p_max + 1) if F.stage(a, n) == S)
+
+
 def test_each_z_is_computed_once_per_distinct_stage_pair(monkeypatch):
     F = zrandom.rand_filtration(random.Random(5), p_max=3)
     calls = []
@@ -104,6 +115,10 @@ def test_each_z_is_computed_once_per_distinct_stage_pair(monkeypatch):
 
     monkeypatch.setattr(spectral, "_span_of_preimage", counted)
     S = SpectralSequence(F, r_max=F.p_max + 3)
+    assert not calls  # nothing is built before a page is read
+    for r in range(1, S.r_top + 1):
+        list(S.pages[r].values())
+        list(S.diffs[r].values())
     top, p_max = F.ambient.top_degree, F.p_max
     # the (r, p, n) of every Z an entry or a B reads
     read = set()
@@ -111,13 +126,15 @@ def test_each_z_is_computed_once_per_distinct_stage_pair(monkeypatch):
         for p in range(p_max + 1):
             for n in range(top + 1):
                 read |= {(r, p, n), (r - 1, p - 1, n), (r - 1, p + r - 1, n + 1)}
-    # Z_r^{p,n} for r, n >= 1 is {x in F_p : dx in F_{p-r}}, and the stage
-    # index clamps to [-1, p_max]
-    pairs = {(min(p, p_max), max(-1, min(p - r, p_max)), n)
-             for r, p, n in read if r >= 1 and p >= 0 and 1 <= n <= top}
-    assert len(calls) == len(pairs)
-    assert len(pairs) < sum(1 for r, p, n in read
-                            if r >= 1 and p >= 0 and 1 <= n <= top)
+    # Z_r^{p,n} for r, n >= 1 is {x in F_p : dx in F_{p-r}}: one
+    # computation per pair of distinct stages, none when F_p is zero
+    read = [(r, p, n) for r, p, n in read if r >= 1 and p >= 0 and 1 <= n <= top]
+    triples = {(stage_id(F, p, n), stage_id(F, p - r, n - 1), n)
+               for r, p, n in read}
+    triples = {t for t in triples if t[0] >= 0}
+    assert len(calls) == len(triples)
+    clamped = {(min(p, p_max), max(-1, min(p - r, p_max)), n) for r, p, n in read}
+    assert len(triples) < len(clamped)
 
 
 def test_pages_past_r_inf_are_the_infinity_page():
@@ -140,6 +157,125 @@ def test_pages_past_r_inf_are_the_infinity_page():
                               f"d-squared-r{r_inf + 2}", "convergence"]
         for name, cert in _invariant_checks(S):
             assert cert.ok, name
+
+
+def built_pages(monkeypatch):
+    """The r of every page a SpectralSequence builds, in build order."""
+    built = []
+    real = spectral._Store.page
+
+    def page(self, r, entries):
+        built.append(r)
+        return real(self, r, entries)
+
+    monkeypatch.setattr(spectral._Store, "page", page)
+    return built
+
+
+def test_a_page_is_built_on_the_first_read_of_an_entry(monkeypatch):
+    built = built_pages(monkeypatch)
+    F = zrandom.rand_filtration(random.Random(55), p_max=3)
+    S = SpectralSequence(F, r_max=F.p_max + 2)
+    entries = [(p, n - p) for p in range(F.p_max + 1)
+               for n in range(F.ambient.top_degree + 1)]
+    assert list(S.pages) == list(S.diffs) == list(range(1, S.r_top + 1))
+    for r in S.pages:
+        assert list(S.pages[r]) == list(S.diffs[r]) == entries
+        assert len(S.pages[r]) == len(entries) and (0, 0) in S.pages[r]
+    assert built == []
+    S.pages[1][(0, 0)]
+    list(S.diffs[1].values())
+    assert built == [1]
+    for r in reversed(range(1, S.r_top + 1)):
+        list(S.diffs[r].items())
+        list(S.pages[r].items())
+    assert sorted(built) == list(range(1, S.r_top + 1))
+
+
+def test_heart_and_leibniz_build_page_one_alone(monkeypatch):
+    built = built_pages(monkeypatch)
+    assert heart_check(free_abelian(product(circle(2), circle(2)))).ok
+    assert built == [1]
+    built.clear()
+    P = filtered_ez(free_abelian(standard_simplex(1, 2)),
+                    free_abelian(circle(2)))
+    S_F, S_G, S_H = (SpectralSequence(X) for X in (P.F, P.G, P.H))
+    assert leibniz_check(induced_pairing(P, S_F, S_G, S_H, 1)).ok
+    assert built == [1, 1, 1]
+
+
+def test_a_dropped_sequence_is_freed_without_the_cycle_collector():
+    # the unbuilt pages hold no reference back to the instance
+    import gc
+    import weakref
+    F = zrandom.rand_filtration(random.Random(58), p_max=2)
+    gc.disable()
+    try:
+        S = SpectralSequence(F)
+        S.pages[1][(0, 0)]
+        ref = weakref.ref(S)
+        del S
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def read_every_page(S):
+    for r in range(1, S.r_top + 1):
+        list(S.pages[r].items())
+        list(S.diffs[r].items())
+    return S
+
+
+def test_pages_read_in_any_order_equal_an_eager_build():
+    rng = random.Random(56)
+    filtrations = [zrandom.rand_filtration(rng, p_max=1 + t % 4)
+                   for t in range(8)]
+    filtrations.append(skeletal_filtration(free_abelian(
+        product(circle(2), circle(2)))))
+    for F in filtrations:
+        eager = read_every_page(SpectralSequence(F, r_max=F.p_max + 3))
+        S = SpectralSequence(F, r_max=F.p_max + 3)
+        for r in reversed(range(1, S.r_top + 1)):
+            for pq in reversed(list(S.diffs[r])):
+                S.diffs[r][pq]
+        assert S.pages.keys() == eager.pages.keys()
+        assert S.diffs.keys() == eager.diffs.keys()
+        for r, page in eager.pages.items():
+            assert list(S.pages[r].items()) and S.pages[r].keys() == page.keys()
+            for pq, sq in page.items():
+                assert S.pages[r][pq].orders == sq.orders
+                assert S.pages[r][pq].lifts == sq.lifts
+                assert la.mat_eq(S.diffs[r][pq], eager.diffs[r][pq])
+        assert S.to_report() == eager.to_report()
+
+
+def test_heart_and_leibniz_certificates_equal_those_of_eager_pages(
+        monkeypatch):
+    def certificates():
+        out = [heart_check(free_abelian(X)) for X in (
+            standard_simplex(1, 2), standard_simplex(2, 3), circle(3),
+            product(circle(2), circle(2)))]
+        P = filtered_ez(free_abelian(standard_simplex(1, 2)),
+                        free_abelian(circle(2)))
+        S_F, S_G, S_H = (SpectralSequence(X) for X in (P.F, P.G, P.H))
+        pairing = induced_pairing(P, S_F, S_G, S_H, 1)
+        out.append(leibniz_check(pairing))
+        out += [leibniz_check(pairing.corrupted(key, i, j))
+                for key, tbl in pairing.products.items()
+                for i, row in enumerate(tbl) for j in range(len(row))]
+        return [(c.ok, c.witness, c.detail) for c in out]
+
+    lazy = certificates()
+    real = SpectralSequence.__init__
+
+    def eager(self, F, r_max=None):
+        real(self, F, r_max)
+        read_every_page(self)
+
+    monkeypatch.setattr(SpectralSequence, "__init__", eager)
+    assert certificates() == lazy
+    assert any(not ok for ok, _, _ in lazy)
 
 
 @pytest.mark.parametrize("r_max", [0, -2])
@@ -211,3 +347,87 @@ def test_report_is_json_shaped():
     rep = json.loads(json.dumps(S.to_report()))
     assert rep["format"] == "ss" and rep["version"] == 1
     assert "1" in rep["pages"]
+
+
+def rational_nullspace(cols, nrows):
+    """A basis over ℚ of {c : Σ c_j cols[j] = 0}, by Gauss–Jordan
+    elimination on Fractions (no Smith form)."""
+    k = len(cols)
+    A = [[Fraction(cols[j][i]) for j in range(k)] for i in range(nrows)]
+    pivots = []
+    for c in range(k):
+        top = len(pivots)
+        piv = next((i for i in range(top, nrows) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[top], A[piv] = A[piv], A[top]
+        A[top] = [x / A[top][c] for x in A[top]]
+        for i in range(nrows):
+            if i != top and A[i][c]:
+                f = A[i][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[top])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(k) if c not in pivots):
+        v = [Fraction(0)] * k
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -A[i][f]
+        basis.append(v)
+    return basis
+
+
+def rational_free_ranks(F, r_last):
+    """dim_ℚ Z_r - dim_ℚ B_r for every E_r^{p,q}, r <= r_last, straight
+    from the stages of F: Z_r^{p,n} = {x in F_p : dx in F_{p-r}} and
+    B_r^{p,n} = Z_{r-1}^{p-1,n} + d Z_{r-1}^{p+r-1,n+1} over ℚ."""
+    amb = F.ambient
+    top = amb.top_degree
+
+    def d(n, v):
+        return [sum(a * x for a, x in zip(row, v))
+                for row in la.rows(amb.diff(n))]
+
+    def dim(vectors, n):
+        return len(vectors) - len(rational_nullspace(vectors, amb.rank(n)))
+
+    def z(r, p, n):
+        if p < 0 or not 0 <= n <= top:
+            return []
+        S = la.columns(F.stage(p, n))
+        if r == 0 or n == 0:
+            return S
+        T = la.columns(F.stage(p - r, n - 1))
+        ker = rational_nullspace([d(n, v) for v in S] +
+                                 [[-x for x in t] for t in T], amb.rank(n - 1))
+        return [[sum(c * v[i] for c, v in zip(k, S))
+                 for i in range(amb.rank(n))] for k in ker]
+
+    def b(r, p, n):
+        return z(r - 1, p - 1, n) + [d(n + 1, v)
+                                     for v in z(r - 1, p + r - 1, n + 1)]
+
+    return {(r, p, n - p): dim(z(r, p, n), n) - dim(b(r, p, n), n)
+            for r in range(1, r_last + 1) for p in range(F.p_max + 1)
+            for n in range(top + 1)}
+
+
+def test_free_ranks_of_every_page_match_a_rational_oracle():
+    rng = random.Random(57)
+    filtrations = [zrandom.rand_filtration(rng, p_max=1 + t % 4)
+                   for t in range(12)]
+    filtrations.append(skeletal_filtration(free_abelian(
+        product(circle(2), circle(2)))))
+    filtrations.append(day_convolution(*(
+        zrandom.rand_filtration(rng, p_max=2, top_degree=2, max_total_rank=4)
+        for _ in range(2))))
+    moved = 0
+    for F in filtrations:
+        S = SpectralSequence(F, r_max=F.p_max + 2)
+        want = rational_free_ranks(F, S.r_inf + 1)
+        got = {(r, p, q): S.pages[r][(p, q)].free_rank
+               for r, p, q in want}
+        assert got == want
+        moved += any(want[(1, p, q)] != want[(S.r_inf, p, q)]
+                     for _, p, q in want)
+    assert moved  # some d_r is nonzero over ℚ
