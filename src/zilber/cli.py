@@ -5,8 +5,8 @@ identical reports once the timing field is ignored).
 Exit codes: 0 when every certificate in the report passes, 1 when any
 certificate fails (the report carries the witness), 2 on input errors
 (InputError, SimplicialIdentityError, any ValueError), 3 on an internal
-error (a failed self-check of the library, such as an AssertionError, or a
-KeyError or TypeError raised inside it), with a JSON error on stderr.
+error (any other exception raised inside the library, such as the
+AssertionError of a failed self-check), with a JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -717,9 +717,9 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:  # InputError, SimplicialIdentityError too
         return _error_exit(exc, EXIT_INPUT)
-    except (AssertionError, KeyError, TypeError) as exc:
-        # payload parsers raise these as InputError (parse_payload), so
-        # here they come from a fault of the library
+    except Exception as exc:
+        # payload parsers raise a KeyError or TypeError as InputError
+        # (parse_payload), so any other exception is a fault of the library
         return _error_exit(exc, EXIT_INTERNAL)
 
 

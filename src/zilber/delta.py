@@ -94,14 +94,14 @@ def monotone_position(m, n):
 
 
 @lru_cache(maxsize=None)
-def comp_table(a, b, c):
-    """Composition by index: comp_table(a, b, c)[g][f] is the index of
-    g ∘ f, for f the f-th map [a] -> [b] and g the g-th map [b] -> [c] in
+def comp_row(x, a, c, g):
+    """Composition by index: comp_row(x, a, c, g)[f] is the index of g ∘ f,
+    for f the f-th map [x] -> [a] and g the g-th map [a] -> [c] in
     enumerate_monotone order."""
-    pos = monotone_position(a, c)
-    fs = [f.values for f in _enumerate_monotone_cached(a, b)]
-    return tuple(tuple(pos[tuple(g.values[v] for v in fv)] for fv in fs)
-                 for g in _enumerate_monotone_cached(b, c))
+    pos = monotone_position(x, c)
+    gv = _enumerate_monotone_cached(a, c)[g].values
+    return tuple(pos[tuple(map(gv.__getitem__, f.values))]
+                 for f in _enumerate_monotone_cached(x, a))
 
 
 @lru_cache(maxsize=None)

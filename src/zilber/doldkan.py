@@ -199,7 +199,7 @@ def _gamma_component(eta, alpha):
     is the identity of [k], via the differential C_k -> C_{k-1} when mono
     is the last coface δ_k, and is zero otherwise.  This is combinatorics
     of Δ alone, so it is computed once per (eta, alpha) and kept, the way
-    ``delta.comp_table`` keeps compositions; Γ(C) for every C reads it.
+    ``delta.comp_row`` keeps compositions; Γ(C) for every C reads it.
     """
     eta_prime, mono = epi_mono_factorize(eta.compose(alpha))
     k = eta.codomain_top

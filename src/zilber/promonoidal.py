@@ -7,7 +7,8 @@ Every coend is one union-find on integer indices.  Over Δ≤b the element
 (d, φ, u) of ∫^{[d]} Δ([x], [d]) × F(d) is off[d] + φ·|F(d)| + u, and a
 generating map's relations are index arithmetic; ``coend`` interns its
 tokens once.  A map of Δ≤b is the triple (a, c, i) of a map [a] -> [c] and
-its index i in enumerate_monotone(a, c), composed through comp_table.
+its index i in enumerate_monotone(a, c), composed through comp_row.  The
+Δᵒᵖ unit and μ-associativity checks are left Kan comparisons.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .delta import (PosetPoint, comp_table, enumerate_injections,
+from .delta import (PosetPoint, comp_row, enumerate_injections,
                     enumerate_monotone, generating_maps, monotone_count,
                     monotone_position, product_nondegenerate)
 from .simplicial import CheckCertificate
@@ -172,7 +173,7 @@ def _compose(g, f):
     """g ∘ f for maps of Δ as triples (a, c, i), f applied first."""
     a, b, i = f
     _, c, j = g
-    return (a, c, comp_table(a, b, c)[j][i])
+    return (a, c, comp_row(a, b, c, j)[i])
 
 
 def _identity(n):
@@ -450,7 +451,7 @@ def _delta_coend(x, sizes, moved, gens):
             a, c, g = gen
             na, nc = sizes[a], sizes[c]
             pulled = [off[a] + v for v in moved(gen)]
-            pushed = (off[c] + gphi * nc for gphi in comp_table(x, a, c)[g])
+            pushed = (off[c] + gphi * nc for gphi in comp_row(x, a, c, g))
             yield (flat(range(i, i + nc) for i in pushed),
                    flat(map((phi * na).__add__, pulled)
                         for phi in range(homs[a])))
@@ -464,39 +465,59 @@ def _delta_coend(x, sizes, moved, gens):
     return classes, rep
 
 
-def _hom_sizes(ts, b, s):
-    """|F(d)| for d <= b, F(d) = ∏_i Δ([d], [t_i]) × range(s)."""
-    return [math.prod(monotone_count(d, t) for t in ts) * s
-            for d in range(b + 1)]
+def _hom_sizes(ts, b):
+    """|F(d)| for d <= b, F(d) = ∏_i Δ([d], [t_i])."""
+    return [math.prod(monotone_count(d, t) for t in ts) for d in range(b + 1)]
 
 
 def _within_cap(b, coends):
-    """Checks every _hom_coend(x, ts, b, s), (x, ts, s) in coends, against
-    the cap before any is built."""
-    for x, ts, s in coends:
-        _capped(_offsets(x, _hom_sizes(ts, b, s))[-1])
+    """Checks every _hom_coend(x, ts, b), (x, ts) in coends, against the cap
+    before any is built."""
+    for x, ts in coends:
+        _capped(_offsets(x, _hom_sizes(ts, b))[-1])
 
 
-def _hom_coend(x, ts, b, s=1):
-    """_delta_coend over Δ≤b for F(d) = ∏_i Δ([d], [t_i]) × range(s), with
-    u the mixed-radix number of its digits (f_1, ..., f_n, j), on which γ
-    acts by f_i ↦ f_i ∘ γ.  Returns the classes (d, φ, (f_1, ..., j)) and
-    rep."""
+def _hom_coend(x, ts, b):
+    """_delta_coend over Δ≤b for F(d) = ∏_i Δ([d], [t_i]), with u the
+    mixed-radix number of its digits (f_1, ..., f_n), on which γ acts by
+    f_i ↦ f_i ∘ γ.  Returns the classes (d, φ, (f_1, ..., f_n)) and rep."""
 
     def moved(gen):
         a, c, g = gen
         out = [0]
         for t in ts:
             radix = monotone_count(a, t)
-            image = [row[g] for row in comp_table(a, c, t)]
+            image = [comp_row(a, c, t, f)[g]
+                     for f in range(monotone_count(c, t))]
             out = [v * radix + h for v in out for h in image]
-        return [v * s + j for v in out for j in range(s)]
+        return out
 
-    classes, rep = _delta_coend(x, _hom_sizes(ts, b, s), moved,
+    classes, rep = _delta_coend(x, _hom_sizes(ts, b), moved,
                                 generating_maps(b))
-    F = [list(itertools.product(*(range(monotone_count(d, t)) for t in ts),
-                                range(s))) for d in range(b + 1)]
+    F = [list(itertools.product(*(range(monotone_count(d, t)) for t in ts)))
+         for d in range(b + 1)]
     return [(d, phi, F[d][u]) for d, phi, u in classes], rep
+
+
+def _kan_failure(m, ns, b):
+    """Why ∫^{k<=b} Δ([m], [k]) × ∏_i Δ([k], [n_i]) -> ∏_i Δ([m], [n_i]),
+    (k, φ, h) ↦ h ∘ φ, is not a bijection: ("not injective", (m, two (k, φ, h)
+    of one image)), ("not surjective", (m, a missed h)), or None."""
+    classes, _ = _hom_coend(m, ns, b)
+    images = {}
+    for k, phi, hs in classes:
+        img = tuple(comp_row(m, k, n, h)[phi] for h, n in zip(hs, ns))
+        if img in images:
+            pair = [(k2, enumerate_monotone(m, k2)[phi2],
+                     _family(k2, ns, hs2))
+                    for k2, phi2, hs2 in ((k, phi, hs), images[img])]
+            return "not injective", (m, *pair)
+        images[img] = (k, phi, hs)
+    targets = itertools.product(*(range(monotone_count(m, n)) for n in ns))
+    missing = next((t for t in targets if t not in images), None)
+    if missing is not None:
+        return "not surjective", (m, _family(m, ns, missing))
+    return None
 
 
 def _nonnegative(name, values):
@@ -513,57 +534,42 @@ def delta_mu_unit_check(b):
     that forgets the unit coordinate, for all c, c' <= b.
 
     The coend ∫^d η(d) × μ(d, c; c') has elements (d, *, (f, g)) with
-    f : [c'] -> [d] and g : [c'] -> [c], and the map sends them to g."""
+    f : [c'] -> [d] and g : [c'] -> [c], and the map sends them to g.  No
+    relation moves g, so this holds for every c iff the Kan comparison with
+    no factors holds at [c']; a failure is first met, and named, at c = 0."""
     _nonnegative("b", [b])
-    pairs = [(c, cp) for c in range(b + 1) for cp in range(b + 1)]
-    _within_cap(b, [(cp, (), monotone_count(cp, c)) for c, cp in pairs])
-    for c, cp in pairs:
-        classes, _ = _hom_coend(cp, (), b, monotone_count(cp, c))
-        images = set()
-        for d, f, (g,) in classes:
-            if g in images:
-                maps = _family(cp, (d, c), (f, g))
-                return CheckCertificate(False,
-                                        witness=(c, cp, (d, "*", maps)),
-                                        detail="unit map not injective")
-            images.add(g)
-        if len(images) != monotone_count(cp, c):
-            return CheckCertificate(False, witness=(c, cp),
-                                    detail="unit map not surjective")
+    _within_cap(b, [(cp, ()) for cp in range(b + 1)])
+    for cp in range(b + 1):
+        failure = _kan_failure(cp, (), b)
+        if failure is None:
+            continue
+        reason, witness = failure
+        if reason == "not injective":
+            d, f, _ = witness[1]
+            witness = (0, cp, (d, "*", (f, enumerate_monotone(cp, 0)[0])))
+        else:
+            witness = (0, cp)
+        return CheckCertificate(False, witness=witness,
+                                detail=f"unit map {reason}")
     return CheckCertificate(True, detail="μ(η, c; c') ≅ Hom(c, c')")
-
-
-def _nesting_bijective(a, c, e, n, b):
-    """Whether ∫^d μ(a, c; d) × μ(d, e; n) over d <= b maps bijectively onto
-    the monotone maps [n] -> [a]×[c]×[e] by (d, (f_a, f_c), (h, f_e)) ↦
-    (f_a∘h, f_c∘h, f_e).  The right nesting ∫^d μ(q, r; d) × μ(p, d; n) of
-    the ternary μ on (p, q, r) is this coend for (a, c, e) = (q, r, p)."""
-    classes, _ = _hom_coend(n, (a, c), b, monotone_count(n, e))
-    images = set()
-    for d, h, (fa, fc, fe) in classes:
-        images.add((comp_table(n, d, a)[fa][h], comp_table(n, d, c)[fc][h],
-                    fe))
-    size = monotone_count(n, a) * monotone_count(n, c) * monotone_count(n, e)
-    return len(images) == len(classes) == size
 
 
 def delta_mu_associativity_check(p, q, r, b):
     """Three-way bijection for the Δᵒᵖ data: both nestings of the ternary μ
     on ([p],[q],[r]) biject with monotone maps [n] -> [p]×[q]×[r], for every
-    output [n] with n <= b."""
+    output [n] with n <= b.  The left nesting ∫^d μ(p, q; d) × μ(d, r; n) is
+    the Kan comparison for (p, q) at [n] times Δ([n], [r]), which no relation
+    moves; the right one, ∫^d μ(q, r; d) × μ(p, d; n), is (q, r)'s."""
     _nonnegative("b", [b])
     _nonnegative("entries", [p, q, r])
-    _within_cap(b, [(n, (a, c), monotone_count(n, e)) for n in range(b + 1)
-                    for a, c, e in ((p, q, r), (q, r, p))])
+    sides = (("left", (p, q)), ("right", (q, r)))
+    _within_cap(b, [(n, ns) for n in range(b + 1) for _, ns in sides])
     for n in range(b + 1):
-        # left nesting: ∫^d μ(p,q;d) × μ(d,r;n)
-        if not _nesting_bijective(p, q, r, n, b):
-            return CheckCertificate(False, witness=("left", n),
-                                    detail="left nesting is not in bijection")
-        # right nesting: ∫^d μ(q,r;d) × μ(p,d;n)
-        if not _nesting_bijective(q, r, p, n, b):
-            return CheckCertificate(False, witness=("right", n),
-                                    detail="right nesting is not in bijection")
+        for side, ns in sides:
+            if _kan_failure(n, ns, b) is not None:
+                return CheckCertificate(
+                    False, witness=(side, n),
+                    detail=f"{side} nesting is not in bijection")
     return CheckCertificate(True,
                             detail="μ∘(μ×1) ≅ μ∘(1×μ) ≅ Map([n], [p]×[q]×[r])")
 
@@ -591,27 +597,13 @@ def left_kan_check(ns, b, m_range):
     ns = tuple(_nonnegative("ns", ns))
     _nonnegative("b", [b])
     ms = _nonnegative("m", m_range)
-    _within_cap(b, [(m, ns, 1) for m in ms])
+    _within_cap(b, [(m, ns) for m in ms])
     for m in ms:
-        classes, _ = _hom_coend(m, ns, b)
-        images = {}
-        for k, phi, hs in classes:
-            img = tuple(comp_table(m, k, n)[h][phi] for h, n in zip(hs, ns))
-            if img in images:
-                pair = [(k2, enumerate_monotone(m, k2)[phi2],
-                         _family(k2, ns, hs2))
-                        for k2, phi2, hs2 in ((k, phi, hs), images[img])]
-                return CheckCertificate(
-                    False, witness=(m, *pair),
-                    detail=f"canonical map not injective at m={m}")
-            images[img] = (k, phi, hs)
-        targets = itertools.product(*(range(monotone_count(m, n))
-                                      for n in ns))
-        missing = next((t for t in targets if t not in images), None)
-        if missing is not None:
-            return CheckCertificate(
-                False, witness=(m, _family(m, ns, missing)),
-                detail=f"canonical map not surjective at m={m}")
+        failure = _kan_failure(m, ns, b)
+        if failure is not None:
+            reason, witness = failure
+            return CheckCertificate(False, witness=witness,
+                                    detail=f"canonical map {reason} at m={m}")
     return CheckCertificate(True,
                             detail="Kan extension agrees on the given range")
 

@@ -279,6 +279,25 @@ def test_library_key_and_type_errors_exit_3(capsys, monkeypatch, exc):
     assert json.loads(err) == {"error": str(exc), "exit": 3}
 
 
+@pytest.mark.parametrize("target,argv,exc", [
+    ("promonoidal._kan_failure", ["promonoidal", "--check", "left-kan"],
+     IndexError("list index out of range")),
+    ("doldkan._normalize", ["homology", "torus"],
+     ZeroDivisionError("division by zero")),
+], ids=["IndexError", "ZeroDivisionError"])
+def test_any_other_library_exception_exits_3(capsys, monkeypatch, target,
+                                             argv, exc):
+    # these once escaped main with a traceback and exit 1, the code of a
+    # failing certificate
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr("zilber." + target, broken)
+    code, rep, err = run(capsys, argv)
+    assert code == 3 and rep is None
+    assert json.loads(err) == {"error": str(exc), "exit": 3}
+
+
 def test_reports_are_deterministic_modulo_timing(capsys):
     _, rep1, _ = run(capsys, ["ss", "sk:s1", "--heart"])
     _, rep2, _ = run(capsys, ["ss", "sk:s1", "--heart"])

@@ -1,7 +1,8 @@
 """The coend engine against a breadth-first search over the relation
 graph, the index arithmetic of the coends over Δ≤b against their relations
-written out with MonotoneMaps, the work cap, and the element and class
-counts of every coend that the coend benchmark family builds.
+written out with MonotoneMaps, the work cap, the element and class counts
+of every coend that the coend benchmark family builds, and the failures the
+Δᵒᵖ unit and μ-associativity checks report.
 
 The counts below were recorded from the dictionary union-find over
 MonotoneMap keys that the index-based engine replaced.  The oracle tests
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 
 from zilber import promonoidal
 from zilber.cli import main
-from zilber.delta import (codegeneracy, coface, enumerate_monotone,
-                          monotone_count, product_nondegenerate)
+from zilber.delta import (MonotoneMap, codegeneracy, coface,
+                          enumerate_monotone, monotone_count,
+                          product_nondegenerate)
 from zilber.promonoidal import (CoendTooLarge, NaryMu, _colimit_coend,
-                                _hom_coend, coend, delta_op_promonoidal,
+                                _hom_coend, coend, delta_mu_associativity_check,
+                                delta_mu_unit_check, delta_op_promonoidal,
                                 poset_category)
 
 
@@ -170,24 +173,27 @@ def colimit_relations(ns, k):
     return order, edges, nondeg, chains
 
 
-HOM_CASES = [  # (x, ts, b, s): b <= 3, up to three factors, s in {1, 2}
+HOM_CASES = [  # (x, ts, b, s): b <= 3, up to three factors, s in {1, 2, 3}
     (x, ts, b, s)
-    for b in range(4) for x in range(3) for s in (1, 2)
+    for b in range(4) for x in range(3) for s in (1, 2, 3)
     for ts in [(), (1,), (1, 2), (2, 1), (1, 1), (0, 2, 1), (1, 1, 1)]
-    if b < 3 or x != 1  # the slowest oracles, at b = 3, for x = 0, 2
+    if b < 3 or (x != 1 and s < 3)  # the slowest oracles are at b = 3
 ]
 
 
 @pytest.mark.parametrize("case", HOM_CASES, ids=str)
 def test_hom_coend_matches_its_relations(case):
+    """The engine leaves out a factor S that no relation moves: the
+    partition of F × S, every relation written out, is the engine's
+    partition of F copied over S, element (i, j) at index s·i + j."""
     x, ts, b, s = case
     order, edges = hom_relations(x, ts, b, s)
     least = bfs_least(order, edges)
-    classes, rep = _hom_coend(x, ts, b, s)
-    assert rep == least
-    assert classes == [(d, position(phi), tuple(map(position, fs)) + (j,))
-                       for i, (d, phi, fs, j) in enumerate(order)
-                       if least[i] == i]
+    classes, rep = _hom_coend(x, ts, b)
+    assert least == [s * r + j for r in rep for j in range(s)]
+    assert [(d, phi, fs + (j,)) for d, phi, fs in classes for j in range(s)] \
+        == [(d, position(phi), tuple(map(position, fs)) + (j,))
+            for i, (d, phi, fs, j) in enumerate(order) if least[i] == i]
 
 
 @pytest.mark.parametrize("ns,k", [((1,), 2), ((1, 1), 0), ((1, 1), 2),
@@ -215,12 +221,15 @@ def test_a_coend_above_the_cap_is_refused_before_any_work(monkeypatch):
     # the check stops before it builds either
     with pytest.raises(CoendTooLarge, match="1153 elements"):
         promonoidal.left_kan_check([2, 2], 2, [0, 2])
-    monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 100)
-    # the first coend above the cap in each check's order is named
-    with pytest.raises(CoendTooLarge, match="150 elements"):
+    # the first coend above the cap in each check's order is named: c' = 2
+    # (15 elements) for the unit, and for (1, 0, 2) the right nesting at
+    # n = 1 (81), before the left one at n = 2 (54)
+    monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 12)
+    with pytest.raises(CoendTooLarge, match="15 elements"):
         promonoidal.delta_mu_unit_check(2)
-    with pytest.raises(CoendTooLarge, match="105 elements"):
-        promonoidal.delta_mu_associativity_check(1, 0, 1, 2)
+    monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 50)
+    with pytest.raises(CoendTooLarge, match="81 elements"):
+        promonoidal.delta_mu_associativity_check(1, 0, 2, 2)
     assert built == []
 
 
@@ -317,10 +326,11 @@ UNIT = {  # (b, c, c'): (elements, classes)
 }
 
 
-def counts(result):
-    """(elements, classes) of a coend result (classes, reps, ...)."""
+def counts(result, s=1):
+    """(elements, classes) of a coend result (classes, reps, ...), times a
+    factor of s elements that no relation moves."""
     classes, reps = result[:2]
-    return len(reps), len(classes)
+    return s * len(reps), s * len(classes)
 
 
 @pytest.mark.parametrize("key", sorted(LEFT_KAN), ids=str)
@@ -332,9 +342,10 @@ def test_left_kan_coend_counts(key):
 @pytest.mark.parametrize("key", sorted(NESTINGS), ids=str)
 def test_nesting_coend_counts(key):
     p, q, r, b, n = key
-    left = _hom_coend(n, (p, q), b, monotone_count(n, r))
-    right = _hom_coend(n, (q, r), b, monotone_count(n, p))
-    assert counts(left) + counts(right) == NESTINGS[key]
+    # ∫^d μ(p, q; d) × μ(d, r; n) and ∫^d μ(q, r; d) × μ(p, d; n)
+    left = counts(_hom_coend(n, (p, q), b), monotone_count(n, r))
+    right = counts(_hom_coend(n, (q, r), b), monotone_count(n, p))
+    assert left + right == NESTINGS[key]
     # the generic token path builds the same left nesting
     nary = NaryMu(delta_op_promonoidal(b)).space((p, q, r), n)
     assert len(nary) == NESTINGS[key][1]
@@ -349,4 +360,57 @@ def test_product_colimit_coend_counts(key):
 @pytest.mark.parametrize("key", sorted(UNIT), ids=str)
 def test_unit_coend_counts(key):
     b, c, cp = key
-    assert counts(_hom_coend(cp, (), b, monotone_count(cp, c))) == UNIT[key]
+    # ∫^d η(d) × μ(d, c; c')
+    assert counts(_hom_coend(cp, (), b), monotone_count(cp, c)) == UNIT[key]
+
+
+# ---------------------------------------------------------------------------
+# the failures the unit and μ-associativity checks report
+
+
+def no_union_at(calls):
+    """_least_representatives that joins nothing on the given calls (1 for
+    the first coend built; all calls when None) and is itself on the rest."""
+    real = promonoidal._least_representatives
+    seen = []
+
+    def patched(n, relations):
+        seen.append(n)
+        if calls is None or len(seen) in calls:
+            return list(range(n))
+        return real(n, relations)
+
+    return patched
+
+
+UNIT_FAILURES = {  # calls without unions: the witness of unit(2)
+    None: (0, 0, (1, "*", (MonotoneMap(0, 1, (0,)), MonotoneMap(0, 0, (0,))))),
+    (2,): (0, 1, (1, "*", (MonotoneMap(1, 1, (0, 0)),
+                           MonotoneMap(1, 0, (0, 0))))),
+    (3,): (0, 2, (1, "*", (MonotoneMap(2, 1, (0, 0, 0)),
+                           MonotoneMap(2, 0, (0, 0, 0))))),
+}
+
+
+@pytest.mark.parametrize("calls", list(UNIT_FAILURES), ids=str)
+def test_the_unit_check_names_the_first_coend_that_is_not_a_point(
+        monkeypatch, calls):
+    monkeypatch.setattr(promonoidal, "_least_representatives",
+                        no_union_at(calls))
+    cert = delta_mu_unit_check(2)
+    assert not cert.ok and cert.detail == "unit map not injective"
+    assert cert.witness == UNIT_FAILURES[calls]
+
+
+@pytest.mark.parametrize("calls,side,n", [
+    (None, "left", 0), ((1,), "left", 0), ((2,), "right", 0),
+    ((3,), "left", 1), ((4,), "right", 1), ((5,), "left", 2),
+    ((6,), "right", 2)], ids=str)
+def test_the_associativity_check_names_the_nesting_that_fails(
+        monkeypatch, calls, side, n):
+    # its coends are built n by n, the left nesting before the right one
+    monkeypatch.setattr(promonoidal, "_least_representatives",
+                        no_union_at(calls))
+    cert = delta_mu_associativity_check(1, 0, 2, 2)
+    assert not cert.ok and cert.witness == (side, n)
+    assert cert.detail == f"{side} nesting is not in bijection"

@@ -5,6 +5,7 @@ from math import comb
 
 from zilber.delta import (MonotoneMap, PosetPoint, Shuffle,
                           StrictMonotoneIntoProduct, coface, codegeneracy,
+                          comp_row,
                           enumerate_injections, enumerate_monotone,
                           enumerate_surjections, epi_mono_factorize,
                           factor_into_cofaces, factor_into_codegeneracies,
@@ -72,6 +73,15 @@ def test_factor_words_recompose():
         for i in reversed(word):
             cur = coface(cur.codomain_top + 1, i).compose(cur)
         assert cur == f
+
+
+def test_composition_rows_match_composed_maps():
+    for x, a, c in itertools.product(range(4), repeat=3):
+        fs = enumerate_monotone(x, a)
+        target = enumerate_monotone(x, c)
+        for g, gmap in enumerate(enumerate_monotone(a, c)):
+            assert [target[i] for i in comp_row(x, a, c, g)] == \
+                [gmap.compose(f) for f in fs]
 
 
 def test_surjection_and_injection_counts():
