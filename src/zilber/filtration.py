@@ -17,11 +17,19 @@ class FilteredChainComplex:
     """An ℕ-filtered chain complex: an ambient free complex together with,
     for each p <= p_max, a subcomplex given by integer generator columns
     per degree.  Stages must be nested, closed under the ambient
-    differential, and exhaust the ambient at p = p_max."""
+    differential, and exhaust the ambient at p = p_max.
 
-    def __init__(self, ambient, stages, p_max, check=True):
+    The la.Span of each distinct stage matrix is factored once, keyed by
+    (rows, matrix), and kept: validation and every later reader of
+    ``span(p, n)`` share it.  ``spans`` may hand in spans already factored
+    under those keys (day_convolution passes the ones its image bases came
+    from); validation still runs every closure, nesting and exhaustion
+    test, on them.  Stages and spans must not be changed afterwards."""
+
+    def __init__(self, ambient, stages, p_max, check=True, spans=None):
         self.ambient = ambient
         self.p_max = p_max
+        self._spans = dict(spans or {})  # (rows, stage matrix) -> Span
         if len(stages) != p_max + 1:
             raise ValueError("stages must have p_max + 1 entries")
         for p, stage in enumerate(stages):
@@ -45,22 +53,23 @@ class FilteredChainComplex:
             return la.zeros(self.ambient.rank(n), 0)
         return self.stages[min(p, self.p_max)][n]
 
-    def _validate(self):
-        top = self.ambient.top_degree
-        spans = {}  # (rows, stage matrix) -> its Span: one SNF per stage
+    def span(self, p, n):
+        """The la.Span of stage (p, n), p clamped as in stage: factored on
+        first use, once per distinct stage matrix."""
+        S = self.stage(p, n)
+        key = (S.nrows, S)
+        sp = self._spans.get(key)
+        if sp is None:
+            sp = self._spans[key] = la.Span(S)
+        return sp
 
-        def span(p, n):
-            """The Span of the stage (p, n); it serves the closure of
-            (p, n + 1), the nesting of (p - 1, n) and, at p_max,
-            exhaustion."""
-            S = self.stage(p, n)
-            key = (S.nrows, S)
-            if key not in spans:
-                spans[key] = la.Span(S)
-            return spans[key]
+    def _validate(self):
+        # the span of stage (p, n) serves the closure of (p, n + 1), the
+        # nesting of (p - 1, n) and, at p_max, exhaustion
+        top = self.ambient.top_degree
 
         def contains(p, n, B):
-            return not B.ncols or span(p, n).contains(B)
+            return not B.ncols or self.span(p, n).contains(B)
 
         for p in range(self.p_max + 1):
             for n in range(top + 1):
@@ -73,7 +82,7 @@ class FilteredChainComplex:
                 if not (closed and nested):
                     self._first_violation(p, n)
         for n in range(top + 1):
-            if not span(self.p_max, n).is_lattice():
+            if not self.span(self.p_max, n).is_lattice():
                 raise ValueError(
                     f"top stage does not exhaust the ambient in degree {n}")
 
@@ -136,7 +145,16 @@ def skeletal_filtration(A):
     by surjections [k] ->> [j] with j <= p (the chains supported on the
     p-skeleton), pushed into 𝒩(A) through the normalization projection.
     Stabilizes at p_max = dim_bound.  For p >= k every surjection out of
-    [k] counts, so stage (p, k) is stage (k, k), computed once and shared."""
+    [k] counts, so stage (p, k) is stage (k, k), computed once and shared.
+
+    Computed once per A and kept in A.skeletal, as normalize keeps its
+    result; callers share it and must not mutate it."""
+    if A.skeletal is None:
+        A.skeletal = _skeletal_filtration(A)
+    return A.skeletal
+
+
+def _skeletal_filtration(A):
     D = A.dim_bound
     nres = normalize(A)
     stages = [{} for _ in range(D + 1)]
@@ -182,7 +200,14 @@ def day_convolution(F, G):
     E, tb = tensor(F.ambient, G.ambient)
     p_max = F.p_max + G.p_max
     stages = [{} for _ in range(p_max + 1)]
+    # (rows, input) -> image basis and (rows, basis) -> Span: one SNF per
+    # distinct input, whose Span the output keeps for its basis
+    bases, spans = {}, {}
     for k in range(E.top_degree + 1):
+        if not tb.rank(k):  # every stage is 0 x 0
+            for stage in stages:
+                stage[k] = la.zeros(0, 0)
+            continue
         # the x ⊗ y of degree k with x in F_p and y in G_q are the columns
         # of kron(F_p, G_q) in each block (a, k - a), a ascending
         splits = [(off, [F.stage(p, a) for p in range(F.p_max + 1)],
@@ -192,12 +217,17 @@ def day_convolution(F, G):
             # a term with p > p_max(F) lies in the one at p = p_max(F), and
             # one with n - p > p_max(G) in the one at n - p = p_max(G),
             # since the stages are constant past p_max and nested
-            stages[n][k] = la.image_basis(_kron_columns(
-                tb.rank(k), [(off, Fa[p], Gb[n - p])
-                             for p in range(max(0, n - G.p_max),
-                                            min(n, F.p_max) + 1)
-                             for off, Fa, Gb in splits]))
-    out = FilteredChainComplex(E, stages, p_max)
+            M = _kron_columns(tb.rank(k), [(off, Fa[p], Gb[n - p])
+                                           for p in range(max(0, n - G.p_max),
+                                                          min(n, F.p_max) + 1)
+                                           for off, Fa, Gb in splits])
+            key = (M.nrows, M)
+            if key not in bases:
+                basis, span = la.image_and_span(M)
+                bases[key] = basis
+                spans[(basis.nrows, basis)] = span
+            stages[n][k] = bases[key]
+    out = FilteredChainComplex(E, stages, p_max, spans=spans)
     out.basis = tb
     return out
 
@@ -210,9 +240,17 @@ def filtrations_stagewise_equal(F, G):
     p_top = max(F.p_max, G.p_max)
     for p in range(p_top + 1):
         for n in range(F.ambient.top_degree + 1):
-            if not la.spans_equal(F.stage(p, n), G.stage(p, n)):
+            if not (F.span(p, n).contains(G.stage(p, n))
+                    and G.span(p, n).contains(F.stage(p, n))):
                 return False
     return True
+
+
+def _span_equals_stage(img, H, p, n):
+    """Is span(img) the stage (p, n) of H?  One SNF, of img: H's side is
+    its kept span."""
+    return (H.span(p, n).contains(img)
+            and la.span_contains(img, H.stage(p, n)))
 
 
 def convolution_symmetry_check(F, G):
@@ -224,7 +262,7 @@ def convolution_symmetry_check(F, G):
     for p in range(FG.p_max + 1):
         for n in range(FG.ambient.top_degree + 1):
             img = la.mat_mul(mats[n], FG.stage(p, n))
-            if not la.spans_equal(img, GF.stage(p, n)):
+            if not _span_equals_stage(img, GF, p, n):
                 return CheckCertificate(False, witness=(p, n),
                                         detail=f"swap image of stage {p} "
                                                f"differs in degree {n}")
@@ -242,7 +280,7 @@ def convolution_associativity_check(F, G, H):
     for p in range(L.p_max + 1):
         for n in range(L.ambient.top_degree + 1):
             img = la.mat_mul(mats[n], L.stage(p, n))
-            if not la.spans_equal(img, R.stage(p, n)):
+            if not _span_equals_stage(img, R, p, n):
                 return CheckCertificate(False, witness=(p, n),
                                         detail=f"associator image of stage {p} "
                                                f"differs in degree {n}")
@@ -319,7 +357,7 @@ class FilteredPairing:
                         (off, self.F.stage(p, a), self.G.stage(q, b))
                         for a, b, off in reversed(tb.blocks(n))])
                     imgs = la.mat_mul(self.m.mat(n), cols)
-                    if not la.span_contains(self.H.stage(p + q, n), imgs):
+                    if not self.H.span(p + q, n).contains(imgs):
                         return CheckCertificate(
                             False, witness=(p, q, n),
                             detail=f"m(F_{p} ⊗ G_{q}) escapes "
@@ -334,7 +372,7 @@ class FilteredPairing:
         for n in range(min(tb.top_degree, self.basis.top_degree) + 1):
             src = conv.stage(0, n)
             img = la.mat_mul(self.m.mat(n), src)
-            if not la.spans_equal(img, self.H.stage(0, n)):
+            if not _span_equals_stage(img, self.H, 0, n):
                 return CheckCertificate(False, witness=n,
                                         detail=f"stage-0 image differs from "
                                                f"H_0 in degree {n}")

@@ -30,8 +30,10 @@ Every solver runs one Smith normal form U*M*V = S and builds only the
 transforms it reads: ``snf_diagonal``, ``rank`` and ``spans_lattice`` none,
 ``kernel_basis`` V, ``image_basis`` Uinv, ``span_contains`` (so ``in_span``
 and ``spans_equal``) and ``Span``, which keeps it for many tests, U,
-``solve_matrix`` (so ``inverse_unimodular``) U and V.  A ``Subquotient``
-keeps U and Uinv of its Z generators, which give the basis of Z and the
+``image_and_span``, which gives the image basis and its ``Span`` at once, U
+and Uinv, and ``solve_matrix`` (so ``inverse_unimodular``) U and V.  A
+matrix with no nonzero entry spans 0, and ``Span`` and ``image_and_span``
+run no SNF on it.  A ``Subquotient`` keeps U and Uinv of its Z generators, which give the basis of Z and the
 coordinates of any vector on it with no further SNF, and U and Uinv of
 the relations of B on that basis.
 """
@@ -430,6 +432,16 @@ def image_basis(M):
     return _image_from_snf(diag, Uinv)
 
 
+def image_and_span(M):
+    """The image basis of M (as image_basis gives it) and the Span of M,
+    from one SNF that builds U and Uinv; a matrix with no nonzero entry
+    runs none."""
+    if not any(M):
+        return zeros(M.nrows, 0), Span(M)
+    U, diag, _, Uinv, _ = _smith_with_inverses(M, ("U", "Uinv"))
+    return _image_from_snf(diag, Uinv), Span(M, (U, diag))
+
+
 def _image_from_snf(diag, Uinv):
     """The column span of M from U*M*V = S: the columns Uinv[:, j] * d_j
     over the nonzero diagonal entries d_j of S."""
@@ -466,16 +478,25 @@ def solve_matrix(M, B):
 
 class Span:
     """The integer column span of A, factored by one SNF that serves any
-    number of containment tests and the lattice test."""
+    number of containment tests and the lattice test.  An A with no nonzero
+    entry spans 0 and runs no SNF.  ``factored`` is U and the diagonal of
+    an SNF of A already run (see image_and_span)."""
 
-    def __init__(self, A):
+    def __init__(self, A, factored=None):
         self.nrows, self.ncols = dims(A)
-        self._U, self._diag, _, _, _ = _smith_with_inverses(A, ("U",))
+        if factored is not None:
+            self._U, self._diag = factored
+        elif any(A):
+            self._U, self._diag, _, _, _ = _smith_with_inverses(A, ("U",))
+        else:
+            self._U, self._diag = None, []
 
     def contains(self, B):
         """Is every column of B in the span?"""
         if B.nrows != self.nrows:
             raise ValueError("row count mismatch in span_contains")
+        if self._U is None:  # the zero span
+            return not any(B)
         return _diagonal_solve(self._diag, _rows_times(self._U, B),
                                self.ncols) is not None
 

@@ -559,10 +559,13 @@ def delta_mu_associativity_check(p, q, r, b):
     on ([p],[q],[r]) biject with monotone maps [n] -> [p]×[q]×[r], for every
     output [n] with n <= b.  The left nesting ∫^d μ(p, q; d) × μ(d, r; n) is
     the Kan comparison for (p, q) at [n] times Δ([n], [r]), which no relation
-    moves; the right one, ∫^d μ(q, r; d) × μ(p, d; n), is (q, r)'s."""
+    moves; the right one, ∫^d μ(q, r; d) × μ(p, d; n), is (q, r)'s.  When
+    p = q = r the two are one coend, built once."""
     _nonnegative("b", [b])
     _nonnegative("entries", [p, q, r])
-    sides = (("left", (p, q)), ("right", (q, r)))
+    sides = [("left", (p, q))]
+    if (q, r) != (p, q):
+        sides.append(("right", (q, r)))
     _within_cap(b, [(n, ns) for n in range(b + 1) for _, ns in sides])
     for n in range(b + 1):
         for side, ns in sides:

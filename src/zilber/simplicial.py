@@ -315,9 +315,11 @@ class SimplicialAbelianGroup:
     have).  Not mutated after construction, so results are kept on it:
     doldkan keeps C(A) in chains (None until asked for) and normalize's
     result per Moore convention in normalizations, operator_matrix keeps
-    X(f) per monotone map f in operators, and ez.shuffle_product keeps the
+    X(f) per monotone map f in operators, ez.shuffle_product keeps the
     Eilenberg-Zilber pair of (A, B) per partner B in shuffle_products (None
-    until asked for; keyed weakly, so A keeps no partner alive)."""
+    until asked for; keyed weakly, so A keeps no partner alive), and
+    filtration.skeletal_filtration keeps the skeletal filtration, with its
+    stage spans, in skeletal (None until asked for)."""
 
     def __init__(self, dim_bound, ranks, face_mats, degen_mats, check=True):
         if dim_bound < 0:
@@ -325,6 +327,7 @@ class SimplicialAbelianGroup:
         self.dim_bound = dim_bound
         self.chains = None
         self.shuffle_products = None
+        self.skeletal = None
         self.normalizations = {}
         self.operators = {}
         self.ranks = r = list(ranks)

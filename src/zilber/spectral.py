@@ -127,20 +127,30 @@ class SpectralSequence:
     def convergence_check(self):
         """E_∞ invariants equal the associated graded of H_*(ambient) with
         respect to the induced filtration F_p H_n = image of
-        (ker d ∩ F_p) in H_n."""
+        (ker d ∩ F_p) in H_n.
+
+        ker d ∩ F_p is computed from kernel_basis(d), never from the pages'
+        Z, once per stage id, and the graded piece once per pair of ids of
+        F_p and F_{p-1}: equal ids give (Z + im)/(Z + im) = 0."""
         amb = self.F.ambient
         top = amb.top_degree
         einf = self.infinity()
+        ids = self._store._id
         for n in range(top + 1):
             kern = la.kernel_basis(amb.diff(n))
             im = la.image_basis(amb.diff(n + 1))
-            zp1 = la.zeros(amb.rank(n), 0)  # ker d ∩ F_{-1} = 0
+            cycles = {-1: la.zeros(amb.rank(n), 0)}  # id -> ker d ∩ F_p
+            graded = {}  # (id of F_p, id of F_{p-1}) -> orders of gr_p
             for p in range(self.F.p_max + 1):
-                zp = _span_of_preimage(kern, kern, self.F.stage(p, n))
-                gr = la.Subquotient(amb.rank(n), la.hstack(zp, im),
-                                    la.hstack(zp1, im))
-                zp1 = zp
-                if gr.orders != einf[(p, n - p)].orders:
+                a, b = ids(p, n), ids(p - 1, n)
+                if a not in cycles:
+                    cycles[a] = _span_of_preimage(kern, kern,
+                                                  self.F.stage(p, n))
+                if (a, b) not in graded:
+                    graded[(a, b)] = [] if a == b else la.Subquotient(
+                        amb.rank(n), la.hstack(cycles[a], im),
+                        la.hstack(cycles[b], im)).orders
+                if graded[(a, b)] != einf[(p, n - p)].orders:
                     return CheckCertificate(
                         False, witness=(p, n - p),
                         detail=f"E_∞^{{{p},{n-p}}} differs from the associated "

@@ -24,6 +24,7 @@ from zilber.promonoidal import (CoendTooLarge, NaryMu, _colimit_coend,
                                 _hom_coend, coend, delta_mu_associativity_check,
                                 delta_mu_unit_check, delta_op_promonoidal,
                                 poset_category)
+from zilber.simplicial import CheckCertificate
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +415,36 @@ def test_the_associativity_check_names_the_nesting_that_fails(
     cert = delta_mu_associativity_check(1, 0, 2, 2)
     assert not cert.ok and cert.witness == (side, n)
     assert cert.detail == f"{side} nesting is not in bijection"
+
+
+@pytest.mark.parametrize("p,b,joined", [(0, 2, True), (1, 2, True),
+                                         (2, 2, True), (1, 3, True),
+                                         (1, 2, False)])
+def test_equal_entries_build_and_cap_each_coend_once(monkeypatch, p, b,
+                                                     joined):
+    # with p = q = r the left nesting (p, q) and the right one (q, r) are
+    # one Kan coend: it is capped and built once per n, and the certificate
+    # is the one the two sides give when each is built (a failure when the
+    # engine joins nothing)
+    if not joined:
+        monkeypatch.setattr(promonoidal, "_least_representatives",
+                            no_union_at(None))
+    real_kan, real_cap = promonoidal._kan_failure, promonoidal._within_cap
+    expected = next((CheckCertificate(False, witness=(side, n),
+                                      detail=f"{side} nesting is not in "
+                                             f"bijection")
+                     for n in range(b + 1) for side in ("left", "right")
+                     if real_kan(n, (p, p), b) is not None),
+                    CheckCertificate(True, detail="μ∘(μ×1) ≅ μ∘(1×μ) ≅ "
+                                                  "Map([n], [p]×[q]×[r])"))
+    built, capped = [], []
+    monkeypatch.setattr(promonoidal, "_kan_failure",
+                        lambda *a: built.append(a) or real_kan(*a))
+    monkeypatch.setattr(promonoidal, "_within_cap",
+                        lambda b, cs: capped.append(list(cs)) or real_cap(b, cs))
+    cert = delta_mu_associativity_check(p, p, p, b)
+    assert (cert.ok, cert.witness, cert.detail) == \
+        (expected.ok, expected.witness, expected.detail)
+    stop = b + 1 if cert.ok else cert.witness[1] + 1
+    assert built == [(n, (p, p), b) for n in range(stop)]
+    assert capped == [[(n, (p, p)) for n in range(b + 1)]]

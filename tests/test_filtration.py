@@ -2,15 +2,20 @@
 convolution, filtered pairings."""
 
 import json
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zilber import _random as zrandom
+from zilber import filtration
 from zilber import intlinalg as la
 from zilber.chains import ChainMap, homology, identity_chain_map
 from zilber.delta import enumerate_surjections
 from zilber.doldkan import normalize
+from zilber.ez import _koszul_swap, _tensor_associator
 from zilber.filtration import (FilteredChainComplex, FilteredPairing,
                                _kron_columns, _tensor_column,
                                constant_filtration,
@@ -346,3 +351,229 @@ def test_filtered_ez_computes_its_containment_certificate_once(monkeypatch):
     assert calls == [P]
     assert Q.containment_certificate() is Q.containment_certificate()
     assert calls == [P, Q]
+
+
+# ---------------------------------------------------------------------------
+# kept stage spans against la.spans_equal, which factors both sides afresh
+
+
+def stagewise_equal_by_spans_equal(F, G):
+    """Oracle for filtrations_stagewise_equal."""
+    top = F.ambient.top_degree
+    if [F.ambient.rank(n) for n in range(top + 1)] != \
+            [G.ambient.rank(n) for n in range(G.ambient.top_degree + 1)]:
+        return False
+    return all(la.spans_equal(F.stage(p, n), G.stage(p, n))
+               for p in range(max(F.p_max, G.p_max) + 1)
+               for n in range(top + 1))
+
+
+def first_unequal_image(X, Y, mats):
+    """Oracle for the symmetry and associativity checks: (ok, witness) of
+    comparing span(mats[n] X_p) with Y_p stage by stage."""
+    for p in range(X.p_max + 1):
+        for n in range(X.ambient.top_degree + 1):
+            if not la.spans_equal(la.mat_mul(mats[n], X.stage(p, n)),
+                                  Y.stage(p, n)):
+                return False, (p, n)
+    return True, None
+
+
+def stage_cells(X):
+    """The (p, n, j) of every nonzero stage column of X."""
+    return [(p, n, j) for p in range(X.p_max + 1)
+            for n in range(X.ambient.top_degree + 1)
+            for j, col in enumerate(X.stages[p][n]) if col]
+
+
+def corrupted(X, cell, mode):
+    """X, unvalidated, with column j of stage (p, n) dropped or doubled; a
+    convolution keeps its basis."""
+    p, n, j = cell
+    stages = [dict(stage) for stage in X.stages]
+    cols = list(stages[p][n])
+    if mode == "drop":
+        del cols[j]
+    else:
+        cols[j] = tuple((i, 2 * x) for i, x in cols[j])
+    stages[p][n] = la.Sparse(cols, stages[p][n].nrows)
+    out = FilteredChainComplex(X.ambient, stages, X.p_max, check=False)
+    if hasattr(X, "basis"):
+        out.basis = X.basis
+    return out
+
+
+MODES = st.sampled_from(["drop", "double"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_stagewise_equality_matches_spans_equal(seed, data):
+    rng = random.Random(seed)
+    F = zrandom.rand_filtration(rng, p_max=rng.randrange(4), top_degree=2,
+                                max_total_rank=5)
+    G = zrandom.rand_filtration(rng, p_max=rng.randrange(4), top_degree=2,
+                                max_total_rank=5)
+    conv = day_convolution(F, unit_filtration())
+    pairs = [(F, G), (conv, F), (F, conv)]
+    cells = stage_cells(conv)
+    if cells:
+        bad = corrupted(conv, data.draw(st.sampled_from(cells)),
+                        data.draw(MODES))
+        # a convolution stage is a basis: any dropped or doubled column
+        # changes its span
+        assert not filtrations_stagewise_equal(bad, F)
+        pairs += [(bad, F), (F, bad)]
+    for X, Y in pairs:
+        assert filtrations_stagewise_equal(X, Y) == \
+            stagewise_equal_by_spans_equal(X, Y)
+
+
+def recording_convolutions(corrupt=None):
+    """A day_convolution that records what it returns, in call order;
+    corrupt = (call, draw) hands the output of that call to draw, which
+    returns the convolution to use instead."""
+    made = []
+    real = filtration.day_convolution
+
+    def conv(F, G):
+        out = real(F, G)
+        if corrupt is not None and len(made) == corrupt[0]:
+            out = corrupt[1](out)
+        made.append(out)
+        return out
+
+    return conv, made
+
+
+def corrupt_with(data):
+    """A corruption of a drawn nonzero column of a convolution, by a drawn
+    mode; the convolution itself when it has no nonzero column."""
+
+    def draw(X):
+        cells = stage_cells(X)
+        if not cells:
+            return X
+        return corrupted(X, data.draw(st.sampled_from(cells)),
+                         data.draw(MODES))
+
+    return draw
+
+
+def small_filtrations(rng, k):
+    return [zrandom.rand_filtration(rng, p_max=rng.randrange(3),
+                                    top_degree=rng.randrange(1, 3),
+                                    max_total_rank=3) for _ in range(k)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([None, 0, 1]), st.data())
+def test_symmetry_check_matches_spans_equal(seed, call, data):
+    F, G = small_filtrations(random.Random(seed), 2)
+    conv, made = recording_convolutions(
+        None if call is None else (call, corrupt_with(data)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtration, "day_convolution", conv)
+        cert = convolution_symmetry_check(F, G)
+    FG, GF = made
+    want = first_unequal_image(FG, GF, _koszul_swap(FG.basis, GF.basis))
+    assert (cert.ok, cert.witness) == want
+    if call is None:
+        assert cert.ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([None, 2, 3]), st.data())
+def test_associativity_check_matches_spans_equal(seed, call, data):
+    F, G, H = small_filtrations(random.Random(seed), 3)
+    conv, made = recording_convolutions(
+        None if call is None else (call, corrupt_with(data)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtration, "day_convolution", conv)
+        cert = convolution_associativity_check(F, G, H)
+    FG, GH, L, R = made
+    want = first_unequal_image(
+        L, R, _tensor_associator(L.basis, FG.basis, R.basis, GH.basis))
+    assert (cert.ok, cert.witness) == want
+    if call is None:
+        assert cert.ok
+
+
+def test_a_doubled_convolution_column_fails_both_checks():
+    rng = random.Random(41)
+    F, G, H = (zrandom.rand_filtration(rng, p_max=1, top_degree=1,
+                                       max_total_rank=3) for _ in range(3))
+
+    def double_first(X):
+        return corrupted(X, stage_cells(X)[0], "double")
+
+    for call, check, args in [(1, convolution_symmetry_check, (F, G)),
+                              (3, convolution_associativity_check, (F, G, H))]:
+        conv, _ = recording_convolutions((call, double_first))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filtration, "day_convolution", conv)
+            assert not check(*args).ok
+
+
+def test_day_convolution_factors_each_distinct_input_once(monkeypatch):
+    # one SNF per distinct input with a nonzero entry, and the validation
+    # of the output runs none: it reads the spans the bases came from
+    inputs = []
+    real_image, real_snf = la.image_and_span, la._smith_with_inverses
+    snfs = []
+    monkeypatch.setattr(la, "image_and_span",
+                        lambda M: inputs.append(M) or real_image(M))
+    monkeypatch.setattr(la, "_smith_with_inverses",
+                        lambda M, track: snfs.append(M) or real_snf(M, track))
+    rng = random.Random(43)
+    for _ in range(6):
+        F, G = (zrandom.rand_filtration(rng, p_max=2, max_total_rank=4)
+                for _ in range(2))
+        inputs.clear()
+        snfs.clear()
+        day_convolution(F, G)
+        distinct = {(M.nrows, M) for M in inputs}
+        assert len(distinct) == len(inputs)
+        assert [(M.nrows, M) for M in snfs] == \
+            [(M.nrows, M) for M in inputs if any(M)]
+
+
+BAD_STAGES = {  # d e1 = v in degree 1 over ℤv in degree 0
+    "not closed": ([{0: [[]], 1: [[1]]}, {0: [[1]], 1: [[1]]}],
+                   "stage 0 is not closed under d in degree 1"),
+    "not nested": ([{0: [[1]], 1: [[1]]}, {0: [[1]], 1: [[]]}],
+                   "stage 0 is not contained in stage 1 in degree 1"),
+    "not exhaustive": ([{0: [[1]], 1: [[]]}, {0: [[1]], 1: [[2]]}],
+                       "top stage does not exhaust the ambient in degree 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STAGES))
+def test_pre_factored_spans_do_not_bypass_validation(name):
+    from zilber.chains import ChainComplex
+    C = ChainComplex([1, 1], {1: [[1]]})
+    stages, message = BAD_STAGES[name]
+    stages = [{n: la.as_sparse(M, 1) for n, M in stage.items()}
+              for stage in stages]
+    spans = {(M.nrows, M): la.image_and_span(M)[1]
+             for stage in stages for M in stage.values()}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FilteredChainComplex(C, stages, 1, spans=spans)
+
+
+def test_a_group_keeps_its_skeletal_filtration():
+    A = free_abelian(product(circle(2), circle(2)))
+    F = skeletal_filtration(A)
+    assert skeletal_filtration(A) is F
+    assert filtered_ez(A, A).F is F
+
+
+def test_a_group_with_a_kept_skeletal_filtration_pickles():
+    A = free_abelian(circle(2))
+    F = skeletal_filtration(A)
+    copied = pickle.loads(pickle.dumps(A))
+    G = skeletal_filtration(copied)
+    assert copied.skeletal is G and G is not F
+    assert G.p_max == F.p_max and G.stages == F.stages
+    assert filtrations_stagewise_equal(F, G)
+    assert filtered_ez(copied, copied).containment_certificate().ok

@@ -3,14 +3,15 @@ recursion, convergence, first-page identification, Leibniz pairings."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from zilber import _random as zrandom
 from zilber import intlinalg as la
 from zilber import spectral
-from zilber.filtration import (day_convolution, filtered_ez,
-                               skeletal_filtration)
+from zilber.filtration import (FilteredChainComplex, day_convolution,
+                               filtered_ez, skeletal_filtration)
 from zilber.simplicial import circle, free_abelian, product, standard_simplex
 from zilber.spectral import (PagePairing, SpectralSequence, _invariant_checks,
                              _span_of_preimage, compute_pages, heart_check,
@@ -431,3 +432,85 @@ def test_free_ranks_of_every_page_match_a_rational_oracle():
         moved += any(want[(1, p, q)] != want[(S.r_inf, p, q)]
                      for _, p, q in want)
     assert moved  # some d_r is nonzero over ℚ
+
+
+# ---------------------------------------------------------------------------
+# convergence keyed on stage ids
+
+
+def convergence_by_definition(S):
+    """Oracle for convergence_check: (ok, witness), with ker d ∩ F_p and
+    each graded piece computed afresh for every p, no stage shared."""
+    amb = S.F.ambient
+    einf = S.infinity()
+    for n in range(amb.top_degree + 1):
+        kern = la.kernel_basis(amb.diff(n))
+        im = la.image_basis(amb.diff(n + 1))
+        zp1 = la.zeros(amb.rank(n), 0)
+        for p in range(S.F.p_max + 1):
+            zp = _span_of_preimage(kern, kern, S.F.stage(p, n))
+            gr = la.Subquotient(amb.rank(n), la.hstack(zp, im),
+                                la.hstack(zp1, im))
+            zp1 = zp
+            if gr.orders != einf[(p, n - p)].orders:
+                return False, (p, n - p)
+    return True, None
+
+
+def repeated_stages(F, rng):
+    """F with each stage listed one to three times: equal stages, next to
+    each other, under other p."""
+    stages = [stage for stage in F.stages for _ in range(rng.randrange(1, 4))]
+    return FilteredChainComplex(F.ambient, stages, len(stages) - 1)
+
+
+def repeated_filtrations():
+    rng = random.Random(61)
+    out = [repeated_stages(zrandom.rand_filtration(rng, p_max=1 + t % 3,
+                                                   max_total_rank=6), rng)
+           for t in range(8)]
+    T = skeletal_filtration(free_abelian(product(circle(2), circle(2))))
+    out.append(FilteredChainComplex(T.ambient, [T.stages[0]] + T.stages,
+                                    T.p_max + 1))
+    return out
+
+
+def counted_snfs(monkeypatch):
+    calls = []
+    real = la._smith_with_inverses
+
+    def counted(M, track=la.ALL_TRANSFORMS):
+        calls.append(None)
+        return real(M, track)
+
+    monkeypatch.setattr(la, "_smith_with_inverses", counted)
+    return calls
+
+
+def test_keyed_convergence_gives_the_same_certificate_with_fewer_snfs(
+        monkeypatch):
+    snfs = counted_snfs(monkeypatch)
+    for F in repeated_filtrations():
+        S = SpectralSequence(F)
+        list(S.infinity().values())
+        del snfs[:]
+        cert = S.convergence_check()
+        keyed = len(snfs)
+        del snfs[:]
+        assert (cert.ok, cert.witness) == convergence_by_definition(S) == \
+            (True, None)
+        assert keyed < len(snfs)
+
+
+def test_keyed_convergence_catches_every_corrupted_infinity_entry():
+    for F in repeated_filtrations()[::3]:
+        S = SpectralSequence(F)
+        einf = dict(S.infinity().items())
+        for key, sq in einf.items():
+            # a torsion summand more, or the last summand dropped
+            orders = sq.orders[:-1] if sq.orders else [3]
+            fake = {**einf, key: SimpleNamespace(orders=orders)}
+            S.infinity = lambda fake=fake: fake
+            cert = S.convergence_check()
+            assert (cert.ok, cert.witness) == \
+                convergence_by_definition(S) == (False, key)
