@@ -155,7 +155,7 @@ def identity_chain_map(C):
 
 def _homology_subquotient(C, n):
     """H_n(C) = ker d_n / im d_{n+1} as a Subquotient of C_n."""
-    return Subquotient(C.rank(n), la.kernel_basis(C.diff(n)),
+    return Subquotient(la.Span(la.kernel_basis(C.diff(n))),
                        la.image_basis(C.diff(n + 1)))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -453,6 +454,8 @@ def cmd_ss(args):
     if token == "random":
         if args.trials < 1:
             raise InputError("--trials must be positive")
+        if args.p_max < 0:
+            raise InputError("--p-max must be nonnegative")
         rng = random.Random(args.seed)
 
         def trial(t):
@@ -544,8 +547,7 @@ def cmd_promonoidal(args):
         if check == "mu-assoc":
             if args.entries is None:
                 # sweep every ordered triple with entries <= b
-                import itertools as _it
-                for entries in _it.product(range(args.b + 1), repeat=3):
+                for entries in itertools.product(range(args.b + 1), repeat=3):
                     certs.append(cert_dict(
                         promonoidal.delta_mu_associativity_check(
                             *entries, b=args.b),

@@ -22,11 +22,13 @@ class FilteredChainComplex:
     The la.Span of each distinct stage matrix is factored once, keyed by
     (rows, matrix), and kept: validation and every later reader of
     ``span(p, n)`` share it.  ``spans`` may hand in spans already factored
-    under those keys (day_convolution passes the ones its image bases came
-    from); validation still runs every closure, nesting and exhaustion
+    under those keys (day_convolution passes the spans whose bases are its
+    stages); validation still runs every closure, nesting and exhaustion
     test, on them.  Stages and spans must not be changed afterwards."""
 
     def __init__(self, ambient, stages, p_max, check=True, spans=None):
+        if p_max < 0:
+            raise ValueError(f"p_max must be nonnegative, not {p_max}")
         self.ambient = ambient
         self.p_max = p_max
         self._spans = dict(spans or {})  # (rows, stage matrix) -> Span
@@ -200,9 +202,7 @@ def day_convolution(F, G):
     E, tb = tensor(F.ambient, G.ambient)
     p_max = F.p_max + G.p_max
     stages = [{} for _ in range(p_max + 1)]
-    # (rows, input) -> image basis and (rows, basis) -> Span: one SNF per
-    # distinct input, whose Span the output keeps for its basis
-    bases, spans = {}, {}
+    spans = {}  # (rows, input) -> Span: one SNF per distinct input
     for k in range(E.top_degree + 1):
         if not tb.rank(k):  # every stage is 0 x 0
             for stage in stages:
@@ -222,12 +222,12 @@ def day_convolution(F, G):
                                                           min(n, F.p_max) + 1)
                                            for off, Fa, Gb in splits])
             key = (M.nrows, M)
-            if key not in bases:
-                basis, span = la.image_and_span(M)
-                bases[key] = basis
-                spans[(basis.nrows, basis)] = span
-            stages[n][k] = bases[key]
-    out = FilteredChainComplex(E, stages, p_max, spans=spans)
+            if key not in spans:
+                spans[key] = la.Span(M)
+            stages[n][k] = spans[key].basis
+    # each stage is the basis of a span: the output keeps that span
+    out = FilteredChainComplex(E, stages, p_max, spans={
+        (sp.nrows, sp.basis): sp for sp in spans.values()})
     out.basis = tb
     return out
 
@@ -297,8 +297,7 @@ def graded_pieces(F):
     out = []
     top = F.ambient.top_degree
     for p in range(F.p_max + 1):
-        sqs = [la.Subquotient(F.ambient.rank(n), _saturate_stage(F, p, n),
-                              F.stage(p - 1, n))
+        sqs = [la.Subquotient(_graded_z(F, p, n), F.stage(p - 1, n))
                for n in range(top + 1)]
         for sq in sqs:
             if sq.torsion:
@@ -311,14 +310,12 @@ def graded_pieces(F):
     return out
 
 
-def _saturate_stage(F, p, n):
-    """Stage generator columns as a matrix (identity when the stage is the
-    whole ambient group, keeping quotient bookkeeping simple)."""
-    M = F.stage(p, n)
-    rn = F.ambient.rank(n)
-    if la.spans_lattice(M):
-        return la.identity(rn)
-    return M
+def _graded_z(F, p, n):
+    """The Z of gr_p in degree n: the kept span of stage (p, n), or that of
+    the identity when the stage is the whole ambient group, keeping
+    quotient bookkeeping simple."""
+    span = F.span(p, n)
+    return la.Span(la.identity(span.nrows)) if span.is_lattice() else span
 
 
 class FilteredPairing:

@@ -11,7 +11,8 @@ Row lists (a list of plain row lists of Python ints) remain in three
 places only:
 
 - the working arrays of the Smith normal form, and the transforms it
-  returns, which the solvers, ``Subquotient`` and the normalization read;
+  returns, which the solvers, ``Span``, ``Subquotient`` and the
+  normalization read;
 - input at the payload boundary, which ``as_sparse`` checks (its shape,
   and that every entry is an ``int``) and converts;
 - ``rows``, which writes a matrix as rows for JSON output.
@@ -28,14 +29,15 @@ pointer each.  Columns are immutable, so sharing changes no value.
 
 Every solver runs one Smith normal form U*M*V = S and builds only the
 transforms it reads: ``snf_diagonal``, ``rank`` and ``spans_lattice`` none,
-``kernel_basis`` V, ``image_basis`` Uinv, ``span_contains`` (so ``in_span``
-and ``spans_equal``) and ``Span``, which keeps it for many tests, U,
-``image_and_span``, which gives the image basis and its ``Span`` at once, U
-and Uinv, and ``solve_matrix`` (so ``inverse_unimodular``) U and V.  A
-matrix with no nonzero entry spans 0, and ``Span`` and ``image_and_span``
-run no SNF on it.  A ``Subquotient`` keeps U and Uinv of its Z generators, which give the basis of Z and the
-coordinates of any vector on it with no further SNF, and U and Uinv of
-the relations of B on that basis.
+``kernel_basis`` V, ``image_basis`` Uinv, ``solve_matrix`` (so
+``inverse_unimodular``) U and V, and ``Span`` U and Uinv.  A ``Span``
+keeps U, the diagonal and the image basis, not Uinv, and answers any
+number of coordinate and containment tests (``span_contains``, so
+``in_span`` and ``spans_equal``, build one for a single test) and the
+lattice test.  A matrix with no nonzero entry spans 0, and ``Span`` runs
+no SNF on it.  A ``Subquotient`` takes the ``Span`` of Z, which may be
+shared, and runs one SNF, of the coordinates of the B generators on the
+basis of Z.
 """
 
 from __future__ import annotations
@@ -432,16 +434,6 @@ def image_basis(M):
     return _image_from_snf(diag, Uinv)
 
 
-def image_and_span(M):
-    """The image basis of M (as image_basis gives it) and the Span of M,
-    from one SNF that builds U and Uinv; a matrix with no nonzero entry
-    runs none."""
-    if not any(M):
-        return zeros(M.nrows, 0), Span(M)
-    U, diag, _, Uinv, _ = _smith_with_inverses(M, ("U", "Uinv"))
-    return _image_from_snf(diag, Uinv), Span(M, (U, diag))
-
-
 def _image_from_snf(diag, Uinv):
     """The column span of M from U*M*V = S: the columns Uinv[:, j] * d_j
     over the nonzero diagonal entries d_j of S."""
@@ -477,32 +469,44 @@ def solve_matrix(M, B):
 
 
 class Span:
-    """The integer column span of A, factored by one SNF that serves any
-    number of containment tests and the lattice test.  An A with no nonzero
-    entry spans 0 and runs no SNF.  ``factored`` is U and the diagonal of
-    an SNF of A already run (see image_and_span)."""
+    """The integer column span of A, factored by one SNF U*A*V = S that
+    tracks U and Uinv.  It keeps U, the diagonal, ``basis`` (the image
+    basis, as image_basis gives it) and its column count ``rank``; Uinv is
+    not kept.  Since U*basis = [D; 0] with D the nonzero invariant factors,
+    the coordinates of b on ``basis`` are (U b)_i / d_i, with b in the span
+    iff every division is exact and (U b)_i = 0 for i >= rank; ``basis``
+    has full column rank, so they are unique.  An A with no nonzero entry
+    spans 0 and runs no SNF."""
 
-    def __init__(self, A, factored=None):
-        self.nrows, self.ncols = dims(A)
-        if factored is not None:
-            self._U, self._diag = factored
-        elif any(A):
-            self._U, self._diag, _, _, _ = _smith_with_inverses(A, ("U",))
+    def __init__(self, A):
+        self.nrows = A.nrows
+        if any(A):
+            self._U, self._diag, _, Uinv, _ = _smith_with_inverses(
+                A, ("U", "Uinv"))
+            basis = _image_from_snf(self._diag, Uinv)
         else:
-            self._U, self._diag = None, []
+            self._U, self._diag, basis = None, [], zeros(A.nrows, 0)
+        # a kept stage is often its own image basis: hold one copy of it
+        self.basis = A if basis == A else basis
+        self.rank = self.basis.ncols
+
+    def coords(self, B):
+        """The coordinates of the columns of B on ``basis``, as a matrix,
+        or None if some column is not in the span."""
+        if B.nrows != self.nrows:
+            raise ValueError(f"row count mismatch: a {B.nrows}-row matrix "
+                             f"against a Span in {self.nrows} rows")
+        if self._U is None:  # the zero span
+            return None if any(B) else zeros(0, B.ncols)
+        return _diagonal_solve(self._diag, _rows_times(self._U, B), self.rank)
 
     def contains(self, B):
         """Is every column of B in the span?"""
-        if B.nrows != self.nrows:
-            raise ValueError("row count mismatch in span_contains")
-        if self._U is None:  # the zero span
-            return not any(B)
-        return _diagonal_solve(self._diag, _rows_times(self._U, B),
-                               self.ncols) is not None
+        return self.coords(B) is not None
 
     def is_lattice(self):
         """Is the span all of ℤ^rows (see spans_lattice)?"""
-        return len(self._diag) == self.nrows and all(d == 1 for d in self._diag)
+        return self.rank == self.nrows and all(d == 1 for d in self._diag)
 
 
 def span_contains(A, B):
@@ -537,47 +541,32 @@ def inverse_unimodular(M):
 class Subquotient:
     """A subquotient Z/B of ℤ^n, with generator lifts and coordinates.
 
-    Z and B are given by matrices of generator columns with n rows; B must
-    be contained in the span of Z.  The quotient is put in invariant-factor
-    form: it is ⊕_i ℤ/orders[i] with the convention order 0 = ℤ, and
-    ``lifts`` holds an ambient representative for each cyclic summand
-    generator.
+    Z is a Span in ℤ^n and B is given by a matrix of generator columns with
+    n rows; B must be contained in Z.  The quotient is put in
+    invariant-factor form: it is ⊕_i ℤ/orders[i] with the convention order
+    0 = ℤ, and ``lifts`` holds an ambient representative for each cyclic
+    summand generator.
 
-    One SNF U_Z z_gens V_Z = S_Z gives the basis of Z, Uinv_Z[:, :r] D with
-    D = diag(d_1..d_r) the nonzero invariant factors, and since
-    U_Z zbasis = [D; 0], the coordinates of v on that basis are
-    (U_Z v)_i / d_i, with v in Z iff the division is exact and (U_Z v)_i = 0
-    for i >= r.  Z has full column rank, so these coordinates are unique.
-    A second SNF, of the coordinate matrix R of b_gens, splits the quotient.
-    When z_gens has no nonzero entry there is no SNF at all: Z = 0, so B
-    must be 0 and the quotient is the zero group.
+    Coordinates on Z are those on Z.basis (Span.coords), so the one SNF
+    here is of the coordinate matrix R of b_gens, which splits the
+    quotient.  When Z = 0, R has no rows and that SNF returns at once: the
+    quotient is the zero group.
     """
 
-    def __init__(self, ambient_dim, z_gens, b_gens):
-        if z_gens.nrows != ambient_dim or b_gens.nrows != ambient_dim:
-            raise ValueError("generators must be given as an ambient_dim-row matrix")
-        if not any(z_gens):  # Z = 0: no SNF, and only B = 0 is contained
-            if any(b_gens):
-                raise ValueError("B is not contained in Z")
-            self._Uz = None
-            self.orders, self._U, self._kept, self.lifts = [], [], [], []
-            self.free_rank, self.torsion = 0, []
-            return
-        Uz, diag_z, _, Uz_inv, _ = _smith_with_inverses(z_gens, ("U", "Uinv"))
-        self._zbasis = _image_from_snf(diag_z, Uz_inv)
-        r = self._zbasis.ncols
-        self._Uz, self._diag_z = Uz, diag_z
-        R = self._z_coords(b_gens)
+    def __init__(self, Z, b_gens):
+        R = Z.coords(b_gens)
         if R is None:
             raise ValueError("B is not contained in Z")
         U, diag, _, Uinv, _ = _smith_with_inverses(R, ("U", "Uinv"))
+        r = Z.rank
         diag = diag + [0] * (r - len(diag))
         kept = [i for i in range(r) if diag[i] != 1]
+        self._Z = Z
         self.orders = [diag[i] for i in kept]
         self._U = U
         self._kept = kept
-        # ambient lift of generator i: zbasis * (Uinv column i)
-        self.lifts = [mat_vec(self._zbasis, [row[i] for row in Uinv])
+        # ambient lift of generator i: Z.basis * (Uinv column i)
+        self.lifts = [mat_vec(Z.basis, [row[i] for row in Uinv])
                       for i in kept]
         self.free_rank = sum(1 for o in self.orders if o == 0)
         self.torsion = [o for o in self.orders if o >= 2]
@@ -586,21 +575,13 @@ class Subquotient:
     def ngens(self):
         return len(self.orders)
 
-    def _z_coords(self, B):
-        """The coordinates of the columns of B on the basis of Z, as a
-        matrix, or None if some column is not in Z."""
-        if self._Uz is None:  # Z = 0
-            return None if any(B) else zeros(0, B.ncols)
-        return _diagonal_solve(self._diag_z, _rows_times(self._Uz, B),
-                               self._zbasis.ncols)
-
     def contains(self, v):
-        return self._z_coords(from_columns([v], len(v))) is not None
+        return self._Z.contains(from_columns([v], len(v)))
 
     def coords(self, v):
         """Coordinates of the class of v on the cyclic generators (reduced
         mod torsion orders).  Raises ValueError if v is not in Z."""
-        c = self._z_coords(from_columns([v], len(v)))
+        c = self._Z.coords(from_columns([v], len(v)))
         if c is None:
             raise ValueError("vector not in the subgroup Z")
         y = [sum([row[k] * x for k, x in c[0]]) for row in self._U]

@@ -10,6 +10,7 @@ reindexing is applied.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Mapping
 from functools import partial
 
@@ -51,6 +52,8 @@ class SpectralSequence:
       Z_{r-1}^{p+r-1,n+1};
     - an entry's Subquotient by (key of Z, key of B), so the pages past
       r_inf share the Subquotients of E_∞;
+    - one la.Span per distinct Z generator matrix, for entries, page
+      recursion and convergence alike, a stage's being F's kept span;
     - the invariants of the homology of (E_r, d_r) at (p, n) by the keys of
       Z_{r+1}^{p,n}, B_r^{p,n} and Z_r^{p+r,n+1}."""
 
@@ -117,7 +120,7 @@ class SpectralSequence:
                 den = la.hstack(b_r, la.mat_mul(amb.diff(n + 1),
                                                 st.z_of(key[2])))
                 orders = self._recursions[key] = la.Subquotient(
-                    amb.rank(n), num, den).orders
+                    st.span_of(num), den).orders
             if orders != sq_next.orders:
                 return CheckCertificate(
                     False, witness=(r, p, q),
@@ -148,7 +151,7 @@ class SpectralSequence:
                                                   self.F.stage(p, n))
                 if (a, b) not in graded:
                     graded[(a, b)] = [] if a == b else la.Subquotient(
-                        amb.rank(n), la.hstack(cycles[a], im),
+                        self._store.span_of(la.hstack(cycles[a], im)),
                         la.hstack(cycles[b], im)).orders
                 if graded[(a, b)] != einf[(p, n - p)].orders:
                     return CheckCertificate(
@@ -191,6 +194,10 @@ class _Store:
         self._ids = _stage_ids(F)
         self._zs = {}  # Z key -> generator columns
         self._bs = {}  # B key -> generator columns
+        self._spans = {}  # (rows, Z generator matrix) -> la.Span
+        self._stages = {(S.nrows, S): (p, n)  # (rows, stage matrix) -> (p, n)
+                        for p, stage in enumerate(F.stages)
+                        for n, S in stage.items()}
         self._entries = {}  # (Z key, B key) -> Subquotient
 
     def _id(self, p, n):
@@ -224,6 +231,17 @@ class _Store:
             self._zs[key] = Z
         return Z
 
+    def span_of(self, Z):
+        """The la.Span of the generator matrix Z, one per distinct matrix;
+        a Z equal to a stage (p, n) of F takes F.span(p, n)."""
+        key = (Z.nrows, Z)
+        sp = self._spans.get(key)
+        if sp is None:
+            stage = self._stages.get(key)
+            sp = self._spans[key] = (la.Span(Z) if stage is None
+                                     else self.F.span(*stage))
+        return sp
+
     def b_of(self, key):
         """Generators of B for a key of b_key: Z_1 + d Z_2 for the pair of
         Z keys, d from the degree of Z_2."""
@@ -241,7 +259,7 @@ class _Store:
         sq = self._entries.get(key)
         if sq is None:
             sq = self._entries[key] = la.Subquotient(
-                self.F.ambient.rank(n), self.z_of(key[0]), self.b_of(key[1]))
+                self.span_of(self.z_of(key[0])), self.b_of(key[1]))
         return sq
 
     def page(self, r, entries):
@@ -415,7 +433,6 @@ class PagePairing:
     def corrupted(self, key, i, j):
         """A copy with the sign of one generator product flipped (for
         negative controls)."""
-        import copy
         other = copy.copy(self)
         other.products = {k: [[list(v) for v in row] for row in tbl]
                           for k, tbl in self.products.items()}

@@ -69,6 +69,7 @@ def test_promonoidal_left_kan_failure_has_witness_and_exit_1(capsys):
     ["doldkan", "--random-complexes", "-1"],
     ["doldkan"],
     ["ss", "random", "--trials", "0"],
+    ["ss", "random", "--p-max", "-1", "--trials", "2"],
     ["ss", "sk:s1", "--pages", "-2"],
     ["skeleta", "--day-unit", "--trials", "-1"],
     ["skeleta"],

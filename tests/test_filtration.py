@@ -218,6 +218,12 @@ def test_filtration_validation_rejects_non_closed_stage():
         FilteredChainComplex(C, stages, 1)
 
 
+def test_a_negative_p_max_is_rejected_by_name():
+    # it used to fail as "top stage does not exhaust the ambient"
+    with pytest.raises(ValueError, match="^p_max must be nonnegative, not -1$"):
+        FilteredChainComplex(unit_filtration().ambient, [], -1)
+
+
 def test_validation_factors_each_distinct_stage_once(monkeypatch):
     factored = []
     real = la.Span
@@ -519,10 +525,9 @@ def test_day_convolution_factors_each_distinct_input_once(monkeypatch):
     # one SNF per distinct input with a nonzero entry, and the validation
     # of the output runs none: it reads the spans the bases came from
     inputs = []
-    real_image, real_snf = la.image_and_span, la._smith_with_inverses
+    real_span, real_snf = la.Span, la._smith_with_inverses
     snfs = []
-    monkeypatch.setattr(la, "image_and_span",
-                        lambda M: inputs.append(M) or real_image(M))
+    monkeypatch.setattr(la, "Span", lambda M: inputs.append(M) or real_span(M))
     monkeypatch.setattr(la, "_smith_with_inverses",
                         lambda M, track: snfs.append(M) or real_snf(M, track))
     rng = random.Random(43)
@@ -555,7 +560,7 @@ def test_pre_factored_spans_do_not_bypass_validation(name):
     stages, message = BAD_STAGES[name]
     stages = [{n: la.as_sparse(M, 1) for n, M in stage.items()}
               for stage in stages]
-    spans = {(M.nrows, M): la.image_and_span(M)[1]
+    spans = {(M.nrows, M): la.Span(M)
              for stage in stages for M in stage.values()}
     with pytest.raises(ValueError, match=f"^{message}$"):
         FilteredChainComplex(C, stages, 1, spans=spans)

@@ -558,8 +558,7 @@ def subquotients(draw):
 @given(subquotients())
 def test_subquotient_matches_the_solve_based_oracle(case):
     z_gens, b_gens, _, inside, anywhere = case
-    n = z_gens.nrows
-    sq = la.Subquotient(n, z_gens, b_gens)
+    sq = la.Subquotient(la.Span(z_gens), b_gens)
     oracle = SolveSubquotient(z_gens, b_gens)
     assert sq.orders == oracle.orders
     assert sq.lifts == oracle.lifts
@@ -581,7 +580,7 @@ def test_subquotient_invariants_match_sympy(case):
                if R.ncols else [])
     nonzero = [d for d in factors if d]
     expected = (R.nrows - len(nonzero), tuple(d for d in nonzero if d >= 2))
-    sq = la.Subquotient(z_gens.nrows, z_gens, b_gens)
+    sq = la.Subquotient(la.Span(z_gens), b_gens)
     assert (sq.free_rank, tuple(sq.torsion)) == expected
 
 
@@ -597,14 +596,14 @@ def test_spans_lattice(M, full):
 @pytest.mark.parametrize("z_cols", [0, 2], ids=["no-columns", "zero-columns"])
 def test_a_zero_z_holds_only_the_zero_b(z_cols):
     z_gens = la.zeros(3, z_cols)
-    sq = la.Subquotient(3, z_gens, la.zeros(3, 2))
+    sq = la.Subquotient(la.Span(z_gens), la.zeros(3, 2))
     assert (sq.orders, sq.lifts, sq.free_rank, sq.torsion) == ([], [], 0, [])
     assert sq.contains([0, 0, 0]) and sq.coords([0, 0, 0]) == []
     assert not sq.contains([0, 1, 0])
     with pytest.raises(ValueError, match="^vector not in the subgroup Z$"):
         sq.coords([0, 1, 0])
     with pytest.raises(ValueError, match="^B is not contained in Z$"):
-        la.Subquotient(3, z_gens, la.as_sparse([[0], [2], [0]], 3))
+        la.Subquotient(la.Span(z_gens), la.as_sparse([[0], [2], [0]], 3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -613,8 +612,19 @@ def test_one_span_answers_every_containment_and_the_lattice_test(data):
     A = data.draw(matrices())
     span = la.Span(A)
     assert span.is_lattice() == la.spans_lattice(A)
+    assert la.mat_eq(span.basis, la.image_basis(A))
+    assert span.rank == la.rank(A)
+    zero_spans = [la.Span(la.zeros(A.nrows, c)) for c in (0, 2)]
+    for zero in zero_spans:
+        assert la.dims(zero.basis) == (A.nrows, 0) and zero.rank == 0
+    with pytest.raises(ValueError, match="against a Span"):
+        span.coords(la.zeros(A.nrows + 1, 1))
     for _ in range(3):
         B = data.draw(matrices(rows=A.nrows, max_dim=3))
         inside = la.mat_mul(A, data.draw(matrices(rows=A.ncols, max_dim=3)))
         assert span.contains(B) == (la.solve_matrix(A, B) is not None)
+        assert (span.coords(B) is None) == (la.solve_matrix(A, B) is None)
         assert span.contains(inside)
+        assert la.mat_eq(la.mat_mul(span.basis, span.coords(inside)), inside)
+        for zero in zero_spans:
+            assert (zero.coords(B) is None) == (not la.is_zero(B))

@@ -71,7 +71,7 @@ def pages_by_definition(F, r_top):
 
     pages, diffs = {}, {}
     for r in range(1, r_top + 1):
-        pages[r] = {(p, n - p): la.Subquotient(amb.rank(n), z(r, p, n),
+        pages[r] = {(p, n - p): la.Subquotient(la.Span(z(r, p, n)),
                                                b(r, p, n))
                     for p in range(F.p_max + 1) for n in range(top + 1)}
         diffs[r] = {}
@@ -449,7 +449,7 @@ def convergence_by_definition(S):
         zp1 = la.zeros(amb.rank(n), 0)
         for p in range(S.F.p_max + 1):
             zp = _span_of_preimage(kern, kern, S.F.stage(p, n))
-            gr = la.Subquotient(amb.rank(n), la.hstack(zp, im),
+            gr = la.Subquotient(la.Span(la.hstack(zp, im)),
                                 la.hstack(zp1, im))
             zp1 = zp
             if gr.orders != einf[(p, n - p)].orders:
@@ -480,7 +480,7 @@ def counted_snfs(monkeypatch):
     real = la._smith_with_inverses
 
     def counted(M, track=la.ALL_TRANSFORMS):
-        calls.append(None)
+        calls.append(M)
         return real(M, track)
 
     monkeypatch.setattr(la, "_smith_with_inverses", counted)
@@ -500,6 +500,31 @@ def test_keyed_convergence_gives_the_same_certificate_with_fewer_snfs(
         assert (cert.ok, cert.witness) == convergence_by_definition(S) == \
             (True, None)
         assert keyed < len(snfs)
+
+
+def test_compute_pages_factors_each_distinct_z_matrix_once(monkeypatch):
+    # entries, page recursion and convergence of a filtration with
+    # repeated stages read many Z generator matrices under many keys: each
+    # distinct nonzero one is factored by one SNF, and a stage by none
+    # beyond the filtration's own span
+    filtrations = repeated_filtrations()
+    snfs = counted_snfs(monkeypatch)
+    spans = []
+    real = la.Span
+    monkeypatch.setattr(la, "Span", lambda A: spans.append(A) or real(A))
+    for F in filtrations:
+        stages = set()
+        for p in range(F.p_max + 1):
+            for n in range(F.ambient.top_degree + 1):
+                F.span(p, n)
+                stages.add((F.ambient.rank(n), F.stage(p, n)))
+        del snfs[:], spans[:]
+        compute_pages(F)
+        z_ids = set(map(id, spans))
+        factored = [(M.nrows, M) for M in snfs if id(M) in z_ids]
+        assert factored
+        assert len(set(factored)) == len(factored)
+        assert not set(factored) & stages
 
 
 def test_keyed_convergence_catches_every_corrupted_infinity_entry():
