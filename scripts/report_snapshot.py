@@ -12,9 +12,10 @@ space through free_abelian), ``ez delta2 delta2 --check chain --check aw
 --check unital --check symmetry --check kunneth --dim-bound 3`` (every
 check of one kept pair) and ``ez delta2 delta1 --third s1 --check assoc
 --dim-bound 3``, ``promonoidal --check coyoneda --check
-operator-frag --b 3 --length 3``, ``promonoidal --check product-colimit
---ns 1,1,1 --k-max 3``, ``promonoidal --check unit --check mu-assoc --b 3``
-and the failing ``promonoidal --check left-kan --ns 2,2 --b 3 --m 4``, with
+operator-frag --b 3 --length 3``, ``promonoidal --check coyoneda --b 4``,
+``promonoidal --check product-colimit --ns 1,1,1 --k-max 3``,
+``promonoidal --check unit --check mu-assoc --b 3`` and the failing
+``promonoidal --check left-kan --ns 2,2 --b 3 --m 4``, with
 ``python -m zilber.cli`` (so the zilber found on PYTHONPATH is the one
 measured).  Then it writes three payloads, built by that zilber, to
 OUTDIR as ``payload_NAME.json`` and feeds each on stdin (``-``): the ssimp
@@ -102,6 +103,7 @@ def invocations():
     # the coends and the product-colimit poset above the default bound
     out.append(["promonoidal", "--check", "coyoneda", "--check",
                 "operator-frag", "--b", "3", "--length", "3"])
+    out.append(["promonoidal", "--check", "coyoneda", "--b", "4"])
     out.append(["promonoidal", "--check", "product-colimit", "--ns", "1,1,1",
                 "--k-max", "3"])
     out.append(["promonoidal", "--check", "unit", "--check", "mu-assoc",

@@ -564,7 +564,7 @@ def cmd_promonoidal(args):
             certs.append(cert_dict(promonoidal.delta_mu_unit_check(args.b),
                                    "mu-unit"))
         elif check == "coyoneda":
-            C = promonoidal.delta_leq(args.b, check=False)
+            C = promonoidal.delta_leq(args.b)
             certs.append(cert_dict(
                 promonoidal.coyoneda_check(promonoidal.hom_profunctor(C)),
                 "coyoneda"))

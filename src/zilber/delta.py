@@ -71,13 +71,11 @@ def codegeneracy(n, i):
 
 @lru_cache(maxsize=None)
 def _enumerate_monotone_cached(m, n):
-    out = []
-    for ix in combinations(range(m + n + 1), m + 1):
-        # nondecreasing sequences of length m+1 in {0..n} via stars and bars
-        vals = tuple(x - k for k, x in enumerate(ix))
-        out.append(MonotoneMap(m, n, vals))
-    out.sort(key=lambda f: f.values)
-    return tuple(out)
+    # nondecreasing sequences of length m+1 in {0..n} via stars and bars;
+    # combinations are lexicographic and ix -> ix - (0, 1, ..., m) keeps
+    # that order, so the values come out lexicographic
+    return tuple(MonotoneMap(m, n, tuple(x - k for k, x in enumerate(ix)))
+                 for ix in combinations(range(m + n + 1), m + 1))
 
 
 def enumerate_monotone(m, n):

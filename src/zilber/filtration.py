@@ -94,10 +94,12 @@ class FilteredChainComplex:
         for v in la.columns(self.stages[p][n]):
             if n >= 1:
                 dv = la.mat_vec(self.ambient.diff(n), v)
-                if not la.in_span(self.stage(p, n - 1), dv):
+                if not self.span(p, n - 1).contains(
+                        la.from_columns([dv], len(dv))):
                     raise ValueError(
                         f"stage {p} is not closed under d in degree {n}")
-            if p < self.p_max and not la.in_span(self.stage(p + 1, n), v):
+            if p < self.p_max and not self.span(p + 1, n).contains(
+                    la.from_columns([v], len(v))):
                 raise ValueError(
                     f"stage {p} is not contained in stage {p+1} "
                     f"in degree {n}")
@@ -187,6 +189,8 @@ def _kron_columns(nrows, pieces):
     terms = []
     col = 0
     for off, X, Y in pieces:
+        # kron_sum would give the same columns, but would walk every column
+        # of X for an empty Y: day_convolution passes many empty stages
         if X.ncols and Y.ncols:
             terms.append((X, Y, off, col, 1))
             col += X.ncols * Y.ncols
@@ -204,7 +208,7 @@ def day_convolution(F, G):
     stages = [{} for _ in range(p_max + 1)]
     spans = {}  # (rows, input) -> Span: one SNF per distinct input
     for k in range(E.top_degree + 1):
-        if not tb.rank(k):  # every stage is 0 x 0
+        if not tb.rank(k):  # every stage is 0 x 0: build and key none
             for stage in stages:
                 stage[k] = la.zeros(0, 0)
             continue

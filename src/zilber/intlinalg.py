@@ -28,16 +28,15 @@ many unit columns of free objects and their tensor products cost one
 pointer each.  Columns are immutable, so sharing changes no value.
 
 Every solver runs one Smith normal form U*M*V = S and builds only the
-transforms it reads: ``snf_diagonal``, ``rank`` and ``spans_lattice`` none,
-``kernel_basis`` V, ``image_basis`` Uinv, ``solve_matrix`` (so
-``inverse_unimodular``) U and V, and ``Span`` U and Uinv.  A ``Span``
-keeps U, the diagonal and the image basis, not Uinv, and answers any
-number of coordinate and containment tests (``span_contains``, so
-``in_span`` and ``spans_equal``, build one for a single test) and the
-lattice test.  A matrix with no nonzero entry spans 0, and ``Span`` runs
-no SNF on it.  A ``Subquotient`` takes the ``Span`` of Z, which may be
-shared, and runs one SNF, of the coordinates of the B generators on the
-basis of Z.
+transforms it reads: ``snf_diagonal`` and ``rank`` none, ``kernel_basis``
+V, ``image_basis`` Uinv, ``solve_matrix`` (so ``inverse_unimodular``) U
+and V, and ``Span`` U and Uinv.  A ``Span`` keeps U, the diagonal and the
+image basis, not Uinv, and answers any number of coordinate and
+containment tests and the lattice test; ``span_contains`` builds one for
+a single test, and none when there is nothing to test.  A matrix with no
+nonzero entry spans 0, and ``Span`` runs no SNF on it.  A ``Subquotient``
+takes the ``Span`` of Z, which may be shared, and runs one SNF, of the
+coordinates of the B generators on the basis of Z.
 """
 
 from __future__ import annotations
@@ -412,13 +411,6 @@ def rank(M):
     return sum(1 for d in snf_diagonal(M) if d != 0)
 
 
-def spans_lattice(M):
-    """Is the column span of M all of ℤ^rows?  True iff M has as many
-    invariant factors as rows, all equal to 1."""
-    diag = snf_diagonal(M)
-    return len(diag) == M.nrows and all(d == 1 for d in diag)
-
-
 def kernel_basis(M):
     """Basis of the integer kernel of M, as the columns of a matrix; the
     kernel is saturated, so this is a genuine ℤ-basis."""
@@ -505,7 +497,8 @@ class Span:
         return self.coords(B) is not None
 
     def is_lattice(self):
-        """Is the span all of ℤ^rows (see spans_lattice)?"""
+        """Is the span all of ℤ^rows?  True iff A has as many invariant
+        factors as rows, all equal to 1."""
         return self.rank == self.nrows and all(d == 1 for d in self._diag)
 
 
@@ -514,15 +507,6 @@ def span_contains(A, B):
     if B.nrows != A.nrows:
         raise ValueError("row count mismatch in span_contains")
     return not B.ncols or Span(A).contains(B)
-
-
-def in_span(gens, v):
-    """Is v in the column span of gens (over ℤ)?"""
-    return span_contains(gens, from_columns([v], len(v)))
-
-
-def spans_equal(A, B):
-    return span_contains(A, B) and span_contains(B, A)
 
 
 def inverse_unimodular(M):
@@ -574,9 +558,6 @@ class Subquotient:
     @property
     def ngens(self):
         return len(self.orders)
-
-    def contains(self, v):
-        return self._Z.contains(from_columns([v], len(v)))
 
     def coords(self, v):
         """Coordinates of the class of v on the cyclic generators (reduced

@@ -7,7 +7,8 @@ Every coend is one union-find on integer indices.  Over Δ≤b the element
 (d, φ, u) of ∫^{[d]} Δ([x], [d]) × F(d) is off[d] + φ·|F(d)| + u, and a
 generating map's relations are index arithmetic; ``coend`` interns its
 tokens once.  A map of Δ≤b is the triple (a, c, i) of a map [a] -> [c] and
-its index i in enumerate_monotone(a, c), composed through comp_row.  The
+its index i in enumerate_monotone(a, c), composed through comp_row; a
+FiniteCategory stores no composite, but composes when a check asks.  The
 Δᵒᵖ unit and μ-associativity checks are left Kan comparisons.
 """
 
@@ -89,17 +90,18 @@ def coend(objects, elements, generators, push, pull):
 
 class FiniteCategory:
     """A finite category: hashable object and morphism tokens, source and
-    target maps, identities, and a full composition table (validated for
-    unit and associativity laws)."""
+    target maps, identities, and ``compose(g, f)`` = g∘f, a function on
+    composable pairs: no composite is stored, each is computed when read.
+    Validation checks the unit and associativity laws."""
 
-    def __init__(self, objects, morphisms, src, tgt, ident, comp, check=True,
-                 gens=None):
+    def __init__(self, objects, morphisms, src, tgt, ident, compose,
+                 check=True, gens=None):
         self.objects = list(objects)
         self.morphisms = list(morphisms)
         self.src = dict(src)
         self.tgt = dict(tgt)
         self.ident = dict(ident)
-        self.comp = dict(comp)
+        self.compose = compose
         self.gens = list(gens) if gens is not None else None
         if check:
             self._validate()
@@ -116,6 +118,7 @@ class FiniteCategory:
         return self.gens if self.gens is not None else self.morphisms
 
     def _validate(self):
+        compose = self.compose
         for c in self.objects:
             e = self.ident[c]
             if self.src[e] != c or self.tgt[e] != c:
@@ -123,24 +126,24 @@ class FiniteCategory:
         for f in self.morphisms:
             if self.src[f] not in self.objects or self.tgt[f] not in self.objects:
                 raise ValueError("morphism endpoints outside object set")
-            if self.comp[(self.ident[self.tgt[f]], f)] != f or \
-                    self.comp[(f, self.ident[self.src[f]])] != f:
+            if compose(self.ident[self.tgt[f]], f) != f or \
+                    compose(f, self.ident[self.src[f]]) != f:
                 raise ValueError("unit law fails")
         composable = [(g, f) for g in self.morphisms for f in self.morphisms
                       if self.src[g] == self.tgt[f]]
         for g, f in composable:
-            h = self.comp[(g, f)]
+            h = compose(g, f)
             if self.src[h] != self.src[f] or self.tgt[h] != self.tgt[g]:
                 raise ValueError("composite has wrong endpoints")
         for h in self.morphisms:
             for g in self.morphisms:
                 if self.src[h] != self.tgt[g]:
                     continue
-                hg = self.comp[(h, g)]
+                hg = compose(h, g)
                 for f in self.morphisms:
                     if self.src[g] != self.tgt[f]:
                         continue
-                    if self.comp[(hg, f)] != self.comp[(h, self.comp[(g, f)])]:
+                    if compose(hg, f) != compose(h, compose(g, f)):
                         raise ValueError("associativity fails")
 
 
@@ -149,8 +152,8 @@ def discrete_category(objects):
     morphisms = list(ident.values())
     src = {f: f[1] for f in morphisms}
     tgt = dict(src)
-    comp = {(f, f): f for f in morphisms}
-    return FiniteCategory(objects, morphisms, src, tgt, ident, comp)
+    return FiniteCategory(objects, morphisms, src, tgt, ident,
+                          lambda g, f: f)
 
 
 def poset_category(elements, leq):
@@ -160,13 +163,11 @@ def poset_category(elements, leq):
     src = {f: f[0] for f in morphisms}
     tgt = {f: f[1] for f in morphisms}
     ident = {a: (a, a) for a in elements}
-    comp = {((b, c), (a, b2)): (a, c)
-            for (a, b2) in morphisms for (b, c) in morphisms if b2 == b}
     covers = [(a, b) for (a, b) in morphisms if a != b
               and not any(c != a and c != b and leq(a, c) and leq(c, b)
                           for c in elements)]
-    return FiniteCategory(list(elements), morphisms, src, tgt, ident, comp,
-                          gens=covers)
+    return FiniteCategory(list(elements), morphisms, src, tgt, ident,
+                          lambda g, f: (f[0], g[1]), gens=covers)
 
 
 def _compose(g, f):
@@ -181,28 +182,27 @@ def _identity(n):
     return (n, n, monotone_position(n, n)[tuple(range(n + 1))])
 
 
-def delta_leq(b, check=True):
+def delta_leq(b):
     """The full subcategory of the simplex category on [0], ..., [b];
-    objects are the integers n for [n], morphisms are triples (a, c, i)."""
+    objects are the integers n for [n], morphisms are triples (a, c, i),
+    composed by _compose.  Not validated: call _validate to check it."""
     objects = list(range(b + 1))
     morphisms = [(p, q, i) for p in objects for q in objects
                  for i in range(monotone_count(p, q))]
     src = {f: f[0] for f in morphisms}
     tgt = {f: f[1] for f in morphisms}
     ident = {n: _identity(n) for n in objects}
-    comp = {(g, f): _compose(g, f) for g in morphisms for f in morphisms
-            if f[1] == g[0]}
-    return FiniteCategory(objects, morphisms, src, tgt, ident, comp,
-                          check=check, gens=generating_maps(b))
+    return FiniteCategory(objects, morphisms, src, tgt, ident, _compose,
+                          check=False, gens=generating_maps(b))
 
 
 def opposite(C):
     """The opposite category on the same tokens (already validated via C)."""
     src = {f: C.tgt[f] for f in C.morphisms}
     tgt = {f: C.src[f] for f in C.morphisms}
-    comp = {(g, f): h for (f, g), h in C.comp.items()}
-    return FiniteCategory(C.objects, C.morphisms, src, tgt, C.ident, comp,
-                          check=False, gens=C.gens)
+    return FiniteCategory(C.objects, C.morphisms, src, tgt, C.ident,
+                          lambda g, f: C.compose(f, g), check=False,
+                          gens=C.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def hom_profunctor(C):
     values = {(c, d): C.hom(c, d) for c in C.objects for d in C.objects}
 
     def action(f, x, g):
-        return C.comp[(C.comp[(g, x)], f)]
+        return C.compose(C.compose(g, x), f)
 
     return SetProfunctor(C, C, values, action)
 
@@ -341,7 +341,7 @@ def delta_op_promonoidal(b):
     [n] -> [p] × [q], i.e. pairs of triples out of [n], and the unit is
     the terminal profunctor (every [n] -> [0] is unique)."""
     _nonnegative("b", [b])
-    base = opposite(delta_leq(b, check=False))
+    base = opposite(delta_leq(b))
 
     def mu_value(p, q, n):
         return mul_delta((p, q), n)
@@ -412,7 +412,7 @@ class NaryMu:
         if n == 0:
             return data.eta_act(elem, g)
         if n == 1:
-            return base.comp[(g, elem)]
+            return base.compose(g, elem)
         if n == 2:
             return data.mu_act(base.ident[inputs[0]], base.ident[inputs[1]],
                                elem, g)

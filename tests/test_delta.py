@@ -36,6 +36,15 @@ def test_monotone_enumeration_counts():
             assert len(set(f.values for f in maps)) == len(maps)
 
 
+def test_monotone_enumeration_is_strictly_lexicographic():
+    # a triple (a, c, i) names the i-th map in this order
+    for m in range(5):
+        for n in range(5):
+            values = [f.values for f in enumerate_monotone(m, n)]
+            assert all(u < v for u, v in zip(values, values[1:]))
+            assert all(list(v) == sorted(v) and v[-1] <= n for v in values)
+
+
 def test_monotone_composition_matches_pointwise():
     for f in enumerate_monotone(2, 1):
         for g in enumerate_monotone(1, 3):

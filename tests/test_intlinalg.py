@@ -505,6 +505,18 @@ def test_smith_form_matches_the_reference(M):
     assert_smith_matches_the_reference(M)
 
 
+def _column(v):
+    """The one-column matrix of the vector v."""
+    return la.from_columns([v], len(v))
+
+
+def lattice_by_snf(M):
+    """Oracle for Span.is_lattice: does M have as many invariant factors
+    as rows, all equal to 1?  Factors M afresh."""
+    diag = la.snf_diagonal(M)
+    return len(diag) == M.nrows and all(d == 1 for d in diag)
+
+
 class SolveSubquotient:
     """Oracle: Z/B with the basis of Z from image_basis and every
     coordinate on it from solve_matrix, one SNF per solve."""
@@ -558,16 +570,17 @@ def subquotients(draw):
 @given(subquotients())
 def test_subquotient_matches_the_solve_based_oracle(case):
     z_gens, b_gens, _, inside, anywhere = case
-    sq = la.Subquotient(la.Span(z_gens), b_gens)
+    Z = la.Span(z_gens)
+    sq = la.Subquotient(Z, b_gens)
     oracle = SolveSubquotient(z_gens, b_gens)
     assert sq.orders == oracle.orders
     assert sq.lifts == oracle.lifts
     for v in inside:
-        assert sq.contains(v)
+        assert Z.contains(_column(v))
         assert sq.coords(v) == oracle.coords(v)
     for v in inside + anywhere + [[2 * x + 1 for x in v] for v in anywhere]:
-        assert sq.contains(v) == oracle.contains(v)
-        if not sq.contains(v):
+        assert Z.contains(_column(v)) == oracle.contains(v)
+        if not Z.contains(_column(v)):
             with pytest.raises(ValueError):
                 sq.coords(v)
 
@@ -588,18 +601,21 @@ def test_subquotient_invariants_match_sympy(case):
     ([[1, 0], [0, 1]], True), ([[2, 3], [0, 0]], False), ([[2, 3]], True),
     ([[2, 4]], False), ([[2], [0]], False), ([[1, 0]], True)])
 def test_spans_lattice(M, full):
-    assert la.spans_lattice(la.as_sparse(M, len(M))) == full
-    assert la.spans_lattice(la.as_sparse(M, len(M))) == \
-        la.spans_equal(la.as_sparse(M, len(M)), la.identity(len(M)))
+    A = la.as_sparse(M, len(M))
+    assert lattice_by_snf(A) == full
+    assert la.Span(A).is_lattice() == full
+    I = la.identity(len(M))
+    assert (la.span_contains(A, I) and la.span_contains(I, A)) == full
 
 
 @pytest.mark.parametrize("z_cols", [0, 2], ids=["no-columns", "zero-columns"])
 def test_a_zero_z_holds_only_the_zero_b(z_cols):
     z_gens = la.zeros(3, z_cols)
-    sq = la.Subquotient(la.Span(z_gens), la.zeros(3, 2))
+    Z = la.Span(z_gens)
+    sq = la.Subquotient(Z, la.zeros(3, 2))
     assert (sq.orders, sq.lifts, sq.free_rank, sq.torsion) == ([], [], 0, [])
-    assert sq.contains([0, 0, 0]) and sq.coords([0, 0, 0]) == []
-    assert not sq.contains([0, 1, 0])
+    assert Z.contains(_column([0, 0, 0])) and sq.coords([0, 0, 0]) == []
+    assert not Z.contains(_column([0, 1, 0]))
     with pytest.raises(ValueError, match="^vector not in the subgroup Z$"):
         sq.coords([0, 1, 0])
     with pytest.raises(ValueError, match="^B is not contained in Z$"):
@@ -611,7 +627,7 @@ def test_a_zero_z_holds_only_the_zero_b(z_cols):
 def test_one_span_answers_every_containment_and_the_lattice_test(data):
     A = data.draw(matrices())
     span = la.Span(A)
-    assert span.is_lattice() == la.spans_lattice(A)
+    assert span.is_lattice() == lattice_by_snf(A)
     assert la.mat_eq(span.basis, la.image_basis(A))
     assert span.rank == la.rank(A)
     zero_spans = [la.Span(la.zeros(A.nrows, c)) for c in (0, 2)]
