@@ -4,7 +4,8 @@
     PYTHONPATH=src python scripts/report_snapshot.py OUTDIR
 
 Runs each invocation of scripts/run_acceptance.sh, plus ``ss random
---trials 10``, ``skeleta --day-unit --day-symmetry --day-assoc``,
+--trials 10``, ``ss ez:delta2,s1 --pairing --pages 3 --dim-bound 3``
+(the Leibniz rule on pages 1 to 3), ``skeleta --day-unit --day-symmetry --day-assoc``,
 ``promonoidal --check coyoneda --check operator-frag``, ``homology torus``,
 ``doldkan s1 --roundtrip`` / ``doldkan torus --roundtrip`` (a builtin
 space through free_abelian), ``ez delta2 delta2 --check chain --check aw
@@ -83,8 +84,10 @@ def invocations():
     out.append(["skeleta", "--day-symmetry", "--day-assoc", "--trials", "3",
                 "--seed", "10010"])
     # beyond the acceptance script (which already runs `ss sk:torus --heart`
-    # and `ss ez:delta1,s1 --pairing --dim-bound 2`)
+    # and `ss ez:delta1,s1 --pairing --dim-bound 2`, pages 1 and 2 only)
     out.append(["ss", "random", "--trials", "10"])
+    out.append(["ss", "ez:delta2,s1", "--pairing", "--pages", "3",
+                "--dim-bound", "3"])
     out.append(["skeleta", "--day-unit", "--day-symmetry", "--day-assoc"])
     out.append(["promonoidal", "--check", "coyoneda", "--check",
                 "operator-frag"])

@@ -131,7 +131,7 @@ def rand_filtration(rng, p_max=4, top_degree=3, max_total_rank=8):
     spans and the top stage is everything."""
     C = rand_complex(rng, top_degree=top_degree,
                      max_total_rank=max_total_rank)
-    acc = [[] for _ in range(top_degree + 1)]  # vectors per degree
+    acc = [[] for _ in range(top_degree + 1)]  # columns per degree
     stages = []
     for p in range(p_max + 1):
         if p == p_max:
@@ -142,10 +142,11 @@ def rand_filtration(rng, p_max=4, top_degree=3, max_total_rank=8):
             n = rng.randrange(top_degree + 1)
             if not C.rank(n):
                 continue
-            v = [rng.randint(-2, 2) for _ in range(C.rank(n))]
-            acc[n].append(v)
+            v = la.from_columns([[rng.randint(-2, 2)
+                                  for _ in range(C.rank(n))]], C.rank(n))
+            acc[n].append(v[0])
             if n >= 1 and C.rank(n - 1):
-                acc[n - 1].append(la.mat_vec(C.diff(n), v))
-        stages.append({n: la.from_columns(acc[n], C.rank(n))
+                acc[n - 1].append(la.mat_mul(C.diff(n), v)[0])
+        stages.append({n: la.Sparse(acc[n], C.rank(n))
                        for n in range(top_degree + 1)})
     return FilteredChainComplex(C, stages, p_max)

@@ -178,7 +178,8 @@ def _induced_homology(f):
     for n in range(top + 1):
         sq_s = _homology_subquotient(f.source, n)
         sq_t = _homology_subquotient(f.target, n)
-        out.append((sq_s, sq_t, sq_t.induced_matrix(f.mat(n), sq_s.lifts)))
+        M = sq_t.coords(la.mat_mul(f.mat(n), sq_s.lifts))
+        out.append((sq_s, sq_t, M))
     return out
 
 

@@ -1,6 +1,6 @@
 """ℕ-filtered chain complexes presented by stage generator columns, Day
 convolution, the chain-level skeletal filtration of a simplicial abelian
-group, graded pieces, and filtered pairings induced by the shuffle product.
+group, and filtered pairings induced by the shuffle product.
 """
 
 from __future__ import annotations
@@ -91,15 +91,14 @@ class FilteredChainComplex:
     def _first_violation(self, p, n):
         """Raise for the first column of stage (p, n) that breaks closure
         under d or nesting in stage p + 1."""
-        for v in la.columns(self.stages[p][n]):
-            if n >= 1:
-                dv = la.mat_vec(self.ambient.diff(n), v)
-                if not self.span(p, n - 1).contains(
-                        la.from_columns([dv], len(dv))):
-                    raise ValueError(
-                        f"stage {p} is not closed under d in degree {n}")
-            if p < self.p_max and not self.span(p + 1, n).contains(
-                    la.from_columns([v], len(v))):
+        S = self.stages[p][n]
+        for col in S:
+            v = la.Sparse((col,), S.nrows)
+            if n >= 1 and not self.span(p, n - 1).contains(
+                    la.mat_mul(self.ambient.diff(n), v)):
+                raise ValueError(
+                    f"stage {p} is not closed under d in degree {n}")
+            if p < self.p_max and not self.span(p + 1, n).contains(v):
                 raise ValueError(
                     f"stage {p} is not contained in stage {p+1} "
                     f"in degree {n}")
@@ -171,16 +170,6 @@ def _skeletal_filtration(A):
         for p in range(k + 1, D + 1):
             stages[p][k] = stages[k][k]
     return FilteredChainComplex(nres.normalized, stages, D)
-
-
-def _tensor_column(tb, p, x, q, y):
-    """The coordinates of x ⊗ y in degree p + q of the tensor complex with
-    basis tb, for x of degree p and y of degree q."""
-    n = p + q
-    col = la.kron_sum(tb.rank(n), 1, [(la.from_columns([x], len(x)),
-                                       la.from_columns([y], len(y)),
-                                       tb.offset(n, p), 0, 1)])
-    return la.columns(col)[0]
 
 
 def _kron_columns(nrows, pieces):
@@ -289,37 +278,6 @@ def convolution_associativity_check(F, G, H):
                                         detail=f"associator image of stage {p} "
                                                f"differs in degree {n}")
     return CheckCertificate(True, detail="⊛ is associative stagewise")
-
-
-def graded_pieces(F):
-    """gr_p = F_p / F_{p-1} as chain complexes, with ambient lifts.
-
-    Returns a list of (ChainComplex, lifts) pairs for p = 0..p_max; lifts[n]
-    is the list of ambient representatives of the degree-n generators.
-    Raises if some graded piece has torsion (it cannot be presented as a
-    free complex)."""
-    out = []
-    top = F.ambient.top_degree
-    for p in range(F.p_max + 1):
-        sqs = [la.Subquotient(_graded_z(F, p, n), F.stage(p - 1, n))
-               for n in range(top + 1)]
-        for sq in sqs:
-            if sq.torsion:
-                raise ValueError("graded piece has torsion; not a free complex")
-        ranks = [sq.ngens for sq in sqs]
-        diffs = {n: sqs[n - 1].induced_matrix(F.ambient.diff(n), sqs[n].lifts)
-                 for n in range(1, top + 1)}
-        out.append((ChainComplex(ranks, diffs),
-                    [list(sq.lifts) for sq in sqs]))
-    return out
-
-
-def _graded_z(F, p, n):
-    """The Z of gr_p in degree n: the kept span of stage (p, n), or that of
-    the identity when the stage is the whole ambient group, keeping
-    quotient bookkeeping simple."""
-    span = F.span(p, n)
-    return la.Span(la.identity(span.nrows)) if span.is_lattice() else span
 
 
 class FilteredPairing:

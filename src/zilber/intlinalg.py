@@ -7,15 +7,23 @@ For ℤ[X] each column of an operator is one ``(row, 1)`` pair, so products
 and Kronecker products are index arithmetic.  Everything here is exact;
 there is no floating point anywhere in this package.
 
-Row lists (a list of plain row lists of Python ints) remain in three
-places only:
+There is no separate vector form: a vector is a column of a ``Sparse``,
+and a batch of vectors is one matrix.  ``Subquotient.lifts`` is a matrix
+with one column per generator, and ``Subquotient.coords`` takes a matrix
+and returns one.  Plain lists of Python ints remain in three places only:
 
 - the working arrays of the Smith normal form, and the transforms it
-  returns, which the solvers, ``Span``, ``Subquotient`` and the
-  normalization read;
+  returns (row lists), which the solvers, ``Span``, ``Subquotient`` and
+  the normalization read; ``from_columns`` turns their columns into a
+  ``Sparse``;
 - input at the payload boundary, which ``as_sparse`` checks (its shape,
   and that every entry is an ``int``) and converts;
 - ``rows``, which writes a matrix as rows for JSON output.
+
+Input is checked at that boundary, so a shape mismatch inside the
+library (in ``mat_mul``, ``mat_sum``, ``hstack``, ``solve_matrix``,
+``Span.coords`` or ``span_contains``) is a fault of the library and
+raises AssertionError, not ValueError.
 
 ``kron_sum`` adds scaled Kronecker products into blocks of a matrix; it
 is the one way tensor-product matrices are built (``kron``,
@@ -36,12 +44,14 @@ containment tests and the lattice test; ``span_contains`` builds one for
 a single test, and none when there is nothing to test.  A matrix with no
 nonzero entry spans 0, and ``Span`` runs no SNF on it.  A ``Subquotient``
 takes the ``Span`` of Z, which may be shared, and runs one SNF, of the
-coordinates of the B generators on the basis of Z.
+coordinates of the B generators on the basis of Z; it builds its lifts
+only when they are read.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 from itertools import chain
 
 
@@ -147,7 +157,8 @@ def mat_mul(A, B):
     ra, ca = dims(A)
     rb, cb = dims(B)
     if ca != rb:
-        raise ValueError(f"dimension mismatch in mat_mul: {ra}x{ca} times {rb}x{cb}")
+        raise AssertionError(f"dimension mismatch in mat_mul: {ra}x{ca} times "
+                             f"{rb}x{cb}")
     out = []
     for Bj in B:
         if len(Bj) != 1:
@@ -165,21 +176,12 @@ def mat_sum(terms):
     of matrices of one shape."""
     shape = dims(terms[0][1])
     if any(dims(M) != shape for _, M in terms):
-        raise ValueError("shape mismatch in mat_sum")
+        raise AssertionError("shape mismatch in mat_sum")
     scales = [scale for scale, _ in terms if scale]
     mats = [M for scale, M in terms if scale]
     return Sparse([_column([(i, s * x) for s, col in zip(scales, cols)
                             for i, x in col]) for cols in zip(*mats)]
                   if mats else ((),) * shape[1], shape[0])
-
-
-def mat_vec(M, v):
-    out = [0] * M.nrows
-    for col, x in zip(M, v):
-        if x:
-            for i, a in col:
-                out[i] += a * x
-    return out
 
 
 def transpose(M):
@@ -204,19 +206,8 @@ def hstack(*mats):
     count."""
     r = mats[0].nrows
     if any(M.nrows != r for M in mats):
-        raise ValueError("row count mismatch in hstack")
+        raise AssertionError("row count mismatch in hstack")
     return Sparse([col for M in mats for col in M], r)
-
-
-def columns(M):
-    """The columns of M as plain vectors."""
-    out = []
-    for col in M:
-        v = [0] * M.nrows
-        for i, x in col:
-            v[i] = x
-        out.append(v)
-    return out
 
 
 def from_columns(cols, nrows):
@@ -452,7 +443,7 @@ def _diagonal_solve(diag, C, c):
 def solve_matrix(M, B):
     """Integer solution X of M X = B, or None if none exists."""
     if B.nrows != M.nrows:
-        raise ValueError("row count mismatch in solve_matrix")
+        raise AssertionError("row count mismatch in solve_matrix")
     if not B.ncols:
         return zeros(M.ncols, 0)  # nothing to solve: skip the SNF
     U, diag, V, _, _ = _smith_with_inverses(M, ("U", "V"))
@@ -486,8 +477,8 @@ class Span:
         """The coordinates of the columns of B on ``basis``, as a matrix,
         or None if some column is not in the span."""
         if B.nrows != self.nrows:
-            raise ValueError(f"row count mismatch: a {B.nrows}-row matrix "
-                             f"against a Span in {self.nrows} rows")
+            raise AssertionError(f"row count mismatch: a {B.nrows}-row matrix "
+                                 f"against a Span in {self.nrows} rows")
         if self._U is None:  # the zero span
             return None if any(B) else zeros(0, B.ncols)
         return _diagonal_solve(self._diag, _rows_times(self._U, B), self.rank)
@@ -505,7 +496,7 @@ class Span:
 def span_contains(A, B):
     """Is every column of B in the integer column span of A?"""
     if B.nrows != A.nrows:
-        raise ValueError("row count mismatch in span_contains")
+        raise AssertionError("row count mismatch in span_contains")
     return not B.ncols or Span(A).contains(B)
 
 
@@ -528,8 +519,8 @@ class Subquotient:
     Z is a Span in ℤ^n and B is given by a matrix of generator columns with
     n rows; B must be contained in Z.  The quotient is put in
     invariant-factor form: it is ⊕_i ℤ/orders[i] with the convention order
-    0 = ℤ, and ``lifts`` holds an ambient representative for each cyclic
-    summand generator.
+    0 = ℤ, and column i of ``lifts`` is an ambient representative of
+    cyclic summand generator i.
 
     Coordinates on Z are those on Z.basis (Span.coords), so the one SNF
     here is of the coordinate matrix R of b_gens, which splits the
@@ -547,11 +538,9 @@ class Subquotient:
         kept = [i for i in range(r) if diag[i] != 1]
         self._Z = Z
         self.orders = [diag[i] for i in kept]
-        self._U = U
+        self._U = [U[i] for i in kept]  # Z.basis coordinates -> generators
+        self._Uinv = Uinv
         self._kept = kept
-        # ambient lift of generator i: Z.basis * (Uinv column i)
-        self.lifts = [mat_vec(Z.basis, [row[i] for row in Uinv])
-                      for i in kept]
         self.free_rank = sum(1 for o in self.orders if o == 0)
         self.torsion = [o for o in self.orders if o >= 2]
 
@@ -559,27 +548,29 @@ class Subquotient:
     def ngens(self):
         return len(self.orders)
 
-    def coords(self, v):
-        """Coordinates of the class of v on the cyclic generators (reduced
-        mod torsion orders).  Raises ValueError if v is not in Z."""
-        c = self._Z.coords(from_columns([v], len(v)))
-        if c is None:
-            raise ValueError("vector not in the subgroup Z")
-        y = [sum([row[k] * x for k, x in c[0]]) for row in self._U]
-        out = []
-        for pos, i in enumerate(self._kept):
-            o = self.orders[pos]
-            out.append(y[i] % o if o else y[i])
-        return out
+    @cached_property
+    def lifts(self):
+        """The ambient lifts of the generators, one column each: Z.basis
+        times the kept columns of Uinv.  Built on first read, so a
+        Subquotient whose orders alone are read builds none."""
+        Uinv = self._Uinv
+        return mat_mul(self._Z.basis, from_columns(
+            [[row[i] for row in Uinv] for i in self._kept], self._Z.rank))
 
-    def induced_matrix(self, M, lifts):
-        """The matrix of v -> M v on the given vectors (one column each), in
-        the generator coordinates of this subquotient."""
-        return from_columns([self.coords(mat_vec(M, v)) for v in lifts],
-                            self.ngens)
+    def coords(self, B):
+        """The coordinates of the classes of the columns of B on the cyclic
+        generators, reduced mod the torsion orders, as an ngens-row matrix.
+        Raises ValueError if some column is not in Z."""
+        C = self._Z.coords(B)
+        if C is None:
+            raise ValueError("a column is not in the subgroup Z")
+        return self.reduce(_rows_times(self._U, C))
 
-    def is_zero_class(self, v):
-        return all(x == 0 for x in self.coords(v))
-
-    def reduce(self, coords):
-        return [c % o if o else c for c, o in zip(coords, self.orders)]
+    def reduce(self, M):
+        """M, an ngens-row matrix, with row i reduced mod orders[i]."""
+        if not self.torsion:
+            return M
+        o = self.orders
+        return Sparse([tuple([(i, x % o[i] if o[i] else x) for i, x in col
+                              if not o[i] or x % o[i]]) for col in M],
+                      M.nrows)

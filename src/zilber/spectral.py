@@ -16,7 +16,7 @@ from functools import partial
 
 from . import intlinalg as la
 from .doldkan import normalize
-from .filtration import _tensor_column, skeletal_filtration
+from .filtration import skeletal_filtration
 from .simplicial import CheckCertificate
 
 CONVENTION = ("E_1^{p,q} = H_{p+q}(F_p/F_{p-1}); pages are the subquotient "
@@ -95,12 +95,9 @@ class SpectralSequence:
             M2 = self.diffs[r].get((p - r, q + r - 1))
             if tgt is None or M2 is None or not tgt.ngens:
                 continue
-            for col in la.mat_mul(M2, M):
-                for i, v in col:
-                    o = tgt.orders[i]
-                    if (v % o if o else v) != 0:
-                        return CheckCertificate(False, witness=(r, p, q),
-                                                detail="d_r ∘ d_r != 0")
+            if not la.is_zero(tgt.reduce(la.mat_mul(M2, M))):
+                return CheckCertificate(False, witness=(r, p, q),
+                                        detail="d_r ∘ d_r != 0")
         return CheckCertificate(True, detail=f"d_{r}² = 0")
 
     def page_recursion_check(self, r):
@@ -273,7 +270,7 @@ class _Store:
         out = {}
         for (p, q), sq in page.items():
             tgt = page.get((p - r, q + r - 1))
-            out[(p, q)] = (tgt.induced_matrix(amb.diff(p + q), sq.lifts)
+            out[(p, q)] = (tgt.coords(la.mat_mul(amb.diff(p + q), sq.lifts))
                            if tgt and tgt.ngens else la.zeros(0, sq.ngens))
         return out
 
@@ -371,7 +368,9 @@ class PairingWitnessError(ValueError):
 
 class PagePairing:
     """The bilinear maps E_r(F) ⊗ E_r(G) -> E_r(H) induced by a filtered
-    pairing, stored as ambient product representatives per generator pair.
+    pairing, stored as ambient product representatives per generator pair:
+    ``products[key][i][j]`` is the column of m(x_i ⊗ y_j) for the lifts x_i
+    and y_j of the entries key = (pq1, pq2).
 
     Well-definedness (independence of lifts) is verified on generators at
     construction: pairing any boundary generator with any cycle generator
@@ -392,51 +391,47 @@ class PagePairing:
                 tgt = ph.get((p + p2, q + q2))
                 if tgt is None or not sf.ngens or not sg.ngens:
                     continue
-                tbl = [[self._multiply(p + q, lift_x, p2 + q2, lift_y)
-                        for lift_y in sg.lifts] for lift_x in sf.lifts]
-                self.products[((p, q), (p2, q2))] = tbl
+                M = self._multiply(p + q, sf.lifts, p2 + q2, sg.lifts)
+                ng = sg.ngens
+                self.products[((p, q), (p2, q2))] = [
+                    list(M[i * ng:(i + 1) * ng]) for i in range(sf.ngens)]
         self._well_defined_check()
 
-    def _multiply(self, n1, x, n2, y):
-        """Ambient representative of m(x ⊗ y) in degree n1 + n2."""
+    def _multiply(self, n1, X, n2, Y):
+        """Ambient representatives of m(x_i ⊗ y_j) in degree n1 + n2, in
+        column i * Y.ncols + j, for the columns x_i of X (degree n1) and
+        y_j of Y (degree n2)."""
         n = n1 + n2
-        if n > self.P.basis.top_degree:
-            return [0] * self.P.H.ambient.rank(n)
-        return la.mat_vec(self.P.m.mat(n),
-                          _tensor_column(self.P.basis, n1, x, n2, y))
+        tb = self.P.basis
+        if n > tb.top_degree:
+            return la.zeros(self.P.H.ambient.rank(n), X.ncols * Y.ncols)
+        return la.mat_mul(self.P.m.mat(n), la.kron_sum(
+            tb.rank(n), X.ncols * Y.ncols, [(X, Y, tb.offset(n, n1), 0, 1)]))
 
     def _well_defined_check(self):
         r = self.r
-        for (pq1, pq2), tbl in self.products.items():
+        for pq1, pq2 in self.products:
             sf = self.S_F.pages[r][pq1]
             sg = self.S_G.pages[r][pq2]
             tgt = self.S_H.pages[r][(pq1[0] + pq2[0], pq1[1] + pq2[1])]
             n1 = pq1[0] + pq1[1]
             n2 = pq2[0] + pq2[1]
-            bf = self.S_F._b_gens(pq1[0], n1, r)
-            bg = self.S_G._b_gens(pq2[0], n2, r)
-            for b in la.columns(bf):
-                for lift_y in sg.lifts:
-                    z = self._multiply(n1, b, n2, lift_y)
-                    if not tgt.is_zero_class(z):
-                        raise PairingWitnessError(
-                            "pairing depends on the lift",
-                            witness=(pq1, pq2, "left boundary"))
-            for lift_x in sf.lifts:
-                for b in la.columns(bg):
-                    z = self._multiply(n1, lift_x, n2, b)
-                    if not tgt.is_zero_class(z):
-                        raise PairingWitnessError(
-                            "pairing depends on the lift",
-                            witness=(pq1, pq2, "right boundary"))
+            for side, X, Y in (
+                    ("left", self.S_F._b_gens(pq1[0], n1, r), sg.lifts),
+                    ("right", sf.lifts, self.S_G._b_gens(pq2[0], n2, r))):
+                if not la.is_zero(tgt.coords(self._multiply(n1, X, n2, Y))):
+                    raise PairingWitnessError(
+                        "pairing depends on the lift",
+                        witness=(pq1, pq2, f"{side} boundary"))
 
     def corrupted(self, key, i, j):
         """A copy with the sign of one generator product flipped (for
         negative controls)."""
         other = copy.copy(self)
-        other.products = {k: [[list(v) for v in row] for row in tbl]
+        other.products = {k: [list(row) for row in tbl]
                           for k, tbl in self.products.items()}
-        other.products[key][i][j] = [-v for v in other.products[key][i][j]]
+        other.products[key][i][j] = tuple(
+            [(k, -v) for k, v in self.products[key][i][j]])
         return other
 
 
@@ -450,50 +445,52 @@ def leibniz_check(pairing):
     """Verifies d_r(x·y) = d_r(x)·y + (-1)^{p+q} x·d_r(y) on all generator
     pairs of the pairing's page r, computed entirely from the page data:
     products come from the pairing's generator tables and d_r from the
-    spectral sequences, so a corrupted table is detected."""
+    spectral sequences, so a corrupted table is detected.
+
+    Per key (pq1, pq2), both sides are one matrix in the generator
+    coordinates of the target entry of d_r, column i * ng + j for the pair
+    (x_i, y_j), ng the generator count of pq2; the first column where they
+    differ is the witness."""
     r = pairing.r
     S_F, S_G, S_H = pairing.S_F, pairing.S_G, pairing.S_H
+    ph = S_H.pages[r]
 
-    def coords_of_product(pq1, i, pq2, j):
-        key = (pq1, pq2)
-        tgt = S_H.pages[r].get((pq1[0] + pq2[0], pq1[1] + pq2[1]))
-        if tgt is None or key not in pairing.products:
-            return None, []
-        return tgt, tgt.coords(pairing.products[key][i][j])
+    def coords_of_products(pq1, pq2):
+        """The products of the key (pq1, pq2) in the coordinates of their
+        entry of page r of H."""
+        (p, q), (p2, q2) = pq1, pq2
+        cols = [col for row in pairing.products[(pq1, pq2)] for col in row]
+        return ph[(p + p2, q + q2)].coords(
+            la.Sparse(cols, S_H.F.ambient.rank(p + q + p2 + q2)))
 
-    for (pq1, pq2), tbl in pairing.products.items():
+    for pq1, pq2 in pairing.products:
         p, q = pq1
         p2, q2 = pq2
-        tgt = S_H.pages[r].get((p + p2 - r, q + q2 + r - 1))
+        tgt = ph.get((p + p2 - r, q + q2 + r - 1))
         if tgt is None or not tgt.ngens:
             continue
-        sf = S_F.pages[r][pq1]
-        sg = S_G.pages[r][pq2]
-        src = S_H.pages[r][(p + p2, q + q2)]
-        d_h = S_H.diffs[r][(p + p2, q + q2)]
-        d_f = S_F.diffs[r][pq1]
-        d_g = S_G.diffs[r][pq2]
+        nf = S_F.pages[r][pq1].ngens
+        ng = S_G.pages[r][pq2].ngens
+        lhs = la.mat_mul(S_H.diffs[r][(p + p2, q + q2)],
+                         coords_of_products(pq1, pq2))
+        terms = [(0, la.zeros(tgt.ngens, nf * ng))]  # the shape of rhs
         f_tgt = (p - r, q + r - 1)
+        if (f_tgt, pq2) in pairing.products:
+            terms.append((1, la.mat_mul(
+                coords_of_products(f_tgt, pq2),
+                la.kron(S_F.diffs[r][pq1], la.identity(ng)))))
         g_tgt = (p2 - r, q2 + r - 1)
-        sign = -1 if (p + q) % 2 else 1
-        for i in range(sf.ngens):
-            for j in range(sg.ngens):
-                lhs = la.mat_vec(d_h, src.coords(tbl[i][j]))
-                rhs = [0] * tgt.ngens
-                if (f_tgt, pq2) in pairing.products:
-                    for k, a in d_f[i]:
-                        _, pc = coords_of_product(f_tgt, k, pq2, j)
-                        rhs = [u + a * v for u, v in zip(rhs, pc)]
-                if (pq1, g_tgt) in pairing.products:
-                    for k, b in d_g[j]:
-                        _, pc = coords_of_product(pq1, i, g_tgt, k)
-                        rhs = [u + sign * b * v for u, v in zip(rhs, pc)]
-                lhs = tgt.reduce(lhs)
-                rhs = tgt.reduce(rhs)
-                if lhs != rhs:
-                    return CheckCertificate(
-                        False, witness=(pq1, i, pq2, j),
-                        detail="Leibniz rule fails on a generator pair")
+        if (pq1, g_tgt) in pairing.products:
+            terms.append((-1 if (p + q) % 2 else 1, la.mat_mul(
+                coords_of_products(pq1, g_tgt),
+                la.kron(la.identity(nf), S_G.diffs[r][pq2]))))
+        lhs = tgt.reduce(lhs)
+        rhs = tgt.reduce(la.mat_sum(terms))
+        for col, (a, b) in enumerate(zip(lhs, rhs)):
+            if a != b:
+                return CheckCertificate(
+                    False, witness=(pq1, col // ng, pq2, col % ng),
+                    detail="Leibniz rule fails on a generator pair")
     return CheckCertificate(True, detail=f"Leibniz rule holds on page {r}")
 
 

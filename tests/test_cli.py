@@ -264,6 +264,22 @@ def test_internal_error_exits_3(capsys, monkeypatch):
         "error": "projection ∘ section is not the identity", "exit": 3}
 
 
+def test_a_shape_fault_inside_the_library_exits_3(capsys, monkeypatch):
+    # input shapes are checked at the payload boundary, so a mismatch
+    # inside the library is a fault of the library, not an input error
+    from zilber import doldkan
+    from zilber import intlinalg as la
+
+    def broken(A, moore):
+        return la.mat_mul(la.zeros(2, 3), la.zeros(2, 3))
+
+    monkeypatch.setattr(doldkan, "_normalize", broken)
+    code, rep, err = run(capsys, ["homology", "torus"])
+    assert code == 3 and rep is None
+    assert json.loads(err) == {
+        "error": "dimension mismatch in mat_mul: 2x3 times 2x3", "exit": 3}
+
+
 @pytest.mark.parametrize("exc", [KeyError("missing operator"),
                                  TypeError("unhashable type: 'list'")])
 def test_library_key_and_type_errors_exit_3(capsys, monkeypatch, exc):

@@ -135,10 +135,23 @@ def test_mat_mul_matches_the_triple_loop(data):
 
 
 def test_mat_mul_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
+    # a shape fault inside the library is not an input error
+    with pytest.raises(AssertionError, match="^dimension mismatch in mat_mul"):
         la.mat_mul(la.zeros(2, 3), la.zeros(2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError):
         la.mat_mul(la.zeros(0, 3), la.zeros(2, 0))
+
+
+@pytest.mark.parametrize("fault", [
+    lambda: la.mat_sum([(1, la.zeros(2, 3)), (1, la.zeros(3, 2))]),
+    lambda: la.hstack(la.zeros(2, 1), la.zeros(3, 1)),
+    lambda: la.solve_matrix(la.identity(2), la.zeros(3, 1)),
+    lambda: la.Span(la.identity(2)).coords(la.zeros(3, 1)),
+    lambda: la.span_contains(la.identity(2), la.zeros(3, 1))],
+    ids=["mat_sum", "hstack", "solve_matrix", "Span.coords", "span_contains"])
+def test_shape_faults_raise_assertion_errors(fault):
+    with pytest.raises(AssertionError, match="mismatch"):
+        fault()
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +222,15 @@ def test_sparse_operations_match_the_dense_ones(data):
     # rows are the JSON form, and read back
     assert la.mat_eq(la.as_sparse(la.rows(SA), r, k), SA)
     assert json.dumps(la.rows(SA)) == json.dumps(A)
-    # product, vector product, transpose and columns
+    # product, product with one column, transpose and columns
     assert_canonical(la.mat_mul(SA, SB), dense_mul(A, B, c), c)
     v = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
-    assert la.mat_vec(SA, v) == [sum(x * y for x, y in zip(row, v))
-                                 for row in A]
-    assert_canonical(la.transpose(SA), [list(col) for col in zip(*A)]
-                     if r else [[] for _ in range(k)], r)
-    assert la.columns(SA) == ([list(col) for col in zip(*A)]
-                              if r else [[] for _ in range(k)])
-    assert la.mat_eq(la.from_columns(la.columns(SA), r), SA)
+    assert la.rows(la.mat_mul(SA, la.from_columns([v], k))) == [
+        [sum(x * y for x, y in zip(row, v))] for row in A]
+    cols = [list(col) for col in zip(*A)] if r else [[] for _ in range(k)]
+    assert_canonical(la.transpose(SA), cols, r)
+    assert la.rows(la.transpose(SA)) == cols
+    assert la.mat_eq(la.from_columns(cols, r), SA)
     # [A A] [B; -B] = 0: every product that meets cancels
     assert_canonical(la.mat_mul(la.hstack(SA, SA),
                                 la.as_sparse(B + [[-x for x in row] for row in B],
@@ -510,6 +522,11 @@ def _column(v):
     return la.from_columns([v], len(v))
 
 
+def one_by_one(M):
+    """The columns of M, each as a one-column matrix."""
+    return [la.Sparse((col,), M.nrows) for col in M]
+
+
 def lattice_by_snf(M):
     """Oracle for Span.is_lattice: does M have as many invariant factors
     as rows, all equal to 1?  Factors M afresh."""
@@ -530,27 +547,27 @@ class SolveSubquotient:
         self.kept = [i for i in range(r) if diag[i] != 1]
         self.orders = [diag[i] for i in self.kept]
         self.U = U
-        self.lifts = [la.mat_vec(self.zbasis, [row[i] for row in Uinv])
-                      for i in self.kept]
+        self.lifts = la.mat_mul(self.zbasis, la.from_columns(
+            [[row[i] for row in Uinv] for i in self.kept], r))
 
-    def _solve(self, v):
-        X = la.solve_matrix(self.zbasis, la.from_columns([v], len(v)))
-        return None if X is None else la.columns(X)[0]
+    def contains(self, B):
+        return la.solve_matrix(self.zbasis, B) is not None
 
-    def contains(self, v):
-        return self._solve(v) is not None
-
-    def coords(self, v):
-        y = [sum(a * b for a, b in zip(row, self._solve(v))) for row in self.U]
-        return [y[i] % o if o else y[i] for i, o in zip(self.kept, self.orders)]
+    def coords(self, B):
+        """The reduced generator coordinates of the columns of B."""
+        ys = [[sum(row[k] * x for k, x in col) for row in self.U]
+              for col in la.solve_matrix(self.zbasis, B)]
+        return la.from_columns(
+            [[y[i] % o if o else y[i] for i, o in zip(self.kept, self.orders)]
+             for y in ys], len(self.kept))
 
 
 @st.composite
 def subquotients(draw):
-    """(z_gens, b_gens, R, vectors): Z is spanned by the full-rank n x r
-    matrix Zb, z_gens = Zb W for W whose columns span ℤ^r, B is spanned by
-    b_gens = Zb R (so Z/B is the cokernel of R), and vectors are test
-    vectors of ℤ^n, in Z and not."""
+    """(z_gens, b_gens, R, inside, anywhere): Z is spanned by the full-rank
+    n x r matrix Zb, z_gens = Zb W for W whose columns span ℤ^r, B is
+    spanned by b_gens = Zb R (so Z/B is the cokernel of R), and the columns
+    of inside (in Z) and anywhere are test vectors of ℤ^n."""
     n = draw(st.integers(0, 5))
     r = draw(st.integers(0, n))
     Zb = draw(matrices(rows=n, cols=r))
@@ -560,9 +577,8 @@ def subquotients(draw):
     z_gens = la.mat_mul(Zb, W)
     R = draw(matrices(rows=r, max_dim=4))
     b_gens = la.mat_mul(Zb, R)
-    inside = la.columns(la.mat_mul(z_gens, draw(matrices(rows=z_gens.ncols,
-                                                         max_dim=3))))
-    anywhere = la.columns(draw(matrices(rows=n, max_dim=3)))
+    inside = la.mat_mul(z_gens, draw(matrices(rows=z_gens.ncols, max_dim=3)))
+    anywhere = draw(matrices(rows=n, max_dim=3))
     return z_gens, b_gens, R, inside, anywhere
 
 
@@ -574,13 +590,19 @@ def test_subquotient_matches_the_solve_based_oracle(case):
     sq = la.Subquotient(Z, b_gens)
     oracle = SolveSubquotient(z_gens, b_gens)
     assert sq.orders == oracle.orders
-    assert sq.lifts == oracle.lifts
-    for v in inside:
-        assert Z.contains(_column(v))
-        assert sq.coords(v) == oracle.coords(v)
-    for v in inside + anywhere + [[2 * x + 1 for x in v] for v in anywhere]:
-        assert Z.contains(_column(v)) == oracle.contains(v)
-        if not Z.contains(_column(v)):
+    assert la.mat_eq(sq.lifts, oracle.lifts)
+    for v in one_by_one(inside):
+        assert Z.contains(v)
+        assert la.mat_eq(sq.coords(v), oracle.coords(v))
+    # the coordinates of many columns are those of each, side by side
+    assert la.mat_eq(sq.coords(inside), oracle.coords(inside))
+    assert la.mat_eq(sq.coords(inside), la.Sparse(
+        [col for v in one_by_one(inside) for col in sq.coords(v)], sq.ngens))
+    odd = la.as_sparse([[2 * x + 1 for x in row] for row in la.rows(anywhere)],
+                       anywhere.nrows, anywhere.ncols)
+    for v in one_by_one(inside) + one_by_one(anywhere) + one_by_one(odd):
+        assert Z.contains(v) == oracle.contains(v)
+        if not Z.contains(v):
             with pytest.raises(ValueError):
                 sq.coords(v)
 
@@ -613,11 +635,13 @@ def test_a_zero_z_holds_only_the_zero_b(z_cols):
     z_gens = la.zeros(3, z_cols)
     Z = la.Span(z_gens)
     sq = la.Subquotient(Z, la.zeros(3, 2))
-    assert (sq.orders, sq.lifts, sq.free_rank, sq.torsion) == ([], [], 0, [])
-    assert Z.contains(_column([0, 0, 0])) and sq.coords([0, 0, 0]) == []
+    assert (sq.orders, sq.free_rank, sq.torsion) == ([], 0, [])
+    assert la.mat_eq(sq.lifts, la.zeros(3, 0))
+    assert Z.contains(_column([0, 0, 0]))
+    assert la.mat_eq(sq.coords(_column([0, 0, 0])), la.zeros(0, 1))
     assert not Z.contains(_column([0, 1, 0]))
-    with pytest.raises(ValueError, match="^vector not in the subgroup Z$"):
-        sq.coords([0, 1, 0])
+    with pytest.raises(ValueError, match="^a column is not in the subgroup Z$"):
+        sq.coords(_column([0, 1, 0]))
     with pytest.raises(ValueError, match="^B is not contained in Z$"):
         la.Subquotient(la.Span(z_gens), la.as_sparse([[0], [2], [0]], 3))
 
@@ -633,7 +657,7 @@ def test_one_span_answers_every_containment_and_the_lattice_test(data):
     zero_spans = [la.Span(la.zeros(A.nrows, c)) for c in (0, 2)]
     for zero in zero_spans:
         assert la.dims(zero.basis) == (A.nrows, 0) and zero.rank == 0
-    with pytest.raises(ValueError, match="against a Span"):
+    with pytest.raises(AssertionError, match="against a Span"):
         span.coords(la.zeros(A.nrows + 1, 1))
     for _ in range(3):
         B = data.draw(matrices(rows=A.nrows, max_dim=3))

@@ -3,17 +3,20 @@ entry: in degree n the basis of C ⊗ D is the (p, i, q, j) with p + q = n,
 p descending, then i, then j.  Every oracle here enumerates that list and
 places one entry at a time; the library places Kronecker blocks."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zilber import _random as zrandom
 from zilber import intlinalg as la
-from zilber.chains import ChainComplex, ChainMap, tensor, tensor_map
+from zilber.chains import (ChainComplex, ChainMap, identity_chain_map, tensor,
+                           tensor_map)
 from zilber.delta import shuffles
 from zilber.ez import back_face, front_face, shuffle_product
-from zilber.filtration import _tensor_column
 from zilber.simplicial import circle, free_abelian, standard_simplex
+from zilber.spectral import PagePairing
 
 from test_ez import unnormalized_aw, unnormalized_shuffle
 
@@ -130,18 +133,30 @@ def test_tensor_map_is_the_entrywise_product(rng):
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_tensor_column_is_the_entrywise_product(rng):
+    # with m the identity, PagePairing._multiply returns x_i ⊗ y_j itself,
+    # in column i * Y.ncols + j
     C, D = random_complex(rng), random_complex(rng)
-    _, tb = tensor(C, D)
+    E, tb = tensor(C, D)
     positions = basis(C, D, tb.top_degree)
     p = rng.randint(0, C.top_degree)
     q = rng.randint(0, D.top_degree)
-    x = [rng.randint(-3, 3) for _ in range(C.rank(p))]
-    y = [rng.randint(-3, 3) for _ in range(D.rank(q))]
-    want = [0] * len(positions[p + q])
-    for i, u in enumerate(x):
-        for j, v in enumerate(y):
-            want[positions[p + q][(p, i, q, j)]] += u * v
-    assert _tensor_column(tb, p, x, q, y) == want
+    xs = [[rng.randint(-3, 3) for _ in range(C.rank(p))]
+          for _ in range(rng.randint(0, 3))]
+    ys = [[rng.randint(-3, 3) for _ in range(D.rank(q))]
+          for _ in range(rng.randint(0, 3))]
+    want = []
+    for x in xs:
+        for y in ys:
+            col = [0] * len(positions[p + q])
+            for i, u in enumerate(x):
+                for j, v in enumerate(y):
+                    col[positions[p + q][(p, i, q, j)]] += u * v
+            want.append(col)
+    pairing = SimpleNamespace(P=SimpleNamespace(
+        basis=tb, m=identity_chain_map(E), H=SimpleNamespace(ambient=E)))
+    got = PagePairing._multiply(pairing, p, la.from_columns(xs, C.rank(p)),
+                                q, la.from_columns(ys, D.rank(q)))
+    assert la.mat_eq(got, la.from_columns(want, E.rank(p + q)))
 
 
 @settings(max_examples=150, deadline=None)
