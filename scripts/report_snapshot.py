@@ -15,8 +15,10 @@ check of one kept pair) and ``ez delta2 delta1 --third s1 --check assoc
 --dim-bound 3``, ``promonoidal --check coyoneda --check
 operator-frag --b 3 --length 3``, ``promonoidal --check coyoneda --b 4``,
 ``promonoidal --check product-colimit --ns 1,1,1 --k-max 3``,
-``promonoidal --check unit --check mu-assoc --b 3`` and the failing
-``promonoidal --check left-kan --ns 2,2 --b 3 --m 4``, with
+``promonoidal --check unit --check mu-assoc --b 3``, the failing
+``promonoidal --check left-kan --ns 2,2 --b 3 --m 4``, ``ss sk:torus
+--heart --dim-bound 6`` and ``ss ez:delta2,delta2 --pairing --dim-bound
+6``, with
 ``python -m zilber.cli`` (so the zilber found on PYTHONPATH is the one
 measured).  Then it writes three payloads, built by that zilber, to
 OUTDIR as ``payload_NAME.json`` and feeds each on stdin (``-``): the ssimp
@@ -114,6 +116,9 @@ def invocations():
     # a failing extension (2 + 2 > 3), which pins a decoded witness
     out.append(["promonoidal", "--check", "left-kan", "--ns", "2,2", "--b", "3",
                 "--m", "4"])
+    # the heart and the pairing on skeletal filtrations past the defaults
+    out.append(["ss", "sk:torus", "--heart", "--dim-bound", "6"])
+    out.append(["ss", "ez:delta2,delta2", "--pairing", "--dim-bound", "6"])
     return out
 
 

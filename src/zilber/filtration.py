@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from . import intlinalg as la
 from .chains import ChainComplex, tensor, unit_complex
-from .delta import enumerate_surjections
 from .doldkan import normalize
 from .ez import _koszul_swap, _tensor_associator, shuffle_product
 from .simplicial import CheckCertificate
@@ -143,12 +142,12 @@ def unit_filtration(p_max=0):
 
 def skeletal_filtration(A):
     """The chain-level skeletal filtration of a simplicial abelian group.
-
-    Stage p in degree k is the span of the images of all operators induced
-    by surjections [k] ->> [j] with j <= p (the chains supported on the
-    p-skeleton), pushed into 𝒩(A) through the normalization projection.
-    Stabilizes at p_max = dim_bound.  For p >= k every surjection out of
-    [k] counts, so stage (p, k) is stage (k, k), computed once and shared.
+    Stage p in degree k is spanned by the images under the normalization
+    projection P_k of the operators of the surjections [k] ->> [j], j <= p.
+    Non-identity ones factor through some s_i, which P_k kills, so stage
+    (p, k) is 0 for p < k and the image basis of P_k for p >= k
+    (Goerss-Jardine, Simplicial Homotopy Theory, III.2).  The premise
+    P_k s_i = 0 (i < k) is checked on A; a failure raises AssertionError.
 
     Computed once per A and kept in A.skeletal, as normalize keeps its
     result; callers share it and must not mutate it."""
@@ -160,16 +159,16 @@ def skeletal_filtration(A):
 def _skeletal_filtration(A):
     D = A.dim_bound
     nres = normalize(A)
-    stages = [{} for _ in range(D + 1)]
+    full = []  # full[k], the image basis of P_k, is stage (p, k) for p >= k
     for k in range(D + 1):
-        for p in range(k + 1):
-            cols = la.hstack(*[A.operator_matrix(eta) for j in range(p + 1)
-                               for eta in enumerate_surjections(k, j)])
-            stages[p][k] = la.image_basis(
-                la.mat_mul(nres.projection.mat(k), cols))
-        for p in range(k + 1, D + 1):
-            stages[p][k] = stages[k][k]
-    return FilteredChainComplex(nres.normalized, stages, D)
+        P = nres.projection.mat(k)
+        for i in range(k):
+            if not la.is_zero(la.mat_mul(P, A.degen_mats[(k - 1, i)])):
+                raise AssertionError(f"projection P_{k} does not kill s_{i}")
+        full.append(la.image_basis(P))
+    # a stage (p, k) with p < k is left out, so it is 0
+    return FilteredChainComplex(nres.normalized, [
+        {k: full[k] for k in range(p + 1)} for p in range(D + 1)], D)
 
 
 def _kron_columns(nrows, pieces):

@@ -517,10 +517,11 @@ class Subquotient:
     """A subquotient Z/B of ℤ^n, with generator lifts and coordinates.
 
     Z is a Span in ℤ^n and B is given by a matrix of generator columns with
-    n rows; B must be contained in Z.  The quotient is put in
-    invariant-factor form: it is ⊕_i ℤ/orders[i] with the convention order
-    0 = ℤ, and column i of ``lifts`` is an ambient representative of
-    cyclic summand generator i.
+    n rows; every caller builds B inside Z (d∘d = 0, B_r ⊆ Z_r), so a B
+    outside Z is a fault of the library and raises AssertionError.  The
+    quotient is put in invariant-factor form: it is ⊕_i ℤ/orders[i] with
+    the convention order 0 = ℤ, and column i of ``lifts`` is an ambient
+    representative of cyclic summand generator i.
 
     Coordinates on Z are those on Z.basis (Span.coords), so the one SNF
     here is of the coordinate matrix R of b_gens, which splits the
@@ -531,7 +532,7 @@ class Subquotient:
     def __init__(self, Z, b_gens):
         R = Z.coords(b_gens)
         if R is None:
-            raise ValueError("B is not contained in Z")
+            raise AssertionError("B is not contained in Z")
         U, diag, _, Uinv, _ = _smith_with_inverses(R, ("U", "Uinv"))
         r = Z.rank
         diag = diag + [0] * (r - len(diag))

@@ -503,9 +503,9 @@ def heart_check(A):
     isomorphic as a chain complex to the normalized chains of A: the page
     is concentrated in q = 0, each E_1^{p,0} is free of the normalized
     rank, and the d_1 matrices have the same Smith invariant factors as the
-    normalized differentials.  (Ranks plus invariant factors of the
-    differentials determine a bounded complex of finitely generated free
-    abelian groups up to isomorphism.)"""
+    normalized differentials (which with the ranks fix a bounded free
+    complex up to isomorphism).  The filtration's shape is known from the
+    lemma that skeletal_filtration checks, so this checks the pages."""
     N = normalize(A).normalized
     F = skeletal_filtration(A)
     S = SpectralSequence(F, r_max=1)

@@ -1,6 +1,7 @@
 """Filtered chain complexes: skeletal filtrations, Day convolution,
 filtered pairings."""
 
+import dataclasses
 import json
 import pickle
 import random
@@ -57,13 +58,31 @@ def test_skeletal_stages_are_nested_and_exhaustive():
 
 def skeletal_stages_one_by_one(A):
     """stages[p][k] for every p and k, each computed on its own from the
-    surjections [k] ->> [j], j <= p."""
+    definition: the images under the normalization projection of the
+    operators of the surjections [k] ->> [j], j <= p.
+
+    The generators run from j = min(p, k) down to 0, so for p >= k the
+    identity of [k] comes first.  image_basis depends on the order of the
+    generators: after P_k itself come only the columns P_k A(eta) that the
+    lemma says are zero, and trailing zero columns leave the Smith normal
+    form of P_k as it is."""
     proj = normalize(A).projection
     return [{k: la.image_basis(la.mat_mul(proj.mat(k), la.hstack(
-                *[A.operator_matrix(eta) for j in range(min(p, k) + 1)
+                *[A.operator_matrix(eta)
+                  for j in reversed(range(min(p, k) + 1))
                   for eta in enumerate_surjections(k, j)])))
              for k in range(A.dim_bound + 1)}
             for p in range(A.dim_bound + 1)]
+
+
+def assert_skeletal_stages_are_the_definitional_ones(A):
+    F = skeletal_filtration(A)
+    want = skeletal_stages_one_by_one(A)
+    assert F.p_max == A.dim_bound
+    for p in range(F.p_max + 1):
+        for k in range(A.dim_bound + 1):
+            assert la.mat_eq(F.stage(p, k), want[p][k]), (p, k)
+    return F
 
 
 SKELETAL_GROUPS = {
@@ -78,17 +97,66 @@ SKELETAL_GROUPS = {
 
 @pytest.mark.parametrize("name", SKELETAL_GROUPS)
 def test_skeletal_stages_match_the_per_stage_computation(name):
-    A = SKELETAL_GROUPS[name]()
-    F = skeletal_filtration(A)
-    want = skeletal_stages_one_by_one(A)
-    assert F.p_max == A.dim_bound
-    for p in range(F.p_max + 1):
-        for k in range(A.dim_bound + 1):
-            assert la.mat_eq(F.stage(p, k), want[p][k])
+    F = assert_skeletal_stages_are_the_definitional_ones(
+        SKELETAL_GROUPS[name]())
     if name == "conjugate":
         assert any(F.stage(p, k) != la.identity(F.ambient.rank(k))
                    for p in range(F.p_max + 1) for k in range(p + 1)
                    if F.stage(p, k).ncols == F.ambient.rank(k))
+
+
+SKELETAL_SPACES = {
+    "delta1": lambda D: standard_simplex(1, D),
+    "delta2": lambda D: standard_simplex(2, D),
+    "s1": circle,
+    "delta1 x s1": lambda D: product(standard_simplex(1, D), circle(D)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=st.sampled_from(sorted(SKELETAL_SPACES)),
+       dim_bound=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_skeletal_stages_of_conjugated_groups_are_the_definitional_ones(
+        space, dim_bound, seed):
+    # conjugated groups are not free, so normalize takes its Smith normal
+    # form path and image_basis may give stages other than the identity
+    A = zrandom.conjugate_simplicial(
+        random.Random(seed), free_abelian(SKELETAL_SPACES[space](dim_bound)))
+    assert_skeletal_stages_are_the_definitional_ones(A)
+
+
+def projection_that_misses_s0(monkeypatch, k):
+    """Make the normalization that filtration reads return a projection
+    which, in degree k, sends a column of s_0 : A_{k-1} -> A_k to nonzero."""
+    def broken(A):
+        nres = normalize(A)
+        P = nres.projection.mat(k)
+        row = A.degen_mats[(k - 1, 0)][0][0][0]  # a coordinate s_0 hits
+        hit = la.Sparse([((0, 1),) if c == row else ()
+                         for c in range(P.ncols)], P.nrows)
+        mats = dict(nres.projection.mats)
+        mats[k] = la.mat_sum([(1, P), (1, hit)])
+        return dataclasses.replace(nres, projection=ChainMap(
+            nres.projection.source, nres.normalized, mats, check=False))
+
+    monkeypatch.setattr(filtration, "normalize", broken)
+
+
+def test_skeletal_filtration_checks_that_the_projection_kills_degeneracies(
+        monkeypatch):
+    projection_that_misses_s0(monkeypatch, 1)
+    with pytest.raises(AssertionError,
+                       match="^projection P_1 does not kill s_0$"):
+        skeletal_filtration(free_abelian(circle(2)))
+
+
+def test_a_projection_that_misses_a_degeneracy_exits_3(monkeypatch, capsys):
+    from zilber.cli import main
+
+    projection_that_misses_s0(monkeypatch, 1)
+    assert main(["ss", "sk:torus"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "projection P_1 does not kill s_0", "exit": 3}
 
 
 def test_day_convolution_with_unit_is_identity():

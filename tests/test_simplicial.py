@@ -11,7 +11,7 @@ from zilber import _random as zrandom
 from zilber import intlinalg as la
 from zilber.delta import (enumerate_monotone, epi_mono_factorize,
                           factor_into_codegeneracies, factor_into_cofaces)
-from zilber.doldkan import normalize
+from zilber.doldkan import gamma_normalize_comparison, normalize
 from zilber.ez import shuffle_product
 from zilber.filtration import skeletal_filtration
 from zilber.simplicial import (CheckCertificate, SimplicialAbelianGroup,
@@ -410,14 +410,16 @@ def test_operator_matrix_of_a_simplex_precomposes():
 
 
 def test_cached_operators_survive_their_callers():
-    # the products, AW and skeletal filtrations share the kept matrices;
-    # none of them may change one
+    # the products, AW and the comparison Γ(𝒩(G)) -> G share the kept
+    # matrices, and the skeletal filtrations run beside them; none of them
+    # may change one
     A = free_abelian(standard_simplex(1, D))
     B = zrandom.conjugate_simplicial(random.Random(4), free_abelian(circle(D)))
     sp = shuffle_product(A, B)
     sp.alexander_whitney()
     for G in (A, B, sp.product):
         skeletal_filtration(G)
+        gamma_normalize_comparison(G)
     for G in (A, B, sp.product):
         assert G.operators
         for f, M in G.operators.items():
