@@ -589,15 +589,12 @@ def cmd_promonoidal(args):
                 promonoidal.delta_op_multicategory(args.b), args.length)
 
             def trial(t):
-                # draw objects until the three hom-sets are all nonempty
-                ms1 = ms2 = ms3 = None
-                while not (ms1 and ms2 and ms3):
-                    a, b_, c_, d_ = (rng.choice(frag.objects)
-                                     for _ in range(4))
-                    ms1 = frag.morphisms_between(a, b_)
-                    ms2 = frag.morphisms_between(b_, c_)
-                    ms3 = frag.morphisms_between(c_, d_)
-                f, g, h = rng.choice(ms1), rng.choice(ms2), rng.choice(ms3)
+                # redraw objects and morphisms until all three morphisms exist
+                f = g = h = None
+                while f is None or g is None or h is None:
+                    a, b_, c_, d_ = (frag.draw_object(rng) for _ in range(4))
+                    f, g, h = (frag.draw(a, b_, rng), frag.draw(b_, c_, rng),
+                               frag.draw(c_, d_, rng))
                 if frag.compose(h, frag.compose(g, f)) != \
                         frag.compose(frag.compose(h, g), f):
                     return (a, b_, c_, d_)

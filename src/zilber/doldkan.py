@@ -71,7 +71,7 @@ def _quotient_by_degenerates(A, n):
         return proj, la.Sparse([u[k] for k in keep], rn)
     span = la.hstack(la.zeros(rn, 0),
                      *[A.degen_mats[(n - 1, i)] for i in range(n)])
-    U, diag, _, Uinv, _ = la._smith_with_inverses(span, ("U", "Uinv"))
+    U, diag, _, Uinv = la._smith_with_inverses(span, ("U", "Uinv"))
     if any(d not in (0, 1) for d in diag):
         raise ValueError(
             "degenerate subgroup is not a direct summand; "

@@ -345,7 +345,10 @@ class FilteredPairing:
 def filtered_ez(A, B):
     """The shuffle product as a filtered pairing between skeletal
     filtrations: sk(A) ⊗ sk(B) -> sk(A⊗B), with the containment certificate
-    computed at construction."""
+    computed at construction.  It holds for any m: F_p ⊗ G_q is 0 in
+    degrees n > p + q, and H_{p+q} is all of N_n(A⊗B) for n <= p + q.  Its
+    content is the premise check of the three skeletal filtrations and the
+    validation of ∇ as a chain map."""
     sp = shuffle_product(A, B)
     F = skeletal_filtration(A)
     G = skeletal_filtration(B)

@@ -25,9 +25,14 @@ library (in ``mat_mul``, ``mat_sum``, ``hstack``, ``solve_matrix``,
 ``Span.coords`` or ``span_contains``) is a fault of the library and
 raises AssertionError, not ValueError.
 
-``kron_sum`` adds scaled Kronecker products into blocks of a matrix; it
-is the one way tensor-product matrices are built (``kron``,
-``sab_tensor``, ∇, AW and the block layout of ``chains.TensorBasis``).
+``kron_sum`` adds scaled Kronecker products into blocks of a matrix: ∇,
+AW and the block layout of ``chains.TensorBasis`` are built with it.
+``kron``, which ``sab_tensor`` and the Leibniz check call, is a separate
+implementation that gives the product of two unit columns as the shared
+unit column.  It stays separate for speed: ``kron`` written through
+``kron_sum``, with unit sharing in ``_column``, read slower on certbench
+``ez`` (certs_per_s median 628 -> 590, cert_p90_ms 3.07 -> 3.50 ms,
+worse in 4 of 4 paired runs).
 
 The unit column ``((r, 1),)`` is one shared tuple per row r (``units``,
 grown on demand): ``identity``, ``kron`` of two unit columns, the
@@ -265,11 +270,11 @@ def _rows_times(R, B):
                          for col in B], len(R))
 
 
-ALL_TRANSFORMS = frozenset(("U", "V", "Uinv", "Vinv"))
+ALL_TRANSFORMS = frozenset(("U", "V", "Uinv"))
 
 
 def _smith_with_inverses(M, track=ALL_TRANSFORMS):
-    """Return (U, diag, V, Uinv, Vinv) with U*M*V = S in Smith normal form,
+    """Return (U, diag, V, Uinv) with U*M*V = S in Smith normal form,
     diag the min(rows, cols) diagonal entries of S and the transforms row
     lists.
 
@@ -282,20 +287,19 @@ def _smith_with_inverses(M, track=ALL_TRANSFORMS):
     A matrix with no nonzero entry returns at once: a zero diagonal and
     identity transforms.  Otherwise one loop applies the elementary row
     and column operations in place, each to S and to the tracked
-    transforms; a row operation on U is a column operation on Uinv, and a
-    column operation on V a row operation on Vinv.  The rows of S above
-    pivot t are zero off the diagonal, so column operations skip them.
-    ``tests/test_intlinalg.py`` pins all five outputs against an earlier
-    implementation with one helper per operation.
+    transforms; a row operation on U is a column operation on Uinv.  The
+    rows of S above pivot t are zero off the diagonal, so column
+    operations skip them.  ``tests/test_intlinalg.py`` pins all four
+    outputs against an earlier implementation with one helper per
+    operation.
     """
     r, c = dims(M)
     n = min(r, c)
     U = _eye(r) if "U" in track else None
     Uinv = _eye(r) if "Uinv" in track else None
     V = _eye(c) if "V" in track else None
-    Vinv = _eye(c) if "Vinv" in track else None
     if not any(M):
-        return U, [0] * n, V, Uinv, Vinv
+        return U, [0] * n, V, Uinv
     S = rows(M)  # the working rows
     for t in range(n):
         while True:
@@ -330,8 +334,6 @@ def _smith_with_inverses(M, track=ALL_TRANSFORMS):
                 if V is not None:
                     for row in V:
                         row[t], row[pj] = row[pj], row[t]
-                if Vinv is not None:
-                    Vinv[t], Vinv[pj] = Vinv[pj], Vinv[t]
             St = S[t]
             d = St[t]
             dirty = False
@@ -349,7 +351,7 @@ def _smith_with_inverses(M, track=ALL_TRANSFORMS):
                         dirty = True
             for j in range(t + 1, c):
                 if St[j]:
-                    # column j += k * column t; Vinv row t -= k * row j
+                    # column j += k * column t
                     k = -(St[j] // d)
                     for i in range(t, r):
                         row = S[i]
@@ -357,8 +359,6 @@ def _smith_with_inverses(M, track=ALL_TRANSFORMS):
                     if V is not None:
                         for row in V:
                             row[j] += k * row[t]
-                    if Vinv is not None:
-                        Vinv[t] = [a - k * b for a, b in zip(Vinv[t], Vinv[j])]
                     if St[j]:
                         dirty = True
             if dirty:
@@ -391,7 +391,7 @@ def _smith_with_inverses(M, track=ALL_TRANSFORMS):
         if S[t][t] == 0:
             break
 
-    return U, [S[i][i] for i in range(n)], V, Uinv, Vinv
+    return U, [S[i][i] for i in range(n)], V, Uinv
 
 
 def snf_diagonal(M):
@@ -406,14 +406,14 @@ def kernel_basis(M):
     """Basis of the integer kernel of M, as the columns of a matrix; the
     kernel is saturated, so this is a genuine ℤ-basis."""
     c = M.ncols
-    _, diag, V, _, _ = _smith_with_inverses(M, ("V",))
+    _, diag, V, _ = _smith_with_inverses(M, ("V",))
     return from_columns([[row[j] for row in V] for j in range(c)
                          if j >= len(diag) or diag[j] == 0], c)
 
 
 def image_basis(M):
     """Basis of the column span of M, as the columns of a matrix."""
-    _, diag, _, Uinv, _ = _smith_with_inverses(M, ("Uinv",))
+    _, diag, _, Uinv = _smith_with_inverses(M, ("Uinv",))
     return _image_from_snf(diag, Uinv)
 
 
@@ -446,7 +446,7 @@ def solve_matrix(M, B):
         raise AssertionError("row count mismatch in solve_matrix")
     if not B.ncols:
         return zeros(M.ncols, 0)  # nothing to solve: skip the SNF
-    U, diag, V, _, _ = _smith_with_inverses(M, ("U", "V"))
+    U, diag, V, _ = _smith_with_inverses(M, ("U", "V"))
     Y = _diagonal_solve(diag, _rows_times(U, B), M.ncols)
     return None if Y is None else _rows_times(V, Y)
 
@@ -464,7 +464,7 @@ class Span:
     def __init__(self, A):
         self.nrows = A.nrows
         if any(A):
-            self._U, self._diag, _, Uinv, _ = _smith_with_inverses(
+            self._U, self._diag, _, Uinv = _smith_with_inverses(
                 A, ("U", "Uinv"))
             basis = _image_from_snf(self._diag, Uinv)
         else:
@@ -533,7 +533,7 @@ class Subquotient:
         R = Z.coords(b_gens)
         if R is None:
             raise AssertionError("B is not contained in Z")
-        U, diag, _, Uinv, _ = _smith_with_inverses(R, ("U", "Uinv"))
+        U, diag, _, Uinv = _smith_with_inverses(R, ("U", "Uinv"))
         r = Z.rank
         diag = diag + [0] * (r - len(diag))
         kept = [i for i in range(r) if diag[i] != 1]

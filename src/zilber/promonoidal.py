@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 from .delta import (PosetPoint, comp_row, enumerate_injections,
                     enumerate_monotone, generating_maps, monotone_count,
@@ -723,25 +724,26 @@ def product_simplices_colimit_check(ns, k_range):
 
 
 class MulticategoryModel:
-    """A concrete symmetric multicategory: finite object set, enumerable
-    multimorphism sets mul(cs, c'), unary identities, substitution, and the
-    symmetric-group action permute(y, idxs) reindexing the inputs of y so
-    that new input t is old input idxs[t]."""
+    """A concrete symmetric multicategory: finite object set, a sampler
+    draw(cs, c', rng) of a random element of mul(cs, c'), None when that
+    set is empty, unary identities, substitution, and the symmetric-group
+    action permute(y, idxs) reindexing the inputs of y so that new input t
+    is old input idxs[t]."""
 
-    def __init__(self, objects, mul, ident, subst, permute):
+    def __init__(self, objects, draw, ident, subst, permute):
         self.objects = list(objects)
-        self.mul = mul
+        self.draw = draw
         self.ident = ident
         self.subst = subst
         self.permute = permute
 
 
 def delta_op_multicategory(b):
-    """Objects [0..b]; mul({[n_i]}; [m]) = monotone [m] -> ∏[n_i];
-    substitution composes componentwise."""
+    """Objects [0..b]; mul({[n_i]}; [m]) = monotone [m] -> ∏[n_i], drawn
+    componentwise by index; substitution composes componentwise."""
 
-    def mul(cs, m):
-        return mul_delta(cs, m)
+    def draw(cs, m, rng):
+        return tuple((m, n, rng.randrange(monotone_count(m, n))) for n in cs)
 
     def ident(c):
         return (_identity(c),)
@@ -755,65 +757,52 @@ def delta_op_multicategory(b):
     def permute(y, idxs):
         return tuple(y[i] for i in idxs)
 
-    return MulticategoryModel(list(range(b + 1)), mul, ident, subst, permute)
+    return MulticategoryModel(list(range(b + 1)), draw, ident, subst, permute)
 
 
+@dataclass(frozen=True)
 class OperatorMorphism:
     """A morphism (c_1..c_n) -> (d_1..d_m): a pointed map α (alpha[i] is the
     image of i+1 in {0..m}, 0 the basepoint) and one multimorphism per
-    fiber."""
+    fiber, all tuples."""
 
-    def __init__(self, source, target, alpha, mults):
-        self.source = tuple(source)
-        self.target = tuple(target)
-        self.alpha = tuple(alpha)
-        self.mults = tuple(mults)
-
-    def __eq__(self, other):
-        return (self.source, self.target, self.alpha, self.mults) == \
-            (other.source, other.target, other.alpha, other.mults)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.alpha, self.mults))
-
-    def __repr__(self):
-        return (f"OperatorMorphism({self.source}->{self.target}, "
-                f"alpha={self.alpha})")
+    source: tuple
+    target: tuple
+    alpha: tuple
+    mults: tuple
 
 
 class OperatorCategoryFragment:
     """The category of operators of a concrete multicategory, restricted to
     sequences of length <= N: morphisms are pointed maps of index sets with
     a multimorphism for every fiber; composition substitutes fiberwise and
-    composes the pointed maps."""
+    composes the pointed maps.  Objects and morphisms are drawn at random,
+    never listed: their numbers grow exponentially in N."""
 
     def __init__(self, model, N):
         self.model = model
-        self.objects = []
-        for n in range(N + 1):
-            self.objects.extend(itertools.product(model.objects, repeat=n))
+        self.N = N
 
     def fiber(self, alpha, j):
         return [i for i, a in enumerate(alpha) if a == j]
 
-    def morphisms_between(self, source, target):
-        n, m = len(source), len(target)
-        out = []
-        for alpha in itertools.product(range(m + 1), repeat=n):
-            choices = []
-            ok = True
-            for j in range(1, m + 1):
-                cs = [source[i] for i in self.fiber(alpha, j)]
-                ms = self.model.mul(cs, target[j - 1])
-                if not ms:
-                    ok = False
-                    break
-                choices.append(ms)
-            if not ok:
-                continue
-            for mults in itertools.product(*choices):
-                out.append(OperatorMorphism(source, target, alpha, mults))
-        return out
+    def draw_object(self, rng):
+        """A sequence of uniform length <= N with uniform entries."""
+        return tuple(rng.choice(self.model.objects)
+                     for _ in range(rng.randint(0, self.N)))
+
+    def draw(self, source, target, rng):
+        """A random morphism source -> target: a uniform pointed map α, then
+        a multimorphism drawn on each fiber; None if some fiber has none."""
+        alpha = tuple(rng.randrange(len(target) + 1) for _ in source)
+        mults = []
+        for j, d in enumerate(target, 1):
+            x = self.model.draw([source[i] for i in self.fiber(alpha, j)], d,
+                                rng)
+            if x is None:
+                return None
+            mults.append(x)
+        return OperatorMorphism(source, target, alpha, tuple(mults))
 
     def identity(self, obj):
         alpha = tuple(range(1, len(obj) + 1))

@@ -94,6 +94,13 @@ def test_promonoidal_vacuous_input_is_an_input_error(capsys, argv):
     assert "error" in json.loads(err)
 
 
+def test_promonoidal_operator_fragment_draws_at_length_four(capsys):
+    # listing its hom-sets once ran out of memory at this size
+    code, rep, _ = run(capsys, ["promonoidal", "--check", "operator-frag",
+                                "--b", "3", "--length", "4"])
+    assert code == 0 and rep["pass"] is True
+
+
 def test_skeleta_filtered_ez_on_points_passes(capsys):
     code, rep, _ = run(capsys, ["skeleta", "delta0", "delta0",
                                 "--filtered-ez"])

@@ -144,7 +144,7 @@ def _kernel_normalization(A, moore):
     for n, rn in enumerate(A.ranks):
         span = la.hstack(la.zeros(rn, 0),
                          *[A.degen_mats[(n - 1, i)] for i in range(n)])
-        U, diag, _, _, _ = la._smith_with_inverses(span, ("U",))
+        U, diag, _, _ = la._smith_with_inverses(span, ("U",))
         r = sum(1 for d in diag if d)
         proj = la.as_sparse(U[r:], rn - r, rn)
         if n == 0:

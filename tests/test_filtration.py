@@ -269,6 +269,29 @@ def test_containment_witness_is_the_first_escaping_triple():
     assert len(witnesses) >= 3
 
 
+def test_skeletal_containment_holds_for_any_map_of_the_right_shape():
+    # F_p ⊗ G_q lives in degrees n <= p + q, where the skeletal H_{p+q} is
+    # all of N_n(A⊗B): the certificate passes for 2·∇ and for an m that is
+    # not even a chain map.  The non-skeletal filtrations of
+    # test_containment_witness_is_the_first_escaping_triple can fail it.
+    rng = random.Random(71)
+    P = filtered_ez(free_abelian(circle(3)),
+                    free_abelian(standard_simplex(2, 3)))
+    twice = ChainMap(P.m.source, P.m.target,
+                     {n: la.mat_scale(2, M) for n, M in P.m.mats.items()})
+    noise = ChainMap(P.m.source, P.m.target, {
+        n: la.as_sparse([[rng.randint(-3, 3) for _ in range(M.ncols)]
+                         for _ in range(M.nrows)], M.nrows, M.ncols)
+        for n, M in P.m.mats.items()}, check=False)
+    for m in (twice, noise):
+        Q = FilteredPairing(P.F, P.G, P.H, m, P.basis)
+        assert Q.containment_certificate().ok
+    # the stage-0 certificate is the one that tells 2·∇ from ∇
+    assert P.filtration_zero_certificate().ok
+    assert not FilteredPairing(P.F, P.G, P.H, twice,
+                               P.basis).filtration_zero_certificate().ok
+
+
 def test_filtration_validation_rejects_non_closed_stage():
     from zilber.chains import ChainComplex
     C = ChainComplex([1, 1], {1: [[1]]})

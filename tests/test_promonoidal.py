@@ -8,9 +8,9 @@ import pytest
 
 from zilber.delta import (MonotoneMap, codegeneracy, coface,
                           enumerate_monotone, generating_maps, identity_map)
-from zilber.promonoidal import (MulticategoryModel, coend_set,
-                                compose_profunctors, coyoneda_check, delta_leq,
-                                delta_mu_associativity_check,
+from zilber.promonoidal import (MulticategoryModel, OperatorMorphism,
+                                coend_set, compose_profunctors, coyoneda_check,
+                                delta_leq, delta_mu_associativity_check,
                                 delta_mu_unit_check, delta_op_multicategory,
                                 delta_op_promonoidal, discrete_category,
                                 hom_profunctor, left_kan_check, mul_delta,
@@ -128,18 +128,62 @@ def test_product_of_simplices_is_colimit_of_its_nondegenerates():
     assert product_simplices_colimit_check([2, 1], range(4)).ok
 
 
+def listed_hom(source, target, mul=mul_delta):
+    """Every morphism source -> target, listed: each pointed map α times the
+    product of mul over its fibers.  The fragment draws these and never
+    lists them; this is the oracle its draws are checked against."""
+    out = []
+    for alpha in itertools.product(range(len(target) + 1), repeat=len(source)):
+        fibers = [mul([c for c, a in zip(source, alpha) if a == j], d)
+                  for j, d in enumerate(target, 1)]
+        out.extend(OperatorMorphism(source, target, alpha, mults)
+                   for mults in itertools.product(*fibers))
+    return out
+
+
+def sequences(objects, N):
+    return [s for n in range(N + 1)
+            for s in itertools.product(objects, repeat=n)]
+
+
+def test_operator_fragment_draws_lie_in_their_listed_hom_sets():
+    rng = random.Random(43)
+    for b in range(3):
+        frag = operator_category_fragment(delta_op_multicategory(b), 2)
+        obs = sequences(range(b + 1), 2)
+        for source in obs:
+            for target in obs:
+                hom = set(listed_hom(source, target))
+                # Δᵒᵖ has a multimorphism of every arity, so no draw fails
+                assert hom
+                for _ in range(3):
+                    assert frag.draw(source, target, rng) in hom
+
+
+@pytest.mark.parametrize("source,target", [
+    ((0, 1), (1,)), ((1,), (0, 1)), ((1, 1), (2,)), ((2,), ()), ((), (1,)),
+])
+def test_operator_fragment_draws_reach_every_morphism(source, target):
+    rng = random.Random(47)
+    frag = operator_category_fragment(delta_op_multicategory(2), 2)
+    drawn = {frag.draw(source, target, rng) for _ in range(3000)}
+    assert drawn == set(listed_hom(source, target))
+
+
+def test_operator_fragment_draws_objects_of_every_length():
+    rng = random.Random(53)
+    frag = operator_category_fragment(delta_op_multicategory(1), 2)
+    drawn = {frag.draw_object(rng) for _ in range(500)}
+    assert drawn == set(sequences(range(2), 2))
+
+
 def test_operator_fragment_composition_is_associative():
     rng = random.Random(41)
     frag = operator_category_fragment(delta_op_multicategory(2), 2)
     for _ in range(30):
-        obs = frag.objects
-        a, b, c, d = (rng.choice(obs) for _ in range(4))
-        fs = frag.morphisms_between(a, b)
-        gs = frag.morphisms_between(b, c)
-        hs = frag.morphisms_between(c, d)
-        if not (fs and gs and hs):
-            continue
-        f, g, h = rng.choice(fs), rng.choice(gs), rng.choice(hs)
+        a, b, c, d = (frag.draw_object(rng) for _ in range(4))
+        f, g, h = (frag.draw(a, b, rng), frag.draw(b, c, rng),
+                   frag.draw(c, d, rng))
         assert frag.compose(h, frag.compose(g, f)) \
             == frag.compose(frag.compose(h, g), f)
         assert frag.compose(f, frag.identity(a)) == f
@@ -148,11 +192,36 @@ def test_operator_fragment_composition_is_associative():
 
 def test_trivial_operator_fragment_counts_pointed_maps():
     # one object and one multimorphism of every arity
-    trivial = MulticategoryModel(["*"], lambda cs, c: ["*"], lambda c: "*",
-                                 lambda y, xs: "*", lambda y, idxs: "*")
+    trivial = MulticategoryModel(["*"], lambda cs, c, rng: "*",
+                                 lambda c: "*", lambda y, xs: "*",
+                                 lambda y, idxs: "*")
     frag = operator_category_fragment(trivial, 2)
     # morphisms <2> -> <1> are the pointed maps {0,1,2} -> {0,1}
-    assert len(frag.morphisms_between(("*", "*"), ("*",))) == 4
+    hom = listed_hom(("*", "*"), ("*",), lambda cs, c: ["*"])
+    assert len(hom) == 4
+    rng = random.Random(59)
+    assert {frag.draw(("*", "*"), ("*",), rng) for _ in range(200)} == set(hom)
+
+
+def test_operator_fragment_draw_is_none_when_a_fiber_has_no_multimorphism():
+    # a category seen as a multicategory: unary multimorphisms only
+    def mul(cs, c):
+        return ["*"] if len(cs) == 1 else []
+
+    def draw(cs, c, rng):
+        return "*" if len(cs) == 1 else None
+
+    unary = MulticategoryModel(["*"], draw, lambda c: "*", lambda y, xs: "*",
+                               lambda y, idxs: "*")
+    frag = operator_category_fragment(unary, 2)
+    rng = random.Random(61)
+    source, target = ("*", "*"), ("*",)
+    hom = set(listed_hom(source, target, mul))
+    # only α = (1, 0) and (0, 1) leave the fiber over 1 with one input
+    assert {m.alpha for m in hom} == {(1, 0), (0, 1)}
+    drawn = [frag.draw(source, target, rng) for _ in range(200)]
+    assert None in drawn
+    assert {m for m in drawn if m is not None} == hom
 
 
 def test_nary_multiplication_size_matches_iterated_coend_formula():
