@@ -599,7 +599,9 @@ def cmd_promonoidal(args):
                         frag.compose(frag.compose(h, g), f):
                     return (a, b_, c_, d_)
                 if frag.compose(f, frag.identity(a)) != f:
-                    return ("unit", a, b_)
+                    return ("right-unit", a, b_)
+                if frag.compose(frag.identity(b_), f) != f:
+                    return ("left-unit", a, b_)
                 return None
 
             certs.append(_trials_cert(

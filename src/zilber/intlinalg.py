@@ -12,10 +12,9 @@ and a batch of vectors is one matrix.  ``Subquotient.lifts`` is a matrix
 with one column per generator, and ``Subquotient.coords`` takes a matrix
 and returns one.  Plain lists of Python ints remain in three places only:
 
-- the working arrays of the Smith normal form, and the transforms it
-  returns (row lists), which the solvers, ``Span``, ``Subquotient`` and
-  the normalization read; ``from_columns`` turns their columns into a
-  ``Sparse``;
+- the working arrays of the Smith normal form and the transforms it
+  returns (row lists); ``_from_rows`` makes a transform that is applied
+  to a matrix a ``Sparse`` once, and ``mat_mul`` applies it;
 - input at the payload boundary, which ``as_sparse`` checks (its shape,
   and that every entry is an ``int``) and converts;
 - ``rows``, which writes a matrix as rows for JSON output.
@@ -43,14 +42,14 @@ pointer each.  Columns are immutable, so sharing changes no value.
 Every solver runs one Smith normal form U*M*V = S and builds only the
 transforms it reads: ``snf_diagonal`` and ``rank`` none, ``kernel_basis``
 V, ``image_basis`` Uinv, ``solve_matrix`` (so ``inverse_unimodular``) U
-and V, and ``Span`` U and Uinv.  A ``Span`` keeps U, the diagonal and the
-image basis, not Uinv, and answers any number of coordinate and
+and V, and ``Span`` U and Uinv.  A ``Span`` keeps U as a ``Sparse``, the
+diagonal and the image basis, and answers any number of coordinate and
 containment tests and the lattice test; ``span_contains`` builds one for
-a single test, and none when there is nothing to test.  A matrix with no
-nonzero entry spans 0, and ``Span`` runs no SNF on it.  A ``Subquotient``
-takes the ``Span`` of Z, which may be shared, and runs one SNF, of the
-coordinates of the B generators on the basis of Z; it builds its lifts
-only when they are read.
+a single test, and none when there is nothing to test.  A ``Subquotient``
+takes the ``Span`` of Z, which may be shared, runs one SNF, of the
+coordinates of the B generators on the basis of Z, keeps the rows of its
+U that select the generators as one ``Sparse``, and builds its lifts only
+when they are read.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ def as_sparse(M, r, c=None, what="matrix"):
         raise ValueError(f"{what} has wrong shape")
     if not set(map(type, chain.from_iterable(M))) <= {int}:
         raise ValueError(f"{what} has an entry that is not an integer")
-    return from_columns(list(zip(*M)) if M else [()] * c, r)
+    return _from_rows(M, c)
 
 
 def rows(M):
@@ -264,10 +263,9 @@ def _eye(n):
     return out
 
 
-def _rows_times(R, B):
-    """The row list R times the matrix B."""
-    return from_columns([[sum([row[k] * b for k, b in col]) for row in R]
-                         for col in B], len(R))
+def _from_rows(R, ncols):
+    """The row list R, each row ncols long, as a Sparse."""
+    return from_columns(list(zip(*R)) if R else [()] * ncols, len(R))
 
 
 ALL_TRANSFORMS = frozenset(("U", "V", "Uinv"))
@@ -447,25 +445,25 @@ def solve_matrix(M, B):
     if not B.ncols:
         return zeros(M.ncols, 0)  # nothing to solve: skip the SNF
     U, diag, V, _ = _smith_with_inverses(M, ("U", "V"))
-    Y = _diagonal_solve(diag, _rows_times(U, B), M.ncols)
-    return None if Y is None else _rows_times(V, Y)
+    Y = _diagonal_solve(diag, mat_mul(_from_rows(U, M.nrows), B), M.ncols)
+    return None if Y is None else mat_mul(_from_rows(V, M.ncols), Y)
 
 
 class Span:
     """The integer column span of A, factored by one SNF U*A*V = S that
-    tracks U and Uinv.  It keeps U, the diagonal, ``basis`` (the image
-    basis, as image_basis gives it) and its column count ``rank``; Uinv is
-    not kept.  Since U*basis = [D; 0] with D the nonzero invariant factors,
-    the coordinates of b on ``basis`` are (U b)_i / d_i, with b in the span
-    iff every division is exact and (U b)_i = 0 for i >= rank; ``basis``
-    has full column rank, so they are unique.  An A with no nonzero entry
-    spans 0 and runs no SNF."""
+    tracks U and Uinv.  It keeps U as a Sparse, the diagonal, ``basis``
+    (the image basis, as image_basis gives it) and its column count
+    ``rank``; Uinv is not kept.  Since U*basis = [D; 0] with D the nonzero
+    invariant factors, the coordinates of b on ``basis`` are (U b)_i / d_i,
+    with b in the span iff every division is exact and (U b)_i = 0 for
+    i >= rank; ``basis`` has full column rank, so they are unique.  An A
+    with no nonzero entry spans 0 and runs no SNF."""
 
     def __init__(self, A):
         self.nrows = A.nrows
         if any(A):
-            self._U, self._diag, _, Uinv = _smith_with_inverses(
-                A, ("U", "Uinv"))
+            U, self._diag, _, Uinv = _smith_with_inverses(A, ("U", "Uinv"))
+            self._U = _from_rows(U, A.nrows)
             basis = _image_from_snf(self._diag, Uinv)
         else:
             self._U, self._diag, basis = None, [], zeros(A.nrows, 0)
@@ -481,7 +479,7 @@ class Span:
                                  f"against a Span in {self.nrows} rows")
         if self._U is None:  # the zero span
             return None if any(B) else zeros(0, B.ncols)
-        return _diagonal_solve(self._diag, _rows_times(self._U, B), self.rank)
+        return _diagonal_solve(self._diag, mat_mul(self._U, B), self.rank)
 
     def contains(self, B):
         """Is every column of B in the span?"""
@@ -539,7 +537,8 @@ class Subquotient:
         kept = [i for i in range(r) if diag[i] != 1]
         self._Z = Z
         self.orders = [diag[i] for i in kept]
-        self._U = [U[i] for i in kept]  # Z.basis coordinates -> generators
+        # Z.basis coordinates -> generators
+        self._U = _from_rows([U[i] for i in kept], r)
         self._Uinv = Uinv
         self._kept = kept
         self.free_rank = sum(1 for o in self.orders if o == 0)
@@ -565,7 +564,7 @@ class Subquotient:
         C = self._Z.coords(B)
         if C is None:
             raise ValueError("a column is not in the subgroup Z")
-        return self.reduce(_rows_times(self._U, C))
+        return self.reduce(mat_mul(self._U, C))
 
     def reduce(self, M):
         """M, an ngens-row matrix, with row i reduced mod orders[i]."""

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism, stdin input."""
 
+import dataclasses
 import io
 import json
 import os
@@ -99,6 +100,26 @@ def test_promonoidal_operator_fragment_draws_at_length_four(capsys):
     code, rep, _ = run(capsys, ["promonoidal", "--check", "operator-frag",
                                 "--b", "3", "--length", "4"])
     assert code == 0 and rep["pass"] is True
+
+
+def test_promonoidal_operator_fragment_checks_the_left_unit_law(
+        capsys, monkeypatch):
+    from zilber import promonoidal
+    compose = promonoidal.OperatorCategoryFragment.compose
+
+    def left_unit_broken(self, second, first):
+        # id ∘ f gains a trailing multimorphism, which compose never reads,
+        # so f ∘ id and composites with no identity on the left are intact
+        out = compose(self, second, first)
+        if second == self.identity(second.source) and first != second:
+            return dataclasses.replace(out, mults=out.mults + ((),))
+        return out
+
+    monkeypatch.setattr(promonoidal.OperatorCategoryFragment, "compose",
+                        left_unit_broken)
+    code, rep, _ = run(capsys, ["promonoidal", "--check", "operator-frag"])
+    assert code == 1 and rep["pass"] is False
+    assert rep["certificates"][0]["witness"].startswith("('left-unit', ")
 
 
 def test_skeleta_filtered_ez_on_points_passes(capsys):

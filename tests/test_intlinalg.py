@@ -665,3 +665,84 @@ def test_one_span_answers_every_containment_and_the_lattice_test(data):
         assert la.mat_eq(la.mat_mul(span.basis, span.coords(inside)), inside)
         for zero in zero_spans:
             assert (zero.coords(B) is None) == (not la.is_zero(B))
+
+
+def rows_times(R, B):
+    """Oracle: the row list R times the matrix B, one dense dot product per
+    entry, as the Smith-form transforms were applied before they were kept
+    as Sparse matrices."""
+    return la.from_columns([[sum([row[k] * b for k, b in col]) for row in R]
+                            for col in B], len(R))
+
+
+def dense_span_coords(A, B):
+    """Oracle for Span(A).coords(B), from a fresh Smith form of A."""
+    if la.is_zero(A):
+        return None if any(B) else la.zeros(0, B.ncols)
+    U, diag, _, _ = la._smith_with_inverses(A)
+    rank = sum(1 for d in diag if d)
+    return la._diagonal_solve(diag, rows_times(U, B), rank)
+
+
+def dense_solve(M, B):
+    """Oracle for solve_matrix(M, B), from a fresh Smith form of M."""
+    if not B.ncols:
+        return la.zeros(M.ncols, 0)
+    U, diag, V, _ = la._smith_with_inverses(M)
+    Y = la._diagonal_solve(diag, rows_times(U, B), M.ncols)
+    return None if Y is None else rows_times(V, Y)
+
+
+def dense_subquotient_coords(z_gens, b_gens, B):
+    """Oracle for Subquotient(Span(z_gens), b_gens).coords(B), or None
+    where it raises ValueError, from fresh Smith forms."""
+    C = dense_span_coords(z_gens, B)
+    if C is None:
+        return None
+    R = dense_span_coords(z_gens, b_gens)
+    U, diag, _, _ = la._smith_with_inverses(R)
+    diag = diag + [0] * (R.nrows - len(diag))
+    kept = [i for i in range(R.nrows) if diag[i] != 1]
+    Y = rows_times([U[i] for i in kept], C)
+    return la.from_columns([[x % diag[i] if diag[i] else x
+                             for i, x in zip(kept, y)]
+                            for y in zip(*la.rows(Y))] if kept
+                           else [()] * Y.ncols, len(kept))
+
+
+def same(X, Y):
+    return X is None and Y is None or (
+        X is not None and Y is not None and la.mat_eq(X, Y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_transforms_match_the_dense_row_product(data):
+    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+
+    def draw(rows, cols):
+        return la.as_sparse(data.draw(sparse_matrices(rows, cols)), rows, cols)
+
+    A, B = draw(r, k), draw(r, c)
+    inside = la.mat_mul(A, draw(k, c))
+    b_gens = la.mat_mul(A, draw(k, data.draw(st.integers(0, 4))))
+    span = la.Span(A)
+    sq = la.Subquotient(span, b_gens)
+    for X in (B, inside):
+        assert same(span.coords(X), dense_span_coords(A, X))
+        assert same(la.solve_matrix(A, X), dense_solve(A, X))
+        want = dense_subquotient_coords(A, b_gens, X)
+        if want is None:
+            with pytest.raises(ValueError):
+                sq.coords(X)
+        else:
+            assert la.mat_eq(sq.coords(X), want)
+    unimodular, _ = zrandom._random_unimodular(
+        random.Random(data.draw(st.integers(0, 999))), r)
+    for M in (A, unimodular):
+        want = dense_solve(M, la.identity(r)) if M.ncols == r else None
+        if want is None or not la.mat_eq(la.mat_mul(M, want), la.identity(r)):
+            with pytest.raises(ValueError):
+                la.inverse_unimodular(M)
+        else:
+            assert la.mat_eq(la.inverse_unimodular(M), want)
