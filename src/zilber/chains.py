@@ -78,7 +78,7 @@ class ChainComplex:
 
     def _validate(self):
         for n in range(2, self.top_degree + 1):
-            if not la.is_zero(la.mat_mul(self.diffs[n - 1], self.diffs[n])):
+            if not la.product_is_zero(self.diffs[n - 1], self.diffs[n]):
                 raise ValueError(f"d_{n-1} ∘ d_{n} != 0")
 
     def __eq__(self, other):

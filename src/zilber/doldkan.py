@@ -87,15 +87,28 @@ def _moore_section(A, n, moore, lifts):
     first:
     upper P_n = (1 - s_0 d_1)(1 - s_1 d_2)⋯(1 - s_{n-1} d_n),
     lower P_n = (1 - s_{n-1} d_{n-1})⋯(1 - s_0 d_0).
-    Raises ValueError unless the Moore faces (d_1..d_n, resp. d_0..d_{n-1})
-    kill every result."""
+    Each lift is one dict of row -> value that every factor updates in
+    place: v -= s_i (d_j v).  Raises ValueError unless the Moore faces
+    (d_1..d_n, resp. d_0..d_{n-1}) kill every result."""
     steps = ([(i, i + 1) for i in reversed(range(n))] if moore == "upper"
              else [(i, i) for i in range(n)])
     ops = [(A.degen_mats[(n - 1, i)], A.face_mats[(n, j)]) for i, j in steps]
-    V = lifts
-    for s, d in ops:
-        V = la.mat_sum([(1, V), (-1, la.mat_mul(s, la.mat_mul(d, V)))])
-    if not all(la.is_zero(la.mat_mul(d, V)) for _, d in ops):
+    cols = []
+    for col in lifts:
+        v = dict(col)
+        for s, d in ops:
+            dv = {}
+            for k, x in v.items():
+                if x:
+                    for i, a in d[k]:
+                        dv[i] = dv.get(i, 0) + a * x
+            for k, y in dv.items():
+                if y:
+                    for i, b in s[k]:
+                        v[i] = v.get(i, 0) - b * y
+        cols.append(tuple(sorted(t for t in v.items() if t[1])))
+    V = la.Sparse(cols, lifts.nrows)
+    if not all(la.product_is_zero(d, V) for _, d in ops):
         raise ValueError("section leaves the Moore subcomplex; "
                          "input is not a valid simplicial abelian group")
     return V
@@ -119,6 +132,13 @@ def normalize(A, moore="upper"):
     by degenerate chains, which the projection kills, so ∇, AW and the
     skeletal filtrations do not depend on the convention.
 
+    The normalized differential is N_n = proj ∘ d_0 ∘ sec (upper) or
+    (-1)^n proj ∘ d_n ∘ sec (lower), one face and not the sum
+    Σ (-1)^i d_i: the Moore check of _moore_section has shown that every
+    other face kills the section, so the two are equal (Goerss-Jardine,
+    Simplicial Homotopy Theory, III.2).  The projection and the section
+    are still validated as chain maps to and from C(A).
+
     Computed once per (A, moore) and kept on A, which is not mutated after
     construction; every caller shares the result, which must not be mutated.
     """
@@ -137,9 +157,15 @@ def _normalize(A, moore):
         projs[n], lifts = _quotient_by_degenerates(A, n)
         secs[n] = _moore_section(A, n, moore, lifts)
     nranks = [secs[n].ncols for n in range(D + 1)]
-    N = ChainComplex(nranks, {
-        n: la.mat_mul(projs[n - 1], la.mat_mul(C.diff(n), secs[n]))
-        for n in range(1, D + 1)})
+    # the Moore check has shown that every face but the edge one, d_0
+    # (upper) or d_n (lower), kills the section: d = Σ (-1)^i d_i is that
+    # one face there, with its sign
+    diffs = {}
+    for n in range(1, D + 1):
+        i = 0 if moore == "upper" else n
+        M = la.mat_mul(projs[n - 1], la.mat_mul(A.face_mats[(n, i)], secs[n]))
+        diffs[n] = la.mat_scale(-1, M) if i % 2 else M
+    N = ChainComplex(nranks, diffs)
     projection = ChainMap(C, N, projs)
     section = ChainMap(N, C, secs)
     for n in range(D + 1):

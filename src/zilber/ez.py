@@ -6,8 +6,10 @@ unitality, AW∘∇ = id, symmetry, and associativity.
 unnormalized formula composed with the sections and projections of the
 normalizations, computed factor by factor (kron(X·S, Y·T) = kron(X, Y) ·
 kron(S, T)), so that C(A)⊗C(B) is never built.  The lifts of ∇ and of
-the swap into unnormalized chains, ∇ itself and AW are validated as chain
-maps; the unnormalized ∇ and AW themselves are never built.
+the swap into unnormalized chains and AW are validated as chain maps; the
+unnormalized ∇ and AW themselves are never built.  ∇ is the projection of
+A⊗B, a chain map that normalization validates, after its validated lift,
+so ∇ is a chain map without a test of its own.
 
 Each pair (A, B) is built and validated once: shuffle_product keeps it on
 A, keyed weakly by B, so every certificate on the pair shares one ∇.
@@ -56,9 +58,12 @@ class _ShuffleProduct:
     sum over the blocks (p, q) and the (p,q)-shuffles of kron(A(s_a) ·
     sec_A, B(s_b) · sec_B), that is ∇ on unnormalized chains composed with
     section ⊗ section, and the projection of A⊗B takes it to 𝒩(A⊗B).  The
-    lift is validated as a chain map 𝒩(A)⊗𝒩(B) -> C(A⊗B), ∇ as a chain
-    map, and its degree-0 component is checked to be the canonical basis
-    identification (the identity matrix).  The Alexander-Whitney map is
+    lift is validated as a chain map 𝒩(A)⊗𝒩(B) -> C(A⊗B), and ∇'s
+    degree-0 component is checked to be the canonical basis
+    identification (the identity matrix).  ∇ is not validated again: it
+    is the composite of the lift and the projection C(A⊗B) -> 𝒩(A⊗B),
+    which normalize validates as a chain map, and a composite of chain
+    maps is one.  The Alexander-Whitney map is
     built on demand by alexander_whitney(), also on the section image.
     Neither builds C(A)⊗C(B).  The normalizations of A, B and A⊗B are kept
     for downstream use (filtered pairings, symmetry and associativity
@@ -86,7 +91,6 @@ class _ShuffleProduct:
                                            sec_b.mat(q))])
             for n in range(A.dim_bound + 1)})
         self.map = self.norm_AB.projection.compose(lifted)
-        self.map._validate()
         if not la.mat_eq(self.map.mat(0), la.identity(NT.rank(0))):
             raise AssertionError("degree-0 component is not the canonical "
                                  "identification")

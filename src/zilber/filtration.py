@@ -163,7 +163,7 @@ def _skeletal_filtration(A):
     for k in range(D + 1):
         P = nres.projection.mat(k)
         for i in range(k):
-            if not la.is_zero(la.mat_mul(P, A.degen_mats[(k - 1, i)])):
+            if not la.product_is_zero(P, A.degen_mats[(k - 1, i)]):
                 raise AssertionError(f"projection P_{k} does not kill s_{i}")
         full.append(la.image_basis(P))
     # a stage (p, k) with p < k is left out, so it is 0
@@ -306,10 +306,18 @@ class FilteredPairing:
         return self._containment
 
     def _check_containment(self):
+        """Test m(F_p ⊗ G_q) ⊆ H_{p+q} in every degree n, for every p and
+        q, and return the certificate with the first escaping (p, q, n)
+        as witness.  A triple whose target stage is all of ℤ^rank (its
+        span is a lattice) holds whatever m is, so it is skipped before
+        any image is built; a stage of full rank but finite index > 1 is
+        still tested."""
         tb = self.basis
         for p in range(self.F.p_max + 1):
             for q in range(self.G.p_max + 1):
                 for n in range(tb.top_degree + 1):
+                    if self.H.span(p + q, n).is_lattice():
+                        continue  # everything is in H_{p+q}: build nothing
                     # every x ⊗ y of F_p ⊗ G_q in degree n, tested at once
                     cols = _kron_columns(tb.rank(n), [
                         (off, self.F.stage(p, a), self.G.stage(q, b))
@@ -346,9 +354,11 @@ def filtered_ez(A, B):
     """The shuffle product as a filtered pairing between skeletal
     filtrations: sk(A) ⊗ sk(B) -> sk(A⊗B), with the containment certificate
     computed at construction.  It holds for any m: F_p ⊗ G_q is 0 in
-    degrees n > p + q, and H_{p+q} is all of N_n(A⊗B) for n <= p + q.  Its
-    content is the premise check of the three skeletal filtrations and the
-    validation of ∇ as a chain map."""
+    degrees n > p + q, and H_{p+q} is all of N_n(A⊗B) for n <= p + q.
+    The containment test skips every triple whose target stage is a
+    lattice, so it builds images only for n > p + q, where they are
+    empty.  Its content is the premise check of the three skeletal
+    filtrations and the validation of the lift of ∇ as a chain map."""
     sp = shuffle_product(A, B)
     F = skeletal_filtration(A)
     G = skeletal_filtration(B)

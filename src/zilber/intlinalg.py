@@ -24,6 +24,14 @@ library (in ``mat_mul``, ``mat_sum``, ``hstack``, ``solve_matrix``,
 ``Span.coords`` or ``span_contains``) is a fault of the library and
 raises AssertionError, not ValueError.
 
+``mat_sum`` accumulates each column of a signed sum once, in one dict,
+and sorts it.  ``product_is_zero(A, B)`` answers ``is_zero(mat_mul(A,
+B))`` without storing the product: one dict per column of B, dropped
+after its test, and a column of B with one entry (k, b) is zero exactly
+when column k of A is empty.  The d∘d check of a chain complex, the
+Moore check of a normalization and the premise of the skeletal
+filtration use it.
+
 ``kron_sum`` adds scaled Kronecker products into blocks of a matrix: ∇,
 AW and the block layout of ``chains.TensorBasis`` are built with it.
 ``kron``, which ``sab_tensor`` and the Leibniz check call, is a separate
@@ -177,15 +185,42 @@ def mat_mul(A, B):
 
 def mat_sum(terms):
     """The signed sum Σ scale * M over (scale, M) in terms, a nonempty list
-    of matrices of one shape."""
+    of matrices of one shape.  Each column is accumulated once, in one
+    dict, over the terms with a nonzero scale."""
     shape = dims(terms[0][1])
     if any(dims(M) != shape for _, M in terms):
         raise AssertionError("shape mismatch in mat_sum")
-    scales = [scale for scale, _ in terms if scale]
-    mats = [M for scale, M in terms if scale]
-    return Sparse([_column([(i, s * x) for s, col in zip(scales, cols)
-                            for i, x in col]) for cols in zip(*mats)]
-                  if mats else ((),) * shape[1], shape[0])
+    terms = [(scale, M) for scale, M in terms if scale]
+    out = []
+    for j in range(shape[1]):
+        acc = {}
+        for s, M in terms:
+            for i, x in M[j]:
+                acc[i] = acc.get(i, 0) + s * x
+        out.append(tuple(sorted(t for t in acc.items() if t[1])))
+    return Sparse(out, shape[0])
+
+
+def product_is_zero(A, B):
+    """Is A * B zero?  The product is not stored: each column of B is
+    accumulated in one dict, dropped after its test.  A column of B with
+    one entry (k, b) gives b times column k of A, zero exactly when that
+    column is empty."""
+    if A.ncols != B.nrows:
+        raise AssertionError(f"dimension mismatch in product_is_zero: "
+                             f"{A.nrows}x{A.ncols} times {B.nrows}x{B.ncols}")
+    for Bj in B:
+        if len(Bj) == 1:
+            if A[Bj[0][0]]:
+                return False
+        elif Bj:
+            acc = {}
+            for k, b in Bj:
+                for i, a in A[k]:
+                    acc[i] = acc.get(i, 0) + a * b
+            if any(acc.values()):
+                return False
+    return True
 
 
 def transpose(M):

@@ -454,14 +454,18 @@ def leibniz_check(pairing):
     r = pairing.r
     S_F, S_G, S_H = pairing.S_F, pairing.S_G, pairing.S_H
     ph = S_H.pages[r]
+    coords = {}  # key -> its products in coordinates, each factored once
 
     def coords_of_products(pq1, pq2):
         """The products of the key (pq1, pq2) in the coordinates of their
-        entry of page r of H."""
-        (p, q), (p2, q2) = pq1, pq2
-        cols = [col for row in pairing.products[(pq1, pq2)] for col in row]
-        return ph[(p + p2, q + q2)].coords(
-            la.Sparse(cols, S_H.F.ambient.rank(p + q + p2 + q2)))
+        entry of page r of H; a key is read as its own left side and as a
+        d_r term of other keys, and factored on its first read."""
+        if (pq1, pq2) not in coords:
+            (p, q), (p2, q2) = pq1, pq2
+            cols = [col for row in pairing.products[(pq1, pq2)] for col in row]
+            coords[(pq1, pq2)] = ph[(p + p2, q + q2)].coords(
+                la.Sparse(cols, S_H.F.ambient.rank(p + q + p2 + q2)))
+        return coords[(pq1, pq2)]
 
     for pq1, pq2 in pairing.products:
         p, q = pq1

@@ -3,19 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zilber import _random as zrandom
+from zilber import doldkan
 from zilber import intlinalg as la
 from zilber.chains import homology
 from zilber.delta import coface, codegeneracy, epi_mono_factorize, identity_map
-from zilber.doldkan import (disk, gamma, gamma_basis,
+from zilber.doldkan import (_moore_section, _quotient_by_degenerates, disk,
+                            gamma, gamma_basis,
                             gamma_normalize_comparison, homotopy_groups,
                             is_chain_iso, is_levelwise_unimodular,
                             normalized_gamma_comparison, normalize,
                             unnormalized_chains)
 from zilber.ez import aw_nabla_identity_check, symmetry_check, unitality_check
 from zilber.simplicial import (SimplicialAbelianGroup, circle, free_abelian,
-                               product, standard_simplex)
+                               product, sab_tensor, standard_simplex)
 
 
 def test_unnormalized_chains_of_triangle():
@@ -217,7 +221,7 @@ def test_coordinate_and_snf_paths_agree(X, snf_calls):
 
 
 @pytest.mark.parametrize("moore,i,v", [("upper", 1, 0), ("lower", 0, 1)])
-def test_broken_face_is_caught_by_the_moore_check(moore, i, v):
+def test_broken_face_is_caught_by_the_moore_check(monkeypatch, moore, i, v):
     # at bound 1, where d² = 0 cannot catch it
     A = free_abelian(standard_simplex(1, 1))
     faces = {k: la.rows(M) for k, M in A.face_mats.items()}
@@ -226,8 +230,18 @@ def test_broken_face_is_caught_by_the_moore_check(moore, i, v):
     faces[(1, i)][v][e], faces[(1, i)][1 - v][e] = 0, 1
     B = SimplicialAbelianGroup(A.dim_bound, A.ranks, faces, A.degen_mats,
                                check=False)
+    built = []
+
+    class Recorded(doldkan.ChainComplex):
+        def __init__(self, ranks, diffs):
+            built.append(list(ranks))
+            super().__init__(ranks, diffs)
+
+    monkeypatch.setattr(doldkan, "ChainComplex", Recorded)
     with pytest.raises(ValueError, match="Moore subcomplex"):
         normalize(B, moore)
+    # N, which reads one face on the section, was never built: only C(B)
+    assert built == [B.ranks]
 
 
 def test_free_objects_normalize_without_smith_normal_form(snf_calls):
@@ -235,3 +249,84 @@ def test_free_objects_normalize_without_smith_normal_form(snf_calls):
     N = normalize(free_abelian(X)).normalized
     assert tuple(N.ranks) == X.nondegenerate_counts()
     assert snf_calls == []
+
+
+# ---------------------------------------------------------------------------
+# the Moore idempotent column by column against the three-product form
+
+
+def moore_section_by_products(A, n, moore, lifts):
+    """Oracle for _moore_section: each factor (1 - s_i d_j) applied to the
+    whole matrix as two products and a signed sum."""
+    steps = ([(i, i + 1) for i in reversed(range(n))] if moore == "upper"
+             else [(i, i) for i in range(n)])
+    V = lifts
+    for i, j in steps:
+        s, d = A.degen_mats[(n - 1, i)], A.face_mats[(n, j)]
+        V = la.mat_sum([(1, V), (-1, la.mat_mul(s, la.mat_mul(d, V)))])
+    return V
+
+
+def _d1_s1():
+    return free_abelian(standard_simplex(1, 3)), free_abelian(circle(3))
+
+
+MOORE_GROUPS = {  # ℤ[X], tensor products, Γ(C) and conjugated groups
+    "free": lambda rng: free_abelian(standard_simplex(2, 3)),
+    "tensor": lambda rng: sab_tensor(*_d1_s1()),
+    "gamma": lambda rng: gamma(zrandom.rand_complex(
+        rng, top_degree=3, max_total_rank=5), 3),
+    "conjugate": lambda rng: zrandom.conjugate_simplicial(
+        rng, sab_tensor(*reversed(_d1_s1()))),
+    "conjugate_gamma": lambda rng: zrandom.conjugate_simplicial(
+        rng, zrandom.rand_simplicial(rng, dim_bound=3)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(MOORE_GROUPS)),
+       moore=st.sampled_from(["upper", "lower"]),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_moore_section_matches_the_three_product_form(kind, moore, seed,
+                                                      data):
+    A = MOORE_GROUPS[kind](random.Random(seed))
+    for n in range(A.dim_bound + 1):
+        _, lifts = _quotient_by_degenerates(A, n)
+        assert la.mat_eq(_moore_section(A, n, moore, lifts),
+                         moore_section_by_products(A, n, moore, lifts))
+    # P_n maps every chain into the Moore subgroup, not just the lifts
+    n = data.draw(st.integers(0, A.dim_bound))
+    rn = A.ranks[n]
+    V = la.as_sparse(data.draw(st.lists(
+        st.lists(st.integers(-2 ** 70, 2 ** 70) | st.just(0),
+                 min_size=3, max_size=3), min_size=rn, max_size=rn)), rn, 3)
+    assert la.mat_eq(_moore_section(A, n, moore, V),
+                     moore_section_by_products(A, n, moore, V))
+
+
+@pytest.mark.parametrize("moore", ["upper", "lower"])
+def test_normalized_differential_from_one_face_is_the_face_sum(moore):
+    rng = random.Random(29)
+    for make in MOORE_GROUPS.values():
+        A = make(rng)
+        res = normalize(A, moore)
+        C = unnormalized_chains(A)
+        for n in range(1, A.dim_bound + 1):
+            assert la.mat_eq(res.normalized.diff(n), la.mat_mul(
+                res.projection.mat(n - 1),
+                la.mat_mul(C.diff(n), res.section.mat(n))))
+
+
+def test_a_face_that_breaks_d_squared_is_caught_by_the_chain_complex():
+    X = standard_simplex(2, 2)
+    A = free_abelian(X)
+    faces = {k: la.rows(M) for k, M in A.face_mats.items()}
+    # d_0 [0,1,2] becomes the edge [0,1], not [1,2]: then
+    # d [0,1,2] = 2[0,1] - [0,2], whose boundary 2[1] - [0] - [2] is not 0
+    top, e01 = X.levels[2].index((0, 1, 2)), X.levels[1].index((0, 1))
+    for i, row in enumerate(faces[(2, 0)]):
+        row[top] = int(i == e01)
+    B = SimplicialAbelianGroup(A.dim_bound, A.ranks, faces, A.degen_mats,
+                               check=False)
+    with pytest.raises(ValueError, match=r"^d_1 ∘ d_2 != 0$"):
+        unnormalized_chains(B)

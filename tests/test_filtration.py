@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from zilber import _random as zrandom
 from zilber import filtration
 from zilber import intlinalg as la
-from zilber.chains import ChainMap, identity_chain_map
+from zilber.chains import ChainMap, identity_chain_map, tensor
 from zilber.delta import enumerate_surjections
 from zilber.doldkan import normalize
 from zilber.ez import _koszul_swap, _tensor_associator
@@ -290,6 +291,45 @@ def test_skeletal_containment_holds_for_any_map_of_the_right_shape():
     assert P.filtration_zero_certificate().ok
     assert not FilteredPairing(P.F, P.G, P.H, twice,
                                P.basis).filtration_zero_certificate().ok
+
+
+def test_a_target_stage_of_full_rank_but_index_two_is_still_tested():
+    # H_0 = 2ℤ in degree 0 has full rank but is not a lattice: the
+    # containment test must not skip it
+    F, G = unit_filtration(), unit_filtration()
+    E, tb = tensor(F.ambient, G.ambient)
+    H = FilteredChainComplex(E, [{0: [[2]]}, {0: [[1]]}], 1)
+    for scale, ok in ((1, False), (2, True)):
+        m = ChainMap(E, H.ambient, {0: [[scale]]})
+        cert = FilteredPairing(F, G, H, m, tb, check=False) \
+            .containment_certificate()
+        assert cert.ok == ok
+        if not ok:
+            assert cert.witness == (0, 0, 0)
+            assert cert.detail == "m(F_0 ⊗ G_0) escapes H_0 in degree 0"
+
+
+def test_skeletal_containment_builds_images_only_above_the_diagonal(
+        monkeypatch):
+    # H_{p+q} is all of N_n(A⊗B) for n <= p + q, so those triples are
+    # skipped; above the diagonal the stage is 0 and F_p ⊗ G_q is empty
+    built = []
+    real = filtration._kron_columns
+
+    def recording(nrows, pieces):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_check_containment":
+            built.append(tuple(caller.f_locals[k] for k in "pqn"))
+        return real(nrows, pieces)
+
+    monkeypatch.setattr(filtration, "_kron_columns", recording)
+    P = filtered_ez(free_abelian(circle(3)),
+                    free_abelian(standard_simplex(2, 3)))
+    assert P.containment_certificate().ok
+    want = [(p, q, n) for p in range(4) for q in range(4) for n in range(4)
+            if n > p + q and P.H.ambient.rank(n)]
+    assert built == want and len(built) == 10
+    assert all(n > p + q for p, q, n in built)
 
 
 def test_filtration_validation_rejects_non_closed_stage():

@@ -145,11 +145,12 @@ def test_mat_mul_rejects_mismatched_shapes():
 
 @pytest.mark.parametrize("fault", [
     lambda: la.mat_sum([(1, la.zeros(2, 3)), (1, la.zeros(3, 2))]),
+    lambda: la.product_is_zero(la.zeros(2, 3), la.zeros(2, 3)),
     lambda: la.hstack(la.zeros(2, 1), la.zeros(3, 1)),
     lambda: la.solve_matrix(la.identity(2), la.zeros(3, 1)),
     lambda: la.Span(la.identity(2)).coords(la.zeros(3, 1)),
     lambda: la.span_contains(la.identity(2), la.zeros(3, 1))],
-    ids=["mat_sum", "hstack", "solve_matrix", "Span.coords", "span_contains"])
+    ids=["mat_sum", "product_is_zero", "hstack", "solve_matrix", "Span.coords", "span_contains"])
 def test_shape_faults_raise_assertion_errors(fault):
     with pytest.raises(AssertionError, match="mismatch"):
         fault()
@@ -301,6 +302,61 @@ def test_kron_is_the_entrywise_product_and_shares_unit_columns(data):
     for col, (Aj, Bl) in zip(K, itertools.product(SA, SB)):
         if _is_unit(Aj) and _is_unit(Bl):
             assert col is la.units(ra * rb)[col[0][0]]
+
+
+@st.composite
+def scaled_unit_column_matrices(draw, rows, cols):
+    """Row lists whose columns are empty or have one entry, of any size."""
+    M = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        if rows and draw(st.booleans()):
+            M[draw(st.integers(0, rows - 1))][j] = draw(st.sampled_from(
+                (1, 1, -1, 2, 2 ** 80, -2 ** 80)))
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_product_is_zero_is_the_zero_test_of_the_product(data):
+    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    kinds = st.sampled_from((sparse_matrices, unit_column_matrices,
+                             scaled_unit_column_matrices))
+    A = data.draw(kinds.flatmap(lambda kind: kind(r, k)))
+    B = data.draw(kinds.flatmap(lambda kind: kind(k, c)))
+    SA, SB = la.as_sparse(A, r, k), la.as_sparse(B, k, c)
+    assert la.product_is_zero(SA, SB) == la.is_zero(la.mat_mul(SA, SB))
+    # products forced to zero: [A A] [B; -B] cancels in every entry, and
+    # A annihilates its kernel basis and the zero matrix
+    AA = la.hstack(SA, SA)
+    BB = la.as_sparse(B + [[-x for x in row] for row in B], 2 * k, c)
+    for X, Y in ((AA, BB), (SA, la.kernel_basis(SA)), (SA, la.zeros(k, c))):
+        assert la.is_zero(la.mat_mul(X, Y))
+        assert la.product_is_zero(X, Y)
+
+
+def test_product_is_zero_reads_a_one_entry_column_as_a_column_of_a():
+    A = la.Sparse((((0, 1), (1, -1)), (), ((1, 2 ** 80),)), 2)
+    for b in (1, -1, 3, 2 ** 80):
+        assert not la.product_is_zero(A, la.Sparse((((0, b),),), 3))
+        assert la.product_is_zero(A, la.Sparse((((1, b),),), 3))
+        assert not la.product_is_zero(A, la.Sparse((((2, b),),), 3))
+    # the two nonzero columns of A meet in row 1 and cancel only there
+    assert not la.product_is_zero(A, la.Sparse((((0, 2 ** 80), (2, 1)),), 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mat_sum_matches_the_dense_sum(data):
+    r, c = (data.draw(st.integers(0, 4)) for _ in range(2))
+    kinds = st.sampled_from((sparse_matrices, unit_column_matrices,
+                             scaled_unit_column_matrices))
+    terms = [(data.draw(st.sampled_from((0, 0, 1, -1, 2, -3, 2 ** 70))),
+              data.draw(kinds.flatmap(lambda kind: kind(r, c))))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    if data.draw(st.booleans()):  # every term with its negative
+        terms += [(-s, M) for s, M in terms]
+    got = la.mat_sum([(s, la.as_sparse(M, r, c)) for s, M in terms])
+    assert_canonical(got, dense_sum(terms), c)
 
 
 def test_identity_shares_its_unit_columns():

@@ -412,6 +412,32 @@ def test_leibniz_check_equals_the_per_pair_oracle():
     assert sum(1 for ok, _, _ in certs if not ok) == 139
 
 
+def test_leibniz_check_factors_each_product_matrix_once(monkeypatch):
+    # a key's products are its own left side and a d_r term of other
+    # keys: over the 27 honest pairings of {Δ¹, Δ², S¹}² at bound 3 and
+    # r = 1..3 there are 117 distinct product matrices, read 162 times
+    spaces = (standard_simplex(1, 3), standard_simplex(2, 3), circle(3))
+    calls = []
+    real = la.Subquotient.coords
+
+    def counting(self, B):
+        calls.append((self, B))
+        return real(self, B)
+
+    pairings = []
+    for X, Y in itertools.product(spaces, repeat=2):
+        P = filtered_ez(free_abelian(X), free_abelian(Y))
+        seqs = [SpectralSequence(Z) for Z in (P.F, P.G, P.H)]
+        pairings += [induced_pairing(P, *seqs, r) for r in (1, 2, 3)]
+    monkeypatch.setattr(la.Subquotient, "coords", counting)
+    for pairing in pairings:
+        before = len(calls)
+        assert leibniz_check(pairing).ok
+        seen = [(id(sq), B) for sq, B in calls[before:]]
+        assert len(seen) == len(set(seen))  # no matrix twice in one call
+    assert len(pairings) == 27 and len(calls) <= 117
+
+
 def test_page_recursion_builds_no_lifts(monkeypatch):
     # page recursion reads only orders; d_r reads the lifts of its sources
     built = []
