@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
 """Run the scale ladder of CLI pipelines and write a BENCH file.
 
-    python scripts/ladder.py [--checkout LABEL=DIR ...] [--rows NAME,...]
-        [--repeat N] [--timeout SECONDS] [--mem-mb MB] [--out BENCH_29.json]
+    python scripts/ladder.py [--checkout LABEL=DIR ...] --out BENCH_<n>.json
 
 Each row is one ``zilber`` invocation at a large dimension bound (or b),
 run as ``python -m zilber.cli`` in a child process with ``PYTHONPATH``
 set to the checkout's ``src`` and ``ZILBER_MAX_DIM`` raised to 20.  A
-child gets its own wall-time limit (it is killed past it) and its own
-``RLIMIT_AS`` address-space limit, so a blowup is recorded as a number
-and an exit code, not as an out-of-memory kill of the host.  For each
-run it records the wall time, the child's peak RSS (``ru_maxrss`` from
-``os.wait4``) and the exit code (negative: killed by that signal).
+child gets its own wall-time limit of TIMEOUT_S seconds (it is killed
+past it) and its own ``RLIMIT_AS`` address-space limit of MEM_MB MB, so
+a blowup is recorded as a number and an exit code, not as an
+out-of-memory kill of the host.  For each run it records the wall time,
+the child's peak RSS (``ru_maxrss`` from ``os.wait4``) and the exit code
+(negative: killed by that signal).
 
 With several checkouts (default: ``change=`` this script's checkout),
-each row runs ``--repeat`` times per checkout, and the checkout that
-runs first alternates from round to round, so a drift of the host speed
+every row runs REPEAT times per checkout, and the checkout that runs
+first alternates from round to round, so a drift of the host speed
 favours none.  The BENCH file also records, per checkout, the source
 lines of each module of ``src/zilber`` (``scripts/sloc.py``), plus the
 Python version and the CPU count.  Nothing under a checkout is written
@@ -35,6 +35,9 @@ import threading
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300   # wall-time limit of one child, in seconds
+MEM_MB = 2048     # RLIMIT_AS of one child, in MB
+REPEAT = 2        # runs of each row per checkout
 
 ROWS = {  # name -> zilber argv
     "ez-assoc-7": ["ez", "delta2", "delta2", "--third", "delta2",
@@ -100,12 +103,12 @@ def run_child(argv, cwd, env, timeout_s, mem_mb):
             "timed_out": wall >= timeout_s and proc.returncode < 0}
 
 
-def run_row(checkout, argv, timeout_s, mem_mb):
+def run_row(checkout, argv):
     """One ladder run of the zilber argv in checkout."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                ZILBER_MAX_DIM="20")
     return run_child([sys.executable, "-m", "zilber.cli", *argv],
-                     checkout, env, timeout_s, mem_mb)
+                     checkout, env, TIMEOUT_S, MEM_MB)
 
 
 def parse_checkout(text):
@@ -121,37 +124,27 @@ def main(argv=None):
     ap.add_argument("--checkout", action="append", type=parse_checkout,
                     help="LABEL=DIR, repeatable (default: change=this "
                          "checkout)")
-    ap.add_argument("--rows", default=",".join(ROWS),
-                    help="comma-separated row names (default: all)")
-    ap.add_argument("--repeat", type=int, default=1)
-    ap.add_argument("--timeout", type=float, default=300.0,
-                    help="wall-time limit of one child, in seconds")
-    ap.add_argument("--mem-mb", type=int, default=2048,
-                    help="RLIMIT_AS of one child, in MB")
-    ap.add_argument("--out", type=pathlib.Path,
-                    default=ROOT / "BENCH_29.json")
+    ap.add_argument("--out", type=pathlib.Path, required=True,
+                    help="the BENCH file to write, BENCH_<n>.json for "
+                         "change n")
     args = ap.parse_args(argv)
     checkouts = args.checkout or [("change", ROOT)]
-    names = args.rows.split(",")
-    unknown = [name for name in names if name not in ROWS]
-    if unknown:
-        ap.error(f"unknown rows: {', '.join(unknown)}")
     rows, ok = [], True
-    for name in names:
+    for name, row in ROWS.items():
         runs = {label: [] for label, _ in checkouts}
-        for i in range(args.repeat):
+        for i in range(REPEAT):
             for label, path in checkouts if i % 2 == 0 else checkouts[::-1]:
-                run = run_row(path, ROWS[name], args.timeout, args.mem_mb)
+                run = run_row(path, row)
                 runs[label].append(run)
                 ok = ok and run["exit"] == 0
                 print(f"{name:16s} {label:8s} {run['wall_s']:8.2f} s "
                       f"{run['peak_rss_mb']:8.1f} MB  exit {run['exit']}",
                       file=sys.stderr)
-        rows.append({"name": name, "argv": ROWS[name], "runs": runs})
+        rows.append({"name": name, "argv": row, "runs": runs})
     bench = {
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
-        "limits": {"timeout_s": args.timeout, "mem_mb": args.mem_mb},
+        "limits": {"timeout_s": TIMEOUT_S, "mem_mb": MEM_MB},
         "sloc": {label: sloc_per_module(path) for label, path in checkouts},
         "rows": rows,
     }

@@ -87,27 +87,13 @@ def _moore_section(A, n, moore, lifts):
     first:
     upper P_n = (1 - s_0 d_1)(1 - s_1 d_2)⋯(1 - s_{n-1} d_n),
     lower P_n = (1 - s_{n-1} d_{n-1})⋯(1 - s_0 d_0).
-    Each lift is one dict of row -> value that every factor updates in
-    place: v -= s_i (d_j v).  Raises ValueError unless the Moore faces
-    (d_1..d_n, resp. d_0..d_{n-1}) kill every result."""
+    la.apply_factors applies them one column at a time.  Raises
+    ValueError unless the Moore faces (d_1..d_n, resp. d_0..d_{n-1}) kill
+    every result."""
     steps = ([(i, i + 1) for i in reversed(range(n))] if moore == "upper"
              else [(i, i) for i in range(n)])
     ops = [(A.degen_mats[(n - 1, i)], A.face_mats[(n, j)]) for i, j in steps]
-    cols = []
-    for col in lifts:
-        v = dict(col)
-        for s, d in ops:
-            dv = {}
-            for k, x in v.items():
-                if x:
-                    for i, a in d[k]:
-                        dv[i] = dv.get(i, 0) + a * x
-            for k, y in dv.items():
-                if y:
-                    for i, b in s[k]:
-                        v[i] = v.get(i, 0) - b * y
-        cols.append(tuple(sorted(t for t in v.items() if t[1])))
-    V = la.Sparse(cols, lifts.nrows)
+    V = la.apply_factors(ops, lifts)
     if not all(la.product_is_zero(d, V) for _, d in ops):
         raise ValueError("section leaves the Moore subcomplex; "
                          "input is not a valid simplicial abelian group")

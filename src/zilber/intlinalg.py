@@ -20,17 +20,18 @@ and returns one.  Plain lists of Python ints remain in three places only:
 - ``rows``, which writes a matrix as rows for JSON output.
 
 Input is checked at that boundary, so a shape mismatch inside the
-library (in ``mat_mul``, ``mat_sum``, ``hstack``, ``solve_matrix``,
-``Span.coords`` or ``span_contains``) is a fault of the library and
-raises AssertionError, not ValueError.
+library (in ``mat_mul``, ``mat_sum``, ``apply_factors``, ``hstack``,
+``solve_matrix``, ``Span.coords`` or ``span_contains``) is a fault of
+the library and raises AssertionError, not ValueError.
 
 ``mat_sum`` accumulates each column of a signed sum once, in one dict,
-and sorts it.  ``product_is_zero(A, B)`` answers ``is_zero(mat_mul(A,
-B))`` without storing the product: one dict per column of B, dropped
-after its test, and a column of B with one entry (k, b) is zero exactly
-when column k of A is empty.  The d∘d check of a chain complex, the
-Moore check of a normalization and the premise of the skeletal
-filtration use it.
+and sorts it.  ``apply_factors`` applies a product of factors (1 - s d)
+to a matrix the same way, one dict per column updated by every factor;
+the Moore idempotent of a normalization is such a product.
+``product_is_zero(A, B)`` answers ``is_zero(mat_mul(A, B))`` without
+storing the product: one dict per column of B, dropped after its test.
+The d∘d check of a chain complex, the Moore check of a normalization
+and the premise of the skeletal filtration use it.
 
 ``kron_sum`` adds scaled Kronecker products into blocks of a matrix: ∇,
 AW and the block layout of ``chains.TensorBasis`` are built with it.
@@ -151,6 +152,12 @@ def _column(pairs):
     acc = {}  # some row repeats: sum its values
     for i, x in pairs:
         acc[i] = acc.get(i, 0) + x
+    return _dict_column(acc)
+
+
+def _dict_column(acc):
+    """The canonical column of a dict row -> value: zeros dropped, rows
+    ascending."""
     if 0 in acc.values():
         return tuple([t for t in sorted(acc.items()) if t[1]])
     return tuple(sorted(acc.items()))
@@ -197,23 +204,45 @@ def mat_sum(terms):
         for s, M in terms:
             for i, x in M[j]:
                 acc[i] = acc.get(i, 0) + s * x
-        out.append(tuple(sorted(t for t in acc.items() if t[1])))
+        out.append(_dict_column(acc))
     return Sparse(out, shape[0])
+
+
+def apply_factors(ops, M):
+    """(1 - s_m d_m)⋯(1 - s_1 d_1) * M for ops = [(s_1, d_1), ..., (s_m,
+    d_m)], square products s_i * d_i of the size of M's rows, the first
+    factor applied first.  Each column of M is one dict of row -> value
+    that every factor updates in place, v -= s_i (d_i v); no product or
+    sum is stored."""
+    r = M.nrows
+    if any(s.nrows != r or d.ncols != r or s.ncols != d.nrows
+           for s, d in ops):
+        raise AssertionError("shape mismatch in apply_factors")
+    out = []
+    for col in M:
+        v = dict(col)
+        for s, d in ops:
+            dv = {}
+            for k, x in v.items():
+                if x:
+                    for i, a in d[k]:
+                        dv[i] = dv.get(i, 0) + a * x
+            for k, y in dv.items():
+                if y:
+                    for i, b in s[k]:
+                        v[i] = v.get(i, 0) - b * y
+        out.append(_dict_column(v))
+    return Sparse(out, r)
 
 
 def product_is_zero(A, B):
     """Is A * B zero?  The product is not stored: each column of B is
-    accumulated in one dict, dropped after its test.  A column of B with
-    one entry (k, b) gives b times column k of A, zero exactly when that
-    column is empty."""
+    accumulated in one dict, dropped after its test."""
     if A.ncols != B.nrows:
         raise AssertionError(f"dimension mismatch in product_is_zero: "
                              f"{A.nrows}x{A.ncols} times {B.nrows}x{B.ncols}")
     for Bj in B:
-        if len(Bj) == 1:
-            if A[Bj[0][0]]:
-                return False
-        elif Bj:
+        if Bj:
             acc = {}
             for k, b in Bj:
                 for i, a in A[k]:

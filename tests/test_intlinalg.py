@@ -146,11 +146,13 @@ def test_mat_mul_rejects_mismatched_shapes():
 @pytest.mark.parametrize("fault", [
     lambda: la.mat_sum([(1, la.zeros(2, 3)), (1, la.zeros(3, 2))]),
     lambda: la.product_is_zero(la.zeros(2, 3), la.zeros(2, 3)),
+    lambda: la.apply_factors([(la.zeros(2, 1), la.zeros(1, 3))],
+                             la.zeros(2, 2)),
     lambda: la.hstack(la.zeros(2, 1), la.zeros(3, 1)),
     lambda: la.solve_matrix(la.identity(2), la.zeros(3, 1)),
     lambda: la.Span(la.identity(2)).coords(la.zeros(3, 1)),
     lambda: la.span_contains(la.identity(2), la.zeros(3, 1))],
-    ids=["mat_sum", "product_is_zero", "hstack", "solve_matrix", "Span.coords", "span_contains"])
+    ids=["mat_sum", "product_is_zero", "apply_factors", "hstack", "solve_matrix", "Span.coords", "span_contains"])
 def test_shape_faults_raise_assertion_errors(fault):
     with pytest.raises(AssertionError, match="mismatch"):
         fault()
@@ -357,6 +359,25 @@ def test_mat_sum_matches_the_dense_sum(data):
         terms += [(-s, M) for s, M in terms]
     got = la.mat_sum([(s, la.as_sparse(M, r, c)) for s, M in terms])
     assert_canonical(got, dense_sum(terms), c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_apply_factors_matches_the_dense_products(data):
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    kinds = st.sampled_from((sparse_matrices, unit_column_matrices,
+                             scaled_unit_column_matrices))
+    ops = [(data.draw(kinds.flatmap(lambda kind: kind(r, k))),
+            data.draw(kinds.flatmap(lambda kind: kind(k, r))))
+           for _ in range(data.draw(st.integers(0, 3)))]
+    M = data.draw(kinds.flatmap(lambda kind: kind(r, c)))
+    want = M
+    for s, d in ops:  # the first factor first: want -= s (d want)
+        want = dense_sum([(1, want),
+                          (-1, dense_mul(s, dense_mul(d, want, c), c))])
+    got = la.apply_factors([(la.as_sparse(s, r, k), la.as_sparse(d, k, r))
+                            for s, d in ops], la.as_sparse(M, r, c))
+    assert_canonical(got, want, c)
 
 
 def test_identity_shares_its_unit_columns():

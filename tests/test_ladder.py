@@ -5,6 +5,8 @@ import json
 import pathlib
 import sys
 
+import pytest
+
 PATH = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "ladder.py"
 spec = importlib.util.spec_from_file_location("ladder", PATH)
 ladder = importlib.util.module_from_spec(spec)
@@ -15,9 +17,9 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
                                                              tmp_path):
     calls = []
 
-    def fake_run(checkout, argv, timeout_s, mem_mb):
-        calls.append((checkout.name, argv[-1]))
-        failed = (checkout.name, argv[-1]) == ("new", "11")
+    def fake_run(checkout, argv):
+        calls.append((checkout.name, argv))
+        failed = (checkout.name, argv) == ("new", ladder.ROWS["ez-aw-11"])
         return {"wall_s": 1.5, "peak_rss_mb": 30.0,
                 "exit": 3 if failed else 0, "timed_out": False}
 
@@ -28,23 +30,21 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
             "# a comment\n\nx = 1\n" * (2 if name == "new" else 1))
     out = tmp_path / "BENCH.json"
     argv = ["--checkout", f"parent={tmp_path / 'old'}",
-            "--checkout", f"change={tmp_path / 'new'}",
-            "--rows", "ez-aw-9,ez-aw-11", "--repeat", "2",
-            "--timeout", "7", "--mem-mb", "64", "--out", str(out)]
+            "--checkout", f"change={tmp_path / 'new'}", "--out", str(out)]
     assert ladder.main(argv) == 1
-    assert calls == [("old", "9"), ("new", "9"), ("new", "9"), ("old", "9"),
-                     ("old", "11"), ("new", "11"), ("new", "11"),
-                     ("old", "11")]
+    assert ladder.REPEAT == 2
+    assert calls == [(label, row) for row in ladder.ROWS.values()
+                     for label in ("old", "new", "new", "old")]
     bench = json.loads(out.read_text())
     assert bench["nproc"] >= 1 and bench["python"].count(".") == 2
-    assert bench["limits"] == {"timeout_s": 7.0, "mem_mb": 64}
     assert bench["sloc"] == {"parent": {"m.py": 1, "total": 1},
                              "change": {"m.py": 2, "total": 2}}
-    assert [row["name"] for row in bench["rows"]] == ["ez-aw-9", "ez-aw-11"]
-    assert bench["rows"][0]["argv"] == ladder.ROWS["ez-aw-9"]
-    runs = bench["rows"][1]["runs"]
-    assert [r["exit"] for r in runs["parent"]] == [0, 0]
-    assert [r["exit"] for r in runs["change"]] == [3, 3]
+    assert [row["name"] for row in bench["rows"]] == list(ladder.ROWS)
+    assert [row["argv"] for row in bench["rows"]] == list(ladder.ROWS.values())
+    for row in bench["rows"]:
+        failed = row["name"] == "ez-aw-11"
+        assert [r["exit"] for r in row["runs"]["parent"]] == [0, 0]
+        assert [r["exit"] for r in row["runs"]["change"]] == [3 * failed] * 2
 
 
 def test_a_child_runs_under_its_own_limits():
@@ -68,6 +68,12 @@ def test_main_defaults_to_this_checkout(monkeypatch, tmp_path):
         seen.append(checkout), {"wall_s": 0.1, "peak_rss_mb": 1.0,
                                 "exit": 0, "timed_out": False})[1])
     out = tmp_path / "b.json"
-    assert ladder.main(["--rows", "unit-8", "--out", str(out)]) == 0
-    assert seen == [ladder.ROOT]
+    assert ladder.main(["--out", str(out)]) == 0
+    assert seen == [ladder.ROOT] * len(ladder.ROWS) * ladder.REPEAT
     assert list(json.loads(out.read_text())["sloc"]) == ["change"]
+
+
+def test_the_bench_file_is_named_on_every_run(capsys):
+    with pytest.raises(SystemExit):
+        ladder.main([])
+    assert "--out" in capsys.readouterr().err
