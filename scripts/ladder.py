@@ -10,8 +10,11 @@ child gets its own wall-time limit of TIMEOUT_S seconds (it is killed
 past it) and its own ``RLIMIT_AS`` address-space limit of MEM_MB MB, so
 a blowup is recorded as a number and an exit code, not as an
 out-of-memory kill of the host.  For each run it records the wall time,
-the child's peak RSS (``ru_maxrss`` from ``os.wait4``) and the exit code
-(negative: killed by that signal).
+the child's peak RSS (``ru_maxrss`` from ``os.wait4``), the exit code
+(negative: killed by that signal) and the host factor just before the
+child started: one call of certbench's host-speed probe over its
+reference time (``certbench/hostspeed.py``, imported read-only), so that
+a slow phase of a shared host shows next to the wall time it slowed.
 
 With several checkouts (default: ``change=`` this script's checkout),
 every row runs REPEAT times per checkout, and the checkout that runs
@@ -35,6 +38,16 @@ import threading
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+hostspeed = _load("hostspeed", ROOT / "certbench" / "hostspeed.py")
 TIMEOUT_S = 300   # wall-time limit of one child, in seconds
 MEM_MB = 2048     # RLIMIT_AS of one child, in MB
 REPEAT = 2        # runs of each row per checkout
@@ -66,10 +79,7 @@ ROWS = {  # name -> zilber argv
 def sloc_per_module(checkout):
     """module file name -> source lines, and 'total', for checkout's
     src/zilber, counted by scripts/sloc.py."""
-    spec = importlib.util.spec_from_file_location(
-        "sloc", ROOT / "scripts" / "sloc.py")
-    sloc = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sloc)
+    sloc = _load("sloc", ROOT / "scripts" / "sloc.py")
     out = {path.name: sloc.sloc(path)
            for path in sorted((checkout / "src" / "zilber").glob("*.py"))}
     out["total"] = sum(out.values())
@@ -134,11 +144,13 @@ def main(argv=None):
         runs = {label: [] for label, _ in checkouts}
         for i in range(REPEAT):
             for label, path in checkouts if i % 2 == 0 else checkouts[::-1]:
-                run = run_row(path, row)
+                factor = hostspeed.probe() / hostspeed.REFERENCE_S
+                run = {**run_row(path, row), "host_factor": round(factor, 3)}
                 runs[label].append(run)
                 ok = ok and run["exit"] == 0
                 print(f"{name:16s} {label:8s} {run['wall_s']:8.2f} s "
-                      f"{run['peak_rss_mb']:8.1f} MB  exit {run['exit']}",
+                      f"{run['peak_rss_mb']:8.1f} MB  exit {run['exit']}  "
+                      f"host x{factor:.2f}",
                       file=sys.stderr)
         rows.append({"name": name, "argv": row, "runs": runs})
     bench = {

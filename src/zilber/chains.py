@@ -132,9 +132,8 @@ class ChainMap:
     def _validate(self):
         top = max(self.source.top_degree, self.target.top_degree)
         for n in range(1, top + 1):
-            lhs = la.mat_mul(self.mat(n - 1), self.source.diff(n))
-            rhs = la.mat_mul(self.target.diff(n), self.mat(n))
-            if not la.mat_eq(lhs, rhs):
+            if not la.products_equal(self.mat(n - 1), self.source.diff(n),
+                                     self.target.diff(n), self.mat(n)):
                 raise ValueError(f"chain map does not commute with d at degree {n}")
 
     def compose(self, other):

@@ -155,8 +155,8 @@ def _normalize(A, moore):
     projection = ChainMap(C, N, projs)
     section = ChainMap(N, C, secs)
     for n in range(D + 1):
-        if not la.mat_eq(la.mat_mul(projs[n], secs[n]),
-                         la.identity(nranks[n])):
+        eye = la.identity(nranks[n])
+        if not la.products_equal(projs[n], secs[n], eye, eye):
             raise AssertionError("projection ∘ section is not the identity")
     return NormalizationResult(N, projection, section)
 

@@ -20,9 +20,10 @@ and returns one.  Plain lists of Python ints remain in three places only:
 - ``rows``, which writes a matrix as rows for JSON output.
 
 Input is checked at that boundary, so a shape mismatch inside the
-library (in ``mat_mul``, ``mat_sum``, ``apply_factors``, ``hstack``,
-``solve_matrix``, ``Span.coords`` or ``span_contains``) is a fault of
-the library and raises AssertionError, not ValueError.
+library (in ``mat_mul``, ``mat_sum``, ``apply_factors``,
+``product_is_zero``, ``products_equal``, ``hstack``, ``solve_matrix``,
+``Span.coords`` or ``span_contains``) is a fault of the library and
+raises AssertionError, not ValueError.
 
 ``mat_sum`` accumulates each column of a signed sum once, in one dict,
 and sorts it.  ``apply_factors`` applies a product of factors (1 - s d)
@@ -32,6 +33,14 @@ the Moore idempotent of a normalization is such a product.
 storing the product: one dict per column of B, dropped after its test.
 The d∘d check of a chain complex, the Moore check of a normalization
 and the premise of the skeletal filtration use it.
+``products_equal(A, B, C, D)`` answers ``A * B == C * D`` the same way,
+one dict per column of A * B_j - C * D_j.  The commuting squares of
+``chains.ChainMap``, the projection ∘ section check of a normalization,
+the check of ``inverse_unimodular`` and the final comparisons of the
+AW∘∇, symmetry and associativity certificates use it.
+``product_is_zero`` keeps its own loop for speed: written as
+``products_equal`` with an empty right-hand side, its 716 calls of one
+certbench ``ez`` pass (seed 5) took 6.4 ms instead of 4.0 ms in replay.
 
 ``kron_sum`` adds scaled Kronecker products into blocks of a matrix: ∇,
 AW and the block layout of ``chains.TensorBasis`` are built with it.
@@ -249,6 +258,28 @@ def product_is_zero(A, B):
                     acc[i] = acc.get(i, 0) + a * b
             if any(acc.values()):
                 return False
+    return True
+
+
+def products_equal(A, B, C, D):
+    """Is A * B == C * D?  Neither product is stored: each column j is
+    one dict of A * B_j - C * D_j, dropped after its zero test."""
+    if A.ncols != B.nrows or C.ncols != D.nrows or A.nrows != C.nrows \
+            or B.ncols != D.ncols:
+        raise AssertionError(
+            f"dimension mismatch in products_equal: {A.nrows}x{A.ncols} "
+            f"times {B.nrows}x{B.ncols} against {C.nrows}x{C.ncols} times "
+            f"{D.nrows}x{D.ncols}")
+    for Bj, Dj in zip(B, D):
+        acc = {}
+        for k, b in Bj:
+            for i, a in A[k]:
+                acc[i] = acc.get(i, 0) + a * b
+        for k, d in Dj:
+            for i, c in C[k]:
+                acc[i] = acc.get(i, 0) - c * d
+        if any(acc.values()):
+            return False
     return True
 
 
@@ -570,7 +601,8 @@ def inverse_unimodular(M):
     X = solve_matrix(M, identity(n))
     if X is None:
         raise ValueError("matrix is not unimodular")
-    if not mat_eq(mat_mul(M, X), identity(n)):
+    eye = identity(n)
+    if not products_equal(M, X, eye, eye):
         raise ValueError("matrix is not unimodular")
     return X
 

@@ -388,6 +388,77 @@ def test_a_wrong_face_or_section_entry_is_caught_by_alexander_whitney(
     assert shuffle_product(A, B) is sp and aw_nabla_identity_check(A, B).ok
 
 
+# negative controls: each certificate sees one changed entry, in the first
+# changed degree, and says so with its usual detail
+
+
+def _first_entry_negated(mats, degrees):
+    """mats with the first entry of the first nonempty column negated in
+    each of the given degrees."""
+    out = dict(mats)
+    for n in degrees:
+        M = mats[n]
+        j = next(j for j, col in enumerate(M) if col)
+        (i, v), *rest = M[j]
+        out[n] = la.Sparse(M[:j] + (((i, -v), *rest),) + M[j + 1:], M.nrows)
+    return out
+
+
+WRONG_DEGREES = [((2,), 2), ((1, 2), 1)]
+
+
+@pytest.mark.parametrize("degrees, first", WRONG_DEGREES)
+def test_aw_nabla_check_fails_at_the_first_wrong_degree(monkeypatch, degrees,
+                                                        first):
+    A, B = sab("d1"), sab("s1")
+    sp = shuffle_product(A, B)
+    aw = sp.alexander_whitney()
+    mats = dict(sp.map.mats)
+    for n in degrees:
+        # negate an entry of column 0 of ∇ whose row AW does not kill:
+        # column 0 of AW∘∇ moves by -2v times that column of AW
+        M = mats[n]
+        i, v = next((i, v) for i, v in M[0] if aw.mat(n)[i])
+        col = tuple((r, -x if r == i else x) for r, x in M[0])
+        mats[n] = la.Sparse((col,) + M[1:], M.nrows)
+    broken = copy.copy(sp)
+    broken.map = ChainMap(sp.source, sp.target, mats, check=False)
+    with monkeypatch.context() as m:
+        m.setattr(ez, "shuffle_product", lambda X, Y: broken)
+        cert = aw_nabla_identity_check(A, B)
+    assert not cert.ok and cert.witness == first
+    assert cert.detail == f"AW∘∇ differs from id in degree {first}"
+    assert shuffle_product(A, B) is sp and aw_nabla_identity_check(A, B).ok
+
+
+@pytest.mark.parametrize("degrees, first", WRONG_DEGREES)
+def test_symmetry_check_fails_at_the_first_wrong_degree(monkeypatch, degrees,
+                                                        first):
+    A, B = sab("d1"), sab("s1")
+    worker = ez._koszul_swap
+    with monkeypatch.context() as m:
+        m.setattr(ez, "_koszul_swap", lambda *bases: _first_entry_negated(
+            worker(*bases), degrees))
+        cert = symmetry_check(A, B)
+    assert not cert.ok and cert.witness == first
+    assert cert.detail == f"symmetry square fails in degree {first}"
+    assert symmetry_check(A, B).ok
+
+
+@pytest.mark.parametrize("degrees, first", WRONG_DEGREES)
+def test_associativity_check_fails_at_the_first_wrong_degree(monkeypatch,
+                                                             degrees, first):
+    A, B, C = sab("d1"), sab("s1"), sab("d1")
+    worker = ez._tensor_associator
+    with monkeypatch.context() as m:
+        m.setattr(ez, "_tensor_associator", lambda *bases: (
+            _first_entry_negated(worker(*bases), degrees)))
+        cert = associativity_check(A, B, C)
+    assert not cert.ok and cert.witness == first
+    assert cert.detail == f"associativity fails in degree {first}"
+    assert associativity_check(A, B, C).ok
+
+
 @pytest.fixture
 def normalizations(monkeypatch):
     """The (object, moore) pairs actually normalized, cache hits excluded."""

@@ -107,8 +107,13 @@ def test_snf_kernel_and_solve_of_matrices_without_entries(r, c):
 
 @pytest.mark.parametrize("r, k, c", [(2, 0, 3), (0, 3, 2), (3, 2, 0), (0, 0, 0)])
 def test_products_keep_the_shape_of_empty_factors(r, k, c):
-    P = la.mat_mul(la.zeros(r, k), la.zeros(k, c))
+    A, B = la.zeros(r, k), la.zeros(k, c)
+    P = la.mat_mul(A, B)
     assert la.dims(P) == (r, c) and la.is_zero(P)
+    assert la.products_equal(A, B, la.zeros(r, 1), la.zeros(1, c))
+    if r and c:  # the empty product is zero, a unit column is not
+        U = la.Sparse([((0, 1),)] + [()] * (c - 1), r)
+        assert not la.products_equal(A, B, la.identity(r), U)
 
 
 @st.composite
@@ -146,13 +151,15 @@ def test_mat_mul_rejects_mismatched_shapes():
 @pytest.mark.parametrize("fault", [
     lambda: la.mat_sum([(1, la.zeros(2, 3)), (1, la.zeros(3, 2))]),
     lambda: la.product_is_zero(la.zeros(2, 3), la.zeros(2, 3)),
+    lambda: la.products_equal(la.zeros(2, 3), la.zeros(3, 1),
+                              la.zeros(2, 2), la.zeros(2, 2)),
     lambda: la.apply_factors([(la.zeros(2, 1), la.zeros(1, 3))],
                              la.zeros(2, 2)),
     lambda: la.hstack(la.zeros(2, 1), la.zeros(3, 1)),
     lambda: la.solve_matrix(la.identity(2), la.zeros(3, 1)),
     lambda: la.Span(la.identity(2)).coords(la.zeros(3, 1)),
     lambda: la.span_contains(la.identity(2), la.zeros(3, 1))],
-    ids=["mat_sum", "product_is_zero", "apply_factors", "hstack", "solve_matrix", "Span.coords", "span_contains"])
+    ids=["mat_sum", "product_is_zero", "products_equal", "apply_factors", "hstack", "solve_matrix", "Span.coords", "span_contains"])
 def test_shape_faults_raise_assertion_errors(fault):
     with pytest.raises(AssertionError, match="mismatch"):
         fault()
@@ -344,6 +351,41 @@ def test_product_is_zero_reads_a_one_entry_column_as_a_column_of_a():
         assert not la.product_is_zero(A, la.Sparse((((2, b),),), 3))
     # the two nonzero columns of A meet in row 1 and cancel only there
     assert not la.product_is_zero(A, la.Sparse((((0, 2 ** 80), (2, 1)),), 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_products_equal_is_the_comparison_of_the_products(data):
+    r, k, m, c = (data.draw(st.integers(0, 5)) for _ in range(4))
+    kinds = st.sampled_from((sparse_matrices, unit_column_matrices,
+                             scaled_unit_column_matrices))
+
+    def draw(rows, cols):
+        M = data.draw(kinds.flatmap(lambda kind: kind(rows, cols)))
+        return M, la.as_sparse(M, rows, cols)
+
+    (_, A), (B, SB), (_, C), (_, D) = draw(r, k), draw(k, c), draw(r, m), \
+        draw(m, c)
+    assert la.products_equal(A, SB, C, D) == la.mat_eq(la.mat_mul(A, SB),
+                                                       la.mat_mul(C, D))
+    # pairs forced equal: A * B against (A * B) * I, and against [A A]
+    # times [B - Y; Y], whose Y terms cancel
+    P, eye = la.mat_mul(A, SB), la.identity(c)
+    Y, _ = draw(k, c)
+    split = la.as_sparse([[b - y for b, y in zip(*rows)]
+                          for rows in zip(B, Y)] + Y, 2 * k, c)
+    for X, Z in ((P, eye), (la.hstack(A, A), split)):
+        assert la.products_equal(A, SB, X, Z)
+        assert la.products_equal(X, Z, A, SB)
+    # pairs that differ in one entry
+    if r and c:
+        i = data.draw(st.integers(0, r - 1))
+        j = data.draw(st.integers(0, c - 1))
+        x = data.draw(st.sampled_from((1, -1, 2 ** 80)))
+        E = la.Sparse([((i, x),) if t == j else () for t in range(c)], r)
+        Q = la.mat_sum([(1, P), (1, E)])
+        assert not la.products_equal(A, SB, Q, eye)
+        assert not la.products_equal(Q, eye, A, SB)
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,15 +15,18 @@ spec.loader.exec_module(ladder)
 
 def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
                                                              tmp_path):
-    calls = []
+    calls, probes = [], []
 
     def fake_run(checkout, argv):
+        assert len(probes) == len(calls) + 1  # probed just before the child
         calls.append((checkout.name, argv))
         failed = (checkout.name, argv) == ("new", ladder.ROWS["ez-aw-11"])
         return {"wall_s": 1.5, "peak_rss_mb": 30.0,
                 "exit": 3 if failed else 0, "timed_out": False}
 
     monkeypatch.setattr(ladder, "run_row", fake_run)
+    monkeypatch.setattr(ladder.hostspeed, "probe", lambda: (
+        probes.append(1), 1.5 * ladder.hostspeed.REFERENCE_S)[1])
     for name in ("old", "new"):
         (tmp_path / name / "src" / "zilber").mkdir(parents=True)
         (tmp_path / name / "src" / "zilber" / "m.py").write_text(
@@ -45,6 +48,8 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
         failed = row["name"] == "ez-aw-11"
         assert [r["exit"] for r in row["runs"]["parent"]] == [0, 0]
         assert [r["exit"] for r in row["runs"]["change"]] == [3 * failed] * 2
+        for runs in row["runs"].values():
+            assert [r["host_factor"] for r in runs] == [1.5, 1.5]
 
 
 def test_a_child_runs_under_its_own_limits():
