@@ -11,10 +11,22 @@ past it) and its own ``RLIMIT_AS`` address-space limit of MEM_MB MB, so
 a blowup is recorded as a number and an exit code, not as an
 out-of-memory kill of the host.  For each run it records the wall time,
 the child's peak RSS (``ru_maxrss`` from ``os.wait4``), the exit code
-(negative: killed by that signal) and the host factor just before the
-child started: one call of certbench's host-speed probe over its
+(negative: killed by that signal) and the host factor around the
+child: the median of PROBES calls of certbench's host-speed probe just
+before the child starts and PROBES just after it ends, over the probe's
 reference time (``certbench/hostspeed.py``, imported read-only), so that
 a slow phase of a shared host shows next to the wall time it slowed.
+One probe takes about 0.5 ms and reads 0.85-1.51 on consecutive runs of
+a noisy host, so a single probe says little about a child that runs for
+seconds.
+
+The ``ez`` rows run ℤ[X] for simplicial sets X, whose pairs are built
+from the nondegenerate simplices.  On the matrix path (every other
+group, and ℤ[X] before it took the free path) the ``ez-aw`` and
+``ez-assoc`` rows mostly time degenerate levels: Δ³×Δ³ has no
+nondegenerate simplex above degree 6, yet the matrix path builds all of
+its levels up to the bound.  ``ez-aw-d4-8`` and ``ez-aw-d5-8`` are rows
+whose normalized side does grow with the bound.
 
 With several checkouts (default: ``change=`` this script's checkout),
 every row runs REPEAT times per checkout, and the checkout that runs
@@ -32,6 +44,7 @@ import os
 import pathlib
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import threading
@@ -51,6 +64,7 @@ hostspeed = _load("hostspeed", ROOT / "certbench" / "hostspeed.py")
 TIMEOUT_S = 300   # wall-time limit of one child, in seconds
 MEM_MB = 2048     # RLIMIT_AS of one child, in MB
 REPEAT = 2        # runs of each row per checkout
+PROBES = 5        # host-speed probes before and after each child
 
 ROWS = {  # name -> zilber argv
     "ez-assoc-7": ["ez", "delta2", "delta2", "--third", "delta2",
@@ -60,6 +74,10 @@ ROWS = {  # name -> zilber argv
     "ez-aw-9": ["ez", "delta3", "delta3", "--check", "aw", "--dim-bound", "9"],
     "ez-aw-11": ["ez", "delta3", "delta3", "--check", "aw",
                  "--dim-bound", "11"],
+    "ez-aw-d4-8": ["ez", "delta4", "delta4", "--check", "aw",
+                   "--dim-bound", "8"],
+    "ez-aw-d5-8": ["ez", "delta5", "delta5", "--check", "aw",
+                   "--dim-bound", "8"],
     "ss-pairing-9": ["ss", "ez:delta2,delta2", "--pairing", "--dim-bound", "9"],
     "ss-pairing-11": ["ss", "ez:delta2,delta2", "--pairing",
                       "--dim-bound", "11"],
@@ -121,6 +139,16 @@ def run_row(checkout, argv):
                      checkout, env, TIMEOUT_S, MEM_MB)
 
 
+def probed_run(checkout, argv):
+    """run_row with its host factor: the median of PROBES probes before
+    the child and PROBES after it, over the reference time."""
+    before = [hostspeed.probe() for _ in range(PROBES)]
+    run = run_row(checkout, argv)
+    after = [hostspeed.probe() for _ in range(PROBES)]
+    factor = statistics.median(before + after) / hostspeed.REFERENCE_S
+    return {**run, "host_factor": round(factor, 3)}
+
+
 def parse_checkout(text):
     """'LABEL=DIR' as (label, resolved path)."""
     label, sep, path = text.partition("=")
@@ -144,13 +172,12 @@ def main(argv=None):
         runs = {label: [] for label, _ in checkouts}
         for i in range(REPEAT):
             for label, path in checkouts if i % 2 == 0 else checkouts[::-1]:
-                factor = hostspeed.probe() / hostspeed.REFERENCE_S
-                run = {**run_row(path, row), "host_factor": round(factor, 3)}
+                run = probed_run(path, row)
                 runs[label].append(run)
                 ok = ok and run["exit"] == 0
                 print(f"{name:16s} {label:8s} {run['wall_s']:8.2f} s "
                       f"{run['peak_rss_mb']:8.1f} MB  exit {run['exit']}  "
-                      f"host x{factor:.2f}",
+                      f"host x{run['host_factor']:.2f}",
                       file=sys.stderr)
         rows.append({"name": name, "argv": row, "runs": runs})
     bench = {

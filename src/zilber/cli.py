@@ -324,6 +324,10 @@ def cmd_ez(args):
     for check in args.check:
         if check == "chain":
             # construction validates the chain-map identity d∘∇ = ∇∘d
+            # between the normalized complexes.  On ℤ[X] and ℤ[Y] the pair
+            # is built from nondegenerate simplices and C(ℤ[X×Y]) is not
+            # built, so its d∘d and the lift of ∇ into it are not checked:
+            # they are facts about the degenerate subcomplex.
             try:
                 sp = ez.shuffle_product(A, B)
                 results["shuffle_target_ranks"] = list(sp.target.ranks)
@@ -725,7 +729,10 @@ def main(argv=None):
 
 
 def _error_exit(exc, code):
-    print(json.dumps({"error": str(exc), "exit": code}), file=sys.stderr)
+    """Print the JSON error of exc on stderr and return code.  An exception
+    with no message, such as a MemoryError, is named by its type."""
+    error = str(exc) or type(exc).__name__
+    print(json.dumps({"error": error, "exit": code}), file=sys.stderr)
     return code
 
 

@@ -2,14 +2,27 @@
 normalized chains, with certification helpers for the chain-map law,
 unitality, AW∘∇ = id, symmetry, and associativity.
 
-∇, AW and the symmetry swap are built on the section image: each is the
-unnormalized formula composed with the sections and projections of the
-normalizations, computed factor by factor (kron(X·S, Y·T) = kron(X, Y) ·
-kron(S, T)), so that C(A)⊗C(B) is never built.  The lifts of ∇ and of
-the swap into unnormalized chains and AW are validated as chain maps; the
-unnormalized ∇ and AW themselves are never built.  ∇ is the projection of
-A⊗B, a chain map that normalization validates, after its validated lift,
-so ∇ is a chain map without a test of its own.
+A pair (A, B) takes one of two paths.
+
+- Free path, when A and B are ℤ[X] and ℤ[Y] (free_abelian keeps X on the
+  group as simplicial_set): N(ℤ[X]), N(ℤ[Y]) and N(ℤ[X×Y]) have the
+  nondegenerate simplices as bases (Eilenberg-Zilber lemma;
+  Gabriel-Zisman, Calculus of Fractions and Homotopy Theory, 1967), and
+  ∇, AW and the symmetry swap are read off the face and degeneracy
+  tables of X and Y, degenerate terms dropped (_Nondegenerate,
+  _FreeShuffleProduct).  They are validated as chain maps between
+  normalized complexes.  C(ℤ[X×Y]) is not built, so its d∘d, the
+  projection and section checks and the lift of ∇ into it do not run:
+  they are facts about the degenerate subcomplex, and the tests hold the
+  free path to the matrix path entry for entry.
+- Matrix path, for every other group and as that oracle: ∇, AW and the
+  symmetry swap are the unnormalized formulas composed with the sections
+  and projections of the normalizations, factor by factor
+  (kron(X·S, Y·T) = kron(X, Y) · kron(S, T)), so C(A)⊗C(B) and the
+  unnormalized ∇ and AW are never built.  The lifts of ∇ and of the swap
+  into unnormalized chains and AW are validated as chain maps; ∇ is the
+  projection of A⊗B, which normalization validates, after its validated
+  lift, so it needs no test of its own.
 
 Each pair (A, B) is built and validated once: shuffle_product keeps it on
 A, keyed weakly by B, so every certificate on the pair shares one ∇.
@@ -18,10 +31,12 @@ A, keyed weakly by B, so every certificate on the pair shares one ∇.
 from __future__ import annotations
 
 import weakref
+from functools import cached_property, lru_cache
 
 from . import intlinalg as la
-from .chains import ChainMap, identity_chain_map, tensor, tensor_map
-from .delta import MonotoneMap, shuffles
+from .chains import (ChainComplex, ChainMap, identity_chain_map, tensor,
+                     tensor_map)
+from .delta import MonotoneMap, factor_into_codegeneracies, shuffles
 from .doldkan import normalize, unnormalized_chains
 from .simplicial import CheckCertificate, sab_tensor
 
@@ -51,7 +66,10 @@ def _shuffle_terms(A, B, p, q, col, right_a, right_b):
 
 
 class _ShuffleProduct:
-    """The Eilenberg-Zilber pair of A and B on normalized chains.
+    """The Eilenberg-Zilber pair of A and B on normalized chains, on the
+    matrix path (see the module docstring): shuffle_product builds it when
+    A or B is not ℤ[X] for a simplicial set X, and the tests build it on
+    ℤ[X] too, as the oracle of _FreeShuffleProduct.
 
     The shuffle product ∇ : 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B) is built at construction
     on the section image: in degree n its lift to C_n(A⊗B) is the signed
@@ -111,10 +129,226 @@ class _ShuffleProduct:
         return ChainMap(self.target, self.source, mats)
 
 
+class _Nondegenerate:
+    """The nondegenerate simplices of X_1 × ⋯ × X_k and N(ℤ[X_1 × ⋯ × X_k]).
+
+    A simplex is the tuple of its components' indices; the x-major order
+    of sab_tensor is the lexicographic order of the tuples.  A tuple is
+    nondegenerate exactly when the degeneracy masks of its components
+    share no bit.  basis[n] lists the nondegenerate n-simplices in index
+    order, the basis normalize picks for ℤ[X], and position[n] maps each
+    to its index there.  chains is N with d = Σ (-1)^i d_i, degenerate
+    faces dropped (proj ∘ d, the projection killing them), validated by
+    ChainComplex.  Only the factors' levels are walked
+    (_nondegenerate_tuples), so (X×Y)×Z and X×(Y×Z) are the one object of
+    (X, Y, Z).  The object of one X is kept on X (of), and filtration
+    keeps the skeletal filtration of chains in skeletal."""
+
+    def __init__(self, factors):
+        D = factors[0].dim_bound
+        if any(X.dim_bound != D for X in factors):
+            raise ValueError("dim_bound mismatch")
+        self.factors = tuple(factors)
+        self.dim_bound = D
+        self.skeletal = None
+        self.basis = [_nondegenerate_tuples(
+            [X.degeneracy_masks[n] for X in factors], n) for n in range(D + 1)]
+        self.position = [{t: i for i, t in enumerate(b)} for b in self.basis]
+        diffs = {}
+        for n in range(1, D + 1):
+            # the n + 1 faces of a simplex, one row per component
+            rows = [list(zip(*[X.faces[(n, i)] for i in range(n + 1)]))
+                    for X in factors]
+            at = self.position[n - 1]
+            cols = []
+            for t in self.basis[n]:
+                acc = {}
+                sign = 1
+                for face in zip(*[R[a] for R, a in zip(rows, t)]):
+                    k = at.get(face)
+                    if k is not None:
+                        acc[k] = acc.get(k, 0) + sign
+                    sign = -sign
+                cols.append(la._dict_column(acc))
+            diffs[n] = la.Sparse(cols, len(self.basis[n - 1]))
+        self.chains = ChainComplex([len(b) for b in self.basis], diffs)
+
+    @staticmethod
+    def of(X):
+        """The object of the one simplicial set X, built once and kept on X
+        in X.nondegenerate."""
+        if X.nondegenerate is None:
+            X.nondegenerate = _Nondegenerate((X,))
+        return X.nondegenerate
+
+    def face(self, t, n, i):
+        """d_i t for t of level n."""
+        return tuple([X.faces[(n, i)][a] for X, a in zip(self.factors, t)])
+
+    def degenerate(self, t, n, steps):
+        """s_{j_r} ⋯ s_{j_1} t for steps (j_1, ..., j_r), t of level n."""
+        for j in steps:
+            t = tuple([X.degens[(n, j)][a] for X, a in zip(self.factors, t)])
+            n += 1
+        return t
+
+    def face_positions(self, t, n, front):
+        """Per p <= n, the position in basis[p] of the front p-face
+        d_{p+1}⋯d_n t (front) or of the back p-face d_0^{n-p} t, or None
+        where it is degenerate."""
+        out = [None] * (n + 1)
+        for p in range(n, -1, -1):
+            out[p] = self.position[p].get(t)
+            if p:
+                t = self.face(t, p, p if front else 0)
+        return out
+
+
+def _nondegenerate_tuples(masks, n):
+    """The tuples (a_1, ..., a_k) of level-n simplex indices whose
+    degeneracy masks (masks[i] for factor i) share no bit, in
+    lexicographic order.  Indices are bucketed by mask, and the tuples of
+    factors i.. whose masks' AND is disjoint from m are listed once per
+    (i, m)."""
+    buckets = []
+    for level in masks:
+        by_mask = {}
+        for a, ma in enumerate(level):
+            by_mask.setdefault(ma, []).append(a)
+        buckets.append(by_mask)
+    last = len(masks) - 1
+    memo = {}
+
+    def compatible(i, m):
+        out = memo.get((i, m))
+        if out is None:
+            if i == last:
+                out = sorted([(a,) for ma, idx in buckets[i].items()
+                              if not ma & m for a in idx])
+            else:
+                kept = sorted([a for ma, idx in buckets[i].items()
+                               if compatible(i + 1, m & ma) for a in idx])
+                level = masks[i]
+                out = [(a,) + rest for a in kept
+                       for rest in compatible(i + 1, m & level[a])]
+            memo[(i, m)] = out
+        return out
+
+    return compatible(0, (1 << n) - 1)
+
+
+@lru_cache(maxsize=None)
+def _degeneracy_steps(f):
+    """The degeneracies (j_1, ..., j_r), s_{j_1} applied first, whose
+    composite is X(f) for a monotone surjection f, as operator_matrix
+    applies them."""
+    return tuple(reversed(factor_into_codegeneracies(f)))
+
+
+class _FreeShuffleProduct:
+    """The Eilenberg-Zilber pair of ℤ[X] and ℤ[Y] on the free path.
+
+    left, right and simplices are the _Nondegenerate objects of X, Y and
+    X×Y (simplices, if given, must have the factors of left, then those of
+    right); source, source_basis and target are N(ℤ[X])⊗N(ℤ[Y]), its
+    basis and N(ℤ[X×Y]).  ∇ is built at construction, the column of x⊗y
+    in block (p, q) being Σ sign · (s_a x, s_b y) over the
+    (p,q)-shuffles, (s_a, s_b) the components of the shuffle's lattice
+    path; it is validated as a chain map, and ∇_0 = id is checked.
+    product, the group ℤ[X]⊗ℤ[Y], is built on first read only.  A and B
+    are set by shuffle_product (None on associativity_check's pairs)."""
+
+    A = B = None
+
+    def __init__(self, left, right, simplices=None):
+        if simplices is None:
+            simplices = _Nondegenerate(left.factors + right.factors)
+        self.left, self.right, self.simplices = left, right, simplices
+        D = left.dim_bound
+        NT, tb = tensor(left.chains, right.chains, top_degree=D)
+        self.source = NT
+        self.source_basis = tb
+        self.target = simplices.chains
+        at = simplices.position
+        mats = {}
+        for n in range(D + 1):
+            cols = []
+            for p, q, _ in tb.blocks(n):
+                if not (left.basis[p] and right.basis[q]):
+                    continue  # an empty block has no columns
+                # per shuffle: its sign and the images s_a x, s_b y
+                terms = []
+                for sh in shuffles(p, q):
+                    s_a, s_b = sh.components()
+                    terms.append((sh.sign, [
+                        left.degenerate(x, p, _degeneracy_steps(s_a))
+                        for x in left.basis[p]], [
+                        right.degenerate(y, q, _degeneracy_steps(s_b))
+                        for y in right.basis[q]]))
+                for i in range(len(left.basis[p])):
+                    for j in range(len(right.basis[q])):
+                        pairs = []
+                        for sign, xs, ys in terms:
+                            k = at[n].get(xs[i] + ys[j])
+                            if k is not None:
+                                pairs.append((k, sign))
+                        cols.append(la._column(pairs))
+            mats[n] = la.Sparse(cols, self.target.rank(n))
+        self.map = ChainMap(NT, self.target, mats)
+        if not la.mat_eq(self.map.mat(0), la.identity(NT.rank(0))):
+            raise AssertionError("degree-0 component is not the canonical "
+                                 "identification")
+
+    @cached_property
+    def product(self):
+        return sab_tensor(self.A, self.B)
+
+    def alexander_whitney(self):
+        """AW : N(ℤ[X×Y]) -> N(ℤ[X])⊗N(ℤ[Y]), validated as a chain map:
+        (x, y) goes to Σ_p (front p-face of x) ⊗ (back (n-p)-face of y),
+        degenerate terms dropped."""
+        left, right, tb = self.left, self.right, self.source_basis
+        k = len(left.factors)
+        mats = {}
+        for n in range(left.dim_bound + 1):
+            fronts, backs = {}, {}  # per component: its face positions
+            rows = [(tb.offset(n, p), len(right.basis[n - p]))
+                    for p in range(n + 1)]
+            cols = []
+            for t in self.simplices.basis[n]:
+                x, y = t[:k], t[k:]
+                f = fronts.get(x)
+                if f is None:
+                    f = fronts[x] = left.face_positions(x, n, True)
+                b = backs.get(y)
+                if b is None:
+                    b = backs[y] = right.face_positions(y, n, False)
+                # p descending: the blocks' offsets ascend
+                cols.append(tuple([
+                    (rows[p][0] + f[p] * rows[p][1] + b[n - p], 1)
+                    for p in range(n, -1, -1)
+                    if f[p] is not None and b[n - p] is not None]))
+            mats[n] = la.Sparse(cols, tb.rank(n))
+        return ChainMap(self.target, self.source, mats)
+
+
+def _pair(A, B):
+    """A new Eilenberg-Zilber pair of (A, B): free when both groups carry
+    their simplicial set, on the matrix path otherwise."""
+    X, Y = A.simplicial_set, B.simplicial_set
+    if X is None or Y is None:
+        return _ShuffleProduct(A, B)
+    sp = _FreeShuffleProduct(_Nondegenerate.of(X), _Nondegenerate.of(Y))
+    sp.A, sp.B = A, B
+    return sp
+
+
 def shuffle_product(A, B):
-    """The Eilenberg-Zilber pair of A and B (see _ShuffleProduct): .map is
+    """The Eilenberg-Zilber pair of A and B (_FreeShuffleProduct when both
+    are ℤ[X] for a simplicial set X, _ShuffleProduct otherwise): .map is
     the lax structure map 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B), .alexander_whitney()
-    builds AW.
+    builds AW, .source, .source_basis and .target are the complexes of ∇
+    and .product is A⊗B.
 
     Built and validated once per (A, B) and kept on A in
     A.shuffle_products, a WeakKeyDictionary keyed by B, so that
@@ -127,16 +361,16 @@ def shuffle_product(A, B):
         A.shuffle_products = weakref.WeakKeyDictionary()
     kept = A.shuffle_products.get(B)
     if kept is None:
-        sp = _ShuffleProduct(A, B)
+        sp = _pair(A, B)
         state = {k: v for k, v in vars(sp).items() if k not in ("A", "B")}
-        A.shuffle_products[B] = [state, weakref.ref(sp)]
+        A.shuffle_products[B] = [type(sp), state, weakref.ref(sp)]
         return sp
-    state, ref = kept
+    cls, state, ref = kept
     sp = ref()
     if sp is None:
-        sp = object.__new__(_ShuffleProduct)
+        sp = object.__new__(cls)
         vars(sp).update(state, A=A, B=B)
-        kept[1] = weakref.ref(sp)
+        kept[2] = weakref.ref(sp)
     return sp
 
 
@@ -170,9 +404,9 @@ def _koszul_swap(tb_src, tb_tgt):
 
 def _simplicial_swap_chain(ab, ba):
     """𝒩 of the levelwise transposition A⊗B -> B⊗A, for the shuffle
-    products ab and ba: the transposition applied to the columns of the
-    section of A⊗B, validated as a chain map 𝒩(A⊗B) -> C(B⊗A), then
-    projected to 𝒩(B⊗A)."""
+    products ab and ba on the matrix path: the transposition applied to
+    the columns of the section of A⊗B, validated as a chain map
+    𝒩(A⊗B) -> C(B⊗A), then projected to 𝒩(B⊗A)."""
     A, B = ab.A, ab.B
     mats = {}
     for n in range(A.dim_bound + 1):
@@ -184,11 +418,27 @@ def _simplicial_swap_chain(ab, ba):
     return ba.norm_AB.projection.compose(lifted)
 
 
+def _free_swap_chain(ab, ba):
+    """𝒩 of the levelwise transposition X×Y -> Y×X, for the free pairs ab
+    and ba: the permutation (x, y) -> (y, x) of the nondegenerate bases,
+    validated as a chain map 𝒩(ℤ[X×Y]) -> 𝒩(ℤ[Y×X])."""
+    k = len(ab.left.factors)
+    at = ba.simplices.position
+    mats = {}
+    for n, basis in enumerate(ab.simplices.basis):
+        u = la.units(ba.target.rank(n))
+        mats[n] = la.Sparse([u[at[n][t[k:] + t[:k]]] for t in basis],
+                            ba.target.rank(n))
+    return ChainMap(ab.target, ba.target, mats)
+
+
 def symmetry_check(A, B):
     """Certifies ∇_{B,A} ∘ (Koszul swap) = 𝒩(swap) ∘ ∇_{A,B}."""
     ez_ab = shuffle_product(A, B)
     ez_ba = shuffle_product(B, A)
-    n_swap = _simplicial_swap_chain(ez_ab, ez_ba)
+    swap_chain = (_free_swap_chain if isinstance(ez_ab, _FreeShuffleProduct)
+                  else _simplicial_swap_chain)
+    n_swap = swap_chain(ez_ab, ez_ba)
     swap = _koszul_swap(ez_ab.source_basis, ez_ba.source_basis)
     for n in range(A.dim_bound + 1):
         if not la.products_equal(ez_ba.map.mat(n), swap[n], n_swap.mat(n),
@@ -224,28 +474,51 @@ def _tensor_associator(tb_left, tb_ab, tb_right, tb_bc):
     return mats
 
 
-def associativity_check(A, B, C):
-    """Certifies ∇ ∘ (∇⊗id) = ∇ ∘ (id⊗∇) ∘ assoc on normalized chains.
+def _triple_pairs(ez_ab, ez_bc, C):
+    """The pairs ((A⊗B), C) and (A, (B⊗C)), for the pairs ez_ab of (A, B)
+    and ez_bc of (B, C), on one A⊗B⊗C.
 
-    The levelwise tensor of simplicial abelian groups is strictly
-    associative (Kronecker products associate on the nose): (A⊗B)⊗C and
-    A⊗(B⊗C) are both built and must have equal face and degeneracy
-    matrices, so both composites land in the one normalized complex of
-    A⊗B⊗C, which is normalized once.  The two triple-level pairs are used
-    once, so they are built directly and not kept."""
-    D = A.dim_bound
-    ez_ab = shuffle_product(A, B)
-    ez_bc = shuffle_product(B, C)
+    On the free path, (X×Y)×Z and X×(Y×Z) are the simplices of the one
+    factor tuple (X, Y, Z), so N((X×Y)×Z) equals N(X×(Y×Z)) when the two
+    factor tuples agree; it is built once, and the product's levels are
+    not.  On the matrix path the levelwise tensor of simplicial abelian
+    groups is strictly associative (Kronecker products associate on the
+    nose): (A⊗B)⊗C and A⊗(B⊗C) are both built and must have equal face
+    and degeneracy matrices, and A⊗B⊗C is normalized once."""
+    if isinstance(ez_ab, _FreeShuffleProduct) and \
+            isinstance(ez_bc, _FreeShuffleProduct):
+        xyz = ez_ab.simplices.factors + ez_bc.right.factors
+        if xyz != ez_ab.left.factors + ez_bc.simplices.factors:
+            raise AssertionError("product of simplicial sets not strictly "
+                                 "associative")
+        XYZ = _Nondegenerate(xyz)
+        return (_FreeShuffleProduct(ez_ab.simplices, ez_bc.right, XYZ),
+                _FreeShuffleProduct(ez_ab.left, ez_bc.simplices, XYZ))
+    A = ez_ab.A
     ABC = sab_tensor(ez_ab.product, C)
     A_BC = sab_tensor(A, ez_bc.product)
     if ABC.ranks != A_BC.ranks or ABC.face_mats != A_BC.face_mats or \
             ABC.degen_mats != A_BC.degen_mats:
         raise AssertionError("tensor of simplicial groups not strictly "
                              "associative")
-    ez_ab_c = _ShuffleProduct(ez_ab.product, C, product=ABC)
-    ez_a_bc = _ShuffleProduct(A, ez_bc.product, product=ABC)
-    NA = ez_ab.norm_A.normalized
-    NC = ez_ab_c.norm_B.normalized
+    return (_ShuffleProduct(ez_ab.product, C, product=ABC),
+            _ShuffleProduct(A, ez_bc.product, product=ABC))
+
+
+def _associativity_sides(A, B, C):
+    """Per degree n, the factors (L, L', R, R') of the two sides of the
+    associativity square: ∇ ∘ (∇⊗id) = L · L' and ∇ ∘ (id⊗∇) ∘ assoc =
+    R · R'.
+
+    Both composites land in one normalized complex of A⊗B⊗C, built once
+    (_triple_pairs).  The two triple-level pairs are used once, so they
+    are built directly and not kept."""
+    D = A.dim_bound
+    ez_ab = shuffle_product(A, B)
+    ez_bc = shuffle_product(B, C)
+    ez_ab_c, ez_a_bc = _triple_pairs(ez_ab, ez_bc, C)
+    NA = ez_ab.source_basis.C
+    NC = ez_ab_c.source_basis.D
     # only the bases of the two tensor complexes are read, but building
     # them checks d∘d on each
     # left: (N_A ⊗ N_B) ⊗ N_C -> N_{A⊗B} ⊗ N_C -> N_{(A⊗B)⊗C}
@@ -259,9 +532,16 @@ def associativity_check(A, B, C):
     id_tensor_nabla = tensor_map(identity_chain_map(NA), ez_bc.map,
                                  tb_right, ez_a_bc.source_basis)
     for n in range(D + 1):
-        if not la.products_equal(
-                ez_ab_c.map.mat(n), nabla_tensor_id[n], ez_a_bc.map.mat(n),
-                la.mat_mul(id_tensor_nabla[n], assoc[n])):
+        yield (ez_ab_c.map.mat(n), nabla_tensor_id[n], ez_a_bc.map.mat(n),
+               la.mat_mul(id_tensor_nabla[n], assoc[n]))
+
+
+def associativity_check(A, B, C):
+    """Certifies ∇ ∘ (∇⊗id) = ∇ ∘ (id⊗∇) ∘ assoc on normalized chains,
+    degree by degree (_associativity_sides), without storing either
+    composite."""
+    for n, sides in enumerate(_associativity_sides(A, B, C)):
+        if not la.products_equal(*sides):
             return CheckCertificate(False, witness=n,
                                     detail=f"associativity fails in degree {n}")
     return CheckCertificate(True, detail="∇ is associative")

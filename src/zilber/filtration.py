@@ -8,7 +8,8 @@ from __future__ import annotations
 from . import intlinalg as la
 from .chains import ChainComplex, tensor, unit_complex
 from .doldkan import normalize
-from .ez import _koszul_swap, _tensor_associator, shuffle_product
+from .ez import (_FreeShuffleProduct, _koszul_swap, _tensor_associator,
+                 shuffle_product)
 from .simplicial import CheckCertificate
 
 
@@ -166,9 +167,30 @@ def _skeletal_filtration(A):
             if not la.product_is_zero(P, A.degen_mats[(k - 1, i)]):
                 raise AssertionError(f"projection P_{k} does not kill s_{i}")
         full.append(la.image_basis(P))
+    return _skeletal_stages(nres.normalized, full)
+
+
+def _skeletal_stages(N, full):
+    """The filtration of N whose stage (p, k) is full[k] for p >= k and 0
+    for p < k."""
+    D = N.top_degree
     # a stage (p, k) with p < k is left out, so it is 0
-    return FilteredChainComplex(nres.normalized, [
+    return FilteredChainComplex(N, [
         {k: full[k] for k in range(p + 1)} for p in range(D + 1)], D)
+
+
+def _basis_skeletal_filtration(S):
+    """The skeletal filtration of N(ℤ[X]) on the nondegenerate basis of
+    the ez._Nondegenerate S: every nondegenerate k-simplex lies in sk_k
+    and in no lower skeleton, so stage (p, k) is all of N_k for p >= k and
+    0 below.  It is the matrix path's filtration, whose image bases of P_k
+    are the identity on ℤ[X].  Computed once per S and kept in
+    S.skeletal."""
+    if S.skeletal is None:
+        N = S.chains
+        S.skeletal = _skeletal_stages(
+            N, [la.identity(N.rank(k)) for k in range(N.top_degree + 1)])
+    return S.skeletal
 
 
 def _kron_columns(nrows, pieces):
@@ -357,10 +379,17 @@ def filtered_ez(A, B):
     degrees n > p + q, and H_{p+q} is all of N_n(A⊗B) for n <= p + q.
     The containment test skips every triple whose target stage is a
     lattice, so it builds images only for n > p + q, where they are
-    empty.  Its content is the premise check of the three skeletal
-    filtrations and the validation of the lift of ∇ as a chain map."""
+    empty.  Its content is the validation of ∇ as a chain map and, on
+    the matrix path, the premise check of the three skeletal filtrations.
+    When the pair is free (ℤ[X] and ℤ[Y]), the three filtrations are read
+    off the nondegenerate bases (_basis_skeletal_filtration), so A⊗B is
+    not normalized."""
     sp = shuffle_product(A, B)
-    F = skeletal_filtration(A)
-    G = skeletal_filtration(B)
-    H = skeletal_filtration(sp.product)
+    if isinstance(sp, _FreeShuffleProduct):
+        F, G, H = map(_basis_skeletal_filtration,
+                      (sp.left, sp.right, sp.simplices))
+    else:
+        F = skeletal_filtration(A)
+        G = skeletal_filtration(B)
+        H = skeletal_filtration(sp.product)
     return FilteredPairing(F, G, H, sp.map, sp.source_basis)

@@ -11,6 +11,8 @@ witnesses.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import intlinalg as la
 from .delta import (enumerate_monotone, epi_mono_factorize,
                     factor_into_cofaces, factor_into_codegeneracies)
@@ -83,7 +85,9 @@ class SimplicialSet:
     levels[k] is the list of k-simplices, by identifier; the simplex at
     index a of levels[k] is a.  faces[(k, i)] and degens[(k, i)] are tuples
     (the constructor takes any sequences) of length |levels[k]| whose entry
-    a is the index of the image of a in level k-1 or k+1.
+    a is the index of the image of a in level k-1 or k+1.  Not mutated
+    after construction, so ez keeps the nondegenerate basis of X and
+    N(ℤ[X]) in nondegenerate (None until asked for).
     """
 
     def __init__(self, dim_bound, levels, faces, degens):
@@ -95,6 +99,7 @@ class SimplicialSet:
             raise ValueError("levels must have dim_bound + 1 entries")
         self.faces = {key: tuple(t) for key, t in faces.items()}
         self.degens = {key: tuple(t) for key, t in degens.items()}
+        self.nondegenerate = None
         self._validate()
 
     # -- basic access -------------------------------------------------------
@@ -107,6 +112,22 @@ class SimplicialSet:
         return tuple(len(self.levels[k]) - len(
             {a for i in range(k) for a in self.degens[(k - 1, i)]})
             for k in range(self.dim_bound + 1))
+
+    @cached_property
+    def degeneracy_masks(self):
+        """Per level k, per simplex a: the bit mask of the i < k with a in
+        the image of s_i, so a is nondegenerate exactly when its mask is 0.
+        A simplex z is in the image of s_i exactly when z = s_i d_i z, so
+        (x, y) in X × Y is exactly when x and y both are: its mask is the
+        AND of theirs."""
+        masks = []
+        for k in range(self.dim_bound + 1):
+            m = [0] * len(self.levels[k])
+            for i in range(k):
+                for a in self.degens[(k - 1, i)]:
+                    m[a] |= 1 << i
+            masks.append(m)
+        return masks
 
     # -- validation ---------------------------------------------------------
 
@@ -319,12 +340,15 @@ class SimplicialAbelianGroup:
     Eilenberg-Zilber pair of (A, B) per partner B in shuffle_products (None
     until asked for; keyed weakly, so A keeps no partner alive), and
     filtration.skeletal_filtration keeps the skeletal filtration, with its
-    stage spans, in skeletal (None until asked for)."""
+    stage spans, in skeletal (None until asked for).  simplicial_set is the
+    simplicial set X when the group is ℤ[X] (free_abelian sets it) and
+    None otherwise; ez builds the pairs of such groups from X."""
 
     def __init__(self, dim_bound, ranks, face_mats, degen_mats, check=True):
         if dim_bound < 0:
             raise SimplicialIdentityError("dim_bound must be nonnegative")
         self.dim_bound = dim_bound
+        self.simplicial_set = None
         self.chains = None
         self.shuffle_products = None
         self.skeletal = None
@@ -383,7 +407,8 @@ class SimplicialAbelianGroup:
 
 def free_abelian(X):
     """ℤ[X]: rank |X_k| per level, each operator column the unit vector of
-    the image simplex, in the order of X.levels."""
+    the image simplex, in the order of X.levels.  X is kept on the group
+    as simplicial_set."""
     D = X.dim_bound
     ranks = [len(X.levels[k]) for k in range(D + 1)]
 
@@ -395,7 +420,9 @@ def free_abelian(X):
                  for k in range(1, D + 1) for i in range(k + 1)}
     degen_mats = {(k, i): unit_columns(X.degens[(k, i)], k + 1)
                   for k in range(D) for i in range(k + 1)}
-    return SimplicialAbelianGroup(D, ranks, face_mats, degen_mats, check=False)
+    A = SimplicialAbelianGroup(D, ranks, face_mats, degen_mats, check=False)
+    A.simplicial_set = X
+    return A
 
 
 def sab_tensor(A, B):

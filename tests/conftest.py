@@ -26,3 +26,19 @@ def shuffle_constructions(monkeypatch):
 
     monkeypatch.setattr(ez._ShuffleProduct, "__init__", counting)
     return built
+
+
+@pytest.fixture
+def free_shuffle_constructions(monkeypatch):
+    """The (left, right) simplices of every free Eilenberg-Zilber pair
+    actually constructed."""
+    from zilber import ez
+    built = []
+    worker = ez._FreeShuffleProduct.__init__
+
+    def counting(self, left, right, *args):
+        built.append((left, right))
+        worker(self, left, right, *args)
+
+    monkeypatch.setattr(ez._FreeShuffleProduct, "__init__", counting)
+    return built

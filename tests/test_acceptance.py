@@ -100,7 +100,7 @@ def test_03_shuffle_product_certification():
     spaces2 = corpus(2)
     for A, B, C in itertools.product(spaces2, repeat=3):
         ok = ok and associativity_check(A, B, C).ok
-    report(3, ok, "chain-map, section, unitality, symmetry on all pairs; "
+    report(3, ok, "chain-map, AW∘∇, unitality, symmetry on all pairs; "
                   "associativity on all triples")
 
 

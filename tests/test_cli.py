@@ -35,13 +35,32 @@ def test_ez_aw_on_intervals_passes(capsys):
     assert code == 0 and rep["pass"] is True
 
 
-def test_ez_checks_share_one_pair(capsys, shuffle_constructions):
-    code, rep, _ = run(capsys, ["ez", "delta2", "delta2", "--check", "chain",
-                                "--check", "aw", "--check", "unital",
-                                "--check", "symmetry", "--dim-bound", "4"])
+EZ_CHECKS = ["ez", "delta2", "delta2", "--check", "chain", "--check", "aw",
+             "--check", "unital", "--check", "symmetry", "--dim-bound", "4"]
+
+
+def test_ez_checks_share_one_pair(capsys, monkeypatch, shuffle_constructions):
+    from zilber import cli
+    from zilber.simplicial import free_abelian
+
+    def matrix_path(X):
+        A = free_abelian(X)
+        A.simplicial_set = None
+        return A
+
+    monkeypatch.setattr(cli, "free_abelian", matrix_path)
+    code, rep, _ = run(capsys, EZ_CHECKS)
     assert code == 0 and rep["pass"] is True
     # ∇ of (A, B), which chain, aw and symmetry share, and ∇ of (B, A)
     assert len(shuffle_constructions) == 2
+
+
+def test_free_ez_checks_share_one_pair(capsys, shuffle_constructions,
+                                       free_shuffle_constructions):
+    code, rep, _ = run(capsys, EZ_CHECKS)
+    assert code == 0 and rep["pass"] is True
+    assert len(free_shuffle_constructions) == 2
+    assert shuffle_constructions == []
 
 
 def test_promonoidal_left_kan_failure_has_witness_and_exit_1(capsys):
@@ -322,6 +341,21 @@ def test_library_key_and_type_errors_exit_3(capsys, monkeypatch, exc):
     code, rep, err = run(capsys, ["homology", "torus"])
     assert code == 3 and rep is None
     assert json.loads(err) == {"error": str(exc), "exit": 3}
+
+
+def test_an_exception_without_a_message_is_named_by_its_type(capsys,
+                                                             monkeypatch):
+    # a MemoryError of a large run carries no message: the report names
+    # the exception, where it once read "error": ""
+    from zilber import cli
+
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_ez", out_of_memory)
+    code, rep, err = run(capsys, ["ez", "delta1", "delta1", "--check", "aw"])
+    assert code == 3 and rep is None
+    assert json.loads(err) == {"error": "MemoryError", "exit": 3}
 
 
 @pytest.mark.parametrize("target,argv,exc", [

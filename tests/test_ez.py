@@ -41,6 +41,13 @@ def sab(name, D=2):
     return free_abelian(CORPUS[name](D))
 
 
+def matrix_sab(name, D=2):
+    """ℤ[X] without its simplicial set: its pairs take the matrix path."""
+    A = sab(name, D)
+    A.simplicial_set = None
+    return A
+
+
 def test_shuffle_map_is_a_chain_map():
     # construction validates commutation with d; a failure raises
     for a, b in itertools.product(SPACES, repeat=2):
@@ -71,7 +78,7 @@ def test_associativity_on_small_triples():
 def test_associativity_requires_equal_triple_products(monkeypatch):
     # one operator of A⊗(B⊗C) negated: the ranks still agree, but the two
     # triple products are no longer one simplicial group
-    A, B, C = sab("d1"), sab("s1"), sab("d1")
+    A, B, C = matrix_sab("d1"), matrix_sab("s1"), matrix_sab("d1")
     bc = shuffle_product(B, C).product
     worker = ez.sab_tensor
 
@@ -92,6 +99,30 @@ def test_associativity_requires_equal_triple_products(monkeypatch):
             with pytest.raises(AssertionError,
                                match="not strictly associative"):
                 associativity_check(A, B, C)
+    assert associativity_check(A, B, C).ok
+
+
+def test_associativity_with_free_and_matrix_pairs():
+    # a triple whose pairs take different paths is built on the matrix path
+    A, B, G = sab("d1"), sab("s1"), NON_FREE["conj-d1"]
+    for triple in ((A, B, G), (G, A, B), (A, G, B)):
+        assert associativity_check(*triple).ok
+
+
+def test_free_associativity_requires_one_triple_product(monkeypatch):
+    # the pair of (B, C) handed out over Z×Y: (X×Y)×Z and X×(Z×Y) are not
+    # one simplicial set, and the check refuses to compare their chains
+    A, B, C = sab("d1"), sab("s1"), sab("d1")
+    bc = shuffle_product(B, C)
+    skewed = copy.copy(bc)
+    skewed.simplices = ez._Nondegenerate(bc.simplices.factors[::-1])
+    worker = ez.shuffle_product
+    with monkeypatch.context() as m:
+        m.setattr(ez, "shuffle_product", lambda X, Y: (
+            skewed if (X, Y) == (B, C) else worker(X, Y)))
+        with pytest.raises(AssertionError,
+                           match="not strictly associative"):
+            associativity_check(A, B, C)
     assert associativity_check(A, B, C).ok
 
 
@@ -136,7 +167,7 @@ def test_homology_isomorphism_builds_each_subquotient_once(monkeypatch):
 
 
 def test_each_pair_is_built_once_and_kept(shuffle_constructions):
-    A, B = sab("d1"), sab("s1")
+    A, B = matrix_sab("d1"), matrix_sab("s1")
     sp = shuffle_product(A, B)
     assert shuffle_product(A, B) is sp
     assert shuffle_product(B, A) is not sp
@@ -152,6 +183,34 @@ def test_each_pair_is_built_once_and_kept(shuffle_constructions):
     assert again.A is A and again.B is B and again.map is kept
     assert shuffle_product(A, B) is again
     assert len(shuffle_constructions) == 2
+
+
+def test_each_free_pair_is_built_once_and_kept(shuffle_constructions,
+                                               free_shuffle_constructions):
+    A, B = sab("d1"), sab("s1")
+    X, Y = A.simplicial_set, B.simplicial_set
+    sp = shuffle_product(A, B)
+    assert shuffle_product(A, B) is sp
+    assert shuffle_product(B, A) is not sp
+    assert aw_nabla_identity_check(A, B).ok and symmetry_check(A, B).ok
+    filtered_ez(A, B)
+    # the simplices of X and of Y are built once and kept on them
+    assert free_shuffle_constructions == [
+        (X.nondegenerate, Y.nondegenerate), (Y.nondegenerate, X.nondegenerate)]
+    assert shuffle_constructions == []  # no pair on the matrix path
+    kept, first = sp.map, weakref.ref(sp)
+    del sp
+    gc.collect()
+    assert first() is None
+    again = shuffle_product(A, B)
+    assert type(again) is ez._FreeShuffleProduct
+    assert again.A is A and again.B is B and again.map is kept
+    assert shuffle_product(A, B) is again
+    assert len(free_shuffle_constructions) == 2
+    # the group A⊗B is built on its first read only, and then kept
+    assert "product" not in vars(again)
+    assert again.product is again.product
+    assert again.product.ranks == sab_tensor(A, B).ranks
 
 
 def test_a_kept_pair_does_not_keep_its_partner_alive():
@@ -262,7 +321,7 @@ def test_moore_convention_changes_only_the_section():
     # ∇ and AW rebuilt from its sections are those of shuffle_product.
     sections_differ = False
     for a, b in itertools.product(CORPUS, repeat=2):
-        sp = shuffle_product(sab(a), sab(b))
+        sp = shuffle_product(matrix_sab(a), matrix_sab(b))
         lo = with_convention(sp, "lower")
         for attr in ("norm_A", "norm_B", "norm_AB"):
             upper, lower = getattr(sp, attr), getattr(lo, attr)
@@ -337,13 +396,15 @@ def _corrupt_section(res, n, degenerate):
     return NormalizationResult(res.normalized, res.projection, section)
 
 
+def one_sign_flipped(p, q):
+    """shuffles(p, q) with the sign of the first shuffle flipped."""
+    first, *rest = shuffles(p, q)
+    return (dataclasses.replace(first, sign=-first.sign), *rest)
+
+
 def test_lifted_checks_catch_a_wrong_shuffle_sign_or_section_entry(
         monkeypatch):
-    A, B = sab("d2"), sab("d1")
-
-    def one_sign_flipped(p, q):
-        first, *rest = shuffles(p, q)
-        return (dataclasses.replace(first, sign=-first.sign), *rest)
+    A, B = matrix_sab("d2"), matrix_sab("d1")
 
     with monkeypatch.context() as m:
         m.setattr(ez, "shuffles", one_sign_flipped)
@@ -372,9 +433,19 @@ def test_lifted_checks_catch_a_wrong_shuffle_sign_or_section_entry(
     assert aw_nabla_identity_check(A, B).ok and symmetry_check(A, B).ok
 
 
+def test_free_checks_catch_a_wrong_shuffle_sign(monkeypatch):
+    # ∇ is validated as a chain map between the normalized complexes
+    A, B = sab("d2"), sab("d1")
+    with monkeypatch.context() as m:
+        m.setattr(ez, "shuffles", one_sign_flipped)
+        with pytest.raises(ValueError, match="does not commute"):
+            shuffle_product(A, B)
+    assert aw_nabla_identity_check(A, B).ok and symmetry_check(A, B).ok
+
+
 def test_a_wrong_face_or_section_entry_is_caught_by_alexander_whitney(
         monkeypatch):
-    A, B = sab("d1"), sab("d1")
+    A, B = matrix_sab("d1"), matrix_sab("d1")
     sp = shuffle_product(A, B)
     with monkeypatch.context() as m:
         m.setattr(ez, "back_face", lambda n, q: front_face(n, q))
@@ -386,6 +457,31 @@ def test_a_wrong_face_or_section_entry_is_caught_by_alexander_whitney(
         broken.alexander_whitney()
     sp.alexander_whitney()  # the unpatched map passes
     assert shuffle_product(A, B) is sp and aw_nabla_identity_check(A, B).ok
+
+
+def test_a_wrong_face_is_caught_by_the_free_alexander_whitney(monkeypatch):
+    A, B = sab("d1"), sab("d1")
+    sp = shuffle_product(A, B)
+    worker = ez._Nondegenerate.face_positions
+    with monkeypatch.context() as m:
+        m.setattr(ez._Nondegenerate, "face_positions",
+                  lambda self, t, n, front: worker(self, t, n, True))
+        with pytest.raises(ValueError, match="does not commute"):
+            sp.alexander_whitney()
+    sp.alexander_whitney()  # the unpatched map passes
+    assert shuffle_product(A, B) is sp and aw_nabla_identity_check(A, B).ok
+
+
+@pytest.mark.parametrize("matrix", [False, True], ids=["free", "matrix"])
+def test_a_negated_entry_of_nabla_fails_chain_map_validation(matrix):
+    # the copy's ∇ with one entry negated, as the negative controls below
+    # use it, is no chain map either
+    make = matrix_sab if matrix else sab
+    sp = shuffle_product(make("d1"), make("s1"))
+    for n in (1, 2):
+        mats = _first_entry_negated(sp.map.mats, (n,))
+        with pytest.raises(ValueError, match="does not commute"):
+            ChainMap(sp.source, sp.target, mats)
 
 
 # negative controls: each certificate sees one changed entry, in the first
@@ -412,6 +508,7 @@ def test_aw_nabla_check_fails_at_the_first_wrong_degree(monkeypatch, degrees,
                                                         first):
     A, B = sab("d1"), sab("s1")
     sp = shuffle_product(A, B)
+    assert type(sp) is ez._FreeShuffleProduct  # a free pair's copy below
     aw = sp.alexander_whitney()
     mats = dict(sp.map.mats)
     for n in degrees:
@@ -485,8 +582,29 @@ def normalizations(monkeypatch):
 def test_each_certificate_normalizes_each_object_once(normalizations, check,
                                                       arity, expected):
     # distinct objects, so that no count is lowered by A being B
-    check(*[sab(name) for name in ("d1", "s1", "d1")[:arity]])
+    check(*[matrix_sab(name) for name in ("d1", "s1", "d1")[:arity]])
     assert len(normalizations) == expected
+
+
+FREE_CERTIFICATES = [
+    (shuffle_product, 2, 0),
+    (aw_nabla_identity_check, 2, 0),
+    (symmetry_check, 2, 0),
+    (associativity_check, 3, 0),
+    (filtered_ez, 2, 0),
+    (heart_check, 1, 1),  # on the matrix path: ℤ[X] itself
+    (unitality_check, 2, 0),
+]
+
+
+@pytest.mark.parametrize("check, arity, expected", FREE_CERTIFICATES,
+                         ids=lambda x: getattr(x, "__name__", None))
+def test_free_certificates_normalize_no_group_and_no_product(
+        normalizations, chain_builds, check, arity, expected):
+    groups = [sab(name) for name in ("d1", "s1", "d1")[:arity]]
+    check(*groups)
+    assert len(normalizations) == len(chain_builds) == expected
+    assert all(A in groups for A, _ in normalizations)
 
 
 def test_normalization_is_kept_per_moore_convention(normalizations):
@@ -523,7 +641,7 @@ def chain_builds(monkeypatch):
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_each_certificate_builds_each_objects_chains_once(chain_builds, check,
                                                          arity, expected):
-    check(*[sab(name) for name in ("d1", "s1", "d1")[:arity]])
+    check(*[matrix_sab(name) for name in ("d1", "s1", "d1")[:arity]])
     assert len(chain_builds) == expected
     assert len(set(map(id, chain_builds))) == expected
 
@@ -567,7 +685,9 @@ def unnormalized_tensors(monkeypatch):
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_no_certificate_tensors_unnormalized_chains(unnormalized_tensors,
                                                     check, arity):
-    check(*[sab(name) for name in ("d1", "s1", "d1")[:arity]])
+    # on the matrix path; the free path builds no unnormalized chains at
+    # all (test_free_certificates_normalize_no_group_and_no_product)
+    check(*[matrix_sab(name) for name in ("d1", "s1", "d1")[:arity]])
     assert unnormalized_tensors == []
 
 
@@ -661,6 +781,66 @@ def aw_by_formula(X, Y, n):
        st.integers(0, 3))
 def test_nabla_and_aw_are_the_closed_formulas(a, b, n):
     X, Y = CORPUS[a](3), CORPUS[b](3)
-    sp = shuffle_product(free_abelian(X), free_abelian(Y))
-    assert la.rows(sp.map.mat(n)) == nabla_by_formula(X, Y, n)
-    assert la.rows(sp.alexander_whitney().mat(n)) == aw_by_formula(X, Y, n)
+    A, B = free_abelian(X), free_abelian(Y)
+    # the free pair, and the matrix path on the same groups
+    for sp in (shuffle_product(A, B), ez._ShuffleProduct(A, B)):
+        assert la.rows(sp.map.mat(n)) == nabla_by_formula(X, Y, n)
+        assert la.rows(sp.alexander_whitney().mat(n)) == \
+            aw_by_formula(X, Y, n)
+
+
+# ---------------------------------------------------------------------------
+# the free path against the matrix path, which is its oracle
+
+
+# the benchmark's corpus and the torus
+SETS = {**CORPUS, "torus": lambda D: product(circle(D), circle(D))}
+
+
+def _both_paths(*names, D):
+    """The groups ℤ[X] of names on the free path, and fresh copies of them
+    on the matrix path."""
+    free = [free_abelian(SETS[name](D)) for name in names]
+    matrix = [free_abelian(SETS[name](D)) for name in names]
+    for A in matrix:
+        A.simplicial_set = None
+    return free, matrix
+
+
+@pytest.mark.parametrize("D", [2, 5])
+@pytest.mark.parametrize("a, b", itertools.product(SETS, repeat=2),
+                         ids=lambda name: name)
+def test_the_free_pair_is_the_matrix_pair(a, b, D):
+    (A, B), _ = _both_paths(a, b, D=D)
+    sp = shuffle_product(A, B)
+    assert type(sp) is ez._FreeShuffleProduct
+    # the matrix path on the same groups
+    sm, sm_ba = ez._ShuffleProduct(A, B), ez._ShuffleProduct(B, A)
+    # N(ℤ[X]), N(ℤ[Y]), N(ℤ[X×Y]) and the source tensor
+    assert sp.source_basis.C == sm.norm_A.normalized
+    assert sp.source_basis.D == sm.norm_B.normalized
+    assert sp.target == sm.target and sp.source == sm.source
+    assert sp.target.ranks == list(
+        product(SETS[a](D), SETS[b](D)).nondegenerate_counts())
+    assert _same_maps(sp.map, sm.map)
+    assert _same_maps(sp.alexander_whitney(), sm.alexander_whitney())
+    assert _same_maps(ez._free_swap_chain(sp, shuffle_product(B, A)),
+                      ez._simplicial_swap_chain(sm, sm_ba))
+
+
+TRIPLES = sorted(set(itertools.product(CORPUS, repeat=3)) | {
+    ("torus", "d1", "s1"), ("s1", "torus", "pt"), ("d2", "d1", "torus")})
+
+
+@pytest.mark.parametrize("names", TRIPLES, ids="-".join)
+def test_the_free_associativity_sides_are_the_matrix_ones(names):
+    free, matrix = _both_paths(*names, D=3 if "torus" in names else 2)
+    sides = list(ez._associativity_sides(*free))
+    assert len(sides) == free[0].dim_bound + 1
+    for got, want in zip(sides, ez._associativity_sides(*matrix)):
+        # both composites, each the product of its two factors
+        for i in (0, 2):
+            assert la.mat_eq(la.mat_mul(*got[i:i + 2]),
+                             la.mat_mul(*want[i:i + 2]))
+        assert la.mat_eq(la.mat_mul(*got[:2]), la.mat_mul(*got[2:]))
+

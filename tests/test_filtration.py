@@ -692,9 +692,54 @@ def test_pre_factored_spans_do_not_bypass_validation(name):
 
 def test_a_group_keeps_its_skeletal_filtration():
     A = free_abelian(product(circle(2), circle(2)))
+    A.simplicial_set = None  # filtered_ez on the matrix path
     F = skeletal_filtration(A)
     assert skeletal_filtration(A) is F
     assert filtered_ez(A, A).F is F
+
+
+def test_a_simplicial_set_keeps_its_basis_skeletal_filtration():
+    X, Y = product(circle(2), circle(2)), standard_simplex(1, 2)
+    A, B = free_abelian(X), free_abelian(Y)
+    P = filtered_ez(A, B)
+    assert P.F is X.nondegenerate.skeletal and P.G is Y.nondegenerate.skeletal
+    assert filtered_ez(A, A).F is P.F and filtered_ez(B, A).F is P.G
+    # a second group on X shares it; the matrix path's filtration of A is
+    # another object, which filtered_ez did not build
+    assert filtered_ez(free_abelian(X), B).F is P.F
+    assert A.skeletal is None and skeletal_filtration(A) is not P.F
+
+
+def _matrix_copy(X):
+    A = free_abelian(X)
+    A.simplicial_set = None
+    return A
+
+
+FILTERED_SETS = {
+    "pt": lambda D: standard_simplex(0, D),
+    "d1": lambda D: standard_simplex(1, D),
+    "d2": lambda D: standard_simplex(2, D),
+    "s1": circle,
+    "torus": lambda D: product(circle(D), circle(D)),
+}
+
+
+@pytest.mark.parametrize("D", [2, 5])
+@pytest.mark.parametrize("a, b", [(a, b) for a in FILTERED_SETS
+                                  for b in FILTERED_SETS],
+                         ids=lambda name: name)
+def test_free_skeletal_stages_are_the_matrix_ones(a, b, D):
+    # the stages read off the nondegenerate bases are the image bases of
+    # P_k that the matrix path computes, matrix for matrix
+    X, Y = FILTERED_SETS[a](D), FILTERED_SETS[b](D)
+    P = filtered_ez(free_abelian(X), free_abelian(Y))
+    Q = filtered_ez(_matrix_copy(X), _matrix_copy(Y))
+    for got, want in ((P.F, Q.F), (P.G, Q.G), (P.H, Q.H)):
+        assert got.ambient == want.ambient and got.p_max == want.p_max
+        for p in range(got.p_max + 1):
+            for k in range(got.ambient.top_degree + 1):
+                assert la.mat_eq(got.stage(p, k), want.stage(p, k))
 
 
 def test_a_group_with_a_kept_skeletal_filtration_pickles():

@@ -16,17 +16,27 @@ spec.loader.exec_module(ladder)
 def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
                                                              tmp_path):
     calls, probes = [], []
+    k = ladder.PROBES
+    # around each child: k probes before and k after, each k reading 1.5,
+    # 1.0, 1.5, 1.5, 9.0; their median is 1.5, the last probe before the
+    # child is not
+    readings = ([1.5, 1.0, 1.5, 1.5] + [9.0] * (k - 4)) * 2
 
     def fake_run(checkout, argv):
-        assert len(probes) == len(calls) + 1  # probed just before the child
+        # probed just before the child, and after the one before it
+        assert len(probes) == k * (2 * len(calls) + 1)
         calls.append((checkout.name, argv))
         failed = (checkout.name, argv) == ("new", ladder.ROWS["ez-aw-11"])
         return {"wall_s": 1.5, "peak_rss_mb": 30.0,
                 "exit": 3 if failed else 0, "timed_out": False}
 
+    def fake_probe():
+        probes.append(1)
+        return readings[(len(probes) - 1) % len(readings)] * \
+            ladder.hostspeed.REFERENCE_S
+
     monkeypatch.setattr(ladder, "run_row", fake_run)
-    monkeypatch.setattr(ladder.hostspeed, "probe", lambda: (
-        probes.append(1), 1.5 * ladder.hostspeed.REFERENCE_S)[1])
+    monkeypatch.setattr(ladder.hostspeed, "probe", fake_probe)
     for name in ("old", "new"):
         (tmp_path / name / "src" / "zilber").mkdir(parents=True)
         (tmp_path / name / "src" / "zilber" / "m.py").write_text(
@@ -35,7 +45,8 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
     argv = ["--checkout", f"parent={tmp_path / 'old'}",
             "--checkout", f"change={tmp_path / 'new'}", "--out", str(out)]
     assert ladder.main(argv) == 1
-    assert ladder.REPEAT == 2
+    assert ladder.REPEAT == 2 and k >= 5
+    assert len(probes) == 2 * k * len(calls)  # probed after the last child
     assert calls == [(label, row) for row in ladder.ROWS.values()
                      for label in ("old", "new", "new", "old")]
     bench = json.loads(out.read_text())
@@ -44,6 +55,13 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
                              "change": {"m.py": 2, "total": 2}}
     assert [row["name"] for row in bench["rows"]] == list(ladder.ROWS)
     assert [row["argv"] for row in bench["rows"]] == list(ladder.ROWS.values())
+    # the rows whose normalized side grows with the bound
+    assert ladder.ROWS["ez-aw-d4-8"] == ["ez", "delta4", "delta4", "--check",
+                                         "aw", "--dim-bound", "8"]
+    assert ladder.ROWS["ez-aw-d5-8"] == ["ez", "delta5", "delta5", "--check",
+                                         "aw", "--dim-bound", "8"]
+    assert "mostly time degenerate levels" in " ".join(
+        ladder.__doc__.split())
     for row in bench["rows"]:
         failed = row["name"] == "ez-aw-11"
         assert [r["exit"] for r in row["runs"]["parent"]] == [0, 0]

@@ -14,7 +14,7 @@ from zilber import intlinalg as la
 from zilber.chains import (ChainComplex, ChainMap, identity_chain_map, tensor,
                            tensor_map)
 from zilber.delta import shuffles
-from zilber.ez import back_face, front_face, shuffle_product
+from zilber.ez import _ShuffleProduct, back_face, front_face, shuffle_product
 from zilber.simplicial import circle, free_abelian, standard_simplex
 from zilber.spectral import PagePairing
 
@@ -197,7 +197,9 @@ def space(name, dim_bound):
 def test_shuffle_and_alexander_whitney_are_entrywise_sums(a, b):
     D = 3
     A, B = space(a, D), space(b, D)
-    sp = shuffle_product(A, B)
+    sp = _ShuffleProduct(A, B)  # the matrix path, on the same groups
+    free = shuffle_product(A, B)
+    free_aw = free.alexander_whitney()
     nA, nB, nAB = sp.norm_A, sp.norm_B, sp.norm_AB
     un = basis(nA.projection.source, nB.projection.source, D)
     norm = basis(nA.normalized, nB.normalized, D)
@@ -229,10 +231,12 @@ def test_shuffle_and_alexander_whitney_are_entrywise_sums(a, b):
         secsec = la.as_sparse(
             tensor_map_oracle(nA.section, nB.section, norm, un)[n],
             len(un[n]), len(norm[n]))
-        assert la.mat_eq(sp.map.mat(n), la.mat_mul(
-            nAB.projection.mat(n), la.mat_mul(nabla, secsec)))
+        want = la.mat_mul(nAB.projection.mat(n), la.mat_mul(nabla, secsec))
+        assert la.mat_eq(sp.map.mat(n), want)
+        assert la.mat_eq(free.map.mat(n), want)
         projproj = la.as_sparse(
             tensor_map_oracle(nA.projection, nB.projection, un, norm)[n],
             len(norm[n]), len(un[n]))
-        assert la.mat_eq(aw_map.mat(n), la.mat_mul(
-            projproj, la.mat_mul(aw, nAB.section.mat(n))))
+        want = la.mat_mul(projproj, la.mat_mul(aw, nAB.section.mat(n)))
+        assert la.mat_eq(aw_map.mat(n), want)
+        assert la.mat_eq(free_aw.mat(n), want)
