@@ -568,10 +568,8 @@ def cmd_promonoidal(args):
             certs.append(cert_dict(promonoidal.delta_mu_unit_check(args.b),
                                    "mu-unit"))
         elif check == "coyoneda":
-            C = promonoidal.delta_leq(args.b)
-            certs.append(cert_dict(
-                promonoidal.coyoneda_check(promonoidal.hom_profunctor(C)),
-                "coyoneda"))
+            certs.append(cert_dict(promonoidal.coyoneda_check(args.b),
+                                   "coyoneda"))
         elif check == "left-kan":
             ns = _parse_int_list("1,1" if args.ns is None else args.ns, "ns")
             ms = range(args.m + 1) if args.m is not None else range(5)
@@ -589,7 +587,7 @@ def cmd_promonoidal(args):
                 raise InputError("operator-frag needs --trials >= 1 and "
                                  "--length >= 0")
             rng = random.Random(args.seed)
-            frag = promonoidal.operator_category_fragment(
+            frag = promonoidal.OperatorCategoryFragment(
                 promonoidal.delta_op_multicategory(args.b), args.length)
 
             def trial(t):

@@ -1,15 +1,15 @@
-"""Finite-category profunctor calculus: coends, profunctor composition,
-n-ary promonoidal multimorphism spaces, multimorphism spaces for the
-simplex category, the left-Kan-extension dichotomy, colimit presentations
-of products of simplices, and a bounded category-of-operators fragment.
+"""Coends over the truncated simplex category Δ≤b and the checks built on
+them: the unit and μ-associativity of the Eilenberg-Zilber promonoidal
+structure on Δᵒᵖ, Coyoneda, the left-Kan-extension dichotomy, colimit
+presentations of products of simplices, and a bounded category-of-operators
+fragment.
 
-Every coend is one union-find on integer indices.  Over Δ≤b the element
-(d, φ, u) of ∫^{[d]} Δ([x], [d]) × F(d) is off[d] + φ·|F(d)| + u, and a
-generating map's relations are index arithmetic; ``coend`` interns its
-tokens once.  A map of Δ≤b is the triple (a, c, i) of a map [a] -> [c] and
-its index i in enumerate_monotone(a, c), composed through comp_row; a
-FiniteCategory stores no composite, but composes when a check asks.  The
-Δᵒᵖ unit and μ-associativity checks are left Kan comparisons.
+Every coend is one union-find on integer indices.  The element (d, φ, u) of
+∫^{[d]} Δ([x], [d]) × F(d) is off[d] + φ·|F(d)| + u, and a generating
+map's relations are index arithmetic.  A map of Δ≤b is the triple (a, c, i)
+of a map [a] -> [c] and its index i in enumerate_monotone(a, c), composed
+through comp_row.  The unit, μ-associativity, Coyoneda and left-Kan checks
+are one left Kan comparison, (k, φ, h) ↦ h ∘ φ.
 """
 
 from __future__ import annotations
@@ -67,108 +67,8 @@ def _least_representatives(n, relations):
     return parent
 
 
-def coend(objects, elements, generators, push, pull):
-    """Classes of ⊔_d elements(d), d in ``objects``, hashable tokens
-    distinct across objects, where h in ``generators`` identifies push(h)[i]
-    with pull(h)[i].  Returns the representatives, each its class's first
-    element in enumeration order, and a dict sending every element to its
-    representative, both in enumeration order."""
-    index = {}
-    for d in objects:
-        for x in elements(d):
-            index.setdefault(x, len(index))
-    at = index.__getitem__
-    rep = _least_representatives(
-        len(index), ((map(at, push(h)), map(at, pull(h))) for h in generators))
-    tokens = list(index)
-    return ([x for i, x in enumerate(tokens) if rep[i] == i],
-            {x: tokens[r] for x, r in zip(tokens, rep)})
-
-
 # ---------------------------------------------------------------------------
-# finite categories
-
-
-class FiniteCategory:
-    """A finite category: hashable object and morphism tokens, source and
-    target maps, identities, and ``compose(g, f)`` = g∘f, a function on
-    composable pairs: no composite is stored, each is computed when read.
-    Validation checks the unit and associativity laws."""
-
-    def __init__(self, objects, morphisms, src, tgt, ident, compose,
-                 check=True, gens=None):
-        self.objects = list(objects)
-        self.morphisms = list(morphisms)
-        self.src = dict(src)
-        self.tgt = dict(tgt)
-        self.ident = dict(ident)
-        self.compose = compose
-        self.gens = list(gens) if gens is not None else None
-        if check:
-            self._validate()
-
-    def hom(self, c, d):
-        return [f for f in self.morphisms
-                if self.src[f] == c and self.tgt[f] == d]
-
-    def generating_morphisms(self):
-        """A set of morphisms generating all of them under composition.
-        Coend relations indexed by a generating set generate all coend
-        relations (the relation for g∘f follows from those for f and g by a
-        zigzag), so relation loops may be restricted to this set."""
-        return self.gens if self.gens is not None else self.morphisms
-
-    def _validate(self):
-        compose = self.compose
-        for c in self.objects:
-            e = self.ident[c]
-            if self.src[e] != c or self.tgt[e] != c:
-                raise ValueError("identity has wrong endpoints")
-        for f in self.morphisms:
-            if self.src[f] not in self.objects or self.tgt[f] not in self.objects:
-                raise ValueError("morphism endpoints outside object set")
-            if compose(self.ident[self.tgt[f]], f) != f or \
-                    compose(f, self.ident[self.src[f]]) != f:
-                raise ValueError("unit law fails")
-        composable = [(g, f) for g in self.morphisms for f in self.morphisms
-                      if self.src[g] == self.tgt[f]]
-        for g, f in composable:
-            h = compose(g, f)
-            if self.src[h] != self.src[f] or self.tgt[h] != self.tgt[g]:
-                raise ValueError("composite has wrong endpoints")
-        for h in self.morphisms:
-            for g in self.morphisms:
-                if self.src[h] != self.tgt[g]:
-                    continue
-                hg = compose(h, g)
-                for f in self.morphisms:
-                    if self.src[g] != self.tgt[f]:
-                        continue
-                    if compose(hg, f) != compose(h, compose(g, f)):
-                        raise ValueError("associativity fails")
-
-
-def discrete_category(objects):
-    ident = {c: ("id", c) for c in objects}
-    morphisms = list(ident.values())
-    src = {f: f[1] for f in morphisms}
-    tgt = dict(src)
-    return FiniteCategory(objects, morphisms, src, tgt, ident,
-                          lambda g, f: f)
-
-
-def poset_category(elements, leq):
-    """The category of a finite poset: one morphism (a, b) whenever
-    leq(a, b)."""
-    morphisms = [(a, b) for a in elements for b in elements if leq(a, b)]
-    src = {f: f[0] for f in morphisms}
-    tgt = {f: f[1] for f in morphisms}
-    ident = {a: (a, a) for a in elements}
-    covers = [(a, b) for (a, b) in morphisms if a != b
-              and not any(c != a and c != b and leq(a, c) and leq(c, b)
-                          for c in elements)]
-    return FiniteCategory(list(elements), morphisms, src, tgt, ident,
-                          lambda g, f: (f[0], g[1]), gens=covers)
+# coends over Δ≤b: a monotone map is its index in enumerate_monotone
 
 
 def _compose(g, f):
@@ -181,250 +81,6 @@ def _compose(g, f):
 def _identity(n):
     """The identity of [n] as a triple."""
     return (n, n, monotone_position(n, n)[tuple(range(n + 1))])
-
-
-def delta_leq(b):
-    """The full subcategory of the simplex category on [0], ..., [b];
-    objects are the integers n for [n], morphisms are triples (a, c, i),
-    composed by _compose.  Not validated: call _validate to check it."""
-    objects = list(range(b + 1))
-    morphisms = [(p, q, i) for p in objects for q in objects
-                 for i in range(monotone_count(p, q))]
-    src = {f: f[0] for f in morphisms}
-    tgt = {f: f[1] for f in morphisms}
-    ident = {n: _identity(n) for n in objects}
-    return FiniteCategory(objects, morphisms, src, tgt, ident, _compose,
-                          check=False, gens=generating_maps(b))
-
-
-def opposite(C):
-    """The opposite category on the same tokens (already validated via C)."""
-    src = {f: C.tgt[f] for f in C.morphisms}
-    tgt = {f: C.src[f] for f in C.morphisms}
-    return FiniteCategory(C.objects, C.morphisms, src, tgt, C.ident,
-                          lambda g, f: C.compose(f, g), check=False,
-                          gens=C.gens)
-
-
-# ---------------------------------------------------------------------------
-# profunctors and coends
-
-
-class SetProfunctor:
-    """P : C^op × D -> Set with finite value sets.
-
-    values : dict (c, d) -> sequence of hashable elements.
-    action(f, x, g) : for f : c' -> c in C, x in P(c, d), g : d -> d' in D,
-    the image element in P(c', d')."""
-
-    def __init__(self, C, D, values, action):
-        self.C = C
-        self.D = D
-        self.values = {k: list(v) for k, v in values.items()}
-        self.action = action
-
-    def value(self, c, d):
-        return self.values.get((c, d), [])
-
-
-def hom_profunctor(C):
-    values = {(c, d): C.hom(c, d) for c in C.objects for d in C.objects}
-
-    def action(f, x, g):
-        return C.compose(C.compose(g, x), f)
-
-    return SetProfunctor(C, C, values, action)
-
-
-def coend_set(P):
-    """Coend of P : C^op × C -> Set over the elements (c, x) of
-    ⊔_c P(c, c); the relation of f : c -> d identifies (c, x·f) with
-    (d, f·x) for x in P(d, c).  Returns ``coend``'s (classes, reps)."""
-    C = P.C
-
-    def push(f):
-        c, d = C.src[f], C.tgt[f]
-        return [(c, P.action(f, x, C.ident[c])) for x in P.value(d, c)]
-
-    def pull(f):
-        c, d = C.src[f], C.tgt[f]
-        return [(d, P.action(C.ident[d], x, f)) for x in P.value(d, c)]
-
-    return coend(C.objects, lambda c: [(c, x) for x in P.value(c, c)],
-                 C.generating_morphisms(), push, pull)
-
-
-def _composite_coend(D, left, right, push, pull):
-    """∫^d left(d) × right(d) over D, with elements (d, x, y): for
-    f : d1 -> d2, x in left(d1) and y in right(d2), the relation of f
-    identifies (d2, push(x, f), y) with (d1, x, pull(f, y))."""
-
-    def pushed(f):
-        d1, d2 = D.src[f], D.tgt[f]
-        xs = [push(x, f) for x in left(d1)]
-        return [(d2, x, y) for x in xs for y in right(d2)]
-
-    def pulled(f):
-        d1, d2 = D.src[f], D.tgt[f]
-        ys = [pull(f, y) for y in right(d2)]
-        return [(d1, x, y) for x in left(d1) for y in ys]
-
-    return coend(D.objects,
-                 lambda d: [(d, x, y) for x in left(d) for y in right(d)],
-                 D.generating_morphisms(), pushed, pulled)
-
-
-def compose_profunctors(P, Q):
-    """P : C ↛ D composed with Q : D ↛ E; the value at (c, e) is
-    ∫^d P(c, d) × Q(d, e), with elements stored as (d, x, y) class
-    representatives."""
-    C, D, E = P.C, P.D, Q.D
-    coends = {}
-    for c in C.objects:
-        for e in E.objects:
-            coends[(c, e)] = _composite_coend(
-                D, lambda d: P.value(c, d), lambda d: Q.value(d, e),
-                lambda x, f: P.action(C.ident[c], x, f),
-                lambda f, y: Q.action(f, y, E.ident[e]))
-
-    def action(f, elem, g):
-        d, x, y = elem
-        moved = (d, P.action(f, x, D.ident[d]), Q.action(D.ident[d], y, g))
-        return coends[(C.src[f], E.tgt[g])][1][moved]
-
-    return SetProfunctor(C, E, {k: cls for k, (cls, _) in coends.items()},
-                         action)
-
-
-def coyoneda_check(P):
-    """Certifies P ∘ Hom_D ≅ P via the canonical map (d, x, g) -> x · g."""
-    R = compose_profunctors(P, hom_profunctor(P.D))
-    for c in P.C.objects:
-        for e in P.D.objects:
-            seen = {}
-            for elem in R.value(c, e):
-                d, x, g = elem
-                img = P.action(P.C.ident[c], x, g)
-                if img in seen:
-                    return CheckCertificate(False, witness=(c, e, elem),
-                                            detail="canonical map not injective")
-                seen[img] = elem
-            if set(seen) != set(P.value(c, e)):
-                return CheckCertificate(False, witness=(c, e),
-                                        detail="canonical map not surjective")
-    return CheckCertificate(True, detail="P ∘ Hom ≅ P")
-
-
-# ---------------------------------------------------------------------------
-# promonoidal data and n-ary multimorphisms
-
-
-class PromonoidalData:
-    """A symmetric promonoidal structure on a finite base category, given by
-    callables:
-
-    mu_value(c1, c2, c') : the set μ(c1, c2; c');
-    mu_act(f1, f2, x, g) : the action for f1 : a1 -> c1, f2 : a2 -> c2
-    (contravariant) and g : c' -> b' (covariant);
-    eta_value(c') and eta_act(x, g) : the unit profunctor."""
-
-    def __init__(self, base, mu_value, mu_act, eta_value, eta_act):
-        self.base = base
-        self.mu_value = mu_value
-        self.mu_act = mu_act
-        self.eta_value = eta_value
-        self.eta_act = eta_act
-
-
-def delta_op_promonoidal(b):
-    """The Eilenberg-Zilber promonoidal structure on the opposite simplex
-    category truncated at [b]: μ([p],[q];[n]) is the set of monotone maps
-    [n] -> [p] × [q], i.e. pairs of triples out of [n], and the unit is
-    the terminal profunctor (every [n] -> [0] is unique)."""
-    _nonnegative("b", [b])
-    base = opposite(delta_leq(b))
-
-    def mu_value(p, q, n):
-        return mul_delta((p, q), n)
-
-    def mu_act(f1, f2, x, g):
-        # base morphisms a -> c are Δ-maps [c] -> [a]; g : c' -> b' is a
-        # Δ-map [b'] -> [c']
-        f, h = x
-        return (_compose(_compose(f1, f), g), _compose(_compose(f2, h), g))
-
-    def eta_value(n):
-        return ["*"]
-
-    def eta_act(x, g):
-        return "*"
-
-    return PromonoidalData(base, mu_value, mu_act, eta_value, eta_act)
-
-
-class NaryMu:
-    """Inductive n-ary multimorphism spaces of a PromonoidalData:
-    μ⁰ = η, μ¹ = Hom, μ² = μ, and for n > 2
-    μⁿ({c_i}; c') = ∫^d μⁿ⁻¹({c_1..c_{n-1}}; d) × μ(d, c_n; c'),
-    with coend classes stored as canonical representatives."""
-
-    def __init__(self, data):
-        self.data = data
-        self._cache = {}
-
-    def space(self, inputs, output):
-        return self._get(tuple(inputs), output)[0]
-
-    def canon(self, inputs, output, elem):
-        """Canonical representative of a raw element."""
-        reps = self._get(tuple(inputs), output)[1]
-        return reps[elem] if reps is not None else elem
-
-    def _get(self, inputs, output):
-        key = (inputs, output)
-        if key in self._cache:
-            return self._cache[key]
-        data = self.data
-        base = data.base
-        n = len(inputs)
-        if n == 0:
-            out = (list(data.eta_value(output)), None)
-        elif n == 1:
-            out = (base.hom(inputs[0], output), None)
-        elif n == 2:
-            out = (list(data.mu_value(inputs[0], inputs[1], output)), None)
-        else:
-            head, last = inputs[:-1], inputs[-1]
-            out = _composite_coend(
-                base, lambda d: self.space(head, d),
-                lambda d: data.mu_value(d, last, output),
-                lambda u, h: self.act_out(head, base.src[h], u, h),
-                lambda h, y: data.mu_act(h, base.ident[last], y,
-                                         base.ident[output]))
-        self._cache[key] = out
-        return out
-
-    def act_out(self, inputs, output, elem, g):
-        """Covariant action on the output: g : output -> b' in the base."""
-        data = self.data
-        base = data.base
-        n = len(inputs)
-        b_out = base.tgt[g]
-        if n == 0:
-            return data.eta_act(elem, g)
-        if n == 1:
-            return base.compose(g, elem)
-        if n == 2:
-            return data.mu_act(base.ident[inputs[0]], base.ident[inputs[1]],
-                               elem, g)
-        d, u, y = elem
-        moved = (d, u, data.mu_act(base.ident[d], base.ident[inputs[-1]],
-                                   y, g))
-        return self.canon(inputs, b_out, moved)
-
-
-# ---------------------------------------------------------------------------
-# coends over Δ≤b: a monotone map is its index in enumerate_monotone
 
 
 def _family(d, ts, idxs):
@@ -578,15 +234,25 @@ def delta_mu_associativity_check(p, q, r, b):
                             detail="μ∘(μ×1) ≅ μ∘(1×μ) ≅ Map([n], [p]×[q]×[r])")
 
 
+def coyoneda_check(b):
+    """Coyoneda for the hom functor of Δ≤b: ∫^{[d]} Δ([c], [d]) × Δ([d], [e])
+    -> Δ([c], [e]), (d, φ, g) ↦ g ∘ φ, is a bijection for all c, e <= b.
+    This is the Kan comparison for the one factor [e] at [c]; a failure's
+    witness is (c, e, _kan_failure's witness)."""
+    _nonnegative("b", [b])
+    pairs = [(c, e) for c in range(b + 1) for e in range(b + 1)]
+    _within_cap(b, [(c, (e,)) for c, e in pairs])
+    for c, e in pairs:
+        failure = _kan_failure(c, (e,), b)
+        if failure is not None:
+            reason, witness = failure
+            return CheckCertificate(False, witness=(c, e, witness),
+                                    detail=f"canonical map {reason}")
+    return CheckCertificate(True, detail="P ∘ Hom ≅ P")
+
+
 # ---------------------------------------------------------------------------
-# multimorphism spaces for Δᵒᵖ
-
-
-def mul_delta(ns, m):
-    """Mul({[n_i]}; [m]) for the opposite simplex category: monotone maps
-    [m] -> ∏_i [n_i], as tuples of componentwise maps, each a triple."""
-    return list(itertools.product(
-        *([(m, n, i) for i in range(monotone_count(m, n))] for n in ns)))
+# left Kan extensions
 
 
 def left_kan_check(ns, b, m_range):
@@ -829,7 +495,3 @@ class OperatorCategoryFragment:
             mults.append(self.model.permute(grouped, idxs))
         return OperatorMorphism(first.source, second.target, alpha,
                                 tuple(mults))
-
-
-def operator_category_fragment(model, N):
-    return OperatorCategoryFragment(model, N)

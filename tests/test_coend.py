@@ -2,7 +2,7 @@
 graph, the index arithmetic of the coends over Δ≤b against their relations
 written out with MonotoneMaps, the work cap, the element and class counts
 of every coend that the coend benchmark family builds, and the failures the
-Δᵒᵖ unit and μ-associativity checks report.
+Δᵒᵖ unit, μ-associativity and Coyoneda checks report.
 
 The counts below were recorded from the dictionary union-find over
 MonotoneMap keys that the index-based engine replaced.  The oracle tests
@@ -20,10 +20,9 @@ from zilber.cli import main
 from zilber.delta import (MonotoneMap, codegeneracy, coface,
                           enumerate_monotone, monotone_count,
                           product_nondegenerate)
-from zilber.promonoidal import (CoendTooLarge, NaryMu, _colimit_coend,
-                                _hom_coend, coend, delta_mu_associativity_check,
-                                delta_mu_unit_check, delta_op_promonoidal,
-                                poset_category)
+from zilber.promonoidal import (CoendTooLarge, _colimit_coend, _hom_coend,
+                                coyoneda_check, delta_mu_associativity_check,
+                                delta_mu_unit_check)
 from zilber.simplicial import CheckCertificate
 
 
@@ -43,8 +42,8 @@ def presentations(draw):
     for c in objects:  # transitive closure, objects in increasing order
         below |= {(a, b) for (a, c1) in below for (c2, b) in below
                   if c1 == c == c2}
-    P = poset_category(objects, lambda a, b: a == b or (a, b) in below)
-    gens = draw(st.lists(st.sampled_from(P.morphisms), max_size=8))
+    morphisms = sorted(below | {(d, d) for d in objects})
+    gens = draw(st.lists(st.sampled_from(morphisms), max_size=8))
     elements = {d: [(d, i) for i in range(n)] for d, n in enumerate(sizes)}
     relations = []
     for a, b in gens:
@@ -79,22 +78,23 @@ def bfs_least(order, edges):
 
 
 def run_coend(objects, elements, relations):
-    return coend(objects, elements.__getitem__, range(len(relations)),
-                 lambda h: [u for u, _ in relations[h]],
-                 lambda h: [v for _, v in relations[h]])
+    """The elements in enumeration order, and the engine's representatives
+    of their indices under the relations."""
+    order = [x for d in objects for x in elements[d]]
+    index = {x: i for i, x in enumerate(order)}
+    rep = promonoidal._least_representatives(
+        len(order), [([index[u] for u, _ in r], [index[v] for _, v in r])
+                     for r in relations])
+    return order, rep
 
 
 @settings(max_examples=200, deadline=None)
 @given(presentations())
 def test_coend_partition_matches_breadth_first_search(case):
     objects, elements, relations = case
-    classes, reps = run_coend(objects, elements, relations)
-    order = [x for d in objects for x in elements[d]]
-    assert list(reps) == order
+    order, rep = run_coend(objects, elements, relations)
     # each class is represented by its element of smallest index
-    least = bfs_least(order, [e for r in relations for e in r])
-    assert [reps[x] for x in order] == [order[i] for i in least]
-    assert classes == [x for i, x in enumerate(order) if least[i] == i]
+    assert rep == bfs_least(order, [e for r in relations for e in r])
 
 
 @settings(max_examples=50, deadline=None)
@@ -231,14 +231,18 @@ def test_a_coend_above_the_cap_is_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 50)
     with pytest.raises(CoendTooLarge, match="81 elements"):
         promonoidal.delta_mu_associativity_check(1, 0, 2, 2)
+    # and for Coyoneda (c, e) = (0, 2) (45), before (1, 2) (81)
+    monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 40)
+    with pytest.raises(CoendTooLarge, match="45 elements"):
+        promonoidal.coyoneda_check(2)
     assert built == []
 
 
 def test_the_generic_coend_path_is_capped(monkeypatch):
+    # the engine, on any integer relations, checks the cap itself
     monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 3)
-    elements = {0: ["a", "b"], 1: ["c", "d"]}
     with pytest.raises(CoendTooLarge, match="4 elements"):
-        coend([0, 1], elements.__getitem__, [], None, None)
+        promonoidal._least_representatives(4, [])
 
 
 def test_the_cli_exits_2_on_a_coend_above_the_cap(monkeypatch, capsys):
@@ -340,6 +344,27 @@ def test_left_kan_coend_counts(key):
     assert counts(_hom_coend(m, (n1, n2), b)) == LEFT_KAN[key]
 
 
+def nesting_relations(p, q, r, b, n):
+    """The elements (d, h, (f, g), k) of the left nesting ∫^{[d]} μ(p, q; d)
+    × μ(d, r; n) over d <= b, where μ(p, q; d) is the pairs f : [d] -> [p],
+    g : [d] -> [q] and μ(d, r; n) the pairs h : [n] -> [d], k : [n] -> [r],
+    and the relation of every generator γ : [a] -> [c], identifying
+    (a, h, (f∘γ, g∘γ), k) with (c, γ∘h, (f, g), k)."""
+    def mu(d):
+        return itertools.product(enumerate_monotone(d, p),
+                                 enumerate_monotone(d, q))
+
+    ks = enumerate_monotone(n, r)
+    order = [(d, h, fg, k) for d in range(b + 1)
+             for h in enumerate_monotone(n, d) for fg in mu(d) for k in ks]
+    edges = [((a, h, (f.compose(gamma), g.compose(gamma)), k),
+              (c, gamma.compose(h), (f, g), k))
+             for gamma in generators(b)
+             for a, c in [(gamma.domain_top, gamma.codomain_top)]
+             for h in enumerate_monotone(n, a) for f, g in mu(c) for k in ks]
+    return order, edges
+
+
 @pytest.mark.parametrize("key", sorted(NESTINGS), ids=str)
 def test_nesting_coend_counts(key):
     p, q, r, b, n = key
@@ -347,9 +372,13 @@ def test_nesting_coend_counts(key):
     left = counts(_hom_coend(n, (p, q), b), monotone_count(n, r))
     right = counts(_hom_coend(n, (q, r), b), monotone_count(n, p))
     assert left + right == NESTINGS[key]
-    # the generic token path builds the same left nesting
-    nary = NaryMu(delta_op_promonoidal(b)).space((p, q, r), n)
-    assert len(nary) == NESTINGS[key][1]
+    # the left nesting, its relations written out, is the Kan coend of
+    # (p, q) at [n] copied over Δ([n], [r])
+    order, edges = nesting_relations(p, q, r, b, n)
+    least = bfs_least(order, edges)
+    s = monotone_count(n, r)
+    assert least == [s * i + j for i in _hom_coend(n, (p, q), b)[1]
+                     for j in range(s)]
 
 
 @pytest.mark.parametrize("key", sorted(COLIMIT), ids=str)
@@ -366,7 +395,7 @@ def test_unit_coend_counts(key):
 
 
 # ---------------------------------------------------------------------------
-# the failures the unit and μ-associativity checks report
+# the failures the unit, μ-associativity and Coyoneda checks report
 
 
 def no_union_at(calls):
@@ -401,6 +430,28 @@ def test_the_unit_check_names_the_first_coend_that_is_not_a_point(
     cert = delta_mu_unit_check(2)
     assert not cert.ok and cert.detail == "unit map not injective"
     assert cert.witness == UNIT_FAILURES[calls]
+
+
+COYONEDA_FAILURES = {  # calls without unions: the witness of coyoneda(1),
+    # whose coends are built for (c, e) = (0, 0), (0, 1), (1, 0), (1, 1)
+    None: (0, 0, (0, (1, MonotoneMap(0, 1, (0,)), (MonotoneMap(1, 0, (0, 0)),)),
+                  (0, MonotoneMap(0, 0, (0,)), (MonotoneMap(0, 0, (0,)),)))),
+    (2,): (0, 1, (0, (1, MonotoneMap(0, 1, (0,)), (MonotoneMap(1, 1, (0, 0)),)),
+                  (0, MonotoneMap(0, 0, (0,)), (MonotoneMap(0, 1, (0,)),)))),
+    (4,): (1, 1, (1, (1, MonotoneMap(1, 1, (0, 0)),
+                      (MonotoneMap(1, 1, (0, 0)),)),
+                  (0, MonotoneMap(1, 0, (0, 0)), (MonotoneMap(0, 1, (0,)),)))),
+}
+
+
+@pytest.mark.parametrize("calls", list(COYONEDA_FAILURES), ids=str)
+def test_the_coyoneda_check_names_the_first_pair_that_is_not_a_bijection(
+        monkeypatch, calls):
+    monkeypatch.setattr(promonoidal, "_least_representatives",
+                        no_union_at(calls))
+    cert = coyoneda_check(1)
+    assert not cert.ok and cert.detail == "canonical map not injective"
+    assert cert.witness == COYONEDA_FAILURES[calls]
 
 
 @pytest.mark.parametrize("calls,side,n", [

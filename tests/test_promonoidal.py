@@ -1,64 +1,49 @@
-"""Finite categories, profunctors, coends, the promonoidal structure on
-the opposite simplex category, and the associated category of operators."""
+"""Coyoneda and the promonoidal structure on the opposite simplex category,
+left Kan extensions, products of simplices as colimits, and the associated
+category of operators."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from zilber.delta import (MonotoneMap, codegeneracy, coface,
-                          enumerate_monotone, generating_maps, identity_map)
-from zilber.promonoidal import (MulticategoryModel, OperatorMorphism,
-                                coend_set, compose_profunctors, coyoneda_check,
-                                delta_leq, delta_mu_associativity_check,
+                          enumerate_monotone, generating_maps, identity_map,
+                          monotone_count)
+from zilber.promonoidal import (MulticategoryModel, OperatorCategoryFragment,
+                                OperatorMorphism, _compose, _hom_coend,
+                                _identity, coyoneda_check,
+                                delta_mu_associativity_check,
                                 delta_mu_unit_check, delta_op_multicategory,
-                                delta_op_promonoidal, discrete_category,
-                                hom_profunctor, left_kan_check, mul_delta,
-                                operator_category_fragment, opposite,
-                                poset_category,
+                                left_kan_check,
                                 product_simplices_colimit_check)
 
 
+def triples(b):
+    """Every map of Δ≤b as a triple (a, c, i)."""
+    return [(a, c, i) for a in range(b + 1) for c in range(b + 1)
+            for i in range(monotone_count(a, c))]
+
+
 def test_simplex_category_truncation_sizes():
-    from zilber.delta import monotone_count
-    C = delta_leq(2)
-    C._validate()
-    expected = sum(monotone_count(a, b) for a in range(3) for b in range(3))
-    assert len(C.morphisms) == expected
+    # Δ≤2 as triples: C(a+c+1, a+1) distinct maps [a] -> [c], with the unit
+    # and associativity laws of _compose and _identity
+    maps = triples(2)
+    assert len({_decode(f) for f in maps}) == len(maps) == \
+        sum(math.comb(a + c + 1, a + 1) for a in range(3) for c in range(3))
+    for f in maps:
+        a, c, _ = f
+        assert _compose(_identity(c), f) == f == _compose(f, _identity(a))
+    for h, g, f in itertools.product(maps, repeat=3):
+        if g[0] == f[1] and h[0] == g[1]:
+            assert _compose(_compose(h, g), f) == _compose(h, _compose(g, f))
 
 
-def test_opposite_category_is_valid_and_involutive():
-    C = delta_leq(2)
-    D = opposite(C)
-    D._validate()
-    assert len(D.morphisms) == len(C.morphisms)
-    E = opposite(D)
-    for m in C.morphisms:
-        assert E.src[m] == C.src[m] and E.tgt[m] == C.tgt[m]
-    for g in C.morphisms:
-        for f in C.morphisms:
-            if C.src[g] == C.tgt[f]:
-                assert E.compose(g, f) == C.compose(g, f)
-
-
-def test_poset_category_generators_are_covers():
-    P = poset_category([0, 1, 2, 3], lambda a, b: a <= b)
-    P._validate()
-    gens = P.generating_morphisms()
-    assert len(gens) == 3  # the three covers i -> i+1
-
-
-def test_coyoneda_for_hom_profunctor():
-    for C in (discrete_category(["a", "b"]), delta_leq(2)):
-        assert coyoneda_check(hom_profunctor(C)).ok
-
-
-def test_coend_of_hom_profunctor_has_one_class_per_component():
-    # ∫^c Hom(c, c) of a connected category has conjugacy-like classes;
-    # for a poset it is one class per connected component
-    P = poset_category([0, 1, 2], lambda a, b: a <= b)
-    classes, _ = coend_set(hom_profunctor(P))
-    assert len(classes) == 3  # identities are never identified in a poset
+def test_coyoneda_for_the_hom_functor():
+    for b in range(4):
+        cert = coyoneda_check(b)
+        assert cert.ok and cert.detail == "P ∘ Hom ≅ P"
 
 
 def test_unit_law_for_convolution_on_simplex_opposite():
@@ -78,9 +63,16 @@ def test_associativity_of_the_multiplication_profunctor():
 
 
 def test_multimorphism_spaces_count_monotone_tuples():
-    from zilber.delta import monotone_count
-    assert len(mul_delta([1, 1], 2)) == monotone_count(2, 1) ** 2
-    assert len(mul_delta([], 0)) == 1  # the empty tuple
+    # the draws of Δᵒᵖ's multicategory reach exactly the monotone tuples
+    # [m] -> ∏_i [n_i], C(m+n_i+1, m+1) choices each; arity 0 draws the
+    # empty tuple
+    rng = random.Random(67)
+    model = delta_op_multicategory(2)
+    for ns, m in [((1, 1), 2), ((), 0), ((2, 0, 1), 1)]:
+        space = mul_delta(ns, m)
+        assert len(space) == math.prod(math.comb(m + n + 1, m + 1)
+                                       for n in ns)
+        assert {model.draw(ns, m, rng) for _ in range(300)} == set(space)
 
 
 def test_left_kan_comparison_dichotomy():
@@ -116,7 +108,7 @@ def test_left_kan_witnesses_are_monotone_maps(ns, b):
     lambda: product_simplices_colimit_check([1, -1], range(3)),
     lambda: product_simplices_colimit_check([1, 1], []),
     lambda: product_simplices_colimit_check([1, 1], [-1]),
-    lambda: delta_op_promonoidal(-1),
+    lambda: coyoneda_check(-1),
 ])
 def test_vacuous_or_negative_inputs_are_rejected(call):
     with pytest.raises(ValueError):
@@ -126,6 +118,13 @@ def test_vacuous_or_negative_inputs_are_rejected(call):
 def test_product_of_simplices_is_colimit_of_its_nondegenerates():
     assert product_simplices_colimit_check([1, 1], range(4)).ok
     assert product_simplices_colimit_check([2, 1], range(4)).ok
+
+
+def mul_delta(ns, m):
+    """Mul({[n_i]}; [m]) of Δᵒᵖ: the monotone maps [m] -> ∏_i [n_i], as
+    tuples of triples."""
+    return list(itertools.product(
+        *([(m, n, i) for i in range(monotone_count(m, n))] for n in ns)))
 
 
 def listed_hom(source, target, mul=mul_delta):
@@ -149,7 +148,7 @@ def sequences(objects, N):
 def test_operator_fragment_draws_lie_in_their_listed_hom_sets():
     rng = random.Random(43)
     for b in range(3):
-        frag = operator_category_fragment(delta_op_multicategory(b), 2)
+        frag = OperatorCategoryFragment(delta_op_multicategory(b), 2)
         obs = sequences(range(b + 1), 2)
         for source in obs:
             for target in obs:
@@ -165,21 +164,21 @@ def test_operator_fragment_draws_lie_in_their_listed_hom_sets():
 ])
 def test_operator_fragment_draws_reach_every_morphism(source, target):
     rng = random.Random(47)
-    frag = operator_category_fragment(delta_op_multicategory(2), 2)
+    frag = OperatorCategoryFragment(delta_op_multicategory(2), 2)
     drawn = {frag.draw(source, target, rng) for _ in range(3000)}
     assert drawn == set(listed_hom(source, target))
 
 
 def test_operator_fragment_draws_objects_of_every_length():
     rng = random.Random(53)
-    frag = operator_category_fragment(delta_op_multicategory(1), 2)
+    frag = OperatorCategoryFragment(delta_op_multicategory(1), 2)
     drawn = {frag.draw_object(rng) for _ in range(500)}
     assert drawn == set(sequences(range(2), 2))
 
 
 def test_operator_fragment_composition_is_associative():
     rng = random.Random(41)
-    frag = operator_category_fragment(delta_op_multicategory(2), 2)
+    frag = OperatorCategoryFragment(delta_op_multicategory(2), 2)
     for _ in range(30):
         a, b, c, d = (frag.draw_object(rng) for _ in range(4))
         f, g, h = (frag.draw(a, b, rng), frag.draw(b, c, rng),
@@ -195,7 +194,7 @@ def test_trivial_operator_fragment_counts_pointed_maps():
     trivial = MulticategoryModel(["*"], lambda cs, c, rng: "*",
                                  lambda c: "*", lambda y, xs: "*",
                                  lambda y, idxs: "*")
-    frag = operator_category_fragment(trivial, 2)
+    frag = OperatorCategoryFragment(trivial, 2)
     # morphisms <2> -> <1> are the pointed maps {0,1,2} -> {0,1}
     hom = listed_hom(("*", "*"), ("*",), lambda cs, c: ["*"])
     assert len(hom) == 4
@@ -213,7 +212,7 @@ def test_operator_fragment_draw_is_none_when_a_fiber_has_no_multimorphism():
 
     unary = MulticategoryModel(["*"], draw, lambda c: "*", lambda y, xs: "*",
                                lambda y, idxs: "*")
-    frag = operator_category_fragment(unary, 2)
+    frag = OperatorCategoryFragment(unary, 2)
     rng = random.Random(61)
     source, target = ("*", "*"), ("*",)
     hom = set(listed_hom(source, target, mul))
@@ -225,14 +224,11 @@ def test_operator_fragment_draw_is_none_when_a_fiber_has_no_multimorphism():
 
 
 def test_nary_multiplication_size_matches_iterated_coend_formula():
-    from zilber.delta import monotone_count
-    from zilber.promonoidal import NaryMu
-    data = delta_op_promonoidal(2)
-    nm = NaryMu(data)
+    # μ³((1, 1, 1); n) = ∫^d μ(1, 1; d) × μ(d, 1; n) is the Kan coend of
+    # (1, 1) at [n] times Δ([n], [1]), which no relation moves
     for n in range(3):
-        got = len(nm.space((1, 1, 1), n))
-        want = monotone_count(n, 1) ** 3
-        assert got == want
+        classes, _ = _hom_coend(n, (1, 1), 2)
+        assert len(classes) * monotone_count(n, 1) == monotone_count(n, 1) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -246,33 +242,15 @@ def _decode(f):
 
 @pytest.mark.parametrize("b", range(4))
 def test_triple_composition_and_identities_match_monotone_maps(b):
-    C = delta_leq(b)
-    for n in C.objects:
-        assert _decode(C.ident[n]) == identity_map(n)
-    for g in C.morphisms:
-        for f in C.morphisms:
-            if C.src[g] == C.tgt[f]:
-                h = C.compose(g, f)
-                assert (C.src[h], C.tgt[h]) == (C.src[f], C.tgt[g])
+    maps = triples(b)
+    for n in range(b + 1):
+        assert _decode(_identity(n)) == identity_map(n)
+    for g in maps:
+        for f in maps:
+            if g[0] == f[1]:
+                h = _compose(g, f)
+                assert (h[0], h[1]) == (f[0], g[1])
                 assert _decode(h) == _decode(g).compose(_decode(f))
-
-
-def test_delta_leq_composes_nothing_until_asked(monkeypatch):
-    # the category holds no composition table: building Δ≤4 composes no
-    # pair, and the one composite asked for is the one computed
-    import zilber.promonoidal as pm
-    compose = pm._compose
-    calls = []
-
-    def counted(g, f):
-        calls.append((g, f))
-        return compose(g, f)
-
-    monkeypatch.setattr(pm, "_compose", counted)
-    C = delta_leq(4)
-    assert calls == []
-    g, f = C.ident[2], (1, 2, 0)
-    assert C.compose(g, f) == f and calls == [(g, f)]
 
 
 @pytest.mark.parametrize("b", range(4))
@@ -284,71 +262,22 @@ def test_generating_maps_are_the_cofaces_then_the_codegeneracies(b):
 
 @pytest.mark.parametrize("b", range(4))
 def test_mu_action_is_precomposition_of_monotone_maps(b):
-    # base morphisms a -> c are Δ-maps [c] -> [a]; the action sends (f, h)
-    # in μ(p, q; n) to (f1∘f∘g, f2∘h∘g)
-    data = delta_op_promonoidal(b)
-    base = data.base
+    # μ(p, q; n) is the binary multimorphisms x = (f, h), f : [n] -> [p] and
+    # h : [n] -> [q], of delta_op_multicategory; substituting unary ones
+    # acts on them: (f1, f2) into x and x into (g,) give (f1∘f∘g, f2∘h∘g),
+    # in either order
+    model = delta_op_multicategory(b)
+    maps = triples(b)
     rng = random.Random(b)
     for _ in range(400):
         p, q, n = (rng.randrange(b + 1) for _ in range(3))
-        f, h = x = rng.choice(data.mu_value(p, q, n))
-        f1 = rng.choice([u for u in base.morphisms if base.tgt[u] == p])
-        f2 = rng.choice([u for u in base.morphisms if base.tgt[u] == q])
-        g = rng.choice([u for u in base.morphisms if base.src[u] == n])
-        got = data.mu_act(f1, f2, x, g)
-        assert got in data.mu_value(base.src[f1], base.src[f2], base.tgt[g])
+        f, h = x = model.draw((p, q), n, rng)
+        f1 = rng.choice([u for u in maps if u[0] == p])
+        f2 = rng.choice([u for u in maps if u[0] == q])
+        g = rng.choice([u for u in maps if u[1] == n])
+        got = model.subst((g,), [model.subst(x, [(f1,), (f2,)])])
+        assert got == model.subst(model.subst((g,), [x]), [(f1,), (f2,)])
+        assert got in mul_delta((f1[1], f2[1]), g[0])
         assert [_decode(u) for u in got] == \
             [_decode(f1).compose(_decode(f)).compose(_decode(g)),
              _decode(f2).compose(_decode(h)).compose(_decode(g))]
-
-
-def test_composite_profunctor_action_is_natural():
-    # R = Hom ∘ Hom over Δ≤2: its action keeps elements in the value sets,
-    # fixes them under identities, and the canonical map (d, x, y) ↦ y∘x
-    # commutes with it
-    C = delta_leq(2)
-    P = hom_profunctor(C)
-    R = compose_profunctors(P, hom_profunctor(C))
-    for f in C.morphisms:
-        for g in C.morphisms:
-            c, e = C.tgt[f], C.src[g]
-            for elem in R.value(c, e):
-                moved = R.action(f, elem, g)
-                assert moved in R.value(C.src[f], C.tgt[g])
-                (_, x, y), (_, x2, y2) = elem, moved
-                assert P.action(C.ident[C.src[f]], x2, y2) == \
-                    P.action(f, P.action(C.ident[c], x, y), g)
-    for c in C.objects:
-        for e in C.objects:
-            for elem in R.value(c, e):
-                assert R.action(C.ident[c], elem, C.ident[e]) == elem
-
-
-def test_nary_mu_at_arities_zero_one_and_four():
-    from zilber.delta import monotone_count
-    from zilber.promonoidal import NaryMu
-    b = 2
-    data = delta_op_promonoidal(b)
-    base = data.base
-    nm = NaryMu(data)
-    for n in range(b + 1):
-        assert nm.space((), n) == ["*"]
-        assert nm.space((1,), n) == base.hom(1, n)
-    # partial sums 1, 1, 2, 2 stay <= b, so μ⁴ is Map([n], ∏[c_i])
-    entries = (1, 0, 1, 0)
-    for n in range(b + 1):
-        want = 1
-        for c in entries:
-            want *= monotone_count(n, c)
-        assert len(nm.space(entries, n)) == want
-    for inputs in ((), (1,), entries):
-        for g in base.morphisms:
-            n, n2 = base.src[g], base.tgt[g]
-            for elem in nm.space(inputs, n):
-                moved = nm.act_out(inputs, n, elem, g)
-                assert moved in nm.space(inputs, n2)
-                assert nm.act_out(inputs, n, elem, base.ident[n]) == elem
-                for g2 in base.morphisms:
-                    if base.src[g2] == n2:
-                        assert nm.act_out(inputs, n2, moved, g2) == \
-                            nm.act_out(inputs, n, elem, base.compose(g2, g))
