@@ -26,7 +26,8 @@ group, and ℤ[X] before it took the free path) the ``ez-aw`` and
 ``ez-assoc`` rows mostly time degenerate levels: Δ³×Δ³ has no
 nondegenerate simplex above degree 6, yet the matrix path builds all of
 its levels up to the bound.  ``ez-aw-d4-8`` and ``ez-aw-d5-8`` are rows
-whose normalized side does grow with the bound.
+whose normalized side does grow with the bound.  ``ez-unital-11`` reads
+only the shuffles of the edge blocks, so it times loading the spaces.
 
 With several checkouts (default: ``change=`` this script's checkout),
 every row runs REPEAT times per checkout, and the checkout that runs
@@ -78,6 +79,8 @@ ROWS = {  # name -> zilber argv
                    "--dim-bound", "8"],
     "ez-aw-d5-8": ["ez", "delta5", "delta5", "--check", "aw",
                    "--dim-bound", "8"],
+    "ez-unital-11": ["ez", "delta3", "delta3", "--check", "unital",
+                     "--dim-bound", "11"],
     "ss-pairing-9": ["ss", "ez:delta2,delta2", "--pairing", "--dim-bound", "9"],
     "ss-pairing-11": ["ss", "ez:delta2,delta2", "--pairing",
                       "--dim-bound", "11"],

@@ -24,6 +24,10 @@ A pair (A, B) takes one of two paths.
   projection of A⊗B, which normalization validates, after its validated
   lift, so it needs no test of its own.
 
+Both paths build ∇ on block (p, q) from shuffles(p, q) and the shuffles'
+components, so unitality_check reads the edge blocks' shuffles alone and
+builds no matrix.
+
 Each pair (A, B) is built and validated once: shuffle_product keeps it on
 A, keyed weakly by B, so every certificate on the pair shares one ∇.
 """
@@ -49,20 +53,6 @@ def front_face(n, p):
 def back_face(n, q):
     """The injection [q] -> [n] onto {n-q, ..., n}."""
     return MonotoneMap(q, n, tuple(range(n - q, n + 1)))
-
-
-def _shuffle_terms(A, B, p, q, col, right_a, right_b):
-    """The kron_sum terms of ∇ on the column block (p, q) at column col,
-    each factor followed by right_a resp. right_b: sign · kron(A(s_a) ·
-    right_a, B(s_b) · right_b) over the (p,q)-shuffles, with (s_a, s_b)
-    the components of the shuffle's lattice path."""
-    terms = []
-    for sh in shuffles(p, q):
-        s_a, s_b = sh.components()
-        terms.append((la.mat_mul(A.operator_matrix(s_a), right_a),
-                      la.mat_mul(B.operator_matrix(s_b), right_b), 0, col,
-                      sh.sign))
-    return terms
 
 
 class _ShuffleProduct:
@@ -104,9 +94,12 @@ class _ShuffleProduct:
         sec_a, sec_b = self.norm_A.section, self.norm_B.section
         lifted = ChainMap(NT, unnormalized_chains(AB), {
             n: la.kron_sum(AB.ranks[n], NT.rank(n), [
-                term for p, q, col in ntb.blocks(n)
-                for term in _shuffle_terms(A, B, p, q, col, sec_a.mat(p),
-                                           sec_b.mat(q))])
+                # (s_a, s_b) = sh.components(), the shuffle's lattice path
+                (la.mat_mul(A.operator_matrix(sh.components()[0]),
+                            sec_a.mat(p)),
+                 la.mat_mul(B.operator_matrix(sh.components()[1]),
+                            sec_b.mat(q)), 0, col, sh.sign)
+                for p, q, col in ntb.blocks(n) for sh in shuffles(p, q)])
             for n in range(A.dim_bound + 1)})
         self.map = self.norm_AB.projection.compose(lifted)
         if not la.mat_eq(self.map.mat(0), la.identity(NT.rank(0))):
@@ -553,25 +546,18 @@ def _edge_map(n, k):
 
 
 def unitality_check(A, B):
-    """Certifies that the unnormalized ∇ on bidegrees (p, 0) and (0, q) is
-    the canonical identification x⊗y -> x·(iterated degeneracy of y) (and
-    symmetrically), i.e. the single trivial shuffle with sign +1.  Only
-    those edge blocks of ∇ are built, each as the signed sum over its
-    shuffles, and compared column by column."""
+    """Certifies that ∇ on the edge bidegrees (p, 0) and (0, q) is the
+    canonical identification x⊗y -> x·(iterated degeneracy of y) (and
+    symmetrically).  Both paths build ∇ on block (p, q) from shuffles(p, q)
+    and the components of each shuffle, so this holds on every group
+    exactly when each edge block has the single shuffle with sign +1 whose
+    components are the identity of [n] and the constant map [n] -> [0]."""
     for n in range(A.dim_bound + 1):
-        rows = A.ranks[n] * B.ranks[n]
         for p, q in ((n, 0), (0, n)) if n else ((0, 0),):
-            got = la.kron_sum(rows, A.ranks[p] * B.ranks[q],
-                              _shuffle_terms(A, B, p, q, 0,
-                                             la.identity(A.ranks[p]),
-                                             la.identity(B.ranks[q])))
-            want = la.kron(A.operator_matrix(_edge_map(n, p)),
-                           B.operator_matrix(_edge_map(n, q)))
-            for c, (x, y) in enumerate(zip(got, want)):
-                if x != y:
-                    i, j = divmod(c, B.ranks[q])
-                    return CheckCertificate(
-                        False, witness=(n, p, i, q, j),
-                        detail="edge bidegree is not the canonical "
-                               "identification")
+            if [(sh.sign, sh.components()) for sh in shuffles(p, q)] != \
+                    [(1, (_edge_map(n, p), _edge_map(n, q)))]:
+                return CheckCertificate(
+                    False, witness=(n, p, q),
+                    detail="edge bidegree is not the canonical "
+                           "identification")
     return CheckCertificate(True, detail="∇ is unital on edge bidegrees")

@@ -1,6 +1,8 @@
 """ℕ-filtered chain complexes presented by stage generator columns, Day
 convolution, the chain-level skeletal filtration of a simplicial abelian
-group, and filtered pairings induced by the shuffle product.
+group (read off the nondegenerate basis on ℤ[X], from the normalization
+otherwise; its stages are 0 or the identity on every group), and filtered
+pairings induced by the shuffle product.
 """
 
 from __future__ import annotations
@@ -8,8 +10,8 @@ from __future__ import annotations
 from . import intlinalg as la
 from .chains import ChainComplex, tensor, unit_complex
 from .doldkan import normalize
-from .ez import (_FreeShuffleProduct, _koszul_swap, _tensor_associator,
-                 shuffle_product)
+from .ez import (_FreeShuffleProduct, _koszul_swap, _Nondegenerate,
+                 _tensor_associator, shuffle_product)
 from .simplicial import CheckCertificate
 
 
@@ -145,35 +147,38 @@ def skeletal_filtration(A):
     """The chain-level skeletal filtration of a simplicial abelian group.
     Stage p in degree k is spanned by the images under the normalization
     projection P_k of the operators of the surjections [k] ->> [j], j <= p.
-    Non-identity ones factor through some s_i, which P_k kills, so stage
-    (p, k) is 0 for p < k and the image basis of P_k for p >= k
-    (Goerss-Jardine, Simplicial Homotopy Theory, III.2).  The premise
-    P_k s_i = 0 (i < k) is checked on A; a failure raises AssertionError.
+    Non-identity ones factor through some s_i, which P_k kills, and P_k is
+    onto N_k (normalize checks P_k S_k = I), so stage (p, k) is all of N_k,
+    written as the identity, for p >= k and 0 below (Goerss-Jardine,
+    Simplicial Homotopy Theory, III.2).  On ℤ[X] it is read off the
+    nondegenerate basis (_basis_skeletal_filtration), with nothing
+    normalized; on any other group the premise P_k s_i = 0 (i < k) is
+    checked on A, and a failure raises AssertionError.
 
     Computed once per A and kept in A.skeletal, as normalize keeps its
     result; callers share it and must not mutate it."""
     if A.skeletal is None:
-        A.skeletal = _skeletal_filtration(A)
+        X = A.simplicial_set
+        A.skeletal = (_skeletal_filtration(A) if X is None else
+                      _basis_skeletal_filtration(_Nondegenerate.of(X)))
     return A.skeletal
 
 
 def _skeletal_filtration(A):
-    D = A.dim_bound
     nres = normalize(A)
-    full = []  # full[k], the image basis of P_k, is stage (p, k) for p >= k
-    for k in range(D + 1):
+    for k in range(A.dim_bound + 1):
         P = nres.projection.mat(k)
         for i in range(k):
             if not la.product_is_zero(P, A.degen_mats[(k - 1, i)]):
                 raise AssertionError(f"projection P_{k} does not kill s_{i}")
-        full.append(la.image_basis(P))
-    return _skeletal_stages(nres.normalized, full)
+    return _skeletal_stages(nres.normalized)
 
 
-def _skeletal_stages(N, full):
-    """The filtration of N whose stage (p, k) is full[k] for p >= k and 0
-    for p < k."""
+def _skeletal_stages(N):
+    """The filtration of N whose stage (p, k) is the identity of N_k for
+    p >= k and 0 for p < k."""
     D = N.top_degree
+    full = [la.identity(N.rank(k)) for k in range(D + 1)]
     # a stage (p, k) with p < k is left out, so it is 0
     return FilteredChainComplex(N, [
         {k: full[k] for k in range(p + 1)} for p in range(D + 1)], D)
@@ -182,14 +187,10 @@ def _skeletal_stages(N, full):
 def _basis_skeletal_filtration(S):
     """The skeletal filtration of N(ℤ[X]) on the nondegenerate basis of
     the ez._Nondegenerate S: every nondegenerate k-simplex lies in sk_k
-    and in no lower skeleton, so stage (p, k) is all of N_k for p >= k and
-    0 below.  It is the matrix path's filtration, whose image bases of P_k
-    are the identity on ℤ[X].  Computed once per S and kept in
+    and in no lower skeleton.  Computed once per S and kept in
     S.skeletal."""
     if S.skeletal is None:
-        N = S.chains
-        S.skeletal = _skeletal_stages(
-            N, [la.identity(N.rank(k)) for k in range(N.top_degree + 1)])
+        S.skeletal = _skeletal_stages(S.chains)
     return S.skeletal
 
 
@@ -379,17 +380,13 @@ def filtered_ez(A, B):
     degrees n > p + q, and H_{p+q} is all of N_n(A⊗B) for n <= p + q.
     The containment test skips every triple whose target stage is a
     lattice, so it builds images only for n > p + q, where they are
-    empty.  Its content is the validation of ∇ as a chain map and, on
-    the matrix path, the premise check of the three skeletal filtrations.
-    When the pair is free (ℤ[X] and ℤ[Y]), the three filtrations are read
-    off the nondegenerate bases (_basis_skeletal_filtration), so A⊗B is
-    not normalized."""
+    empty.  Its content is the validation of ∇ as a chain map and the
+    premise check of each skeletal filtration of a group that is not
+    ℤ[X].  When the pair is free (ℤ[X] and ℤ[Y]), H is read off the
+    nondegenerate basis of X×Y too, so A⊗B is not normalized."""
     sp = shuffle_product(A, B)
-    if isinstance(sp, _FreeShuffleProduct):
-        F, G, H = map(_basis_skeletal_filtration,
-                      (sp.left, sp.right, sp.simplices))
-    else:
-        F = skeletal_filtration(A)
-        G = skeletal_filtration(B)
-        H = skeletal_filtration(sp.product)
-    return FilteredPairing(F, G, H, sp.map, sp.source_basis)
+    H = (_basis_skeletal_filtration(sp.simplices)
+         if isinstance(sp, _FreeShuffleProduct)
+         else skeletal_filtration(sp.product))
+    return FilteredPairing(skeletal_filtration(A), skeletal_filtration(B), H,
+                           sp.map, sp.source_basis)

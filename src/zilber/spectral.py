@@ -1,7 +1,7 @@
 """The spectral sequence of an ℕ-filtered chain complex: pages as explicit
 subquotients with ambient lifts, differentials on lifts, page recursion and
-convergence checks, pairings induced by filtered pairings, and the Leibniz
-rule.
+convergence checks, pairings induced by filtered pairings, the Leibniz
+rule, and the first page of a skeletal filtration (heart_check).
 
 Convention (stated in every report): the E_1 page here is the subquotient
 page of the filtered complex, E_1^{p,q} = H_{p+q}(F_p/F_{p-1}); no
@@ -15,7 +15,6 @@ from collections.abc import Mapping
 from functools import partial
 
 from . import intlinalg as la
-from .doldkan import normalize
 from .filtration import skeletal_filtration
 from .simplicial import CheckCertificate
 
@@ -508,10 +507,10 @@ def heart_check(A):
     is concentrated in q = 0, each E_1^{p,0} is free of the normalized
     rank, and the d_1 matrices have the same Smith invariant factors as the
     normalized differentials (which with the ranks fix a bounded free
-    complex up to isomorphism).  The filtration's shape is known from the
-    lemma that skeletal_filtration checks, so this checks the pages."""
-    N = normalize(A).normalized
+    complex up to isomorphism).  N is the ambient of skeletal_filtration(A),
+    whose stages are 0 or all of N_k, so this checks the pages."""
     F = skeletal_filtration(A)
+    N = F.ambient
     S = SpectralSequence(F, r_max=1)
     for (p, q), sq in S.pages[1].items():
         if q != 0:

@@ -64,6 +64,23 @@ def test_unitality_on_edge_bidegrees():
         assert unitality_check(sab(a), sab(b)).ok
 
 
+@pytest.mark.parametrize("edge, witness", [((0, 0), (0, 0, 0)),
+                                           ((2, 0), (2, 2, 0)),
+                                           ((0, 3), (3, 0, 3))],
+                         ids=["0,0", "2,0", "0,3"])
+@pytest.mark.parametrize("group", [sab, matrix_sab])
+def test_unitality_catches_a_wrong_edge_shuffle_sign(monkeypatch, group, edge,
+                                                     witness):
+    A, B = group("d1", 3), group("s1", 3)
+    assert unitality_check(A, B)
+    flipped = {edge: one_sign_flipped(*edge)}
+    monkeypatch.setattr(ez, "shuffles",
+                        lambda a, b: flipped.get((a, b)) or shuffles(a, b))
+    cert = unitality_check(A, B)
+    assert not cert.ok and cert.witness == witness
+    assert cert.detail == "edge bidegree is not the canonical identification"
+
+
 def test_symmetry_up_to_koszul_sign():
     for a, b in itertools.product(SPACES, repeat=2):
         assert symmetry_check(sab(a), sab(b)).ok
@@ -592,7 +609,7 @@ FREE_CERTIFICATES = [
     (symmetry_check, 2, 0),
     (associativity_check, 3, 0),
     (filtered_ez, 2, 0),
-    (heart_check, 1, 1),  # on the matrix path: ℤ[X] itself
+    (heart_check, 1, 0),
     (unitality_check, 2, 0),
 ]
 
@@ -600,11 +617,21 @@ FREE_CERTIFICATES = [
 @pytest.mark.parametrize("check, arity, expected", FREE_CERTIFICATES,
                          ids=lambda x: getattr(x, "__name__", None))
 def test_free_certificates_normalize_no_group_and_no_product(
-        normalizations, chain_builds, check, arity, expected):
-    groups = [sab(name) for name in ("d1", "s1", "d1")[:arity]]
-    check(*groups)
+        normalizations, chain_builds, operator_matrices, check, arity,
+        expected):
+    # on ℤ[X] every certificate reads the nondegenerate basis alone: no
+    # normalization, no unnormalized chains and no operator matrix
+    assert check(*[sab(name) for name in ("d1", "s1", "d1")[:arity]])
     assert len(normalizations) == len(chain_builds) == expected
-    assert all(A in groups for A, _ in normalizations)
+    assert len(operator_matrices) == expected
+
+
+def test_the_matrix_path_is_seen_by_the_counters(
+        normalizations, chain_builds, operator_matrices):
+    # the control: the same counters see a matrix-path certificate's work
+    assert aw_nabla_identity_check(matrix_sab("d1"), matrix_sab("s1"))
+    assert len(normalizations) == len(chain_builds) == 3
+    assert operator_matrices
 
 
 def test_normalization_is_kept_per_moore_convention(normalizations):
@@ -637,13 +664,28 @@ def chain_builds(monkeypatch):
     (associativity_check, 3, 6),  # A, B, C, A⊗B, B⊗C, A⊗B⊗C
     (filtered_ez, 2, 3),  # A, B, A⊗B
     (heart_check, 1, 1),
-    (unitality_check, 2, 0),  # only the edge blocks of ∇, from operators
+    (unitality_check, 2, 0),  # only the edge blocks' shuffles
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_each_certificate_builds_each_objects_chains_once(chain_builds, check,
                                                          arity, expected):
     check(*[matrix_sab(name) for name in ("d1", "s1", "d1")[:arity]])
     assert len(chain_builds) == expected
     assert len(set(map(id, chain_builds))) == expected
+
+
+@pytest.fixture
+def operator_matrices(monkeypatch):
+    """The (group, monotone map) of every operator_matrix call, kept
+    matrices included."""
+    calls = []
+    worker = SimplicialAbelianGroup.operator_matrix
+
+    def counting(A, f):
+        calls.append((A, f))
+        return worker(A, f)
+
+    monkeypatch.setattr(SimplicialAbelianGroup, "operator_matrix", counting)
+    return calls
 
 
 @pytest.fixture

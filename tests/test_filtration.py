@@ -25,6 +25,7 @@ from zilber.filtration import (FilteredChainComplex, FilteredPairing,
                                filtered_ez, filtrations_stagewise_equal,
                                skeletal_filtration, unit_filtration)
 from zilber.simplicial import circle, free_abelian, product, standard_simplex
+from zilber.spectral import heart_check
 
 
 def one_by_one(M):
@@ -77,13 +78,20 @@ def skeletal_stages_one_by_one(A):
 
 
 def assert_skeletal_stages_are_the_definitional_ones(A):
+    """The stages of skeletal_filtration(A) span the definitional ones.
+    On ℤ[X] they are the definitional image bases matrix for matrix; on
+    other groups image_basis may pick another basis of a stage, so they
+    are compared as spans.  Returns the definitional stages."""
     F = skeletal_filtration(A)
     want = skeletal_stages_one_by_one(A)
     assert F.p_max == A.dim_bound
-    for p in range(F.p_max + 1):
-        for k in range(A.dim_bound + 1):
-            assert la.mat_eq(F.stage(p, k), want[p][k]), (p, k)
-    return F
+    assert filtrations_stagewise_equal(
+        F, FilteredChainComplex(F.ambient, want, F.p_max))
+    if A.simplicial_set is not None:
+        for p in range(F.p_max + 1):
+            for k in range(A.dim_bound + 1):
+                assert la.mat_eq(F.stage(p, k), want[p][k]), (p, k)
+    return want
 
 
 SKELETAL_GROUPS = {
@@ -98,12 +106,15 @@ SKELETAL_GROUPS = {
 
 @pytest.mark.parametrize("name", SKELETAL_GROUPS)
 def test_skeletal_stages_match_the_per_stage_computation(name):
-    F = assert_skeletal_stages_are_the_definitional_ones(
-        SKELETAL_GROUPS[name]())
-    if name == "conjugate":
-        assert any(F.stage(p, k) != la.identity(F.ambient.rank(k))
-                   for p in range(F.p_max + 1) for k in range(p + 1)
-                   if F.stage(p, k).ncols == F.ambient.rank(k))
+    A = SKELETAL_GROUPS[name]()
+    want = assert_skeletal_stages_are_the_definitional_ones(A)
+    # skeletal_filtration writes every full stage as the identity; the
+    # definitional image basis of P_k is another basis on the conjugate
+    full = [(p, k) for p in range(A.dim_bound + 1) for k in range(p + 1)]
+    assert all(la.mat_eq(skeletal_filtration(A).stage(p, k),
+                         la.identity(want[p][k].nrows)) for p, k in full)
+    assert (name == "conjugate") == any(
+        want[p][k] != la.identity(want[p][k].nrows) for p, k in full)
 
 
 SKELETAL_SPACES = {
@@ -120,7 +131,8 @@ SKELETAL_SPACES = {
 def test_skeletal_stages_of_conjugated_groups_are_the_definitional_ones(
         space, dim_bound, seed):
     # conjugated groups are not free, so normalize takes its Smith normal
-    # form path and image_basis may give stages other than the identity
+    # form path and image_basis may give definitional stages other than
+    # the identity: the stages are compared as spans
     A = zrandom.conjugate_simplicial(
         random.Random(seed), free_abelian(SKELETAL_SPACES[space](dim_bound)))
     assert_skeletal_stages_are_the_definitional_ones(A)
@@ -145,19 +157,11 @@ def projection_that_misses_s0(monkeypatch, k):
 
 def test_skeletal_filtration_checks_that_the_projection_kills_degeneracies(
         monkeypatch):
+    # the premise is checked on the matrix path; ℤ[X] normalizes nothing
     projection_that_misses_s0(monkeypatch, 1)
     with pytest.raises(AssertionError,
                        match="^projection P_1 does not kill s_0$"):
-        skeletal_filtration(free_abelian(circle(2)))
-
-
-def test_a_projection_that_misses_a_degeneracy_exits_3(monkeypatch, capsys):
-    from zilber.cli import main
-
-    projection_that_misses_s0(monkeypatch, 1)
-    assert main(["ss", "sk:torus"]) == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "projection P_1 does not kill s_0", "exit": 3}
+        skeletal_filtration(_matrix_copy(circle(2)))
 
 
 def test_day_convolution_with_unit_is_identity():
@@ -704,10 +708,9 @@ def test_a_simplicial_set_keeps_its_basis_skeletal_filtration():
     P = filtered_ez(A, B)
     assert P.F is X.nondegenerate.skeletal and P.G is Y.nondegenerate.skeletal
     assert filtered_ez(A, A).F is P.F and filtered_ez(B, A).F is P.G
-    # a second group on X shares it; the matrix path's filtration of A is
-    # another object, which filtered_ez did not build
+    # a second group on X shares it, and skeletal_filtration reads it too
     assert filtered_ez(free_abelian(X), B).F is P.F
-    assert A.skeletal is None and skeletal_filtration(A) is not P.F
+    assert skeletal_filtration(A) is P.F and A.skeletal is P.F
 
 
 def _matrix_copy(X):
@@ -740,6 +743,31 @@ def test_free_skeletal_stages_are_the_matrix_ones(a, b, D):
         for p in range(got.p_max + 1):
             for k in range(got.ambient.top_degree + 1):
                 assert la.mat_eq(got.stage(p, k), want.stage(p, k))
+
+
+def _certificate(cert):
+    return cert.ok, cert.witness, cert.detail
+
+
+@settings(max_examples=30, deadline=None)
+@given(space=st.sampled_from(sorted(SKELETAL_SPACES) + ["torus"]),
+       dim_bound=st.integers(0, 5))
+def test_the_skeletal_filtration_of_a_free_group_is_the_matrix_one(
+        space, dim_bound):
+    # ℤ[X] reads its filtration off the nondegenerate basis; a copy with
+    # no simplicial set normalizes and checks the premise
+    X = {**SKELETAL_SPACES, "torus": FILTERED_SETS["torus"]}[space](dim_bound)
+    A, M = free_abelian(X), _matrix_copy(X)
+    got, want = skeletal_filtration(A), skeletal_filtration(M)
+    assert got is X.nondegenerate.skeletal and want is not got
+    assert got.p_max == want.p_max == dim_bound
+    for n in range(dim_bound + 1):
+        assert got.ambient.rank(n) == want.ambient.rank(n)
+        if n:
+            assert la.mat_eq(got.ambient.diff(n), want.ambient.diff(n))
+        for p in range(dim_bound + 1):
+            assert la.mat_eq(got.stage(p, n), want.stage(p, n)), (p, n)
+    assert _certificate(heart_check(A)) == _certificate(heart_check(M))
 
 
 def test_a_group_with_a_kept_skeletal_filtration_pickles():

@@ -60,6 +60,9 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
                                          "aw", "--dim-bound", "8"]
     assert ladder.ROWS["ez-aw-d5-8"] == ["ez", "delta5", "delta5", "--check",
                                          "aw", "--dim-bound", "8"]
+    # unitality reads the edge shuffles alone: the row times set-up
+    assert ladder.ROWS["ez-unital-11"] == ["ez", "delta3", "delta3", "--check",
+                                           "unital", "--dim-bound", "11"]
     assert "mostly time degenerate levels" in " ".join(
         ladder.__doc__.split())
     for row in bench["rows"]:
