@@ -29,13 +29,19 @@ its levels up to the bound.  ``ez-aw-d4-8`` and ``ez-aw-d5-8`` are rows
 whose normalized side does grow with the bound.  ``ez-unital-11`` reads
 only the shuffles of the edge blocks, so it times loading the spaces.
 
+``left-kan-neg`` is a negative control that exits 1: the left Kan
+comparison for ([3], [3]) along Δ≤5 holds at m <= 5, which descent
+decides, and fails at m = 6, where [6] is not in Δ≤5 and the union-find
+decides on 6.8 M elements.
+
 With several checkouts (default: ``change=`` this script's checkout),
 every row runs REPEAT times per checkout, and the checkout that runs
 first alternates from round to round, so a drift of the host speed
 favours none.  The BENCH file also records, per checkout, the source
 lines of each module of ``src/zilber`` (``scripts/sloc.py``), plus the
 Python version and the CPU count.  Nothing under a checkout is written
-but the output file.  The exit status is 1 if some run did not exit 0.
+but the output file.  The exit status is 1 if some run did not exit as
+its row should: 0, or the code FAILING gives a negative control.
 """
 
 import argparse
@@ -94,7 +100,10 @@ ROWS = {  # name -> zilber argv
                         "--ns", "2,2,2", "--k-max", "4"],
     "operator-frag": ["promonoidal", "--check", "operator-frag", "--b", "4",
                       "--length", "4"],
+    "left-kan-neg": ["promonoidal", "--check", "left-kan", "--ns", "3,3",
+                     "--b", "5", "--m", "6"],
 }
+FAILING = {"left-kan-neg": 1}  # rows whose check fails: name -> exit code
 
 
 def sloc_per_module(checkout):
@@ -177,7 +186,7 @@ def main(argv=None):
             for label, path in checkouts if i % 2 == 0 else checkouts[::-1]:
                 run = probed_run(path, row)
                 runs[label].append(run)
-                ok = ok and run["exit"] == 0
+                ok = ok and run["exit"] == FAILING.get(name, 0)
                 print(f"{name:16s} {label:8s} {run['wall_s']:8.2f} s "
                       f"{run['peak_rss_mb']:8.1f} MB  exit {run['exit']}  "
                       f"host x{run['host_factor']:.2f}",

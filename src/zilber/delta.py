@@ -103,6 +103,16 @@ def comp_row(x, a, c, g):
 
 
 @lru_cache(maxsize=None)
+def precomp_row(a, c, t, g):
+    """Precomposition by index: precomp_row(a, c, t, g)[f] is the index of
+    f ∘ g, for g the g-th map [a] -> [c] and f the f-th map [c] -> [t]."""
+    pos = monotone_position(a, t)
+    gv = _enumerate_monotone_cached(a, c)[g].values
+    return tuple(pos[tuple(map(f.values.__getitem__, gv))]
+                 for f in _enumerate_monotone_cached(c, t))
+
+
+@lru_cache(maxsize=None)
 def generating_maps(b):
     """The cofaces and then the codegeneracies among [0], ..., [b], each as
     the triple (a, c, i) of a map [a] -> [c] and its index i in

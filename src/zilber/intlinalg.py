@@ -552,16 +552,19 @@ class Span:
     invariant factors, the coordinates of b on ``basis`` are (U b)_i / d_i,
     with b in the span iff every division is exact and (U b)_i = 0 for
     i >= rank; ``basis`` has full column rank, so they are unique.  An A
-    with no nonzero entry spans 0 and runs no SNF."""
+    with no nonzero entry spans 0 and runs no SNF; nor does an identity A,
+    which is its own U and basis, with diagonal all 1."""
 
     def __init__(self, A):
-        self.nrows = A.nrows
-        if any(A):
-            U, self._diag, _, Uinv = _smith_with_inverses(A, ("U", "Uinv"))
-            self._U = _from_rows(U, A.nrows)
-            basis = _image_from_snf(self._diag, Uinv)
+        self.nrows = n = A.nrows
+        if not any(A):
+            self._U, self._diag, basis = None, [], zeros(n, 0)
+        elif len(A) == n and A == identity(n):
+            self._U, self._diag, basis = A, [1] * n, A
         else:
-            self._U, self._diag, basis = None, [], zeros(A.nrows, 0)
+            U, self._diag, _, Uinv = _smith_with_inverses(A, ("U", "Uinv"))
+            self._U = _from_rows(U, n)
+            basis = _image_from_snf(self._diag, Uinv)
         # a kept stage is often its own image basis: hold one copy of it
         self.basis = A if basis == A else basis
         self.rank = self.basis.ncols

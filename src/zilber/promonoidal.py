@@ -4,23 +4,31 @@ structure on Δᵒᵖ, Coyoneda, the left-Kan-extension dichotomy, colimit
 presentations of products of simplices, and a bounded category-of-operators
 fragment.
 
-Every coend is one union-find on integer indices.  The element (d, φ, u) of
+Coends are on integer indices.  The element (d, φ, u) of
 ∫^{[d]} Δ([x], [d]) × F(d) is off[d] + φ·|F(d)| + u, and a generating
 map's relations are index arithmetic.  A map of Δ≤b is the triple (a, c, i)
 of a map [a] -> [c] and its index i in enumerate_monotone(a, c), composed
 through comp_row.  The unit, μ-associativity, Coyoneda and left-Kan checks
 are one left Kan comparison, (k, φ, h) ↦ h ∘ φ.
+
+For x <= b a Kan coend is decided by descent: stripping the cofaces, then
+the codegeneracies, of φ = mono ∘ epi joins (d, φ, u) to (x, id, u ∘ φ),
+one block of |F(d)| elements per step.  Elsewhere one union-find over
+every relation decides.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .delta import (PosetPoint, comp_row, enumerate_injections,
                     enumerate_monotone, generating_maps, monotone_count,
-                    monotone_position, product_nondegenerate)
+                    monotone_position, precomp_row, product_nondegenerate)
 from .simplicial import CheckCertificate
 
 
@@ -114,12 +122,18 @@ def _delta_coend(x, sizes, moved, gens):
                         for phi in range(homs[a])))
 
     rep = _least_representatives(off[-1], relations())
-    classes = []
-    for d, n in enumerate(sizes):
-        for i in range(off[d], off[d + 1]):
-            if rep[i] == i:
-                classes.append((d, *divmod(i - off[d], n)))
-    return classes, rep
+    roots = itertools.compress(itertools.count(),
+                               map(operator.eq, rep, itertools.count()))
+    return _classes(off, sizes, roots), rep
+
+
+def _classes(off, sizes, firsts):
+    """The elements (d, φ, u) of the indices firsts, each its class's least."""
+    out = []
+    for i in firsts:
+        d = bisect.bisect_right(off, i) - 1
+        out.append((d, *divmod(i - off[d], sizes[d])))
+    return out
 
 
 def _hom_sizes(ts, b):
@@ -137,23 +151,93 @@ def _within_cap(b, coends):
 def _hom_coend(x, ts, b):
     """_delta_coend over Δ≤b for F(d) = ∏_i Δ([d], [t_i]), with u the
     mixed-radix number of its digits (f_1, ..., f_n), on which γ acts by
-    f_i ↦ f_i ∘ γ.  Returns the classes (d, φ, (f_1, ..., f_n)) and rep."""
+    f_i ↦ f_i ∘ γ, by descent where it can.  Returns the classes
+    (d, φ, (f_1, ..., f_n)) and rep."""
 
     def moved(gen):
         a, c, g = gen
         out = [0]
         for t in ts:
             radix = monotone_count(a, t)
-            image = [comp_row(a, c, t, f)[g]
-                     for f in range(monotone_count(c, t))]
-            out = [v * radix + h for v in out for h in image]
+            out = [v * radix + h for v in out
+                   for h in precomp_row(a, c, t, g)]
         return out
 
-    classes, rep = _delta_coend(x, _hom_sizes(ts, b), moved,
-                                generating_maps(b))
+    sizes = _hom_sizes(ts, b)
+    classes, rep = (_descend(x, sizes, moved, b)
+                    or _delta_coend(x, sizes, moved, generating_maps(b)))
     F = [list(itertools.product(*(range(monotone_count(d, t)) for t in ts)))
          for d in range(b + 1)]
     return [(d, phi, F[d][u]) for d, phi, u in classes], rep
+
+
+@lru_cache(maxsize=None)
+def _descent_plan(x, b):
+    """(id, steps): each block (d, φ) but (x, id) steps to (a, φ'), where
+    φ = γ ∘ φ' for the generator γ : [a] -> [d] that strips φ's first
+    missed value, or, φ onto, its first repeated one.  steps are (γ, φs,
+    φ's) by γ, codegeneracies by d falling from x, then cofaces by d
+    rising, so each φ' is reached first.  None if x > b."""
+    if x > b:
+        return None
+    steps = {}
+    for d in range(b + 1):
+        for v, phi in monotone_position(x, d).items():
+            i = next((i for i in range(d + 1) if i not in v), None)
+            if i is not None:  # φ = δ_i ∘ φ'
+                a, gamma = d - 1, tuple(w + (w >= i) for w in range(d))
+                prev = tuple(w - (w > i) for w in v)
+            elif d < x:  # φ = σ_j ∘ φ' for the first j = v[k] = v[k + 1]
+                k = next(k for k in range(x) if v[k] == v[k + 1])
+                a, gamma = d + 1, tuple(w - (w > v[k]) for w in range(d + 2))
+                prev = v[:k + 1] + tuple(w + 1 for w in v[k + 1:])
+            else:  # the identity of [x]
+                continue
+            phis, prevs = steps.setdefault(
+                (a, d, monotone_position(a, d)[gamma]), ([], []))
+            phis.append(phi)
+            prevs.append(monotone_position(x, a)[prev])
+    # (a, d, g) sorts by a < d, then by -d for a = d + 1 and d for a = d - 1
+    order = sorted(steps, key=lambda gen: (gen[0] < gen[1],
+                                           (gen[1] - gen[0]) * gen[1]))
+    return _identity(x)[2], tuple((gen, *map(tuple, steps[gen]))
+                                  for gen in order)
+
+
+def _descend(x, sizes, moved, b):
+    """_delta_coend over Δ≤b by descent.  Each step of _descent_plan, checked
+    by comp_row, is a generator relation, so (d, φ, u) is joined to the
+    (x, id, v) its block reaches, and v is written at its index.  These
+    are distinct classes, as (d, φ, u) ↦ u ∘ φ is constant on classes and
+    sends (x, id, v) to v.  None, for the union-find, if x > b, a step
+    fails or an element is left unreached."""
+    plan = _descent_plan(x, b)
+    if plan is None:
+        return None
+    root, steps = plan
+    off = _offsets(x, sizes)
+    canon = [None] * _capped(off[-1])
+    lo = off[x] + root * sizes[x]
+    canon[lo:lo + sizes[x]] = range(sizes[x])
+    for gen, phis, prevs in steps:
+        a, c, g = gen
+        if tuple(map(comp_row(x, a, c, g).__getitem__, prevs)) != phis:
+            return None
+        moves = moved(gen)
+        na, nc = sizes[a], sizes[c]
+        for phi, prev in zip(phis, prevs):
+            lo, hi = off[a] + prev * na, off[c] + phi * nc
+            canon[hi:hi + nc] = map(canon[lo:lo + na].__getitem__, moves)
+    # a fibre's least index is its first, and first keeps them ascending;
+    # rep overwrites canon a slice at a time: a second list of n, grown
+    # from an iterator, left freed heap resident for the coends after it
+    first = {}
+    for lo in range(0, len(canon), 4096):
+        hi = lo + 4096
+        canon[lo:hi] = map(first.setdefault, canon[lo:hi], range(lo, hi))
+    if None in first:
+        return None
+    return _classes(off, sizes, first.values()), canon
 
 
 def _kan_failure(m, ns, b):
@@ -161,18 +245,22 @@ def _kan_failure(m, ns, b):
     (k, φ, h) ↦ h ∘ φ, is not a bijection: ("not injective", (m, two (k, φ, h)
     of one image)), ("not surjective", (m, a missed h)), or None."""
     classes, _ = _hom_coend(m, ns, b)
-    images = {}
+    images, block = {}, None
     for k, phi, hs in classes:
-        img = tuple(comp_row(m, k, n, h)[phi] for h, n in zip(hs, ns))
+        if (k, phi) != block:  # classes come block by block
+            block = k, phi
+            rows = [precomp_row(m, k, n, phi) for n in ns]
+        img = tuple(map(operator.getitem, rows, hs))
         if img in images:
             pair = [(k2, enumerate_monotone(m, k2)[phi2],
                      _family(k2, ns, hs2))
                     for k2, phi2, hs2 in ((k, phi, hs), images[img])]
             return "not injective", (m, *pair)
         images[img] = (k, phi, hs)
-    targets = itertools.product(*(range(monotone_count(m, n)) for n in ns))
-    missing = next((t for t in targets if t not in images), None)
-    if missing is not None:
+    ranges = [range(monotone_count(m, n)) for n in ns]
+    if len(images) < math.prod(map(len, ranges)):
+        missing = next(t for t in itertools.product(*ranges)
+                       if t not in images)
         return "not surjective", (m, _family(m, ns, missing))
     return None
 

@@ -1,8 +1,9 @@
 """The coend engine against a breadth-first search over the relation
 graph, the index arithmetic of the coends over Δ≤b against their relations
-written out with MonotoneMaps, the work cap, the element and class counts
-of every coend that the coend benchmark family builds, and the failures the
-Δᵒᵖ unit, μ-associativity and Coyoneda checks report.
+written out with MonotoneMaps, descent against the union-find, the work
+cap, the element and class counts of every coend that the coend benchmark
+family builds, and the failures the Δᵒᵖ unit, μ-associativity and Coyoneda
+checks report.
 
 The counts below were recorded from the dictionary union-find over
 MonotoneMap keys that the index-based engine replaced.  The oracle tests
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from zilber import promonoidal
 from zilber.cli import main
-from zilber.delta import (MonotoneMap, codegeneracy, coface,
+from zilber.delta import (MonotoneMap, codegeneracy, coface, comp_row,
                           enumerate_monotone, monotone_count,
                           product_nondegenerate)
 from zilber.promonoidal import (CoendTooLarge, _colimit_coend, _hom_coend,
@@ -210,13 +211,97 @@ def test_colimit_coend_matches_its_relations(ns, k):
 
 
 # ---------------------------------------------------------------------------
+# descent against the union-find
+
+
+def both_paths(x, ts, b):
+    """Whether descent answered _hom_coend(x, ts, b), its result, and the
+    result of the union-find alone."""
+    real, answered = promonoidal._descend, []
+
+    def spy(*args):
+        out = real(*args)
+        answered.append(out is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(promonoidal, "_descend", spy)
+        by_descent = _hom_coend(x, ts, b)
+        mp.setattr(promonoidal, "_descend", lambda *args: None)
+        by_union = _hom_coend(x, ts, b)
+    return answered == [True], by_descent, by_union
+
+
+DESCENT_LIMIT = 20_000  # elements, so that the union-find oracle stays fast
+DESCENT_CASES = [
+    (x, ts, b) for b in range(5) for x in range(b + 2)
+    for k in range(4) for ts in itertools.product(range(3), repeat=k)
+    if promonoidal._offsets(x, promonoidal._hom_sizes(ts, b))[-1]
+    <= DESCENT_LIMIT]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(DESCENT_CASES))
+def test_descent_gives_the_union_find_partition(case):
+    """The same classes and least representatives, for m <= b <= 4 and up
+    to three factors [t], t <= 2; descent declines exactly when [m] is not
+    an object of Δ≤b."""
+    x, ts, b = case
+    answered, by_descent, by_union = both_paths(x, ts, b)
+    assert answered == (x <= b)
+    assert by_descent == by_union
+
+
+@pytest.mark.parametrize("b", range(3))
+def test_descent_on_every_kan_coend_of_the_coend_family(b):
+    # left_kan([n1, n2], b, [m]) for n1, n2 <= 2 and m <= b + 1, the unit
+    # (no factor) and both nestings of μ-associativity ((p, q) at n <= b)
+    for x in range(b + 2):
+        for ts in [()] + list(itertools.product(range(3), repeat=2)):
+            answered, by_descent, by_union = both_paths(x, ts, b)
+            assert answered == (x <= b) and by_descent == by_union
+
+
+def wrong_prev(root, steps, x):
+    """The plan with its last step's first φ' swapped for another."""
+    (a, c, g), phis, prevs = steps[-1]
+    row = comp_row(x, a, c, g)
+    wrong = next(p for p in range(len(row)) if row[p] != phis[0])
+    return root, steps[:-1] + (((a, c, g), phis, (wrong, *prevs[1:])),)
+
+
+def wrong_order(root, steps, x):
+    """The plan with its steps reversed: φ's are read before they are
+    reached."""
+    return root, steps[::-1]
+
+
+@pytest.mark.parametrize("corrupt", [wrong_prev, wrong_order],
+                         ids=lambda f: f.__name__)
+def test_a_wrong_descent_plan_hands_the_coend_to_the_union_find(
+        monkeypatch, corrupt):
+    real = promonoidal._descent_plan
+    assert delta_mu_unit_check(2).ok
+    monkeypatch.setattr(promonoidal, "_descent_plan",
+                        lambda x, b: corrupt(*real(x, b), x))
+    assert promonoidal._descend(1, [1, 1, 1], lambda gen: [0], 2) is None
+    # descent declines, so the union-find answers: joining nothing, it
+    # names its own witness
+    monkeypatch.setattr(promonoidal, "_least_representatives",
+                        no_union_at(None))
+    cert = delta_mu_unit_check(2)
+    assert not cert.ok and cert.witness == UNIT_FAILURES[None]
+
+
+# ---------------------------------------------------------------------------
 # the work cap
 
 
 def test_a_coend_above_the_cap_is_refused_before_any_work(monkeypatch):
     built = []
-    monkeypatch.setattr(promonoidal, "_least_representatives",
-                        lambda *args: built.append(args))
+    for engine in ("_least_representatives", "_descend"):
+        monkeypatch.setattr(promonoidal, engine,
+                            lambda *args: built.append(args))
     monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 500)
     # m = 0 (381 elements) is within the cap and m = 2 (1,153) is not:
     # the check stops before it builds either
@@ -400,7 +485,9 @@ def test_unit_coend_counts(key):
 
 def no_union_at(calls):
     """_least_representatives that joins nothing on the given calls (1 for
-    the first coend built; all calls when None) and is itself on the rest."""
+    the first coend built; all calls when None) and is itself on the rest.
+    Descent answers every coend with m <= b without the union-find, so
+    the tests below turn it off with union_find_only."""
     real = promonoidal._least_representatives
     seen = []
 
@@ -411,6 +498,13 @@ def no_union_at(calls):
         return real(n, relations)
 
     return patched
+
+
+def union_find_only(monkeypatch, calls):
+    """Every coend by the union-find, patched by no_union_at(calls)."""
+    monkeypatch.setattr(promonoidal, "_descend", lambda *args: None)
+    monkeypatch.setattr(promonoidal, "_least_representatives",
+                        no_union_at(calls))
 
 
 UNIT_FAILURES = {  # calls without unions: the witness of unit(2)
@@ -425,8 +519,7 @@ UNIT_FAILURES = {  # calls without unions: the witness of unit(2)
 @pytest.mark.parametrize("calls", list(UNIT_FAILURES), ids=str)
 def test_the_unit_check_names_the_first_coend_that_is_not_a_point(
         monkeypatch, calls):
-    monkeypatch.setattr(promonoidal, "_least_representatives",
-                        no_union_at(calls))
+    union_find_only(monkeypatch, calls)
     cert = delta_mu_unit_check(2)
     assert not cert.ok and cert.detail == "unit map not injective"
     assert cert.witness == UNIT_FAILURES[calls]
@@ -447,8 +540,7 @@ COYONEDA_FAILURES = {  # calls without unions: the witness of coyoneda(1),
 @pytest.mark.parametrize("calls", list(COYONEDA_FAILURES), ids=str)
 def test_the_coyoneda_check_names_the_first_pair_that_is_not_a_bijection(
         monkeypatch, calls):
-    monkeypatch.setattr(promonoidal, "_least_representatives",
-                        no_union_at(calls))
+    union_find_only(monkeypatch, calls)
     cert = coyoneda_check(1)
     assert not cert.ok and cert.detail == "canonical map not injective"
     assert cert.witness == COYONEDA_FAILURES[calls]
@@ -461,8 +553,7 @@ def test_the_coyoneda_check_names_the_first_pair_that_is_not_a_bijection(
 def test_the_associativity_check_names_the_nesting_that_fails(
         monkeypatch, calls, side, n):
     # its coends are built n by n, the left nesting before the right one
-    monkeypatch.setattr(promonoidal, "_least_representatives",
-                        no_union_at(calls))
+    union_find_only(monkeypatch, calls)
     cert = delta_mu_associativity_check(1, 0, 2, 2)
     assert not cert.ok and cert.witness == (side, n)
     assert cert.detail == f"{side} nesting is not in bijection"
@@ -478,8 +569,7 @@ def test_equal_entries_build_and_cap_each_coend_once(monkeypatch, p, b,
     # is the one the two sides give when each is built (a failure when the
     # engine joins nothing)
     if not joined:
-        monkeypatch.setattr(promonoidal, "_least_representatives",
-                            no_union_at(None))
+        union_find_only(monkeypatch, None)
     real_kan, real_cap = promonoidal._kan_failure, promonoidal._within_cap
     expected = next((CheckCertificate(False, witness=(side, n),
                                       detail=f"{side} nesting is not in "

@@ -786,6 +786,27 @@ def test_one_span_answers_every_containment_and_the_lattice_test(data):
             assert (zero.coords(B) is None) == (not la.is_zero(B))
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_an_identity_span_skips_the_smith_form_and_keeps_its_fields(
+        monkeypatch, n):
+    eye = la.identity(n)
+    if n:  # the fields the Smith form of the identity gives
+        U, diag, _, Uinv = la._smith_with_inverses(eye, ("U", "Uinv"))
+        want_U, want_basis = la._from_rows(U, n), la._image_from_snf(diag,
+                                                                      Uinv)
+    else:  # no nonzero entry: the zero span, as for every empty matrix
+        want_U, diag, want_basis = None, [], la.zeros(0, 0)
+    snf = []
+    monkeypatch.setattr(la, "_smith_with_inverses",
+                        lambda *args: snf.append(args))
+    span = la.Span(eye)
+    assert snf == []
+    assert span.nrows == n and span.rank == n and span._diag == diag == [1] * n
+    assert la.mat_eq(span.basis, want_basis) and span.basis is eye
+    assert span._U is None if not n else la.mat_eq(span._U, want_U)
+    assert span.is_lattice()
+
+
 def rows_times(R, B):
     """Oracle: the row list R times the matrix B, one dense dot product per
     entry, as the Smith-form transforms were applied before they were kept

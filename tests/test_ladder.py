@@ -88,15 +88,41 @@ def test_a_child_runs_under_its_own_limits():
     assert done["timed_out"] and done["exit"] < 0 and done["wall_s"] < 10
 
 
+def exit_as_expected(argv, failing=None):
+    """The exit code of the row argv: its FAILING code, or 0."""
+    failing = ladder.FAILING if failing is None else failing
+    name = next(n for n, row in ladder.ROWS.items() if row == argv)
+    return failing.get(name, 0)
+
+
 def test_main_defaults_to_this_checkout(monkeypatch, tmp_path):
     seen = []
-    monkeypatch.setattr(ladder, "run_row", lambda checkout, *rest: (
+    monkeypatch.setattr(ladder, "run_row", lambda checkout, argv: (
         seen.append(checkout), {"wall_s": 0.1, "peak_rss_mb": 1.0,
-                                "exit": 0, "timed_out": False})[1])
+                                "exit": exit_as_expected(argv),
+                                "timed_out": False})[1])
     out = tmp_path / "b.json"
     assert ladder.main(["--out", str(out)]) == 0
     assert seen == [ladder.ROOT] * len(ladder.ROWS) * ladder.REPEAT
     assert list(json.loads(out.read_text())["sloc"]) == ["change"]
+
+
+def test_the_negative_control_must_fail(monkeypatch, tmp_path):
+    # left-kan-neg decides m <= 5 by descent and m = 6 by the union-find,
+    # where the comparison fails: the row must exit 1, and a 0 is a failure
+    assert ladder.ROWS["left-kan-neg"] == ["promonoidal", "--check",
+                                           "left-kan", "--ns", "3,3", "--b",
+                                           "5", "--m", "6"]
+    assert ladder.FAILING == {"left-kan-neg": 1}
+    out = tmp_path / "b.json"
+    for failing, code in (({"left-kan-neg": 1}, 0), ({}, 1)):
+        monkeypatch.setattr(ladder, "run_row", lambda checkout, argv: {
+            "wall_s": 0.1, "peak_rss_mb": 1.0, "timed_out": False,
+            "exit": exit_as_expected(argv, failing)})
+        assert ladder.main(["--out", str(out)]) == code
+    row = json.loads(out.read_text())["rows"][-1]
+    assert row["name"] == "left-kan-neg"
+    assert [r["exit"] for r in row["runs"]["change"]] == [0, 0]
 
 
 def test_the_bench_file_is_named_on_every_run(capsys):
