@@ -29,6 +29,9 @@ its levels up to the bound.  ``ez-aw-d4-8`` and ``ez-aw-d5-8`` are rows
 whose normalized side does grow with the bound.  ``ez-unital-11`` reads
 only the shuffles of the edge blocks, so it times loading the spaces.
 
+``product-colimit-k6`` is ``product-colimit`` up to level 6 = Σ nᵢ,
+whose colimit coend has 958,239 elements, against 340,836 at level 4.
+
 ``left-kan-neg`` is a negative control that exits 1: the left Kan
 comparison for ([3], [3]) along Δ≤5 holds at m <= 5, which descent
 decides, and fails at m = 6, where [6] is not in Δ≤5 and the union-find
@@ -98,6 +101,8 @@ ROWS = {  # name -> zilber argv
                    "--b", "6"],
     "product-colimit": ["promonoidal", "--check", "product-colimit",
                         "--ns", "2,2,2", "--k-max", "4"],
+    "product-colimit-k6": ["promonoidal", "--check", "product-colimit",
+                           "--ns", "2,2,2", "--k-max", "6"],
     "operator-frag": ["promonoidal", "--check", "operator-frag", "--b", "4",
                       "--length", "4"],
     "left-kan-neg": ["promonoidal", "--check", "left-kan", "--ns", "3,3",

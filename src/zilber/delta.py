@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
+from operator import le
 from types import MappingProxyType
 
 
@@ -233,31 +234,32 @@ class StrictMonotoneIntoProduct:
 
 def product_points(ns):
     """All points of ∏_i [n_i], lexicographic."""
-    pts = [()]
-    for n in ns:
-        pts = [p + (v,) for p in pts for v in range(n + 1)]
-    return [PosetPoint(p) for p in sorted(pts)]
+    return [PosetPoint(p) for p in product(*(range(n + 1) for n in ns))]
+
+
+def strict_chains(ns):
+    """The strictly increasing chains in ∏_i [n_i] by degree: out[k] lists
+    the chains [k] -> ∏_i [n_i], each a tuple of k + 1 coordinate tuples,
+    lexicographic on the points, for k <= Σ_i n_i, the last degree with
+    any."""
+    points = list(product(*(range(n + 1) for n in ns)))
+    above = {p: [q for q in points if q != p and all(map(le, p, q))]
+             for p in points}
+    out = [[(p,) for p in points]]
+    for _ in range(sum(ns)):
+        out.append([chain + (q,) for chain in out[-1]
+                    for q in above[chain[-1]]])
+    return out
 
 
 def product_nondegenerate(ns, k):
     """All strictly monotone chains [k] -> ∏_i [n_i]: the nondegenerate
-    k-simplices of the product of standard simplices."""
+    k-simplices of the product of standard simplices, in strict_chains'
+    order."""
     ns = tuple(ns)
-    pts = product_points(ns)
-    out = []
-
-    def extend(chain):
-        if len(chain) == k + 1:
-            out.append(StrictMonotoneIntoProduct(ns, tuple(chain)))
-            return
-        last = chain[-1]
-        for p in pts:
-            if p.factors != last.factors and last.leq(p):
-                extend(chain + [p])
-
-    for p in pts:
-        extend([p])
-    return out
+    chains = strict_chains(ns)
+    return [StrictMonotoneIntoProduct(ns, tuple(map(PosetPoint, chain)))
+            for chain in (chains[k] if k < len(chains) else ())]
 
 
 # ---------------------------------------------------------------------------

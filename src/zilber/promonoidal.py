@@ -13,8 +13,9 @@ are one left Kan comparison, (k, φ, h) ↦ h ∘ φ.
 
 For x <= b a Kan coend is decided by descent: stripping the cofaces, then
 the codegeneracies, of φ = mono ∘ epi joins (d, φ, u) to (x, id, u ∘ φ),
-one block of |F(d)| elements per step.  Elsewhere one union-find over
-every relation decides.
+one block of |F(d)| elements per step.  The colimit presentations strip
+the cofaces alone, down to the blocks with φ onto.  Where a plan does not
+reach, one union-find over every relation decides.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .delta import (PosetPoint, comp_row, enumerate_injections,
+from .delta import (PosetPoint, StrictMonotoneIntoProduct, comp_row,
                     enumerate_monotone, generating_maps, monotone_count,
-                    monotone_position, precomp_row, product_nondegenerate)
+                    monotone_position, precomp_row, strict_chains)
 from .simplicial import CheckCertificate
 
 
@@ -151,7 +152,9 @@ def _within_cap(b, coends):
 def _hom_coend(x, ts, b):
     """_delta_coend over Δ≤b for F(d) = ∏_i Δ([d], [t_i]), with u the
     mixed-radix number of its digits (f_1, ..., f_n), on which γ acts by
-    f_i ↦ f_i ∘ γ, by descent where it can.  Returns the classes
+    f_i ↦ f_i ∘ γ, by descent to (x, id, u ∘ φ) where it can: the roots
+    (x, id, v) are distinct classes, as (d, φ, u) ↦ u ∘ φ is constant on
+    classes and sends (x, id, v) to v.  Returns the classes
     (d, φ, (f_1, ..., f_n)) and rep."""
 
     def moved(gen):
@@ -172,27 +175,30 @@ def _hom_coend(x, ts, b):
 
 
 @lru_cache(maxsize=None)
-def _descent_plan(x, b):
-    """(id, steps): each block (d, φ) but (x, id) steps to (a, φ'), where
-    φ = γ ∘ φ' for the generator γ : [a] -> [d] that strips φ's first
-    missed value, or, φ onto, its first repeated one.  steps are (γ, φs,
-    φ's) by γ, codegeneracies by d falling from x, then cofaces by d
-    rising, so each φ' is reached first.  None if x > b."""
-    if x > b:
+def _descent_plan(x, b, onto_roots=False):
+    """(roots, steps): the root blocks (d, φ), and a step for every other
+    block (d, φ) to (a, φ'), where φ = γ ∘ φ' for the generator
+    γ : [a] -> [d] that strips φ's first missed value, or, φ onto, its first
+    repeated one.  The roots are (x, id), or, if onto_roots, every onto φ,
+    which then takes no step.  steps are (γ, φs, φ's) by γ, codegeneracies
+    by d falling from x, then cofaces by d rising, so each φ' is reached
+    first.  None if x > b and not onto_roots."""
+    if x > b and not onto_roots:
         return None
-    steps = {}
+    roots, steps = [], {}
     for d in range(b + 1):
         for v, phi in monotone_position(x, d).items():
             i = next((i for i in range(d + 1) if i not in v), None)
             if i is not None:  # φ = δ_i ∘ φ'
                 a, gamma = d - 1, tuple(w + (w >= i) for w in range(d))
                 prev = tuple(w - (w > i) for w in v)
-            elif d < x:  # φ = σ_j ∘ φ' for the first j = v[k] = v[k + 1]
+            elif onto_roots or d == x:  # a root: onto, or the identity
+                roots.append((d, phi))
+                continue
+            else:  # φ = σ_j ∘ φ' for the first j = v[k] = v[k + 1]
                 k = next(k for k in range(x) if v[k] == v[k + 1])
                 a, gamma = d + 1, tuple(w - (w > v[k]) for w in range(d + 2))
                 prev = v[:k + 1] + tuple(w + 1 for w in v[k + 1:])
-            else:  # the identity of [x]
-                continue
             phis, prevs = steps.setdefault(
                 (a, d, monotone_position(a, d)[gamma]), ([], []))
             phis.append(phi)
@@ -200,25 +206,26 @@ def _descent_plan(x, b):
     # (a, d, g) sorts by a < d, then by -d for a = d + 1 and d for a = d - 1
     order = sorted(steps, key=lambda gen: (gen[0] < gen[1],
                                            (gen[1] - gen[0]) * gen[1]))
-    return _identity(x)[2], tuple((gen, *map(tuple, steps[gen]))
-                                  for gen in order)
+    return tuple(roots), tuple((gen, *map(tuple, steps[gen]))
+                               for gen in order)
 
 
-def _descend(x, sizes, moved, b):
-    """_delta_coend over Δ≤b by descent.  Each step of _descent_plan, checked
-    by comp_row, is a generator relation, so (d, φ, u) is joined to the
-    (x, id, v) its block reaches, and v is written at its index.  These
-    are distinct classes, as (d, φ, u) ↦ u ∘ φ is constant on classes and
-    sends (x, id, v) to v.  None, for the union-find, if x > b, a step
-    fails or an element is left unreached."""
-    plan = _descent_plan(x, b)
+def _descend(x, sizes, moved, b, onto_roots=False):
+    """_delta_coend over Δ≤b by descent.  Each step of _descent_plan,
+    checked by comp_row, is a generator relation, so every element is
+    joined to the root element its block reaches, whose index is written
+    at its own.  The caller's roots lie in distinct classes: an invariant
+    of the classes tells them apart.  None, for the union-find, if there is
+    no plan, a step fails or an element is left unreached."""
+    plan = _descent_plan(x, b, onto_roots)
     if plan is None:
         return None
-    root, steps = plan
+    roots, steps = plan
     off = _offsets(x, sizes)
     canon = [None] * _capped(off[-1])
-    lo = off[x] + root * sizes[x]
-    canon[lo:lo + sizes[x]] = range(sizes[x])
+    for d, phi in roots:
+        lo = off[d] + phi * sizes[d]
+        canon[lo:lo + sizes[d]] = range(lo, lo + sizes[d])
     for gen, phis, prevs in steps:
         a, c, g = gen
         if tuple(map(comp_row(x, a, c, g).__getitem__, prevs)) != phis:
@@ -370,32 +377,50 @@ def left_kan_check(ns, b, m_range):
 # products of simplices as colimits
 
 
+def _positions(chains):
+    """index[d][chain], the position of each chain in chains[d]."""
+    return [{chain: s for s, chain in enumerate(cs)} for cs in chains]
+
+
+@lru_cache(maxsize=None)
+def _getter(positions):
+    """v ↦ tuple(v[p] for p in positions), by one itemgetter."""
+    if len(positions) == 1:
+        p, = positions
+        return lambda v: (v[p],)
+    return operator.itemgetter(*positions)
+
+
 def _colimit_coend(k, chains):
-    """The set colimit of the k-simplices of Δ^σ over the nondegenerate
-    simplices σ in chains[d] (tuples of points), a coend over the
-    injections of Δ, which the injective generating maps (a < c) generate:
-    such a map ι identifies (σ, ι∘β) with (σ∘ι, β).  Returns the classes
-    (d, β, σ), σ indexing chains[d], and rep."""
-    index = [{chain: s for s, chain in enumerate(cs)} for cs in chains]
+    """The set colimit of the k-simplices of Δ^σ over the simplices σ in
+    chains[d] (tuples of points), a coend over the injections of Δ, which
+    the cofaces generate: δ_i identifies (σ, δ_i∘β) with (σ∘δ_i, β).  By
+    descent, β's first missed value steps (d, β, σ) down to a root, a β
+    that is onto; the roots are distinct classes, as (d, β, σ) ↦
+    (σ∘mono β, epi β) is constant on classes and sends (d, β onto, σ) to
+    (σ, β).  Returns the classes (d, β, σ), σ indexing chains[d], and
+    rep."""
+    index = _positions(chains)
 
     def moved(gen):
         a, c, g = gen
-        values = enumerate_monotone(a, c)[g].values
-        return [index[a][tuple(chain[v] for v in values)]
-                for chain in chains[c]]
+        face = _getter(enumerate_monotone(a, c)[g].values)
+        return list(map(index[a].__getitem__, map(face, chains[c])))
 
-    injective = [g for g in generating_maps(len(chains) - 1) if g[0] < g[1]]
-    return _delta_coend(k, list(map(len, chains)), moved, injective)
+    sizes, top = list(map(len, chains)), len(chains) - 1
+    return (_descend(k, sizes, moved, top, True)
+            or _delta_coend(k, sizes, moved, [g for g in generating_maps(top)
+                                              if g[0] < g[1]]))
 
 
 def _faces(chain):
     """Each face chain∘ι, ι an injection, with the ι (values) giving it."""
     d = len(chain) - 1
     out = {}
-    for j in range(d + 1):
-        for iota in enumerate_injections(j, d):
-            out.setdefault(tuple(chain[v] for v in iota.values), []).append(
-                iota.values)
+    for j in range(1, d + 2):
+        for iota, face in zip(itertools.combinations(range(d + 1), j),
+                              itertools.combinations(chain, j)):
+            out.setdefault(face, []).append(iota)
     return out
 
 
@@ -409,65 +434,79 @@ def product_simplices_colimit_check(ns, k_range):
     onto the monotone maps [k] -> ∏_i [n_i], and that the image
     factorization of each such map is an initial object of its comma
     category of presentations.  Points are coordinate tuples, rebuilt as
-    PosetPoints for witnesses."""
+    PosetPoints for witnesses; each map is read by an itemgetter."""
     ns = tuple(_nonnegative("ns", ns))
-    nondeg = [product_nondegenerate(ns, d) for d in range(sum(ns) + 1)]
-    chains = [[tuple(p.factors for p in sigma.points) for sigma in sigmas]
-              for sigmas in nondeg]
+    chains = strict_chains(ns)
+    sizes = list(map(len, chains))
     ks = _nonnegative("k", k_range)
     for k in ks:
-        _capped(_offsets(k, list(map(len, chains)))[-1])
-    simplices = [set(cs) for cs in chains]
+        _capped(_offsets(k, sizes)[-1])
+    index = _positions(chains)
     faces = [[_faces(chain) for chain in cs] for cs in chains]
     for k in ks:
-        classes, _ = _colimit_coend(k, chains)
-        alphas = [[f.values for f in enumerate_monotone(k, d)]
-                  for d in range(len(chains))]
+        classes, rep = _colimit_coend(k, chains)
+        alphas = [list(monotone_position(k, d)) for d in range(len(chains))]
+        gets = [list(map(_getter, a)) for a in alphas]
+        off = _offsets(k, sizes)
 
         def presentation(d, a, s):
-            return nondeg[d][s], enumerate_monotone(k, d)[a]
+            return (StrictMonotoneIntoProduct(ns, _points(chains[d][s])),
+                    enumerate_monotone(k, d)[a])
 
-        images = set()
+        taus, images = {}, set()  # a class's first index -> its image τ
         for d, a, s in classes:
-            img = tuple(chains[d][s][v] for v in alphas[d][a])
-            if img in images:
+            tau = gets[d][a](chains[d][s])
+            if tau in images:
                 return CheckCertificate(
                     False, witness=(k, presentation(d, a, s)),
                     detail=f"colimit map not injective at level {k}")
-            images.add(img)
+            images.add(tau)
+            taus[off[d] + a * sizes[d] + s] = tau
         # a map into the product poset is monotone iff its components are
-        allmaps = [tuple(zip(*(f.values for f in fam)))
-                   for fam in itertools.product(*(enumerate_monotone(k, n)
-                                                  for n in ns))]
+        allmaps = [tuple(zip(*fam)) for fam in itertools.product(
+            *(monotone_position(k, n) for n in ns))]
         if images != set(allmaps):
             missing = next(t for t in allmaps if t not in images)
             return CheckCertificate(False, witness=(k, _points(missing)),
                                     detail=f"colimit map not surjective at "
                                            f"level {k}")
         # cofinality: the image factorization τ = σ_im ∘ ε is initial among
-        # the presentations τ = σ ∘ α (the elements (d, α, σ)), so exactly
-        # one injection ι has σ ∘ ι = σ_im and ι ∘ ε = α
-        presentations = {}
+        # the presentations τ = σ ∘ α, the elements (d, α, σ) of τ's class,
+        # so exactly one injection ι has σ ∘ ι = σ_im and ι ∘ ε = α
+        image_chains, epis = {}, {}
+        for r, tau in taus.items():
+            image_chains[r] = image_chain = tuple(dict.fromkeys(tau))
+            epis[r] = _getter(tuple(map(image_chain.index, tau)))
+        unfactored = {}  # a class -> its first presentation without one ι
         for d, cs in enumerate(chains):
-            for a, alpha in enumerate(alphas[d]):
-                for s, chain in enumerate(cs):
-                    presentations.setdefault(
-                        tuple(chain[v] for v in alpha), []).append((d, a, s))
-        for tau, pres in presentations.items():
-            image_chain = tuple(dict.fromkeys(tau))
-            epi = [image_chain.index(pt) for pt in tau]
-            if image_chain not in simplices[len(image_chain) - 1]:
+            for a, (alpha, get) in enumerate(zip(alphas[d], gets[d])):
+                lo = off[d] + a * sizes[d]
+                reps = rep[lo:lo + sizes[d]]
+                if list(map(get, cs)) != list(map(taus.__getitem__, reps)):
+                    s = next(s for s, (sigma, r) in enumerate(zip(cs, reps))
+                             if get(sigma) != taus[r])
+                    return CheckCertificate(
+                        False, witness=(k, presentation(d, a, s)),
+                        detail=f"colimit map not well defined at level {k}")
+                found = map(dict.get, faces[d],
+                            map(image_chains.__getitem__, reps),
+                            itertools.repeat(()))
+                for s, iotas, r in zip(itertools.count(), found, reps):
+                    epi = epis[r]  # one ι, and ι ∘ ε = α, is the common case
+                    if not (len(iotas) == 1 and epi(iotas[0]) == alpha) \
+                            and list(map(epi, iotas)).count(alpha) != 1:
+                        unfactored.setdefault(r, (d, a, s))
+        for r, tau in taus.items():
+            image_chain = image_chains[r]
+            if image_chain not in index[len(image_chain) - 1]:
                 return CheckCertificate(False, witness=(k, _points(tau)),
                                         detail="image chain is not a "
                                                "nondegenerate simplex")
-            for d, a, s in pres:
-                arrows = [iota for iota in faces[d][s].get(image_chain, ())
-                          if tuple(iota[e] for e in epi) == alphas[d][a]]
-                if len(arrows) != 1:
-                    return CheckCertificate(
-                        False,
-                        witness=(k, _points(tau), presentation(d, a, s)),
-                        detail="image factorization is not initial")
+            if r in unfactored:
+                return CheckCertificate(
+                    False, witness=(k, _points(tau),
+                                    presentation(*unfactored[r])),
+                    detail="image factorization is not initial")
     return CheckCertificate(True,
                             detail="products of simplices are colimits of "
                                    "their nondegenerate simplices")

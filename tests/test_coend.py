@@ -203,7 +203,8 @@ def test_hom_coend_matches_its_relations(case):
 def test_colimit_coend_matches_its_relations(ns, k):
     order, edges, nondeg, chains = colimit_relations(ns, k)
     least = bfs_least(order, edges)
-    classes, rep = _colimit_coend(k, chains)
+    answered, (classes, rep), by_union = both_paths(_colimit_coend, k, chains)
+    assert answered and by_union == (classes, rep)
     assert rep == least
     assert classes == [(d, position(beta), nondeg[d].index(sigma))
                        for i, (d, beta, sigma) in enumerate(order)
@@ -214,9 +215,9 @@ def test_colimit_coend_matches_its_relations(ns, k):
 # descent against the union-find
 
 
-def both_paths(x, ts, b):
-    """Whether descent answered _hom_coend(x, ts, b), its result, and the
-    result of the union-find alone."""
+def both_paths(coend, *args):
+    """Whether descent answered coend(*args), its result, and the result
+    of the union-find alone."""
     real, answered = promonoidal._descend, []
 
     def spy(*args):
@@ -226,9 +227,9 @@ def both_paths(x, ts, b):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(promonoidal, "_descend", spy)
-        by_descent = _hom_coend(x, ts, b)
+        by_descent = coend(*args)
         mp.setattr(promonoidal, "_descend", lambda *args: None)
-        by_union = _hom_coend(x, ts, b)
+        by_union = coend(*args)
     return answered == [True], by_descent, by_union
 
 
@@ -247,7 +248,7 @@ def test_descent_gives_the_union_find_partition(case):
     to three factors [t], t <= 2; descent declines exactly when [m] is not
     an object of Δ≤b."""
     x, ts, b = case
-    answered, by_descent, by_union = both_paths(x, ts, b)
+    answered, by_descent, by_union = both_paths(_hom_coend, x, ts, b)
     assert answered == (x <= b)
     assert by_descent == by_union
 
@@ -258,22 +259,22 @@ def test_descent_on_every_kan_coend_of_the_coend_family(b):
     # (no factor) and both nestings of μ-associativity ((p, q) at n <= b)
     for x in range(b + 2):
         for ts in [()] + list(itertools.product(range(3), repeat=2)):
-            answered, by_descent, by_union = both_paths(x, ts, b)
+            answered, by_descent, by_union = both_paths(_hom_coend, x, ts, b)
             assert answered == (x <= b) and by_descent == by_union
 
 
-def wrong_prev(root, steps, x):
+def wrong_prev(roots, steps, x):
     """The plan with its last step's first φ' swapped for another."""
     (a, c, g), phis, prevs = steps[-1]
     row = comp_row(x, a, c, g)
     wrong = next(p for p in range(len(row)) if row[p] != phis[0])
-    return root, steps[:-1] + (((a, c, g), phis, (wrong, *prevs[1:])),)
+    return roots, steps[:-1] + (((a, c, g), phis, (wrong, *prevs[1:])),)
 
 
-def wrong_order(root, steps, x):
+def wrong_order(roots, steps, x):
     """The plan with its steps reversed: φ's are read before they are
     reached."""
-    return root, steps[::-1]
+    return roots, steps[::-1]
 
 
 @pytest.mark.parametrize("corrupt", [wrong_prev, wrong_order],
@@ -283,7 +284,7 @@ def test_a_wrong_descent_plan_hands_the_coend_to_the_union_find(
     real = promonoidal._descent_plan
     assert delta_mu_unit_check(2).ok
     monkeypatch.setattr(promonoidal, "_descent_plan",
-                        lambda x, b: corrupt(*real(x, b), x))
+                        lambda x, *args: corrupt(*real(x, *args), x))
     assert promonoidal._descend(1, [1, 1, 1], lambda gen: [0], 2) is None
     # descent declines, so the union-find answers: joining nothing, it
     # names its own witness
@@ -291,6 +292,49 @@ def test_a_wrong_descent_plan_hands_the_coend_to_the_union_find(
                         no_union_at(None))
     cert = delta_mu_unit_check(2)
     assert not cert.ok and cert.witness == UNIT_FAILURES[None]
+
+
+@pytest.mark.parametrize("ns,k", [(ns, k) for k in range(4) for ns in
+                                  [(1, 1), (2, 1), (1, 1, 1), (2, 2)]],
+                         ids=str)
+def test_descent_gives_the_union_find_colimit(ns, k):
+    # the roots are the onto β, one block per d <= min(k, Σ n_i)
+    answered, by_descent, by_union = both_paths(_colimit_coend, k,
+                                                product_chains(ns)[1])
+    assert answered and by_descent == by_union
+
+
+def counted_union_finds(monkeypatch):
+    """The sizes of the coends _least_representatives is called on."""
+    real, sizes = promonoidal._least_representatives, []
+
+    def counted(n, relations):
+        sizes.append(n)
+        return real(n, relations)
+
+    monkeypatch.setattr(promonoidal, "_least_representatives", counted)
+    return sizes
+
+
+def test_the_colimit_check_makes_no_union_find(monkeypatch):
+    calls = counted_union_finds(monkeypatch)
+    for ns, k in [((1,), 3), ((1, 1), 4), ((2, 1), 4), ((1, 1, 1), 3)]:
+        assert promonoidal.product_simplices_colimit_check(ns, range(k)).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("corrupt", [wrong_prev, wrong_order],
+                         ids=lambda f: f.__name__)
+def test_a_wrong_colimit_step_hands_the_coend_to_the_union_find(
+        monkeypatch, corrupt):
+    chains = product_chains((2, 1))[1]
+    right = _colimit_coend(3, chains)
+    real = promonoidal._descent_plan
+    monkeypatch.setattr(promonoidal, "_descent_plan",
+                        lambda x, *args: corrupt(*real(x, *args), x))
+    calls = counted_union_finds(monkeypatch)
+    assert _colimit_coend(3, chains) == right
+    assert calls == [321]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import itertools
 from math import comb
 
+import pytest
+
 from zilber.delta import (MonotoneMap, PosetPoint, Shuffle,
                           StrictMonotoneIntoProduct, coface, codegeneracy,
                           comp_row,
@@ -127,6 +129,34 @@ def test_product_nondegenerate_counts_square():
     assert [len(product_nondegenerate([1, 1], k)) for k in range(4)] \
         == [4, 5, 2, 0]
     assert len(product_points([2, 1])) == 6
+
+
+def recursive_nondegenerate(ns, k):
+    """The strictly monotone chains [k] -> ∏_i [n_i], each extended point by
+    point in lexicographic order."""
+    pts = product_points(ns)
+    out = []
+
+    def extend(chain):
+        if len(chain) == k + 1:
+            out.append(StrictMonotoneIntoProduct(tuple(ns), tuple(chain)))
+            return
+        last = chain[-1]
+        for p in pts:
+            if p.factors != last.factors and last.leq(p):
+                extend(chain + [p])
+
+    for p in pts:
+        extend([p])
+    return out
+
+
+@pytest.mark.parametrize("ns", [(1,), (1, 1), (2, 1), (1, 1, 1), (2, 2),
+                                (3, 1, 1)], ids=str)
+def test_product_nondegenerate_matches_the_recursive_enumeration(ns):
+    for k in range(sum(ns) + 2):
+        assert product_nondegenerate(ns, k) == recursive_nondegenerate(ns, k)
+    assert product_nondegenerate(ns, sum(ns) + 1) == []
 
 
 def test_top_nondegenerate_count_is_shuffle_count():

@@ -8,9 +8,10 @@ import random
 
 import pytest
 
-from zilber.delta import (MonotoneMap, codegeneracy, coface,
-                          enumerate_monotone, generating_maps, identity_map,
-                          monotone_count)
+from zilber import promonoidal
+from zilber.delta import (MonotoneMap, PosetPoint, StrictMonotoneIntoProduct,
+                          codegeneracy, coface, enumerate_monotone,
+                          generating_maps, identity_map, monotone_count)
 from zilber.promonoidal import (MulticategoryModel, OperatorCategoryFragment,
                                 OperatorMorphism, _compose, _hom_coend,
                                 _identity, coyoneda_check,
@@ -281,3 +282,96 @@ def test_mu_action_is_precomposition_of_monotone_maps(b):
         assert [_decode(u) for u in got] == \
             [_decode(f1).compose(_decode(f)).compose(_decode(g)),
              _decode(f2).compose(_decode(h)).compose(_decode(g))]
+
+
+# ---------------------------------------------------------------------------
+# the failures the product-colimit check reports, each reached by editing
+# the one table its branch reads
+
+TRIANGLES = (((0, 0), (0, 1), (1, 1)),  # the two top chains of [1] x [1]
+             ((0, 0), (1, 0), (1, 1)))
+
+
+def edit_table(monkeypatch, name, edit):
+    """promonoidal.<name> with edit(its output, *its arguments) applied."""
+    real = getattr(promonoidal, name)
+    monkeypatch.setattr(promonoidal, name,
+                        lambda *args: edit(real(*args), *args))
+
+
+def square_chain(chain):
+    return StrictMonotoneIntoProduct((1, 1), tuple(map(PosetPoint, chain)))
+
+
+def points(chain):
+    return tuple(map(PosetPoint, chain))
+
+
+def test_a_repeated_top_chain_makes_the_colimit_map_not_injective(
+        monkeypatch):
+    edit_table(monkeypatch, "strict_chains",
+               lambda out, ns: out[:2] + [out[2] + [TRIANGLES[0]]])
+    cert = product_simplices_colimit_check([1, 1], range(4))
+    assert not cert.ok
+    assert cert.detail == "colimit map not injective at level 2"
+    assert cert.witness == (2, (square_chain(TRIANGLES[0]),
+                                identity_map(2)))
+
+
+def test_a_missing_top_chain_makes_the_colimit_map_not_surjective(
+        monkeypatch):
+    edit_table(monkeypatch, "strict_chains",
+               lambda out, ns: out[:2] + [out[2][:1]])
+    cert = product_simplices_colimit_check([1, 1], range(4))
+    assert not cert.ok
+    assert cert.detail == "colimit map not surjective at level 2"
+    assert cert.witness == (2, points(TRIANGLES[1]))
+
+
+def test_an_image_chain_outside_the_simplices_is_named(monkeypatch):
+    # the top chain is a face of no chain, so the coend never looks it up
+    edit_table(monkeypatch, "_positions",
+               lambda index, chains: [{c: s for c, s in at.items()
+                                       if c != TRIANGLES[1]}
+                                      for at in index])
+    cert = product_simplices_colimit_check([1, 1], range(4))
+    assert not cert.ok
+    assert cert.detail == "image chain is not a nondegenerate simplex"
+    assert cert.witness == (2, points(TRIANGLES[1]))
+
+
+@pytest.mark.parametrize("face,iotas,k", [
+    (TRIANGLES[0], [], 2),                 # no ι
+    (TRIANGLES[0][:1], [(0,), (0,)], 0),   # two
+], ids=["none", "two"])
+def test_a_presentation_without_one_factorization_is_named(
+        monkeypatch, face, iotas, k):
+    edit_table(monkeypatch, "_faces",
+               lambda out, chain: {**out, face: iotas}
+               if chain == TRIANGLES[0] else out)
+    cert = product_simplices_colimit_check([1, 1], range(4))
+    assert not cert.ok
+    assert cert.detail == "image factorization is not initial"
+    tau = face if k == 2 else TRIANGLES[0][:1]
+    alpha = identity_map(2) if k == 2 else MonotoneMap(0, 2, (0,))
+    assert cert.witness == (k, points(tau),
+                            (square_chain(TRIANGLES[0]), alpha))
+
+
+def test_a_class_of_two_images_is_named(monkeypatch):
+    # at level 1, elements 4 and 7 of the coend, (1, (0, 0), σ) for the
+    # edges σ from (0, 0) and from (0, 1), swap their classes: the classes
+    # keep their first elements, so only the images within one differ
+    def swap(out, k, chains):
+        classes, rep = out
+        if k == 1:
+            rep = list(rep)
+            rep[4], rep[7] = rep[7], rep[4]
+        return classes, rep
+
+    edit_table(monkeypatch, "_colimit_coend", swap)
+    cert = product_simplices_colimit_check([1, 1], range(4))
+    assert not cert.ok
+    assert cert.detail == "colimit map not well defined at level 1"
+    assert cert.witness == (1, (square_chain(((0, 0), (0, 1))),
+                                MonotoneMap(1, 1, (0, 0))))
