@@ -33,9 +33,10 @@ only the shuffles of the edge blocks, so it times loading the spaces.
 whose colimit coend has 958,239 elements, against 340,836 at level 4.
 
 ``left-kan-neg`` is a negative control that exits 1: the left Kan
-comparison for ([3], [3]) along Δ≤5 holds at m <= 5, which descent
-decides, and fails at m = 6, where [6] is not in Δ≤5 and the union-find
-decides on 6.8 M elements.
+comparison for ([3], [3]) along Δ≤5 holds at m <= 5 and fails at m = 6,
+where [6] is not in Δ≤5 and the coend has 6.8 M elements in 14,380
+classes.  ``left-kan-pos`` is its passing twin: ([2], [3]) along Δ≤5,
+Σ nᵢ = 5, holds at every m up to 6.
 
 With several checkouts (default: ``change=`` this script's checkout),
 every row runs REPEAT times per checkout, and the checkout that runs
@@ -105,6 +106,8 @@ ROWS = {  # name -> zilber argv
                            "--ns", "2,2,2", "--k-max", "6"],
     "operator-frag": ["promonoidal", "--check", "operator-frag", "--b", "4",
                       "--length", "4"],
+    "left-kan-pos": ["promonoidal", "--check", "left-kan", "--ns", "2,3",
+                     "--b", "5", "--m", "6"],
     "left-kan-neg": ["promonoidal", "--check", "left-kan", "--ns", "3,3",
                      "--b", "5", "--m", "6"],
 }

@@ -11,11 +11,14 @@ of a map [a] -> [c] and its index i in enumerate_monotone(a, c), composed
 through comp_row.  The unit, μ-associativity, Coyoneda and left-Kan checks
 are one left Kan comparison, (k, φ, h) ↦ h ∘ φ.
 
-For x <= b a Kan coend is decided by descent: stripping the cofaces, then
-the codegeneracies, of φ = mono ∘ epi joins (d, φ, u) to (x, id, u ∘ φ),
-one block of |F(d)| elements per step.  The colimit presentations strip
-the cofaces alone, down to the blocks with φ onto.  Where a plan does not
-reach, one union-find over every relation decides.
+Every coend is decided by descent to one normal form, for every x.
+Stripping the cofaces of φ carries (d, φ, u) to an onto block (j, ε, u'),
+one block of |F(d)| elements per step.  The colimit presentations stop
+there.  A Kan coend then steps u' = u''∘σ_t, at its first repeated point
+t, to (j - 1, σ_t∘ε, u''), so that its roots (j, ε onto, u injective) are
+the image factorizations of h ∘ φ (Gabriel-Zisman): distinct classes,
+told apart by h ∘ φ.  A step that fails its check is a fault of the
+library.
 """
 
 from __future__ import annotations
@@ -25,24 +28,31 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .delta import (PosetPoint, StrictMonotoneIntoProduct, comp_row,
-                    enumerate_monotone, generating_maps, monotone_count,
-                    monotone_position, precomp_row, strict_chains)
+                    enumerate_monotone, monotone_count, monotone_position,
+                    precomp_row, strict_chains)
 from .simplicial import CheckCertificate
 
 
 # ---------------------------------------------------------------------------
-# the coend engine
+# coends over Δ≤b: a monotone map is its index in enumerate_monotone
 
-# The engine peaks at 40 bytes per element (the parent list and its ints,
-# measured on coends of 3-4 M elements): 0.7 GB at the cap.
+# The engine peaks at 8.5-10 bytes per element when the classes are few
+# (the canon list, whose entries share their roots' ints; measured on Kan
+# coends of 1.4-6.8 M elements): 0.16 GB at the cap.  Each class adds about
+# 280 bytes (its tuple and its dict entry), measured on 1 M singletons.
 COEND_ELEMENT_CAP = 1 << 24
 
 
 class CoendTooLarge(ValueError):
     """A coend with more elements than COEND_ELEMENT_CAP (CLI exit 2)."""
+
+
+class CoendFault(RuntimeError):
+    """A descent step that fails its check, or an element that no step
+    reaches: a fault of the library, not of its input (CLI exit 3)."""
 
 
 def _capped(n):
@@ -51,33 +61,6 @@ def _capped(n):
         raise CoendTooLarge(f"a coend of {n} elements is above the cap of "
                             f"{COEND_ELEMENT_CAP} elements")
     return n
-
-
-def _least_representatives(n, relations):
-    """rep, rep[i] the least element of the class of i in 0..n-1 under
-    ``relations``, index sequences (push, pull) identifying push[i] with
-    pull[i].  A union points the larger root at the smaller, so
-    parent[i] <= i and one ascending pass resolves every root."""
-    parent = list(range(_capped(n)))
-    for push, pull in relations:
-        for u, v in zip(push, pull):
-            if parent[u] == parent[v]:  # the common case
-                continue
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u < v:
-                parent[v] = u
-            elif v < u:
-                parent[u] = v
-    for i in range(n):
-        parent[i] = parent[parent[i]]
-    return parent
-
-
-# ---------------------------------------------------------------------------
-# coends over Δ≤b: a monotone map is its index in enumerate_monotone
 
 
 def _compose(g, f):
@@ -97,35 +80,12 @@ def _family(d, ts, idxs):
     return tuple(enumerate_monotone(d, t)[i] for i, t in zip(idxs, ts))
 
 
+@lru_cache(maxsize=None)
 def _offsets(x, sizes):
-    """off[d] = Σ_{e < d} |Δ([x], [e])|·sizes[e]; off[-1] counts all."""
-    return list(itertools.accumulate(
+    """off[d] = Σ_{e < d} |Δ([x], [e])|·sizes[e], sizes a tuple; off[-1]
+    counts all."""
+    return tuple(itertools.accumulate(
         (monotone_count(x, d) * n for d, n in enumerate(sizes)), initial=0))
-
-
-def _delta_coend(x, sizes, moved, gens):
-    """∫^{[d]} Δ([x], [d]) × F(d), |F(d)| = sizes[d], presented by the Δ-maps
-    γ = (a, c, g) of gens: γ identifies (c, γ∘φ, u) with (a, φ, u·γ) for
-    φ : [x] -> [a], u·γ = moved(γ)[u].  Returns the classes (d, φ, u) and
-    the least-index representatives rep of the elements' indices."""
-    homs = [monotone_count(x, d) for d in range(len(sizes))]
-    off = _offsets(x, sizes)
-    flat = itertools.chain.from_iterable
-
-    def relations():  # streams: parent is all that is held per element
-        for gen in gens:
-            a, c, g = gen
-            na, nc = sizes[a], sizes[c]
-            pulled = [off[a] + v for v in moved(gen)]
-            pushed = (off[c] + gphi * nc for gphi in comp_row(x, a, c, g))
-            yield (flat(range(i, i + nc) for i in pushed),
-                   flat(map((phi * na).__add__, pulled)
-                        for phi in range(homs[a])))
-
-    rep = _least_representatives(off[-1], relations())
-    roots = itertools.compress(itertools.count(),
-                               map(operator.eq, rep, itertools.count()))
-    return _classes(off, sizes, roots), rep
 
 
 def _classes(off, sizes, firsts):
@@ -137,9 +97,18 @@ def _classes(off, sizes, firsts):
     return out
 
 
+@lru_cache(maxsize=None)
 def _hom_sizes(ts, b):
     """|F(d)| for d <= b, F(d) = ∏_i Δ([d], [t_i])."""
-    return [math.prod(monotone_count(d, t) for t in ts) for d in range(b + 1)]
+    return tuple(math.prod(monotone_count(d, t) for t in ts)
+                 for d in range(b + 1))
+
+
+@lru_cache(maxsize=None)
+def _hom_digits(ts, d):
+    """F(d) as the digit tuples (f_1, ..., f_n), in mixed-radix order."""
+    return tuple(itertools.product(*(range(monotone_count(d, t))
+                                     for t in ts)))
 
 
 def _within_cap(b, coends):
@@ -149,87 +118,104 @@ def _within_cap(b, coends):
         _capped(_offsets(x, _hom_sizes(ts, b))[-1])
 
 
-def _hom_coend(x, ts, b):
-    """_delta_coend over Δ≤b for F(d) = ∏_i Δ([d], [t_i]), with u the
-    mixed-radix number of its digits (f_1, ..., f_n), on which γ acts by
-    f_i ↦ f_i ∘ γ, by descent to (x, id, u ∘ φ) where it can: the roots
-    (x, id, v) are distinct classes, as (d, φ, u) ↦ u ∘ φ is constant on
-    classes and sends (x, id, v) to v.  Returns the classes
-    (d, φ, (f_1, ..., f_n)) and rep."""
-
-    def moved(gen):
-        a, c, g = gen
-        out = [0]
-        for t in ts:
-            radix = monotone_count(a, t)
-            out = [v * radix + h for v in out
-                   for h in precomp_row(a, c, t, g)]
-        return out
-
-    sizes = _hom_sizes(ts, b)
-    classes, rep = (_descend(x, sizes, moved, b)
-                    or _delta_coend(x, sizes, moved, generating_maps(b)))
-    F = [list(itertools.product(*(range(monotone_count(d, t)) for t in ts)))
-         for d in range(b + 1)]
-    return [(d, phi, F[d][u]) for d, phi, u in classes], rep
+@lru_cache(maxsize=None)
+def _hom_moved(ts, gen):
+    """u ↦ u ∘ γ on F(c) = ∏_i Δ([c], [t_i]) for γ = gen : [a] -> [c], u
+    the mixed-radix number of its digits (f_1, ..., f_n)."""
+    a, c, g = gen
+    out = [0]
+    for t in ts:
+        radix = monotone_count(a, t)
+        out = [v * radix + h for v in out for h in precomp_row(a, c, t, g)]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _descent_plan(x, b, onto_roots=False):
-    """(roots, steps): the root blocks (d, φ), and a step for every other
-    block (d, φ) to (a, φ'), where φ = γ ∘ φ' for the generator
-    γ : [a] -> [d] that strips φ's first missed value, or, φ onto, its first
-    repeated one.  The roots are (x, id), or, if onto_roots, every onto φ,
-    which then takes no step.  steps are (γ, φs, φ's) by γ, codegeneracies
-    by d falling from x, then cofaces by d rising, so each φ' is reached
-    first.  None if x > b and not onto_roots."""
-    if x > b and not onto_roots:
-        return None
+def _codegeneracies(j):
+    """σ_0, ..., σ_{j-1} : [j] -> [j - 1] as triples."""
+    return tuple((j, j - 1, monotone_position(j, j - 1)[
+        tuple(w - (w > t) for w in range(j + 1))]) for t in range(j))
+
+
+@lru_cache(maxsize=None)
+def _hom_splits(ts, j):
+    """index[u] for u in F(j), j >= 1, on an onto block (j, ε) of a Kan
+    coend: u whose first repeated point is t is u'' ∘ σ_t, read off
+    _hom_moved(ts, σ_t), and index[u] = t·|F(j-1)| + u''; an injective u, a
+    root, has index[u] = j·|F(j-1)| + u."""
+    sizes = _hom_sizes(ts, j)
+    below = sizes[j - 1]
+    index = [j * below + u for u in range(sizes[j])]
+    for t in reversed(range(j)):  # the first repeated point is written last
+        for v, u in enumerate(_hom_moved(ts, _codegeneracies(j)[t])):
+            index[u] = t * below + v
+    return tuple(index)
+
+
+def _hom_coend(x, ts, b):
+    """∫^{[d] ∈ Δ≤b} Δ([x], [d]) × F(d), F(d) = ∏_i Δ([d], [t_i]), by
+    _descend with the splits of _hom_splits: its roots (j, ε, u), ε onto
+    and u injective, are the image factorizations of u ∘ ε, so
+    (d, φ, u) ↦ u ∘ φ, constant on classes, tells them apart.  Returns the
+    classes (d, φ, (f_1, ..., f_n)) and rep."""
+    sizes = _hom_sizes(ts, b)
+    classes, rep = _descend(x, sizes, partial(_hom_moved, ts), b,
+                            partial(_hom_splits, ts))
+    return [(d, phi, _hom_digits(ts, d)[u]) for d, phi, u in classes], rep
+
+
+@lru_cache(maxsize=None)
+def _descent_plan(x, b):
+    """(roots, steps): the onto blocks (j, ε), ε : [x] ->> [j], j rising,
+    and a step for every other block (d, φ) to (d - 1, φ'), φ = δ_i ∘ φ' for
+    φ's first missed value i.  steps are (δ_i, φs, φ's) by d rising, so
+    each φ' is reached first."""
     roots, steps = [], {}
     for d in range(b + 1):
         for v, phi in monotone_position(x, d).items():
             i = next((i for i in range(d + 1) if i not in v), None)
-            if i is not None:  # φ = δ_i ∘ φ'
-                a, gamma = d - 1, tuple(w + (w >= i) for w in range(d))
-                prev = tuple(w - (w > i) for w in v)
-            elif onto_roots or d == x:  # a root: onto, or the identity
+            if i is None:
                 roots.append((d, phi))
                 continue
-            else:  # φ = σ_j ∘ φ' for the first j = v[k] = v[k + 1]
-                k = next(k for k in range(x) if v[k] == v[k + 1])
-                a, gamma = d + 1, tuple(w - (w > v[k]) for w in range(d + 2))
-                prev = v[:k + 1] + tuple(w + 1 for w in v[k + 1:])
+            gamma = tuple(w + (w >= i) for w in range(d))
             phis, prevs = steps.setdefault(
-                (a, d, monotone_position(a, d)[gamma]), ([], []))
+                (d - 1, d, monotone_position(d - 1, d)[gamma]), ([], []))
             phis.append(phi)
-            prevs.append(monotone_position(x, a)[prev])
-    # (a, d, g) sorts by a < d, then by -d for a = d + 1 and d for a = d - 1
-    order = sorted(steps, key=lambda gen: (gen[0] < gen[1],
-                                           (gen[1] - gen[0]) * gen[1]))
-    return tuple(roots), tuple((gen, *map(tuple, steps[gen]))
-                               for gen in order)
+            prevs.append(monotone_position(x, d - 1)[
+                tuple(w - (w > i) for w in v)])
+    return tuple(roots), tuple((gen, *map(tuple, rows))
+                               for gen, rows in steps.items())
 
 
-def _descend(x, sizes, moved, b, onto_roots=False):
-    """_delta_coend over Δ≤b by descent.  Each step of _descent_plan,
-    checked by comp_row, is a generator relation, so every element is
-    joined to the root element its block reaches, whose index is written
-    at its own.  The caller's roots lie in distinct classes: an invariant
-    of the classes tells them apart.  None, for the union-find, if there is
-    no plan, a step fails or an element is left unreached."""
-    plan = _descent_plan(x, b, onto_roots)
-    if plan is None:
-        return None
-    roots, steps = plan
+def _descend(x, sizes, moved, b, splits=None):
+    """The classes (d, φ, u) and the least-index representatives rep of
+    ∫^{[d] ∈ Δ≤b} Δ([x], [d]) × F(d), |F(d)| = sizes[d], in which a
+    generator γ : [a] -> [c] identifies (c, γ∘φ, u) with (a, φ, u·γ),
+    u·γ = moved(γ)[u].  Each onto block (j, ε) of _descent_plan, j rising,
+    is one map by splits(j) over the canon of its σ_t∘ε blocks, then its
+    own indices (every one a root without splits); each coface step,
+    checked by comp_row, then copies its block's canon.  The caller's roots
+    lie in distinct classes: an invariant of the classes tells them apart.
+    A failed step or an unreached element raises CoendFault."""
+    roots, steps = _descent_plan(x, b)
     off = _offsets(x, sizes)
     canon = [None] * _capped(off[-1])
-    for d, phi in roots:
-        lo = off[d] + phi * sizes[d]
-        canon[lo:lo + sizes[d]] = range(lo, lo + sizes[d])
+    for j, eps in roots:
+        lo, n = off[j] + eps * sizes[j], sizes[j]
+        if splits is None or j == 0:  # u in F(0) is a point: a root
+            canon[lo:lo + n] = range(lo, lo + n)
+            continue
+        pool, below = [], sizes[j - 1]
+        for sigma in _codegeneracies(j):
+            at = off[j - 1] + comp_row(x, *sigma)[eps] * below
+            pool += canon[at:at + below]
+        pool += range(lo, lo + n)
+        canon[lo:lo + n] = map(pool.__getitem__, splits(j))
     for gen, phis, prevs in steps:
         a, c, g = gen
         if tuple(map(comp_row(x, a, c, g).__getitem__, prevs)) != phis:
-            return None
+            raise CoendFault(f"a descent step by {gen} at x = {x} does "
+                             f"not compose to its blocks")
         moves = moved(gen)
         na, nc = sizes[a], sizes[c]
         for phi, prev in zip(phis, prevs):
@@ -243,7 +229,8 @@ def _descend(x, sizes, moved, b, onto_roots=False):
         hi = lo + 4096
         canon[lo:hi] = map(first.setdefault, canon[lo:hi], range(lo, hi))
     if None in first:
-        return None
+        raise CoendFault(f"descent leaves element {first[None]} of a coend "
+                         f"at x = {x} unreached")
     return _classes(off, sizes, first.values()), canon
 
 
@@ -407,14 +394,13 @@ def _colimit_coend(k, chains):
         face = _getter(enumerate_monotone(a, c)[g].values)
         return list(map(index[a].__getitem__, map(face, chains[c])))
 
-    sizes, top = list(map(len, chains)), len(chains) - 1
-    return (_descend(k, sizes, moved, top, True)
-            or _delta_coend(k, sizes, moved, [g for g in generating_maps(top)
-                                              if g[0] < g[1]]))
+    return _descend(k, tuple(map(len, chains)), moved, len(chains) - 1)
 
 
+@lru_cache(maxsize=None)
 def _faces(chain):
-    """Each face chain∘ι, ι an injection, with the ι (values) giving it."""
+    """Each face chain∘ι, ι an injection, with the ι (values) giving it;
+    built once per chain, so once per ns for the chains of ∏_i Δ^{n_i}."""
     d = len(chain) - 1
     out = {}
     for j in range(1, d + 2):
@@ -437,7 +423,7 @@ def product_simplices_colimit_check(ns, k_range):
     PosetPoints for witnesses; each map is read by an itemgetter."""
     ns = tuple(_nonnegative("ns", ns))
     chains = strict_chains(ns)
-    sizes = list(map(len, chains))
+    sizes = tuple(map(len, chains))
     ks = _nonnegative("k", k_range)
     for k in ks:
         _capped(_offsets(k, sizes)[-1])
@@ -466,6 +452,12 @@ def product_simplices_colimit_check(ns, k_range):
         allmaps = [tuple(zip(*fam)) for fam in itertools.product(
             *(monotone_position(k, n) for n in ns))]
         if images != set(allmaps):
+            stray = images.difference(allmaps)
+            if stray:
+                tau = next(t for t in taus.values() if t in stray)
+                return CheckCertificate(False, witness=(k, _points(tau)),
+                                        detail=f"colimit map image is not "
+                                               f"monotone at level {k}")
             missing = next(t for t in allmaps if t not in images)
             return CheckCertificate(False, witness=(k, _points(missing)),
                                     detail=f"colimit map not surjective at "

@@ -1,8 +1,9 @@
-"""The coend engine against a breadth-first search over the relation
+"""The union-find oracle against a breadth-first search over the relation
 graph, the index arithmetic of the coends over Δ≤b against their relations
-written out with MonotoneMaps, descent against the union-find, the work
-cap, the element and class counts of every coend that the coend benchmark
-family builds, and the failures the Δᵒᵖ unit, μ-associativity and Coyoneda
+written out with MonotoneMaps, the descent to the image-factorization
+normal form against the union-find over every relation, the work cap, the
+element and class counts of every coend that the coend benchmark family
+builds, and the failures the Δᵒᵖ unit, μ-associativity and Coyoneda
 checks report.
 
 The counts below were recorded from the dictionary union-find over
@@ -11,6 +12,7 @@ pin the class representatives too: every element's representative is the
 least index of its class in enumeration order."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -19,16 +21,58 @@ from hypothesis import strategies as st
 from zilber import promonoidal
 from zilber.cli import main
 from zilber.delta import (MonotoneMap, codegeneracy, coface, comp_row,
-                          enumerate_monotone, monotone_count,
-                          product_nondegenerate)
-from zilber.promonoidal import (CoendTooLarge, _colimit_coend, _hom_coend,
-                                coyoneda_check, delta_mu_associativity_check,
+                          enumerate_monotone, generating_maps,
+                          monotone_count, product_nondegenerate)
+from zilber.promonoidal import (CoendFault, CoendTooLarge, _colimit_coend,
+                                _hom_coend, coyoneda_check,
+                                delta_mu_associativity_check,
                                 delta_mu_unit_check)
 from zilber.simplicial import CheckCertificate
 
 
 # ---------------------------------------------------------------------------
-# the engine on random presentations
+# the union-find oracle on random presentations
+
+
+def least_representatives(n, relations):
+    """rep, rep[i] the least element of the class of i in 0..n-1 under
+    ``relations``, index sequences (push, pull) identifying push[i] with
+    pull[i].  A union points the larger root at the smaller, so
+    parent[i] <= i and one ascending pass resolves every root."""
+    parent = list(range(n))
+    for push, pull in relations:
+        for u, v in zip(push, pull):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u < v:
+                parent[v] = u
+            elif v < u:
+                parent[u] = v
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return parent
+
+
+def union_find_coend(x, sizes, moved, gens):
+    """∫^{[d]} Δ([x], [d]) × F(d), |F(d)| = sizes[d], presented by the
+    Δ-maps γ = (a, c, g) of gens: γ identifies (c, γ∘φ, u) with (a, φ, u·γ)
+    for φ : [x] -> [a], u·γ = moved(γ)[u].  Returns the classes (d, φ, u)
+    and the least-index representatives rep, as _descend does."""
+    off = promonoidal._offsets(x, tuple(sizes))
+    relations = []
+    for a, c, g in gens:
+        na, nc = sizes[a], sizes[c]
+        pulled = [off[a] + v for v in moved((a, c, g))]
+        relations.append((
+            [off[c] + gphi * nc + u for gphi in comp_row(x, a, c, g)
+             for u in range(nc)],
+            [phi * na + v for phi in range(monotone_count(x, a))
+             for v in pulled]))
+    rep = least_representatives(off[-1], relations)
+    roots = [i for i, r in enumerate(rep) if i == r]
+    return promonoidal._classes(off, sizes, roots), rep
 
 
 @st.composite
@@ -83,7 +127,7 @@ def run_coend(objects, elements, relations):
     of their indices under the relations."""
     order = [x for d in objects for x in elements[d]]
     index = {x: i for i, x in enumerate(order)}
-    rep = promonoidal._least_representatives(
+    rep = least_representatives(
         len(order), [([index[u] for u, _ in r], [index[v] for _, v in r])
                      for r in relations])
     return order, rep
@@ -203,8 +247,8 @@ def test_hom_coend_matches_its_relations(case):
 def test_colimit_coend_matches_its_relations(ns, k):
     order, edges, nondeg, chains = colimit_relations(ns, k)
     least = bfs_least(order, edges)
-    answered, (classes, rep), by_union = both_paths(_colimit_coend, k, chains)
-    assert answered and by_union == (classes, rep)
+    (classes, rep), by_union = both_paths(_colimit_coend, k, chains)
+    assert by_union == (classes, rep)
     assert rep == least
     assert classes == [(d, position(beta), nondeg[d].index(sigma))
                        for i, (d, beta, sigma) in enumerate(order)
@@ -212,25 +256,24 @@ def test_colimit_coend_matches_its_relations(ns, k):
 
 
 # ---------------------------------------------------------------------------
-# descent against the union-find
+# descent to the normal form against the union-find
+
+
+def by_union_find(x, sizes, moved, b, splits=None):
+    """_descend's answer from the union-find over every relation: those of
+    all the generating maps of Δ≤b for a Kan coend (which passes splits),
+    of the cofaces alone for a colimit over the injections."""
+    return union_find_coend(x, sizes, moved, [
+        g for g in generating_maps(b) if splits is not None or g[0] < g[1]])
 
 
 def both_paths(coend, *args):
-    """Whether descent answered coend(*args), its result, and the result
-    of the union-find alone."""
-    real, answered = promonoidal._descend, []
-
-    def spy(*args):
-        out = real(*args)
-        answered.append(out is not None)
-        return out
-
+    """coend(*args) by descent, and by the union-find alone."""
+    by_descent = coend(*args)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(promonoidal, "_descend", spy)
-        by_descent = coend(*args)
-        mp.setattr(promonoidal, "_descend", lambda *args: None)
+        mp.setattr(promonoidal, "_descend", by_union_find)
         by_union = coend(*args)
-    return answered == [True], by_descent, by_union
+    return by_descent, by_union
 
 
 DESCENT_LIMIT = 20_000  # elements, so that the union-find oracle stays fast
@@ -244,13 +287,34 @@ DESCENT_CASES = [
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(DESCENT_CASES))
 def test_descent_gives_the_union_find_partition(case):
-    """The same classes and least representatives, for m <= b <= 4 and up
-    to three factors [t], t <= 2; descent declines exactly when [m] is not
-    an object of Δ≤b."""
+    """The same classes and least representatives, for m <= b + 1, b <= 4,
+    and up to three factors [t], t <= 2."""
     x, ts, b = case
-    answered, by_descent, by_union = both_paths(_hom_coend, x, ts, b)
-    assert answered == (x <= b)
+    by_descent, by_union = both_paths(_hom_coend, x, ts, b)
     assert by_descent == by_union
+
+
+NORMAL_FORM_CASES = [  # m <= 6, b <= 4, Σ n_i <= 4, half of them m > b
+    (m, ts, b) for b in range(5) for m in range(7)
+    for k in range(5) for ts in itertools.product(range(5), repeat=k)
+    if sum(ts) <= 4
+    and promonoidal._offsets(m, promonoidal._hom_sizes(ts, b))[-1]
+    <= DESCENT_LIMIT]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NORMAL_FORM_CASES))
+def test_the_normal_form_gives_the_union_find_partition_at_every_m(case):
+    # the roots (j, ε onto, u injective) are the image factorizations of
+    # h ∘ φ, so they are the classes whether or not [m] is in Δ≤b
+    m, ts, b = case
+    by_descent, by_union = both_paths(_hom_coend, m, ts, b)
+    assert by_descent == by_union
+
+
+def test_the_normal_form_cases_reach_past_b():
+    assert sum(m > b for m, _, b in NORMAL_FORM_CASES) > 2000
+    assert max(m - b for m, _, b in NORMAL_FORM_CASES) == 6
 
 
 @pytest.mark.parametrize("b", range(3))
@@ -259,8 +323,8 @@ def test_descent_on_every_kan_coend_of_the_coend_family(b):
     # (no factor) and both nestings of μ-associativity ((p, q) at n <= b)
     for x in range(b + 2):
         for ts in [()] + list(itertools.product(range(3), repeat=2)):
-            answered, by_descent, by_union = both_paths(_hom_coend, x, ts, b)
-            assert answered == (x <= b) and by_descent == by_union
+            by_descent, by_union = both_paths(_hom_coend, x, ts, b)
+            assert by_descent == by_union
 
 
 def wrong_prev(roots, steps, x):
@@ -277,21 +341,33 @@ def wrong_order(roots, steps, x):
     return roots, steps[::-1]
 
 
+def corrupt_plan(monkeypatch, corrupt):
+    real = promonoidal._descent_plan
+    monkeypatch.setattr(promonoidal, "_descent_plan",
+                        lambda x, b: corrupt(*real(x, b), x))
+
+
 @pytest.mark.parametrize("corrupt", [wrong_prev, wrong_order],
                          ids=lambda f: f.__name__)
-def test_a_wrong_descent_plan_hands_the_coend_to_the_union_find(
-        monkeypatch, corrupt):
-    real = promonoidal._descent_plan
+def test_a_wrong_descent_plan_is_a_library_fault(monkeypatch, corrupt):
     assert delta_mu_unit_check(2).ok
-    monkeypatch.setattr(promonoidal, "_descent_plan",
-                        lambda x, *args: corrupt(*real(x, *args), x))
-    assert promonoidal._descend(1, [1, 1, 1], lambda gen: [0], 2) is None
-    # descent declines, so the union-find answers: joining nothing, it
-    # names its own witness
-    monkeypatch.setattr(promonoidal, "_least_representatives",
-                        no_union_at(None))
-    cert = delta_mu_unit_check(2)
-    assert not cert.ok and cert.witness == UNIT_FAILURES[None]
+    corrupt_plan(monkeypatch, corrupt)
+    with pytest.raises(CoendFault):
+        promonoidal._descend(1, (1, 1, 1), lambda gen: [0], 2)
+    # no other path answers, and the fault is not an input error
+    with pytest.raises(CoendFault):
+        delta_mu_unit_check(2)
+    assert not issubclass(CoendFault, ValueError)
+
+
+@pytest.mark.parametrize("corrupt", [wrong_prev, wrong_order],
+                         ids=lambda f: f.__name__)
+def test_the_cli_exits_3_on_a_descent_fault(monkeypatch, capsys, corrupt):
+    corrupt_plan(monkeypatch, corrupt)
+    code = main(["promonoidal", "--check", "unit", "--b", "2"])
+    out = capsys.readouterr()
+    assert code == 3 and not out.out.strip()
+    assert json.loads(out.err)["exit"] == 3
 
 
 @pytest.mark.parametrize("ns,k", [(ns, k) for k in range(4) for ns in
@@ -299,42 +375,31 @@ def test_a_wrong_descent_plan_hands_the_coend_to_the_union_find(
                          ids=str)
 def test_descent_gives_the_union_find_colimit(ns, k):
     # the roots are the onto β, one block per d <= min(k, Σ n_i)
-    answered, by_descent, by_union = both_paths(_colimit_coend, k,
-                                                product_chains(ns)[1])
-    assert answered and by_descent == by_union
-
-
-def counted_union_finds(monkeypatch):
-    """The sizes of the coends _least_representatives is called on."""
-    real, sizes = promonoidal._least_representatives, []
-
-    def counted(n, relations):
-        sizes.append(n)
-        return real(n, relations)
-
-    monkeypatch.setattr(promonoidal, "_least_representatives", counted)
-    return sizes
+    by_descent, by_union = both_paths(_colimit_coend, k,
+                                      product_chains(ns)[1])
+    assert by_descent == by_union
 
 
 def test_the_colimit_check_makes_no_union_find(monkeypatch):
-    calls = counted_union_finds(monkeypatch)
+    # the library keeps no union-find: each level is one descent
+    assert not hasattr(promonoidal, "_least_representatives")
+    assert not hasattr(promonoidal, "_delta_coend")
+    real, levels = promonoidal._descend, []
+    monkeypatch.setattr(promonoidal, "_descend",
+                        lambda x, *args: levels.append(x) or real(x, *args))
     for ns, k in [((1,), 3), ((1, 1), 4), ((2, 1), 4), ((1, 1, 1), 3)]:
+        levels.clear()
         assert promonoidal.product_simplices_colimit_check(ns, range(k)).ok
-    assert calls == []
+        assert levels == list(range(k))
 
 
 @pytest.mark.parametrize("corrupt", [wrong_prev, wrong_order],
                          ids=lambda f: f.__name__)
-def test_a_wrong_colimit_step_hands_the_coend_to_the_union_find(
-        monkeypatch, corrupt):
+def test_a_wrong_colimit_step_is_a_library_fault(monkeypatch, corrupt):
     chains = product_chains((2, 1))[1]
-    right = _colimit_coend(3, chains)
-    real = promonoidal._descent_plan
-    monkeypatch.setattr(promonoidal, "_descent_plan",
-                        lambda x, *args: corrupt(*real(x, *args), x))
-    calls = counted_union_finds(monkeypatch)
-    assert _colimit_coend(3, chains) == right
-    assert calls == [321]
+    corrupt_plan(monkeypatch, corrupt)
+    with pytest.raises(CoendFault):
+        _colimit_coend(3, chains)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +408,8 @@ def test_a_wrong_colimit_step_hands_the_coend_to_the_union_find(
 
 def test_a_coend_above_the_cap_is_refused_before_any_work(monkeypatch):
     built = []
-    for engine in ("_least_representatives", "_descend"):
-        monkeypatch.setattr(promonoidal, engine,
-                            lambda *args: built.append(args))
+    monkeypatch.setattr(promonoidal, "_descend",
+                        lambda *args: built.append(args))
     monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 500)
     # m = 0 (381 elements) is within the cap and m = 2 (1,153) is not:
     # the check stops before it builds either
@@ -368,10 +432,10 @@ def test_a_coend_above_the_cap_is_refused_before_any_work(monkeypatch):
 
 
 def test_the_generic_coend_path_is_capped(monkeypatch):
-    # the engine, on any integer relations, checks the cap itself
-    monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 3)
-    with pytest.raises(CoendTooLarge, match="4 elements"):
-        promonoidal._least_representatives(4, [])
+    # the engine, on any block sizes and moves, checks the cap itself
+    monkeypatch.setattr(promonoidal, "COEND_ELEMENT_CAP", 9)
+    with pytest.raises(CoendTooLarge, match="10 elements"):
+        promonoidal._descend(1, (1, 1, 1), lambda gen: [0], 2)
 
 
 def test_the_cli_exits_2_on_a_coend_above_the_cap(monkeypatch, capsys):
@@ -527,28 +591,21 @@ def test_unit_coend_counts(key):
 # the failures the unit, μ-associativity and Coyoneda checks report
 
 
-def no_union_at(calls):
-    """_least_representatives that joins nothing on the given calls (1 for
-    the first coend built; all calls when None) and is itself on the rest.
-    Descent answers every coend with m <= b without the union-find, so
-    the tests below turn it off with union_find_only."""
-    real = promonoidal._least_representatives
-    seen = []
+def joins_nothing(monkeypatch, calls):
+    """_descend that joins nothing on the given calls (1 for the first
+    coend built; all calls when None), every element its own class, and
+    is itself on the rest."""
+    real, seen = promonoidal._descend, []
 
-    def patched(n, relations):
-        seen.append(n)
+    def patched(x, sizes, *args):
+        seen.append(x)
         if calls is None or len(seen) in calls:
-            return list(range(n))
-        return real(n, relations)
+            off = promonoidal._offsets(x, sizes)
+            n = off[-1]
+            return promonoidal._classes(off, sizes, range(n)), list(range(n))
+        return real(x, sizes, *args)
 
-    return patched
-
-
-def union_find_only(monkeypatch, calls):
-    """Every coend by the union-find, patched by no_union_at(calls)."""
-    monkeypatch.setattr(promonoidal, "_descend", lambda *args: None)
-    monkeypatch.setattr(promonoidal, "_least_representatives",
-                        no_union_at(calls))
+    monkeypatch.setattr(promonoidal, "_descend", patched)
 
 
 UNIT_FAILURES = {  # calls without unions: the witness of unit(2)
@@ -563,7 +620,7 @@ UNIT_FAILURES = {  # calls without unions: the witness of unit(2)
 @pytest.mark.parametrize("calls", list(UNIT_FAILURES), ids=str)
 def test_the_unit_check_names_the_first_coend_that_is_not_a_point(
         monkeypatch, calls):
-    union_find_only(monkeypatch, calls)
+    joins_nothing(monkeypatch, calls)
     cert = delta_mu_unit_check(2)
     assert not cert.ok and cert.detail == "unit map not injective"
     assert cert.witness == UNIT_FAILURES[calls]
@@ -584,7 +641,7 @@ COYONEDA_FAILURES = {  # calls without unions: the witness of coyoneda(1),
 @pytest.mark.parametrize("calls", list(COYONEDA_FAILURES), ids=str)
 def test_the_coyoneda_check_names_the_first_pair_that_is_not_a_bijection(
         monkeypatch, calls):
-    union_find_only(monkeypatch, calls)
+    joins_nothing(monkeypatch, calls)
     cert = coyoneda_check(1)
     assert not cert.ok and cert.detail == "canonical map not injective"
     assert cert.witness == COYONEDA_FAILURES[calls]
@@ -597,7 +654,7 @@ def test_the_coyoneda_check_names_the_first_pair_that_is_not_a_bijection(
 def test_the_associativity_check_names_the_nesting_that_fails(
         monkeypatch, calls, side, n):
     # its coends are built n by n, the left nesting before the right one
-    union_find_only(monkeypatch, calls)
+    joins_nothing(monkeypatch, calls)
     cert = delta_mu_associativity_check(1, 0, 2, 2)
     assert not cert.ok and cert.witness == (side, n)
     assert cert.detail == f"{side} nesting is not in bijection"
@@ -613,7 +670,7 @@ def test_equal_entries_build_and_cap_each_coend_once(monkeypatch, p, b,
     # is the one the two sides give when each is built (a failure when the
     # engine joins nothing)
     if not joined:
-        union_find_only(monkeypatch, None)
+        joins_nothing(monkeypatch, None)
     real_kan, real_cap = promonoidal._kan_failure, promonoidal._within_cap
     expected = next((CheckCertificate(False, witness=(side, n),
                                       detail=f"{side} nesting is not in "

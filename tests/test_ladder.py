@@ -108,8 +108,11 @@ def test_main_defaults_to_this_checkout(monkeypatch, tmp_path):
 
 
 def test_the_negative_control_must_fail(monkeypatch, tmp_path):
-    # left-kan-neg decides m <= 5 by descent and m = 6 by the union-find,
-    # where the comparison fails: the row must exit 1, and a 0 is a failure
+    # left-kan-neg holds at m <= 5 and fails at m = 6, where [6] is not in
+    # Δ≤5: the row must exit 1, and a 0 is a failure; its twin passes
+    assert ladder.ROWS["left-kan-pos"] == ["promonoidal", "--check",
+                                           "left-kan", "--ns", "2,3", "--b",
+                                           "5", "--m", "6"]
     assert ladder.ROWS["left-kan-neg"] == ["promonoidal", "--check",
                                            "left-kan", "--ns", "3,3", "--b",
                                            "5", "--m", "6"]

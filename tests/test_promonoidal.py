@@ -328,6 +328,19 @@ def test_a_missing_top_chain_makes_the_colimit_map_not_surjective(
     assert cert.witness == (2, points(TRIANGLES[1]))
 
 
+def test_an_image_that_is_not_monotone_is_named(monkeypatch):
+    # a decreasing chain at degree 1: its image at level 1 is no monotone
+    # map into the product, so the images are not the monotone maps though
+    # none of those is missed
+    bad = ((1, 1), (0, 0))
+    edit_table(monkeypatch, "strict_chains",
+               lambda out, ns: out[:1] + [out[1] + [bad]] + out[2:])
+    cert = product_simplices_colimit_check([1, 1], range(3))
+    assert not cert.ok
+    assert cert.detail == "colimit map image is not monotone at level 1"
+    assert cert.witness == (1, points(bad))
+
+
 def test_an_image_chain_outside_the_simplices_is_named(monkeypatch):
     # the top chain is a face of no chain, so the coend never looks it up
     edit_table(monkeypatch, "_positions",
