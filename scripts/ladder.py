@@ -21,11 +21,11 @@ a noisy host, so a single probe says little about a child that runs for
 seconds.
 
 The ``ez`` rows run ℤ[X] for simplicial sets X, whose pairs are built
-from the nondegenerate simplices.  On the matrix path (every other
-group, and ℤ[X] before it took the free path) the ``ez-aw`` and
-``ez-assoc`` rows mostly time degenerate levels: Δ³×Δ³ has no
-nondegenerate simplex above degree 6, yet the matrix path builds all of
-its levels up to the bound.  ``ez-aw-d4-8`` and ``ez-aw-d5-8`` are rows
+from the nondegenerate simplices.  On the matrix path (the tests'
+oracle, which the library used before it read ℤ[X] off its simplices)
+the ``ez-aw`` and ``ez-assoc`` rows mostly time degenerate levels: Δ³×Δ³
+has no nondegenerate simplex above degree 6, yet the matrix path builds
+all of its levels up to the bound.  ``ez-aw-d4-8`` and ``ez-aw-d5-8`` are rows
 whose normalized side does grow with the bound.  ``ez-unital-11`` reads
 only the shuffles of the edge blocks, so it times loading the spaces.
 
@@ -42,9 +42,9 @@ With several checkouts (default: ``change=`` this script's checkout),
 every row runs REPEAT times per checkout, and the checkout that runs
 first alternates from round to round, so a drift of the host speed
 favours none.  The BENCH file also records, per checkout, the source
-lines of each module of ``src/zilber`` (``scripts/sloc.py``), plus the
-Python version and the CPU count.  Nothing under a checkout is written
-but the output file.  The exit status is 1 if some run did not exit as
+lines of each module of ``src/zilber`` and the total of ``tests``
+(``scripts/sloc.py``), plus the Python version and the CPU count.
+Nothing under a checkout is written but the output file.  The exit status is 1 if some run did not exit as
 its row should: 0, or the code FAILING gives a negative control.
 """
 
@@ -122,6 +122,12 @@ def sloc_per_module(checkout):
            for path in sorted((checkout / "src" / "zilber").glob("*.py"))}
     out["total"] = sum(out.values())
     return out
+
+
+def sloc_of_tests(checkout):
+    """The source lines of checkout's tests/*.py, by scripts/sloc.py."""
+    sloc = _load("sloc", ROOT / "scripts" / "sloc.py")
+    return sum(map(sloc.sloc, sorted((checkout / "tests").glob("*.py"))))
 
 
 def run_child(argv, cwd, env, timeout_s, mem_mb):
@@ -205,6 +211,8 @@ def main(argv=None):
         "nproc": len(os.sched_getaffinity(0)),
         "limits": {"timeout_s": TIMEOUT_S, "mem_mb": MEM_MB},
         "sloc": {label: sloc_per_module(path) for label, path in checkouts},
+        "sloc_tests": {label: sloc_of_tests(path)
+                       for label, path in checkouts},
         "rows": rows,
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")

@@ -3,7 +3,17 @@
 # Exits non-zero on the first failing certificate.
 set -euo pipefail
 
-ZILBER=${ZILBER:-zilber}
+# ZILBER, if set, is the command to run; otherwise the installed zilber, or
+# in a bare checkout the CLI module from the src next to this script.
+if [ -z "${ZILBER:-}" ]; then
+  if command -v zilber > /dev/null; then
+    ZILBER=zilber
+  else
+    src="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/src"
+    export PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}"
+    ZILBER="python3 -m zilber.cli"
+  fi
+fi
 
 echo "== 1: simplicial-identity fuzz =="
 $ZILBER doldkan --fuzz 500 --seed 10001 --dim-bound 3

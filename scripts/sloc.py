@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Count the source lines of the zilber library.
+"""Count the source lines of the zilber library and of its tests.
 
-    python scripts/sloc.py [SRC_DIR]
+    python scripts/sloc.py [SRC_DIR [TESTS_DIR]]
 
 Prints, for each module of SRC_DIR (default: src/zilber next to this
-script) and in total, the lines that are neither blank nor comments.
+script) and in total, the lines that are neither blank nor comments, and
+then the total of TESTS_DIR (default: the tests directory of the checkout
+that holds SRC_DIR), so that code moved between the two shows as a move.
 Docstrings count as code.
 """
 
@@ -18,17 +20,21 @@ def sloc(path):
     return sum(1 for line in lines if line and not line.startswith("#"))
 
 
-def main(src):
+def main(src, tests):
     total = 0
     for path in sorted(src.glob("*.py")):
         n = sloc(path)
         total += n
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
+    print(f"{sum(map(sloc, sorted(tests.glob('*.py')))):6d}  tests/ total")
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 2:
+    if len(sys.argv) > 3:
         sys.exit(__doc__)
     default = pathlib.Path(__file__).resolve().parent.parent / "src" / "zilber"
-    main(pathlib.Path(sys.argv[1]) if len(sys.argv) == 2 else default)
+    src = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else default
+    tests = (pathlib.Path(sys.argv[2]) if len(sys.argv) > 2
+             else src.resolve().parent.parent / "tests")
+    main(src, tests)

@@ -1,7 +1,6 @@
 """Seeded random generators for property suites: chain complexes with
 d² = 0 by construction, simplicial abelian groups via the inverse
-normalization functor, their levelwise unimodular conjugates, single-entry
-corruptions, and random filtrations.
+normalization functor, single-entry corruptions, and random filtrations.
 """
 
 from __future__ import annotations
@@ -10,12 +9,12 @@ from . import intlinalg as la
 from .chains import ChainComplex
 from .doldkan import gamma
 from .filtration import FilteredChainComplex
-from .simplicial import SimplicialAbelianGroup
+from .simplicial import SimplicialIdentityError
 
 
 def _random_unimodular(rng, n, ops=None):
-    """A unimodular n x n matrix and its inverse, built from elementary row
-    operations."""
+    """A unimodular n x n matrix and its inverse, built from ops elementary
+    row operations (n + 0..2 by default)."""
     if ops is None:
         ops = n + rng.randrange(3)
     U = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -71,23 +70,6 @@ def rand_simplicial(rng, dim_bound=3, max_total_rank=6):
     return gamma(C, dim_bound)
 
 
-def conjugate_simplicial(rng, A):
-    """A with the basis of each level n changed by (-1)^n times a random
-    unimodular matrix: isomorphic to A, but its degeneracies no longer have
-    unit-vector columns (the sign alone flips those of rank-1 levels), so
-    normalize takes the Smith-normal-form path."""
-    g = []
-    for n, r in enumerate(A.ranks):
-        U, Uinv = _random_unimodular(rng, r, ops=2 * r)
-        g.append((U, Uinv) if n % 2 == 0
-                 else (la.mat_scale(-1, U), la.mat_scale(-1, Uinv)))
-    faces = {(n, i): la.mat_mul(g[n - 1][0], la.mat_mul(M, g[n][1]))
-             for (n, i), M in A.face_mats.items()}
-    degens = {(n, i): la.mat_mul(g[n + 1][0], la.mat_mul(M, g[n][1]))
-              for (n, i), M in A.degen_mats.items()}
-    return SimplicialAbelianGroup(A.dim_bound, A.ranks, faces, degens)
-
-
 def corrupt_simplicial(rng, A):
     """A copy of A with a single structure-matrix entry changed so that
     some simplicial identity fails; returns None if no invalidating
@@ -98,8 +80,6 @@ def corrupt_simplicial(rng, A):
     top differential of an object with empty 0- and 1-levels), so a
     perturbation there yields another valid object.  Such perturbations
     are resampled, up to eight times."""
-    from .simplicial import SimplicialIdentityError
-
     slots = []
     for kind, mats in (("face", A.face_mats), ("degen", A.degen_mats)):
         for key, M in mats.items():

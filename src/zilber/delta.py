@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from operator import le
 from types import MappingProxyType
 
@@ -50,10 +50,6 @@ class MonotoneMap:
     @property
     def is_surjective(self):
         return set(self.values) == set(range(self.codomain_top + 1))
-
-
-def identity_map(n):
-    return MonotoneMap(n, n, tuple(range(n + 1)))
 
 
 def coface(n, i):
@@ -114,40 +110,15 @@ def precomp_row(a, c, t, g):
 
 
 @lru_cache(maxsize=None)
-def generating_maps(b):
-    """The cofaces and then the codegeneracies among [0], ..., [b], each as
-    the triple (a, c, i) of a map [a] -> [c] and its index i in
-    enumerate_monotone(a, c); they generate every monotone map between
-    these objects."""
-    gens = [coface(n, i) for n in range(1, b + 1) for i in range(n + 1)]
-    gens += [codegeneracy(n, i) for n in range(b) for i in range(n + 1)]
-    return tuple((f.domain_top, f.codomain_top,
-                  monotone_position(f.domain_top, f.codomain_top)[f.values])
-                 for f in gens)
-
-
-@lru_cache(maxsize=None)
 def _surjections_cached(m, n):
     return tuple(f for f in _enumerate_monotone_cached(m, n)
                  if f.is_surjective)
-
-
-@lru_cache(maxsize=None)
-def _injections_cached(m, n):
-    return tuple(f for f in _enumerate_monotone_cached(m, n)
-                 if f.is_injective)
 
 
 def enumerate_surjections(m, n):
     """All monotone surjections [m] ->> [n], lexicographic; filtered once
     per (m, n) and kept."""
     return list(_surjections_cached(m, n))
-
-
-def enumerate_injections(m, n):
-    """All monotone injections [m] -> [n], lexicographic; filtered once
-    per (m, n) and kept."""
-    return list(_injections_cached(m, n))
 
 
 def epi_mono_factorize(f):
@@ -232,11 +203,6 @@ class StrictMonotoneIntoProduct:
         return len(self.points) - 1
 
 
-def product_points(ns):
-    """All points of ∏_i [n_i], lexicographic."""
-    return [PosetPoint(p) for p in product(*(range(n + 1) for n in ns))]
-
-
 def strict_chains(ns):
     """The strictly increasing chains in ∏_i [n_i] by degree: out[k] lists
     the chains [k] -> ∏_i [n_i], each a tuple of k + 1 coordinate tuples,
@@ -252,14 +218,16 @@ def strict_chains(ns):
     return out
 
 
-def product_nondegenerate(ns, k):
-    """All strictly monotone chains [k] -> ∏_i [n_i]: the nondegenerate
-    k-simplices of the product of standard simplices, in strict_chains'
-    order."""
-    ns = tuple(ns)
-    chains = strict_chains(ns)
-    return [StrictMonotoneIntoProduct(ns, tuple(map(PosetPoint, chain)))
-            for chain in (chains[k] if k < len(chains) else ())]
+@lru_cache(maxsize=None)
+def strict_chain_count(ns, j):
+    """len(strict_chains(ns)[j]) for a tuple ns, listing no chain: a
+    monotone map [j] -> ∏_i [n_i] is a surjection [j] ->> [i] followed by a
+    strict chain of degree i, so ∏_t monotone_count(j, n_t) =
+    Σ_{i <= j} C(j, i)·count(i), and by binomial inversion count(j) =
+    Σ_i (-1)^{j-i} C(j, i) ∏_t monotone_count(i, n_t).  Kept per (ns, j);
+    0 for j > Σ_i n_i."""
+    return prod(monotone_count(j, n) for n in ns) - sum(
+        comb(j, i) * strict_chain_count(ns, i) for i in range(j))
 
 
 # ---------------------------------------------------------------------------

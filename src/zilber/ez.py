@@ -1,32 +1,23 @@
 """The Eilenberg-Zilber shuffle product and the Alexander-Whitney map on
-normalized chains, with certification helpers for the chain-map law,
-unitality, AW∘∇ = id, symmetry, and associativity.
+the normalized chains of ℤ[X] and ℤ[Y], with certification helpers for the
+chain-map law, unitality, AW∘∇ = id, symmetry, and associativity.
 
-A pair (A, B) takes one of two paths.
+free_abelian keeps X on ℤ[X] as simplicial_set.  N(ℤ[X]), N(ℤ[Y]) and
+N(ℤ[X×Y]) have the nondegenerate simplices as bases (Eilenberg-Zilber
+lemma; Gabriel-Zisman, Calculus of Fractions and Homotopy Theory, 1967),
+and ∇, AW and the symmetry swap are read off the face and degeneracy
+tables of X and Y, degenerate terms dropped (_Nondegenerate,
+_FreeShuffleProduct).  They are validated as chain maps between
+normalized complexes.  C(ℤ[X×Y]) is not built, so its d∘d, the
+projection and section checks and the lift of ∇ into it do not run: they
+are facts about the degenerate subcomplex, and the tests hold these maps
+entry for entry to a matrix path built from the normalizations of any
+simplicial abelian group.  A group with no simplicial set raises
+ValueError.
 
-- Free path, when A and B are ℤ[X] and ℤ[Y] (free_abelian keeps X on the
-  group as simplicial_set): N(ℤ[X]), N(ℤ[Y]) and N(ℤ[X×Y]) have the
-  nondegenerate simplices as bases (Eilenberg-Zilber lemma;
-  Gabriel-Zisman, Calculus of Fractions and Homotopy Theory, 1967), and
-  ∇, AW and the symmetry swap are read off the face and degeneracy
-  tables of X and Y, degenerate terms dropped (_Nondegenerate,
-  _FreeShuffleProduct).  They are validated as chain maps between
-  normalized complexes.  C(ℤ[X×Y]) is not built, so its d∘d, the
-  projection and section checks and the lift of ∇ into it do not run:
-  they are facts about the degenerate subcomplex, and the tests hold the
-  free path to the matrix path entry for entry.
-- Matrix path, for every other group and as that oracle: ∇, AW and the
-  symmetry swap are the unnormalized formulas composed with the sections
-  and projections of the normalizations, factor by factor
-  (kron(X·S, Y·T) = kron(X, Y) · kron(S, T)), so C(A)⊗C(B) and the
-  unnormalized ∇ and AW are never built.  The lifts of ∇ and of the swap
-  into unnormalized chains and AW are validated as chain maps; ∇ is the
-  projection of A⊗B, which normalization validates, after its validated
-  lift, so it needs no test of its own.
-
-Both paths build ∇ on block (p, q) from shuffles(p, q) and the shuffles'
-components, so unitality_check reads the edge blocks' shuffles alone and
-builds no matrix.
+∇ is built on block (p, q) from shuffles(p, q) and the shuffles'
+components, so unitality_check reads the edge blocks' shuffles alone,
+builds no matrix and holds on any group.
 
 Each pair (A, B) is built and validated once: shuffle_product keeps it on
 A, keyed weakly by B, so every certificate on the pair shares one ∇.
@@ -35,100 +26,22 @@ A, keyed weakly by B, so every certificate on the pair shares one ∇.
 from __future__ import annotations
 
 import weakref
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import intlinalg as la
 from .chains import (ChainComplex, ChainMap, identity_chain_map, tensor,
                      tensor_map)
 from .delta import MonotoneMap, factor_into_codegeneracies, shuffles
-from .doldkan import normalize, unnormalized_chains
-from .simplicial import CheckCertificate, sab_tensor
-
-
-def front_face(n, p):
-    """The injection [p] -> [n] onto {0, ..., p}."""
-    return MonotoneMap(p, n, tuple(range(p + 1)))
-
-
-def back_face(n, q):
-    """The injection [q] -> [n] onto {n-q, ..., n}."""
-    return MonotoneMap(q, n, tuple(range(n - q, n + 1)))
-
-
-class _ShuffleProduct:
-    """The Eilenberg-Zilber pair of A and B on normalized chains, on the
-    matrix path (see the module docstring): shuffle_product builds it when
-    A or B is not ℤ[X] for a simplicial set X, and the tests build it on
-    ℤ[X] too, as the oracle of _FreeShuffleProduct.
-
-    The shuffle product ∇ : 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B) is built at construction
-    on the section image: in degree n its lift to C_n(A⊗B) is the signed
-    sum over the blocks (p, q) and the (p,q)-shuffles of kron(A(s_a) ·
-    sec_A, B(s_b) · sec_B), that is ∇ on unnormalized chains composed with
-    section ⊗ section, and the projection of A⊗B takes it to 𝒩(A⊗B).  The
-    lift is validated as a chain map 𝒩(A)⊗𝒩(B) -> C(A⊗B), and ∇'s
-    degree-0 component is checked to be the canonical basis
-    identification (the identity matrix).  ∇ is not validated again: it
-    is the composite of the lift and the projection C(A⊗B) -> 𝒩(A⊗B),
-    which normalize validates as a chain map, and a composite of chain
-    maps is one.  The Alexander-Whitney map is
-    built on demand by alexander_whitney(), also on the section image.
-    Neither builds C(A)⊗C(B).  The normalizations of A, B and A⊗B are kept
-    for downstream use (filtered pairings, symmetry and associativity
-    checks).  product, if given, is used as A⊗B instead of sab_tensor(A, B)
-    and must equal it.
-    """
-
-    def __init__(self, A, B, product=None):
-        self.A = A
-        self.B = B
-        self.product = AB = sab_tensor(A, B) if product is None else product
-        self.norm_A = normalize(A)
-        self.norm_B = normalize(B)
-        self.norm_AB = normalize(AB)
-        NT, ntb = tensor(self.norm_A.normalized, self.norm_B.normalized,
-                         top_degree=A.dim_bound)
-        self.source = NT
-        self.source_basis = ntb
-        self.target = self.norm_AB.normalized
-        sec_a, sec_b = self.norm_A.section, self.norm_B.section
-        lifted = ChainMap(NT, unnormalized_chains(AB), {
-            n: la.kron_sum(AB.ranks[n], NT.rank(n), [
-                # (s_a, s_b) = sh.components(), the shuffle's lattice path
-                (la.mat_mul(A.operator_matrix(sh.components()[0]),
-                            sec_a.mat(p)),
-                 la.mat_mul(B.operator_matrix(sh.components()[1]),
-                            sec_b.mat(q)), 0, col, sh.sign)
-                for p, q, col in ntb.blocks(n) for sh in shuffles(p, q)])
-            for n in range(A.dim_bound + 1)})
-        self.map = self.norm_AB.projection.compose(lifted)
-        if not la.mat_eq(self.map.mat(0), la.identity(NT.rank(0))):
-            raise AssertionError("degree-0 component is not the canonical "
-                                 "identification")
-
-    def alexander_whitney(self):
-        """AW : 𝒩(A⊗B) -> 𝒩(A)⊗𝒩(B), validated as a chain map: the
-        front-face/back-face formula on the section image, row block (p, q)
-        in degree n being kron(proj_A · A(front), proj_B · B(back)) times
-        the section of A⊗B."""
-        A, B, tb = self.A, self.B, self.source_basis
-        proj_a, proj_b = self.norm_A.projection, self.norm_B.projection
-        mats = {n: la.mat_mul(la.kron_sum(tb.rank(n), self.product.ranks[n], [
-            (la.mat_mul(proj_a.mat(p), A.operator_matrix(front_face(n, p))),
-             la.mat_mul(proj_b.mat(q), B.operator_matrix(back_face(n, q))),
-             row, 0, 1)
-            for p, q, row in tb.blocks(n)]), self.norm_AB.section.mat(n))
-            for n in range(A.dim_bound + 1)}
-        return ChainMap(self.target, self.source, mats)
+from .simplicial import CheckCertificate
 
 
 class _Nondegenerate:
     """The nondegenerate simplices of X_1 × ⋯ × X_k and N(ℤ[X_1 × ⋯ × X_k]).
 
     A simplex is the tuple of its components' indices; the x-major order
-    of sab_tensor is the lexicographic order of the tuples.  A tuple is
-    nondegenerate exactly when the degeneracy masks of its components
-    share no bit.  basis[n] lists the nondegenerate n-simplices in index
+    of simplicial.product is the lexicographic order of the tuples.  A
+    tuple is nondegenerate exactly when the degeneracy masks of its
+    components share no bit.  basis[n] lists the nondegenerate n-simplices in index
     order, the basis normalize picks for ℤ[X], and position[n] maps each
     to its index there.  chains is N with d = Σ (-1)^i d_i, degenerate
     faces dropped (proj ∘ d, the projection killing them), validated by
@@ -167,9 +80,15 @@ class _Nondegenerate:
         self.chains = ChainComplex([len(b) for b in self.basis], diffs)
 
     @staticmethod
-    def of(X):
-        """The object of the one simplicial set X, built once and kept on X
-        in X.nondegenerate."""
+    def of(A):
+        """The object of X for the group A = ℤ[X], built once and kept on X
+        in X.nondegenerate; ValueError if A carries no simplicial set."""
+        X = A.simplicial_set
+        if X is None:
+            raise ValueError("the group has no simplicial set: the "
+                             "Eilenberg-Zilber and skeletal certificates "
+                             "are read off the nondegenerate simplices of X "
+                             "in ℤ[X] (free_abelian)")
         if X.nondegenerate is None:
             X.nondegenerate = _Nondegenerate((X,))
         return X.nondegenerate
@@ -239,7 +158,7 @@ def _degeneracy_steps(f):
 
 
 class _FreeShuffleProduct:
-    """The Eilenberg-Zilber pair of ℤ[X] and ℤ[Y] on the free path.
+    """The Eilenberg-Zilber pair of ℤ[X] and ℤ[Y].
 
     left, right and simplices are the _Nondegenerate objects of X, Y and
     X×Y (simplices, if given, must have the factors of left, then those of
@@ -247,11 +166,8 @@ class _FreeShuffleProduct:
     basis and N(ℤ[X×Y]).  ∇ is built at construction, the column of x⊗y
     in block (p, q) being Σ sign · (s_a x, s_b y) over the
     (p,q)-shuffles, (s_a, s_b) the components of the shuffle's lattice
-    path; it is validated as a chain map, and ∇_0 = id is checked.
-    product, the group ℤ[X]⊗ℤ[Y], is built on first read only.  A and B
-    are set by shuffle_product (None on associativity_check's pairs)."""
-
-    A = B = None
+    path; it is validated as a chain map, and ∇_0 = id is checked.  The
+    pair holds no group, so a group that keeps it keeps no partner alive."""
 
     def __init__(self, left, right, simplices=None):
         if simplices is None:
@@ -292,10 +208,6 @@ class _FreeShuffleProduct:
             raise AssertionError("degree-0 component is not the canonical "
                                  "identification")
 
-    @cached_property
-    def product(self):
-        return sab_tensor(self.A, self.B)
-
     def alexander_whitney(self):
         """AW : N(ℤ[X×Y]) -> N(ℤ[X])⊗N(ℤ[Y]), validated as a chain map:
         (x, y) goes to Σ_p (front p-face of x) ⊗ (back (n-p)-face of y),
@@ -325,45 +237,24 @@ class _FreeShuffleProduct:
         return ChainMap(self.target, self.source, mats)
 
 
-def _pair(A, B):
-    """A new Eilenberg-Zilber pair of (A, B): free when both groups carry
-    their simplicial set, on the matrix path otherwise."""
-    X, Y = A.simplicial_set, B.simplicial_set
-    if X is None or Y is None:
-        return _ShuffleProduct(A, B)
-    sp = _FreeShuffleProduct(_Nondegenerate.of(X), _Nondegenerate.of(Y))
-    sp.A, sp.B = A, B
-    return sp
-
-
 def shuffle_product(A, B):
-    """The Eilenberg-Zilber pair of A and B (_FreeShuffleProduct when both
-    are ℤ[X] for a simplicial set X, _ShuffleProduct otherwise): .map is
-    the lax structure map 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B), .alexander_whitney()
-    builds AW, .source, .source_basis and .target are the complexes of ∇
-    and .product is A⊗B.
+    """The Eilenberg-Zilber pair of A = ℤ[X] and B = ℤ[Y]: .map is the lax
+    structure map 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B), .alexander_whitney() builds AW,
+    and .source, .source_basis and .target are the complexes of ∇.
+    ValueError if A or B carries no simplicial set.
 
     Built and validated once per (A, B) and kept on A in
     A.shuffle_products, a WeakKeyDictionary keyed by B, so that
-    shuffle_product(A, B) is shuffle_product(A, B).  The kept entry holds
-    the pair's state without A and B and a weak reference to the pair last
-    returned; a new pair over the same state is made only when that one is
-    gone.  So A keeps no partner alive: once B is dropped, its entry goes.
-    Every caller shares the pair, which must not be mutated."""
+    shuffle_product(A, B) is shuffle_product(A, B).  The pair references
+    the nondegenerate simplices of X and Y, not B, so A keeps no partner
+    alive: once B is dropped, its entry goes.  Every caller shares the
+    pair, which must not be mutated."""
+    left, right = _Nondegenerate.of(A), _Nondegenerate.of(B)
     if A.shuffle_products is None:
         A.shuffle_products = weakref.WeakKeyDictionary()
-    kept = A.shuffle_products.get(B)
-    if kept is None:
-        sp = _pair(A, B)
-        state = {k: v for k, v in vars(sp).items() if k not in ("A", "B")}
-        A.shuffle_products[B] = [type(sp), state, weakref.ref(sp)]
-        return sp
-    cls, state, ref = kept
-    sp = ref()
+    sp = A.shuffle_products.get(B)
     if sp is None:
-        sp = object.__new__(cls)
-        vars(sp).update(state, A=A, B=B)
-        kept[2] = weakref.ref(sp)
+        sp = A.shuffle_products[B] = _FreeShuffleProduct(left, right)
     return sp
 
 
@@ -395,25 +286,9 @@ def _koszul_swap(tb_src, tb_tgt):
     return mats
 
 
-def _simplicial_swap_chain(ab, ba):
-    """𝒩 of the levelwise transposition A⊗B -> B⊗A, for the shuffle
-    products ab and ba on the matrix path: the transposition applied to
-    the columns of the section of A⊗B, validated as a chain map
-    𝒩(A⊗B) -> C(B⊗A), then projected to 𝒩(B⊗A)."""
-    A, B = ab.A, ab.B
-    mats = {}
-    for n in range(A.dim_bound + 1):
-        an, bn = A.ranks[n], B.ranks[n]
-        swap = la.Sparse([((b * an + a, 1),) for a in range(an)
-                          for b in range(bn)], bn * an)
-        mats[n] = la.mat_mul(swap, ab.norm_AB.section.mat(n))
-    lifted = ChainMap(ab.target, unnormalized_chains(ba.product), mats)
-    return ba.norm_AB.projection.compose(lifted)
-
-
 def _free_swap_chain(ab, ba):
-    """𝒩 of the levelwise transposition X×Y -> Y×X, for the free pairs ab
-    and ba: the permutation (x, y) -> (y, x) of the nondegenerate bases,
+    """𝒩 of the levelwise transposition X×Y -> Y×X, for the pairs ab and
+    ba: the permutation (x, y) -> (y, x) of the nondegenerate bases,
     validated as a chain map 𝒩(ℤ[X×Y]) -> 𝒩(ℤ[Y×X])."""
     k = len(ab.left.factors)
     at = ba.simplices.position
@@ -429,9 +304,7 @@ def symmetry_check(A, B):
     """Certifies ∇_{B,A} ∘ (Koszul swap) = 𝒩(swap) ∘ ∇_{A,B}."""
     ez_ab = shuffle_product(A, B)
     ez_ba = shuffle_product(B, A)
-    swap_chain = (_free_swap_chain if isinstance(ez_ab, _FreeShuffleProduct)
-                  else _simplicial_swap_chain)
-    n_swap = swap_chain(ez_ab, ez_ba)
+    n_swap = _free_swap_chain(ez_ab, ez_ba)
     swap = _koszul_swap(ez_ab.source_basis, ez_ba.source_basis)
     for n in range(A.dim_bound + 1):
         if not la.products_equal(ez_ba.map.mat(n), swap[n], n_swap.mat(n),
@@ -467,49 +340,29 @@ def _tensor_associator(tb_left, tb_ab, tb_right, tb_bc):
     return mats
 
 
-def _triple_pairs(ez_ab, ez_bc, C):
-    """The pairs ((A⊗B), C) and (A, (B⊗C)), for the pairs ez_ab of (A, B)
-    and ez_bc of (B, C), on one A⊗B⊗C.
+def _triple_pairs(ez_ab, ez_bc):
+    """The pairs ((X×Y), Z) and (X, (Y×Z)), for the pairs ez_ab of (X, Y)
+    and ez_bc of (Y, Z), on one X×Y×Z.
 
-    On the free path, (X×Y)×Z and X×(Y×Z) are the simplices of the one
-    factor tuple (X, Y, Z), so N((X×Y)×Z) equals N(X×(Y×Z)) when the two
-    factor tuples agree; it is built once, and the product's levels are
-    not.  On the matrix path the levelwise tensor of simplicial abelian
-    groups is strictly associative (Kronecker products associate on the
-    nose): (A⊗B)⊗C and A⊗(B⊗C) are both built and must have equal face
-    and degeneracy matrices, and A⊗B⊗C is normalized once."""
-    if isinstance(ez_ab, _FreeShuffleProduct) and \
-            isinstance(ez_bc, _FreeShuffleProduct):
-        xyz = ez_ab.simplices.factors + ez_bc.right.factors
-        if xyz != ez_ab.left.factors + ez_bc.simplices.factors:
-            raise AssertionError("product of simplicial sets not strictly "
-                                 "associative")
-        XYZ = _Nondegenerate(xyz)
-        return (_FreeShuffleProduct(ez_ab.simplices, ez_bc.right, XYZ),
-                _FreeShuffleProduct(ez_ab.left, ez_bc.simplices, XYZ))
-    A = ez_ab.A
-    ABC = sab_tensor(ez_ab.product, C)
-    A_BC = sab_tensor(A, ez_bc.product)
-    if ABC.ranks != A_BC.ranks or ABC.face_mats != A_BC.face_mats or \
-            ABC.degen_mats != A_BC.degen_mats:
-        raise AssertionError("tensor of simplicial groups not strictly "
+    (X×Y)×Z and X×(Y×Z) are the simplices of the one factor tuple
+    (X, Y, Z), so N((X×Y)×Z) equals N(X×(Y×Z)) when the two factor tuples
+    agree; it is built once, and the product's levels are not."""
+    xyz = ez_ab.simplices.factors + ez_bc.right.factors
+    if xyz != ez_ab.left.factors + ez_bc.simplices.factors:
+        raise AssertionError("product of simplicial sets not strictly "
                              "associative")
-    return (_ShuffleProduct(ez_ab.product, C, product=ABC),
-            _ShuffleProduct(A, ez_bc.product, product=ABC))
+    XYZ = _Nondegenerate(xyz)
+    return (_FreeShuffleProduct(ez_ab.simplices, ez_bc.right, XYZ),
+            _FreeShuffleProduct(ez_ab.left, ez_bc.simplices, XYZ))
 
 
-def _associativity_sides(A, B, C):
+def _associativity_sides(ez_ab, ez_bc, ez_ab_c, ez_a_bc):
     """Per degree n, the factors (L, L', R, R') of the two sides of the
-    associativity square: ∇ ∘ (∇⊗id) = L · L' and ∇ ∘ (id⊗∇) ∘ assoc =
-    R · R'.
-
-    Both composites land in one normalized complex of A⊗B⊗C, built once
-    (_triple_pairs).  The two triple-level pairs are used once, so they
-    are built directly and not kept."""
-    D = A.dim_bound
-    ez_ab = shuffle_product(A, B)
-    ez_bc = shuffle_product(B, C)
-    ez_ab_c, ez_a_bc = _triple_pairs(ez_ab, ez_bc, C)
+    associativity square for the pairs of (A, B), (B, C), (A⊗B, C) and
+    (A, B⊗C): ∇ ∘ (∇⊗id) = L · L' and ∇ ∘ (id⊗∇) ∘ assoc = R · R'.  Both
+    composites land in the one normalized complex of A⊗B⊗C that the last
+    two pairs share."""
+    D = ez_ab.source_basis.top_degree
     NA = ez_ab.source_basis.C
     NC = ez_ab_c.source_basis.D
     # only the bases of the two tensor complexes are read, but building
@@ -532,9 +385,12 @@ def _associativity_sides(A, B, C):
 def associativity_check(A, B, C):
     """Certifies ∇ ∘ (∇⊗id) = ∇ ∘ (id⊗∇) ∘ assoc on normalized chains,
     degree by degree (_associativity_sides), without storing either
-    composite."""
-    for n, sides in enumerate(_associativity_sides(A, B, C)):
-        if not la.products_equal(*sides):
+    composite.  The two triple-level pairs (_triple_pairs) are used once,
+    so they are built directly and not kept."""
+    ez_ab, ez_bc = shuffle_product(A, B), shuffle_product(B, C)
+    sides = _associativity_sides(ez_ab, ez_bc, *_triple_pairs(ez_ab, ez_bc))
+    for n, square in enumerate(sides):
+        if not la.products_equal(*square):
             return CheckCertificate(False, witness=n,
                                     detail=f"associativity fails in degree {n}")
     return CheckCertificate(True, detail="∇ is associative")
@@ -548,9 +404,9 @@ def _edge_map(n, k):
 def unitality_check(A, B):
     """Certifies that ∇ on the edge bidegrees (p, 0) and (0, q) is the
     canonical identification x⊗y -> x·(iterated degeneracy of y) (and
-    symmetrically).  Both paths build ∇ on block (p, q) from shuffles(p, q)
-    and the components of each shuffle, so this holds on every group
-    exactly when each edge block has the single shuffle with sign +1 whose
+    symmetrically).  ∇ is built on block (p, q) from shuffles(p, q) and
+    the components of each shuffle, so this holds on every group exactly
+    when each edge block has the single shuffle with sign +1 whose
     components are the identity of [n] and the constant map [n] -> [0]."""
     for n in range(A.dim_bound + 1):
         for p, q in ((n, 0), (0, n)) if n else ((0, 0),):

@@ -1,7 +1,6 @@
 """ℕ-filtered chain complexes presented by stage generator columns, Day
-convolution, the chain-level skeletal filtration of a simplicial abelian
-group (read off the nondegenerate basis on ℤ[X], from the normalization
-otherwise; its stages are 0 or the identity on every group), and filtered
+convolution, the chain-level skeletal filtration of ℤ[X] (read off the
+nondegenerate basis of X; its stages are 0 or the identity), and filtered
 pairings induced by the shuffle product.
 """
 
@@ -9,9 +8,8 @@ from __future__ import annotations
 
 from . import intlinalg as la
 from .chains import ChainComplex, tensor, unit_complex
-from .doldkan import normalize
-from .ez import (_FreeShuffleProduct, _koszul_swap, _Nondegenerate,
-                 _tensor_associator, shuffle_product)
+from .ez import (_koszul_swap, _Nondegenerate, _tensor_associator,
+                 shuffle_product)
 from .simplicial import CheckCertificate
 
 
@@ -144,53 +142,26 @@ def unit_filtration(p_max=0):
 
 
 def skeletal_filtration(A):
-    """The chain-level skeletal filtration of a simplicial abelian group.
-    Stage p in degree k is spanned by the images under the normalization
-    projection P_k of the operators of the surjections [k] ->> [j], j <= p.
-    Non-identity ones factor through some s_i, which P_k kills, and P_k is
-    onto N_k (normalize checks P_k S_k = I), so stage (p, k) is all of N_k,
-    written as the identity, for p >= k and 0 below (Goerss-Jardine,
-    Simplicial Homotopy Theory, III.2).  On ℤ[X] it is read off the
-    nondegenerate basis (_basis_skeletal_filtration), with nothing
-    normalized; on any other group the premise P_k s_i = 0 (i < k) is
-    checked on A, and a failure raises AssertionError.
-
-    Computed once per A and kept in A.skeletal, as normalize keeps its
-    result; callers share it and must not mutate it."""
-    if A.skeletal is None:
-        X = A.simplicial_set
-        A.skeletal = (_skeletal_filtration(A) if X is None else
-                      _basis_skeletal_filtration(_Nondegenerate.of(X)))
-    return A.skeletal
-
-
-def _skeletal_filtration(A):
-    nres = normalize(A)
-    for k in range(A.dim_bound + 1):
-        P = nres.projection.mat(k)
-        for i in range(k):
-            if not la.product_is_zero(P, A.degen_mats[(k - 1, i)]):
-                raise AssertionError(f"projection P_{k} does not kill s_{i}")
-    return _skeletal_stages(nres.normalized)
-
-
-def _skeletal_stages(N):
-    """The filtration of N whose stage (p, k) is the identity of N_k for
-    p >= k and 0 for p < k."""
-    D = N.top_degree
-    full = [la.identity(N.rank(k)) for k in range(D + 1)]
-    # a stage (p, k) with p < k is left out, so it is 0
-    return FilteredChainComplex(N, [
-        {k: full[k] for k in range(p + 1)} for p in range(D + 1)], D)
+    """The chain-level skeletal filtration of A = ℤ[X] on N(ℤ[X]), read off
+    the nondegenerate basis (_basis_skeletal_filtration), with nothing
+    normalized.  ValueError if A carries no simplicial set."""
+    return _basis_skeletal_filtration(_Nondegenerate.of(A))
 
 
 def _basis_skeletal_filtration(S):
     """The skeletal filtration of N(ℤ[X]) on the nondegenerate basis of
     the ez._Nondegenerate S: every nondegenerate k-simplex lies in sk_k
-    and in no lower skeleton.  Computed once per S and kept in
-    S.skeletal."""
+    and in no lower skeleton (Goerss-Jardine, Simplicial Homotopy Theory,
+    III.2), so stage (p, k) is the identity of N_k for p >= k and 0 for
+    p < k.  Computed once per S and kept in S.skeletal, so every group on
+    X shares it; callers must not mutate it."""
     if S.skeletal is None:
-        S.skeletal = _skeletal_stages(S.chains)
+        N = S.chains
+        D = N.top_degree
+        full = [la.identity(N.rank(k)) for k in range(D + 1)]
+        # a stage (p, k) with p < k is left out, so it is 0
+        S.skeletal = FilteredChainComplex(N, [
+            {k: full[k] for k in range(p + 1)} for p in range(D + 1)], D)
     return S.skeletal
 
 
@@ -375,18 +346,15 @@ class FilteredPairing:
 
 def filtered_ez(A, B):
     """The shuffle product as a filtered pairing between skeletal
-    filtrations: sk(A) ⊗ sk(B) -> sk(A⊗B), with the containment certificate
-    computed at construction.  It holds for any m: F_p ⊗ G_q is 0 in
-    degrees n > p + q, and H_{p+q} is all of N_n(A⊗B) for n <= p + q.
-    The containment test skips every triple whose target stage is a
-    lattice, so it builds images only for n > p + q, where they are
-    empty.  Its content is the validation of ∇ as a chain map and the
-    premise check of each skeletal filtration of a group that is not
-    ℤ[X].  When the pair is free (ℤ[X] and ℤ[Y]), H is read off the
-    nondegenerate basis of X×Y too, so A⊗B is not normalized."""
+    filtrations: sk(A) ⊗ sk(B) -> sk(A⊗B) for A = ℤ[X] and B = ℤ[Y], with
+    the containment certificate computed at construction.  It holds for
+    any m: F_p ⊗ G_q is 0 in degrees n > p + q, and H_{p+q} is all of
+    N_n(A⊗B) for n <= p + q.  The containment test skips every triple
+    whose target stage is a lattice, so it builds images only for
+    n > p + q, where they are empty.  Its content is the validation of ∇
+    as a chain map.  H is read off the nondegenerate basis of X×Y, so A⊗B
+    is not built.  ValueError if A or B carries no simplicial set."""
     sp = shuffle_product(A, B)
-    H = (_basis_skeletal_filtration(sp.simplices)
-         if isinstance(sp, _FreeShuffleProduct)
-         else skeletal_filtration(sp.product))
-    return FilteredPairing(skeletal_filtration(A), skeletal_filtration(B), H,
-                           sp.map, sp.source_basis)
+    return FilteredPairing(skeletal_filtration(A), skeletal_filtration(B),
+                           _basis_skeletal_filtration(sp.simplices), sp.map,
+                           sp.source_basis)

@@ -31,8 +31,8 @@ to a matrix the same way, one dict per column updated by every factor;
 the Moore idempotent of a normalization is such a product.
 ``product_is_zero(A, B)`` answers ``is_zero(mat_mul(A, B))`` without
 storing the product: one dict per column of B, dropped after its test.
-The d∘d check of a chain complex, the Moore check of a normalization
-and the premise of the skeletal filtration use it.
+The d∘d check of a chain complex and the Moore check of a normalization
+use it.
 ``products_equal(A, B, C, D)`` answers ``A * B == C * D`` the same way,
 one dict per column of A * B_j - C * D_j.  The commuting squares of
 ``chains.ChainMap``, the projection ∘ section check of a normalization,
@@ -44,7 +44,7 @@ certbench ``ez`` pass (seed 5) took 6.4 ms instead of 4.0 ms in replay.
 
 ``kron_sum`` adds scaled Kronecker products into blocks of a matrix: ∇,
 AW and the block layout of ``chains.TensorBasis`` are built with it.
-``kron``, which ``sab_tensor`` and the Leibniz check call, is a separate
+``kron``, which the Leibniz check and the tests call, is a separate
 implementation that gives the product of two unit columns as the shared
 unit column.  It stays separate for speed: ``kron`` written through
 ``kron_sum``, with unit sharing in ``_column``, read slower on certbench

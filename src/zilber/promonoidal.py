@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 
 from .delta import (PosetPoint, StrictMonotoneIntoProduct, comp_row,
                     enumerate_monotone, monotone_count, monotone_position,
-                    precomp_row, strict_chains)
+                    precomp_row, strict_chain_count, strict_chains)
 from .simplicial import CheckCertificate
 
 
@@ -42,12 +42,16 @@ from .simplicial import CheckCertificate
 # The engine peaks at 8.5-10 bytes per element when the classes are few
 # (the canon list, whose entries share their roots' ints; measured on Kan
 # coends of 1.4-6.8 M elements): 0.16 GB at the cap.  Each class adds about
-# 280 bytes (its tuple and its dict entry), measured on 1 M singletons.
+# 280 bytes (its tuple and its dict entry), measured on 1 M singletons, and
+# each entry of the colimit check's face tables 231-254 bytes: the object
+# cap bounds both counts, at about 0.3 GB.
 COEND_ELEMENT_CAP = 1 << 24
+COEND_OBJECT_CAP = 1 << 20
 
 
 class CoendTooLarge(ValueError):
-    """A coend with more elements than COEND_ELEMENT_CAP (CLI exit 2)."""
+    """A coend with more elements than COEND_ELEMENT_CAP, or more classes
+    or face entries than COEND_OBJECT_CAP (CLI exit 2)."""
 
 
 class CoendFault(RuntimeError):
@@ -55,12 +59,22 @@ class CoendFault(RuntimeError):
     reaches: a fault of the library, not of its input (CLI exit 3)."""
 
 
-def _capped(n):
-    """n, a coend's element count, if it is within the cap."""
-    if n > COEND_ELEMENT_CAP:
-        raise CoendTooLarge(f"a coend of {n} elements is above the cap of "
-                            f"{COEND_ELEMENT_CAP} elements")
+def _capped(n, what="elements"):
+    """n, a coend's count of elements (or of classes or face entries), if
+    it is within its cap."""
+    cap = COEND_ELEMENT_CAP if what == "elements" else COEND_OBJECT_CAP
+    if n > cap:
+        raise CoendTooLarge(f"a coend of {n} {what} is above the cap of "
+                            f"{cap} {what}")
     return n
+
+
+def _image_factorizations(x, ns, b):
+    """The pairs (ε : [x] ->> [j], u), j <= b and u a nondegenerate
+    j-simplex of ∏_i Δ^{n_i}, counted: the classes of _hom_coend(x, ns, b),
+    and of the colimit at level x for b = Σ_i n_i."""
+    return sum(math.comb(x, j) * strict_chain_count(ns, j)
+               for j in range(min(x, b, sum(ns)) + 1))
 
 
 def _compose(g, f):
@@ -111,11 +125,20 @@ def _hom_digits(ts, d):
                                      for t in ts)))
 
 
+@lru_cache(maxsize=None)
+def _hom_counts(x, ts, b):
+    """The elements and the classes of _hom_coend(x, ts, b)."""
+    return (_offsets(x, _hom_sizes(ts, b))[-1],
+            _image_factorizations(x, ts, b))
+
+
 def _within_cap(b, coends):
-    """Checks every _hom_coend(x, ts, b), (x, ts) in coends, against the cap
-    before any is built."""
+    """Checks the elements and the classes of every _hom_coend(x, ts, b),
+    (x, ts) in coends, against the caps before any is built."""
     for x, ts in coends:
-        _capped(_offsets(x, _hom_sizes(ts, b))[-1])
+        elements, classes = _hom_counts(x, ts, b)
+        _capped(elements)
+        _capped(classes, "classes")
 
 
 @lru_cache(maxsize=None)
@@ -414,6 +437,25 @@ def _points(chain):
     return tuple(map(PosetPoint, chain))
 
 
+def _colimit_within_cap(ns, ks):
+    """Checks the colimit of product_simplices_colimit_check against the
+    caps before any chain is listed: its face entries (_faces: a chain of
+    degree d has 2^(d+1) - 1), and per level k its elements and classes,
+    all from strict_chain_count.  Every degree d <= Σ_i n_i has a chain,
+    so that sum is at least 2^(Σ+2) - Σ - 3, checked first."""
+    top = sum(ns)
+    if 2 ** (top + 2) - top - 3 > COEND_OBJECT_CAP:
+        raise CoendTooLarge(f"a coend of at least 2^{top + 2} - {top + 3} "
+                            f"face entries is above the cap of "
+                            f"{COEND_OBJECT_CAP} face entries")
+    sizes = tuple(strict_chain_count(ns, d) for d in range(top + 1))
+    _capped(sum(n * (2 ** (d + 1) - 1) for d, n in enumerate(sizes)),
+            "face entries")
+    for k in ks:
+        _capped(_offsets(k, sizes)[-1])
+        _capped(_image_factorizations(k, ns, top), "classes")
+
+
 def product_simplices_colimit_check(ns, k_range):
     """Certifies, for each level k, that the set colimit of the simplices
     Δ^σ over the nondegenerate simplices σ of ∏_i Δ^{n_i} maps bijectively
@@ -422,11 +464,10 @@ def product_simplices_colimit_check(ns, k_range):
     category of presentations.  Points are coordinate tuples, rebuilt as
     PosetPoints for witnesses; each map is read by an itemgetter."""
     ns = tuple(_nonnegative("ns", ns))
+    ks = _nonnegative("k", k_range)
+    _colimit_within_cap(ns, ks)
     chains = strict_chains(ns)
     sizes = tuple(map(len, chains))
-    ks = _nonnegative("k", k_range)
-    for k in ks:
-        _capped(_offsets(k, sizes)[-1])
     index = _positions(chains)
     faces = [[_faces(chain) for chain in cs] for cs in chains]
     for k in ks:

@@ -241,7 +241,7 @@ def circle(dim_bound):
 
 def product(X, Y):
     """Levelwise Cartesian product with diagonal operators; (x, y) has index
-    x·|Y_k| + y, x-major as in sab_tensor."""
+    x·|Y_k| + y, x-major."""
     if X.dim_bound != Y.dim_bound:
         raise ValueError("product requires equal dim_bound; truncate first")
     D = X.dim_bound
@@ -336,13 +336,12 @@ class SimplicialAbelianGroup:
     have).  Not mutated after construction, so results are kept on it:
     doldkan keeps C(A) in chains (None until asked for) and normalize's
     result per Moore convention in normalizations, operator_matrix keeps
-    X(f) per monotone map f in operators, ez.shuffle_product keeps the
+    X(f) per monotone map f in operators, and ez.shuffle_product keeps the
     Eilenberg-Zilber pair of (A, B) per partner B in shuffle_products (None
-    until asked for; keyed weakly, so A keeps no partner alive), and
-    filtration.skeletal_filtration keeps the skeletal filtration, with its
-    stage spans, in skeletal (None until asked for).  simplicial_set is the
-    simplicial set X when the group is ℤ[X] (free_abelian sets it) and
-    None otherwise; ez builds the pairs of such groups from X."""
+    until asked for; keyed weakly, so A keeps no partner alive).
+    simplicial_set is the simplicial set X when the group is ℤ[X]
+    (free_abelian sets it) and None otherwise; ez and the skeletal
+    filtration read such groups off X, and refuse any other group."""
 
     def __init__(self, dim_bound, ranks, face_mats, degen_mats, check=True):
         if dim_bound < 0:
@@ -351,7 +350,6 @@ class SimplicialAbelianGroup:
         self.simplicial_set = None
         self.chains = None
         self.shuffle_products = None
-        self.skeletal = None
         self.normalizations = {}
         self.operators = {}
         self.ranks = r = list(ranks)
@@ -376,7 +374,8 @@ class SimplicialAbelianGroup:
             self._validate()
 
     def __getstate__(self):
-        # the kept pairs hold weak references; a copy rebuilds them on demand
+        # the kept pairs are keyed by weak references; a copy rebuilds them
+        # on demand
         return {**vars(self), "shuffle_products": None}
 
     def _validate(self):
@@ -423,23 +422,3 @@ def free_abelian(X):
     A = SimplicialAbelianGroup(D, ranks, face_mats, degen_mats, check=False)
     A.simplicial_set = X
     return A
-
-
-def sab_tensor(A, B):
-    """Levelwise tensor product of simplicial abelian groups (Kronecker
-    operators); the basis at level k is ordered (a-index major).  On
-    operators with unit columns, as for ℤ[X], each column of a Kronecker
-    product is the shared unit column of row i * rank_B + k."""
-    if A.dim_bound != B.dim_bound:
-        raise ValueError("dim_bound mismatch")
-    D = A.dim_bound
-    ranks = [A.ranks[k] * B.ranks[k] for k in range(D + 1)]
-    face_mats = {}
-    degen_mats = {}
-    for k in range(1, D + 1):
-        for i in range(k + 1):
-            face_mats[(k, i)] = la.kron(A.face_mats[(k, i)], B.face_mats[(k, i)])
-    for k in range(D):
-        for i in range(k + 1):
-            degen_mats[(k, i)] = la.kron(A.degen_mats[(k, i)], B.degen_mats[(k, i)])
-    return SimplicialAbelianGroup(D, ranks, face_mats, degen_mats, check=False)

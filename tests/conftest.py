@@ -15,16 +15,17 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def shuffle_constructions(monkeypatch):
-    """The (A, B) of every Eilenberg-Zilber pair actually constructed."""
-    from zilber import ez
+    """The (A, B) of every Eilenberg-Zilber pair of the oracle's matrix
+    path actually constructed."""
+    from oracles import ShuffleProduct
     built = []
-    worker = ez._ShuffleProduct.__init__
+    worker = ShuffleProduct.__init__
 
     def counting(self, A, B, *args):
         built.append((A, B))
         worker(self, A, B, *args)
 
-    monkeypatch.setattr(ez._ShuffleProduct, "__init__", counting)
+    monkeypatch.setattr(ShuffleProduct, "__init__", counting)
     return built
 
 

@@ -1,0 +1,313 @@
+"""Oracles the library does not carry: the Eilenberg-Zilber matrix path,
+the skeletal filtration from a normalization, the levelwise tensor of
+simplicial abelian groups, enumerations of Δ that only the tests read, and
+a generator of non-free simplicial groups.
+
+The library reads ∇, AW, the symmetry swap and the skeletal filtration of
+ℤ[X] off the nondegenerate simplices of X, and refuses any other group.
+The matrix path here builds them on any simplicial abelian group from its
+normalizations, and the tests hold the library to it entry for entry.
+
+On the matrix path ∇, AW and the symmetry swap are the unnormalized
+formulas composed with the sections and projections of the
+normalizations, factor by factor (kron(X·S, Y·T) = kron(X, Y) ·
+kron(S, T)), so C(A)⊗C(B) and the unnormalized ∇ and AW are never built.
+The lifts of ∇ and of the swap into unnormalized chains and AW are
+validated as chain maps; ∇ is the projection of A⊗B, which normalization
+validates, after its validated lift, so it needs no test of its own.
+
+Each pair (A, B) is built once and kept on A in oracle_pairs, keyed weakly
+by B, so every certificate here on the pair shares one ∇.  The pair holds
+B, so A keeps its partners alive.
+"""
+
+import weakref
+from itertools import product as cartesian
+
+import pytest
+
+from zilber import _random as zrandom
+from zilber import ez, spectral
+from zilber import intlinalg as la
+from zilber.chains import ChainMap, tensor
+from zilber.delta import (MonotoneMap, PosetPoint, StrictMonotoneIntoProduct,
+                          codegeneracy, coface, enumerate_monotone,
+                          monotone_position, shuffles, strict_chains)
+from zilber.doldkan import normalize, unnormalized_chains
+from zilber.filtration import FilteredChainComplex, FilteredPairing
+from zilber.simplicial import CheckCertificate, SimplicialAbelianGroup
+
+# ---------------------------------------------------------------------------
+# Δ
+
+
+def identity_map(n):
+    return MonotoneMap(n, n, tuple(range(n + 1)))
+
+
+def generating_maps(b):
+    """The cofaces and then the codegeneracies among [0], ..., [b], each as
+    the triple (a, c, i) of a map [a] -> [c] and its index i in
+    enumerate_monotone(a, c); they generate every monotone map between
+    these objects."""
+    gens = [coface(n, i) for n in range(1, b + 1) for i in range(n + 1)]
+    gens += [codegeneracy(n, i) for n in range(b) for i in range(n + 1)]
+    return tuple((f.domain_top, f.codomain_top,
+                  monotone_position(f.domain_top, f.codomain_top)[f.values])
+                 for f in gens)
+
+
+def enumerate_injections(m, n):
+    """All monotone injections [m] -> [n], lexicographic."""
+    return [f for f in enumerate_monotone(m, n) if f.is_injective]
+
+
+def product_points(ns):
+    """All points of ∏_i [n_i], lexicographic."""
+    return [PosetPoint(p) for p in cartesian(*(range(n + 1) for n in ns))]
+
+
+def product_nondegenerate(ns, k):
+    """All strictly monotone chains [k] -> ∏_i [n_i]: the nondegenerate
+    k-simplices of the product of standard simplices, in strict_chains'
+    order."""
+    ns = tuple(ns)
+    chains = strict_chains(ns)
+    return [StrictMonotoneIntoProduct(ns, tuple(map(PosetPoint, chain)))
+            for chain in (chains[k] if k < len(chains) else ())]
+
+
+# ---------------------------------------------------------------------------
+# simplicial abelian groups
+
+
+def sab_tensor(A, B):
+    """Levelwise tensor product of simplicial abelian groups (Kronecker
+    operators); the basis at level k is ordered (a-index major)."""
+    if A.dim_bound != B.dim_bound:
+        raise ValueError("dim_bound mismatch")
+    D = A.dim_bound
+    return SimplicialAbelianGroup(
+        D, [A.ranks[k] * B.ranks[k] for k in range(D + 1)],
+        {key: la.kron(M, B.face_mats[key]) for key, M in A.face_mats.items()},
+        {key: la.kron(M, B.degen_mats[key])
+         for key, M in A.degen_mats.items()},
+        check=False)
+
+
+def conjugate_simplicial(rng, A):
+    """A with the basis of each level n changed by (-1)^n times a random
+    unimodular matrix: isomorphic to A, but its degeneracies no longer have
+    unit-vector columns (the sign alone flips those of rank-1 levels), so
+    normalize takes the Smith-normal-form path."""
+    g = []
+    for n, r in enumerate(A.ranks):
+        U, Uinv = zrandom._random_unimodular(rng, r, ops=2 * r)
+        g.append((U, Uinv) if n % 2 == 0
+                 else (la.mat_scale(-1, U), la.mat_scale(-1, Uinv)))
+    faces = {(n, i): la.mat_mul(g[n - 1][0], la.mat_mul(M, g[n][1]))
+             for (n, i), M in A.face_mats.items()}
+    degens = {(n, i): la.mat_mul(g[n + 1][0], la.mat_mul(M, g[n][1]))
+              for (n, i), M in A.degen_mats.items()}
+    return SimplicialAbelianGroup(A.dim_bound, A.ranks, faces, degens)
+
+
+# ---------------------------------------------------------------------------
+# the Eilenberg-Zilber matrix path
+
+
+def front_face(n, p):
+    """The injection [p] -> [n] onto {0, ..., p}."""
+    return MonotoneMap(p, n, tuple(range(p + 1)))
+
+
+def back_face(n, q):
+    """The injection [q] -> [n] onto {n-q, ..., n}."""
+    return MonotoneMap(q, n, tuple(range(n - q, n + 1)))
+
+
+class ShuffleProduct:
+    """The Eilenberg-Zilber pair of A and B on the matrix path.
+
+    ∇ : 𝒩(A)⊗𝒩(B) -> 𝒩(A⊗B) is built at construction on the section
+    image: in degree n its lift to C_n(A⊗B) is the signed sum over the
+    blocks (p, q) and the (p,q)-shuffles of kron(A(s_a) · sec_A, B(s_b) ·
+    sec_B), and the projection of A⊗B takes it to 𝒩(A⊗B).  The lift is
+    validated as a chain map 𝒩(A)⊗𝒩(B) -> C(A⊗B), and ∇'s degree-0
+    component is checked to be the identity.  AW is built on demand by
+    alexander_whitney(), also on the section image.  The normalizations
+    of A, B and A⊗B are kept.  product, if given, is used as A⊗B instead
+    of sab_tensor(A, B) and must equal it.
+    """
+
+    def __init__(self, A, B, product=None):
+        self.A = A
+        self.B = B
+        self.product = AB = sab_tensor(A, B) if product is None else product
+        self.norm_A = normalize(A)
+        self.norm_B = normalize(B)
+        self.norm_AB = normalize(AB)
+        NT, ntb = tensor(self.norm_A.normalized, self.norm_B.normalized,
+                         top_degree=A.dim_bound)
+        self.source = NT
+        self.source_basis = ntb
+        self.target = self.norm_AB.normalized
+        sec_a, sec_b = self.norm_A.section, self.norm_B.section
+        lifted = ChainMap(NT, unnormalized_chains(AB), {
+            n: la.kron_sum(AB.ranks[n], NT.rank(n), [
+                # (s_a, s_b) = sh.components(), the shuffle's lattice path
+                (la.mat_mul(A.operator_matrix(sh.components()[0]),
+                            sec_a.mat(p)),
+                 la.mat_mul(B.operator_matrix(sh.components()[1]),
+                            sec_b.mat(q)), 0, col, sh.sign)
+                for p, q, col in ntb.blocks(n) for sh in shuffles(p, q)])
+            for n in range(A.dim_bound + 1)})
+        self.map = self.norm_AB.projection.compose(lifted)
+        if not la.mat_eq(self.map.mat(0), la.identity(NT.rank(0))):
+            raise AssertionError("degree-0 component is not the canonical "
+                                 "identification")
+
+    def alexander_whitney(self):
+        """AW : 𝒩(A⊗B) -> 𝒩(A)⊗𝒩(B), validated as a chain map: row block
+        (p, q) in degree n is kron(proj_A · A(front), proj_B · B(back))
+        times the section of A⊗B."""
+        A, B, tb = self.A, self.B, self.source_basis
+        proj_a, proj_b = self.norm_A.projection, self.norm_B.projection
+        mats = {n: la.mat_mul(la.kron_sum(tb.rank(n), self.product.ranks[n], [
+            (la.mat_mul(proj_a.mat(p), A.operator_matrix(front_face(n, p))),
+             la.mat_mul(proj_b.mat(q), B.operator_matrix(back_face(n, q))),
+             row, 0, 1)
+            for p, q, row in tb.blocks(n)]), self.norm_AB.section.mat(n))
+            for n in range(A.dim_bound + 1)}
+        return ChainMap(self.target, self.source, mats)
+
+
+def shuffle_product(A, B):
+    """The matrix pair of (A, B), built once and kept on A in
+    A.oracle_pairs, keyed weakly by B."""
+    kept = vars(A).setdefault("oracle_pairs", weakref.WeakKeyDictionary())
+    sp = kept.get(B)
+    if sp is None:
+        sp = kept[B] = ShuffleProduct(A, B)
+    return sp
+
+
+def aw_nabla_identity_check(A, B):
+    """Certifies AW ∘ ∇ = id on 𝒩(A)⊗𝒩(B)."""
+    sp = shuffle_product(A, B)
+    aw = sp.alexander_whitney()
+    for n in range(A.dim_bound + 1):
+        eye = la.identity(sp.source.rank(n))
+        if not la.products_equal(aw.mat(n), sp.map.mat(n), eye, eye):
+            return CheckCertificate(False, witness=n,
+                                    detail=f"AW∘∇ differs from id in degree {n}")
+    return CheckCertificate(True, detail="AW∘∇ = id degreewise")
+
+
+def simplicial_swap_chain(ab, ba):
+    """𝒩 of the levelwise transposition A⊗B -> B⊗A, for the matrix pairs
+    ab and ba: the transposition applied to the columns of the section of
+    A⊗B, validated as a chain map 𝒩(A⊗B) -> C(B⊗A), then projected to
+    𝒩(B⊗A)."""
+    A, B = ab.A, ab.B
+    mats = {}
+    for n in range(A.dim_bound + 1):
+        an, bn = A.ranks[n], B.ranks[n]
+        swap = la.Sparse([((b * an + a, 1),) for a in range(an)
+                          for b in range(bn)], bn * an)
+        mats[n] = la.mat_mul(swap, ab.norm_AB.section.mat(n))
+    lifted = ChainMap(ab.target, unnormalized_chains(ba.product), mats)
+    return ba.norm_AB.projection.compose(lifted)
+
+
+def symmetry_check(A, B):
+    """Certifies ∇_{B,A} ∘ (Koszul swap) = 𝒩(swap) ∘ ∇_{A,B}."""
+    ez_ab, ez_ba = shuffle_product(A, B), shuffle_product(B, A)
+    n_swap = simplicial_swap_chain(ez_ab, ez_ba)
+    swap = ez._koszul_swap(ez_ab.source_basis, ez_ba.source_basis)
+    for n in range(A.dim_bound + 1):
+        if not la.products_equal(ez_ba.map.mat(n), swap[n], n_swap.mat(n),
+                                 ez_ab.map.mat(n)):
+            return CheckCertificate(False, witness=n,
+                                    detail=f"symmetry square fails in degree {n}")
+    return CheckCertificate(True, detail="∇ commutes with the signed swap")
+
+
+def triple_pairs(ez_ab, ez_bc, C):
+    """The matrix pairs ((A⊗B), C) and (A, (B⊗C)) on one A⊗B⊗C.  The
+    levelwise tensor is strictly associative (Kronecker products associate
+    on the nose): (A⊗B)⊗C and A⊗(B⊗C) are both built and must have equal
+    face and degeneracy matrices, and A⊗B⊗C is normalized once."""
+    ABC = sab_tensor(ez_ab.product, C)
+    A_BC = sab_tensor(ez_ab.A, ez_bc.product)
+    if ABC.ranks != A_BC.ranks or ABC.face_mats != A_BC.face_mats or \
+            ABC.degen_mats != A_BC.degen_mats:
+        raise AssertionError("tensor of simplicial groups not strictly "
+                             "associative")
+    return (ShuffleProduct(ez_ab.product, C, product=ABC),
+            ShuffleProduct(ez_ab.A, ez_bc.product, product=ABC))
+
+
+def associativity_sides(A, B, C):
+    """ez._associativity_sides on the matrix pairs."""
+    ez_ab, ez_bc = shuffle_product(A, B), shuffle_product(B, C)
+    return ez._associativity_sides(ez_ab, ez_bc,
+                                   *triple_pairs(ez_ab, ez_bc, C))
+
+
+def associativity_check(A, B, C):
+    """Certifies ∇ ∘ (∇⊗id) = ∇ ∘ (id⊗∇) ∘ assoc on the matrix path."""
+    for n, square in enumerate(associativity_sides(A, B, C)):
+        if not la.products_equal(*square):
+            return CheckCertificate(False, witness=n,
+                                    detail=f"associativity fails in degree {n}")
+    return CheckCertificate(True, detail="∇ is associative")
+
+
+# the library's unitality_check reads shuffles only, on any group
+unitality_check = ez.unitality_check
+
+
+# ---------------------------------------------------------------------------
+# the skeletal filtration from the normalization
+
+def skeletal_filtration(A):
+    """The skeletal filtration of any simplicial abelian group A on 𝒩(A).
+    Stage p in degree k is spanned by the images under the normalization
+    projection P_k of the operators of the surjections [k] ->> [j], j <= p.
+    The non-identity ones factor through some s_i, which P_k kills, and P_k
+    is onto N_k, so stage (p, k) is the identity for p >= k and 0 below.
+    The premise P_k s_i = 0 (i < k) is checked on A; a failure raises
+    AssertionError.  Computed once per A and kept on A in
+    oracle_skeletal."""
+    F = vars(A).get("oracle_skeletal")
+    if F is None:
+        nres = normalize(A)
+        for k in range(A.dim_bound + 1):
+            P = nres.projection.mat(k)
+            for i in range(k):
+                if not la.product_is_zero(P, A.degen_mats[(k - 1, i)]):
+                    raise AssertionError(
+                        f"projection P_{k} does not kill s_{i}")
+        N = nres.normalized
+        D = N.top_degree
+        F = A.oracle_skeletal = FilteredChainComplex(N, [
+            {k: la.identity(N.rank(k)) for k in range(p + 1)}
+            for p in range(D + 1)], D)
+    return F
+
+
+def filtered_ez(A, B):
+    """The matrix pair of (A, B) as a filtered pairing between the skeletal
+    filtrations of A, B and A⊗B."""
+    sp = shuffle_product(A, B)
+    return FilteredPairing(skeletal_filtration(A), skeletal_filtration(B),
+                           skeletal_filtration(sp.product), sp.map,
+                           sp.source_basis)
+
+
+def heart_check(A):
+    """spectral.heart_check on the skeletal filtration here."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "skeletal_filtration", skeletal_filtration)
+        return spectral.heart_check(A)

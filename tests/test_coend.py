@@ -13,6 +13,8 @@ least index of its class in enumeration order."""
 
 import itertools
 import json
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +23,14 @@ from hypothesis import strategies as st
 from zilber import promonoidal
 from zilber.cli import main
 from zilber.delta import (MonotoneMap, codegeneracy, coface, comp_row,
-                          enumerate_monotone, generating_maps,
-                          monotone_count, product_nondegenerate)
+                          enumerate_monotone, monotone_count)
 from zilber.promonoidal import (CoendFault, CoendTooLarge, _colimit_coend,
                                 _hom_coend, coyoneda_check,
                                 delta_mu_associativity_check,
                                 delta_mu_unit_check)
 from zilber.simplicial import CheckCertificate
+
+from oracles import generating_maps, product_nondegenerate
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +448,85 @@ def test_the_cli_exits_2_on_a_coend_above_the_cap(monkeypatch, capsys):
     out = capsys.readouterr()
     assert code == 2 and not out.out.strip()
     assert "1153 elements" in out.err
+
+
+def test_the_class_count_is_the_number_of_image_factorizations():
+    # every Kan coend with x <= 5, b <= 3 and Σ n_i <= 4 over at most two
+    # factors, and the colimits of the products of simplices with Σ n_i <= 3
+    nss = [ns for k in range(3) for ns in itertools.product(range(5), repeat=k)
+           if sum(ns) <= 4]
+    cases = [(x, ns, b) for x in range(6) for b in range(4) for ns in nss]
+    assert len(cases) == 504
+    for x, ns, b in cases:
+        classes, _ = _hom_coend(x, ns, b)
+        assert promonoidal._image_factorizations(x, ns, b) == len(classes)
+    for ns in [ns for k in range(1, 4)
+               for ns in itertools.product(range(3), repeat=k)
+               if sum(ns) <= 3]:
+        chains = product_chains(ns)[1]
+        for k in range(4):
+            classes, _ = _colimit_coend(k, chains)
+            assert promonoidal._image_factorizations(k, ns, sum(ns)) == \
+                len(classes)
+
+
+@pytest.mark.parametrize("ns", [(1,), (1, 1), (2, 1), (1, 1, 1), (2, 2, 1),
+                                (3, 3)], ids=str)
+def test_the_face_entry_count_is_that_of_the_face_tables(ns):
+    chains = product_chains(ns)[1]
+    entries = sum(len(iotas) for cs in chains for chain in cs
+                  for iotas in promonoidal._faces(chain).values())
+    sizes = [len(cs) for cs in chains]
+    assert entries == sum(n * (2 ** (d + 1) - 1) for d, n in enumerate(sizes))
+
+
+def test_classes_and_face_entries_are_capped_before_any_chain(monkeypatch):
+    listed = []
+    monkeypatch.setattr(promonoidal, "strict_chains",
+                        lambda ns: listed.append(ns))
+    monkeypatch.setattr(promonoidal, "_descend",
+                        lambda *args: listed.append(args))
+    monkeypatch.setattr(promonoidal, "COEND_OBJECT_CAP", 30)
+    # (1, 1) has 4 + 5 + 2 chains: 4·1 + 5·3 + 2·7 = 33 face entries
+    with pytest.raises(CoendTooLarge, match="^a coend of 33 face entries"):
+        promonoidal.product_simplices_colimit_check([1, 1], range(2))
+    # a product of dimension 4 has a chain of each degree 0..4: at least
+    # 2^6 - 7 = 57 face entries, read before any chain is counted
+    with pytest.raises(CoendTooLarge, match="at least 2\\^6 - 7 face"):
+        promonoidal.product_simplices_colimit_check([2, 2], range(1))
+    # (1, 1) at level 5: 4 + 5·5 + 10·2 = 49 classes, above 33 face entries
+    monkeypatch.setattr(promonoidal, "COEND_OBJECT_CAP", 40)
+    with pytest.raises(CoendTooLarge, match="^a coend of 49 classes"):
+        promonoidal.product_simplices_colimit_check([1, 1], range(6))
+    # left-kan (2, 2) at b = 2: m = 2 has 100 classes in 1,153 elements
+    monkeypatch.setattr(promonoidal, "COEND_OBJECT_CAP", 99)
+    with pytest.raises(CoendTooLarge, match="^a coend of 100 classes"):
+        promonoidal.left_kan_check([2, 2], 2, [0, 2])
+    assert listed == []
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["left-kan", "--ns", "255,255,255", "--b", "0", "--m", "0"],
+     "16777216 classes"),
+    (["product-colimit", "--ns", "3,3,3", "--k-max", "0"],
+     "31002305 face entries"),
+    (["product-colimit", "--ns", "4,4,4", "--k-max", "0"],
+     "11793901891 face entries"),
+], ids=["left-kan-255", "colimit-333", "colimit-444"])
+def test_the_cli_refuses_a_coend_of_too_many_classes_or_faces(capsys, argv,
+                                                              size):
+    # the counts come from closed forms: no element, class or chain is
+    # built, so the refusal is quick and small
+    tracemalloc.start()
+    started = time.perf_counter()
+    code = main(["promonoidal", "--check", *argv])
+    elapsed = time.perf_counter() - started
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    out = capsys.readouterr()
+    assert code == 2 and not out.out.strip()
+    assert f"a coend of {size} is above the cap" in out.err
+    assert elapsed < 1 and peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,15 @@ from math import comb
 
 import pytest
 
-from zilber.delta import (MonotoneMap, PosetPoint, Shuffle,
-                          StrictMonotoneIntoProduct, coface, codegeneracy,
-                          comp_row,
-                          enumerate_injections, enumerate_monotone,
+from zilber.delta import (PosetPoint, StrictMonotoneIntoProduct, coface,
+                          codegeneracy, comp_row, enumerate_monotone,
                           enumerate_surjections, epi_mono_factorize,
                           factor_into_cofaces, factor_into_codegeneracies,
-                          identity_map, monotone_count, product_nondegenerate,
-                          product_points, shuffle_sign_by_inversions,
-                          shuffles)
+                          monotone_count, shuffles, strict_chain_count,
+                          strict_chains)
+
+from oracles import (enumerate_injections, identity_map,
+                     product_nondegenerate, product_points)
 
 
 def shuffle_sign_by_products(p, q, interleaving):
@@ -162,3 +162,14 @@ def test_product_nondegenerate_matches_the_recursive_enumeration(ns):
 def test_top_nondegenerate_count_is_shuffle_count():
     for a, b in [(1, 1), (2, 1), (2, 2)]:
         assert len(product_nondegenerate([a, b], a + b)) == comb(a + b, a)
+
+
+def test_the_chain_counts_are_the_lengths_of_the_chain_lists():
+    # the closed form, by binomial inversion, for every ns in {0..3}^k,
+    # k <= 3, and 0 above the dimension Σ n_i
+    for k in range(4):
+        for ns in itertools.product(range(4), repeat=k):
+            chains = strict_chains(ns)
+            assert [strict_chain_count(ns, j)
+                    for j in range(sum(ns) + 3)] == \
+                [len(cs) for cs in chains] + [0, 0], ns

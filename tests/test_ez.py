@@ -21,12 +21,14 @@ from zilber.chains import (ChainMap, homology, is_homology_isomorphism,
 from zilber.delta import shuffles
 from zilber.doldkan import NormalizationResult, normalize, unnormalized_chains
 from zilber.ez import (associativity_check, aw_nabla_identity_check,
-                       back_face, front_face, shuffle_product, symmetry_check,
-                       unitality_check)
-from zilber.filtration import filtered_ez
+                       shuffle_product, symmetry_check, unitality_check)
+from zilber.filtration import filtered_ez, skeletal_filtration
 from zilber.simplicial import (SimplicialAbelianGroup, circle, free_abelian,
-                               product, sab_tensor, standard_simplex)
+                               product, standard_simplex)
 from zilber.spectral import heart_check
+
+import oracles
+from oracles import back_face, front_face, sab_tensor
 
 SPACES = {
     "pt": lambda D: standard_simplex(0, D),
@@ -42,7 +44,8 @@ def sab(name, D=2):
 
 
 def matrix_sab(name, D=2):
-    """ℤ[X] without its simplicial set: its pairs take the matrix path."""
+    """ℤ[X] without its simplicial set: the library refuses it, and the
+    oracle takes it on the matrix path."""
     A = sab(name, D)
     A.simplicial_set = None
     return A
@@ -96,8 +99,8 @@ def test_associativity_requires_equal_triple_products(monkeypatch):
     # one operator of A⊗(B⊗C) negated: the ranks still agree, but the two
     # triple products are no longer one simplicial group
     A, B, C = matrix_sab("d1"), matrix_sab("s1"), matrix_sab("d1")
-    bc = shuffle_product(B, C).product
-    worker = ez.sab_tensor
+    bc = oracles.shuffle_product(B, C).product
+    worker = oracles.sab_tensor
 
     def skewed(X, Y, kind):
         T = worker(X, Y)
@@ -112,18 +115,21 @@ def test_associativity_requires_equal_triple_products(monkeypatch):
 
     for kind in ("face", "degeneracy"):
         with monkeypatch.context() as m:
-            m.setattr(ez, "sab_tensor", lambda X, Y: skewed(X, Y, kind))
+            m.setattr(oracles, "sab_tensor", lambda X, Y: skewed(X, Y, kind))
             with pytest.raises(AssertionError,
                                match="not strictly associative"):
-                associativity_check(A, B, C)
-    assert associativity_check(A, B, C).ok
+                oracles.associativity_check(A, B, C)
+    assert oracles.associativity_check(A, B, C).ok
 
 
 def test_associativity_with_free_and_matrix_pairs():
-    # a triple whose pairs take different paths is built on the matrix path
+    # the library refuses a triple with a group that is not ℤ[X]; the
+    # oracle builds it on the matrix path
     A, B, G = sab("d1"), sab("s1"), NON_FREE["conj-d1"]
     for triple in ((A, B, G), (G, A, B), (A, G, B)):
-        assert associativity_check(*triple).ok
+        assert oracles.associativity_check(*triple).ok
+        with pytest.raises(ValueError, match="no simplicial set"):
+            associativity_check(*triple)
 
 
 def test_free_associativity_requires_one_triple_product(monkeypatch):
@@ -184,21 +190,20 @@ def test_homology_isomorphism_builds_each_subquotient_once(monkeypatch):
 
 
 def test_each_pair_is_built_once_and_kept(shuffle_constructions):
+    # the oracle's matrix pairs, kept as the library keeps its pairs
     A, B = matrix_sab("d1"), matrix_sab("s1")
-    sp = shuffle_product(A, B)
-    assert shuffle_product(A, B) is sp
-    assert shuffle_product(B, A) is not sp
-    assert aw_nabla_identity_check(A, B).ok and symmetry_check(A, B).ok
-    filtered_ez(A, B)
+    sp = oracles.shuffle_product(A, B)
+    assert oracles.shuffle_product(A, B) is sp
+    assert oracles.shuffle_product(B, A) is not sp
+    assert oracles.aw_nabla_identity_check(A, B).ok
+    assert oracles.symmetry_check(A, B).ok
+    oracles.filtered_ez(A, B)
     assert shuffle_constructions == [(A, B), (B, A)]
-    # once no caller holds the pair, a new one is made over the kept state
-    kept, first = sp.map, weakref.ref(sp)
+    # the pair outlives its callers
+    first = weakref.ref(sp)
     del sp
     gc.collect()
-    assert first() is None
-    again = shuffle_product(A, B)
-    assert again.A is A and again.B is B and again.map is kept
-    assert shuffle_product(A, B) is again
+    assert first() is not None and oracles.shuffle_product(A, B) is first()
     assert len(shuffle_constructions) == 2
 
 
@@ -215,19 +220,13 @@ def test_each_free_pair_is_built_once_and_kept(shuffle_constructions,
     assert free_shuffle_constructions == [
         (X.nondegenerate, Y.nondegenerate), (Y.nondegenerate, X.nondegenerate)]
     assert shuffle_constructions == []  # no pair on the matrix path
-    kept, first = sp.map, weakref.ref(sp)
+    # the pair outlives its callers
+    first = weakref.ref(sp)
     del sp
     gc.collect()
-    assert first() is None
-    again = shuffle_product(A, B)
-    assert type(again) is ez._FreeShuffleProduct
-    assert again.A is A and again.B is B and again.map is kept
-    assert shuffle_product(A, B) is again
+    assert first() is not None and shuffle_product(A, B) is first()
+    assert type(first()) is ez._FreeShuffleProduct
     assert len(free_shuffle_constructions) == 2
-    # the group A⊗B is built on its first read only, and then kept
-    assert "product" not in vars(again)
-    assert again.product is again.product
-    assert again.product.ranks == sab_tensor(A, B).ranks
 
 
 def test_a_kept_pair_does_not_keep_its_partner_alive():
@@ -338,7 +337,7 @@ def test_moore_convention_changes_only_the_section():
     # ∇ and AW rebuilt from its sections are those of shuffle_product.
     sections_differ = False
     for a, b in itertools.product(CORPUS, repeat=2):
-        sp = shuffle_product(matrix_sab(a), matrix_sab(b))
+        sp = oracles.shuffle_product(matrix_sab(a), matrix_sab(b))
         lo = with_convention(sp, "lower")
         for attr in ("norm_A", "norm_B", "norm_AB"):
             upper, lower = getattr(sp, attr), getattr(lo, attr)
@@ -351,9 +350,9 @@ def test_moore_convention_changes_only_the_section():
         assert _same_maps(nabla, sp.map)
         assert _same_maps(lo.alexander_whitney(), sp.alexander_whitney())
         # the copy changed, the kept pair did not
-        assert shuffle_product(sp.A, sp.B) is sp
+        assert oracles.shuffle_product(sp.A, sp.B) is sp
         assert sp.norm_AB is normalize(sp.product)
-        assert aw_nabla_identity_check(sp.A, sp.B).ok
+        assert oracles.aw_nabla_identity_check(sp.A, sp.B).ok
     assert sections_differ
 
 
@@ -363,9 +362,9 @@ def _non_free_groups():
     not: ℤ[Δ¹] and ℤ[S¹] in a random basis, and a random Γ(C)."""
     rng = random.Random(16)
     return {
-        "conj-d1": zrandom.conjugate_simplicial(
+        "conj-d1": oracles.conjugate_simplicial(
             rng, free_abelian(standard_simplex(1, 2))),
-        "conj-s1": zrandom.conjugate_simplicial(rng, free_abelian(circle(2))),
+        "conj-s1": oracles.conjugate_simplicial(rng, free_abelian(circle(2))),
         "gamma": zrandom.rand_simplicial(rng, dim_bound=2, max_total_rank=4),
     }
 
@@ -381,7 +380,7 @@ def _is_coordinate(M):
                          ids=lambda name: name)
 def test_maps_on_the_section_image_match_the_oracles_on_non_free_groups(a, b):
     A, B = NON_FREE[a], NON_FREE[b]
-    ab, ba = shuffle_product(A, B), shuffle_product(B, A)
+    ab, ba = oracles.shuffle_product(A, B), oracles.shuffle_product(B, A)
     for moore in ("upper", "lower"):
         lo_ab, lo_ba = with_convention(ab, moore), with_convention(ba, moore)
         assert not all(_is_coordinate(lo_ab.norm_AB.section.mat(n))
@@ -391,8 +390,9 @@ def test_maps_on_the_section_image_match_the_oracles_on_non_free_groups(a, b):
         assert _same_maps(lo_ab.alexander_whitney(), aw)
         swap = lo_ba.norm_AB.projection.compose(
             unnormalized_swap(A, B).compose(lo_ab.norm_AB.section))
-        assert _same_maps(ez._simplicial_swap_chain(lo_ab, lo_ba), swap)
-    assert aw_nabla_identity_check(A, B).ok and symmetry_check(A, B).ok
+        assert _same_maps(oracles.simplicial_swap_chain(lo_ab, lo_ba), swap)
+    assert oracles.aw_nabla_identity_check(A, B).ok
+    assert oracles.symmetry_check(A, B).ok
 
 
 def _corrupt_section(res, n, degenerate):
@@ -424,9 +424,9 @@ def test_lifted_checks_catch_a_wrong_shuffle_sign_or_section_entry(
     A, B = matrix_sab("d2"), matrix_sab("d1")
 
     with monkeypatch.context() as m:
-        m.setattr(ez, "shuffles", one_sign_flipped)
+        m.setattr(oracles, "shuffles", one_sign_flipped)
         with pytest.raises(ValueError, match="does not commute"):
-            shuffle_product(A, B)
+            oracles.shuffle_product(A, B)
 
     # a degenerate chain added to a section of A: ∇ itself is unchanged, but
     # its lift to C(A⊗B) is no chain map
@@ -435,19 +435,21 @@ def test_lifted_checks_catch_a_wrong_shuffle_sign_or_section_entry(
                 else normalize(X))
 
     with monkeypatch.context() as m:
-        m.setattr(ez, "normalize", section_corrupted)
+        m.setattr(oracles, "normalize", section_corrupted)
         with pytest.raises(ValueError, match="does not commute"):
-            shuffle_product(A, B)
+            oracles.shuffle_product(A, B)
     # the same change to the section of A⊗B, under the swap
-    ab, ba = shuffle_product(A, B), shuffle_product(B, A)
+    ab, ba = oracles.shuffle_product(A, B), oracles.shuffle_product(B, A)
     broken = copy.copy(ab)
     broken.norm_AB = _corrupt_section(ab.norm_AB, 2, degenerate=True)
     with pytest.raises(ValueError, match="does not commute"):
-        ez._simplicial_swap_chain(broken, ba)
-    ez._simplicial_swap_chain(ab, ba)  # the unpatched maps pass
+        oracles.simplicial_swap_chain(broken, ba)
+    oracles.simplicial_swap_chain(ab, ba)  # the unpatched maps pass
     # only the copy was corrupted: the kept pairs still certify
-    assert shuffle_product(A, B) is ab and ab.norm_AB is normalize(ab.product)
-    assert aw_nabla_identity_check(A, B).ok and symmetry_check(A, B).ok
+    assert oracles.shuffle_product(A, B) is ab
+    assert ab.norm_AB is normalize(ab.product)
+    assert oracles.aw_nabla_identity_check(A, B).ok
+    assert oracles.symmetry_check(A, B).ok
 
 
 def test_free_checks_catch_a_wrong_shuffle_sign(monkeypatch):
@@ -463,9 +465,9 @@ def test_free_checks_catch_a_wrong_shuffle_sign(monkeypatch):
 def test_a_wrong_face_or_section_entry_is_caught_by_alexander_whitney(
         monkeypatch):
     A, B = matrix_sab("d1"), matrix_sab("d1")
-    sp = shuffle_product(A, B)
+    sp = oracles.shuffle_product(A, B)
     with monkeypatch.context() as m:
-        m.setattr(ez, "back_face", lambda n, q: front_face(n, q))
+        m.setattr(oracles, "back_face", lambda n, q: front_face(n, q))
         with pytest.raises(ValueError, match="does not commute"):
             sp.alexander_whitney()
     broken = copy.copy(sp)
@@ -473,7 +475,8 @@ def test_a_wrong_face_or_section_entry_is_caught_by_alexander_whitney(
     with pytest.raises(ValueError, match="does not commute"):
         broken.alexander_whitney()
     sp.alexander_whitney()  # the unpatched map passes
-    assert shuffle_product(A, B) is sp and aw_nabla_identity_check(A, B).ok
+    assert oracles.shuffle_product(A, B) is sp
+    assert oracles.aw_nabla_identity_check(A, B).ok
 
 
 def test_a_wrong_face_is_caught_by_the_free_alexander_whitney(monkeypatch):
@@ -493,8 +496,9 @@ def test_a_wrong_face_is_caught_by_the_free_alexander_whitney(monkeypatch):
 def test_a_negated_entry_of_nabla_fails_chain_map_validation(matrix):
     # the copy's ∇ with one entry negated, as the negative controls below
     # use it, is no chain map either
-    make = matrix_sab if matrix else sab
-    sp = shuffle_product(make("d1"), make("s1"))
+    pair, make = ((oracles.shuffle_product, matrix_sab) if matrix
+                  else (shuffle_product, sab))
+    sp = pair(make("d1"), make("s1"))
     for n in (1, 2):
         mats = _first_entry_negated(sp.map.mats, (n,))
         with pytest.raises(ValueError, match="does not commute"):
@@ -588,14 +592,19 @@ def normalizations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("check, arity, expected", [
-    (aw_nabla_identity_check, 2, 3),  # A, B, A⊗B
-    (symmetry_check, 2, 4),  # A, B, A⊗B, B⊗A
-    (associativity_check, 3, 6),  # A, B, C, A⊗B, B⊗C, A⊗B⊗C
-    (filtered_ez, 2, 3),  # A, B, A⊗B
-    (heart_check, 1, 1),
-    (unitality_check, 2, 0),
-], ids=lambda x: getattr(x, "__name__", None))
+# the oracle's certificates on the matrix path
+MATRIX_CERTIFICATES = [
+    (oracles.aw_nabla_identity_check, 2, 3),  # A, B, A⊗B
+    (oracles.symmetry_check, 2, 4),  # A, B, A⊗B, B⊗A
+    (oracles.associativity_check, 3, 6),  # A, B, C, A⊗B, B⊗C, A⊗B⊗C
+    (oracles.filtered_ez, 2, 3),  # A, B, A⊗B
+    (oracles.heart_check, 1, 1),
+    (oracles.unitality_check, 2, 0),  # only the edge blocks' shuffles
+]
+
+
+@pytest.mark.parametrize("check, arity, expected", MATRIX_CERTIFICATES,
+                         ids=lambda x: getattr(x, "__name__", None))
 def test_each_certificate_normalizes_each_object_once(normalizations, check,
                                                       arity, expected):
     # distinct objects, so that no count is lowered by A being B
@@ -629,7 +638,7 @@ def test_free_certificates_normalize_no_group_and_no_product(
 def test_the_matrix_path_is_seen_by_the_counters(
         normalizations, chain_builds, operator_matrices):
     # the control: the same counters see a matrix-path certificate's work
-    assert aw_nabla_identity_check(matrix_sab("d1"), matrix_sab("s1"))
+    assert oracles.aw_nabla_identity_check(matrix_sab("d1"), matrix_sab("s1"))
     assert len(normalizations) == len(chain_builds) == 3
     assert operator_matrices
 
@@ -658,14 +667,8 @@ def chain_builds(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("check, arity, expected", [
-    (aw_nabla_identity_check, 2, 3),  # A, B, A⊗B
-    (symmetry_check, 2, 4),  # A, B, A⊗B, B⊗A
-    (associativity_check, 3, 6),  # A, B, C, A⊗B, B⊗C, A⊗B⊗C
-    (filtered_ez, 2, 3),  # A, B, A⊗B
-    (heart_check, 1, 1),
-    (unitality_check, 2, 0),  # only the edge blocks' shuffles
-], ids=lambda x: getattr(x, "__name__", None))
+@pytest.mark.parametrize("check, arity, expected", MATRIX_CERTIFICATES,
+                         ids=lambda x: getattr(x, "__name__", None))
 def test_each_certificate_builds_each_objects_chains_once(chain_builds, check,
                                                          arity, expected):
     check(*[matrix_sab(name) for name in ("d1", "s1", "d1")[:arity]])
@@ -708,27 +711,29 @@ def unnormalized_tensors(monkeypatch):
 
     monkeypatch.setattr(doldkan, "_unnormalized_chains", building)
     for name, module in list(sys.modules.items()):
-        if name.startswith("zilber") and \
+        if (name.startswith("zilber") or name == "oracles") and \
                 getattr(module, "tensor", None) is tensor_worker:
             monkeypatch.setattr(module, "tensor", tensoring)
-    # the oracle is the one caller that tensors unnormalized chains
+    # unnormalized_shuffle is the one caller that tensors unnormalized
+    # chains
     monkeypatch.setitem(globals(), "tensor", tensoring)
     return calls
 
 
 @pytest.mark.parametrize("check, arity", [
-    (shuffle_product, 2),
-    (aw_nabla_identity_check, 2),
-    (symmetry_check, 2),
-    (associativity_check, 3),
-    (filtered_ez, 2),
-    (heart_check, 1),
-    (unitality_check, 2),
+    (oracles.shuffle_product, 2),
+    (oracles.aw_nabla_identity_check, 2),
+    (oracles.symmetry_check, 2),
+    (oracles.associativity_check, 3),
+    (oracles.filtered_ez, 2),
+    (oracles.heart_check, 1),
+    (oracles.unitality_check, 2),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_no_certificate_tensors_unnormalized_chains(unnormalized_tensors,
                                                     check, arity):
-    # on the matrix path; the free path builds no unnormalized chains at
-    # all (test_free_certificates_normalize_no_group_and_no_product)
+    # on the oracle's matrix path; the free path builds no unnormalized
+    # chains at all
+    # (test_free_certificates_normalize_no_group_and_no_product)
     check(*[matrix_sab(name) for name in ("d1", "s1", "d1")[:arity]])
     assert unnormalized_tensors == []
 
@@ -825,14 +830,14 @@ def test_nabla_and_aw_are_the_closed_formulas(a, b, n):
     X, Y = CORPUS[a](3), CORPUS[b](3)
     A, B = free_abelian(X), free_abelian(Y)
     # the free pair, and the matrix path on the same groups
-    for sp in (shuffle_product(A, B), ez._ShuffleProduct(A, B)):
+    for sp in (shuffle_product(A, B), oracles.ShuffleProduct(A, B)):
         assert la.rows(sp.map.mat(n)) == nabla_by_formula(X, Y, n)
         assert la.rows(sp.alexander_whitney().mat(n)) == \
             aw_by_formula(X, Y, n)
 
 
 # ---------------------------------------------------------------------------
-# the free path against the matrix path, which is its oracle
+# the library against the oracle's matrix path
 
 
 # the benchmark's corpus and the torus
@@ -840,8 +845,8 @@ SETS = {**CORPUS, "torus": lambda D: product(circle(D), circle(D))}
 
 
 def _both_paths(*names, D):
-    """The groups ℤ[X] of names on the free path, and fresh copies of them
-    on the matrix path."""
+    """The groups ℤ[X] of names, and fresh copies of them without their
+    simplicial sets, for the oracle's matrix path."""
     free = [free_abelian(SETS[name](D)) for name in names]
     matrix = [free_abelian(SETS[name](D)) for name in names]
     for A in matrix:
@@ -857,7 +862,7 @@ def test_the_free_pair_is_the_matrix_pair(a, b, D):
     sp = shuffle_product(A, B)
     assert type(sp) is ez._FreeShuffleProduct
     # the matrix path on the same groups
-    sm, sm_ba = ez._ShuffleProduct(A, B), ez._ShuffleProduct(B, A)
+    sm, sm_ba = oracles.ShuffleProduct(A, B), oracles.ShuffleProduct(B, A)
     # N(ℤ[X]), N(ℤ[Y]), N(ℤ[X×Y]) and the source tensor
     assert sp.source_basis.C == sm.norm_A.normalized
     assert sp.source_basis.D == sm.norm_B.normalized
@@ -867,7 +872,7 @@ def test_the_free_pair_is_the_matrix_pair(a, b, D):
     assert _same_maps(sp.map, sm.map)
     assert _same_maps(sp.alexander_whitney(), sm.alexander_whitney())
     assert _same_maps(ez._free_swap_chain(sp, shuffle_product(B, A)),
-                      ez._simplicial_swap_chain(sm, sm_ba))
+                      oracles.simplicial_swap_chain(sm, sm_ba))
 
 
 TRIPLES = sorted(set(itertools.product(CORPUS, repeat=3)) | {
@@ -877,12 +882,43 @@ TRIPLES = sorted(set(itertools.product(CORPUS, repeat=3)) | {
 @pytest.mark.parametrize("names", TRIPLES, ids="-".join)
 def test_the_free_associativity_sides_are_the_matrix_ones(names):
     free, matrix = _both_paths(*names, D=3 if "torus" in names else 2)
-    sides = list(ez._associativity_sides(*free))
-    assert len(sides) == free[0].dim_bound + 1
-    for got, want in zip(sides, ez._associativity_sides(*matrix)):
+    A, B, C = free
+    ez_ab, ez_bc = shuffle_product(A, B), shuffle_product(B, C)
+    sides = list(ez._associativity_sides(ez_ab, ez_bc,
+                                         *ez._triple_pairs(ez_ab, ez_bc)))
+    assert len(sides) == A.dim_bound + 1
+    for got, want in zip(sides, oracles.associativity_sides(*matrix)):
         # both composites, each the product of its two factors
         for i in (0, 2):
             assert la.mat_eq(la.mat_mul(*got[i:i + 2]),
                              la.mat_mul(*want[i:i + 2]))
         assert la.mat_eq(la.mat_mul(*got[:2]), la.mat_mul(*got[2:]))
 
+
+
+# ---------------------------------------------------------------------------
+# the library takes ℤ[X] only
+
+
+@pytest.mark.parametrize("check, arity", [
+    (shuffle_product, 2),
+    (aw_nabla_identity_check, 2),
+    (symmetry_check, 2),
+    (associativity_check, 3),
+    (filtered_ez, 2),
+    (skeletal_filtration, 1),
+    (heart_check, 1),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_a_group_without_a_simplicial_set_is_refused(check, arity):
+    # a random Γ(C), and a Γ(C) beside ℤ[X] in each place
+    G = zrandom.rand_simplicial(random.Random(7), dim_bound=2,
+                                max_total_rank=4)
+    A = sab("d1")
+    for groups in {(G,) * arity} | {tuple(G if i == j else A
+                                          for i in range(arity))
+                                    for j in range(arity)}:
+        with pytest.raises(ValueError, match="has no simplicial set"):
+            check(*groups)
+    assert G.shuffle_products is None and G.normalizations == {}
+    # unitality reads the shuffles alone, on any group
+    assert unitality_check(G, G).ok

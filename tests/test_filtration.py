@@ -27,6 +27,8 @@ from zilber.filtration import (FilteredChainComplex, FilteredPairing,
 from zilber.simplicial import circle, free_abelian, product, standard_simplex
 from zilber.spectral import heart_check
 
+import oracles
+
 
 def one_by_one(M):
     """The columns of M, each as a one-column matrix."""
@@ -78,11 +80,13 @@ def skeletal_stages_one_by_one(A):
 
 
 def assert_skeletal_stages_are_the_definitional_ones(A):
-    """The stages of skeletal_filtration(A) span the definitional ones.
-    On ℤ[X] they are the definitional image bases matrix for matrix; on
-    other groups image_basis may pick another basis of a stage, so they
-    are compared as spans.  Returns the definitional stages."""
-    F = skeletal_filtration(A)
+    """The stages of skeletal_filtration(A) (of the oracle's, if A is not
+    ℤ[X]) span the definitional ones.  On ℤ[X] they are the definitional
+    image bases matrix for matrix; on other groups image_basis may pick
+    another basis of a stage, so they are compared as spans.  Returns the
+    definitional stages."""
+    F = (oracles.skeletal_filtration if A.simplicial_set is None
+         else skeletal_filtration)(A)
     want = skeletal_stages_one_by_one(A)
     assert F.p_max == A.dim_bound
     assert filtrations_stagewise_equal(
@@ -98,7 +102,7 @@ SKELETAL_GROUPS = {
     "Z[s1]": lambda: free_abelian(circle(3)),
     "Z[delta2]": lambda: free_abelian(standard_simplex(2, 3)),
     # not free: image_basis changes the basis of some stages
-    "conjugate": lambda: zrandom.conjugate_simplicial(
+    "conjugate": lambda: oracles.conjugate_simplicial(
         random.Random(3), free_abelian(product(standard_simplex(1, 3),
                                                circle(3)))),
 }
@@ -110,8 +114,10 @@ def test_skeletal_stages_match_the_per_stage_computation(name):
     want = assert_skeletal_stages_are_the_definitional_ones(A)
     # skeletal_filtration writes every full stage as the identity; the
     # definitional image basis of P_k is another basis on the conjugate
+    F = (oracles.skeletal_filtration if name == "conjugate"
+         else skeletal_filtration)(A)
     full = [(p, k) for p in range(A.dim_bound + 1) for k in range(p + 1)]
-    assert all(la.mat_eq(skeletal_filtration(A).stage(p, k),
+    assert all(la.mat_eq(F.stage(p, k),
                          la.identity(want[p][k].nrows)) for p, k in full)
     assert (name == "conjugate") == any(
         want[p][k] != la.identity(want[p][k].nrows) for p, k in full)
@@ -133,14 +139,15 @@ def test_skeletal_stages_of_conjugated_groups_are_the_definitional_ones(
     # conjugated groups are not free, so normalize takes its Smith normal
     # form path and image_basis may give definitional stages other than
     # the identity: the stages are compared as spans
-    A = zrandom.conjugate_simplicial(
+    A = oracles.conjugate_simplicial(
         random.Random(seed), free_abelian(SKELETAL_SPACES[space](dim_bound)))
     assert_skeletal_stages_are_the_definitional_ones(A)
 
 
 def projection_that_misses_s0(monkeypatch, k):
-    """Make the normalization that filtration reads return a projection
-    which, in degree k, sends a column of s_0 : A_{k-1} -> A_k to nonzero."""
+    """Make the normalization that the oracle's skeletal filtration reads
+    return a projection which, in degree k, sends a column of
+    s_0 : A_{k-1} -> A_k to nonzero."""
     def broken(A):
         nres = normalize(A)
         P = nres.projection.mat(k)
@@ -152,16 +159,17 @@ def projection_that_misses_s0(monkeypatch, k):
         return dataclasses.replace(nres, projection=ChainMap(
             nres.projection.source, nres.normalized, mats, check=False))
 
-    monkeypatch.setattr(filtration, "normalize", broken)
+    monkeypatch.setattr(oracles, "normalize", broken)
 
 
 def test_skeletal_filtration_checks_that_the_projection_kills_degeneracies(
         monkeypatch):
-    # the premise is checked on the matrix path; ℤ[X] normalizes nothing
+    # the premise is checked on the oracle's matrix path; ℤ[X] normalizes
+    # nothing
     projection_that_misses_s0(monkeypatch, 1)
     with pytest.raises(AssertionError,
                        match="^projection P_1 does not kill s_0$"):
-        skeletal_filtration(_matrix_copy(circle(2)))
+        oracles.skeletal_filtration(_matrix_copy(circle(2)))
 
 
 def test_day_convolution_with_unit_is_identity():
@@ -697,11 +705,14 @@ def test_pre_factored_spans_do_not_bypass_validation(name):
 
 
 def test_a_group_keeps_its_skeletal_filtration():
-    A = free_abelian(product(circle(2), circle(2)))
-    A.simplicial_set = None  # filtered_ez on the matrix path
-    F = skeletal_filtration(A)
-    assert skeletal_filtration(A) is F
-    assert filtered_ez(A, A).F is F
+    # the oracle keeps the matrix filtration per group; the library refuses
+    # a group without its simplicial set
+    A = _matrix_copy(product(circle(2), circle(2)))
+    F = oracles.skeletal_filtration(A)
+    assert oracles.skeletal_filtration(A) is F
+    assert oracles.filtered_ez(A, A).F is F
+    with pytest.raises(ValueError, match="has no simplicial set"):
+        skeletal_filtration(A)
 
 
 def test_a_simplicial_set_keeps_its_basis_skeletal_filtration():
@@ -712,7 +723,7 @@ def test_a_simplicial_set_keeps_its_basis_skeletal_filtration():
     assert filtered_ez(A, A).F is P.F and filtered_ez(B, A).F is P.G
     # a second group on X shares it, and skeletal_filtration reads it too
     assert filtered_ez(free_abelian(X), B).F is P.F
-    assert skeletal_filtration(A) is P.F and A.skeletal is P.F
+    assert skeletal_filtration(A) is P.F
 
 
 def _matrix_copy(X):
@@ -736,10 +747,10 @@ FILTERED_SETS = {
                          ids=lambda name: name)
 def test_free_skeletal_stages_are_the_matrix_ones(a, b, D):
     # the stages read off the nondegenerate bases are the image bases of
-    # P_k that the matrix path computes, matrix for matrix
+    # P_k that the oracle's matrix path computes, matrix for matrix
     X, Y = FILTERED_SETS[a](D), FILTERED_SETS[b](D)
     P = filtered_ez(free_abelian(X), free_abelian(Y))
-    Q = filtered_ez(_matrix_copy(X), _matrix_copy(Y))
+    Q = oracles.filtered_ez(_matrix_copy(X), _matrix_copy(Y))
     for got, want in ((P.F, Q.F), (P.G, Q.G), (P.H, Q.H)):
         assert got.ambient == want.ambient and got.p_max == want.p_max
         for p in range(got.p_max + 1):
@@ -756,11 +767,11 @@ def _certificate(cert):
        dim_bound=st.integers(0, 5))
 def test_the_skeletal_filtration_of_a_free_group_is_the_matrix_one(
         space, dim_bound):
-    # ℤ[X] reads its filtration off the nondegenerate basis; a copy with
-    # no simplicial set normalizes and checks the premise
+    # ℤ[X] reads its filtration off the nondegenerate basis; the oracle
+    # normalizes a copy with no simplicial set and checks the premise
     X = {**SKELETAL_SPACES, "torus": FILTERED_SETS["torus"]}[space](dim_bound)
     A, M = free_abelian(X), _matrix_copy(X)
-    got, want = skeletal_filtration(A), skeletal_filtration(M)
+    got, want = skeletal_filtration(A), oracles.skeletal_filtration(M)
     assert got is X.nondegenerate.skeletal and want is not got
     assert got.p_max == want.p_max == dim_bound
     for n in range(dim_bound + 1):
@@ -769,7 +780,8 @@ def test_the_skeletal_filtration_of_a_free_group_is_the_matrix_one(
             assert la.mat_eq(got.ambient.diff(n), want.ambient.diff(n))
         for p in range(dim_bound + 1):
             assert la.mat_eq(got.stage(p, n), want.stage(p, n)), (p, n)
-    assert _certificate(heart_check(A)) == _certificate(heart_check(M))
+    assert _certificate(heart_check(A)) == \
+        _certificate(oracles.heart_check(M))
 
 
 def test_a_group_with_a_kept_skeletal_filtration_pickles():
@@ -777,7 +789,7 @@ def test_a_group_with_a_kept_skeletal_filtration_pickles():
     F = skeletal_filtration(A)
     copied = pickle.loads(pickle.dumps(A))
     G = skeletal_filtration(copied)
-    assert copied.skeletal is G and G is not F
+    assert copied.simplicial_set.nondegenerate.skeletal is G and G is not F
     assert G.p_max == F.p_max and G.stages == F.stages
     assert filtrations_stagewise_equal(F, G)
     assert filtered_ez(copied, copied).containment_certificate().ok

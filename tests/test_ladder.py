@@ -41,6 +41,9 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
         (tmp_path / name / "src" / "zilber").mkdir(parents=True)
         (tmp_path / name / "src" / "zilber" / "m.py").write_text(
             "# a comment\n\nx = 1\n" * (2 if name == "new" else 1))
+        (tmp_path / name / "tests").mkdir()
+        (tmp_path / name / "tests" / "t.py").write_text(
+            "x = 1\n" * (3 if name == "new" else 5))
     out = tmp_path / "BENCH.json"
     argv = ["--checkout", f"parent={tmp_path / 'old'}",
             "--checkout", f"change={tmp_path / 'new'}", "--out", str(out)]
@@ -53,6 +56,7 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
     assert bench["nproc"] >= 1 and bench["python"].count(".") == 2
     assert bench["sloc"] == {"parent": {"m.py": 1, "total": 1},
                              "change": {"m.py": 2, "total": 2}}
+    assert bench["sloc_tests"] == {"parent": 5, "change": 3}
     assert [row["name"] for row in bench["rows"]] == list(ladder.ROWS)
     assert [row["argv"] for row in bench["rows"]] == list(ladder.ROWS.values())
     # the rows whose normalized side grows with the bound

@@ -11,7 +11,7 @@ import pytest
 from zilber import promonoidal
 from zilber.delta import (MonotoneMap, PosetPoint, StrictMonotoneIntoProduct,
                           codegeneracy, coface, enumerate_monotone,
-                          generating_maps, identity_map, monotone_count)
+                          monotone_count)
 from zilber.promonoidal import (MulticategoryModel, OperatorCategoryFragment,
                                 OperatorMorphism, _compose, _hom_coend,
                                 _identity, coyoneda_check,
@@ -19,6 +19,8 @@ from zilber.promonoidal import (MulticategoryModel, OperatorCategoryFragment,
                                 delta_mu_unit_check, delta_op_multicategory,
                                 left_kan_check,
                                 product_simplices_colimit_check)
+
+from oracles import generating_maps, identity_map
 
 
 def triples(b):

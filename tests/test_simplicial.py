@@ -12,13 +12,13 @@ from zilber import intlinalg as la
 from zilber.delta import (enumerate_monotone, epi_mono_factorize,
                           factor_into_codegeneracies, factor_into_cofaces)
 from zilber.doldkan import gamma_normalize_comparison, normalize
-from zilber.ez import shuffle_product
-from zilber.filtration import skeletal_filtration
 from zilber.simplicial import (CheckCertificate, SimplicialAbelianGroup,
                                SimplicialIdentityError, SimplicialSet, circle,
-                               free_abelian, product,
-                               sab_tensor, skeleton,
+                               free_abelian, product, skeleton,
                                skeleton_product_check, standard_simplex)
+
+import oracles
+from oracles import sab_tensor
 
 
 def test_standard_simplex_level_sizes():
@@ -375,7 +375,7 @@ def operator_groups():
         "Z[delta2]": free_abelian(standard_simplex(2, D)),
         "Z[s1] (x) Z[delta1]": sab_tensor(free_abelian(circle(D)),
                                           free_abelian(standard_simplex(1, D))),
-        "conjugate of Z[delta1 x s1]": zrandom.conjugate_simplicial(
+        "conjugate of Z[delta1 x s1]": oracles.conjugate_simplicial(
             random.Random(3), free_abelian(product(standard_simplex(1, D),
                                                    circle(D)))),
     }
@@ -414,11 +414,11 @@ def test_cached_operators_survive_their_callers():
     # matrices, and the skeletal filtrations run beside them; none of them
     # may change one
     A = free_abelian(standard_simplex(1, D))
-    B = zrandom.conjugate_simplicial(random.Random(4), free_abelian(circle(D)))
-    sp = shuffle_product(A, B)
+    B = oracles.conjugate_simplicial(random.Random(4), free_abelian(circle(D)))
+    sp = oracles.shuffle_product(A, B)
     sp.alexander_whitney()
     for G in (A, B, sp.product):
-        skeletal_filtration(G)
+        oracles.skeletal_filtration(G)
         gamma_normalize_comparison(G)
     for G in (A, B, sp.product):
         assert G.operators

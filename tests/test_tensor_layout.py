@@ -14,10 +14,11 @@ from zilber import intlinalg as la
 from zilber.chains import (ChainComplex, ChainMap, identity_chain_map, tensor,
                            tensor_map)
 from zilber.delta import shuffles
-from zilber.ez import _ShuffleProduct, back_face, front_face, shuffle_product
+from zilber.ez import shuffle_product
 from zilber.simplicial import circle, free_abelian, standard_simplex
 from zilber.spectral import PagePairing
 
+from oracles import ShuffleProduct, back_face, front_face
 from test_ez import unnormalized_aw, unnormalized_shuffle
 
 
@@ -197,7 +198,7 @@ def space(name, dim_bound):
 def test_shuffle_and_alexander_whitney_are_entrywise_sums(a, b):
     D = 3
     A, B = space(a, D), space(b, D)
-    sp = _ShuffleProduct(A, B)  # the matrix path, on the same groups
+    sp = ShuffleProduct(A, B)  # the oracle's matrix path, on the same groups
     free = shuffle_product(A, B)
     free_aw = free.alexander_whitney()
     nA, nB, nAB = sp.norm_A, sp.norm_B, sp.norm_AB
