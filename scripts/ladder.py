@@ -29,6 +29,11 @@ all of its levels up to the bound.  ``ez-aw-d4-8`` and ``ez-aw-d5-8`` are rows
 whose normalized side does grow with the bound.  ``ez-unital-11`` reads
 only the shuffles of the edge blocks, so it times loading the spaces.
 
+``ss-random-p4`` checks d_r² = 0, page recursion and convergence on 300
+seeded random filtrations of length 4: many small Smith normal forms,
+as in the certbench ``spectral`` pages, where the other ``ss`` rows time
+the large free complexes of ℤ[X].
+
 ``product-colimit-k6`` is ``product-colimit`` up to level 6 = Σ nᵢ,
 whose colimit coend has 958,239 elements, against 340,836 at level 4.
 
@@ -96,6 +101,7 @@ ROWS = {  # name -> zilber argv
                       "--dim-bound", "11"],
     "ss-heart-9": ["ss", "sk:torus", "--heart", "--dim-bound", "9"],
     "ss-heart-11": ["ss", "sk:torus", "--heart", "--dim-bound", "11"],
+    "ss-random-p4": ["ss", "random", "--trials", "300", "--p-max", "4"],
     "unit-8": ["promonoidal", "--check", "unit", "--b", "8"],
     "coyoneda-5": ["promonoidal", "--check", "coyoneda", "--b", "5"],
     "mu-assoc-6": ["promonoidal", "--check", "mu-assoc", "--entries", "2,2,2",

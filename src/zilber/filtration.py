@@ -233,10 +233,11 @@ def filtrations_stagewise_equal(F, G):
 
 
 def _span_equals_stage(img, H, p, n):
-    """Is span(img) the stage (p, n) of H?  One SNF, of img: H's side is
-    its kept span."""
-    return (H.span(p, n).contains(img)
-            and la.span_contains(img, H.stage(p, n)))
+    """Is span(img) the stage (p, n) of H?  Yes iff img lies in the stage
+    and its coordinates C on the stage's basis generate ℤ^{C.nrows}, i.e.
+    C has C.nrows invariant factors, all 1: one SNF, of C, no transform."""
+    C = H.span(p, n).coords(img)
+    return C is not None and la.snf_diagonal(C) == [1] * C.nrows
 
 
 def convolution_symmetry_check(F, G):

@@ -39,22 +39,22 @@ class SpectralSequence:
     n and F_{p-r} in degree n-1.  A stage (p, n) has the id -1 when it has
     no nonzero column, and otherwise the least p' whose generator matrix in
     degree n is exactly that of F_p (p is clamped to [-1, p_max] first),
-    so equal stages share their id.  Z, B, the entries and the
-    page-recursion subquotients are built on first use, once per key, in
-    caches that live as long as the instance (no reference cycle holds
-    it):
+    so equal stages share their id.  Z and B are built on first use, once
+    per key, and every answer of the linear algebra once per distinct
+    question, in caches that live as long as the instance (no reference
+    cycle holds it):
 
     - Z_r^{p,n} is keyed by (id of F_p in n, id of F_{p-r} in n-1, n), and
       Z_0 and degree 0 by (id of F_p in n, n); the zero group (id -1, p < 0
       or n outside 0..top) is keyed (-1, n);
     - B_r^{p,n} by the pair of keys of Z_{r-1}^{p-1,n} and
       Z_{r-1}^{p+r-1,n+1};
-    - an entry's Subquotient by (key of Z, key of B), so the pages past
-      r_inf share the Subquotients of E_∞;
     - one la.Span per distinct Z generator matrix, for entries, page
       recursion and convergence alike, a stage's being F's kept span;
-    - the invariants of the homology of (E_r, d_r) at (p, n) by the keys of
-      Z_{r+1}^{p,n}, B_r^{p,n} and Z_r^{p+r,n+1}."""
+    - one memo keyed by value (_once): kernel_basis and image_basis per
+      matrix, and per (Z span, B matrix) an entry's Subquotient, or the
+      la.quotient_orders that page recursion and convergence read when no
+      entry holds them; so the pages past r_inf share E_∞'s Subquotients."""
 
     def __init__(self, F, r_max=None):
         self.F = F
@@ -69,7 +69,6 @@ class SpectralSequence:
         # the lazy pages hold the store, never the instance, so that a
         # dropped instance is freed at once, with no reference cycle
         self._store = store = _Store(F)
-        self._recursions = {}  # (Z, B, Z key) -> orders of a homology
         entries = dict.fromkeys((p, n - p) for p in range(p_max + 1)
                                 for n in range(F.ambient.top_degree + 1))
         self.pages = {r: _Lazy(entries, partial(store.page, r, entries))
@@ -103,21 +102,13 @@ class SpectralSequence:
         """E_{r+1}^{p,q} has the invariants of the homology of (E_r, d_r):
         compares Z_{r+1}/B_{r+1} with (Z_{r+1}+B_r)/(d Z_r^{p+r} + B_r) as
         ambient subquotients."""
-        amb = self.F.ambient
         st = self._store
         for (p, q), sq_next in self.pages[r + 1].items():
             n = p + q
-            key = (st.z_key(r + 1, p, n), st.b_key(r, p, n),
-                   st.z_key(r, p + r, n + 1))
-            orders = self._recursions.get(key)
-            if orders is None:
-                b_r = st.b_of(key[1])
-                num = la.hstack(st.z_of(key[0]), b_r)
-                den = la.hstack(b_r, la.mat_mul(amb.diff(n + 1),
-                                                st.z_of(key[2])))
-                orders = self._recursions[key] = la.Subquotient(
-                    st.span_of(num), den).orders
-            if orders != sq_next.orders:
+            b_r = st.b_of(st.b_key(r, p, n))
+            num = la.hstack(st.z_of(st.z_key(r + 1, p, n)), b_r)
+            den = la.hstack(b_r, st.dz_of(st.z_key(r, p + r, n + 1)))
+            if st.orders(st.span_of(num), den) != sq_next.orders:
                 return CheckCertificate(
                     False, witness=(r, p, q),
                     detail=f"page recursion fails at E_{r+1}^{{{p},{q}}}")
@@ -129,27 +120,25 @@ class SpectralSequence:
         (ker d ∩ F_p) in H_n.
 
         ker d ∩ F_p is computed from kernel_basis(d), never from the pages'
-        Z, once per stage id, and the graded piece once per pair of ids of
-        F_p and F_{p-1}: equal ids give (Z + im)/(Z + im) = 0."""
+        Z, once per stage id, and the orders of the graded piece through
+        the store's memo: equal ids give (Z + im)/(Z + im) = 0."""
         amb = self.F.ambient
-        top = amb.top_degree
         einf = self.infinity()
-        ids = self._store._id
-        for n in range(top + 1):
-            kern = la.kernel_basis(amb.diff(n))
-            im = la.image_basis(amb.diff(n + 1))
+        st = self._store
+        for n in range(amb.top_degree + 1):
+            kern = _once(st.memo, la.kernel_basis, amb.diff(n))
+            im = _once(st.memo, la.image_basis, amb.diff(n + 1))
             cycles = {-1: la.zeros(amb.rank(n), 0)}  # id -> ker d ∩ F_p
-            graded = {}  # (id of F_p, id of F_{p-1}) -> orders of gr_p
+            ids = st._ids[n]
             for p in range(self.F.p_max + 1):
-                a, b = ids(p, n), ids(p - 1, n)
+                a, b = ids[p], ids[p - 1] if p else -1
                 if a not in cycles:
                     cycles[a] = _span_of_preimage(kern, kern,
-                                                  self.F.stage(p, n))
-                if (a, b) not in graded:
-                    graded[(a, b)] = [] if a == b else la.Subquotient(
-                        self._store.span_of(la.hstack(cycles[a], im)),
-                        la.hstack(cycles[b], im)).orders
-                if graded[(a, b)] != einf[(p, n - p)].orders:
+                                                  self.F.stage(p, n), st.memo)
+                graded = [] if a == b else st.orders(
+                    st.span_of(la.hstack(cycles[a], im)),
+                    la.hstack(cycles[b], im))
+                if graded != einf[(p, n - p)].orders:
                     return CheckCertificate(
                         False, witness=(p, n - p),
                         detail=f"E_∞^{{{p},{n-p}}} differs from the associated "
@@ -183,30 +172,30 @@ class SpectralSequence:
 
 class _Store:
     """Z_r, B_r and the entries E_r of one filtered complex, each built on
-    first use and kept under its key (see SpectralSequence)."""
+    first use and kept under its key or in the memo (see SpectralSequence)."""
 
     def __init__(self, F):
         self.F = F
         self._ids = _stage_ids(F)
         self._zs = {}  # Z key -> generator columns
+        self._dzs = {}  # Z key -> d of its generator columns
         self._bs = {}  # B key -> generator columns
         self._spans = {}  # (rows, Z generator matrix) -> la.Span
         self._stages = {(S.nrows, S): (p, n)  # (rows, stage matrix) -> (p, n)
                         for p, stage in enumerate(F.stages)
                         for n, S in stage.items()}
-        self._entries = {}  # (Z key, B key) -> Subquotient
-
-    def _id(self, p, n):
-        """The id of the stage F_p in degree n, p clamped to [-1, p_max]."""
-        return -1 if p < 0 else self._ids[n][min(p, self.F.p_max)]
+        self.memo = {}  # see _once
 
     def z_key(self, r, p, n):
-        if p < 0 or not 0 <= n <= self.F.ambient.top_degree:
+        """The key of Z_r^{p,n}, from the ids of F_p and F_{p-r}, each p
+        clamped to [-1, p_max]."""
+        ids, p_max = self._ids, self.F.p_max
+        if p < 0 or not 0 <= n < len(ids):
             return (-1, n)
-        a = self._id(p, n)
+        a = ids[n][min(p, p_max)]
         if a < 0 or r == 0 or n == 0:
             return (a, n)
-        return (a, self._id(p - r, n - 1), n)
+        return (a, ids[n - 1][min(p - r, p_max)] if p >= r else -1, n)
 
     def b_key(self, r, p, n):
         return (self.z_key(r - 1, p - 1, n),
@@ -221,9 +210,8 @@ class _Store:
                 Z = self.F.stage(*key)
             else:
                 a, b, n = key
-                S = self.F.stage(a, n)
-                dS = la.mat_mul(self.F.ambient.diff(n), S)
-                Z = _span_of_preimage(S, dS, self.F.stage(b, n - 1))
+                Z = _span_of_preimage(self.F.stage(a, n), self.dz_of((a, n)),
+                                      self.F.stage(b, n - 1), self.memo)
             self._zs[key] = Z
         return Z
 
@@ -238,25 +226,35 @@ class _Store:
                                      else self.F.span(*stage))
         return sp
 
+    def dz_of(self, key):
+        """d of the generators of Z for a key of z_key."""
+        dZ = self._dzs.get(key)
+        if dZ is None:
+            dZ = self._dzs[key] = la.mat_mul(self.F.ambient.diff(key[-1]),
+                                             self.z_of(key))
+        return dZ
+
     def b_of(self, key):
         """Generators of B for a key of b_key: Z_1 + d Z_2 for the pair of
-        Z keys, d from the degree of Z_2."""
+        Z keys."""
         B = self._bs.get(key)
         if B is None:
-            k1, k2 = key
-            d = self.F.ambient.diff(k2[-1])
-            B = self._bs[key] = la.hstack(self.z_of(k1),
-                                          la.mat_mul(d, self.z_of(k2)))
+            B = self._bs[key] = la.hstack(self.z_of(key[0]),
+                                          self.dz_of(key[1]))
         return B
 
     def entry(self, r, p, n):
         """E_r^{p, n-p} = Z_r/B_r as a Subquotient of the degree-n chains."""
-        key = (self.z_key(r, p, n), self.b_key(r, p, n))
-        sq = self._entries.get(key)
-        if sq is None:
-            sq = self._entries[key] = la.Subquotient(
-                self.span_of(self.z_of(key[0])), self.b_of(key[1]))
-        return sq
+        return _once(self.memo, la.Subquotient,
+                     self.span_of(self.z_of(self.z_key(r, p, n))),
+                     self.b_of(self.b_key(r, p, n)))
+
+    def orders(self, Z, B):
+        """The orders of Z/B, Z a span of span_of: an entry's when the memo
+        holds that Subquotient, else la.quotient_orders, once per (Z, B)."""
+        sq = self.memo.get((la.Subquotient, Z, B, B.nrows))
+        return (sq.orders if sq is not None
+                else _once(self.memo, la.quotient_orders, Z, B))
 
     def page(self, r, entries):
         """The entries (p, q) of page r."""
@@ -325,14 +323,28 @@ def _stage_ids(F):
     return ids
 
 
-def _span_of_preimage(A, M, B):
+def _once(memo, f, *args):
+    """f(*args), kept in memo (if not None) under f, args and the row count
+    of the last arg, a matrix: a Span by identity, which the memo keeps
+    alive, and a matrix by value, so f runs once per distinct question."""
+    if memo is None:
+        return f(*args)
+    key = (f, *args, args[-1].nrows)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = f(*args)
+    return out
+
+
+def _span_of_preimage(A, M, B, memo=None):
     """A basis of {A x : M x ∈ span(B)}, the span of [A | 0] times
-    ker [M | -B].  With M = A this is span(A) ∩ span(B)."""
+    ker [M | -B].  With M = A this is span(A) ∩ span(B).  Its kernel and
+    image are kept in memo (see _once)."""
     if not A.ncols:
         return A  # the zero span; skips two SNFs
-    ker = la.kernel_basis(la.hstack(M, la.mat_scale(-1, B)))
-    return la.image_basis(la.mat_mul(la.hstack(A, la.zeros(A.nrows, B.ncols)),
-                                     ker))
+    ker = _once(memo, la.kernel_basis, la.hstack(M, la.mat_scale(-1, B)))
+    return _once(memo, la.image_basis, la.mat_mul(
+        la.hstack(A, la.zeros(A.nrows, B.ncols)), ker))
 
 
 def _invariant_checks(S):

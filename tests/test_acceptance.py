@@ -12,7 +12,7 @@ import sys
 from zilber import _random as zrandom
 from zilber.chains import homology, hom_rank, is_homology_isomorphism
 from zilber.doldkan import (disk, gamma_normalize_comparison, is_chain_iso,
-                            is_levelwise_unimodular, normalize,
+                            is_levelwise_unimodular,
                             normalized_gamma_comparison)
 from zilber.ez import (associativity_check, aw_nabla_identity_check,
                        shuffle_product, symmetry_check, unitality_check)

@@ -10,7 +10,7 @@ from zilber import intlinalg as la
 from zilber.chains import (AbelianGroupInvariants, ChainComplex, ChainMap,
                            hom_rank, homology,
                            identity_chain_map, is_homology_isomorphism,
-                           induced_homology_matrices, tensor, tensor_map,
+                           induced_homology_matrices, tensor,
                            unit_complex)
 
 

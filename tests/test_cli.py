@@ -3,7 +3,6 @@
 import dataclasses
 import io
 import json
-import os
 
 import pytest
 

@@ -734,6 +734,37 @@ def test_subquotient_invariants_match_sympy(case):
     assert (sq.free_rank, tuple(sq.torsion)) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(subquotients())
+def test_quotient_orders_are_the_orders_of_the_subquotient(case):
+    z_gens, b_gens, _, _, anywhere = case
+    Z = la.Span(z_gens)
+    assert la.quotient_orders(Z, b_gens) == la.Subquotient(Z, b_gens).orders
+    wider = la.hstack(b_gens, anywhere)
+    if not Z.contains(wider):
+        for quotient in (la.quotient_orders, la.Subquotient):
+            with pytest.raises(AssertionError,
+                               match="^B is not contained in Z$"):
+                quotient(Z, wider)
+
+
+@pytest.mark.parametrize("z_gens, b_gens, orders", [
+    ([[0, 0], [0, 0]], [[0], [0]], []),  # a zero Z
+    ([[1, 0], [0, 1]], [[], []], [0, 0]),  # a zero B
+    ([[1, 0], [0, 1]], [[2, 0], [0, 3]], [6]),  # B of index 6
+    ([[1, 2, 0], [0, 0, 1], [0, 0, 0]], [[4], [2], [0]], [2, 0]),
+    ([[2], [0], [0]], [[1], [0], [0]], None),  # B not in Z
+], ids=["zero-z", "zero-b", "index-6", "torsion-and-free", "b-not-in-z"])
+def test_quotient_orders_of_chosen_subquotients(z_gens, b_gens, orders):
+    Z = la.Span(la.as_sparse(z_gens, len(z_gens)))
+    B = la.as_sparse(b_gens, len(b_gens))
+    if orders is None:
+        with pytest.raises(AssertionError, match="^B is not contained in Z$"):
+            la.quotient_orders(Z, B)
+        return
+    assert la.quotient_orders(Z, B) == la.Subquotient(Z, B).orders == orders
+
+
 @pytest.mark.parametrize("M, full", [
     ([[1, 0], [0, 1]], True), ([[2, 3], [0, 0]], False), ([[2, 3]], True),
     ([[2, 4]], False), ([[2], [0]], False), ([[1, 0]], True)])

@@ -14,7 +14,7 @@ from zilber import spectral
 from zilber.filtration import (FilteredChainComplex, day_convolution,
                                filtered_ez, skeletal_filtration)
 from zilber.simplicial import circle, free_abelian, product, standard_simplex
-from zilber.spectral import (PagePairing, SpectralSequence, _invariant_checks,
+from zilber.spectral import (SpectralSequence, _invariant_checks,
                              _span_of_preimage, compute_pages, heart_check,
                              induced_pairing, leibniz_check)
 
@@ -114,9 +114,9 @@ def test_each_z_is_computed_once_per_distinct_stage_pair(monkeypatch):
     F = zrandom.rand_filtration(random.Random(5), p_max=3)
     calls = []
 
-    def counted(A, M, B):
+    def counted(A, M, B, memo=None):
         calls.append(None)
-        return _span_of_preimage(A, M, B)
+        return _span_of_preimage(A, M, B, memo)
 
     monkeypatch.setattr(spectral, "_span_of_preimage", counted)
     S = SpectralSequence(F, r_max=F.p_max + 3)
@@ -643,6 +643,47 @@ def test_compute_pages_factors_each_distinct_z_matrix_once(monkeypatch):
         assert factored
         assert len(set(factored)) == len(factored)
         assert not set(factored) & stages
+
+
+class Forgetful(dict):
+    """A memo that keeps nothing, so that every question is answered
+    afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_one_sequence_answers_each_linear_algebra_question_once(
+        monkeypatch):
+    # one Subquotient per (Z span, B value), and no kernel or image
+    # matrix factored twice, over every page and check of compute_pages
+    F = zrandom.rand_filtration(random.Random(71), p_max=4)
+    quotients, factored = [], []
+    real_sq, real_snf = la.Subquotient, la._smith_with_inverses
+
+    def subquotient(Z, B):
+        quotients.append((id(Z), B.nrows, B))
+        return real_sq(Z, B)
+
+    def smith(M, track=la.ALL_TRANSFORMS):
+        if track in (("V",), ("Uinv",)):  # kernel_basis, image_basis
+            factored.append((track, M.nrows, M))
+        return real_snf(M, track)
+
+    monkeypatch.setattr(la, "Subquotient", subquotient)
+    monkeypatch.setattr(la, "_smith_with_inverses", smith)
+    S = compute_pages(F)
+    monkeypatch.undo()
+    assert quotients and len(set(quotients)) == len(quotients)
+    assert factored and len(set(factored)) == len(factored)
+    # the same pages from a store that keeps no answer
+    T = SpectralSequence(F)
+    T._store.memo = Forgetful()
+    for r in S.pages:
+        for pq, sq in S.pages[r].items():
+            assert sq.orders == T.pages[r][pq].orders, (r, pq)
+            assert la.mat_eq(S.diffs[r][pq], T.diffs[r][pq]), (r, pq)
+    assert all(cert.ok for _, cert in _invariant_checks(T))
 
 
 def test_keyed_convergence_catches_every_corrupted_infinity_entry():
