@@ -31,9 +31,6 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-BUILTIN_SPACES = ("delta0", "delta1", "delta2", "delta3", "point", "s1",
-                  "torus")
-
 
 class InputError(ValueError):
     pass

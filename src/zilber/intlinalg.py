@@ -21,9 +21,9 @@ and returns one.  Plain lists of Python ints remain in three places only:
 
 Input is checked at that boundary, so a shape mismatch inside the
 library (in ``mat_mul``, ``mat_sum``, ``apply_factors``,
-``product_is_zero``, ``products_equal``, ``hstack``, ``solve_matrix``,
-``Span.coords`` or ``span_contains``) is a fault of the library and
-raises AssertionError, not ValueError.
+``product_is_zero``, ``products_equal``, ``hstack``, ``solve_matrix``
+or ``Span.coords``) is a fault of the library and raises AssertionError,
+not ValueError.
 
 ``mat_sum`` accumulates each column of a signed sum once, in one dict,
 and sorts it.  ``apply_factors`` applies a product of factors (1 - s d)
@@ -63,12 +63,11 @@ transforms it reads: ``snf_diagonal``, ``rank`` and ``quotient_orders``
 V, ``image_basis`` Uinv, ``solve_matrix`` (so ``inverse_unimodular``) U
 and V, and ``Span`` U and Uinv.  A ``Span`` keeps U as a ``Sparse``, the
 diagonal and the image basis, and answers any number of coordinate and
-containment tests and the lattice test; ``span_contains`` builds one for
-a single test, and none when there is nothing to test.  A ``Subquotient``
-takes the ``Span`` of Z, which may be shared, runs one SNF, of the
-coordinates of the B generators on the basis of Z, keeps the rows of its
-U that select the generators as one ``Sparse``, and builds its lifts only
-when they are read.
+containment tests and the lattice test.  A ``Subquotient`` takes the
+``Span`` of Z, which may be shared, runs one SNF, of the coordinates of
+the B generators on the basis of Z, keeps the rows of its U that select
+the generators as one ``Sparse``, and builds its lifts only when they are
+read.
 """
 
 from __future__ import annotations
@@ -591,13 +590,6 @@ class Span:
         """Is the span all of ℤ^rows?  True iff A has as many invariant
         factors as rows, all equal to 1."""
         return self.rank == self.nrows and all(d == 1 for d in self._diag)
-
-
-def span_contains(A, B):
-    """Is every column of B in the integer column span of A?"""
-    if B.nrows != A.nrows:
-        raise AssertionError("row count mismatch in span_contains")
-    return not B.ncols or Span(A).contains(B)
 
 
 def inverse_unimodular(M):

@@ -42,16 +42,19 @@ from .simplicial import CheckCertificate
 # The engine peaks at 8.5-10 bytes per element when the classes are few
 # (the canon list, whose entries share their roots' ints; measured on Kan
 # coends of 1.4-6.8 M elements): 0.16 GB at the cap.  Each class adds about
-# 280 bytes (its tuple and its dict entry), measured on 1 M singletons, and
-# each entry of the colimit check's face tables 231-254 bytes: the object
-# cap bounds both counts, at about 0.3 GB.
+# 280 bytes (its tuple and its dict entry), measured on 1 M singletons:
+# 0.3 GB at the object cap.  The object cap also bounds two counts of the
+# colimit check: its chain points, at 11-31 bytes each (the chains and
+# their position dicts, measured on products of 4,128-997,084 points),
+# and the maps [d - 1] -> [d] of Δ that its descent lists, at about 350
+# bytes each (Δ^11 at level 0: 360 MB peak for 956,384 maps).
 COEND_ELEMENT_CAP = 1 << 24
 COEND_OBJECT_CAP = 1 << 20
 
 
 class CoendTooLarge(ValueError):
-    """A coend with more elements than COEND_ELEMENT_CAP, or more classes
-    or face entries than COEND_OBJECT_CAP (CLI exit 2)."""
+    """A coend with more elements than COEND_ELEMENT_CAP, or more classes,
+    chain points or maps of Δ than COEND_OBJECT_CAP (CLI exit 2)."""
 
 
 class CoendFault(RuntimeError):
@@ -60,8 +63,8 @@ class CoendFault(RuntimeError):
 
 
 def _capped(n, what="elements"):
-    """n, a coend's count of elements (or of classes or face entries), if
-    it is within its cap."""
+    """n, a coend's count of elements (or of classes, chain points or maps
+    of Δ), if it is within its cap."""
     cap = COEND_ELEMENT_CAP if what == "elements" else COEND_OBJECT_CAP
     if n > cap:
         raise CoendTooLarge(f"a coend of {n} {what} is above the cap of "
@@ -420,37 +423,32 @@ def _colimit_coend(k, chains):
     return _descend(k, tuple(map(len, chains)), moved, len(chains) - 1)
 
 
-@lru_cache(maxsize=None)
-def _faces(chain):
-    """Each face chain∘ι, ι an injection, with the ι (values) giving it;
-    built once per chain, so once per ns for the chains of ∏_i Δ^{n_i}."""
-    d = len(chain) - 1
-    out = {}
-    for j in range(1, d + 2):
-        for iota, face in zip(itertools.combinations(range(d + 1), j),
-                              itertools.combinations(chain, j)):
-            out.setdefault(face, []).append(iota)
-    return out
-
-
 def _points(chain):
     return tuple(map(PosetPoint, chain))
 
 
+def _chain_points(ns):
+    """The points of the chains of ∏_i Δ^{n_i}, from strict_chain_count: a
+    chain of degree d has d + 1."""
+    return sum((d + 1) * strict_chain_count(ns, d)
+               for d in range(sum(ns) + 1))
+
+
 def _colimit_within_cap(ns, ks):
     """Checks the colimit of product_simplices_colimit_check against the
-    caps before any chain is listed: its face entries (_faces: a chain of
-    degree d has 2^(d+1) - 1), and per level k its elements and classes,
-    all from strict_chain_count.  Every degree d <= Σ_i n_i has a chain,
-    so that sum is at least 2^(Σ+2) - Σ - 3, checked first."""
+    caps before any chain is listed: the points of its chains, the maps
+    [d - 1] -> [d] of Δ that its descent lists for d <= Σ = Σ_i n_i, and
+    per level k its elements and classes, all from closed forms.  There are
+    C(2Σ, Σ) >= 2^Σ maps [Σ - 1] -> [Σ], so a Σ of as many bits as the cap
+    is refused first, and then no count is large."""
     top = sum(ns)
-    if 2 ** (top + 2) - top - 3 > COEND_OBJECT_CAP:
-        raise CoendTooLarge(f"a coend of at least 2^{top + 2} - {top + 3} "
-                            f"face entries is above the cap of "
-                            f"{COEND_OBJECT_CAP} face entries")
+    if top >= COEND_OBJECT_CAP.bit_length():
+        raise CoendTooLarge(f"a coend of at least 2^{top} maps of Δ is above "
+                            f"the cap of {COEND_OBJECT_CAP} maps of Δ")
+    _capped(_chain_points(ns), "chain points")
+    _capped(sum(monotone_count(d - 1, d) for d in range(1, top + 1)),
+            "maps of Δ")
     sizes = tuple(strict_chain_count(ns, d) for d in range(top + 1))
-    _capped(sum(n * (2 ** (d + 1) - 1) for d, n in enumerate(sizes)),
-            "face entries")
     for k in ks:
         _capped(_offsets(k, sizes)[-1])
         _capped(_image_factorizations(k, ns, top), "classes")
@@ -469,11 +467,13 @@ def product_simplices_colimit_check(ns, k_range):
     chains = strict_chains(ns)
     sizes = tuple(map(len, chains))
     index = _positions(chains)
-    faces = [[_faces(chain) for chain in cs] for cs in chains]
+    # the chains that repeat a point, by degree, found once for every level
+    repeats = [[s for s, chain in enumerate(cs)
+                if len(set(chain)) < len(chain)] for cs in chains]
     for k in ks:
         classes, rep = _colimit_coend(k, chains)
-        alphas = [list(monotone_position(k, d)) for d in range(len(chains))]
-        gets = [list(map(_getter, a)) for a in alphas]
+        gets = [list(map(_getter, monotone_position(k, d)))
+                for d in range(len(chains))]
         off = _offsets(k, sizes)
 
         def presentation(d, a, s):
@@ -505,14 +505,12 @@ def product_simplices_colimit_check(ns, k_range):
                                            f"level {k}")
         # cofinality: the image factorization τ = σ_im ∘ ε is initial among
         # the presentations τ = σ ∘ α, the elements (d, α, σ) of τ's class,
-        # so exactly one injection ι has σ ∘ ι = σ_im and ι ∘ ε = α
-        image_chains, epis = {}, {}
-        for r, tau in taus.items():
-            image_chains[r] = image_chain = tuple(dict.fromkeys(tau))
-            epis[r] = _getter(tuple(map(image_chain.index, tau)))
-        unfactored = {}  # a class -> its first presentation without one ι
+        # once σ ∘ α = τ on each and σ is injective: σ_im's points are τ's,
+        # so ι, their positions in σ, is the one injection with
+        # σ ∘ ι = σ_im, and σ ∘ ι ∘ ε = τ = σ ∘ α gives ι ∘ ε = α
+        unfactored = {}  # a class -> its first presentation on a repeat
         for d, cs in enumerate(chains):
-            for a, (alpha, get) in enumerate(zip(alphas[d], gets[d])):
+            for a, get in enumerate(gets[d]):
                 lo = off[d] + a * sizes[d]
                 reps = rep[lo:lo + sizes[d]]
                 if list(map(get, cs)) != list(map(taus.__getitem__, reps)):
@@ -521,24 +519,20 @@ def product_simplices_colimit_check(ns, k_range):
                     return CheckCertificate(
                         False, witness=(k, presentation(d, a, s)),
                         detail=f"colimit map not well defined at level {k}")
-                found = map(dict.get, faces[d],
-                            map(image_chains.__getitem__, reps),
-                            itertools.repeat(()))
-                for s, iotas, r in zip(itertools.count(), found, reps):
-                    epi = epis[r]  # one ι, and ι ∘ ε = α, is the common case
-                    if not (len(iotas) == 1 and epi(iotas[0]) == alpha) \
-                            and list(map(epi, iotas)).count(alpha) != 1:
-                        unfactored.setdefault(r, (d, a, s))
+                for s in repeats[d]:
+                    unfactored.setdefault(reps[s], (d, a, s))
         for r, tau in taus.items():
-            image_chain = image_chains[r]
+            image_chain = tuple(dict.fromkeys(tau))
             if image_chain not in index[len(image_chain) - 1]:
                 return CheckCertificate(False, witness=(k, _points(tau)),
                                         detail="image chain is not a "
                                                "nondegenerate simplex")
-            if r in unfactored:
+            if r in unfactored:  # σ repeats a point: a witness of points
+                d, a, s = unfactored[r]
                 return CheckCertificate(
                     False, witness=(k, _points(tau),
-                                    presentation(*unfactored[r])),
+                                    (_points(chains[d][s]),
+                                     enumerate_monotone(k, d)[a])),
                     detail="image factorization is not initial")
     return CheckCertificate(True,
                             detail="products of simplices are colimits of "

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from zilber import promonoidal
 from zilber.cli import main
 from zilber.delta import (MonotoneMap, codegeneracy, coface, comp_row,
-                          enumerate_monotone, monotone_count)
+                          enumerate_monotone, monotone_count, strict_chains)
 from zilber.promonoidal import (CoendFault, CoendTooLarge, _colimit_coend,
                                 _hom_coend, coyoneda_check,
                                 delta_mu_associativity_check,
@@ -472,29 +472,22 @@ def test_the_class_count_is_the_number_of_image_factorizations():
 
 @pytest.mark.parametrize("ns", [(1,), (1, 1), (2, 1), (1, 1, 1), (2, 2, 1),
                                 (3, 3)], ids=str)
-def test_the_face_entry_count_is_that_of_the_face_tables(ns):
-    chains = product_chains(ns)[1]
-    entries = sum(len(iotas) for cs in chains for chain in cs
-                  for iotas in promonoidal._faces(chain).values())
-    sizes = [len(cs) for cs in chains]
-    assert entries == sum(n * (2 ** (d + 1) - 1) for d, n in enumerate(sizes))
+def test_the_chain_point_count_is_that_of_the_chains(ns):
+    points = sum(map(len, itertools.chain(*strict_chains(ns))))
+    assert promonoidal._chain_points(ns) == points
 
 
-def test_classes_and_face_entries_are_capped_before_any_chain(monkeypatch):
+def test_classes_and_chain_points_are_capped_before_any_chain(monkeypatch):
     listed = []
     monkeypatch.setattr(promonoidal, "strict_chains",
                         lambda ns: listed.append(ns))
     monkeypatch.setattr(promonoidal, "_descend",
                         lambda *args: listed.append(args))
-    monkeypatch.setattr(promonoidal, "COEND_OBJECT_CAP", 30)
-    # (1, 1) has 4 + 5 + 2 chains: 4·1 + 5·3 + 2·7 = 33 face entries
-    with pytest.raises(CoendTooLarge, match="^a coend of 33 face entries"):
+    monkeypatch.setattr(promonoidal, "COEND_OBJECT_CAP", 19)
+    # (1, 1) has 4 + 5 + 2 chains: 4·1 + 5·2 + 2·3 = 20 points
+    with pytest.raises(CoendTooLarge, match="^a coend of 20 chain points"):
         promonoidal.product_simplices_colimit_check([1, 1], range(2))
-    # a product of dimension 4 has a chain of each degree 0..4: at least
-    # 2^6 - 7 = 57 face entries, read before any chain is counted
-    with pytest.raises(CoendTooLarge, match="at least 2\\^6 - 7 face"):
-        promonoidal.product_simplices_colimit_check([2, 2], range(1))
-    # (1, 1) at level 5: 4 + 5·5 + 10·2 = 49 classes, above 33 face entries
+    # (1, 1) at level 5: 4 + 5·5 + 10·2 = 49 classes, above 20 points
     monkeypatch.setattr(promonoidal, "COEND_OBJECT_CAP", 40)
     with pytest.raises(CoendTooLarge, match="^a coend of 49 classes"):
         promonoidal.product_simplices_colimit_check([1, 1], range(6))
@@ -502,6 +495,17 @@ def test_classes_and_face_entries_are_capped_before_any_chain(monkeypatch):
     monkeypatch.setattr(promonoidal, "COEND_OBJECT_CAP", 99)
     with pytest.raises(CoendTooLarge, match="^a coend of 100 classes"):
         promonoidal.left_kan_check([2, 2], 2, [0, 2])
+    # (12,) has 13·2^12 = 53,248 points, but its descent lists the
+    # C(24, 12) = 2,704,156 maps [11] -> [12] and 956,384 below them
+    monkeypatch.setattr(promonoidal, "COEND_OBJECT_CAP", 1 << 20)
+    with pytest.raises(CoendTooLarge, match="^a coend of 3660540 maps of Δ"):
+        promonoidal.product_simplices_colimit_check([12], range(1))
+    # at least 2^21 maps [20] -> [21]: refused before any chain is counted
+    monkeypatch.setattr(promonoidal, "strict_chain_count",
+                        lambda ns, d: listed.append((ns, d)))
+    with pytest.raises(CoendTooLarge, match="^a coend of at least 2\\^21 "
+                                            "maps of Δ"):
+        promonoidal.product_simplices_colimit_check([7, 7, 7], range(1))
     assert listed == []
 
 
@@ -509,9 +513,9 @@ def test_classes_and_face_entries_are_capped_before_any_chain(monkeypatch):
     (["left-kan", "--ns", "255,255,255", "--b", "0", "--m", "0"],
      "16777216 classes"),
     (["product-colimit", "--ns", "3,3,3", "--k-max", "0"],
-     "31002305 face entries"),
+     "1606112 chain points"),
     (["product-colimit", "--ns", "4,4,4", "--k-max", "0"],
-     "11793901891 face entries"),
+     "182707280 chain points"),
 ], ids=["left-kan-255", "colimit-333", "colimit-444"])
 def test_the_cli_refuses_a_coend_of_too_many_classes_or_faces(capsys, argv,
                                                               size):

@@ -37,7 +37,7 @@ def one_by_one(M):
 
 def spans_equal(A, B):
     """Do A and B span the same lattice?  Factors both sides afresh."""
-    return la.span_contains(A, B) and la.span_contains(B, A)
+    return la.Span(A).contains(B) and la.Span(B).contains(A)
 
 
 def stage_rank(F, p, n):
@@ -247,7 +247,7 @@ def _first_escape(P):
                             xy = la.kron_sum(tb.rank(n), 1, [
                                 (x, y, tb.offset(n, a), 0, 1)])
                             img = la.mat_mul(P.m.mat(n), xy)
-                            if not la.span_contains(P.H.stage(p + q, n), img):
+                            if not la.Span(P.H.stage(p + q, n)).contains(img):
                                 return p, q, n
     return None
 
@@ -407,10 +407,10 @@ def _per_column_violation(F):
     for p in range(F.p_max + 1):
         for n in range(top + 1):
             for v in one_by_one(F.stages[p][n]):
-                if n >= 1 and not la.span_contains(
-                        F.stage(p, n - 1), la.mat_mul(F.ambient.diff(n), v)):
+                if n >= 1 and not la.Span(F.stage(p, n - 1)).contains(
+                        la.mat_mul(F.ambient.diff(n), v)):
                     return f"stage {p} is not closed under d in degree {n}"
-                if p < F.p_max and not la.span_contains(F.stage(p + 1, n), v):
+                if p < F.p_max and not la.Span(F.stage(p + 1, n)).contains(v):
                     return (f"stage {p} is not contained in stage {p+1} "
                             f"in degree {n}")
     for n in range(top + 1):

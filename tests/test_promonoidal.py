@@ -355,22 +355,20 @@ def test_an_image_chain_outside_the_simplices_is_named(monkeypatch):
     assert cert.witness == (2, points(TRIANGLES[1]))
 
 
-@pytest.mark.parametrize("face,iotas,k", [
-    (TRIANGLES[0], [], 2),                 # no ι
-    (TRIANGLES[0][:1], [(0,), (0,)], 0),   # two
-], ids=["none", "two"])
-def test_a_presentation_without_one_factorization_is_named(
-        monkeypatch, face, iotas, k):
-    edit_table(monkeypatch, "_faces",
-               lambda out, chain: {**out, face: iotas}
-               if chain == TRIANGLES[0] else out)
+@pytest.mark.parametrize("point", [(0, 0), (1, 1)], ids=["two", "two-last"])
+def test_a_presentation_without_one_factorization_is_named(monkeypatch,
+                                                           point):
+    # an edge that repeats a point has two ι onto that point, so the
+    # point's class at level 0 has a presentation through the edge that
+    # the image factorization does not map to in exactly one way
+    loop = (point, point)
+    edit_table(monkeypatch, "strict_chains",
+               lambda out, ns: out[:1] + [out[1] + [loop]] + out[2:])
     cert = product_simplices_colimit_check([1, 1], range(4))
     assert not cert.ok
     assert cert.detail == "image factorization is not initial"
-    tau = face if k == 2 else TRIANGLES[0][:1]
-    alpha = identity_map(2) if k == 2 else MonotoneMap(0, 2, (0,))
-    assert cert.witness == (k, points(tau),
-                            (square_chain(TRIANGLES[0]), alpha))
+    assert cert.witness == (0, points((point,)),
+                            (points(loop), MonotoneMap(0, 1, (0,))))
 
 
 def test_a_class_of_two_images_is_named(monkeypatch):
