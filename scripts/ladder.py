@@ -29,6 +29,11 @@ all of its levels up to the bound.  ``ez-aw-d4-8`` and ``ez-aw-d5-8`` are rows
 whose normalized side does grow with the bound.  ``ez-unital-11`` reads
 only the shuffles of the edge blocks, so it times loading the spaces.
 
+``ez-assoc-d3-9`` is associativity on Δ³×Δ³×Δ³, whose normalized side
+does grow with the bound (Δ²×Δ²×Δ² has no nondegenerate simplex above
+degree 6); at this scale the d∘d checks of its chain complexes take
+about half its time.
+
 ``ss-random-p4`` checks d_r² = 0, page recursion and convergence on 300
 seeded random filtrations of length 4: many small Smith normal forms,
 as in the certbench ``spectral`` pages, where the other ``ss`` rows time
@@ -87,6 +92,8 @@ ROWS = {  # name -> zilber argv
                    "--check", "assoc", "--dim-bound", "7"],
     "ez-assoc-9": ["ez", "delta2", "delta2", "--third", "delta2",
                    "--check", "assoc", "--dim-bound", "9"],
+    "ez-assoc-d3-9": ["ez", "delta3", "delta3", "--third", "delta3",
+                      "--check", "assoc", "--dim-bound", "9"],
     "ez-aw-9": ["ez", "delta3", "delta3", "--check", "aw", "--dim-bound", "9"],
     "ez-aw-11": ["ez", "delta3", "delta3", "--check", "aw",
                  "--dim-bound", "11"],

@@ -209,24 +209,24 @@ def is_homology_isomorphism(f):
 def hom_rank(C, D):
     """Free rank of the group of chain maps C -> D."""
     top = max(C.top_degree, D.top_degree)
-    # unknowns: entries of f_n (D.rank(n) x C.rank(n)) for n = 0..top
-    offsets = {}
-    total = 0
-    for n in range(top + 1):
-        offsets[n] = total
-        total += D.rank(n) * C.rank(n)
-    terms = []
-    eqs = 0
+    # equation n (1 <= n <= top) is f_{n-1} d^C_n - d^D_n f_n = 0, its
+    # entry (i, j) in row eqs[n] + i * C.rank(n) + j; the unknown f_n[k][j]
+    # is a column, in the order n, k, j, and meets equation n through
+    # column k of d^D_n, then equation n + 1 through row j of d^C_{n+1}
+    eqs = [0, 0]
     for n in range(1, top + 1):
-        # f_{n-1} d^C_n - d^D_n f_n = 0: the equation of entry (i, j) is
-        # row eqs + i * C.rank(n) + j and the unknown f_n[k][j] column
-        # offsets[n] + k * C.rank(n) + j, so the block is
-        # kron(1, (d^C_n)^T) - kron(d^D_n, 1)
-        terms += [(la.identity(D.rank(n - 1)), la.transpose(C.diff(n)),
-                   eqs, offsets[n - 1], 1),
-                  (D.diff(n), la.identity(C.rank(n)), eqs, offsets[n], -1)]
-        eqs += D.rank(n - 1) * C.rank(n)
-    return total - la.rank(la.kron_sum(eqs, total, terms))
+        eqs.append(eqs[n] + D.rank(n - 1) * C.rank(n))
+    cols = []
+    for n in range(top + 1):
+        c, c1 = C.rank(n), C.rank(n + 1)
+        dC = la.transpose(C.diff(n + 1))
+        for k, dDk in enumerate(D.diff(n)):
+            lo = [(eqs[n] + i * c, -a) for i, a in dDk]
+            hi = eqs[n + 1] + k * c1
+            cols += [tuple([(i + j, a) for i, a in lo] +
+                           [(hi + l, b) for l, b in dCj])
+                     for j, dCj in enumerate(dC)]
+    return len(cols) - la.rank(la.Sparse(cols, eqs[top + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +274,35 @@ class TensorBasis:
 def tensor(C, D, top_degree=None):
     """(C ⊗ D, basis): Koszul-signed tensor product, optionally truncated.
 
-    d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy, so the column block (p, q) of d_n is
-    kron(d_p, 1) in row block (p-1, q) and (-1)^p kron(1, d_q) in row block
-    (p, q-1).
+    d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy.  Column x_i ⊗ y_j of block (p, q) of
+    d_n is its (-1)^p x_i⊗dy_j part, in row block (p, q-1), then its
+    dx_i⊗y_j part, in row block (p-1, q): the blocks of a degree are in p
+    descending, so each column is written in row order, with nothing
+    summed or sorted.
     """
     tb = TensorBasis(C, D, top_degree)
+    # d_0 has no rows, so a part at p = 0 or q = 0 is empty
+    dx = [C.diff(p) for p in range(C.top_degree + 1)]
+    dy = [D.diff(q) for q in range(D.top_degree + 1)]
+    dy_odd = [[[(l, -b) for l, b in col] for col in M] for M in dy]
     diffs = {}
     for n in range(1, tb.top_degree + 1):
-        terms = []
-        for p, q, col in tb.blocks(n):
-            if p >= 1:
-                terms.append((C.diff(p), la.identity(D.rank(q)),
-                              tb.offset(n - 1, p - 1), col, 1))
-            if q >= 1:
-                terms.append((la.identity(C.rank(p)), D.diff(q),
-                              tb.offset(n - 1, p), col, -1 if p % 2 else 1))
-        diffs[n] = la.kron_sum(tb.rank(n - 1), tb.rank(n), terms)
+        below = tb._offsets[n - 1]  # a block it lacks has an empty part
+        cols = []
+        for p, q, _ in tb.blocks(n):
+            at_dy, at_dx = below.get(p, 0), below.get(p - 1, 0)
+            w, rq = dy[q].nrows, len(dy[q])
+            Y = dy_odd[q] if p % 2 else dy[q]
+            for i, dXi in enumerate(dx[p]):
+                at = at_dy + i * w
+                if not dXi:  # dx_i = 0
+                    cols += [tuple([(at + l, b) for l, b in dYj]) for dYj in Y]
+                    continue
+                dXi = [(at_dx + k * rq, a) for k, a in dXi]
+                cols += [tuple([(at + l, b) for l, b in dYj] +
+                               [(k + j, a) for k, a in dXi])
+                         for j, dYj in enumerate(Y)]
+        diffs[n] = la.Sparse(cols, tb.rank(n - 1))
     E = ChainComplex(tb.ranks, diffs)
     return E, tb
 
@@ -299,11 +312,13 @@ def tensor_map(f, g, tb_source, tb_target):
     from each block (p, q) to the block (p, q) of the target."""
     mats = {}
     for n in range(tb_source.top_degree + 1):
-        terms = []
-        if tb_target.rank(n):
-            for p, q, col in tb_source.blocks(n):
-                fm, gm = f.mat(p), g.mat(q)
-                if fm.nrows and gm.nrows:  # into a zero group: no target block
-                    terms.append((fm, gm, tb_target.offset(n, p), col, 1))
-        mats[n] = la.kron_sum(tb_target.rank(n), tb_source.rank(n), terms)
+        r = tb_target.rank(n)
+        cols = []
+        for p, q, _ in tb_source.blocks(n):
+            fm, gm = f.mat(p), g.mat(q)
+            if r and fm.nrows and gm.nrows:
+                cols += la.kron(fm, gm, tb_target.offset(n, p), r)
+            else:  # into a zero group: no target block
+                cols += [()] * (fm.ncols * gm.ncols)
+        mats[n] = la.Sparse(cols, r)
     return mats

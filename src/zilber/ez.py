@@ -320,23 +320,22 @@ def _tensor_associator(tb_left, tb_ab, tb_right, tb_bc):
     tb_left is the basis of (C⊗D)⊗E with inner basis tb_ab; tb_right is
     the basis of C⊗(D⊗E) with inner basis tb_bc.  The part of block
     ((p, q), r) is kron(1, ι) into block (p, q + r), with ι the inclusion
-    of D_q ⊗ E_r into (D⊗E)_{q+r}."""
+    of D_q ⊗ E_r into (D⊗E)_{q+r}: for each x_i of C_p, a run of unit
+    columns."""
     mats = {}
     for n in range(tb_left.top_degree + 1):
-        terms = []
-        for m, r, col in tb_left.blocks(n):
+        u = la.units(tb_right.rank(n))
+        cols = []
+        for m, r, _ in tb_left.blocks(n):
             re = tb_left.D.rank(r)
-            for p, q, inner in tb_ab.blocks(m):
+            for p, q, _ in tb_ab.blocks(m):
                 s = q + r
-                if s > tb_bc.top_degree:
-                    continue
                 width = tb_ab.D.rank(q) * re
-                at = tb_bc.offset(s, q)
-                inclusion = la.Sparse([((at + t, 1),) for t in range(width)],
-                                      tb_bc.rank(s))
-                terms.append((la.identity(tb_ab.C.rank(p)), inclusion,
-                              tb_right.offset(n, p), col + inner * re, 1))
-        mats[n] = la.kron_sum(tb_right.rank(n), tb_left.rank(n), terms)
+                w = tb_bc.rank(s)
+                at = tb_right.offset(n, p) + tb_bc.offset(s, q)
+                for i in range(tb_ab.C.rank(p)):
+                    cols += u[at + i * w:at + i * w + width]
+        mats[n] = la.Sparse(cols, tb_right.rank(n))
     return mats
 
 

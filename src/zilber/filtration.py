@@ -168,15 +168,13 @@ def _basis_skeletal_filtration(S):
 def _kron_columns(nrows, pieces):
     """The nrows-row matrix whose columns are those of kron(X, Y), moved
     down to row offset off, for (off, X, Y) in pieces, left to right."""
-    terms = []
-    col = 0
+    cols = []
     for off, X, Y in pieces:
-        # kron_sum would give the same columns, but would walk every column
-        # of X for an empty Y: day_convolution passes many empty stages
-        if X.ncols and Y.ncols:
-            terms.append((X, Y, off, col, 1))
-            col += X.ncols * Y.ncols
-    return la.kron_sum(nrows, col, terms)
+        # most pieces of a Day convolution have a factor with no columns,
+        # and this test is cheaper than the call, which returns at once
+        if X and Y:
+            cols += la.kron(X, Y, off, nrows)
+    return la.Sparse(cols, nrows)
 
 
 def day_convolution(F, G):

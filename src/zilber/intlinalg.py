@@ -42,14 +42,15 @@ AW∘∇, symmetry and associativity certificates use it.
 ``products_equal`` with an empty right-hand side, its 716 calls of one
 certbench ``ez`` pass (seed 5) took 6.4 ms instead of 4.0 ms in replay.
 
-``kron_sum`` adds scaled Kronecker products into blocks of a matrix: ∇,
-AW and the block layout of ``chains.TensorBasis`` are built with it.
-``kron``, which the Leibniz check and the tests call, is a separate
-implementation that gives the product of two unit columns as the shared
-unit column.  It stays separate for speed: ``kron`` written through
-``kron_sum``, with unit sharing in ``_column``, read slower on certbench
-``ez`` (certs_per_s median 628 -> 590, cert_p90_ms 3.07 -> 3.50 ms,
-worse in 4 of 4 paired runs).
+``kron(A, B, row, nrows)`` is the one Kronecker product: the columns of
+kron(A, B) moved down by ``row``, the product of two unit columns the
+shared unit column, and no columns at once for a factor with none.  Every
+block of a tensor-layer matrix is row-disjoint and its rows ascend in
+block order, so those matrices are written column by column in row order,
+with nothing summed or sorted: ``chains.tensor_map`` and the
+Day-convolution stages concatenate the columns of placed ``kron``s, a page
+product is one placed ``kron``, and the tensor differential, the
+associator and the hom-complex equations write their columns directly.
 
 The unit column ``((r, 1),)`` is one shared tuple per row r (``units``,
 grown on demand): ``identity``, ``kron`` of two unit columns, the
@@ -318,40 +319,30 @@ def from_columns(cols, nrows):
                    for v in cols], nrows)
 
 
-def kron_sum(nrows, ncols, terms):
-    """The nrows x ncols matrix Σ scale * kron(A, B), each product with its
-    top left entry at (row, col), over (A, B, row, col, scale) in terms."""
-    cols = [[] for _ in range(ncols)]
-    for A, B, row, col, scale in terms:
-        if not scale:
-            continue
-        rb, cb = dims(B)
-        for j, Aj in enumerate(A):
-            if not Aj:
-                continue
-            blocks = [(row + i * rb, scale * a) for i, a in Aj]
-            for Bl, out in zip(B, cols[col + j * cb:col + (j + 1) * cb]):
-                out.extend((r + k, s * b) for r, s in blocks for k, b in Bl)
-    return Sparse(list(map(_column, cols)), nrows)
-
-
-def kron(A, B):
-    """Kronecker product: (A ⊗ B)[i*rb+k][j*cb+l] = A[i][j]*B[k][l].  The
-    product of two unit columns is the shared unit column."""
+def kron(A, B, row=0, nrows=None):
+    """Kronecker product moved down by row: (A ⊗ B)[row+i*rb+k][j*cb+l] =
+    A[i][j]*B[k][l], in nrows rows (row + A.nrows * B.nrows by default).
+    The product of two unit columns is the shared unit column.  A or B with
+    no columns gives no columns, with no work per column of the other."""
+    if nrows is None:
+        nrows = row + A.nrows * B.nrows
+    if not A or not B:
+        return Sparse((), nrows)
     rb = B.nrows
     ub = [Bl[0][0] if len(Bl) == 1 and Bl[0][1] == 1 else None for Bl in B]
-    u = units(A.nrows * rb) if any(k is not None for k in ub) else None
+    u = units(nrows) if any(k is not None for k in ub) else None
     out = []
     for Aj in A:
         if u is not None and len(Aj) == 1 and Aj[0][1] == 1:
-            i = Aj[0][0] * rb
+            i = row + Aj[0][0] * rb
             out += [u[i + k] if k is not None
                     else tuple([(i + r, b) for r, b in Bl])
                     for k, Bl in zip(ub, B)]
         else:
-            out += [tuple([(i * rb + k, a * b) for i, a in Aj for k, b in Bl])
+            Ai = [(row + i * rb, a) for i, a in Aj]
+            out += [tuple([(i + k, a * b) for i, a in Ai for k, b in Bl])
                     for Bl in B]
-    return Sparse(out, A.nrows * rb)
+    return Sparse(out, nrows)
 
 
 def _eye(n):

@@ -416,8 +416,8 @@ class PagePairing:
         tb = self.P.basis
         if n > tb.top_degree:
             return la.zeros(self.P.H.ambient.rank(n), X.ncols * Y.ncols)
-        return la.mat_mul(self.P.m.mat(n), la.kron_sum(
-            tb.rank(n), X.ncols * Y.ncols, [(X, Y, tb.offset(n, n1), 0, 1)]))
+        return la.mat_mul(self.P.m.mat(n),
+                          la.kron(X, Y, tb.offset(n, n1), tb.rank(n)))
 
     def _well_defined_check(self):
         r = self.r

@@ -1,7 +1,8 @@
-"""Oracles the library does not carry: the Eilenberg-Zilber matrix path,
-the skeletal filtration from a normalization, the levelwise tensor of
-simplicial abelian groups, enumerations of Δ that only the tests read, and
-a generator of non-free simplicial groups.
+"""Oracles the library does not carry: the Kronecker block sums of the
+tensor layer, the Eilenberg-Zilber matrix path, the skeletal filtration
+from a normalization, the levelwise tensor of simplicial abelian groups,
+enumerations of Δ that only the tests read, and a generator of non-free
+simplicial groups.
 
 The library reads ∇, AW, the symmetry swap and the skeletal filtration of
 ℤ[X] off the nondegenerate simplices of X, and refuses any other group.
@@ -113,6 +114,101 @@ def conjugate_simplicial(rng, A):
 
 
 # ---------------------------------------------------------------------------
+# Kronecker blocks
+
+
+def kron_sum(nrows, ncols, terms):
+    """The nrows x ncols matrix Σ scale * kron(A, B), each product with its
+    top left entry at (row, col), over (A, B, row, col, scale) in terms.
+    Overlapping blocks add, so the tensor-layer matrices below are sums of
+    placed products, and the library, which writes each of their columns
+    in row order, is held to them entry for entry."""
+    cols = [[] for _ in range(ncols)]
+    for A, B, row, col, scale in terms:
+        if not scale:
+            continue
+        rb, cb = la.dims(B)
+        for j, Aj in enumerate(A):
+            if not Aj:
+                continue
+            blocks = [(row + i * rb, scale * a) for i, a in Aj]
+            for Bl, out in zip(B, cols[col + j * cb:col + (j + 1) * cb]):
+                out.extend((r + k, s * b) for r, s in blocks for k, b in Bl)
+    return la.Sparse(list(map(la._column, cols)), nrows)
+
+
+def tensor_differentials(C, D, tb):
+    """d_n of C ⊗ D on the basis tb, for 1 <= n <= tb.top_degree: column
+    block (p, q) is kron(d_p, 1) in row block (p-1, q) plus
+    (-1)^p kron(1, d_q) in row block (p, q-1)."""
+    diffs = {}
+    for n in range(1, tb.top_degree + 1):
+        terms = []
+        for p, q, col in tb.blocks(n):
+            if p >= 1:
+                terms.append((C.diff(p), la.identity(D.rank(q)),
+                              tb.offset(n - 1, p - 1), col, 1))
+            if q >= 1:
+                terms.append((la.identity(C.rank(p)), D.diff(q),
+                              tb.offset(n - 1, p), col, -1 if p % 2 else 1))
+        diffs[n] = kron_sum(tb.rank(n - 1), tb.rank(n), terms)
+    return diffs
+
+
+def tensor_map(f, g, tb_source, tb_target):
+    """f ⊗ g: kron(f_p, g_q) from each block (p, q) of tb_source to the
+    block (p, q) of tb_target, none into a block the target lacks."""
+    mats = {}
+    for n in range(tb_source.top_degree + 1):
+        terms = []
+        if tb_target.rank(n):
+            for p, q, col in tb_source.blocks(n):
+                fm, gm = f.mat(p), g.mat(q)
+                if fm.nrows and gm.nrows:
+                    terms.append((fm, gm, tb_target.offset(n, p), col, 1))
+        mats[n] = kron_sum(tb_target.rank(n), tb_source.rank(n), terms)
+    return mats
+
+
+def tensor_associator(tb_left, tb_ab, tb_right, tb_bc):
+    """((C⊗D)⊗E)_n -> (C⊗(D⊗E))_n: block ((p, q), r) is kron(1, ι) into
+    block (p, q + r), ι the inclusion of D_q ⊗ E_r into (D⊗E)_{q+r}."""
+    mats = {}
+    for n in range(tb_left.top_degree + 1):
+        terms = []
+        for m, r, col in tb_left.blocks(n):
+            re = tb_left.D.rank(r)
+            for p, q, inner in tb_ab.blocks(m):
+                s = q + r
+                at = tb_bc.offset(s, q)
+                inclusion = la.Sparse(
+                    [((at + t, 1),) for t in range(tb_ab.D.rank(q) * re)],
+                    tb_bc.rank(s))
+                terms.append((la.identity(tb_ab.C.rank(p)), inclusion,
+                              tb_right.offset(n, p), col + inner * re, 1))
+        mats[n] = kron_sum(tb_right.rank(n), tb_left.rank(n), terms)
+    return mats
+
+
+def hom_equations(C, D):
+    """The equations of chain maps C -> D: for 1 <= n <= top the row block
+    of f_{n-1} d^C_n - d^D_n f_n = 0, entry (i, j) at i * C.rank(n) + j,
+    is kron(1, (d^C_n)^T) - kron(d^D_n, 1) on the unknowns f_{n-1} and
+    f_n, f_n[k][j] in column k * C.rank(n) + j of its block."""
+    top = max(C.top_degree, D.top_degree)
+    offsets = [0]
+    for n in range(top + 1):
+        offsets.append(offsets[n] + D.rank(n) * C.rank(n))
+    terms, eqs = [], 0
+    for n in range(1, top + 1):
+        terms += [(la.identity(D.rank(n - 1)), la.transpose(C.diff(n)),
+                   eqs, offsets[n - 1], 1),
+                  (D.diff(n), la.identity(C.rank(n)), eqs, offsets[n], -1)]
+        eqs += D.rank(n - 1) * C.rank(n)
+    return kron_sum(eqs, offsets[top + 1], terms)
+
+
+# ---------------------------------------------------------------------------
 # the Eilenberg-Zilber matrix path
 
 
@@ -154,7 +250,7 @@ class ShuffleProduct:
         self.target = self.norm_AB.normalized
         sec_a, sec_b = self.norm_A.section, self.norm_B.section
         lifted = ChainMap(NT, unnormalized_chains(AB), {
-            n: la.kron_sum(AB.ranks[n], NT.rank(n), [
+            n: kron_sum(AB.ranks[n], NT.rank(n), [
                 # (s_a, s_b) = sh.components(), the shuffle's lattice path
                 (la.mat_mul(A.operator_matrix(sh.components()[0]),
                             sec_a.mat(p)),
@@ -173,7 +269,7 @@ class ShuffleProduct:
         times the section of A⊗B."""
         A, B, tb = self.A, self.B, self.source_basis
         proj_a, proj_b = self.norm_A.projection, self.norm_B.projection
-        mats = {n: la.mat_mul(la.kron_sum(tb.rank(n), self.product.ranks[n], [
+        mats = {n: la.mat_mul(kron_sum(tb.rank(n), self.product.ranks[n], [
             (la.mat_mul(proj_a.mat(p), A.operator_matrix(front_face(n, p))),
              la.mat_mul(proj_b.mat(q), B.operator_matrix(back_face(n, q))),
              row, 0, 1)

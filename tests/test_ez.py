@@ -280,7 +280,7 @@ def unnormalized_shuffle(A, B):
                 s_a, s_b = sh.components()
                 terms.append((A.operator_matrix(s_a), B.operator_matrix(s_b),
                               0, col, sh.sign))
-        mats[n] = la.kron_sum(AB.ranks[n], T.rank(n), terms)
+        mats[n] = oracles.kron_sum(AB.ranks[n], T.rank(n), terms)
     return ChainMap(T, unnormalized_chains(AB), mats), tb, AB
 
 
@@ -289,7 +289,7 @@ def unnormalized_aw(nabla, tb, A, B):
     oracle ∇ (source basis tb), validated as a chain map: row block (p, q)
     is kron(front face, back face)."""
     T, CAB = nabla.source, nabla.target
-    return ChainMap(CAB, T, {n: la.kron_sum(T.rank(n), CAB.rank(n), [
+    return ChainMap(CAB, T, {n: oracles.kron_sum(T.rank(n), CAB.rank(n), [
         (A.operator_matrix(front_face(n, p)),
          B.operator_matrix(back_face(n, q)), row, 0, 1)
         for p, q, row in tb.blocks(n)]) for n in range(A.dim_bound + 1)})

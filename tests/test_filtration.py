@@ -244,7 +244,7 @@ def _first_escape(P):
                         continue
                     for x in one_by_one(P.F.stage(p, a)):
                         for y in one_by_one(P.G.stage(q, n - a)):
-                            xy = la.kron_sum(tb.rank(n), 1, [
+                            xy = oracles.kron_sum(tb.rank(n), 1, [
                                 (x, y, tb.offset(n, a), 0, 1)])
                             img = la.mat_mul(P.m.mat(n), xy)
                             if not la.Span(P.H.stage(p + q, n)).contains(img):

@@ -257,19 +257,15 @@ def test_sparse_operations_match_the_dense_ones(data):
     assert la.mat_eq(SA, SA2) == (A == A2)
     assert la.is_zero(SA) == all(x == 0 for row in A for x in row)
     assert not la.mat_eq(la.zeros(r, k + 1), la.zeros(r, k))
-    # Kronecker products, alone and summed into overlapping blocks
+    # Kronecker products, alone and moved down into more rows; a factor
+    # with no columns (k or c 0) gives none
     assert_canonical(la.kron(SA, SB),
                      dense_kron_sum(r * k, k * c, [(A, B, 0, 0, 1)]), k * c)
+    row, extra = (data.draw(st.integers(0, 2)) for _ in range(2))
+    rows = row + r * k + extra
+    assert_canonical(la.kron(SA, SB, row, rows),
+                     dense_kron_sum(rows, k * c, [(A, B, row, 0, 1)]), k * c)
     assert_canonical(la.hstack(SA, SA2), dense_hstack(A, A2), 2 * k)
-    row, col = (data.draw(st.integers(0, 2)) for _ in range(2))
-    rows, cols = row + r * k + 1, col + k * c + 1
-    terms = [(A, B, row, col, s), (A2, B, 0, 0, t), (A2, B, row, col, 1),
-             (A, B, row, col, -s)]
-    assert_canonical(
-        la.kron_sum(rows, cols, [(la.as_sparse(X, len(X), k),
-                                  la.as_sparse(Y, k, c), *rest)
-                                 for X, Y, *rest in terms]),
-        dense_kron_sum(rows, cols, terms), cols)
     # JSON, hashing of its columns, copies
     assert json.loads(json.dumps(SA)) == [[list(p) for p in col] for col in SA]
     hash(tuple(map(tuple, SA)))
@@ -303,13 +299,14 @@ def test_kron_is_the_entrywise_product_and_shares_unit_columns(data):
     A = data.draw(kinds.flatmap(lambda kind: kind(ra, ca)))
     B = data.draw(kinds.flatmap(lambda kind: kind(rb, cb)))
     SA, SB = la.as_sparse(A, ra, ca), la.as_sparse(B, rb, cb)
-    K = la.kron(SA, SB)
-    assert_canonical(K, [[A[i][j] * B[k][l]
-                          for j in range(ca) for l in range(cb)]
-                         for i in range(ra) for k in range(rb)], ca * cb)
+    row, extra = (data.draw(st.integers(0, 3)) for _ in range(2))
+    rows = row + ra * rb + extra
+    K = la.kron(SA, SB, row, rows)
+    assert_canonical(K, dense_kron_sum(rows, ca * cb, [(A, B, row, 0, 1)]),
+                     ca * cb)
     for col, (Aj, Bl) in zip(K, itertools.product(SA, SB)):
         if _is_unit(Aj) and _is_unit(Bl):
-            assert col is la.units(ra * rb)[col[0][0]]
+            assert col is la.units(K.nrows)[col[0][0]]
 
 
 @st.composite

@@ -64,6 +64,10 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
                                          "aw", "--dim-bound", "8"]
     assert ladder.ROWS["ez-aw-d5-8"] == ["ez", "delta5", "delta5", "--check",
                                          "aw", "--dim-bound", "8"]
+    # associativity whose normalized side grows with the bound
+    assert ladder.ROWS["ez-assoc-d3-9"] == ["ez", "delta3", "delta3",
+                                            "--third", "delta3", "--check",
+                                            "assoc", "--dim-bound", "9"]
     # unitality reads the edge shuffles alone: the row times set-up
     assert ladder.ROWS["ez-unital-11"] == ["ez", "delta3", "delta3", "--check",
                                            "unital", "--dim-bound", "11"]

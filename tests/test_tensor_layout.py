@@ -1,7 +1,8 @@
 """The block layout of tensor products against its definition, entry by
 entry: in degree n the basis of C ⊗ D is the (p, i, q, j) with p + q = n,
-p descending, then i, then j.  Every oracle here enumerates that list and
-places one entry at a time; the library places Kronecker blocks."""
+p descending, then i, then j.  The oracles here enumerate that list and
+place one entry at a time, or sum placed Kronecker blocks
+(``oracles.kron_sum``); the library writes each column in row order."""
 
 from types import SimpleNamespace
 
@@ -11,14 +12,17 @@ from hypothesis import strategies as st
 
 from zilber import _random as zrandom
 from zilber import intlinalg as la
-from zilber.chains import (ChainComplex, ChainMap, identity_chain_map, tensor,
-                           tensor_map)
+from zilber import ez, filtration
+from zilber.chains import (ChainComplex, ChainMap, hom_rank,
+                           identity_chain_map, tensor, tensor_map)
 from zilber.delta import shuffles
-from zilber.ez import shuffle_product
+from zilber.ez import associativity_check, shuffle_product
+from zilber.filtration import convolution_associativity_check
 from zilber.simplicial import circle, free_abelian, standard_simplex
 from zilber.spectral import PagePairing
 
-from oracles import ShuffleProduct, back_face, front_face
+import oracles
+from oracles import ShuffleProduct, back_face, front_face, kron_sum
 from test_ez import unnormalized_aw, unnormalized_shuffle
 
 
@@ -71,6 +75,7 @@ def direct_sum(C, D):
 
 
 def random_complex(rng):
+    # often with a degree of rank 0, or with every degree of rank 0
     return zrandom.rand_complex(rng, top_degree=rng.randint(0, 2),
                                 max_total_rank=rng.randint(0, 6))
 
@@ -99,6 +104,7 @@ def truncation(rng, C, D):
 def test_tensor_differential_is_the_koszul_formula(rng):
     C, D = random_complex(rng), random_complex(rng)
     E, tb = tensor(C, D, truncation(rng, C, D))
+    kron_built = oracles.tensor_differentials(C, D, tb)
     positions = basis(C, D, tb.top_degree)
     assert E.ranks == [len(pos) for pos in positions]
     for n in range(1, tb.top_degree + 1):
@@ -112,6 +118,7 @@ def test_tensor_differential_is_the_koszul_formula(rng):
                 want[positions[n - 1][(p, i, q - 1, j2)]][col] += \
                     (-1) ** p * la.rows(D.diff(q))[j2][j]
         assert la.rows(E.diff(n)) == want
+        assert la.mat_eq(E.diff(n), kron_built[n])
         # x_i ⊗ y_j sits at entry i * rank D_q + j of its block
         for (p, i, q, j), k in positions[n].items():
             assert tb.offset(n, p) + i * D.rank(q) + j == k
@@ -127,8 +134,11 @@ def test_tensor_map_is_the_entrywise_product(rng):
     want = tensor_map_oracle(
         f, g, basis(C, D, tb_src.top_degree),
         basis(f.target, g.target, tb_tgt.top_degree))
-    assert {n: la.rows(M) for n, M in
-            tensor_map(f, g, tb_src, tb_tgt).items()} == want
+    got = tensor_map(f, g, tb_src, tb_tgt)
+    assert {n: la.rows(M) for n, M in got.items()} == want
+    kron_built = oracles.tensor_map(f, g, tb_src, tb_tgt)
+    assert got.keys() == kron_built.keys()
+    assert all(la.mat_eq(M, kron_built[n]) for n, M in got.items())
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,10 +190,70 @@ def test_kron_sum_adds_a_scaled_block(rng):
                     want[row + i * rb + k][col + j * cb + m] += \
                         scale * A[i][j] * B[k][m]
     # M is kron(M, 1) at the origin
-    got = la.kron_sum(r, c, [(la.as_sparse(M, r, c), la.identity(1), 0, 0, 1),
-                             (la.as_sparse(A, ra, ca), la.as_sparse(B, rb, cb),
-                              row, col, scale)])
+    got = kron_sum(r, c, [(la.as_sparse(M, r, c), la.identity(1), 0, 0, 1),
+                          (la.as_sparse(A, ra, ca), la.as_sparse(B, rb, cb),
+                           row, col, scale)])
     assert la.rows(got) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_the_hom_rank_equations_are_the_kron_sum_build(rng):
+    C, D = random_complex(rng), random_complex(rng)
+    factored = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(la, "rank", lambda M: factored.append(M) or 0)
+        unknowns = hom_rank(C, D)
+    assert len(factored) == 1
+    assert la.mat_eq(factored[0], oracles.hom_equations(C, D))
+    assert unknowns == factored[0].ncols
+
+
+def associators_of(module, check, *args):
+    """(bases, matrices) of every _tensor_associator call that check(*args)
+    makes through module; the check must pass."""
+    calls = []
+    worker = module._tensor_associator
+
+    def recording(*bases):
+        calls.append((bases, worker(*bases)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, "_tensor_associator", recording)
+        assert check(*args).ok
+    return calls
+
+
+FREE = {"pt": lambda D: standard_simplex(0, D),
+        "d1": lambda D: standard_simplex(1, D),
+        "d2": lambda D: standard_simplex(2, D),
+        "s1": circle}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from(sorted(FREE)), min_size=3, max_size=3),
+       st.integers(0, 4))
+def test_the_associator_on_ez_bases_is_the_kron_sum_build(names, D):
+    A, B, C = (free_abelian(FREE[name](D)) for name in names)
+    [(bases, mats)] = associators_of(ez, associativity_check, A, B, C)
+    want = oracles.tensor_associator(*bases)
+    assert mats.keys() == want.keys()
+    assert all(la.mat_eq(M, want[n]) for n, M in mats.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_the_associator_on_day_bases_is_the_kron_sum_build(rng):
+    F, G, H = (zrandom.rand_filtration(rng, p_max=rng.randrange(3),
+                                       top_degree=rng.randrange(3),
+                                       max_total_rank=rng.randint(1, 3))
+               for _ in range(3))
+    [(bases, mats)] = associators_of(filtration,
+                                     convolution_associativity_check, F, G, H)
+    want = oracles.tensor_associator(*bases)
+    assert mats.keys() == want.keys()
+    assert all(la.mat_eq(M, want[n]) for n, M in mats.items())
 
 
 PAIRS = [("delta1", "s1"), ("s1", "delta1"), ("s1", "s1")]
