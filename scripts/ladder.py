@@ -34,6 +34,11 @@ does grow with the bound (Δ²×Δ²×Δ² has no nondegenerate simplex above
 degree 6); at this scale the d∘d checks of its chain complexes take
 about half its time.
 
+``ss-pairing-d3-6`` is the filtered shuffle pairing on Δ³×Δ³.  Its
+skeletal stage spans, each 0 or an identity, answer without a solve; the
+Smith normal forms of the pages' kernels, images and quotients (143 in
+one run) take most of its time.
+
 ``ss-random-p4`` checks d_r² = 0, page recursion and convergence on 300
 seeded random filtrations of length 4: many small Smith normal forms,
 as in the certbench ``spectral`` pages, where the other ``ss`` rows time
@@ -106,6 +111,8 @@ ROWS = {  # name -> zilber argv
     "ss-pairing-9": ["ss", "ez:delta2,delta2", "--pairing", "--dim-bound", "9"],
     "ss-pairing-11": ["ss", "ez:delta2,delta2", "--pairing",
                       "--dim-bound", "11"],
+    "ss-pairing-d3-6": ["ss", "ez:delta3,delta3", "--pairing",
+                        "--dim-bound", "6"],
     "ss-heart-9": ["ss", "sk:torus", "--heart", "--dim-bound", "9"],
     "ss-heart-11": ["ss", "sk:torus", "--heart", "--dim-bound", "11"],
     "ss-random-p4": ["ss", "random", "--trials", "300", "--p-max", "4"],

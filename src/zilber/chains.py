@@ -35,10 +35,6 @@ class AbelianGroupInvariants:
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    @property
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
 
 def invariants_of_subquotient(sq):
     return AbelianGroupInvariants(sq.free_rank, tuple(sq.torsion))

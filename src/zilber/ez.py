@@ -48,7 +48,8 @@ class _Nondegenerate:
     ChainComplex.  Only the factors' levels are walked
     (_nondegenerate_tuples), so (X×Y)×Z and X×(Y×Z) are the one object of
     (X, Y, Z).  The object of one X is kept on X (of), and filtration
-    keeps the skeletal filtration of chains in skeletal."""
+    keeps the skeletal filtration of chains in skeletal.  Every ∇ on this
+    object shares the images of basis[p] kept by degenerate_basis."""
 
     def __init__(self, factors):
         D = factors[0].dim_bound
@@ -57,6 +58,7 @@ class _Nondegenerate:
         self.factors = tuple(factors)
         self.dim_bound = D
         self.skeletal = None
+        self._images = {}  # surjection f -> degenerate_basis(f)
         self.basis = [_nondegenerate_tuples(
             [X.degeneracy_masks[n] for X in factors], n) for n in range(D + 1)]
         self.position = [{t: i for i, t in enumerate(b)} for b in self.basis]
@@ -97,12 +99,19 @@ class _Nondegenerate:
         """d_i t for t of level n."""
         return tuple([X.faces[(n, i)][a] for X, a in zip(self.factors, t)])
 
-    def degenerate(self, t, n, steps):
-        """s_{j_r} ⋯ s_{j_1} t for steps (j_1, ..., j_r), t of level n."""
-        for j in steps:
-            t = tuple([X.degens[(n, j)][a] for X, a in zip(self.factors, t)])
-            n += 1
-        return t
+    def degenerate_basis(self, f):
+        """X(f) of every simplex of basis[p], in basis order, for a monotone
+        surjection f : [n] -> [p]: s_{j_r} ⋯ s_{j_1} over its steps, one
+        level at a time.  Kept per f; callers must not mutate it."""
+        out = self._images.get(f)
+        if out is None:
+            out, p = self.basis[f.codomain_top], f.codomain_top
+            for j in _degeneracy_steps(f):
+                s = [X.degens[(p, j)] for X in self.factors]
+                out = [tuple([sx[a] for sx, a in zip(s, t)]) for t in out]
+                p += 1
+            self._images[f] = out
+        return out
 
     def face_positions(self, t, n, front):
         """Per p <= n, the position in basis[p] of the front p-face
@@ -189,11 +198,8 @@ class _FreeShuffleProduct:
                 terms = []
                 for sh in shuffles(p, q):
                     s_a, s_b = sh.components()
-                    terms.append((sh.sign, [
-                        left.degenerate(x, p, _degeneracy_steps(s_a))
-                        for x in left.basis[p]], [
-                        right.degenerate(y, q, _degeneracy_steps(s_b))
-                        for y in right.basis[q]]))
+                    terms.append((sh.sign, left.degenerate_basis(s_a),
+                                  right.degenerate_basis(s_b)))
                 for i in range(len(left.basis[p])):
                     for j in range(len(right.basis[q])):
                         pairs = []

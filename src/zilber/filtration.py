@@ -21,10 +21,11 @@ class FilteredChainComplex:
 
     The la.Span of each distinct stage matrix is factored once, keyed by
     (rows, matrix), and kept: validation and every later reader of
-    ``span(p, n)`` share it.  ``spans`` may hand in spans already factored
-    under those keys (day_convolution passes the spans whose bases are its
-    stages); validation still runs every closure, nesting and exhaustion
-    test, on them.  Stages and spans must not be changed afterwards."""
+    ``span(p, n)``, which finds it by clamped (p, n), share it.  ``spans``
+    may hand in spans already factored under those keys (day_convolution
+    passes the spans whose bases are its stages); validation still runs
+    every closure, nesting and exhaustion test, on them.  Stages and spans
+    must not be changed afterwards."""
 
     def __init__(self, ambient, stages, p_max, check=True, spans=None):
         if p_max < 0:
@@ -32,6 +33,7 @@ class FilteredChainComplex:
         self.ambient = ambient
         self.p_max = p_max
         self._spans = dict(spans or {})  # (rows, stage matrix) -> Span
+        self._stage_spans = {}  # (clamped p, n) -> Span
         if len(stages) != p_max + 1:
             raise ValueError("stages must have p_max + 1 entries")
         for p, stage in enumerate(stages):
@@ -57,12 +59,15 @@ class FilteredChainComplex:
 
     def span(self, p, n):
         """The la.Span of stage (p, n), p clamped as in stage: factored on
-        first use, once per distinct stage matrix."""
-        S = self.stage(p, n)
-        key = (S.nrows, S)
-        sp = self._spans.get(key)
+        first use, once per distinct stage matrix, and found by (p, n)."""
+        at = (max(-1, min(p, self.p_max)), n)
+        sp = self._stage_spans.get(at)
         if sp is None:
-            sp = self._spans[key] = la.Span(S)
+            S = self.stage(p, n)
+            sp = self._spans.get((S.nrows, S))
+            if sp is None:
+                sp = self._spans[(S.nrows, S)] = la.Span(S)
+            self._stage_spans[at] = sp
         return sp
 
     def _validate(self):

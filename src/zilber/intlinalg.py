@@ -64,11 +64,13 @@ transforms it reads: ``snf_diagonal``, ``rank`` and ``quotient_orders``
 V, ``image_basis`` Uinv, ``solve_matrix`` (so ``inverse_unimodular``) U
 and V, and ``Span`` U and Uinv.  A ``Span`` keeps U as a ``Sparse``, the
 diagonal and the image basis, and answers any number of coordinate and
-containment tests and the lattice test.  A ``Subquotient`` takes the
-``Span`` of Z, which may be shared, runs one SNF, of the coordinates of
-the B generators on the basis of Z, keeps the rows of its U that select
-the generators as one ``Sparse``, and builds its lifts only when they are
-read.
+containment tests and the lattice test, with no solve where the answer
+is known: a lattice span (all of ℤⁿ) contains every column, and on an
+identity span a matrix is its own coordinates.  A ``Subquotient`` takes
+the ``Span`` of Z, which may be shared, runs one SNF, of the coordinates
+of the B generators on the basis of Z, keeps the rows of its U that
+select the generators as one ``Sparse``, and builds its lifts only when
+they are read.
 """
 
 from __future__ import annotations
@@ -547,7 +549,8 @@ class Span:
     with b in the span iff every division is exact and (U b)_i = 0 for
     i >= rank; ``basis`` has full column rank, so they are unique.  An A
     with no nonzero entry spans 0 and runs no SNF; nor does an identity A,
-    which is its own U and basis, with diagonal all 1."""
+    its own U and basis, with diagonal all 1, on which B is its own coords.
+    The lattice test is decided here, and a lattice contains any B."""
 
     def __init__(self, A):
         self.nrows = n = A.nrows
@@ -562,6 +565,7 @@ class Span:
         # a kept stage is often its own image basis: hold one copy of it
         self.basis = A if basis == A else basis
         self.rank = self.basis.ncols
+        self._lattice = self.rank == n and all(d == 1 for d in self._diag)
 
     def coords(self, B):
         """The coordinates of the columns of B on ``basis``, as a matrix,
@@ -571,16 +575,20 @@ class Span:
                                  f"against a Span in {self.nrows} rows")
         if self._U is None:  # the zero span
             return None if any(B) else zeros(0, B.ncols)
+        if self._U is self.basis:  # only an identity A is both
+            return B
         return _diagonal_solve(self._diag, mat_mul(self._U, B), self.rank)
 
     def contains(self, B):
-        """Is every column of B in the span?"""
-        return self.coords(B) is not None
+        """Is every column of B in the span?  coords raises on a row
+        mismatch."""
+        return (self._lattice and B.nrows == self.nrows
+                or self.coords(B) is not None)
 
     def is_lattice(self):
         """Is the span all of ℤ^rows?  True iff A has as many invariant
         factors as rows, all equal to 1."""
-        return self.rank == self.nrows and all(d == 1 for d in self._diag)
+        return self._lattice
 
 
 def inverse_unimodular(M):

@@ -1,5 +1,6 @@
-"""Oracles the library does not carry: the Kronecker block sums of the
-tensor layer, the Eilenberg-Zilber matrix path, the skeletal filtration
+"""Oracles the library does not carry: span coordinates by a solve on
+every span, the Kronecker block sums of the tensor layer, the
+Eilenberg-Zilber matrix path, the skeletal filtration
 from a normalization, the levelwise tensor of simplicial abelian groups,
 enumerations of Δ that only the tests read, and a generator of non-free
 simplicial groups.
@@ -111,6 +112,18 @@ def conjugate_simplicial(rng, A):
     degens = {(n, i): la.mat_mul(g[n + 1][0], la.mat_mul(M, g[n][1]))
               for (n, i), M in A.degen_mats.items()}
     return SimplicialAbelianGroup(A.dim_bound, A.ranks, faces, degens)
+
+
+# ---------------------------------------------------------------------------
+# Spans
+
+
+def span_coords(A, B):
+    """Span(A).coords(B) with no shortcut: B solved on the image basis of A
+    by solve_matrix, one Smith form per call, whether the span is an
+    identity, a lattice, 0 or none of these.  None if some column of B is
+    not in the span."""
+    return la.solve_matrix(la.image_basis(A), B)
 
 
 # ---------------------------------------------------------------------------

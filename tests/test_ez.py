@@ -922,3 +922,43 @@ def test_a_group_without_a_simplicial_set_is_refused(check, arity):
     assert G.shuffle_products is None and G.normalizations == {}
     # unitality reads the shuffles alone, on any group
     assert unitality_check(G, G).ok
+
+
+IMAGE_SPACES = {
+    "d2": lambda D: (standard_simplex(2, D),),
+    "s1": lambda D: (circle(D),),
+    "d1xs1": lambda D: (product(standard_simplex(1, D), circle(D)),),
+    "d1,s1": lambda D: (standard_simplex(1, D), circle(D)),  # two factors
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(IMAGE_SPACES)), st.integers(0, 4))
+def test_kept_degenerate_images_are_the_per_simplex_ones(name, D):
+    # per simplex, from the operator matrices of ℤ[X], whose columns are
+    # the unit vectors of the image simplices
+    S = ez._Nondegenerate(IMAGE_SPACES[name](D))
+    groups = [free_abelian(X) for X in S.factors]
+    for n in range(D + 1):
+        for p in range(n + 1):
+            for sh in shuffles(p, n - p):
+                for f in sh.components():
+                    kept = S.degenerate_basis(f)
+                    ops = [A.operator_matrix(f) for A in groups]
+                    assert kept == [tuple([M[a][0][0] for M, a in zip(ops, t)])
+                                    for t in S.basis[f.codomain_top]]
+                    assert S.degenerate_basis(f) is kept  # kept, not rebuilt
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(CORPUS)), st.sampled_from(sorted(CORPUS)),
+       st.integers(0, 4))
+def test_a_nabla_on_shared_factors_is_the_one_built_fresh(a, b, D):
+    A, B = sab(a, D), sab(b, D)
+    shuffle_product(B, A)  # fills the images kept on both shared objects
+    shared = shuffle_product(A, B)
+    assert shared.left is ez._Nondegenerate.of(A)
+    fresh = ez._FreeShuffleProduct(ez._Nondegenerate((A.simplicial_set,)),
+                                   ez._Nondegenerate((B.simplicial_set,)))
+    for n in range(D + 1):
+        assert la.mat_eq(shared.map.mat(n), fresh.map.mat(n))

@@ -383,6 +383,43 @@ def test_validation_factors_each_distinct_stage_once(monkeypatch):
         assert len({(A.nrows, A) for A in factored}) == len(factored)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_span_is_one_object_per_clamped_stage(seed):
+    rng = random.Random(seed)
+    F, G = (zrandom.rand_filtration(rng, p_max=rng.randrange(4),
+                                    top_degree=2, max_total_rank=5)
+            for _ in range(2))
+    handed = []  # the spans day_convolution hands to its output
+
+    class Recording(FilteredChainComplex):
+        def __init__(self, *args, spans=None, **kwargs):
+            handed.extend((spans or {}).values())
+            super().__init__(*args, spans=spans, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtration, "FilteredChainComplex", Recording)
+        conv = day_convolution(F, G)
+    skeletal = skeletal_filtration(free_abelian(circle(2)))
+    for X in (F, conv, skeletal):
+        top, p_max = X.ambient.top_degree, X.p_max
+        for n in range(-2, top + 3):
+            if not 0 <= n <= top:  # every p reads the zero stage
+                assert len({id(X.span(p, n))
+                            for p in range(-3, p_max + 3)}) == 1
+                continue
+            for ps in ([-3, -2, -1], *([p] for p in range(p_max)),
+                       [p_max, p_max + 1, p_max + 5]):
+                sp = X.span(ps[0], n)
+                assert all(X.span(p, n) is sp for p in ps)
+                S = X.stage(ps[0], n)
+                assert sp.contains(S) and la.Span(S).contains(sp.basis)
+                if X is conv and ps[0] >= 0 and conv.basis.rank(n):
+                    assert any(sp is h for h in handed)
+        # a stage is looked up once per clamped p, not once per p
+        assert all(-1 <= p <= p_max for p, _ in X._stage_spans)
+
+
 def test_filtration_payload_roundtrip():
     rng = random.Random(24)
     F = zrandom.rand_filtration(rng)

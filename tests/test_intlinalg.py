@@ -17,6 +17,8 @@ from sympy.matrices.normalforms import invariant_factors
 from zilber import _random as zrandom
 from zilber import intlinalg as la
 
+import oracles
+
 ENTRIES = st.integers(-4, 4)
 
 
@@ -832,6 +834,53 @@ def test_an_identity_span_skips_the_smith_form_and_keeps_its_fields(
     assert la.mat_eq(span.basis, want_basis) and span.basis is eye
     assert span._U is None if not n else la.mat_eq(span._U, want_U)
     assert span.is_lattice()
+
+
+@st.composite
+def known_spans(draw):
+    """A matrix whose span answers without a full solve: an identity, a
+    permuted unimodular matrix (all of ℤⁿ but not the identity) or one
+    with no nonzero entry."""
+    kind = draw(st.sampled_from(["identity", "unimodular", "zero"]))
+    if kind == "zero":
+        return la.zeros(draw(st.integers(0, 5)), draw(st.integers(0, 3)))
+    if kind == "identity":
+        return la.identity(draw(st.integers(1, 5)))
+    n = draw(st.integers(2, 5))
+    W, _ = zrandom._random_unimodular(random.Random(draw(st.integers(0, 999))),
+                                      n)
+    A = la.mat_mul(W, la.Sparse([la.units(n)[i]
+                                 for i in draw(st.permutations(range(n)))], n))
+    assume(not la.mat_eq(A, la.identity(n)))
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(known_spans(), st.data())
+def test_identity_lattice_and_zero_spans_answer_as_the_solving_oracle(A, data):
+    span = la.Span(A)
+    n = A.nrows
+    assert span.is_lattice() == lattice_by_snf(A)
+    for _ in range(3):
+        B = data.draw(matrices(rows=n, max_dim=3))
+        want = oracles.span_coords(A, B)
+        got = span.coords(B)
+        assert got is None if want is None else la.mat_eq(got, want)
+        assert span.contains(B) == (want is not None)
+        if A and la.mat_eq(A, la.identity(n)):
+            assert got is B  # its own coordinates, with no product taken
+    for wrong in (la.zeros(n + 1, 1), la.zeros(n + 1, 0)):
+        for ask in (span.contains, span.coords):
+            with pytest.raises(AssertionError, match="against a Span"):
+                ask(wrong)
+
+
+def test_a_lattice_span_contains_without_a_solve(monkeypatch):
+    unimodular = la.as_sparse([[0, 1, 0], [1, 0, 2], [0, 0, 1]], 3)
+    span = la.Span(unimodular)
+    assert span.is_lattice()
+    monkeypatch.setattr(la, "_diagonal_solve", None)  # a call would raise
+    assert span.contains(la.as_sparse([[5, 0], [-3, 0], [7, 1]], 3))
 
 
 def rows_times(R, B):

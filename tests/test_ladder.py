@@ -71,6 +71,9 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
     # unitality reads the edge shuffles alone: the row times set-up
     assert ladder.ROWS["ez-unital-11"] == ["ez", "delta3", "delta3", "--check",
                                            "unital", "--dim-bound", "11"]
+    # the filtered pairing whose skeletal stages are 0 or an identity
+    assert ladder.ROWS["ss-pairing-d3-6"] == ["ss", "ez:delta3,delta3",
+                                              "--pairing", "--dim-bound", "6"]
     # the spectral pages' small Smith normal forms at certbench scale
     assert ladder.ROWS["ss-random-p4"] == ["ss", "random", "--trials", "300",
                                            "--p-max", "4"]
