@@ -34,6 +34,10 @@ does grow with the bound (Δ²×Δ²×Δ² has no nondegenerate simplex above
 degree 6); at this scale the d∘d checks of its chain complexes take
 about half its time.
 
+``ez-kunneth-d3-9`` is the Künneth check on Δ³×Δ³ at bound 9, above its
+top nondegenerate degree 6: the homology of both sides and of the
+mapping cone of ∇, one Smith diagonal per differential.
+
 ``ss-pairing-d3-6`` is the filtered shuffle pairing on Δ³×Δ³.  Its
 skeletal stage spans, each 0 or an identity, answer without a solve; the
 Smith normal forms of the pages' kernels, images and quotients (143 in
@@ -108,6 +112,8 @@ ROWS = {  # name -> zilber argv
                    "--dim-bound", "8"],
     "ez-unital-11": ["ez", "delta3", "delta3", "--check", "unital",
                      "--dim-bound", "11"],
+    "ez-kunneth-d3-9": ["ez", "delta3", "delta3", "--check", "kunneth",
+                        "--dim-bound", "9"],
     "ss-pairing-9": ["ss", "ez:delta2,delta2", "--pairing", "--dim-bound", "9"],
     "ss-pairing-11": ["ss", "ez:delta2,delta2", "--pairing",
                       "--dim-bound", "11"],

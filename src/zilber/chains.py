@@ -1,8 +1,10 @@
 """Chain complexes of finitely generated free ℤ-modules, tensor products
-with Koszul signs, chain maps, and homology via Smith normal form.
+with Koszul signs, chain maps and their mapping cones, and homology.
 
 Homology values are reported as AbelianGroupInvariants: a free rank plus the
-chain of invariant factors (each >= 2, each dividing the next).
+chain of invariant factors (each >= 2, each dividing the next), read off the
+Smith diagonals of the differentials.  A chain map induces an isomorphism on
+homology iff its mapping cone is acyclic, so no induced map is built.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .intlinalg import Subquotient
 
 CHAIN_FORMAT = "chain"
 CHAIN_VERSION = 1
@@ -34,10 +35,6 @@ class AbelianGroupInvariants:
             parts.append(f"Z^{self.free_rank}" if self.free_rank > 1 else "Z")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def invariants_of_subquotient(sq):
-    return AbelianGroupInvariants(sq.free_rank, tuple(sq.torsion))
 
 
 class ChainComplex:
@@ -148,58 +145,43 @@ def identity_chain_map(C):
 # homology
 
 
-def _homology_subquotient(C, n):
-    """H_n(C) = ker d_n / im d_{n+1} as a Subquotient of C_n."""
-    return Subquotient(la.Span(la.kernel_basis(C.diff(n))),
-                       la.image_basis(C.diff(n + 1)))
-
-
-def homology_subquotients(C):
-    """Per degree, the Subquotient ker d_n / im d_{n+1} (with lifts)."""
-    return [_homology_subquotient(C, n) for n in range(C.top_degree + 1)]
-
-
 def homology(C):
-    """H_n(C) in invariant-factor form, for 0 <= n <= top_degree."""
-    return [invariants_of_subquotient(sq) for sq in homology_subquotients(C)]
+    """H_n(C) in invariant-factor form, for 0 <= n <= top_degree, from one
+    transform-free Smith diagonal per differential.  ker d_n is a direct
+    summand of C_n (C_n / ker d_n embeds in the free C_{n-1}), so H_n =
+    ker d_n / im d_{n+1} has free rank c_n - rk d_n - rk d_{n+1}, and its
+    torsion is the invariant factors of d_{n+1} above 1."""
+    factors = {n: la.invariant_factors(M) for n, M in C.diffs.items()}
+    return [AbelianGroupInvariants(
+        C.rank(n) - len(factors.get(n, ())) - len(factors.get(n + 1, ())),
+        tuple(d for d in factors.get(n + 1, ()) if d > 1))
+        for n in range(C.top_degree + 1)]
 
 
-def _induced_homology(f):
-    """Per degree n: H_n(source), H_n(target) and the matrix of H_n(f) in
-    their canonical cyclic-generator coordinates (columns indexed by source
-    generators)."""
-    top = max(f.source.top_degree, f.target.top_degree)
-    out = []
-    for n in range(top + 1):
-        sq_s = _homology_subquotient(f.source, n)
-        sq_t = _homology_subquotient(f.target, n)
-        M = sq_t.coords(la.mat_mul(f.mat(n), sq_s.lifts))
-        out.append((sq_s, sq_t, M))
-    return out
-
-
-def induced_homology_matrices(f):
-    """Per degree n, the matrix of H_n(f) (see _induced_homology)."""
-    return [M for _, _, M in _induced_homology(f)]
+def mapping_cone(f):
+    """Cone(f) of a chain map f : C -> D: Cone_n = C_{n-1} ⊕ D_n, the basis
+    of C_{n-1} first, with d(x, y) = (-dx, f x + dy).  Its d∘d is
+    (0, d f - f d), so the validation of the complex is the test that f
+    commutes with d."""
+    C, D = f.source, f.target
+    top = max(C.top_degree + 1, D.top_degree)
+    diffs = {}
+    for n in range(1, top + 1):
+        c = C.rank(n - 2)
+        cols = [tuple([(i, -a) for i, a in dx] + [(c + i, b) for i, b in fx])
+                for dx, fx in zip(C.diff(n - 1), f.mat(n - 1))]
+        cols += [tuple([(c + i, b) for i, b in dy]) for dy in D.diff(n)]
+        diffs[n] = la.Sparse(cols, c + D.rank(n - 1))
+    return ChainComplex([C.rank(n - 1) + D.rank(n) for n in range(top + 1)],
+                        diffs)
 
 
 def is_homology_isomorphism(f):
-    """True if a chain map induces an isomorphism on every homology group.
-
-    Checks that the invariant factors agree degreewise and that the induced
-    map is surjective (for finitely generated abelian groups of the same
-    isomorphism type, surjective implies bijective): the cokernel of
-    [induced matrix | torsion relations] must vanish."""
-    for sq_s, sq_t, M in _induced_homology(f):
-        if sq_s.orders != sq_t.orders:
-            return False
-        g = sq_t.ngens
-        rel = la.Sparse([((i, o),) for i, o in enumerate(sq_t.orders) if o], g)
-        aug = la.hstack(M, rel)
-        diag = la.snf_diagonal(aug)
-        if sum(1 for d in diag if d) < g or any(abs(d) != 1 for d in diag if d):
-            return False
-    return True
+    """True if a chain map induces an isomorphism on every homology group,
+    that is, if its mapping cone is acyclic (Weibel, An Introduction to
+    Homological Algebra, 1.5.4)."""
+    return not any(h.free_rank or h.torsion
+                   for h in homology(mapping_cone(f)))
 
 
 def hom_rank(C, D):

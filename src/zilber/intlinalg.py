@@ -59,18 +59,19 @@ many unit columns of free objects and their tensor products cost one
 pointer each.  Columns are immutable, so sharing changes no value.
 
 Every solver runs one Smith normal form U*M*V = S and builds only the
-transforms it reads: ``snf_diagonal``, ``rank`` and ``quotient_orders``
-(the orders of a ``Subquotient``) none, ``kernel_basis``
-V, ``image_basis`` Uinv, ``solve_matrix`` (so ``inverse_unimodular``) U
-and V, and ``Span`` U and Uinv.  A ``Span`` keeps U as a ``Sparse``, the
-diagonal and the image basis, and answers any number of coordinate and
-containment tests and the lattice test, with no solve where the answer
-is known: a lattice span (all of ℤⁿ) contains every column, and on an
-identity span a matrix is its own coordinates.  A ``Subquotient`` takes
-the ``Span`` of Z, which may be shared, runs one SNF, of the coordinates
-of the B generators on the basis of Z, keeps the rows of its U that
-select the generators as one ``Sparse``, and builds its lifts only when
-they are read.
+transforms it reads: ``snf_diagonal``, ``invariant_factors`` (its
+nonzero entries), ``rank`` and ``quotient_orders`` (the orders of a
+``Subquotient``) none, ``kernel_basis`` V, ``image_basis`` Uinv,
+``solve_matrix`` (so ``inverse_unimodular``) U and V, and ``Span`` U and
+Uinv.  A ``Span`` keeps U as a ``Sparse``, the diagonal and the image
+basis, and answers any number of coordinate and containment tests and
+the lattice test, with no solve where the answer is known: a lattice
+span (all of ℤⁿ) contains every column, and on an identity span a matrix
+is its own coordinates.  A ``Subquotient`` takes the ``Span`` of Z,
+which may be shared, runs one SNF, of the coordinates of the B
+generators on the basis of Z, keeps the rows of its U that select the
+generators as one ``Sparse``, and builds its lifts only when they are
+read.
 """
 
 from __future__ import annotations
@@ -487,8 +488,13 @@ def snf_diagonal(M):
     return _smith_with_inverses(M, ())[1]
 
 
+def invariant_factors(M):
+    """The nonzero Smith diagonal of M, built with no transform."""
+    return [d for d in snf_diagonal(M) if d]
+
+
 def rank(M):
-    return sum(1 for d in snf_diagonal(M) if d != 0)
+    return len(invariant_factors(M))
 
 
 def kernel_basis(M):

@@ -509,10 +509,6 @@ def leibniz_check(pairing):
     return CheckCertificate(True, detail=f"Leibniz rule holds on page {r}")
 
 
-def _invariant_factors(M):
-    return [d for d in la.snf_diagonal(M) if d]
-
-
 def heart_check(A):
     """The first page of the skeletal filtration of A, with its d_1, is
     isomorphic as a chain complex to the normalized chains of A: the page
@@ -538,8 +534,8 @@ def heart_check(A):
                 False, witness=(p, 0),
                 detail=f"rank {sq.free_rank} != normalized rank {N.rank(p)}")
     for p in range(1, F.p_max + 1):
-        if _invariant_factors(S.diffs[1][(p, 0)]) != \
-                _invariant_factors(N.diff(p)):
+        if la.invariant_factors(S.diffs[1][(p, 0)]) != \
+                la.invariant_factors(N.diff(p)):
             return CheckCertificate(False, witness=p,
                                     detail="d_1 invariant factors differ "
                                            "from the normalized differential")

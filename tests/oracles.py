@@ -1,5 +1,6 @@
 """Oracles the library does not carry: span coordinates by a solve on
-every span, the Kronecker block sums of the tensor layer, the
+every span, homology and its induced maps as subquotients with lifts,
+the Kronecker block sums of the tensor layer, the
 Eilenberg-Zilber matrix path, the skeletal filtration
 from a normalization, the levelwise tensor of simplicial abelian groups,
 enumerations of Δ that only the tests read, and a generator of non-free
@@ -31,7 +32,7 @@ import pytest
 from zilber import _random as zrandom
 from zilber import ez, spectral
 from zilber import intlinalg as la
-from zilber.chains import ChainMap, tensor
+from zilber.chains import AbelianGroupInvariants, ChainMap, tensor
 from zilber.delta import (MonotoneMap, PosetPoint, StrictMonotoneIntoProduct,
                           codegeneracy, coface, enumerate_monotone,
                           monotone_position, shuffles, strict_chains)
@@ -124,6 +125,44 @@ def span_coords(A, B):
     identity, a lattice, 0 or none of these.  None if some column of B is
     not in the span."""
     return la.solve_matrix(la.image_basis(A), B)
+
+
+# ---------------------------------------------------------------------------
+# Homology as subquotients
+
+
+def homology_subquotient(C, n):
+    """H_n(C) = ker d_n / im d_{n+1} as a Subquotient of C_n, from a kernel
+    basis (an SNF tracking V) and an image basis (an SNF tracking Uinv)."""
+    return la.Subquotient(la.Span(la.kernel_basis(C.diff(n))),
+                          la.image_basis(C.diff(n + 1)))
+
+
+def homology(C):
+    """chains.homology, read off the homology subquotients."""
+    sqs = [homology_subquotient(C, n) for n in range(C.top_degree + 1)]
+    return [AbelianGroupInvariants(sq.free_rank, tuple(sq.torsion))
+            for sq in sqs]
+
+
+def is_homology_isomorphism(f):
+    """chains.is_homology_isomorphism from the induced maps: per degree,
+    H_n(source) and H_n(target) have the same invariant factors and the
+    matrix of H_n(f) on their cyclic generators is onto (a surjection
+    between finitely generated abelian groups of one isomorphism type is
+    a bijection), that is, [M | torsion relations] has every invariant
+    factor 1 in every row."""
+    for n in range(max(f.source.top_degree, f.target.top_degree) + 1):
+        sq_s = homology_subquotient(f.source, n)
+        sq_t = homology_subquotient(f.target, n)
+        if sq_s.orders != sq_t.orders:
+            return False
+        M = sq_t.coords(la.mat_mul(f.mat(n), sq_s.lifts))
+        rel = la.Sparse([((i, o),) for i, o in enumerate(sq_t.orders) if o],
+                        sq_t.ngens)
+        if la.invariant_factors(la.hstack(M, rel)) != [1] * sq_t.ngens:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

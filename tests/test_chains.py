@@ -4,14 +4,20 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ
+from sympy import Matrix as SympyMatrix
+from sympy.matrices.normalforms import invariant_factors
 
 from zilber import _random as zrandom
 from zilber import intlinalg as la
 from zilber.chains import (AbelianGroupInvariants, ChainComplex, ChainMap,
                            hom_rank, homology,
                            identity_chain_map, is_homology_isomorphism,
-                           induced_homology_matrices, tensor,
-                           unit_complex)
+                           mapping_cone, tensor, unit_complex)
+
+import oracles
 
 
 def sphere_complex(n):
@@ -107,12 +113,79 @@ def test_zero_map_is_not_homology_isomorphism():
     assert not is_homology_isomorphism(f)
 
 
-def test_induced_matrices_multiplication_degree():
-    # multiplication by 3 on a sphere induces multiplication by 3
+def test_multiplication_on_a_sphere_is_a_quasi_isomorphism_for_units_only():
+    # ×k on ℤ in degree 1 induces ×k on H_1 = ℤ
     C = sphere_complex(1)
-    f = ChainMap(C, C, {1: [[3]]})
-    mats = induced_homology_matrices(f)
-    assert la.rows(mats[1]) == [[3]]
+    for k, iso in ((3, False), (0, False), (-1, True), (1, True)):
+        assert is_homology_isomorphism(ChainMap(C, C, {1: [[k]]})) is iso
+
+
+def test_mapping_cone_of_multiplication_is_its_cokernel():
+    # Cone(×3 on ℤ in degree 0) is ℤ --3--> ℤ, with H_0 = Z/3
+    C = ChainComplex([1], {})
+    cone = mapping_cone(ChainMap(C, C, {0: [[3]]}))
+    assert cone.ranks == [1, 1] and la.rows(cone.diff(1)) == [[3]]
+    assert [str(h) for h in homology(cone)] == ["Z/3", "0"]
+
+
+def test_mapping_cone_refuses_a_map_that_does_not_commute_with_d():
+    C = ChainComplex([1, 1], {1: [[2]]})
+    f = ChainMap(C, C, {0: [[1]], 1: [[0]]}, check=False)
+    with pytest.raises(ValueError):
+        mapping_cone(f)
+
+
+def sympy_homology(C):
+    """H_n(C) from sympy's invariant factors of each differential."""
+    factors = {}
+    for n in range(1, C.top_degree + 1):
+        r, c = la.dims(C.diff(n))
+        M = SympyMatrix(r, c, [x for row in la.rows(C.diff(n)) for x in row])
+        factors[n] = [abs(int(d)) for d in invariant_factors(M, domain=ZZ)
+                      if d]
+    return [AbelianGroupInvariants(
+        C.rank(n) - len(factors.get(n, [])) - len(factors.get(n + 1, [])),
+        tuple(d for d in factors.get(n + 1, []) if d > 1))
+        for n in range(C.top_degree + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_homology_matches_the_subquotient_oracle_and_sympy(rng):
+    # two-term summands ℤ --k--> ℤ with k in {±1, 2, 3} give torsion
+    C = zrandom.rand_complex(rng, top_degree=rng.randint(0, 3),
+                             max_total_rank=rng.randint(0, 10))
+    h = homology(C)
+    assert h == oracles.homology(C)
+    assert h == sympy_homology(C)
+
+
+def random_chain_map(rng, C):
+    """A chain map out of C, often not a quasi-isomorphism: k·u for u the
+    change of basis from C to its conjugate by levelwise unimodular
+    matrices and k in {0, ±1, 2, 3}, or the map to or from the zero
+    complex."""
+    top = C.top_degree
+    kind = rng.choice(["scaled", "scaled", "to zero", "from zero"])
+    if kind != "scaled":
+        Z = ChainComplex([0] * (top + 1), {})
+        return ChainMap(C, Z, {}) if kind == "to zero" else ChainMap(Z, C, {})
+    us = [zrandom._random_unimodular(rng, C.rank(n)) for n in range(top + 1)]
+    conj = ChainComplex(C.ranks, {
+        n: la.mat_mul(la.mat_mul(us[n - 1][0], C.diff(n)), us[n][1])
+        for n in range(1, top + 1)})
+    k = rng.choice([0, 1, -1, 2, 3])
+    return ChainMap(C, conj, {n: la.mat_scale(k, U)
+                              for n, (U, _) in enumerate(us)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_quasi_isomorphism_matches_the_induced_map_oracle(rng):
+    C = zrandom.rand_complex(rng, top_degree=rng.randint(0, 3),
+                             max_total_rank=rng.randint(0, 8))
+    f = random_chain_map(rng, C)
+    assert is_homology_isomorphism(f) is oracles.is_homology_isomorphism(f)
 
 
 def test_chain_payload_roundtrip():

@@ -34,6 +34,22 @@ def test_ez_aw_on_intervals_passes(capsys):
     assert code == 0 and rep["pass"] is True
 
 
+def test_failing_kunneth_names_the_cone_homology_as_its_witness(capsys):
+    # S¹×Δ³ has nondegenerate 4-simplices, so at bound 3 its truncated top
+    # homology differs from that of the tensor side; this once exited 1
+    # with no witness and the detail of a pass
+    code, rep, _ = run(capsys, ["ez", "s1", "delta3", "--check", "kunneth",
+                                "--dim-bound", "3"])
+    assert code == 1 and rep["pass"] is False
+    assert rep["certificates"] == [{
+        "ok": False, "check": "kunneth", "witness": "3",
+        "detail": "H_3 of the cone of ∇ is Z^3"}]
+    code, rep, _ = run(capsys, ["ez", "s1", "s1", "--check", "kunneth"])
+    assert code == 0 and rep["certificates"] == [{
+        "ok": True, "check": "kunneth", "witness": None,
+        "detail": "shuffle map induces an isomorphism on homology"}]
+
+
 EZ_CHECKS = ["ez", "delta2", "delta2", "--check", "chain", "--check", "aw",
              "--check", "unital", "--check", "symmetry", "--dim-bound", "4"]
 

@@ -168,21 +168,47 @@ def test_torus_kunneth_isomorphism():
     assert is_homology_isomorphism(sp.map)
 
 
-def test_homology_isomorphism_builds_each_subquotient_once(monkeypatch):
+def test_homology_factors_each_differential_once_with_no_transform(
+        monkeypatch):
     from zilber import chains
     A = free_abelian(circle(2))
-    f = shuffle_product(A, A).map
-    built = []
-    worker = chains._homology_subquotient
+    sp = shuffle_product(A, A)
+    tracked = []
+    worker = la._smith_with_inverses
 
-    def counting(C, n):
-        built.append((C, n))
-        return worker(C, n)
+    def counting(M, track=la.ALL_TRANSFORMS):
+        tracked.append(track)
+        return worker(M, track)
 
-    monkeypatch.setattr(chains, "_homology_subquotient", counting)
-    assert is_homology_isomorphism(f)
-    # H_0, H_1, H_2 of the source and of the target
-    assert len(built) == 6
+    def refused(*args):
+        raise AssertionError("homology built a span or a subquotient")
+
+    monkeypatch.setattr(la, "_smith_with_inverses", counting)
+    monkeypatch.setattr(la, "Span", refused)
+    monkeypatch.setattr(la, "Subquotient", refused)
+    for C in (sp.source, sp.target, chains.mapping_cone(sp.map)):
+        tracked.clear()
+        homology(C)
+        assert tracked == [()] * C.top_degree
+    assert is_homology_isomorphism(sp.map)
+
+
+@pytest.mark.parametrize("a, b, iso", [
+    ("s1", "s1", True), ("pt", "s1", True), ("d1", "s1", True),
+    ("s1", "d2", False), ("d2", "d2", False)])
+def test_shuffle_map_quasi_isomorphism_matches_the_induced_map_oracle(a, b,
+                                                                      iso):
+    # at bound 2, S¹×Δ² and Δ²×Δ² have nondegenerate simplices above the
+    # bound, so the truncated top homology differs and ∇ is no
+    # quasi-isomorphism
+    f = shuffle_product(sab(a), sab(b)).map
+    f2 = ChainMap(f.source, f.target,
+                  {n: la.mat_scale(2, M) for n, M in f.mats.items()})
+    for g in (f, f2):
+        assert is_homology_isomorphism(g) is \
+            oracles.is_homology_isomorphism(g)
+    assert is_homology_isomorphism(f) is iso
+    assert not is_homology_isomorphism(f2)
 
 
 # ---------------------------------------------------------------------------

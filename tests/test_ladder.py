@@ -71,6 +71,10 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
     # unitality reads the edge shuffles alone: the row times set-up
     assert ladder.ROWS["ez-unital-11"] == ["ez", "delta3", "delta3", "--check",
                                            "unital", "--dim-bound", "11"]
+    # homology and the acyclic-cone test above the top nondegenerate degree
+    assert ladder.ROWS["ez-kunneth-d3-9"] == ["ez", "delta3", "delta3",
+                                              "--check", "kunneth",
+                                              "--dim-bound", "9"]
     # the filtered pairing whose skeletal stages are 0 or an identity
     assert ladder.ROWS["ss-pairing-d3-6"] == ["ss", "ez:delta3,delta3",
                                               "--pairing", "--dim-bound", "6"]
