@@ -251,6 +251,15 @@ def test_broken_face_is_caught_by_the_moore_check(monkeypatch, moore, i, v):
     assert built == [B.ranks]
 
 
+def test_a_degenerate_subgroup_that_is_not_a_summand_is_rejected():
+    # s_0 doubles the vertex: D_1 = 2ℤ in A_1 = ℤ, which has no complement
+    A = SimplicialAbelianGroup(1, [1, 1], {(1, 0): [[1]], (1, 1): [[1]]},
+                               {(0, 0): [[2]]}, check=False)
+    with pytest.raises(ValueError,
+                       match="degenerate subgroup is not a direct summand"):
+        normalize(A)
+
+
 def test_free_objects_normalize_without_smith_normal_form(snf_calls):
     X = product(circle(3), standard_simplex(2, 3))
     N = normalize(free_abelian(X)).normalized

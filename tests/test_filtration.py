@@ -686,12 +686,16 @@ def test_a_doubled_convolution_column_fails_both_checks():
     def double_first(X):
         return corrupted(X, stage_cells(X)[0], "double")
 
-    for call, check, args in [(1, convolution_symmetry_check, (F, G)),
-                              (3, convolution_associativity_check, (F, G, H))]:
+    for call, check, args, witness, detail in [
+            (1, convolution_symmetry_check, (F, G), (0, 0),
+             "swap image of stage 0 differs in degree 0"),
+            (3, convolution_associativity_check, (F, G, H), (1, 0),
+             "associator image of stage 1 differs in degree 0")]:
         conv, _ = recording_convolutions((call, double_first))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filtration, "day_convolution", conv)
-            assert not check(*args).ok
+            cert = check(*args)
+        assert (cert.ok, cert.witness, cert.detail) == (False, witness, detail)
 
 
 def test_day_convolution_factors_each_distinct_input_once(monkeypatch):
