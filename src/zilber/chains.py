@@ -129,12 +129,6 @@ class ChainMap:
                                      self.target.diff(n), self.mat(n)):
                 raise ValueError(f"chain map does not commute with d at degree {n}")
 
-    def compose(self, other):
-        """self ∘ other."""
-        top = max(self.target.top_degree, other.source.top_degree)
-        mats = {n: la.mat_mul(self.mat(n), other.mat(n)) for n in range(top + 1)}
-        return ChainMap(other.source, self.target, mats, check=False)
-
 
 def identity_chain_map(C):
     return ChainMap(C, C, {n: la.identity(C.rank(n))

@@ -71,28 +71,22 @@ def _quotient_by_degenerates(A, n):
         return proj, la.Sparse([u[k] for k in keep], rn)
     span = la.hstack(la.zeros(rn, 0),
                      *[A.degen_mats[(n - 1, i)] for i in range(n)])
-    U, diag, _, Uinv = la._smith_with_inverses(span, ("U", "Uinv"))
-    if any(d not in (0, 1) for d in diag):
+    sq = la.Subquotient(la.Span(la.identity(rn)), span)
+    if sq.torsion:
         raise ValueError(
             "degenerate subgroup is not a direct summand; "
             "input is not a valid simplicial abelian group")
-    r = sum(1 for d in diag if d)
-    return (la.as_sparse(U[r:], rn - r, rn),
-            la.as_sparse([row[r:] for row in Uinv], rn, rn - r))
+    return sq.coords(la.identity(rn)), sq.lifts
 
 
-def _moore_section(A, n, moore, lifts):
-    """P_n applied to the lifts, where P_n is the idempotent of A_n onto
-    the Moore subgroup with kernel D_n, applying the rightmost factor
-    first:
-    upper P_n = (1 - s_0 d_1)(1 - s_1 d_2)⋯(1 - s_{n-1} d_n),
-    lower P_n = (1 - s_{n-1} d_{n-1})⋯(1 - s_0 d_0).
+def _moore_section(A, n, lifts):
+    """P_n applied to the lifts, where P_n = (1 - s_0 d_1)(1 - s_1 d_2)⋯
+    (1 - s_{n-1} d_n) is the idempotent of A_n onto the Moore subgroup
+    ∩_{i>=1} ker d_i with kernel D_n, applying the rightmost factor first.
     la.apply_factors applies them one column at a time.  Raises
-    ValueError unless the Moore faces (d_1..d_n, resp. d_0..d_{n-1}) kill
-    every result."""
-    steps = ([(i, i + 1) for i in reversed(range(n))] if moore == "upper"
-             else [(i, i) for i in range(n)])
-    ops = [(A.degen_mats[(n - 1, i)], A.face_mats[(n, j)]) for i, j in steps]
+    ValueError unless d_1..d_n kill every result."""
+    ops = [(A.degen_mats[(n - 1, i)], A.face_mats[(n, i + 1)])
+           for i in reversed(range(n))]
     V = la.apply_factors(ops, lifts)
     if not all(la.product_is_zero(d, V) for _, d in ops):
         raise ValueError("section leaves the Moore subcomplex; "
@@ -100,57 +94,47 @@ def _moore_section(A, n, moore, lifts):
     return V
 
 
-def normalize(A, moore="upper"):
+def normalize(A):
     """Normalization of a simplicial abelian group as the quotient of the
     unnormalized chains by the degenerate subcomplex D.
 
-    The section embeds the quotient as the Moore subcomplex: with
-    moore="upper" this is ∩_{i>=1} ker d_i, with moore="lower" it is
-    ∩_{i<=n-1} ker d_i.  It is P_n applied to lifts of the normalized
-    basis, where P_n is the idempotent built from faces and degeneracies
-    that kills D_n and fixes the Moore subgroup (see _moore_section).
-    When every degeneracy matrix into level n has unit-vector columns, as
-    for ℤ[X], tensor products of such groups and Γ(C), D_n is spanned by
-    basis vectors: the normalized basis is the other basis vectors, in
-    index order, and the projection restricts coordinates.  Otherwise the
-    Smith normal form of the degenerate span splits D_n off.  Both
-    conventions give the same complex and projection; the sections differ
-    by degenerate chains, which the projection kills, so ∇, AW and the
-    skeletal filtrations do not depend on the convention.
+    The section embeds the quotient as the Moore subcomplex ∩_{i>=1} ker
+    d_i.  It is P_n applied to lifts of the normalized basis, where P_n
+    is the idempotent built from faces and degeneracies that kills D_n
+    and fixes the Moore subgroup (see _moore_section).  When every
+    degeneracy matrix into level n has unit-vector columns, as for ℤ[X],
+    tensor products of such groups and Γ(C), D_n is spanned by basis
+    vectors: the normalized basis is the other basis vectors, in index
+    order, and the projection restricts coordinates.  Otherwise D_n is
+    split off as the subquotient ℤ^{r_n} / D_n, whose one Smith normal
+    form gives the projection (the coordinates) and the lifts.
 
-    The normalized differential is N_n = proj ∘ d_0 ∘ sec (upper) or
-    (-1)^n proj ∘ d_n ∘ sec (lower), one face and not the sum
-    Σ (-1)^i d_i: the Moore check of _moore_section has shown that every
-    other face kills the section, so the two are equal (Goerss-Jardine,
-    Simplicial Homotopy Theory, III.2).  The projection and the section
-    are still validated as chain maps to and from C(A).
+    The normalized differential is N_n = proj ∘ d_0 ∘ sec, one face and
+    not the sum Σ (-1)^i d_i: the Moore check of _moore_section has shown
+    that every other face kills the section, so the two are equal
+    (Goerss-Jardine, Simplicial Homotopy Theory, III.2).  The projection
+    and the section are still validated as chain maps to and from C(A).
 
-    Computed once per (A, moore) and kept on A, which is not mutated after
-    construction; every caller shares the result, which must not be mutated.
+    Computed once and kept on A, which is not mutated after construction;
+    every caller shares the result, which must not be mutated.
     """
-    if moore not in ("upper", "lower"):
-        raise ValueError(f"unknown Moore convention {moore!r}")
-    if moore not in A.normalizations:
-        A.normalizations[moore] = _normalize(A, moore)
-    return A.normalizations[moore]
+    if A.normalization is None:
+        A.normalization = _normalize(A)
+    return A.normalization
 
 
-def _normalize(A, moore):
+def _normalize(A):
     C = unnormalized_chains(A)
     D = A.dim_bound
     projs, secs = {}, {}
     for n in range(D + 1):
         projs[n], lifts = _quotient_by_degenerates(A, n)
-        secs[n] = _moore_section(A, n, moore, lifts)
+        secs[n] = _moore_section(A, n, lifts)
     nranks = [secs[n].ncols for n in range(D + 1)]
-    # the Moore check has shown that every face but the edge one, d_0
-    # (upper) or d_n (lower), kills the section: d = Σ (-1)^i d_i is that
-    # one face there, with its sign
-    diffs = {}
-    for n in range(1, D + 1):
-        i = 0 if moore == "upper" else n
-        M = la.mat_mul(projs[n - 1], la.mat_mul(A.face_mats[(n, i)], secs[n]))
-        diffs[n] = la.mat_scale(-1, M) if i % 2 else M
+    # the Moore check has shown that every face but d_0 kills the section
+    diffs = {n: la.mat_mul(projs[n - 1],
+                           la.mat_mul(A.face_mats[(n, 0)], secs[n]))
+             for n in range(1, D + 1)}
     N = ChainComplex(nranks, diffs)
     projection = ChainMap(C, N, projs)
     section = ChainMap(N, C, secs)

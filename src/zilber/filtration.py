@@ -243,20 +243,28 @@ def _span_equals_stage(img, H, p, n):
     return C is not None and la.snf_diagonal(C) == [1] * C.nrows
 
 
+def _carries_stages(mats, src, tgt, what, holds):
+    """Certifies that mats[n] carries each stage (p, n) of src onto the
+    stage (p, n) of tgt: fails at the first (p, n) that it does not, with
+    the detail "<what> image of stage p differs in degree n", and holds
+    with the detail holds."""
+    for p in range(src.p_max + 1):
+        for n in range(src.ambient.top_degree + 1):
+            img = la.mat_mul(mats[n], src.stage(p, n))
+            if not _span_equals_stage(img, tgt, p, n):
+                return CheckCertificate(False, witness=(p, n),
+                                        detail=f"{what} image of stage {p} "
+                                               f"differs in degree {n}")
+    return CheckCertificate(True, detail=holds)
+
+
 def convolution_symmetry_check(F, G):
     """Certifies F ⊛ G ≅ G ⊛ F stagewise: the signed swap of the ambient
     tensor carries each stage span onto the corresponding stage span."""
     FG = day_convolution(F, G)
     GF = day_convolution(G, F)
-    mats = _koszul_swap(FG.basis, GF.basis)
-    for p in range(FG.p_max + 1):
-        for n in range(FG.ambient.top_degree + 1):
-            img = la.mat_mul(mats[n], FG.stage(p, n))
-            if not _span_equals_stage(img, GF, p, n):
-                return CheckCertificate(False, witness=(p, n),
-                                        detail=f"swap image of stage {p} "
-                                               f"differs in degree {n}")
-    return CheckCertificate(True, detail="⊛ is symmetric stagewise")
+    return _carries_stages(_koszul_swap(FG.basis, GF.basis), FG, GF, "swap",
+                           "⊛ is symmetric stagewise")
 
 
 def convolution_associativity_check(F, G, H):
@@ -267,14 +275,8 @@ def convolution_associativity_check(F, G, H):
     L = day_convolution(FG, H)
     R = day_convolution(F, GH)
     mats = _tensor_associator(L.basis, FG.basis, R.basis, GH.basis)
-    for p in range(L.p_max + 1):
-        for n in range(L.ambient.top_degree + 1):
-            img = la.mat_mul(mats[n], L.stage(p, n))
-            if not _span_equals_stage(img, R, p, n):
-                return CheckCertificate(False, witness=(p, n),
-                                        detail=f"associator image of stage {p} "
-                                               f"differs in degree {n}")
-    return CheckCertificate(True, detail="⊛ is associative stagewise")
+    return _carries_stages(mats, L, R, "associator",
+                           "⊛ is associative stagewise")
 
 
 class FilteredPairing:

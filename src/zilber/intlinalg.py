@@ -21,8 +21,8 @@ and returns one.  Plain lists of Python ints remain in three places only:
 
 Input is checked at that boundary, so a shape mismatch inside the
 library (in ``mat_mul``, ``mat_sum``, ``apply_factors``,
-``product_is_zero``, ``products_equal``, ``hstack``, ``solve_matrix``
-or ``Span.coords``) is a fault of the library and raises AssertionError,
+``product_is_zero``, ``products_equal``, ``hstack`` or
+``Span.coords``) is a fault of the library and raises AssertionError,
 not ValueError.
 
 ``mat_sum`` accumulates each column of a signed sum once, in one dict,
@@ -62,7 +62,7 @@ Every solver runs one Smith normal form U*M*V = S and builds only the
 transforms it reads: ``snf_diagonal``, ``invariant_factors`` (its
 nonzero entries), ``rank`` and ``quotient_orders`` (the orders of a
 ``Subquotient``) none, ``kernel_basis`` V, ``image_basis`` Uinv,
-``solve_matrix`` (so ``inverse_unimodular``) U and V, and ``Span`` U and
+``inverse_unimodular`` U and V (the inverse is V*U), and ``Span`` U and
 Uinv.  A ``Span`` keeps U as a ``Sparse``, the diagonal and the image
 basis, and answers any number of coordinate and containment tests and
 the lattice test, with no solve where the answer is known: a lattice
@@ -71,7 +71,10 @@ is its own coordinates.  A ``Subquotient`` takes the ``Span`` of Z,
 which may be shared, runs one SNF, of the coordinates of the B
 generators on the basis of Z, keeps the rows of its U that select the
 generators as one ``Sparse``, and builds its lifts only when they are
-read.
+read.  The normalization of a group whose degeneracies are not unit
+vectors splits D_n off as the ``Subquotient`` of the identity span by the
+degenerate span: its coordinates are the projection, and its lifts are
+what the section is built from.
 """
 
 from __future__ import annotations
@@ -535,17 +538,6 @@ def _diagonal_solve(diag, C, c):
     return Sparse(out, c)
 
 
-def solve_matrix(M, B):
-    """Integer solution X of M X = B, or None if none exists."""
-    if B.nrows != M.nrows:
-        raise AssertionError("row count mismatch in solve_matrix")
-    if not B.ncols:
-        return zeros(M.ncols, 0)  # nothing to solve: skip the SNF
-    U, diag, V, _ = _smith_with_inverses(M, ("U", "V"))
-    Y = _diagonal_solve(diag, mat_mul(_from_rows(U, M.nrows), B), M.ncols)
-    return None if Y is None else mat_mul(_from_rows(V, M.ncols), Y)
-
-
 class Span:
     """The integer column span of A, factored by one SNF U*A*V = S that
     tracks U and Uinv.  It keeps U as a Sparse, the diagonal, ``basis``
@@ -598,13 +590,15 @@ class Span:
 
 
 def inverse_unimodular(M):
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix: with U*M*V = S = I,
+    M⁻¹ = V*U, from one SNF.  M*X = I is checked on the result."""
     n, c = dims(M)
     if n != c:
         raise ValueError("not square")
-    X = solve_matrix(M, identity(n))
-    if X is None:
+    U, diag, V, _ = _smith_with_inverses(M, ("U", "V"))
+    if any(d != 1 for d in diag):
         raise ValueError("matrix is not unimodular")
+    X = mat_mul(_from_rows(V, n), _from_rows(U, n))
     eye = identity(n)
     if not products_equal(M, X, eye, eye):
         raise ValueError("matrix is not unimodular")

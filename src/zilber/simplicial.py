@@ -334,8 +334,8 @@ class SimplicialAbelianGroup:
     integer matrices for faces and degeneracies (the constructor also takes
     row lists, and rejects an operator at an index the truncation does not
     have).  Not mutated after construction, so results are kept on it:
-    doldkan keeps C(A) in chains (None until asked for) and normalize's
-    result per Moore convention in normalizations, operator_matrix keeps
+    doldkan keeps C(A) in chains and normalize's result in normalization
+    (each None until asked for), operator_matrix keeps
     X(f) per monotone map f in operators, and ez.shuffle_product keeps the
     Eilenberg-Zilber pair of (A, B) per partner B in shuffle_products (None
     until asked for; keyed weakly, so A keeps no partner alive).
@@ -350,7 +350,7 @@ class SimplicialAbelianGroup:
         self.simplicial_set = None
         self.chains = None
         self.shuffle_products = None
-        self.normalizations = {}
+        self.normalization = None
         self.operators = {}
         self.ranks = r = list(ranks)
         if len(self.ranks) != dim_bound + 1:

@@ -1,5 +1,6 @@
-"""Oracles the library does not carry: span coordinates by a solve on
-every span, homology and its induced maps as subquotients with lifts,
+"""Oracles the library does not carry: integer solving and span
+coordinates by a solve on every span, the composite of chain maps, the
+lower Moore convention of normalization, homology and its induced maps as subquotients with lifts,
 the Kronecker block sums of the tensor layer, the
 Eilenberg-Zilber matrix path, the skeletal filtration
 from a normalization, the levelwise tensor of simplicial abelian groups,
@@ -32,11 +33,13 @@ import pytest
 from zilber import _random as zrandom
 from zilber import ez, spectral
 from zilber import intlinalg as la
-from zilber.chains import AbelianGroupInvariants, ChainMap, tensor
+from zilber.chains import (AbelianGroupInvariants, ChainComplex, ChainMap,
+                           tensor)
 from zilber.delta import (MonotoneMap, PosetPoint, StrictMonotoneIntoProduct,
                           codegeneracy, coface, enumerate_monotone,
                           monotone_position, shuffles, strict_chains)
-from zilber.doldkan import normalize, unnormalized_chains
+from zilber.doldkan import (NormalizationResult, _quotient_by_degenerates,
+                            normalize, unnormalized_chains)
 from zilber.filtration import FilteredChainComplex, FilteredPairing
 from zilber.simplicial import CheckCertificate, SimplicialAbelianGroup
 
@@ -116,7 +119,19 @@ def conjugate_simplicial(rng, A):
 
 
 # ---------------------------------------------------------------------------
-# Spans
+# Solves, spans and chain maps
+
+
+def solve_matrix(M, B):
+    """Integer solution X of M X = B, or None if none exists."""
+    if B.nrows != M.nrows:
+        raise AssertionError("row count mismatch in solve_matrix")
+    if not B.ncols:
+        return la.zeros(M.ncols, 0)  # nothing to solve: skip the SNF
+    U, diag, V, _ = la._smith_with_inverses(M, ("U", "V"))
+    Y = la._diagonal_solve(diag, la.mat_mul(la._from_rows(U, M.nrows), B),
+                           M.ncols)
+    return None if Y is None else la.mat_mul(la._from_rows(V, M.ncols), Y)
 
 
 def span_coords(A, B):
@@ -124,7 +139,58 @@ def span_coords(A, B):
     by solve_matrix, one Smith form per call, whether the span is an
     identity, a lattice, 0 or none of these.  None if some column of B is
     not in the span."""
-    return la.solve_matrix(la.image_basis(A), B)
+    return solve_matrix(la.image_basis(A), B)
+
+
+def compose(f, g):
+    """The chain map f ∘ g, not validated."""
+    top = max(f.target.top_degree, g.source.top_degree)
+    mats = {n: la.mat_mul(f.mat(n), g.mat(n)) for n in range(top + 1)}
+    return ChainMap(g.source, f.target, mats, check=False)
+
+
+# ---------------------------------------------------------------------------
+# Normalization in the lower Moore convention
+
+
+def lower_moore_section(A, n, lifts):
+    """doldkan._moore_section in the lower convention ∩_{i<=n-1} ker d_i:
+    P_n = (1 - s_{n-1} d_{n-1})⋯(1 - s_0 d_0) applied to the lifts, the
+    rightmost factor first.  Raises ValueError unless d_0..d_{n-1} kill
+    every result."""
+    ops = [(A.degen_mats[(n - 1, i)], A.face_mats[(n, i)]) for i in range(n)]
+    V = la.apply_factors(ops, lifts)
+    if not all(la.product_is_zero(d, V) for _, d in ops):
+        raise ValueError("section leaves the Moore subcomplex; "
+                         "input is not a valid simplicial abelian group")
+    return V
+
+
+def normalize_lower(A):
+    """The normalization of A with the lower Moore section, built afresh:
+    the projection of normalize(A), the section lower_moore_section on the
+    same lifts, and N_n = (-1)^n proj ∘ d_n ∘ sec, the one face that does
+    not kill the section.  Both conventions give the same complex and
+    projection; the sections differ by degenerate chains, which the
+    projection kills, so ∇, AW and the skeletal filtrations do not depend
+    on the convention."""
+    C = unnormalized_chains(A)
+    D = A.dim_bound
+    projs, secs = {}, {}
+    for n in range(D + 1):
+        projs[n], lifts = _quotient_by_degenerates(A, n)
+        secs[n] = lower_moore_section(A, n, lifts)
+    nranks = [secs[n].ncols for n in range(D + 1)]
+    diffs = {n: la.mat_scale((-1) ** n, la.mat_mul(
+        projs[n - 1], la.mat_mul(A.face_mats[(n, n)], secs[n])))
+        for n in range(1, D + 1)}
+    N = ChainComplex(nranks, diffs)
+    for n in range(D + 1):
+        eye = la.identity(nranks[n])
+        if not la.products_equal(projs[n], secs[n], eye, eye):
+            raise AssertionError("projection ∘ section is not the identity")
+    return NormalizationResult(N, ChainMap(C, N, projs),
+                               ChainMap(N, C, secs))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +376,7 @@ class ShuffleProduct:
                             sec_b.mat(q)), 0, col, sh.sign)
                 for p, q, col in ntb.blocks(n) for sh in shuffles(p, q)])
             for n in range(A.dim_bound + 1)})
-        self.map = self.norm_AB.projection.compose(lifted)
+        self.map = compose(self.norm_AB.projection, lifted)
         if not la.mat_eq(self.map.mat(0), la.identity(NT.rank(0))):
             raise AssertionError("degree-0 component is not the canonical "
                                  "identification")
@@ -365,7 +431,7 @@ def simplicial_swap_chain(ab, ba):
                           for b in range(bn)], bn * an)
         mats[n] = la.mat_mul(swap, ab.norm_AB.section.mat(n))
     lifted = ChainMap(ab.target, unnormalized_chains(ba.product), mats)
-    return ba.norm_AB.projection.compose(lifted)
+    return compose(ba.norm_AB.projection, lifted)
 
 
 def symmetry_check(A, B):

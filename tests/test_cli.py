@@ -312,7 +312,7 @@ def test_matrix_entry_that_is_not_an_integer_is_an_input_error(
 def test_internal_error_exits_3(capsys, monkeypatch):
     from zilber import doldkan
 
-    def broken(A, moore):
+    def broken(A):
         raise AssertionError("projection ∘ section is not the identity")
 
     monkeypatch.setattr(doldkan, "_normalize", broken)
@@ -328,7 +328,7 @@ def test_a_shape_fault_inside_the_library_exits_3(capsys, monkeypatch):
     from zilber import doldkan
     from zilber import intlinalg as la
 
-    def broken(A, moore):
+    def broken(A):
         return la.mat_mul(la.zeros(2, 3), la.zeros(2, 3))
 
     monkeypatch.setattr(doldkan, "_normalize", broken)
@@ -345,7 +345,7 @@ def test_library_key_and_type_errors_exit_3(capsys, monkeypatch, exc):
     # library, not of the input, so it must not read as exit 2
     from zilber import doldkan
 
-    def broken(A, moore):
+    def broken(A):
         raise exc
 
     monkeypatch.setattr(doldkan, "_normalize", broken)

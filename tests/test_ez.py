@@ -345,16 +345,23 @@ def oracle_maps(sp):
                                    sp.norm_B.projection,
                                    tb_un, sp.source_basis),
                         check=False)
-    return (sp.norm_AB.projection.compose(nabla_un.compose(secsec)),
-            projproj.compose(aw_un.compose(sp.norm_AB.section)))
+    return (oracles.compose(sp.norm_AB.projection,
+                            oracles.compose(nabla_un, secsec)),
+            oracles.compose(projproj,
+                            oracles.compose(aw_un, sp.norm_AB.section)))
+
+
+# the library's normalization (upper Moore convention) and the oracle's
+# lower one
+NORMALIZE = {"upper": normalize, "lower": oracles.normalize_lower}
 
 
 def with_convention(sp, moore):
     """A copy of sp holding the normalizations of the given convention."""
     out = copy.copy(sp)
-    out.norm_A = normalize(sp.A, moore)
-    out.norm_B = normalize(sp.B, moore)
-    out.norm_AB = normalize(sp.product, moore)
+    out.norm_A = NORMALIZE[moore](sp.A)
+    out.norm_B = NORMALIZE[moore](sp.B)
+    out.norm_AB = NORMALIZE[moore](sp.product)
     return out
 
 
@@ -414,8 +421,8 @@ def test_maps_on_the_section_image_match_the_oracles_on_non_free_groups(a, b):
         nabla, aw = oracle_maps(lo_ab)
         assert _same_maps(ab.map, nabla)
         assert _same_maps(lo_ab.alexander_whitney(), aw)
-        swap = lo_ba.norm_AB.projection.compose(
-            unnormalized_swap(A, B).compose(lo_ab.norm_AB.section))
+        swap = oracles.compose(lo_ba.norm_AB.projection, oracles.compose(
+            unnormalized_swap(A, B), lo_ab.norm_AB.section))
         assert _same_maps(oracles.simplicial_swap_chain(lo_ab, lo_ba), swap)
     assert oracles.aw_nabla_identity_check(A, B).ok
     assert oracles.symmetry_check(A, B).ok
@@ -605,14 +612,14 @@ def test_associativity_check_fails_at_the_first_wrong_degree(monkeypatch,
 
 @pytest.fixture
 def normalizations(monkeypatch):
-    """The (object, moore) pairs actually normalized, cache hits excluded."""
+    """The objects actually normalized, cache hits excluded."""
     from zilber import doldkan
     calls = []
     worker = doldkan._normalize
 
-    def counting(A, moore):
-        calls.append((A, moore))
-        return worker(A, moore)
+    def counting(A):
+        calls.append(A)
+        return worker(A)
 
     monkeypatch.setattr(doldkan, "_normalize", counting)
     return calls
@@ -667,15 +674,6 @@ def test_the_matrix_path_is_seen_by_the_counters(
     assert oracles.aw_nabla_identity_check(matrix_sab("d1"), matrix_sab("s1"))
     assert len(normalizations) == len(chain_builds) == 3
     assert operator_matrices
-
-
-def test_normalization_is_kept_per_moore_convention(normalizations):
-    A = sab("s1")
-    upper = normalize(A, "upper")
-    assert normalize(A) is upper and normalize(A, moore="upper") is upper
-    lower = normalize(A, "lower")
-    assert lower is not upper and normalize(A, "lower") is lower
-    assert normalizations == [(A, "upper"), (A, "lower")]
 
 
 @pytest.fixture
@@ -768,13 +766,6 @@ def test_the_oracle_tensors_unnormalized_chains(unnormalized_tensors):
     # the control: the fixture sees the tensor the library no longer builds
     unnormalized_shuffle(sab("d1"), sab("s1"))
     assert len(unnormalized_tensors) == 1
-
-
-def test_unknown_moore_convention_is_rejected(normalizations):
-    X = free_abelian(product(circle(3), standard_simplex(1, 3)))
-    with pytest.raises(ValueError, match="Moore convention"):
-        normalize(X, "Upper")
-    assert X.normalizations == {} and normalizations == []
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +936,7 @@ def test_a_group_without_a_simplicial_set_is_refused(check, arity):
                                     for j in range(arity)}:
         with pytest.raises(ValueError, match="has no simplicial set"):
             check(*groups)
-    assert G.shuffle_products is None and G.normalizations == {}
+    assert G.shuffle_products is None and G.normalization is None
     # unitality reads the shuffles alone, on any group
     assert unitality_check(G, G).ok
 
