@@ -277,8 +277,8 @@ def test_free_objects_normalize_without_smith_normal_form(snf_calls):
 
 
 def moore_section_by_products(A, n, moore, lifts):
-    """Oracle for either Moore section: each factor (1 - s_i d_j) applied to the
-    whole matrix as two products and a signed sum."""
+    """Oracle for either Moore section: each factor (1 - s_i d_j) applied
+    to the whole matrix as two products and a signed sum."""
     steps = ([(i, i + 1) for i in reversed(range(n))] if moore == "upper"
              else [(i, i) for i in range(n)])
     V = lifts

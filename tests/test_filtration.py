@@ -686,16 +686,20 @@ def test_a_doubled_convolution_column_fails_both_checks():
     def double_first(X):
         return corrupted(X, stage_cells(X)[0], "double")
 
-    for call, check, args, witness, detail in [
+    for call, check, args, witness, detail, holds in [
             (1, convolution_symmetry_check, (F, G), (0, 0),
-             "swap image of stage 0 differs in degree 0"),
+             "swap image of stage 0 differs in degree 0",
+             "⊛ is symmetric stagewise"),
             (3, convolution_associativity_check, (F, G, H), (1, 0),
-             "associator image of stage 1 differs in degree 0")]:
+             "associator image of stage 1 differs in degree 0",
+             "⊛ is associative stagewise")]:
         conv, _ = recording_convolutions((call, double_first))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filtration, "day_convolution", conv)
             cert = check(*args)
         assert (cert.ok, cert.witness, cert.detail) == (False, witness, detail)
+        cert = check(*args)
+        assert (cert.ok, cert.witness, cert.detail) == (True, None, holds)
 
 
 def test_day_convolution_factors_each_distinct_input_once(monkeypatch):
