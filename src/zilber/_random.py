@@ -12,11 +12,10 @@ from .filtration import FilteredChainComplex
 from .simplicial import SimplicialIdentityError
 
 
-def _random_unimodular(rng, n, ops=None):
-    """A unimodular n x n matrix and its inverse, built from ops elementary
-    row operations (n + 0..2 by default)."""
-    if ops is None:
-        ops = n + rng.randrange(3)
+def _random_unimodular(rng, n):
+    """A unimodular n x n matrix and its inverse, built from n + 0..2
+    elementary row operations."""
+    ops = n + rng.randrange(3)
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     Uinv = [row[:] for row in U]
     for _ in range(ops if n > 1 else 0):

@@ -92,6 +92,8 @@ class ChainComplex:
     def from_payload(cls, payload):
         if payload.get("format") != CHAIN_FORMAT:
             raise ValueError("not a chain payload")
+        if any(type(n) is not int or n < 0 for n in payload["ranks"]):
+            raise ValueError("ranks must be nonnegative integers")
         diffs = {int(n): M for n, M in payload["differentials"].items()}
         return cls(payload["ranks"], diffs)
 

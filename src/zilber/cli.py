@@ -2,6 +2,10 @@
 invocation producing a deterministic JSON report (identical inputs give
 identical reports once the timing field is ignored).
 
+Each command returns its findings, (inputs, results, certificates), and
+builds every certificate with bool_cert; main times the command and
+assembles, prints and grades the report once, in emit.
+
 Exit codes: 0 when every certificate in the report passes, 1 when any
 certificate fails (the report carries the witness), 2 on input errors
 (InputError, SimplicialIdentityError, any ValueError), 3 on an internal
@@ -130,9 +134,9 @@ def invariants_dict(inv_list):
             for n, inv in enumerate(inv_list)}
 
 
-def emit(command, inputs, results, certs, started):
+def emit(command, inputs, results, certs, seconds):
     """Assemble, print, and grade the report."""
-    ok = all(c.get("ok", True) for c in certs) if certs else True
+    ok = all(c["ok"] for c in certs)
     report = {
         "format": "report",
         "version": 1,
@@ -141,17 +145,10 @@ def emit(command, inputs, results, certs, started):
         "results": results,
         "certificates": certs,
         "pass": ok,
-        "timing": {"seconds": round(time.time() - started, 3)},
+        "timing": {"seconds": round(seconds, 3)},
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_PASS if ok else EXIT_FAIL
-
-
-def cert_dict(cert, name):
-    d = cert.to_dict()
-    d["ok"] = d.pop("pass")
-    d["check"] = name
-    return d
 
 
 def bool_cert(ok, name, detail="", witness=None):
@@ -180,34 +177,27 @@ def _trials_cert(name, detail, trials, trial):
 
 
 def cmd_homology(args):
-    started = time.time()
-    token = args.input
     dim_bound = resolve_dim_bound(args.dim_bound)
-    X = builtin_space(token, dim_bound)
-    if X is not None:
-        C = doldkan.normalize(free_abelian(X)).normalized
-        kind = "builtin"
-    else:
-        payload = load_payload(token)
-        fmt = payload.get("format")
-        if fmt == "ssimp":
-            X = parse_payload(SimplicialSet.from_payload, payload,
-                              "simplicial-set")
-            C = doldkan.normalize(free_abelian(X)).normalized
-            kind = "ssimp"
-            dim_bound = X.dim_bound
-        elif fmt == "chain":
+    X = builtin_space(args.input, dim_bound)
+    kind = "builtin"
+    if X is None:
+        payload = load_payload(args.input)
+        kind = payload.get("format")
+        if kind == "chain":
             C = parse_payload(chains.ChainComplex.from_payload, payload,
                               "chain")
-            kind = "chain"
             dim_bound = None  # a chain complex has no truncation bound
+        elif kind == "ssimp":
+            X = parse_payload(SimplicialSet.from_payload, payload,
+                              "simplicial-set")
         else:
-            raise InputError(f"unrecognized payload format: {fmt!r}")
-    inv = chains.homology(C)
-    inputs = _inputs(args, kind=kind, dim_bound=dim_bound)
-    results = {"homology": invariants_dict(inv),
+            raise InputError(f"unrecognized payload format: {kind!r}")
+    if X is not None:
+        C = doldkan.normalize(free_abelian(X)).normalized
+        dim_bound = X.dim_bound
+    results = {"homology": invariants_dict(chains.homology(C)),
                "ranks": list(C.ranks)}
-    return emit("homology", inputs, results, [], started)
+    return _inputs(args, kind=kind, dim_bound=dim_bound), results, []
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +205,6 @@ def cmd_homology(args):
 
 
 def cmd_doldkan(args):
-    started = time.time()
     dim_bound = resolve_dim_bound(args.dim_bound)
     certs = []
     results = {}
@@ -298,16 +287,21 @@ def cmd_doldkan(args):
         results["hom_table"] = table
         certs.append(bool_cert(ok, "disk-hom-table",
                                "rank 1 exactly when n is m or m+1"))
-    return emit("doldkan", _inputs(args, dim_bound=dim_bound), results, certs,
-                started)
+    return _inputs(args, dim_bound=dim_bound), results, certs
 
 
 # ---------------------------------------------------------------------------
 # eilenberg-zilber
 
 
+# the ez checks that are one library call, by name: looked up in ez at call
+# time, so that the module can be swapped (the tests swap in their oracle);
+# only assoc takes the third space
+EZ_CALLS = {"aw": "aw_nabla_identity_check", "unital": "unitality_check",
+            "symmetry": "symmetry_check", "assoc": "associativity_check"}
+
+
 def cmd_ez(args):
-    started = time.time()
     dim_bound = resolve_dim_bound(args.dim_bound)
     if "assoc" in args.check and args.third is None:
         raise InputError("--check assoc requires --third")
@@ -315,7 +309,6 @@ def cmd_ez(args):
         raise InputError("--third is read only by --check assoc")
     A, B, *third = map(free_abelian, load_spaces(
         (args.first, args.second, args.third), dim_bound))
-    inputs = _inputs(args, dim_bound=A.dim_bound)
     certs = []
     results = {}
     for check in args.check:
@@ -332,15 +325,10 @@ def cmd_ez(args):
                                        "shuffle map commutes with d"))
             except ValueError as exc:
                 certs.append(bool_cert(False, "chain", str(exc)))
-        elif check == "aw":
-            certs.append(cert_dict(ez.aw_nabla_identity_check(A, B), "aw"))
-        elif check == "unital":
-            certs.append(cert_dict(ez.unitality_check(A, B), "unital"))
-        elif check == "symmetry":
-            certs.append(cert_dict(ez.symmetry_check(A, B), "symmetry"))
-        elif check == "assoc":
-            certs.append(cert_dict(ez.associativity_check(A, B, *third),
-                                   "assoc"))
+        elif check in EZ_CALLS:
+            c = getattr(ez, EZ_CALLS[check])(
+                A, B, *(third if check == "assoc" else ()))
+            certs.append(bool_cert(c.ok, check, c.detail, c.witness))
         elif check == "kunneth":
             # ∇ is a quasi-isomorphism iff its mapping cone is acyclic;
             # the witness is the first degree where it is not
@@ -355,7 +343,7 @@ def cmd_ez(args):
             detail = ("shuffle map induces an isomorphism on homology"
                       if n is None else f"H_{n} of the cone of ∇ is {cone[n]}")
             certs.append(bool_cert(n is None, "kunneth", detail, n))
-    return emit("ez", inputs, results, certs, started)
+    return _inputs(args, dim_bound=A.dim_bound), results, certs
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +351,6 @@ def cmd_ez(args):
 
 
 def cmd_skeleta(args):
-    started = time.time()
     dim_bound = resolve_dim_bound(args.dim_bound)
     certs = []
     results = {}
@@ -385,17 +372,19 @@ def cmd_skeleta(args):
         if pqn:
             if None in (args.p, args.q, args.n):
                 raise InputError("--p, --q, --n must be given together")
-            certs.append(cert_dict(
-                skeleton_product_check(X, Y, args.p, args.q, args.n),
-                "skeleton-product"))
+            c = skeleton_product_check(X, Y, args.p, args.q, args.n)
+            certs.append(bool_cert(c.ok, "skeleton-product", c.detail,
+                                   c.witness))
         if args.filtered_ez:
             A, B = free_abelian(X), free_abelian(Y)
             try:
                 P = filtration.filtered_ez(A, B)
-                certs.append(cert_dict(P.containment_certificate(),
-                                       "filtered-ez-containment"))
-                certs.append(cert_dict(P.filtration_zero_certificate(),
-                                       "filtration-zero-isomorphism"))
+                c = P.containment_certificate()
+                certs.append(bool_cert(c.ok, "filtered-ez-containment",
+                                       c.detail, c.witness))
+                c = P.filtration_zero_certificate()
+                certs.append(bool_cert(c.ok, "filtration-zero-isomorphism",
+                                       c.detail, c.witness))
             except ValueError as exc:
                 certs.append(bool_cert(False, "filtered-ez-containment",
                                        str(exc)))
@@ -428,8 +417,7 @@ def cmd_skeleta(args):
         certs.append(_trials_cert(
             "day-associativity", f"{args.trials} random triples", args.trials,
             law_trial(filtration.convolution_associativity_check, 3, 1, 3)))
-    return emit("skeleta", _inputs(args, dim_bound=dim_bound), results, certs,
-                started)
+    return _inputs(args, dim_bound=dim_bound), results, certs
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +427,12 @@ def cmd_skeleta(args):
 def _ss_checks(S, certs, prefix=""):
     for name, c in spectral._invariant_checks(S):
         if not c.ok:
-            certs.append(cert_dict(c, prefix + name))
+            certs.append(bool_cert(c.ok, prefix + name, c.detail, c.witness))
             return False
     return True
 
 
 def cmd_ss(args):
-    started = time.time()
     dim_bound = resolve_dim_bound(args.dim_bound)
     certs = []
     results = {}
@@ -472,8 +459,7 @@ def cmd_ss(args):
             "random-filtration-suite", f"{args.trials} random filtrations: "
             f"d_r²=0, page recursion, and convergence to the associated "
             f"graded", args.trials, trial))
-        return emit("ss", _inputs(args, dim_bound=dim_bound), results, certs,
-                    started)
+        return _inputs(args, dim_bound=dim_bound), results, certs
     if token.startswith("ez:"):
         names = token[3:].split(",")
         if len(names) != 2:
@@ -494,16 +480,17 @@ def cmd_ss(args):
                     certs.append(bool_cert(False, f"pairing-defined-r{r}",
                                            str(exc), witness=exc.witness))
                     continue
-                certs.append(cert_dict(spectral.leibniz_check(pairing),
-                                       f"leibniz-r{r}"))
-        return emit("ss", _inputs(args, dim_bound=dim_bound), results, certs,
-                    started)
+                c = spectral.leibniz_check(pairing)
+                certs.append(bool_cert(c.ok, f"leibniz-r{r}", c.detail,
+                                       c.witness))
+        return _inputs(args, dim_bound=dim_bound), results, certs
     if token.startswith("sk:"):
         X = load_space(token[3:], dim_bound)
         dim_bound = X.dim_bound
         A = free_abelian(X)
         if args.heart:
-            certs.append(cert_dict(spectral.heart_check(A), "heart"))
+            c = spectral.heart_check(A)
+            certs.append(bool_cert(c.ok, "heart", c.detail, c.witness))
         F = filtration.skeletal_filtration(A)
     else:
         F = parse_payload(filtration.FilteredChainComplex.from_payload,
@@ -514,8 +501,7 @@ def cmd_ss(args):
         certs.append(bool_cert(True, "spectral-invariants",
                                "d_r²=0, page recursion, convergence"))
     results["spectral"] = S.to_report()
-    return emit("ss", _inputs(args, dim_bound=dim_bound), results, certs,
-                started)
+    return _inputs(args, dim_bound=dim_bound), results, certs
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +519,8 @@ def _parse_int_list(text, name):
 
 
 def cmd_promonoidal(args):
-    started = time.time()
     certs = []
     results = {}
-    inputs = _inputs(args)
     if args.b < 0:
         # every check but product-colimit reads --b; a negative bound
         # leaves Δ≤b empty and the sweep, coyoneda and operator checks
@@ -552,37 +536,35 @@ def cmd_promonoidal(args):
         if check == "mu-assoc":
             if args.entries is None:
                 # sweep every ordered triple with entries <= b
-                for entries in itertools.product(range(args.b + 1), repeat=3):
-                    certs.append(cert_dict(
-                        promonoidal.delta_mu_associativity_check(
-                            *entries, b=args.b),
-                        "mu-assoc-" + ",".join(map(str, entries))))
+                triples = itertools.product(range(args.b + 1), repeat=3)
             else:
-                entries = _parse_int_list(args.entries, "entries")
-                if len(entries) != 3:
+                triples = [_parse_int_list(args.entries, "entries")]
+                if len(triples[0]) != 3:
                     raise InputError("--entries expects three integers")
-                certs.append(cert_dict(
-                    promonoidal.delta_mu_associativity_check(
-                        *entries, b=args.b),
-                    "mu-assoc"))
+            for entries in triples:
+                c = promonoidal.delta_mu_associativity_check(*entries,
+                                                             b=args.b)
+                name = ("mu-assoc" if args.entries else
+                        "mu-assoc-" + ",".join(map(str, entries)))
+                certs.append(bool_cert(c.ok, name, c.detail, c.witness))
         elif check == "unit":
-            certs.append(cert_dict(promonoidal.delta_mu_unit_check(args.b),
-                                   "mu-unit"))
+            c = promonoidal.delta_mu_unit_check(args.b)
+            certs.append(bool_cert(c.ok, "mu-unit", c.detail, c.witness))
         elif check == "coyoneda":
-            certs.append(cert_dict(promonoidal.coyoneda_check(args.b),
-                                   "coyoneda"))
+            c = promonoidal.coyoneda_check(args.b)
+            certs.append(bool_cert(c.ok, "coyoneda", c.detail, c.witness))
         elif check == "left-kan":
             ns = _parse_int_list("1,1" if args.ns is None else args.ns, "ns")
             ms = range(args.m + 1) if args.m is not None else range(5)
-            cert = promonoidal.left_kan_check(ns, args.b, ms)
+            c = promonoidal.left_kan_check(ns, args.b, ms)
             results["left_kan_expected_pass"] = sum(ns) <= args.b
-            certs.append(cert_dict(cert, "left-kan"))
+            certs.append(bool_cert(c.ok, "left-kan", c.detail, c.witness))
         elif check == "product-colimit":
             ns = _parse_int_list("1,1" if args.ns is None else args.ns, "ns")
-            certs.append(cert_dict(
-                promonoidal.product_simplices_colimit_check(
-                    ns, range(args.k_max + 1)),
-                "product-colimit"))
+            c = promonoidal.product_simplices_colimit_check(
+                ns, range(args.k_max + 1))
+            certs.append(bool_cert(c.ok, "product-colimit", c.detail,
+                                   c.witness))
         elif check == "operator-frag":
             if args.trials < 1 or args.length < 0:
                 raise InputError("operator-frag needs --trials >= 1 and "
@@ -613,7 +595,7 @@ def cmd_promonoidal(args):
                 trial))
         else:
             raise InputError(f"unknown check {check!r}")
-    return emit("promonoidal", inputs, results, certs, started)
+    return _inputs(args), results, certs
 
 
 # ---------------------------------------------------------------------------
@@ -715,10 +697,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        return emit(args.command, *args.func(args), time.time() - started)
     except ValueError as exc:  # InputError, SimplicialIdentityError too
         return _error_exit(exc, EXIT_INPUT)
     except Exception as exc:

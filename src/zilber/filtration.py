@@ -127,6 +127,8 @@ class FilteredChainComplex:
             raise ValueError("not a filt payload")
         ambient = ChainComplex.from_payload(payload["ambient"])
         p_max = payload["p_max"]
+        if type(p_max) is not int:
+            raise ValueError("p_max must be an integer")
         stages = []
         for stage in payload["stages"]:
             if not isinstance(stage, dict):

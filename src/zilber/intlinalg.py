@@ -363,19 +363,17 @@ def _from_rows(R, ncols):
     return from_columns(list(zip(*R)) if R else [()] * ncols, len(R))
 
 
-ALL_TRANSFORMS = frozenset(("U", "V", "Uinv"))
-
-
-def _smith_with_inverses(M, track=ALL_TRANSFORMS):
+def _smith_with_inverses(M, track):
     """Return (U, diag, V, Uinv) with U*M*V = S in Smith normal form,
     diag the min(rows, cols) diagonal entries of S and the transforms row
     lists.
 
-    Only the transforms named in ``track`` (a subset of ALL_TRANSFORMS) are
-    built and updated; the others are returned as None.  The pivots depend
-    on S alone, so S and every tracked transform are the same whatever is
-    tracked.  Pivots are chosen with minimal absolute value to bound entry
-    growth; diagonal entries are nonnegative and form a divisibility chain.
+    Only the transforms named in ``track`` (some of "U", "V" and "Uinv")
+    are built and updated; the others are returned as None.  The pivots
+    depend on S alone, so S and every tracked transform are the same
+    whatever is tracked.  Pivots are chosen with minimal absolute value to
+    bound entry growth; diagonal entries are nonnegative and form a
+    divisibility chain.
 
     A matrix with no nonzero entry returns at once: a zero diagonal and
     identity transforms.  Otherwise one loop applies the elementary row

@@ -171,7 +171,8 @@ class SimplicialSet:
     def from_payload(cls, payload):
         if payload.get("format") != SSIMP_FORMAT:
             raise ValueError("not an ssimp payload")
-
+        if type(payload["dim_bound"]) is not int:
+            raise SimplicialIdentityError("dim_bound must be an integer")
         sizes = payload["levels"]
         if any(type(n) is not int or n < 0 for n in sizes):
             raise SimplicialIdentityError(
@@ -294,10 +295,6 @@ class CheckCertificate:
 
     def __bool__(self):
         return self.ok
-
-    def to_dict(self):
-        return {"pass": self.ok, "witness": repr(self.witness) if self.witness is not None else None,
-                "detail": self.detail}
 
 
 def skeleton_product_check(X, Y, p, q, n):

@@ -324,11 +324,9 @@ def _stage_ids(F):
 
 
 def _once(memo, f, *args):
-    """f(*args), kept in memo (if not None) under f, args and the row count
-    of the last arg, a matrix: a Span by identity, which the memo keeps
-    alive, and a matrix by value, so f runs once per distinct question."""
-    if memo is None:
-        return f(*args)
+    """f(*args), kept in memo under f, args and the row count of the last
+    arg, a matrix: a Span by identity, which the memo keeps alive, and a
+    matrix by value, so f runs once per distinct question."""
     key = (f, *args, args[-1].nrows)
     out = memo.get(key)
     if out is None:
@@ -336,7 +334,7 @@ def _once(memo, f, *args):
     return out
 
 
-def _span_of_preimage(A, M, B, memo=None):
+def _span_of_preimage(A, M, B, memo):
     """A basis of {A x : M x ∈ span(B)}, the span of [A | 0] times
     ker [M | -B].  With M = A this is span(A) ∩ span(B).  Its kernel and
     image are kept in memo (see _once)."""

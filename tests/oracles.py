@@ -30,7 +30,6 @@ from itertools import product as cartesian
 
 import pytest
 
-from zilber import _random as zrandom
 from zilber import ez, spectral
 from zilber import intlinalg as la
 from zilber.chains import (AbelianGroupInvariants, ChainComplex, ChainMap,
@@ -101,6 +100,23 @@ def sab_tensor(A, B):
         check=False)
 
 
+def _random_unimodular(rng, n):
+    """A unimodular n x n matrix and its inverse, built from 2n elementary
+    row operations, each drawn as zilber._random._random_unimodular draws
+    its own (that function first draws how many it makes, n + 0..2)."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    Uinv = [row[:] for row in U]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for t in range(n):
+            U[i][t] += c * U[j][t]
+        # inverse accumulates the inverse operations on the right
+        for t in range(n):
+            Uinv[t][j] -= c * Uinv[t][i]
+    return la.as_sparse(U, n, n), la.as_sparse(Uinv, n, n)
+
+
 def conjugate_simplicial(rng, A):
     """A with the basis of each level n changed by (-1)^n times a random
     unimodular matrix: isomorphic to A, but its degeneracies no longer have
@@ -108,7 +124,7 @@ def conjugate_simplicial(rng, A):
     normalize takes the Smith-normal-form path."""
     g = []
     for n, r in enumerate(A.ranks):
-        U, Uinv = zrandom._random_unimodular(rng, r, ops=2 * r)
+        U, Uinv = _random_unimodular(rng, r)
         g.append((U, Uinv) if n % 2 == 0
                  else (la.mat_scale(-1, U), la.mat_scale(-1, Uinv)))
     faces = {(n, i): la.mat_mul(g[n - 1][0], la.mat_mul(M, g[n][1]))

@@ -34,6 +34,14 @@ def test_ez_aw_on_intervals_passes(capsys):
     assert code == 0 and rep["pass"] is True
 
 
+def test_ez_hands_the_third_space_to_assoc_only(capsys):
+    code, rep, _ = run(capsys, ["ez", "delta1", "delta1", "--third", "delta1",
+                                "--check", "aw", "--check", "assoc",
+                                "--dim-bound", "2"])
+    assert code == 0 and rep["pass"] is True
+    assert [c["check"] for c in rep["certificates"]] == ["aw", "assoc"]
+
+
 def test_failing_kunneth_names_the_cone_homology_as_its_witness(capsys):
     # S¹×Δ³ has nondegenerate 4-simplices, so at bound 3 its truncated top
     # homology differs from that of the tensor side; this once exited 1
@@ -204,11 +212,25 @@ def test_malformed_payload_is_an_input_error(tmp_path, capsys):
     cases.append(("homology", {"format": "ssimp", "version": 1,
                                "dim_bound": 0, "levels": [-2], "faces": {},
                                "degens": {}}))
-    for command, payload in cases:
+    # a rank of -1 was once reported as "free_rank": -1, and true was read
+    # as 1 in a rank or p_max and reported as "dim_bound": true, exit 0;
+    # the error names the field
+    for rank in (-1, True):
+        cases.append(("homology", {"format": "chain", "version": 1,
+                                   "ranks": [rank], "differentials": {}},
+                      "ranks"))
+    flagged = circle(1).to_payload()
+    flagged["dim_bound"] = True
+    cases.append(("homology", flagged, "dim_bound"))
+    flagged = unit_filtration(1).to_payload()
+    flagged["p_max"] = True
+    cases.append(("ss", flagged, "p_max"))
+    for command, payload, *field in cases:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(payload))
         code, rep, err = run(capsys, [command, str(p)])
         assert code == 2
+        assert all(f in json.loads(err)["error"] for f in field)
 
 
 @pytest.mark.parametrize("argv", [
@@ -430,10 +452,20 @@ def test_ss_random_filtrations(capsys):
     assert code == 0 and rep["pass"] is True
 
 
-def test_report_shape(capsys):
-    code, rep, _ = run(capsys, ["promonoidal", "--check", "unit", "--b", "1"])
+@pytest.mark.parametrize("argv", [
+    ["homology", "delta1"],
+    ["doldkan", "--hom-table", "1"],
+    ["ez", "delta1", "delta1", "--check", "aw"],
+    ["skeleta", "--day-unit", "--trials", "1"],
+    ["ss", "sk:delta1"],
+    ["promonoidal", "--check", "unit", "--b", "1"],
+], ids=lambda argv: argv[0])
+def test_report_shape(capsys, argv):
+    # main assembles every command's report, so all six share one shape
+    code, rep, _ = run(capsys, argv)
     assert code == 0
-    for key in ("command", "inputs", "results", "certificates", "pass",
-                "timing"):
-        assert key in rep
-    assert "digest" in rep["inputs"]
+    assert set(rep) == {"format", "version", "command", "inputs", "results",
+                        "certificates", "pass", "timing"}
+    assert rep["command"] == argv[0] and "digest" in rep["inputs"]
+    seconds = rep["timing"]["seconds"]
+    assert type(seconds) in (int, float) and seconds >= 0

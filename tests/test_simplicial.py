@@ -12,7 +12,7 @@ from zilber import intlinalg as la
 from zilber.delta import (enumerate_monotone, epi_mono_factorize,
                           factor_into_codegeneracies, factor_into_cofaces)
 from zilber.doldkan import gamma_normalize_comparison, normalize
-from zilber.simplicial import (CheckCertificate, SimplicialAbelianGroup,
+from zilber.simplicial import (SimplicialAbelianGroup,
                                SimplicialIdentityError, SimplicialSet, circle,
                                free_abelian, product, skeleton,
                                skeleton_product_check, standard_simplex)
@@ -340,12 +340,6 @@ def test_negative_bound_and_entries_that_are_not_indices_are_rejected():
         with pytest.raises(SimplicialIdentityError,
                            match=r"face \(2,0\) lands outside level 1"):
             SimplicialSet.from_payload(payload)
-
-
-def test_certificate_dict_shape():
-    c = CheckCertificate(False, witness=(1, "x"), detail="why")
-    d = c.to_dict()
-    assert d["pass"] is False and "witness" in d and d["detail"] == "why"
 
 
 # ---------------------------------------------------------------------------
