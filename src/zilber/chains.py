@@ -17,6 +17,14 @@ CHAIN_FORMAT = "chain"
 CHAIN_VERSION = 1
 
 
+def check_version(payload, version):
+    """Raise ValueError unless the payload's "version" is the int version."""
+    found = payload.get("version")
+    if type(found) is not int or found != version:
+        raise ValueError(f"{payload['format']} payload version must be "
+                         f"{version}, not {found!r}")
+
+
 @dataclass(frozen=True)
 class AbelianGroupInvariants:
     free_rank: int
@@ -92,6 +100,7 @@ class ChainComplex:
     def from_payload(cls, payload):
         if payload.get("format") != CHAIN_FORMAT:
             raise ValueError("not a chain payload")
+        check_version(payload, CHAIN_VERSION)
         if any(type(n) is not int or n < 0 for n in payload["ranks"]):
             raise ValueError("ranks must be nonnegative integers")
         diffs = {int(n): M for n, M in payload["differentials"].items()}

@@ -7,7 +7,7 @@ pairings induced by the shuffle product.
 from __future__ import annotations
 
 from . import intlinalg as la
-from .chains import ChainComplex, tensor, unit_complex
+from .chains import ChainComplex, check_version, tensor, unit_complex
 from .ez import (_koszul_swap, _Nondegenerate, _tensor_associator,
                  shuffle_product)
 from .simplicial import CheckCertificate
@@ -125,6 +125,7 @@ class FilteredChainComplex:
     def from_payload(cls, payload):
         if payload.get("format") != "filt":
             raise ValueError("not a filt payload")
+        check_version(payload, 1)
         ambient = ChainComplex.from_payload(payload["ambient"])
         p_max = payload["p_max"]
         if type(p_max) is not int:
@@ -334,11 +335,13 @@ class FilteredPairing:
 
     def filtration_zero_certificate(self):
         """Certifies that m maps the stage-0 part of F ⊛ G isomorphically
-        onto the stage 0 of H, degreewise."""
-        conv = day_convolution(self.F, self.G)
-        tb = conv.basis
-        for n in range(min(tb.top_degree, self.basis.top_degree) + 1):
-            src = conv.stage(0, n)
+        onto the stage 0 of H, degreewise: F_0 ⊗ G_0 on the pairing's basis,
+        which spans the stage 0 of F ⊛ G with no convolution built."""
+        tb = self.basis
+        for n in range(tb.top_degree + 1):
+            src = _kron_columns(tb.rank(n), [
+                (off, self.F.stage(0, a), self.G.stage(0, b))
+                for a, b, off in reversed(tb.blocks(n))])
             img = la.mat_mul(self.m.mat(n), src)
             if not _span_equals_stage(img, self.H, 0, n):
                 return CheckCertificate(False, witness=n,

@@ -60,21 +60,20 @@ pointer each.  Columns are immutable, so sharing changes no value.
 
 Every solver runs one Smith normal form U*M*V = S and builds only the
 transforms it reads: ``snf_diagonal``, ``invariant_factors`` (its
-nonzero entries), ``rank`` and ``quotient_orders`` (the orders of a
-``Subquotient``) none, ``kernel_basis`` V, ``image_basis`` Uinv,
-``inverse_unimodular`` U and V (the inverse is V*U), and ``Span`` U and
-Uinv.  A ``Span`` keeps U as a ``Sparse``, the diagonal and the image
+nonzero entries) and ``rank`` none, ``kernel_basis`` V, ``image_basis``
+Uinv, ``inverse_unimodular`` U and V (the inverse is V*U), and ``Span`` U
+and Uinv.  A ``Span`` keeps U as a ``Sparse``, the diagonal and the image
 basis, and answers any number of coordinate and containment tests and
 the lattice test, with no solve where the answer is known: a lattice
 span (all of ℤⁿ) contains every column, and on an identity span a matrix
-is its own coordinates.  A ``Subquotient`` takes the ``Span`` of Z,
-which may be shared, runs one SNF, of the coordinates of the B
-generators on the basis of Z, keeps the rows of its U that select the
-generators as one ``Sparse``, and builds its lifts only when they are
-read.  The normalization of a group whose degeneracies are not unit
-vectors splits D_n off as the ``Subquotient`` of the identity span by the
-degenerate span: its coordinates are the projection, and its lifts are
-what the section is built from.
+is its own coordinates.  A ``Subquotient`` answers every quotient
+question: it takes the ``Span`` of Z, which may be shared, and factors
+the coordinates of the B generators on the basis of Z with no transform,
+for its orders, and with U and Uinv only on the first read of its lifts
+or coordinates.  The normalization of a group whose degeneracies are not
+unit vectors splits D_n off as the ``Subquotient`` of the identity span
+by the degenerate span: its coordinates are the projection, and its
+lifts are what the section is built from.
 """
 
 from __future__ import annotations
@@ -603,22 +602,6 @@ def inverse_unimodular(M):
     return X
 
 
-def _quotient_smith(Z, b_gens, track):
-    """(U, diag, Uinv) of the SNF of the coordinates of b_gens on Z.basis,
-    diag padded with zeros to Z.rank."""
-    R = Z.coords(b_gens)
-    if R is None:
-        raise AssertionError("B is not contained in Z")
-    U, diag, _, Uinv = _smith_with_inverses(R, track)
-    return U, diag + [0] * (Z.rank - len(diag)), Uinv
-
-
-def quotient_orders(Z, b_gens):
-    """Subquotient(Z, b_gens).orders, from the same SNF with no transform:
-    the pivots depend on S alone."""
-    return [d for d in _quotient_smith(Z, b_gens, ())[1] if d != 1]
-
-
 class Subquotient:
     """A subquotient Z/B of ℤ^n, with generator lifts and coordinates.
 
@@ -629,22 +612,23 @@ class Subquotient:
     the convention order 0 = ℤ, and column i of ``lifts`` is an ambient
     representative of cyclic summand generator i.
 
-    Coordinates on Z are those on Z.basis (Span.coords), so the one SNF
-    here is of the coordinate matrix R of b_gens, which splits the
-    quotient.  When Z = 0, R has no rows and that SNF returns at once: the
-    quotient is the zero group.
+    Coordinates on Z are those on Z.basis (Span.coords), so the SNF here is
+    of the coordinate matrix R of b_gens, which splits the quotient: with
+    no transform at construction, for the orders, and with U and Uinv on
+    the first read of ``lifts`` or ``coords``.  When Z = 0, R has no rows
+    and each SNF returns at once: the quotient is the zero group.
     """
 
     def __init__(self, Z, b_gens):
-        U, diag, Uinv = _quotient_smith(Z, b_gens, ("U", "Uinv"))
-        r = Z.rank
-        kept = [i for i in range(r) if diag[i] != 1]
+        R = Z.coords(b_gens)
+        if R is None:
+            raise AssertionError("B is not contained in Z")
+        diag = _smith_with_inverses(R, ())[1]
+        diag += [0] * (Z.rank - len(diag))
         self._Z = Z
-        self.orders = [diag[i] for i in kept]
-        # Z.basis coordinates -> generators
-        self._U = _from_rows([U[i] for i in kept], r)
-        self._Uinv = Uinv
-        self._kept = kept
+        self._R = R
+        self._kept = [i for i, d in enumerate(diag) if d != 1]
+        self.orders = [diag[i] for i in self._kept]
         self.free_rank = sum(1 for o in self.orders if o == 0)
         self.torsion = [o for o in self.orders if o >= 2]
 
@@ -653,13 +637,19 @@ class Subquotient:
         return len(self.orders)
 
     @cached_property
+    def _transforms(self):
+        """The rows of U and columns of Uinv that select the generators."""
+        U, _, _, Uinv = _smith_with_inverses(self._R, ("U", "Uinv"))
+        kept, r = self._kept, self._Z.rank
+        return (_from_rows([U[i] for i in kept], r),
+                from_columns([[row[i] for row in Uinv] for i in kept], r))
+
+    @cached_property
     def lifts(self):
         """The ambient lifts of the generators, one column each: Z.basis
         times the kept columns of Uinv.  Built on first read, so a
         Subquotient whose orders alone are read builds none."""
-        Uinv = self._Uinv
-        return mat_mul(self._Z.basis, from_columns(
-            [[row[i] for row in Uinv] for i in self._kept], self._Z.rank))
+        return mat_mul(self._Z.basis, self._transforms[1])
 
     def coords(self, B):
         """The coordinates of the classes of the columns of B on the cyclic
@@ -668,7 +658,7 @@ class Subquotient:
         C = self._Z.coords(B)
         if C is None:
             raise ValueError("a column is not in the subgroup Z")
-        return self.reduce(mat_mul(self._U, C))
+        return self.reduce(mat_mul(self._transforms[0], C))
 
     def reduce(self, M):
         """M, an ngens-row matrix, with row i reduced mod orders[i]."""

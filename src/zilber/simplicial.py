@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import intlinalg as la
+from .chains import check_version
 from .delta import (enumerate_monotone, epi_mono_factorize,
                     factor_into_cofaces, factor_into_codegeneracies)
 
@@ -171,6 +172,7 @@ class SimplicialSet:
     def from_payload(cls, payload):
         if payload.get("format") != SSIMP_FORMAT:
             raise ValueError("not an ssimp payload")
+        check_version(payload, SSIMP_VERSION)
         if type(payload["dim_bound"]) is not int:
             raise SimplicialIdentityError("dim_bound must be an integer")
         sizes = payload["levels"]

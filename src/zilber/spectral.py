@@ -49,12 +49,12 @@ class SpectralSequence:
       or n outside 0..top) is keyed (-1, n);
     - B_r^{p,n} by the pair of keys of Z_{r-1}^{p-1,n} and
       Z_{r-1}^{p+r-1,n+1};
-    - one la.Span per distinct Z generator matrix, for entries, page
-      recursion and convergence alike, a stage's being F's kept span;
-    - one memo keyed by value (_once): kernel_basis and image_basis per
-      matrix, and per (Z span, B matrix) an entry's Subquotient, or the
-      la.quotient_orders that page recursion and convergence read when no
-      entry holds them; so the pages past r_inf share E_∞'s Subquotients."""
+    - one memo keyed by value (_once): kernel_basis, image_basis and
+      la.Span per matrix, a stage's span being F's kept one, and one
+      la.Subquotient per (Z span, B matrix), which an entry, page
+      recursion and convergence share; so the pages past r_inf share
+      E_∞'s Subquotients, and a question that reads orders alone builds
+      no transform."""
 
     def __init__(self, F, r_max=None):
         self.F = F
@@ -108,7 +108,7 @@ class SpectralSequence:
             b_r = st.b_of(st.b_key(r, p, n))
             num = la.hstack(st.z_of(st.z_key(r + 1, p, n)), b_r)
             den = la.hstack(b_r, st.dz_of(st.z_key(r, p + r, n + 1)))
-            if st.orders(st.span_of(num), den) != sq_next.orders:
+            if st.quotient(num, den).orders != sq_next.orders:
                 return CheckCertificate(
                     False, witness=(r, p, q),
                     detail=f"page recursion fails at E_{r+1}^{{{p},{q}}}")
@@ -135,9 +135,8 @@ class SpectralSequence:
                 if a not in cycles:
                     cycles[a] = _span_of_preimage(kern, kern,
                                                   self.F.stage(p, n), st.memo)
-                graded = [] if a == b else st.orders(
-                    st.span_of(la.hstack(cycles[a], im)),
-                    la.hstack(cycles[b], im))
+                graded = [] if a == b else st.quotient(
+                    la.hstack(cycles[a], im), la.hstack(cycles[b], im)).orders
                 if graded != einf[(p, n - p)].orders:
                     return CheckCertificate(
                         False, witness=(p, n - p),
@@ -180,7 +179,6 @@ class _Store:
         self._zs = {}  # Z key -> generator columns
         self._dzs = {}  # Z key -> d of its generator columns
         self._bs = {}  # B key -> generator columns
-        self._spans = {}  # (rows, Z generator matrix) -> la.Span
         self._stages = {(S.nrows, S): (p, n)  # (rows, stage matrix) -> (p, n)
                         for p, stage in enumerate(F.stages)
                         for n, S in stage.items()}
@@ -215,17 +213,6 @@ class _Store:
             self._zs[key] = Z
         return Z
 
-    def span_of(self, Z):
-        """The la.Span of the generator matrix Z, one per distinct matrix;
-        a Z equal to a stage (p, n) of F takes F.span(p, n)."""
-        key = (Z.nrows, Z)
-        sp = self._spans.get(key)
-        if sp is None:
-            stage = self._stages.get(key)
-            sp = self._spans[key] = (la.Span(Z) if stage is None
-                                     else self.F.span(*stage))
-        return sp
-
     def dz_of(self, key):
         """d of the generators of Z for a key of z_key."""
         dZ = self._dzs.get(key)
@@ -243,18 +230,19 @@ class _Store:
                                           self.dz_of(key[1]))
         return B
 
+    def quotient(self, Z, B):
+        """The la.Subquotient span(Z)/span(B) of generator matrices, once
+        per (Z span, B).  A Z equal to a stage (p, n) of F takes the span
+        F.span(p, n), and any other Z one la.Span per distinct matrix."""
+        stage = self._stages.get((Z.nrows, Z))
+        span = (_once(self.memo, la.Span, Z) if stage is None
+                else self.F.span(*stage))
+        return _once(self.memo, la.Subquotient, span, B)
+
     def entry(self, r, p, n):
         """E_r^{p, n-p} = Z_r/B_r as a Subquotient of the degree-n chains."""
-        return _once(self.memo, la.Subquotient,
-                     self.span_of(self.z_of(self.z_key(r, p, n))),
-                     self.b_of(self.b_key(r, p, n)))
-
-    def orders(self, Z, B):
-        """The orders of Z/B, Z a span of span_of: an entry's when the memo
-        holds that Subquotient, else la.quotient_orders, once per (Z, B)."""
-        sq = self.memo.get((la.Subquotient, Z, B, B.nrows))
-        return (sq.orders if sq is not None
-                else _once(self.memo, la.quotient_orders, Z, B))
+        return self.quotient(self.z_of(self.z_key(r, p, n)),
+                             self.b_of(self.b_key(r, p, n)))
 
     def page(self, r, entries):
         """The entries (p, q) of page r."""

@@ -1,5 +1,6 @@
 """Oracles the library does not carry: integer solving and span
-coordinates by a solve on every span, the composite of chain maps, the
+coordinates by a solve on every span, the eager subquotient, which builds
+its transforms at construction, the composite of chain maps, the
 lower Moore convention of normalization, homology and its induced maps as subquotients with lifts,
 the Kronecker block sums of the tensor layer, the
 Eilenberg-Zilber matrix path, the skeletal filtration
@@ -156,6 +157,39 @@ def span_coords(A, B):
     identity, a lattice, 0 or none of these.  None if some column of B is
     not in the span."""
     return solve_matrix(la.image_basis(A), B)
+
+
+class Subquotient:
+    """Oracle for la.Subquotient: the eager form, which factors the
+    coordinates R of the B generators on Z.basis once, with U and Uinv, at
+    construction and builds its lifts there too."""
+
+    def __init__(self, Z, b_gens):
+        R = Z.coords(b_gens)
+        if R is None:
+            raise AssertionError("B is not contained in Z")
+        U, diag, _, Uinv = la._smith_with_inverses(R, ("U", "Uinv"))
+        r = Z.rank
+        diag = diag + [0] * (r - len(diag))
+        kept = [i for i in range(r) if diag[i] != 1]
+        self.Z = Z
+        self.orders = [diag[i] for i in kept]
+        self.free_rank = sum(1 for o in self.orders if o == 0)
+        self.torsion = [o for o in self.orders if o >= 2]
+        self.U = la._from_rows([U[i] for i in kept], r)
+        self.lifts = la.mat_mul(Z.basis, la.from_columns(
+            [[row[i] for row in Uinv] for i in kept], r))
+
+    def coords(self, B):
+        """The generator coordinates of the columns of B, row i reduced mod
+        orders[i]; ValueError if some column is not in Z."""
+        C = self.Z.coords(B)
+        if C is None:
+            raise ValueError("a column is not in the subgroup Z")
+        o = self.orders
+        return la.Sparse([tuple([(i, x % o[i] if o[i] else x) for i, x in col
+                                 if not o[i] or x % o[i]])
+                          for col in la.mat_mul(self.U, C)], len(o))
 
 
 def compose(f, g):

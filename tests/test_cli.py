@@ -3,6 +3,9 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -225,6 +228,27 @@ def test_malformed_payload_is_an_input_error(tmp_path, capsys):
     flagged = unit_filtration(1).to_payload()
     flagged["p_max"] = True
     cases.append(("ss", flagged, "p_max"))
+
+    def stamped(payload, version, inner=False):
+        """payload with its version, or its ambient's, replaced by version
+        (None: removed)."""
+        target = payload["ambient"] if inner else payload
+        del target["version"]
+        if version is not None:
+            target["version"] = version
+        return payload
+
+    # a payload of another version, or with none, was once read as
+    # version 1, exit 0; a filt payload's ambient is a chain payload
+    for version in (99, None, True):
+        for command, payload, inner in (
+                ("homology", circle(1).to_payload(), False),
+                ("homology", {"format": "chain", "version": 1, "ranks": [1],
+                              "differentials": {}}, False),
+                ("ss", unit_filtration(1).to_payload(), False),
+                ("ss", unit_filtration(1).to_payload(), True)):
+            cases.append((command, stamped(payload, version, inner),
+                          "version"))
     for command, payload, *field in cases:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(payload))
@@ -286,10 +310,12 @@ def test_report_records_the_bound_of_the_loaded_spaces(tmp_path, capsys,
 @pytest.mark.parametrize("command, payload", [
     ("homology", "[1]"), ("doldkan", "[1]"), ("ss", "[1]"),
     ("homology", "null"), ("doldkan", '"ssimp"'), ("ss", "3"),
-    ("homology", '{"format": "chain", "ranks": [1], "differentials": []}'),
+    ("homology", '{"format": "chain", "ranks": [1], "differentials": [], '
+                 '"version": 1}'),
     ("homology", '{"format": "ssimp", "dim_bound": 0, "levels": [1], '
-                 '"faces": [], "degens": {}}'),
-    ("ss", '{"format": "filt", "ambient": [], "p_max": 0, "stages": [{}]}'),
+                 '"faces": [], "degens": {}, "version": 1}'),
+    ("ss", '{"format": "filt", "ambient": [], "p_max": 0, "stages": [{}], '
+           '"version": 1}'),
 ])
 def test_payload_of_the_wrong_json_type_is_an_input_error(
         capsys, monkeypatch, command, payload):
@@ -408,6 +434,47 @@ def test_any_other_library_exception_exits_3(capsys, monkeypatch, target,
     code, rep, err = run(capsys, argv)
     assert code == 3 and rep is None
     assert json.loads(err) == {"error": str(exc), "exit": 3}
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+FAILING_LEFT_KAN = ["promonoidal", "--check", "left-kan", "--ns", "1,1",
+                    "--b", "1", "--m", "2"]
+
+
+@pytest.mark.parametrize("argv, grade", [(["homology", "torus"], 0),
+                                         (FAILING_LEFT_KAN, 1)],
+                         ids=["pass", "fail"])
+def test_a_closed_stdout_keeps_the_grade_and_prints_no_error(
+        capsys, monkeypatch, argv, grade):
+    # a reader that closed the pipe (zilber ... | head -c 0) once turned
+    # every report into exit 3, with a JSON internal error on stderr
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == grade
+    devnull = sys.stdout  # so the interpreter's last flush cannot raise
+    assert devnull.name == os.devnull
+    devnull.close()
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_ends_the_process_quietly():
+    # the read end is closed before the process starts, so its first
+    # write fails; nothing may reach stderr, not even at interpreter exit
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zilber.cli", *FAILING_LEFT_KAN],
+            stdout=write, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_reports_are_deterministic_modulo_timing(capsys):

@@ -305,6 +305,44 @@ def test_skeletal_containment_holds_for_any_map_of_the_right_shape():
                                P.basis).filtration_zero_certificate().ok
 
 
+def filtration_zero_by_convolution(P):
+    """Oracle for the stage-0 certificate: (ok, witness) read off stage 0
+    of the whole Day convolution F ⊛ G, in the degrees it shares with P."""
+    conv = day_convolution(P.F, P.G)
+    for n in range(min(conv.basis.top_degree, P.basis.top_degree) + 1):
+        src = conv.stage(0, n)
+        img = la.mat_mul(P.m.mat(n), src)
+        if not spans_equal(img, P.H.stage(0, n)) or \
+                la.rank(src) != la.rank(img):
+            return False, n
+    return True, None
+
+
+def test_stage_zero_certificate_matches_the_whole_convolution(monkeypatch):
+    # stage 0 is built from F_0 ⊗ G_0 on the pairing's basis, with no Day
+    # convolution: it gives the certificate of the convolution's stage 0
+    rng = random.Random(72)
+    results = []
+    for X, Y in [(circle(2), standard_simplex(1, 2)),
+                 (standard_simplex(2, 2), circle(2)), (circle(2), circle(2))]:
+        P = filtered_ez(free_abelian(X), free_abelian(Y))
+        maps = [P.m, ChainMap(P.m.source, P.m.target, {
+            n: la.mat_scale(2, M) for n, M in P.m.mats.items()})]
+        maps += [ChainMap(P.m.source, P.m.target, {
+            n: la.as_sparse([[rng.randint(-1, 1) for _ in range(M.ncols)]
+                             for _ in range(M.nrows)], M.nrows, M.ncols)
+            for n, M in P.m.mats.items()}, check=False) for _ in range(3)]
+        for m in maps:
+            Q = FilteredPairing(P.F, P.G, P.H, m, P.basis, check=False)
+            want = filtration_zero_by_convolution(Q)
+            with monkeypatch.context() as patched:
+                patched.setattr(filtration, "day_convolution", None)
+                cert = Q.filtration_zero_certificate()
+            assert (cert.ok, cert.witness) == want
+            results.append(want)
+    assert (True, None) in results and (False, 0) in results
+
+
 def test_a_target_stage_of_full_rank_but_index_two_is_still_tested():
     # H_0 = 2ℤ in degree 0 has full rank but is not a lattice: the
     # containment test must not skip it

@@ -738,32 +738,80 @@ def test_subquotient_invariants_match_sympy(case):
 @settings(max_examples=200, deadline=None)
 @given(subquotients())
 def test_quotient_orders_are_the_orders_of_the_subquotient(case):
+    # orders alone come from the SNF that construction runs with no
+    # transform; a B outside Z is refused there
     z_gens, b_gens, _, _, anywhere = case
     Z = la.Span(z_gens)
-    assert la.quotient_orders(Z, b_gens) == la.Subquotient(Z, b_gens).orders
+    assert la.Subquotient(Z, b_gens).orders == \
+        oracles.Subquotient(Z, b_gens).orders
     wider = la.hstack(b_gens, anywhere)
     if not Z.contains(wider):
-        for quotient in (la.quotient_orders, la.Subquotient):
-            with pytest.raises(AssertionError,
-                               match="^B is not contained in Z$"):
-                quotient(Z, wider)
+        with pytest.raises(AssertionError, match="^B is not contained in Z$"):
+            la.Subquotient(Z, wider)
 
 
-@pytest.mark.parametrize("z_gens, b_gens, orders", [
+CHOSEN_SUBQUOTIENTS = [
     ([[0, 0], [0, 0]], [[0], [0]], []),  # a zero Z
     ([[1, 0], [0, 1]], [[], []], [0, 0]),  # a zero B
     ([[1, 0], [0, 1]], [[2, 0], [0, 3]], [6]),  # B of index 6
     ([[1, 2, 0], [0, 0, 1], [0, 0, 0]], [[4], [2], [0]], [2, 0]),
+]
+CHOSEN_IDS = ["zero-z", "zero-b", "index-6", "torsion-and-free"]
+
+
+def chosen(z_gens, b_gens):
+    return (la.Span(la.as_sparse(z_gens, len(z_gens))),
+            la.as_sparse(b_gens, len(b_gens)))
+
+
+@pytest.mark.parametrize("z_gens, b_gens, orders", CHOSEN_SUBQUOTIENTS + [
     ([[2], [0], [0]], [[1], [0], [0]], None),  # B not in Z
-], ids=["zero-z", "zero-b", "index-6", "torsion-and-free", "b-not-in-z"])
+], ids=CHOSEN_IDS + ["b-not-in-z"])
 def test_quotient_orders_of_chosen_subquotients(z_gens, b_gens, orders):
-    Z = la.Span(la.as_sparse(z_gens, len(z_gens)))
-    B = la.as_sparse(b_gens, len(b_gens))
+    Z, B = chosen(z_gens, b_gens)
     if orders is None:
         with pytest.raises(AssertionError, match="^B is not contained in Z$"):
-            la.quotient_orders(Z, B)
+            la.Subquotient(Z, B)
         return
-    assert la.quotient_orders(Z, B) == la.Subquotient(Z, B).orders == orders
+    assert la.Subquotient(Z, B).orders == orders
+
+
+@pytest.mark.parametrize("read", ["lifts", "coords"])
+@pytest.mark.parametrize("z_gens, b_gens, orders", CHOSEN_SUBQUOTIENTS,
+                         ids=CHOSEN_IDS)
+def test_transforms_are_factored_once_on_first_read(monkeypatch, z_gens,
+                                                    b_gens, orders, read):
+    # construction factors with no transform; the first read of lifts or
+    # coords factors once more, with U and Uinv, and later reads not at all
+    Z, B = chosen(z_gens, b_gens)
+    tracked = []
+    real = la._smith_with_inverses
+    monkeypatch.setattr(la, "_smith_with_inverses",
+                        lambda M, track: tracked.append(track) or
+                        real(M, track))
+    sq = la.Subquotient(Z, B)
+    assert tracked == [()] and sq.orders == orders
+    reads = {"lifts": lambda: sq.lifts,
+             "coords": lambda: sq.coords(Z.basis)}
+    reads[read]()
+    assert tracked == [(), ("U", "Uinv")]
+    for again in (read, "lifts", "coords"):
+        reads[again]()
+    assert tracked == [(), ("U", "Uinv")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(subquotients(), st.booleans())
+def test_transforms_on_first_read_match_the_eager_oracle(case, lifts_first):
+    z_gens, b_gens, _, inside, _ = case
+    Z = la.Span(z_gens)
+    sq, eager = la.Subquotient(Z, b_gens), oracles.Subquotient(Z, b_gens)
+    assert (sq.orders, sq.free_rank, sq.torsion) == \
+        (eager.orders, eager.free_rank, eager.torsion)
+    if lifts_first:
+        assert la.mat_eq(sq.lifts, eager.lifts)
+    assert la.mat_eq(sq.coords(inside), eager.coords(inside))
+    assert la.mat_eq(sq.lifts, eager.lifts)
 
 
 @pytest.mark.parametrize("M, full", [
