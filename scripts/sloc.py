@@ -7,9 +7,11 @@ Prints, for each module of SRC_DIR (default: src/zilber next to this
 script) and in total, the lines that are neither blank nor comments, and
 then the total of TESTS_DIR (default: the tests directory of the checkout
 that holds SRC_DIR), so that code moved between the two shows as a move.
-Docstrings count as code.
+Docstrings count as code.  A reader that closes the pipe early, as
+``python scripts/sloc.py | head -1`` does, ends it quietly.
 """
 
+import os
 import pathlib
 import sys
 
@@ -37,4 +39,9 @@ if __name__ == "__main__":
     src = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else default
     tests = (pathlib.Path(sys.argv[2]) if len(sys.argv) > 2
              else src.resolve().parent.parent / "tests")
-    main(src, tests)
+    try:
+        main(src, tests)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: let the interpreter's last flush go to devnull
+        sys.stdout = open(os.devnull, "w")

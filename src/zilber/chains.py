@@ -261,21 +261,27 @@ def tensor(C, D, top_degree=None):
     d_n is its (-1)^p x_i⊗dy_j part, in row block (p, q-1), then its
     dx_i⊗y_j part, in row block (p-1, q): the blocks of a degree are in p
     descending, so each column is written in row order, with nothing
-    summed or sorted.
+    summed or sorted.  A block with no columns is skipped.
     """
     tb = TensorBasis(C, D, top_degree)
     # d_0 has no rows, so a part at p = 0 or q = 0 is empty
     dx = [C.diff(p) for p in range(C.top_degree + 1)]
     dy = [D.diff(q) for q in range(D.top_degree + 1)]
-    dy_odd = [[[(l, -b) for l, b in col] for col in M] for M in dy]
+    dy_odd = {}
     diffs = {}
     for n in range(1, tb.top_degree + 1):
         below = tb._offsets[n - 1]  # a block it lacks has an empty part
         cols = []
         for p, q, _ in tb.blocks(n):
+            Y = dy[q]
+            if not (dx[p] and Y):  # C_p or D_q has rank 0
+                continue
+            w, rq = Y.nrows, len(Y)
+            if p % 2:  # -d_q, built for the first odd p that reads it
+                if q not in dy_odd:
+                    dy_odd[q] = [[(l, -b) for l, b in col] for col in Y]
+                Y = dy_odd[q]
             at_dy, at_dx = below.get(p, 0), below.get(p - 1, 0)
-            w, rq = dy[q].nrows, len(dy[q])
-            Y = dy_odd[q] if p % 2 else dy[q]
             for i, dXi in enumerate(dx[p]):
                 at = at_dy + i * w
                 if not dXi:  # dx_i = 0

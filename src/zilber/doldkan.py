@@ -174,14 +174,22 @@ def disk(n):
     return DiskComplex(n)
 
 
-def gamma_basis(C, n):
-    """Basis of Γ(C)_n: pairs (surjection [n] ->> [k], generator of C_k)."""
-    out = []
+def gamma_offsets(C, n):
+    """(offsets, rank) of Γ(C)_n: offsets maps each surjection eta : [n] ->>
+    [k], k ascending, to the row of (eta, 0); the generators of C_k follow
+    it in their order, so those of one summand are consecutive."""
+    offsets, row = {}, 0
     for k in range(min(n, C.top_degree) + 1):
         for eta in enumerate_surjections(n, k):
-            for t in range(C.rank(k)):
-                out.append((eta, t))
-    return out
+            offsets[eta] = row
+            row += C.rank(k)
+    return offsets, row
+
+
+def gamma_basis(C, n):
+    """Basis of Γ(C)_n: pairs (surjection [n] ->> [k], generator of C_k)."""
+    return [(eta, t) for eta in gamma_offsets(C, n)[0]
+            for t in range(C.rank(eta.codomain_top))]
 
 
 @lru_cache(maxsize=None)
@@ -206,41 +214,38 @@ def _gamma_component(eta, alpha):
     return eta_prime, None
 
 
-def gamma_operator(C, alpha, basis_by_level):
-    """The matrix of Γ(C)(alpha) : Γ(C)_n -> Γ(C)_m for alpha : [m] -> [n]."""
-    m, n = alpha.domain_top, alpha.codomain_top
-    src = basis_by_level[n]
-    tgt = basis_by_level[m]
-    pos = {b: i for i, b in enumerate(tgt)}
+def gamma_operator(C, alpha, levels):
+    """The matrix of Γ(C)(alpha) : Γ(C)_n -> Γ(C)_m for alpha : [m] -> [n],
+    levels[l] being gamma_offsets(C, l): one structure constant per
+    source summand, whose columns are written as one run."""
+    src, _ = levels[alpha.codomain_top]
+    tgt, rows = levels[alpha.domain_top]
+    u = la.units(rows)
     cols = []
-    for eta, t in src:
+    for eta in src:
+        k = eta.codomain_top
         eta_prime, mode = _gamma_component(eta, alpha)
         if mode == "id":
-            cols.append(((pos[(eta_prime, t)], 1),))
+            o = tgt[eta_prime]
+            cols += u[o:o + C.rank(k)]
         elif mode == "d":
-            # the generators of one summand are consecutive in the basis,
-            # so rows ascend with t2
-            cols.append(tuple((pos[(eta_prime, t2)], x)
-                              for t2, x in C.diff(eta.codomain_top)[t]))
+            o = tgt[eta_prime]
+            cols += [tuple([(o + t, x) for t, x in col]) for col in C.diff(k)]
         else:
-            cols.append(())
-    return la.Sparse(cols, len(tgt))
+            cols += [()] * C.rank(k)
+    return la.Sparse(cols, rows)
 
 
 def gamma(C, dim_bound):
     """The inverse Dold-Kan functor, truncated at dim_bound: level n is the
-    sum over surjections [n] ->> [k] of C_k."""
-    basis = [gamma_basis(C, n) for n in range(dim_bound + 1)]
-    ranks = [len(b) for b in basis]
-    face_mats = {}
-    degen_mats = {}
-    for n in range(1, dim_bound + 1):
-        for i in range(n + 1):
-            face_mats[(n, i)] = gamma_operator(C, coface(n, i), basis)
-    for n in range(dim_bound):
-        for i in range(n + 1):
-            degen_mats[(n, i)] = gamma_operator(C, codegeneracy(n, i), basis)
-    return SimplicialAbelianGroup(dim_bound, ranks, face_mats, degen_mats)
+    sum over surjections [n] ->> [k] of C_k, built one summand at a time."""
+    levels = [gamma_offsets(C, n) for n in range(dim_bound + 1)]
+    face_mats = {(n, i): gamma_operator(C, coface(n, i), levels)
+                 for n in range(1, dim_bound + 1) for i in range(n + 1)}
+    degen_mats = {(n, i): gamma_operator(C, codegeneracy(n, i), levels)
+                  for n in range(dim_bound) for i in range(n + 1)}
+    return SimplicialAbelianGroup(dim_bound, [rows for _, rows in levels],
+                                  face_mats, degen_mats)
 
 
 def gamma_normalize_comparison(A):

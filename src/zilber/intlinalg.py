@@ -34,7 +34,9 @@ storing the product: one dict per column of B, dropped after its test.
 The d∘d check of a chain complex and the Moore check of a normalization
 use it.
 ``products_equal(A, B, C, D)`` answers ``A * B == C * D`` the same way,
-one dict per column of A * B_j - C * D_j.  The commuting squares of
+one dict per column of A * B_j - C * D_j, except that two unit columns
+B_j = (k, 1) and D_j = (l, 1) compare the columns A_k and C_l as they
+are.  The simplicial identities of a group, the commuting squares of
 ``chains.ChainMap``, the projection ∘ section check of a normalization,
 the check of ``inverse_unimodular`` and the final comparisons of the
 AW∘∇, symmetry and associativity certificates use it.
@@ -277,6 +279,11 @@ def products_equal(A, B, C, D):
             f"times {B.nrows}x{B.ncols} against {C.nrows}x{C.ncols} times "
             f"{D.nrows}x{D.ncols}")
     for Bj, Dj in zip(B, D):
+        if len(Bj) == 1 == len(Dj) and Bj[0][1] == 1 == Dj[0][1]:
+            # unit columns: the products are a column of A and one of C
+            if A[Bj[0][0]] != C[Dj[0][0]]:
+                return False
+            continue
         acc = {}
         for k, b in Bj:
             for i, a in A[k]:

@@ -36,44 +36,46 @@ def _reject_unknown_operators(faces, degens, D, what):
                     f"{what}")
 
 
-def _check_identities(D, F, S, compose, equal, identity):
+def _check_identities(D, F, S, equal, identity):
     """Raise SimplicialIdentityError at the first simplicial identity that
     the faces F[(k, i)] and degeneracies S[(k, i)] of a D-truncated object
-    break: d∘d, then s∘s, then d∘s.  compose(g, f) is g∘f, equal compares
-    two composites and identity(k) is the identity of level k."""
+    break: d∘d, then s∘s, then d∘s.  equal(g1, f1, g2, f2) tests g1∘f1 =
+    g2∘f2 without keeping either composite, and identity(k) is the identity
+    of level k."""
     for k in range(2, D + 1):
         for j in range(1, k + 1):
             for i in range(j):
-                if not equal(compose(F[(k - 1, i)], F[(k, j)]),
-                             compose(F[(k - 1, j - 1)], F[(k, i)])):
+                if not equal(F[(k - 1, i)], F[(k, j)],
+                             F[(k - 1, j - 1)], F[(k, i)]):
                     raise SimplicialIdentityError(
                         f"d_{i} d_{j} != d_{j-1} d_{i} at level {k}")
     for k in range(D - 1):
         for j in range(k + 1):
             for i in range(j + 1):
-                if not equal(compose(S[(k + 1, i)], S[(k, j)]),
-                             compose(S[(k + 1, j + 1)], S[(k, i)])):
+                if not equal(S[(k + 1, i)], S[(k, j)],
+                             S[(k + 1, j + 1)], S[(k, i)]):
                     raise SimplicialIdentityError(
                         f"s_{i} s_{j} != s_{j+1} s_{i} at level {k}")
     for k in range(D):
         for j in range(k + 1):
             for i in range(k + 2):
                 if i == j or i == j + 1:
-                    want, name = identity(k), "id"
+                    want, name = (identity(k),) * 2, "id"
                 elif i < j:
-                    want = compose(S[(k - 1, j - 1)], F[(k, i)])
+                    want = S[(k - 1, j - 1)], F[(k, i)]
                     name = f"s_{j-1} d_{i}"
                 else:
-                    want = compose(S[(k - 1, j)], F[(k, i - 1)])
+                    want = S[(k - 1, j)], F[(k, i - 1)]
                     name = f"s_{j} d_{i-1}"
-                if not equal(compose(F[(k + 1, i)], S[(k, j)]), want):
+                if not equal(F[(k + 1, i)], S[(k, j)], *want):
                     raise SimplicialIdentityError(
                         f"d_{i} s_{j} != {name} at level {k}")
 
 
-def _compose_tables(g, f):
-    """g∘f for index tables, as a list: quicker to build than a tuple."""
-    return [g[a] for a in f]
+def _tables_agree(g1, f1, g2, f2):
+    """g1∘f1 == g2∘f2 for index tables, compared as two lists: quicker
+    than a walk that stops at the first difference."""
+    return [g1[a] for a in f1] == [g2[a] for a in f2]
 
 
 SSIMP_FORMAT = "ssimp"
@@ -151,8 +153,8 @@ class SimplicialSet:
                               or max(t) >= sizes[k + step]):
                         raise SimplicialIdentityError(
                             f"{kind} ({k},{i}) lands outside level {k+step}")
-        _check_identities(D, self.faces, self.degens, _compose_tables,
-                          list.__eq__, lambda k: list(range(sizes[k])))
+        _check_identities(D, self.faces, self.degens, _tables_agree,
+                          lambda k: range(sizes[k]))
 
     # -- serialization ------------------------------------------------------
 
@@ -379,7 +381,7 @@ class SimplicialAbelianGroup:
 
     def _validate(self):
         _check_identities(self.dim_bound, self.face_mats, self.degen_mats,
-                          la.mat_mul, la.mat_eq,
+                          la.products_equal,
                           lambda k: la.identity(self.ranks[k]))
 
     def operator_matrix(self, f):

@@ -255,8 +255,10 @@ class _Store:
         out = {}
         for (p, q), sq in page.items():
             tgt = page.get((p - r, q + r - 1))
+            rows = tgt.ngens if tgt else 0
+            # an entry with no generators has no lifts to read
             out[(p, q)] = (tgt.coords(la.mat_mul(amb.diff(p + q), sq.lifts))
-                           if tgt and tgt.ngens else la.zeros(0, sq.ngens))
+                           if rows and sq.ngens else la.zeros(rows, sq.ngens))
         return out
 
 

@@ -3,7 +3,8 @@ coordinates by a solve on every span, the eager subquotient, which builds
 its transforms at construction, the composite of chain maps, the
 lower Moore convention of normalization, homology and its induced maps as subquotients with lifts,
 the Kronecker block sums of the tensor layer, the
-Eilenberg-Zilber matrix path, the skeletal filtration
+Eilenberg-Zilber matrix path, the simplicial-identity check on stored
+composites, the skeletal filtration
 from a normalization, the levelwise tensor of simplicial abelian groups,
 enumerations of Δ that only the tests read, and a generator of non-free
 simplicial groups.
@@ -41,7 +42,8 @@ from zilber.delta import (MonotoneMap, PosetPoint, StrictMonotoneIntoProduct,
 from zilber.doldkan import (NormalizationResult, _quotient_by_degenerates,
                             normalize, unnormalized_chains)
 from zilber.filtration import FilteredChainComplex, FilteredPairing
-from zilber.simplicial import CheckCertificate, SimplicialAbelianGroup
+from zilber.simplicial import (CheckCertificate, SimplicialAbelianGroup,
+                               SimplicialIdentityError)
 
 # ---------------------------------------------------------------------------
 # Δ
@@ -85,6 +87,56 @@ def product_nondegenerate(ns, k):
 
 # ---------------------------------------------------------------------------
 # simplicial abelian groups
+
+
+def check_identities_by_composites(D, F, S, compose, equal, identity):
+    """The simplicial identities of a D-truncated object, each side built
+    as a composite by compose(g, f) = g∘f and the two compared by equal:
+    d∘d, then s∘s, then d∘s, raising SimplicialIdentityError at the first
+    that fails, in the words of the library's checker."""
+    for k in range(2, D + 1):
+        for j in range(1, k + 1):
+            for i in range(j):
+                if not equal(compose(F[(k - 1, i)], F[(k, j)]),
+                             compose(F[(k - 1, j - 1)], F[(k, i)])):
+                    raise SimplicialIdentityError(
+                        f"d_{i} d_{j} != d_{j-1} d_{i} at level {k}")
+    for k in range(D - 1):
+        for j in range(k + 1):
+            for i in range(j + 1):
+                if not equal(compose(S[(k + 1, i)], S[(k, j)]),
+                             compose(S[(k + 1, j + 1)], S[(k, i)])):
+                    raise SimplicialIdentityError(
+                        f"s_{i} s_{j} != s_{j+1} s_{i} at level {k}")
+    for k in range(D):
+        for j in range(k + 1):
+            for i in range(k + 2):
+                if i == j or i == j + 1:
+                    want, name = identity(k), "id"
+                elif i < j:
+                    want = compose(S[(k - 1, j - 1)], F[(k, i)])
+                    name = f"s_{j-1} d_{i}"
+                else:
+                    want = compose(S[(k - 1, j)], F[(k, i - 1)])
+                    name = f"s_{j} d_{i-1}"
+                if not equal(compose(F[(k + 1, i)], S[(k, j)]), want):
+                    raise SimplicialIdentityError(
+                        f"d_{i} s_{j} != {name} at level {k}")
+
+
+def check_group_identities(A):
+    """The identities of a simplicial abelian group by mat_mul and mat_eq."""
+    check_identities_by_composites(
+        A.dim_bound, A.face_mats, A.degen_mats, la.mat_mul, la.mat_eq,
+        lambda k: la.identity(A.ranks[k]))
+
+
+def check_set_identities(dim_bound, faces, degens, sizes):
+    """The identities of the index tables of a simplicial set with sizes[k]
+    k-simplices, by composed tables."""
+    check_identities_by_composites(
+        dim_bound, faces, degens, lambda g, f: [g[a] for a in f],
+        list.__eq__, lambda k: list(range(sizes[k])))
 
 
 def sab_tensor(A, B):

@@ -111,8 +111,8 @@ def test_gamma_matrices_match_the_uncached_formula():
     rng = random.Random(15)
     for top, total in [(3, 10), (1, 4), (2, 7), (3, 3), (0, 2), (3, 12)]:
         C = zrandom.rand_complex(rng, top_degree=top, max_total_rank=total)
-        A = gamma(C, 3)
-        basis = [gamma_basis(C, n) for n in range(4)]
+        A = gamma(C, 5)
+        basis = [gamma_basis(C, n) for n in range(6)]
         for (n, i), M in A.face_mats.items():
             assert la.mat_eq(M, gamma_operator_by_formula(
                 C, coface(n, i), basis))

@@ -11,7 +11,7 @@ from zilber import _random as zrandom
 from zilber import intlinalg as la
 from zilber.delta import (enumerate_monotone, epi_mono_factorize,
                           factor_into_codegeneracies, factor_into_cofaces)
-from zilber.doldkan import gamma_normalize_comparison, normalize
+from zilber.doldkan import gamma, gamma_normalize_comparison, normalize
 from zilber.simplicial import (SimplicialAbelianGroup,
                                SimplicialIdentityError, SimplicialSet, circle,
                                free_abelian, product, skeleton,
@@ -161,6 +161,32 @@ def test_validator_rejects_corrupted_matrices():
             B._validate()
 
 
+def verdict(check, obj):
+    """The message with which check(obj) raises, or None."""
+    try:
+        check(obj)
+    except SimplicialIdentityError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 3))
+def test_identities_without_composites_match_the_composite_oracle(seed):
+    # valid objects pass both checkers; a corrupted one fails both, at the
+    # same identity and in the same words
+    rng = random.Random(seed)
+    G = gamma(zrandom.rand_complex(rng, top_degree=3), 3)
+    A = zrandom.rand_simplicial(rng, dim_bound=3)
+    for valid in (G, A):
+        assert verdict(oracles.check_group_identities, valid) is None
+        assert verdict(SimplicialAbelianGroup._validate, valid) is None
+        B = zrandom.corrupt_simplicial(rng, valid)
+        if B is not None:
+            want = verdict(oracles.check_group_identities, B)
+            assert want is not None
+            assert verdict(SimplicialAbelianGroup._validate, B) == want
+
+
 # ---------------------------------------------------------------------------
 # index tables against the identifier tables they replace
 
@@ -275,6 +301,17 @@ def free_group_of_tables(payload):
                                   unit_columns(payload["degens"], 1))
 
 
+def set_identities_by_composites(payload):
+    """The composite oracle on a payload's index tables."""
+    def tables(entries):
+        return {tuple(map(int, key.split(","))): arr
+                for key, arr in entries.items()}
+
+    oracles.check_set_identities(
+        payload["dim_bound"], tables(payload["faces"]),
+        tables(payload["degens"]), payload["levels"])
+
+
 def rejection(build, payload):
     """The message with which build(payload) raises, or None."""
     try:
@@ -300,8 +337,10 @@ def test_one_corrupted_entry_is_rejected_as_the_identity_walk_rejects_it(
     want = identity_walk(payload)
     assert rejection(SimplicialSet.from_payload, payload) == want
     if "lands outside" not in str(want):
-        # ℤ of the same tables breaks the same identity, in the same words
+        # ℤ of the same tables breaks the same identity, in the same words,
+        # and so do the tables composed and compared whole
         assert rejection(free_group_of_tables, payload) == want
+        assert rejection(set_identities_by_composites, payload) == want
 
 
 def test_sets_and_groups_name_a_broken_mixed_identity_alike():
