@@ -48,6 +48,14 @@ seeded random filtrations of length 4: many small Smith normal forms,
 as in the certbench ``spectral`` pages, where the other ``ss`` rows time
 the large free complexes of ℤ[X].
 
+``day-assoc-400`` checks (F ⊛ G) ⊛ H ≅ F ⊛ (G ⊛ H) stagewise on 400
+seeded random triples: four Day convolutions and one stagewise
+comparison per triple, most of whose stage slots have no columns.
+``filtered-ez-d5-10`` is the filtered shuffle pairing of the skeletal
+filtrations of Δ⁵ and Δ⁵ at bound 10: the validation of each skeletal
+filtration, the containment walk over every (p, q) and the stage-0
+isomorphism, on the nondegenerate basis of Δ⁵×Δ⁵.
+
 ``product-colimit-k6`` is ``product-colimit`` up to level 6 = Σ nᵢ,
 whose colimit coend has 958,239 elements, against 340,836 at level 4.
 
@@ -122,6 +130,9 @@ ROWS = {  # name -> zilber argv
     "ss-heart-9": ["ss", "sk:torus", "--heart", "--dim-bound", "9"],
     "ss-heart-11": ["ss", "sk:torus", "--heart", "--dim-bound", "11"],
     "ss-random-p4": ["ss", "random", "--trials", "300", "--p-max", "4"],
+    "day-assoc-400": ["skeleta", "--day-assoc", "--trials", "400"],
+    "filtered-ez-d5-10": ["skeleta", "delta5", "delta5", "--filtered-ez",
+                          "--dim-bound", "10"],
     "unit-8": ["promonoidal", "--check", "unit", "--b", "8"],
     "coyoneda-5": ["promonoidal", "--check", "coyoneda", "--b", "5"],
     "mu-assoc-6": ["promonoidal", "--check", "mu-assoc", "--entries", "2,2,2",

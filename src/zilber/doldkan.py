@@ -186,12 +186,6 @@ def gamma_offsets(C, n):
     return offsets, row
 
 
-def gamma_basis(C, n):
-    """Basis of Γ(C)_n: pairs (surjection [n] ->> [k], generator of C_k)."""
-    return [(eta, t) for eta in gamma_offsets(C, n)[0]
-            for t in range(C.rank(eta.codomain_top))]
-
-
 @lru_cache(maxsize=None)
 def _gamma_component(eta, alpha):
     """Structure constants of the action of alpha : [m] -> [n] on the
@@ -253,7 +247,7 @@ def gamma_normalize_comparison(A):
     matrix; returns the list of matrices.  The comparison is an isomorphism
     iff every matrix is unimodular.  The columns of the summand of the
     surjection eta : [n] ->> [k] are those of A(eta) ∘ section_k, in the
-    order of gamma_basis."""
+    order of gamma_offsets."""
     nres = normalize(A)
     N = nres.normalized
     mats = []
@@ -277,9 +271,10 @@ def normalized_gamma_comparison(C, dim_bound):
     mats = {}
     sign = 1
     for n in range(dim_bound + 1):
-        basis = gamma_basis(C, n)
-        incl = la.Sparse([((row, 1),) for row, (eta, _) in enumerate(basis)
-                          if eta.codomain_top == n], len(basis))
+        # the identity surjection's summand is the last one, of rank C_n
+        # (none above the top degree, where C_n = 0)
+        _, rows = gamma_offsets(C, n)
+        incl = la.Sparse(la.units(rows)[rows - C.rank(n):rows], rows)
         mats[n] = la.mat_scale(sign, la.mat_mul(nres.projection.mat(n), incl))
         sign = sign * (-1 if (n + 1) % 2 else 1)
     return ChainMap(C, N, mats)

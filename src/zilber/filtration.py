@@ -17,7 +17,9 @@ class FilteredChainComplex:
     """An ℕ-filtered chain complex: an ambient free complex together with,
     for each p <= p_max, a subcomplex given by integer generator columns
     per degree.  Stages must be nested, closed under the ambient
-    differential, and exhaust the ambient at p = p_max.
+    differential, and exhaust the ambient at p = p_max.  A stage with no
+    columns is closed and nested, so validation tests nothing for it, and a
+    Sparse stage of the ambient's row count is kept as it is.
 
     The la.Span of each distinct stage matrix is factored once, keyed by
     (rows, matrix), and kept: validation and every later reader of
@@ -42,11 +44,17 @@ class FilteredChainComplex:
                     raise ValueError(f"stage ({p},{n}) lies outside degrees "
                                      f"0..{ambient.top_degree}")
         # stages[p][n] is an ambient.rank(n)-row matrix of generator columns
-        self.stages = [
-            {n: la.as_sparse(stages[p].get(n, la.zeros(ambient.rank(n), 0)),
-                             ambient.rank(n), what=f"stage ({p},{n})")
-             for n in range(ambient.top_degree + 1)}
-            for p in range(p_max + 1)]
+        ranks = [ambient.rank(n) for n in range(ambient.top_degree + 1)]
+        missing = [la.zeros(r, 0) for r in ranks]
+        self.stages = []
+        for p, given in enumerate(stages):
+            stage = {}
+            for n, r in enumerate(ranks):
+                S = given.get(n, missing[n])
+                if type(S) is not la.Sparse or S.nrows != r:
+                    S = la.as_sparse(S, r, what=f"stage ({p},{n})")
+                stage[n] = S
+            self.stages.append(stage)
         if check:
             self._validate()
 
@@ -60,7 +68,7 @@ class FilteredChainComplex:
     def span(self, p, n):
         """The la.Span of stage (p, n), p clamped as in stage: factored on
         first use, once per distinct stage matrix, and found by (p, n)."""
-        at = (max(-1, min(p, self.p_max)), n)
+        at = (-1 if p < -1 else p if p < self.p_max else self.p_max, n)
         sp = self._stage_spans.get(at)
         if sp is None:
             S = self.stage(p, n)
@@ -74,18 +82,16 @@ class FilteredChainComplex:
         # the span of stage (p, n) serves the closure of (p, n + 1), the
         # nesting of (p - 1, n) and, at p_max, exhaustion
         top = self.ambient.top_degree
-
-        def contains(p, n, B):
-            return not B.ncols or self.span(p, n).contains(B)
-
-        for p in range(self.p_max + 1):
-            for n in range(top + 1):
+        for p, stage in enumerate(self.stages):
+            for n, S in stage.items():
+                if not S:
+                    continue  # no columns: closed and nested
                 # all columns of the stage at once; only a failure goes
                 # column by column, for the first offending column's message
-                S = self.stages[p][n]
-                closed = n == 0 or contains(
-                    p, n - 1, la.mat_mul(self.ambient.diff(n), S))
-                nested = p == self.p_max or contains(p + 1, n, S)
+                below = self.span(p, n - 1) if n else None
+                closed = (not n or below.is_lattice() or below.contains(
+                    la.mat_mul(self.ambient.diff(n), S)))
+                nested = p == self.p_max or self.span(p + 1, n).contains(S)
                 if not (closed and nested):
                     self._first_violation(p, n)
         for n in range(top + 1):
@@ -232,8 +238,9 @@ def filtrations_stagewise_equal(F, G):
     p_top = max(F.p_max, G.p_max)
     for p in range(p_top + 1):
         for n in range(F.ambient.top_degree + 1):
-            if not (F.span(p, n).contains(G.stage(p, n))
-                    and G.span(p, n).contains(F.stage(p, n))):
+            S, T = F.stage(p, n), G.stage(p, n)
+            if (S or T) and not (F.span(p, n).contains(T)
+                                 and G.span(p, n).contains(S)):
                 return False
     return True
 
@@ -250,11 +257,13 @@ def _carries_stages(mats, src, tgt, what, holds):
     """Certifies that mats[n] carries each stage (p, n) of src onto the
     stage (p, n) of tgt: fails at the first (p, n) that it does not, with
     the detail "<what> image of stage p differs in degree n", and holds
-    with the detail holds."""
+    with the detail holds.  A slot where neither stage has columns holds:
+    both span 0."""
     for p in range(src.p_max + 1):
         for n in range(src.ambient.top_degree + 1):
-            img = la.mat_mul(mats[n], src.stage(p, n))
-            if not _span_equals_stage(img, tgt, p, n):
+            S = src.stage(p, n)
+            if (S or tgt.stage(p, n)) and not _span_equals_stage(
+                    la.mat_mul(mats[n], S), tgt, p, n):
                 return CheckCertificate(False, witness=(p, n),
                                         detail=f"{what} image of stage {p} "
                                                f"differs in degree {n}")
@@ -311,14 +320,20 @@ class FilteredPairing:
     def _check_containment(self):
         """Test m(F_p ⊗ G_q) ⊆ H_{p+q} in every degree n, for every p and
         q, and return the certificate with the first escaping (p, q, n)
-        as witness.  A triple whose target stage is all of ℤ^rank (its
-        span is a lattice) holds whatever m is, so it is skipped before
-        any image is built; a stage of full rank but finite index > 1 is
-        still tested."""
+        as witness.  Only the degrees n = a + b in which F_p has columns
+        in degree a and G_q in degree b are visited, ascending: in any
+        other F_p ⊗ G_q has no columns.  A triple whose target stage is
+        all of ℤ^rank (its span is a lattice) holds whatever m is, so it is
+        skipped before any image is built; a stage of full rank but finite
+        index > 1 is still tested."""
         tb = self.basis
-        for p in range(self.F.p_max + 1):
-            for q in range(self.G.p_max + 1):
-                for n in range(tb.top_degree + 1):
+        top = tb.top_degree
+        live_G = [[b for b, S in stage.items() if S] for stage in self.G.stages]
+        for p, stage in enumerate(self.F.stages):
+            live_F = [a for a, S in stage.items() if S]
+            for q, live in enumerate(live_G):
+                for n in sorted({a + b for a in live_F for b in live
+                                 if a + b <= top}):
                     if self.H.span(p + q, n).is_lattice():
                         continue  # everything is in H_{p+q}: build nothing
                     # every x ⊗ y of F_p ⊗ G_q in degree n, tested at once
@@ -360,11 +375,12 @@ def filtered_ez(A, B):
     filtrations: sk(A) ⊗ sk(B) -> sk(A⊗B) for A = ℤ[X] and B = ℤ[Y], with
     the containment certificate computed at construction.  It holds for
     any m: F_p ⊗ G_q is 0 in degrees n > p + q, and H_{p+q} is all of
-    N_n(A⊗B) for n <= p + q.  The containment test skips every triple
-    whose target stage is a lattice, so it builds images only for
-    n > p + q, where they are empty.  Its content is the validation of ∇
-    as a chain map.  H is read off the nondegenerate basis of X×Y, so A⊗B
-    is not built.  ValueError if A or B carries no simplicial set."""
+    N_n(A⊗B) for n <= p + q.  The containment test visits only the
+    degrees where F_p ⊗ G_q has columns, n <= p + q, and skips each, its
+    target stage being a lattice: it builds no image.  Its content is the
+    validation of ∇ as a chain map.  H is read off the nondegenerate basis
+    of X×Y, so A⊗B is not built.  ValueError if A or B carries no
+    simplicial set."""
     sp = shuffle_product(A, B)
     return FilteredPairing(skeletal_filtration(A), skeletal_filtration(B),
                            _basis_skeletal_filtration(sp.simplices), sp.map,

@@ -5,7 +5,8 @@ lower Moore convention of normalization, homology and its induced maps as subquo
 the Kronecker block sums of the tensor layer, the
 Eilenberg-Zilber matrix path, the simplicial-identity check on stored
 composites, the skeletal filtration
-from a normalization, the levelwise tensor of simplicial abelian groups,
+from a normalization, the filtration walks over every stage slot, the
+levelwise tensor of simplicial abelian groups, the basis list of Γ(C),
 enumerations of Δ that only the tests read, and a generator of non-free
 simplicial groups.
 
@@ -40,8 +41,9 @@ from zilber.delta import (MonotoneMap, PosetPoint, StrictMonotoneIntoProduct,
                           codegeneracy, coface, enumerate_monotone,
                           monotone_position, shuffles, strict_chains)
 from zilber.doldkan import (NormalizationResult, _quotient_by_degenerates,
-                            normalize, unnormalized_chains)
-from zilber.filtration import FilteredChainComplex, FilteredPairing
+                            gamma_offsets, normalize, unnormalized_chains)
+from zilber.filtration import (FilteredChainComplex, FilteredPairing,
+                               _kron_columns, _span_equals_stage)
 from zilber.simplicial import (CheckCertificate, SimplicialAbelianGroup,
                                SimplicialIdentityError)
 
@@ -627,3 +629,62 @@ def heart_check(A):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(spectral, "skeletal_filtration", skeletal_filtration)
         return spectral.heart_check(A)
+
+
+# ---------------------------------------------------------------------------
+# filtration walks over every stage slot, empty or not
+
+def check_containment(P):
+    """FilteredPairing._check_containment visiting every (p, q, n): each
+    triple whose target stage is not a lattice builds its image, with
+    columns or not."""
+    tb = P.basis
+    for p in range(P.F.p_max + 1):
+        for q in range(P.G.p_max + 1):
+            for n in range(tb.top_degree + 1):
+                if P.H.span(p + q, n).is_lattice():
+                    continue
+                cols = _kron_columns(tb.rank(n), [
+                    (off, P.F.stage(p, a), P.G.stage(q, b))
+                    for a, b, off in reversed(tb.blocks(n))])
+                if not P.H.span(p + q, n).contains(
+                        la.mat_mul(P.m.mat(n), cols)):
+                    return CheckCertificate(
+                        False, witness=(p, q, n),
+                        detail=f"m(F_{p} ⊗ G_{q}) escapes "
+                               f"H_{p+q} in degree {n}")
+    return CheckCertificate(True, detail="m(F_p ⊗ G_q) ⊆ H_{p+q} for all p, q")
+
+
+def filtrations_stagewise_equal(F, G):
+    """filtration.filtrations_stagewise_equal testing both containments in
+    every slot."""
+    if [F.ambient.rank(n) for n in range(F.ambient.top_degree + 1)] != \
+            [G.ambient.rank(n) for n in range(G.ambient.top_degree + 1)]:
+        return False
+    return all(F.span(p, n).contains(G.stage(p, n))
+               and G.span(p, n).contains(F.stage(p, n))
+               for p in range(max(F.p_max, G.p_max) + 1)
+               for n in range(F.ambient.top_degree + 1))
+
+
+def carries_stages(mats, src, tgt, what, holds):
+    """filtration._carries_stages comparing the image of every slot."""
+    for p in range(src.p_max + 1):
+        for n in range(src.ambient.top_degree + 1):
+            img = la.mat_mul(mats[n], src.stage(p, n))
+            if not _span_equals_stage(img, tgt, p, n):
+                return CheckCertificate(False, witness=(p, n),
+                                        detail=f"{what} image of stage {p} "
+                                               f"differs in degree {n}")
+    return CheckCertificate(True, detail=holds)
+
+
+# ---------------------------------------------------------------------------
+# Γ
+
+def gamma_basis(C, n):
+    """Basis of Γ(C)_n: pairs (surjection [n] ->> [k], generator of C_k),
+    in the order of doldkan.gamma_offsets."""
+    return [(eta, t) for eta in gamma_offsets(C, n)[0]
+            for t in range(C.rank(eta.codomain_top))]

@@ -12,8 +12,7 @@ from zilber import intlinalg as la
 from zilber.chains import AbelianGroupInvariants, homology
 from zilber.delta import coface, codegeneracy, epi_mono_factorize
 from zilber.doldkan import (_moore_section, _quotient_by_degenerates, disk,
-                            gamma, gamma_basis,
-                            gamma_normalize_comparison, homotopy_groups,
+                            gamma, gamma_normalize_comparison, homotopy_groups,
                             is_chain_iso, is_levelwise_unimodular,
                             normalized_gamma_comparison, normalize,
                             unnormalized_chains)
@@ -112,13 +111,31 @@ def test_gamma_matrices_match_the_uncached_formula():
     for top, total in [(3, 10), (1, 4), (2, 7), (3, 3), (0, 2), (3, 12)]:
         C = zrandom.rand_complex(rng, top_degree=top, max_total_rank=total)
         A = gamma(C, 5)
-        basis = [gamma_basis(C, n) for n in range(6)]
+        basis = [oracles.gamma_basis(C, n) for n in range(6)]
         for (n, i), M in A.face_mats.items():
             assert la.mat_eq(M, gamma_operator_by_formula(
                 C, coface(n, i), basis))
         for (n, i), M in A.degen_mats.items():
             assert la.mat_eq(M, gamma_operator_by_formula(
                 C, codegeneracy(n, i), basis))
+
+
+def test_the_gamma_comparison_includes_the_identity_summand():
+    # C_n sits in Γ(C)_n as the summand of the identity surjection, found
+    # here by listing the basis; above the top degree it is empty
+    rng = random.Random(16)
+    for top, bound in [(3, 5), (2, 2), (0, 3), (3, 3), (1, 4)]:
+        C = zrandom.rand_complex(rng, top_degree=top)
+        f = normalized_gamma_comparison(C, bound)
+        P = normalize(gamma(C, bound)).projection
+        sign = 1
+        for n in range(bound + 1):
+            basis = oracles.gamma_basis(C, n)
+            incl = la.Sparse([((row, 1),) for row, (eta, _) in enumerate(basis)
+                              if eta.codomain_top == n], len(basis))
+            assert la.mat_eq(f.mat(n), la.mat_scale(
+                sign, la.mat_mul(P.mat(n), incl)))
+            sign = sign * (-1 if (n + 1) % 2 else 1)
 
 
 def test_normalize_gamma_roundtrip_isomorphism():

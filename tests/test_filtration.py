@@ -359,10 +359,9 @@ def test_a_target_stage_of_full_rank_but_index_two_is_still_tested():
             assert cert.detail == "m(F_0 ⊗ G_0) escapes H_0 in degree 0"
 
 
-def test_skeletal_containment_builds_images_only_above_the_diagonal(
-        monkeypatch):
-    # H_{p+q} is all of N_n(A⊗B) for n <= p + q, so those triples are
-    # skipped; above the diagonal the stage is 0 and F_p ⊗ G_q is empty
+def test_skeletal_containment_builds_no_image(monkeypatch):
+    # F_p ⊗ G_q has columns only in degrees n <= p + q, the only ones
+    # visited, and there H_{p+q} is all of N_n(A⊗B), so each is skipped
     built = []
     real = filtration._kron_columns
 
@@ -376,10 +375,7 @@ def test_skeletal_containment_builds_images_only_above_the_diagonal(
     P = filtered_ez(free_abelian(circle(3)),
                     free_abelian(standard_simplex(2, 3)))
     assert P.containment_certificate().ok
-    want = [(p, q, n) for p in range(4) for q in range(4) for n in range(4)
-            if n > p + q and P.H.ambient.rank(n)]
-    assert built == want and len(built) == 10
-    assert all(n > p + q for p, q, n in built)
+    assert built == []
 
 
 def test_filtration_validation_rejects_non_closed_stage():
@@ -524,7 +520,8 @@ def test_validation_rejects_a_top_stage_of_full_rank_but_index_two():
 
 def test_validation_matches_the_per_column_oracle():
     rng = random.Random(27)
-    kinds = set()
+    emptying = random.Random(28)
+    kinds, emptied_kinds = set(), set()
     for _ in range(150):
         F = zrandom.rand_filtration(rng, p_max=3, top_degree=2,
                                     max_total_rank=5)
@@ -538,17 +535,42 @@ def test_validation_matches_the_per_column_oracle():
             M = la.rows(stages[p][n])
             M[i][j] += rng.choice([-1, 1, 2])
             stages[p][n] = la.as_sparse(M, *la.dims(stages[p][n]))
-        want = _per_column_violation(
-            FilteredChainComplex(F.ambient, stages, F.p_max, check=False))
-        if want is None:
-            FilteredChainComplex(F.ambient, stages, F.p_max)
-        else:
-            with pytest.raises(ValueError) as err:
+        # and a copy with one stage of positive rank left with no columns:
+        # closed and nested itself, it may break the closure of the stage
+        # above it in degree, or exhaustion
+        variants = [(stages, kinds)]
+        slots = [(p, n) for p, stage in enumerate(stages)
+                 for n, M in stage.items() if M.nrows]
+        if slots:
+            p, n = emptying.choice(slots)
+            emptied = [dict(stage) for stage in stages]
+            emptied[p][n] = la.zeros(emptied[p][n].nrows, 0)
+            variants.append((emptied, emptied_kinds))
+        for stages, seen in variants:
+            want = _per_column_violation(
+                FilteredChainComplex(F.ambient, stages, F.p_max, check=False))
+            if want is None:
                 FilteredChainComplex(F.ambient, stages, F.p_max)
-            assert str(err.value) == want
-            kinds.add(next(k for k in ("closed", "contained", "exhaust")
-                           if k in want))
-    assert kinds == {"closed", "contained", "exhaust"}
+                seen.add(None)
+            else:
+                with pytest.raises(ValueError) as err:
+                    FilteredChainComplex(F.ambient, stages, F.p_max)
+                assert str(err.value) == want
+                seen.add(next(k for k in ("closed", "contained", "exhaust")
+                              if k in want))
+    assert kinds - {None} == {"closed", "contained", "exhaust"}
+    assert emptied_kinds >= {None, "closed", "exhaust"}
+
+
+def test_a_sparse_stage_of_the_right_shape_is_kept_as_it_is():
+    C = unit_filtration().ambient
+    kept = la.identity(1)
+    F = FilteredChainComplex(C, [{0: kept}], 0)
+    assert F.stages[0][0] is kept
+    assert la.mat_eq(FilteredChainComplex(C, [{0: [[1]]}], 0).stage(0, 0),
+                     kept)
+    with pytest.raises(ValueError, match="^stage \\(0,0\\) has wrong shape$"):
+        FilteredChainComplex(C, [{0: la.identity(2)}], 0)
 
 
 def test_filtered_ez_computes_its_containment_certificate_once(monkeypatch):
@@ -876,3 +898,54 @@ def test_a_group_with_a_kept_skeletal_filtration_pickles():
     assert G.p_max == F.p_max and G.stages == F.stages
     assert filtrations_stagewise_equal(F, G)
     assert filtered_ez(copied, copied).containment_certificate().ok
+
+
+# ---------------------------------------------------------------------------
+# the walks that skip slots with no columns against the every-slot oracles
+
+
+def random_map(rng, m):
+    """An unchecked chain map of m's shape with entries in -1..1."""
+    return ChainMap(m.source, m.target, {
+        n: la.as_sparse([[rng.randint(-1, 1) for _ in range(M.ncols)]
+                         for _ in range(M.nrows)], M.nrows, M.ncols)
+        for n, M in m.mats.items()}, check=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_slot_walks_match_the_every_slot_oracles(seed, data):
+    # random filtrations, their Day convolutions (degrees of tensor rank 0
+    # occur), the skeletal pairing of two corpus spaces, and dropped or
+    # doubled columns of each: the same certificates and booleans
+    rng = random.Random(seed)
+    F, G = (zrandom.rand_filtration(rng, p_max=rng.randrange(4),
+                                    top_degree=rng.randrange(1, 4),
+                                    max_total_rank=4) for _ in range(2))
+    FG, GF = day_convolution(F, G), day_convolution(G, F)
+    D = data.draw(st.integers(1, 3))
+    X, Y = (FILTERED_SETS[data.draw(st.sampled_from(sorted(FILTERED_SETS)))](D)
+            for _ in range(2))
+    Q = filtered_ez(free_abelian(X), free_abelian(Y))
+    draw = corrupt_with(data)
+    for left, right, H, m, tb in [
+            (F, G, FG, identity_chain_map(FG.ambient), FG.basis),
+            (Q.F, Q.G, Q.H, Q.m, Q.basis)]:
+        for target in (H, draw(H)):
+            for mm in (m, random_map(rng, m)):
+                P = FilteredPairing(left, right, target, mm, tb, check=False)
+                assert _certificate(P._check_containment()) == \
+                    _certificate(oracles.check_containment(P))
+    swap = _koszul_swap(FG.basis, GF.basis)
+    ident = {n: la.identity(Q.H.ambient.rank(n))
+             for n in range(Q.H.ambient.top_degree + 1)}
+    for mats, src, tgt in [(swap, FG, GF), (swap, draw(FG), GF),
+                           (swap, FG, draw(GF)), (ident, Q.H, draw(Q.H)),
+                           (ident, draw(Q.H), Q.H)]:
+        args = mats, src, tgt, "swap", "holds"
+        assert _certificate(filtration._carries_stages(*args)) == \
+            _certificate(oracles.carries_stages(*args))
+    for A, B in [(F, G), (F, F), (FG, draw(FG)), (draw(FG), FG),
+                 (Q.F, Q.G), (Q.H, draw(Q.H)), (draw(Q.H), Q.H)]:
+        assert filtrations_stagewise_equal(A, B) == \
+            oracles.filtrations_stagewise_equal(A, B)

@@ -81,6 +81,12 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
     # the spectral pages' small Smith normal forms at certbench scale
     assert ladder.ROWS["ss-random-p4"] == ["ss", "random", "--trials", "300",
                                            "--p-max", "4"]
+    # the Day-convolution laws and the filtered shuffle pairing
+    assert ladder.ROWS["day-assoc-400"] == ["skeleta", "--day-assoc",
+                                            "--trials", "400"]
+    assert ladder.ROWS["filtered-ez-d5-10"] == ["skeleta", "delta5", "delta5",
+                                                "--filtered-ez",
+                                                "--dim-bound", "10"]
     assert "mostly time degenerate levels" in " ".join(
         ladder.__doc__.split())
     for row in bench["rows"]:
