@@ -283,8 +283,7 @@ def cmd_doldkan(args):
         ok = True
         for m in range(m_top + 1):
             for n in range(m_top + 1):
-                r = chains.hom_rank(doldkan.disk(m).to_chain_complex(),
-                                    doldkan.disk(n).to_chain_complex())
+                r = chains.hom_rank(doldkan.disk(m), doldkan.disk(n))
                 table[f"{m},{n}"] = r
                 if r != (1 if n in (m, m + 1) else 0):
                     ok = False

@@ -154,24 +154,14 @@ def homotopy_groups(A):
 # disk complexes and the inverse functor
 
 
-@dataclass(frozen=True)
-class DiskComplex:
-    """ℤ in degrees n and n-1 with identity differential (just ℤ in degree 0
-    when n = 0)."""
-
-    n: int
-
-    def to_chain_complex(self):
-        if self.n == 0:
-            return ChainComplex([1], {})
-        ranks = [0] * (self.n + 1)
-        ranks[self.n] = 1
-        ranks[self.n - 1] = 1
-        return ChainComplex(ranks, {self.n: [[1]]})
-
-
 def disk(n):
-    return DiskComplex(n)
+    """The disk complex: ℤ in degrees n and n-1 with identity differential
+    (just ℤ in degree 0 when n = 0)."""
+    if n == 0:
+        return ChainComplex([1], {})
+    ranks = [0] * (n + 1)
+    ranks[n] = ranks[n - 1] = 1
+    return ChainComplex(ranks, {n: [[1]]})
 
 
 def gamma_offsets(C, n):
@@ -263,8 +253,12 @@ def normalized_gamma_comparison(C, dim_bound):
     """The canonical chain map C -> 𝒩(Γ(C)): include C_n as the summand of
     Γ(C)_n indexed by the identity surjection, project to the normalized
     quotient, and twist by (-1)^(n(n+1)/2) so the result commutes with the
-    differentials.  Returns the ChainMap; it is an isomorphism whenever the
-    dimension bound is at least the top degree of C."""
+    differentials.  The dimension bound is required to reach the top degree
+    of C, else ValueError (below it the map would not commute with d at
+    degree bound + 1); the ChainMap returned is an isomorphism."""
+    if dim_bound < C.top_degree:
+        raise ValueError(f"dimension bound {dim_bound} is below the top "
+                         f"degree {C.top_degree} of the complex")
     G = gamma(C, dim_bound)
     nres = normalize(G)
     N = nres.normalized

@@ -295,22 +295,18 @@ class FilteredPairing:
     """A chain map m : F_ambient ⊗ G_ambient -> H_ambient compatible with
     the filtrations: m(F_p ⊗ G_q) ⊆ H_{p+q} for all p, q.
 
-    The containment certificate is computed at construction, or with
-    check=False on the first call of containment_certificate, and kept; a
-    violation raises with a witness (p, q, degree).  F, G, H and m must not
-    be changed afterwards."""
+    Construction tests nothing: the containment certificate is computed on
+    the first call of containment_certificate and kept, a violation failing
+    it with a witness (p, q, degree).  F, G, H and m must not be changed
+    afterwards."""
 
-    def __init__(self, F, G, H, m, basis, check=True):
+    def __init__(self, F, G, H, m, basis):
         self.F = F
         self.G = G
         self.H = H
         self.m = m
         self.basis = basis
         self._containment = None
-        if check:
-            cert = self.containment_certificate()
-            if not cert.ok:
-                raise ValueError(f"filtration compatibility fails: {cert.detail}")
 
     def containment_certificate(self):
         if self._containment is None:
@@ -372,8 +368,8 @@ class FilteredPairing:
 
 def filtered_ez(A, B):
     """The shuffle product as a filtered pairing between skeletal
-    filtrations: sk(A) ⊗ sk(B) -> sk(A⊗B) for A = ℤ[X] and B = ℤ[Y], with
-    the containment certificate computed at construction.  It holds for
+    filtrations: sk(A) ⊗ sk(B) -> sk(A⊗B) for A = ℤ[X] and B = ℤ[Y]; its
+    containment certificate is computed on its first read.  It holds for
     any m: F_p ⊗ G_q is 0 in degrees n > p + q, and H_{p+q} is all of
     N_n(A⊗B) for n <= p + q.  The containment test visits only the
     degrees where F_p ⊗ G_q has columns, n <= p + q, and skips each, its

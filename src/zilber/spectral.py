@@ -11,8 +11,6 @@ reindexing is applied.
 from __future__ import annotations
 
 import copy
-from collections.abc import Mapping
-from functools import partial
 
 from . import intlinalg as la
 from .filtration import skeletal_filtration
@@ -28,11 +26,12 @@ class SpectralSequence:
 
     Z_r^{p,q} = {x in F_p, degree p+q : dx in F_{p-r}} and
     B_r^{p,q} = Z_{r-1}^{p-1,q+1} + d(Z_{r-1}^{p+r-1,q-r+2}); the entry is
-    Z_r/B_r.  ``pages`` and ``diffs`` map every r in 1..r_top, where
-    r_top = max(r_max, p_max + 1), to a page; the page at p_max + 1 is
-    stable and is exposed as the infinity page.  r_max sets only how many
-    pages are listed (those past p_max + 1 repeat E_∞): a page and its d_r
-    are built on the first read of one of their entries, once, so a
+    Z_r/B_r.  ``pages[r]`` and ``diffs[r]`` are dicts of the entries (p, q)
+    of page r and of their d_r, for r in 1..r_top = max(r_max, p_max + 1),
+    and KeyError for any other r; the page at p_max + 1 is stable and is
+    exposed as the infinity page.  r_max sets only how many pages there
+    are (those past p_max + 1 repeat E_∞): page r is built on the first
+    read of pages[r], and d_r with it on that of diffs[r], once, so a
     caller that reads page 1 alone builds no other page.
 
     Z_r^{p,n} (ambient degree n = p+q) reads only the stages F_p in degree
@@ -66,16 +65,14 @@ class SpectralSequence:
         self.r_inf = p_max + 1
         r_top = max(r_max, self.r_inf)
         self.r_top = r_top
-        # the lazy pages hold the store, never the instance, so that a
-        # dropped instance is freed at once, with no reference cycle
-        self._store = store = _Store(F)
-        entries = dict.fromkeys((p, n - p) for p in range(p_max + 1)
-                                for n in range(F.ambient.top_degree + 1))
-        self.pages = {r: _Lazy(entries, partial(store.page, r, entries))
-                      for r in range(1, r_top + 1)}
-        self.diffs = {r: _Lazy(entries, partial(store.differentials, r,
-                                                self.pages[r]))
-                      for r in range(1, r_top + 1)}
+        # the pages hold the store, never the instance, so that a dropped
+        # instance is freed at once, with no reference cycle
+        store = self._store = _Store(F)
+        entries = [(p, n - p) for p in range(p_max + 1)
+                   for n in range(F.ambient.top_degree + 1)]
+        self.pages = pages = _Pages(r_top, lambda r: store.page(r, entries))
+        self.diffs = _Pages(r_top,
+                            lambda r: store.differentials(r, pages[r]))
 
     def _b_gens(self, p, n, r):
         """Generators of B_r^{p, n-p} = Z_{r-1}^{p-1} + d Z_{r-1}^{p+r-1}."""
@@ -262,41 +259,19 @@ class _Store:
         return out
 
 
-class _Lazy(Mapping):
-    """A mapping with the keys of the dict ``keys`` whose values build()
-    makes all at once, on the first read of one; iterating the keys, ``in``
-    and ``len`` need no build."""
+class _Pages(dict):
+    """Page r (or d_r) for 1 <= r <= r_top, built by build(r) on the first
+    read of self[r] and kept; any other key raises KeyError."""
 
-    def __init__(self, keys, build):
-        self._keys = keys
+    def __init__(self, r_top, build):
+        self._r_top = r_top
         self._build = build
-        self._data = None
 
-    def _built(self):
-        if self._data is None:
-            self._data = self._build()
-        return self._data
-
-    def __getitem__(self, key):
-        return self._built()[key]
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self):
-        return len(self._keys)
-
-    def __contains__(self, key):
-        return key in self._keys
-
-    def get(self, key, default=None):
-        return self._built().get(key, default)
-
-    def items(self):
-        return self._built().items()
-
-    def values(self):
-        return self._built().values()
+    def __missing__(self, r):
+        if not 1 <= r <= self._r_top:
+            raise KeyError(r)
+        out = self[r] = self._build(r)
+        return out
 
 
 def _stage_ids(F):

@@ -82,8 +82,7 @@ def test_02_normalization_roundtrips_and_hom_table():
         ok = ok and is_levelwise_unimodular(comp, A.ranks)
     for m in range(6):
         for n in range(6):
-            r = hom_rank(disk(m).to_chain_complex(),
-                         disk(n).to_chain_complex())
+            r = hom_rank(disk(m), disk(n))
             ok = ok and r == (1 if n in (m, m + 1) else 0)
     report(2, ok, "100 + 50 round-trip isomorphisms; two-term hom table "
                   "matches for m,n <= 5")

@@ -71,8 +71,7 @@ def test_hom_rank_of_two_term_complexes():
     from zilber.doldkan import disk
     for m in range(4):
         for n in range(4):
-            r = hom_rank(disk(m).to_chain_complex(),
-                         disk(n).to_chain_complex())
+            r = hom_rank(disk(m), disk(n))
             assert r == (1 if n in (m, m + 1) else 0)
 
 

@@ -71,7 +71,7 @@ def test_homotopy_groups_of_circle_and_torus():
 
 def test_gamma_of_disk_is_interval_object():
     # Γ(D^n) levelwise rank: surjections [m] ->> [n] plus those onto [n-1]
-    A = gamma(disk(1).to_chain_complex(), 3)
+    A = gamma(disk(1), 3)
     assert A.ranks == [1, 2, 3, 4]
     A._validate()
 
@@ -146,6 +146,19 @@ def test_normalize_gamma_roundtrip_isomorphism():
         assert is_chain_iso(f)
 
 
+def test_the_gamma_comparison_rejects_a_bound_below_the_top_degree():
+    # below the top degree 𝒩(Γ(C)) stops before C does: rejected before Γ
+    # is built, not left to ChainMap validation
+    C = zrandom.rand_complex(random.Random(16), top_degree=3)
+    for bound in range(3):
+        with pytest.raises(ValueError, match=f"^dimension bound {bound} is "
+                                             f"below the top degree 3 of "
+                                             f"the complex$"):
+            normalized_gamma_comparison(C, bound)
+    for bound in (3, 4):
+        assert is_chain_iso(normalized_gamma_comparison(C, bound))
+
+
 def test_gamma_normalize_roundtrip_unimodular():
     rng = random.Random(8)
     for _ in range(10):
@@ -155,8 +168,8 @@ def test_gamma_normalize_roundtrip_unimodular():
 
 
 def test_disk_chain_complexes():
-    assert disk(0).to_chain_complex().ranks == [1]
-    D = disk(2).to_chain_complex()
+    assert disk(0).ranks == [1]
+    D = disk(2)
     assert D.ranks == [0, 1, 1]
     assert all(inv == AbelianGroupInvariants(0, ()) or n == 0
                for n, inv in enumerate(homology(D)))

@@ -270,7 +270,7 @@ def test_containment_witness_is_the_first_escaping_triple():
             += rng.choice([-1, 1])
         mats[n] = la.as_sparse(M, *la.dims(mats[n]))
         m = ChainMap(P.m.source, P.m.target, mats, check=False)
-        Q = FilteredPairing(P.F, P.G, P.H, m, P.basis, check=False)
+        Q = FilteredPairing(P.F, P.G, P.H, m, P.basis)
         cert = Q.containment_certificate()
         want = _first_escape(Q)
         assert cert.ok == (want is None)
@@ -333,7 +333,7 @@ def test_stage_zero_certificate_matches_the_whole_convolution(monkeypatch):
                              for _ in range(M.nrows)], M.nrows, M.ncols)
             for n, M in P.m.mats.items()}, check=False) for _ in range(3)]
         for m in maps:
-            Q = FilteredPairing(P.F, P.G, P.H, m, P.basis, check=False)
+            Q = FilteredPairing(P.F, P.G, P.H, m, P.basis)
             want = filtration_zero_by_convolution(Q)
             with monkeypatch.context() as patched:
                 patched.setattr(filtration, "day_convolution", None)
@@ -351,8 +351,7 @@ def test_a_target_stage_of_full_rank_but_index_two_is_still_tested():
     H = FilteredChainComplex(E, [{0: [[2]]}, {0: [[1]]}], 1)
     for scale, ok in ((1, False), (2, True)):
         m = ChainMap(E, H.ambient, {0: [[scale]]})
-        cert = FilteredPairing(F, G, H, m, tb, check=False) \
-            .containment_certificate()
+        cert = FilteredPairing(F, G, H, m, tb).containment_certificate()
         assert cert.ok == ok
         if not ok:
             assert cert.witness == (0, 0, 0)
@@ -584,9 +583,11 @@ def test_filtered_ez_computes_its_containment_certificate_once(monkeypatch):
     monkeypatch.setattr(FilteredPairing, "_check_containment", counting)
     P = filtered_ez(free_abelian(standard_simplex(1, 2)),
                     free_abelian(circle(2)))
+    assert calls == []  # construction tests nothing
+    assert P.containment_certificate() is P.containment_certificate()
     assert P.containment_certificate().ok
     assert calls == [P]
-    Q = FilteredPairing(P.F, P.G, P.H, P.m, P.basis, check=False)
+    Q = FilteredPairing(P.F, P.G, P.H, P.m, P.basis)
     assert calls == [P]
     assert Q.containment_certificate() is Q.containment_certificate()
     assert calls == [P, Q]
@@ -933,7 +934,7 @@ def test_slot_walks_match_the_every_slot_oracles(seed, data):
             (Q.F, Q.G, Q.H, Q.m, Q.basis)]:
         for target in (H, draw(H)):
             for mm in (m, random_map(rng, m)):
-                P = FilteredPairing(left, right, target, mm, tb, check=False)
+                P = FilteredPairing(left, right, target, mm, tb)
                 assert _certificate(P._check_containment()) == \
                     _certificate(oracles.check_containment(P))
     swap = _koszul_swap(FG.basis, GF.basis)

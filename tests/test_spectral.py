@@ -92,13 +92,13 @@ def test_keyed_pages_equal_the_pages_built_by_definition():
         F = zrandom.rand_filtration(rng, p_max=1 + t % 4, max_total_rank=7)
         S = SpectralSequence(F, r_max=F.p_max + 2)
         pages, diffs = pages_by_definition(F, S.r_top)
-        assert S.pages.keys() == pages.keys()
         for r, entries in pages.items():
             assert S.pages[r].keys() == entries.keys()
             for pq, sq in entries.items():
                 assert S.pages[r][pq].orders == sq.orders, (t, r, pq)
                 assert la.mat_eq(S.pages[r][pq].lifts, sq.lifts), (t, r, pq)
                 assert la.mat_eq(S.diffs[r][pq], diffs[r][pq]), (t, r, pq)
+        assert S.pages.keys() == S.diffs.keys() == pages.keys()
 
 
 def stage_id(F, p, n):
@@ -179,22 +179,33 @@ def built_pages(monkeypatch):
 
 def test_a_page_is_built_on_the_first_read_of_an_entry(monkeypatch):
     built = built_pages(monkeypatch)
+    built_diffs = []
+    real = spectral._Store.differentials
+
+    def differentials(self, r, page):
+        built_diffs.append(r)
+        return real(self, r, page)
+
+    monkeypatch.setattr(spectral._Store, "differentials", differentials)
     F = zrandom.rand_filtration(random.Random(55), p_max=3)
     S = SpectralSequence(F, r_max=F.p_max + 2)
     entries = [(p, n - p) for p in range(F.p_max + 1)
                for n in range(F.ambient.top_degree + 1)]
-    assert list(S.pages) == list(S.diffs) == list(range(1, S.r_top + 1))
-    for r in S.pages:
-        assert list(S.pages[r]) == list(S.diffs[r]) == entries
-        assert len(S.pages[r]) == len(entries) and (0, 0) in S.pages[r]
-    assert built == []
-    S.pages[1][(0, 0)]
-    list(S.diffs[1].values())
-    assert built == [1]
+    assert built == built_diffs == []
+    assert list(S.pages[2]) == entries
+    assert (built, built_diffs) == ([2], [])
+    assert list(S.diffs[3]) == entries
+    assert (built, built_diffs) == ([2, 3], [3])
+    S.pages[2][(0, 0)], S.pages[3], S.diffs[3]  # each is built once
+    assert (built, built_diffs) == ([2, 3], [3])
+    for r in (0, S.r_top + 1):
+        for table in (S.pages, S.diffs):
+            with pytest.raises(KeyError):
+                table[r]
+    assert (built, built_diffs) == ([2, 3], [3])
     for r in reversed(range(1, S.r_top + 1)):
         list(S.diffs[r].items())
-        list(S.pages[r].items())
-    assert sorted(built) == list(range(1, S.r_top + 1))
+    assert sorted(built) == sorted(built_diffs) == list(range(1, S.r_top + 1))
 
 
 def test_heart_and_leibniz_build_page_one_alone(monkeypatch):
