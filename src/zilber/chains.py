@@ -9,7 +9,7 @@ homology iff its mapping cone is acyclic, so no induced map is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import intlinalg as la
 
@@ -25,17 +25,20 @@ def check_version(payload, version):
                          f"{version}, not {found!r}")
 
 
-@dataclass(frozen=True)
-class AbelianGroupInvariants:
-    free_rank: int
-    torsion: tuple
+class AbelianGroupInvariants(namedtuple("AbelianGroupInvariants",
+                                         ("free_rank", "torsion"))):
+    """ℤ^free_rank ⊕ ⊕_t ℤ/t: a validated named tuple, equal to the tuple
+    (free_rank, torsion)."""
 
-    def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    __slots__ = ()
+
+    def __new__(cls, free_rank, torsion):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a divisibility chain")
-        if any(t < 2 for t in self.torsion):
+        if any(t < 2 for t in torsion):
             raise ValueError("torsion coefficients must be >= 2")
+        return tuple.__new__(cls, (free_rank, torsion))
 
     def __str__(self):
         parts = []

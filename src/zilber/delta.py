@@ -5,11 +5,19 @@ of standard simplices.
 Objects [m] are the linear orders {0, ..., m}; a map is stored as its tuple
 of values.  All enumerations are in lexicographic order on value tuples so
 that outputs are stable.
+
+The records here (MonotoneMap, PosetPoint, StrictMonotoneIntoProduct,
+Shuffle), like chains.AbelianGroupInvariants, doldkan.NormalizationResult
+and promonoidal.OperatorMorphism, are named tuples whose ``__new__``
+validates its fields.  A record is the tuple of its fields: it equals that
+plain tuple and hashes like it, so a dict or set must not mix records and
+plain tuples as keys (none in the library does).  ``_make`` and
+``_replace`` skip the validation; the library calls neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
@@ -17,21 +25,21 @@ from operator import le
 from types import MappingProxyType
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    """A monotone map [m] -> [n], stored by its values."""
+class MonotoneMap(namedtuple("MonotoneMap",
+                             ("domain_top", "codomain_top", "values"))):
+    """A monotone map [m] -> [n], stored by its values: a validated named
+    tuple, equal to the tuple (domain_top, codomain_top, values)."""
 
-    domain_top: int
-    codomain_top: int
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != self.domain_top + 1:
+    def __new__(cls, domain_top, codomain_top, values):
+        if len(values) != domain_top + 1:
             raise ValueError("wrong number of values")
-        if any(v < 0 or v > self.codomain_top for v in self.values):
+        if any(v < 0 or v > codomain_top for v in values):
             raise ValueError("value out of range")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
+        if any(a > b for a, b in zip(values, values[1:])):
             raise ValueError("values must be nondecreasing")
+        return tuple.__new__(cls, (domain_top, codomain_top, values))
 
     def __call__(self, i):
         return self.values[i]
@@ -171,32 +179,33 @@ def factor_into_cofaces(f):
 # points and chains in products of simplices
 
 
-@dataclass(frozen=True)
-class PosetPoint:
-    """A point of the product poset ∏_i [n_i]."""
+class PosetPoint(namedtuple("PosetPoint", ("factors",))):
+    """A point of the product poset ∏_i [n_i]: a named tuple, equal to the
+    tuple (factors,)."""
 
-    factors: tuple
+    __slots__ = ()
 
     def leq(self, other):
         return all(a <= b for a, b in zip(self.factors, other.factors))
 
 
-@dataclass(frozen=True)
-class StrictMonotoneIntoProduct:
-    """A strictly increasing chain [k] -> ∏_i [n_i] in the product order."""
+class StrictMonotoneIntoProduct(namedtuple("StrictMonotoneIntoProduct",
+                                           ("bounds", "points"))):
+    """A strictly increasing chain [k] -> ∏_i [n_i] in the product order: a
+    validated named tuple, equal to the tuple (bounds, points)."""
 
-    bounds: tuple
-    points: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for p in self.points:
-            if len(p.factors) != len(self.bounds):
+    def __new__(cls, bounds, points):
+        for p in points:
+            if len(p.factors) != len(bounds):
                 raise ValueError("point arity mismatch")
-            if any(v < 0 or v > b for v, b in zip(p.factors, self.bounds)):
+            if any(v < 0 or v > b for v, b in zip(p.factors, bounds)):
                 raise ValueError("point out of range")
-        for a, b in zip(self.points, self.points[1:]):
+        for a, b in zip(points, points[1:]):
             if a.factors == b.factors or not a.leq(b):
                 raise ValueError("chain is not strictly increasing")
+        return tuple.__new__(cls, (bounds, points))
 
     @property
     def degree(self):
@@ -234,29 +243,30 @@ def strict_chain_count(ns, j):
 # shuffles
 
 
-@dataclass(frozen=True)
-class Shuffle:
+class Shuffle(namedtuple("Shuffle", ("p", "q", "interleaving", "sign"))):
     """A (p,q)-shuffle: a partition of the p+q steps of a maximal chain in
-    [p]x[q] into the positions where the first coordinate increases.
+    [p]x[q] into the positions where the first coordinate increases; a
+    validated named tuple, equal to the tuple (p, q, interleaving, sign).
 
     ``interleaving`` is the 1-based set of step indices in {1, ..., p+q}
-    where the first coordinate moves; its complement is where the second
-    coordinate moves.  ``sign`` is the parity of the associated shuffle
-    permutation.
+    where the first coordinate moves, strictly increasing; its complement
+    is where the second coordinate moves.  ``sign`` is the parity of the
+    associated shuffle permutation; it must be ±1 but is not checked
+    against the interleaving.
     """
 
-    p: int
-    q: int
-    interleaving: tuple
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.interleaving) != self.p:
+    def __new__(cls, p, q, interleaving, sign):
+        if len(interleaving) != p:
             raise ValueError("interleaving must have p elements")
-        if any(not 1 <= i <= self.p + self.q for i in self.interleaving):
+        if any(not 1 <= i <= p + q for i in interleaving):
             raise ValueError("interleaving index out of range")
-        if self.sign not in (1, -1):
+        if any(a >= b for a, b in zip(interleaving, interleaving[1:])):
+            raise ValueError("interleaving must be strictly increasing")
+        if sign not in (1, -1):
             raise ValueError("sign must be ±1")
+        return tuple.__new__(cls, (p, q, interleaving, sign))
 
     def components(self):
         """The two projections [p+q] -> [p] and [p+q] -> [q] of the chain,

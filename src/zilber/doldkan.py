@@ -5,7 +5,7 @@ surjections, disk complexes, and homotopy groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import intlinalg as la
@@ -30,18 +30,17 @@ def _unnormalized_chains(A):
         for n in range(1, A.dim_bound + 1)})
 
 
-@dataclass
-class NormalizationResult:
-    """The normalized complex with its split projection.
+class NormalizationResult(namedtuple("NormalizationResult",
+                                     ("normalized", "projection", "section"))):
+    """The normalized complex with its split projection: a named tuple,
+    equal to the tuple (normalized, projection, section).
 
     projection : C(A) -> normalized (degreewise surjective, kernel the
     degenerate subcomplex); section : normalized -> C(A) is a chain map
     with projection ∘ section = id, landing in the Moore subcomplex.
     """
 
-    normalized: ChainComplex
-    projection: ChainMap
-    section: ChainMap
+    __slots__ = ()
 
 
 def _degenerate_coordinates(A, n):

@@ -27,7 +27,7 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 
 from .delta import (PosetPoint, StrictMonotoneIntoProduct, comp_row,
@@ -580,16 +580,14 @@ def delta_op_multicategory(b):
     return MulticategoryModel(list(range(b + 1)), draw, ident, subst, permute)
 
 
-@dataclass(frozen=True)
-class OperatorMorphism:
+class OperatorMorphism(namedtuple("OperatorMorphism",
+                                  ("source", "target", "alpha", "mults"))):
     """A morphism (c_1..c_n) -> (d_1..d_m): a pointed map α (alpha[i] is the
     image of i+1 in {0..m}, 0 the basepoint) and one multimorphism per
-    fiber, all tuples."""
+    fiber, all tuples; a named tuple, equal to the tuple (source, target,
+    alpha, mults)."""
 
-    source: tuple
-    target: tuple
-    alpha: tuple
-    mults: tuple
+    __slots__ = ()
 
 
 class OperatorCategoryFragment:

@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from zilber.delta import (PosetPoint, StrictMonotoneIntoProduct, coface,
-                          codegeneracy, comp_row, enumerate_monotone,
+from zilber.delta import (PosetPoint, Shuffle, StrictMonotoneIntoProduct,
+                          coface, codegeneracy, comp_row, enumerate_monotone,
                           enumerate_surjections, epi_mono_factorize,
                           factor_into_cofaces, factor_into_codegeneracies,
                           monotone_count, shuffles, strict_chain_count,
@@ -112,6 +112,20 @@ def test_shuffle_count_and_signs_agree():
             assert len(shs) == comb(p + q, p)
             for s in shs:
                 assert s.sign == shuffle_sign_by_products(p, q, s.interleaving)
+
+
+@pytest.mark.parametrize("interleaving", [(1, 1), (3, 1)])
+def test_a_shuffle_rejects_an_interleaving_that_is_not_strictly_increasing(
+        interleaving):
+    # (1, 1) repeats a step, and (3, 1) lists the steps {1, 3} out of order
+    with pytest.raises(ValueError,
+                       match="interleaving must be strictly increasing"):
+        Shuffle(2, 1, interleaving, 1)
+    # the sign is not checked against the interleaving, so a negative
+    # control can flip it
+    first = shuffles(2, 1)[0]
+    flipped = Shuffle(first.p, first.q, first.interleaving, -first.sign)
+    assert flipped != first and flipped.components() == first.components()
 
 
 def test_shuffle_components_are_jointly_strict_chains():

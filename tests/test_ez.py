@@ -1,7 +1,6 @@
 """Shuffle product and Alexander-Whitney map on normalized complexes."""
 
 import copy
-import dataclasses
 import gc
 import itertools
 import pickle
@@ -18,7 +17,7 @@ from zilber import ez
 from zilber import intlinalg as la
 from zilber.chains import (ChainMap, homology, is_homology_isomorphism,
                            tensor, tensor_map)
-from zilber.delta import shuffles
+from zilber.delta import Shuffle, shuffles
 from zilber.doldkan import NormalizationResult, normalize, unnormalized_chains
 from zilber.ez import (associativity_check, aw_nabla_identity_check,
                        shuffle_product, symmetry_check, unitality_check)
@@ -449,7 +448,7 @@ def _corrupt_section(res, n, degenerate):
 def one_sign_flipped(p, q):
     """shuffles(p, q) with the sign of the first shuffle flipped."""
     first, *rest = shuffles(p, q)
-    return (dataclasses.replace(first, sign=-first.sign), *rest)
+    return (Shuffle(first.p, first.q, first.interleaving, -first.sign), *rest)
 
 
 def test_lifted_checks_catch_a_wrong_shuffle_sign_or_section_entry(

@@ -1,7 +1,6 @@
 """Filtered chain complexes: skeletal filtrations, Day convolution,
 filtered pairings."""
 
-import dataclasses
 import json
 import pickle
 import random
@@ -156,7 +155,7 @@ def projection_that_misses_s0(monkeypatch, k):
                          for c in range(P.ncols)], P.nrows)
         mats = dict(nres.projection.mats)
         mats[k] = la.mat_sum([(1, P), (1, hit)])
-        return dataclasses.replace(nres, projection=ChainMap(
+        return nres._replace(projection=ChainMap(
             nres.projection.source, nres.normalized, mats, check=False))
 
     monkeypatch.setattr(oracles, "normalize", broken)
