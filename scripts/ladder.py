@@ -46,7 +46,9 @@ one run) take most of its time.
 ``ss-random-p4`` checks d_r² = 0, page recursion and convergence on 300
 seeded random filtrations of length 4: many small Smith normal forms,
 as in the certbench ``spectral`` pages, where the other ``ss`` rows time
-the large free complexes of ℤ[X].
+the large free complexes of ℤ[X].  ``ss-random-p4-r7`` is the same suite
+with ``--pages 7``, past r_inf = 5: pages 6 and 7 repeat E_∞, and page
+recursion runs on them too.
 
 ``day-assoc-400`` checks (F ⊛ G) ⊛ H ≅ F ⊛ (G ⊛ H) stagewise on 400
 seeded random triples: four Day convolutions and one stagewise
@@ -130,6 +132,8 @@ ROWS = {  # name -> zilber argv
     "ss-heart-9": ["ss", "sk:torus", "--heart", "--dim-bound", "9"],
     "ss-heart-11": ["ss", "sk:torus", "--heart", "--dim-bound", "11"],
     "ss-random-p4": ["ss", "random", "--trials", "300", "--p-max", "4"],
+    "ss-random-p4-r7": ["ss", "random", "--trials", "300", "--p-max", "4",
+                        "--pages", "7"],
     "day-assoc-400": ["skeleta", "--day-assoc", "--trials", "400"],
     "filtered-ez-d5-10": ["skeleta", "delta5", "delta5", "--filtered-ez",
                           "--dim-bound", "10"],

@@ -50,10 +50,11 @@ class SpectralSequence:
       Z_{r-1}^{p+r-1,n+1};
     - one memo keyed by value (_once): kernel_basis, image_basis and
       la.Span per matrix, a stage's span being F's kept one, and one
-      la.Subquotient per (Z span, B matrix), which an entry, page
-      recursion and convergence share; so the pages past r_inf share
-      E_∞'s Subquotients, and a question that reads orders alone builds
-      no transform."""
+      la.Subquotient per (Z span, B matrix), which an entry and
+      convergence share in the ambient chains and page recursion in the
+      generator coordinates of page r; so the pages past r_inf share
+      E_∞'s Subquotients and their recursion questions, and a question
+      that reads orders alone builds no transform."""
 
     def __init__(self, F, r_max=None):
         self.F = F
@@ -84,7 +85,11 @@ class SpectralSequence:
     # -- invariants --------------------------------------------------------
 
     def d_squared_check(self, r):
-        """d_r composed with d_r vanishes (entrywise, modulo target orders)."""
+        """d_r composed with d_r vanishes (entrywise, modulo target orders),
+        for 1 <= r <= r_top."""
+        if not 1 <= r <= self.r_top:
+            raise ValueError(f"d_r² is checked for 1 <= r <= {self.r_top}, "
+                             f"not r = {r}")
         for (p, q), M in self.diffs[r].items():
             tgt = self.pages[r].get((p - 2 * r, q + 2 * r - 2))
             M2 = self.diffs[r].get((p - r, q + r - 1))
@@ -96,20 +101,38 @@ class SpectralSequence:
         return CheckCertificate(True, detail=f"d_{r}² = 0")
 
     def page_recursion_check(self, r):
-        """E_{r+1}^{p,q} has the invariants of the homology of (E_r, d_r):
-        compares Z_{r+1}/B_{r+1} with (Z_{r+1}+B_r)/(d Z_r^{p+r} + B_r) as
-        ambient subquotients."""
-        st = self._store
+        """E_{r+1}^{p,q} has the orders of the homology of (E_r, d_r) at
+        every (p, q), for 1 <= r < r_top (Weibel, §5.4): the homology is
+        computed from page r and d_r alone (see _homology), never from
+        ambient generators, so this also checks d_r as computed."""
+        if not 1 <= r < self.r_top:
+            raise ValueError(f"page recursion is checked for 1 <= r < "
+                             f"{self.r_top}, not r = {r}")
         for (p, q), sq_next in self.pages[r + 1].items():
-            n = p + q
-            b_r = st.b_of(st.b_key(r, p, n))
-            num = la.hstack(st.z_of(st.z_key(r + 1, p, n)), b_r)
-            den = la.hstack(b_r, st.dz_of(st.z_key(r, p + r, n + 1)))
-            if st.quotient(num, den).orders != sq_next.orders:
+            if self._homology(r, p, q) != sq_next.orders:
                 return CheckCertificate(
                     False, witness=(r, p, q),
                     detail=f"page recursion fails at E_{r+1}^{{{p},{q}}}")
         return CheckCertificate(True, detail=f"E_{r+1} = H(E_{r}, d_{r})")
+
+    def _homology(self, r, p, q):
+        """The orders of H(E_r, d_r) at (p, q), in the generator coordinates
+        of E_r^{p,q}: ker d_r, the preimage of the target entry's
+        relations, over d_r into (p, q) plus the entry's own relations.  If
+        one of those lies outside ker d_r, d_r is not well defined, and the
+        Subquotient raises AssertionError."""
+        page, diffs = self.pages[r], self.diffs[r]
+        g = page[(p, q)].ngens
+        if not g:
+            return []
+        ker, d_out = la.identity(g), diffs[(p, q)]
+        if not la.is_zero(d_out):
+            tgt = page[(p - r, q + r - 1)]
+            ker = _span_of_preimage(ker, d_out, _relations(tgt),
+                                    self._store.memo)
+        d_in = diffs.get((p + r, q - r + 1), la.zeros(g, 0))
+        return self._store.quotient(
+            ker, la.hstack(d_in, _relations(page[(p, q)]))).orders
 
     def convergence_check(self):
         """E_∞ invariants equal the associated graded of H_*(ambient) with
@@ -308,6 +331,13 @@ def _span_of_preimage(A, M, B, memo):
     ker = _once(memo, la.kernel_basis, la.hstack(M, la.mat_scale(-1, B)))
     return _once(memo, la.image_basis, la.mat_mul(
         la.hstack(A, la.zeros(A.nrows, B.ncols)), ker))
+
+
+def _relations(sq):
+    """The columns orders[i]·e_i of the torsion generators of an entry, in
+    its generator coordinates."""
+    return la.Sparse([((i, o),) for i, o in enumerate(sq.orders) if o],
+                     sq.ngens)
 
 
 def _invariant_checks(S):

@@ -5,7 +5,8 @@ lower Moore convention of normalization, homology and its induced maps as subquo
 the Kronecker block sums of the tensor layer, the
 Eilenberg-Zilber matrix path, the simplicial-identity check on stored
 composites, the skeletal filtration
-from a normalization, the filtration walks over every stage slot, the
+from a normalization, page recursion by ambient generator matrices, the
+filtration walks over every stage slot, the
 levelwise tensor of simplicial abelian groups, the basis list of Γ(C),
 enumerations of Δ that only the tests read, and a generator of non-free
 simplicial groups.
@@ -629,6 +630,25 @@ def heart_check(A):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(spectral, "skeletal_filtration", skeletal_filtration)
         return spectral.heart_check(A)
+
+
+# ---------------------------------------------------------------------------
+# spectral pages
+
+def page_recursion_orders(S, r):
+    """The orders of H(E_r, d_r) at each entry (p, q) of page r + 1 of S by
+    the ambient formula (Z_{r+1} + B_r)/(d Z_r^{p+r} + B_r), on generator
+    matrices of the degree-n chains, n = p + q, each entry a fresh Span
+    and Subquotient."""
+    st = S._store
+    out = {}
+    for p, q in S.pages[r + 1]:
+        n = p + q
+        b_r = st.b_of(st.b_key(r, p, n))
+        num = la.hstack(st.z_of(st.z_key(r + 1, p, n)), b_r)
+        den = la.hstack(b_r, st.dz_of(st.z_key(r, p + r, n + 1)))
+        out[(p, q)] = la.Subquotient(la.Span(num), den).orders
+    return out
 
 
 # ---------------------------------------------------------------------------

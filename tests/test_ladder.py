@@ -81,6 +81,10 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
     # the spectral pages' small Smith normal forms at certbench scale
     assert ladder.ROWS["ss-random-p4"] == ["ss", "random", "--trials", "300",
                                            "--p-max", "4"]
+    # the same pages with page recursion past r_inf = 5
+    assert ladder.ROWS["ss-random-p4-r7"] == ["ss", "random", "--trials",
+                                              "300", "--p-max", "4",
+                                              "--pages", "7"]
     # the Day-convolution laws and the filtered shuffle pairing
     assert ladder.ROWS["day-assoc-400"] == ["skeleta", "--day-assoc",
                                             "--trials", "400"]

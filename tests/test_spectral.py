@@ -3,10 +3,12 @@ recursion, convergence, first-page identification, Leibniz pairings."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from oracles import page_recursion_orders
 
 from zilber import _random as zrandom
 from zilber import intlinalg as la
@@ -449,22 +451,126 @@ def test_leibniz_check_factors_each_product_matrix_once(monkeypatch):
     assert len(pairings) == 27 and len(calls) <= 117
 
 
-def test_page_recursion_builds_no_lifts(monkeypatch):
-    # page recursion reads only orders; d_r reads the lifts of its sources
-    built = []
+def test_page_recursion_factors_only_page_sized_matrices(monkeypatch):
+    # H(E_r, d_r) is computed in generator coordinates: every SNF that page
+    # recursion runs at (p, q) has at most as many rows as E_r^{p,q} or its
+    # d_r target has generators, never the rank of the ambient chains
+    F = zrandom.rand_filtration(random.Random(59), p_max=3)
+    S = SpectralSequence(F, r_max=F.p_max + 3)
+    read_every_page(S)
+    rows, real_homology, real_snf = [], S._homology, la._smith_with_inverses
+    entry = []
 
-    class Recorded(la.Subquotient):
-        def __init__(self, Z, b_gens):
-            super().__init__(Z, b_gens)
-            built.append(self)
+    def homology(r, p, q):
+        entry[:] = [(r, p, q)]
+        return real_homology(r, p, q)
 
-    monkeypatch.setattr(la, "Subquotient", Recorded)
-    S = SpectralSequence(zrandom.rand_filtration(random.Random(59), p_max=3))
+    monkeypatch.setattr(S, "_homology", homology)
+    monkeypatch.setattr(la, "_smith_with_inverses", lambda M, track: (
+        rows.append((*entry, M.nrows)) or real_snf(M, track)))
     for r in range(1, S.r_top):
         assert S.page_recursion_check(r).ok
-    assert built and not any("lifts" in vars(sq) for sq in built)
-    list(S.diffs[1].values())
-    assert any("lifts" in vars(sq) for sq in built)
+    assert rows
+    below_ambient = 0
+    for (r, p, q), n in rows:
+        tgt = S.pages[r].get((p - r, q + r - 1))
+        bound = max(S.pages[r][(p, q)].ngens, tgt.ngens if tgt else 0)
+        assert n <= bound, (r, p, q)
+        below_ambient += bound < F.ambient.rank(p + q)
+    assert below_ambient  # the ambient route factored larger matrices
+
+
+def test_page_recursion_equals_the_ambient_formula():
+    # H(E_r, d_r) in page coordinates against (Z_{r+1} + B_r)/(d Z_r^{p+r}
+    # + B_r) in the ambient chains, entry by entry, past r_inf too
+    rng = random.Random(73)
+    filtrations = [zrandom.rand_filtration(rng, p_max=1 + t % 4,
+                                           max_total_rank=(4, 8, 12)[t % 3])
+                   for t in range(18)]
+    filtrations += [day_convolution(*(
+        zrandom.rand_filtration(rng, p_max=2, top_degree=2, max_total_rank=4)
+        for _ in range(2))) for _ in range(2)]
+    filtrations += [skeletal_filtration(free_abelian(X)) for X in (
+        standard_simplex(0, 3), standard_simplex(1, 3),
+        standard_simplex(2, 3), circle(3))]
+    entries = torsion = 0
+    for F in filtrations:
+        S = SpectralSequence(F, r_max=F.p_max + 3)
+        assert S.r_top == S.r_inf + 2
+        for r in range(1, S.r_top):
+            for (p, q), orders in page_recursion_orders(S, r).items():
+                assert S._homology(r, p, q) == orders, (r, p, q)
+                entries += 1
+                torsion += any(o >= 2 for o in orders)
+    assert entries > 1000 and torsion > 50
+
+
+@pytest.mark.parametrize("check, r, bound", [
+    ("page_recursion_check", 0, "1 <= r < 3"),
+    ("page_recursion_check", 3, "1 <= r < 3"),
+    ("d_squared_check", 0, "1 <= r <= 3"),
+    ("d_squared_check", 4, "1 <= r <= 3")])
+def test_a_check_rejects_a_page_out_of_range(check, r, bound):
+    # page_recursion_check(0) once passed as "E_1 = H(E_0, d_0)", and the
+    # other three raised a bare KeyError
+    S = SpectralSequence(zrandom.rand_filtration(random.Random(75), p_max=1),
+                         r_max=3)
+    assert S.r_top == 3
+    with pytest.raises(ValueError, match=f"checked for {bound}, not r = {r}$"):
+        getattr(S, check)(r)
+    assert getattr(S, check)(r - 1 if r else 1).ok
+
+
+def zero_first_nonzero_block(self, r, page,
+                             real=spectral._Store.differentials):
+    """_Store.differentials with the first nonzero block of each d_r
+    zeroed."""
+    out = real(self, r, page)
+    pq = next((pq for pq, M in out.items() if any(M)), None)
+    if pq is not None:
+        out[pq] = la.zeros(out[pq].nrows, out[pq].ncols)
+    return out
+
+
+@pytest.mark.parametrize("fault, seed, failure", [
+    ("d_r zeroed", 61, ("page-recursion-r2", (2, 1, 0))),
+    ("d_r zeroed", 71, ("page-recursion-r1", (1, 2, 0))),
+    ("B_r without Z_{r-1}^{p-1}", 60, ("page-recursion-r1", (1, 2, 0))),
+    ("B_r without Z_{r-1}^{p-1}", 61, ("page-recursion-r1", (1, 3, -1)))])
+def test_page_recursion_catches_a_faulty_page(monkeypatch, fault, seed,
+                                              failure):
+    F = zrandom.rand_filtration(random.Random(seed), p_max=3)
+    if fault == "d_r zeroed":
+        monkeypatch.setattr(spectral._Store, "differentials",
+                            zero_first_nonzero_block)
+    else:
+        monkeypatch.setattr(spectral._Store, "b_of",
+                            lambda self, key: self.dz_of(key[1]))
+    S = SpectralSequence(F)
+    failed = [(name, cert.witness) for name, cert in _invariant_checks(S)
+              if not cert.ok]
+    assert failed[:1] == [failure]
+    r, p, q = failure[1]
+    detail = f"page recursion fails at E_{r + 1}^{{{p},{q}}}"
+    with pytest.raises(AssertionError, match=f"^{re.escape(detail)}$"):
+        compute_pages(F)
+    if fault == "d_r zeroed":
+        # the ambient formula reads Z and B alone, and misses a wrong d_r
+        assert page_recursion_orders(S, r) == {
+            pq: sq.orders for pq, sq in S.pages[r + 1].items()}
+
+
+def test_a_relation_outside_ker_d_r_is_a_fault():
+    # d_r sends the generator of order 6 of E_1^{3,-1} to a free generator:
+    # d_r is not well defined, which must not pass
+    S = SpectralSequence(zrandom.rand_filtration(random.Random(59), p_max=3))
+    assert S.pages[1][(3, -1)].orders == [6, 0]
+    assert S.pages[1][(2, -1)].orders == [0]
+    S.diffs[1][(3, -1)] = la.Sparse([((0, 1),), ()], 1)
+    for check in (lambda: S._homology(1, 3, -1),
+                  lambda: S.page_recursion_check(1)):
+        with pytest.raises(AssertionError, match="^B is not contained in Z$"):
+            check()
 
 
 def test_report_is_json_shaped():
