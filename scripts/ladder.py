@@ -26,8 +26,11 @@ oracle, which the library used before it read ℤ[X] off its simplices)
 the ``ez-aw`` and ``ez-assoc`` rows mostly time degenerate levels: Δ³×Δ³
 has no nondegenerate simplex above degree 6, yet the matrix path builds
 all of its levels up to the bound.  ``ez-aw-d4-8`` and ``ez-aw-d5-8`` are rows
-whose normalized side does grow with the bound.  ``ez-unital-11`` reads
-only the shuffles of the edge blocks, so it times loading the spaces.
+whose normalized side does grow with the bound.  ``ez-aw-d6-12`` is AW∘∇ on
+Δ⁶×Δ⁶ at bound 12, with 1,150,591 nondegenerate simplices: the free path at
+a scale where the column tuples of a few hundred matrices hold most of a
+1 GB peak RSS.  ``ez-unital-11`` reads only the shuffles of the edge
+blocks, so it times loading the spaces.
 
 ``ez-assoc-d3-9`` is associativity on Δ³×Δ³×Δ³, whose normalized side
 does grow with the bound (Δ²×Δ²×Δ² has no nondegenerate simplex above
@@ -120,6 +123,8 @@ ROWS = {  # name -> zilber argv
                    "--dim-bound", "8"],
     "ez-aw-d5-8": ["ez", "delta5", "delta5", "--check", "aw",
                    "--dim-bound", "8"],
+    "ez-aw-d6-12": ["ez", "delta6", "delta6", "--check", "aw",
+                    "--dim-bound", "12"],
     "ez-unital-11": ["ez", "delta3", "delta3", "--check", "unital",
                      "--dim-bound", "11"],
     "ez-kunneth-d3-9": ["ez", "delta3", "delta3", "--check", "kunneth",

@@ -51,7 +51,7 @@ class FilteredChainComplex:
             stage = {}
             for n, r in enumerate(ranks):
                 S = given.get(n, missing[n])
-                if type(S) is not la.Sparse or S.nrows != r:
+                if not isinstance(S, la.Sparse) or S.nrows != r:
                     S = la.as_sparse(S, r, what=f"stage ({p},{n})")
                 stage[n] = S
             self.stages.append(stage)

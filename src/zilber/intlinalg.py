@@ -3,6 +3,8 @@
 A matrix is a ``Sparse``: the tuple of its columns, each a tuple of
 ``(row, value)`` pairs with nonzero values, rows ascending, plus
 ``nrows``, so that a matrix with no rows or no columns keeps its shape.
+``nrows`` is a class attribute of one slotted subclass per row count, so
+a matrix carries no instance dict; nothing sets an attribute on one.
 For ℤ[X] each column of an operator is one ``(row, 1)`` pair, so products
 and Kronecker products are index arithmetic.  Everything here is exact;
 there is no floating point anywhere in this package.
@@ -58,7 +60,9 @@ The unit column ``((r, 1),)`` is one shared tuple per row r (``units``,
 grown on demand): ``identity``, ``kron`` of two unit columns, the
 operators of ℤ[X] and the coordinate normalizations all take it, so the
 many unit columns of free objects and their tensor products cost one
-pointer each.  Columns are immutable, so sharing changes no value.
+pointer each.  Likewise ``zeros(r, c)`` and ``identity(n)`` return one
+shared matrix per shape.  Matrices and columns are immutable, so sharing
+changes no value.
 
 Every solver runs one Smith normal form U*M*V = S and builds only the
 transforms it reads: ``snf_diagonal``, ``invariant_factors`` (its
@@ -90,19 +94,30 @@ class Sparse(tuple):
     (row, value) pairs with nonzero values and rows ascending, plus
     ``nrows``.  Immutable, so matrices share columns freely.  Indexing,
     ``len`` (the column count), iteration, equality and JSON encoding are
-    those of the column tuple; ``mat_eq`` also compares shapes."""
+    those of the column tuple; ``mat_eq`` also compares shapes.
+    ``nrows`` is a class attribute: ``Sparse(cols, nrows)`` is an instance
+    of the slotted subclass kept per row count, so a matrix has no instance
+    dict, and it pickles and copies as ``Sparse(tuple(M), M.nrows)``."""
+
+    __slots__ = ()
 
     def __new__(cls, cols, nrows):
-        self = tuple.__new__(cls, cols)  # faster than the super() lookup
-        self.nrows = nrows
-        return self
+        try:
+            cls = _ROW_CLASSES[nrows]
+        except KeyError:
+            cls = _ROW_CLASSES.setdefault(nrows, type(
+                "Sparse", (Sparse,), {"__slots__": (), "nrows": nrows}))
+        return tuple.__new__(cls, cols)  # faster than the super() lookup
 
-    def __getnewargs__(self):
-        return tuple(self), self.nrows
+    def __reduce__(self):
+        return Sparse, (tuple(self), self.nrows)
 
     @property
     def ncols(self):
         return len(self)
+
+
+_ROW_CLASSES = {}  # nrows -> the Sparse subclass of that row count
 
 
 def as_sparse(M, r, c=None, what="matrix"):
@@ -111,7 +126,7 @@ def as_sparse(M, r, c=None, what="matrix"):
     rows (outside input) is checked row by row and converted, and every
     entry must be an ``int`` (not a bool, float or string).  With c None
     any width is accepted, and a list with no rows has none."""
-    if type(M) is Sparse:
+    if isinstance(M, Sparse):
         if M.nrows != r or c is not None and len(M) != c:
             raise ValueError(f"{what} has wrong shape")
         return M
@@ -133,8 +148,15 @@ def rows(M):
     return out
 
 
+_ZEROS = {}  # (r, c) -> the shared r x c zero matrix
+_IDENTITIES = {}  # n -> the shared n x n identity
+
+
 def zeros(r, c):
-    return Sparse(((),) * c, r)
+    try:
+        return _ZEROS[r, c]
+    except KeyError:
+        return _ZEROS.setdefault((r, c), Sparse(((),) * c, r))
 
 
 _UNITS = []  # _UNITS[r] is the unit column ((r, 1),); only ever appended to
@@ -151,7 +173,10 @@ def units(n):
 
 
 def identity(n):
-    return Sparse(units(n)[:n], n)
+    try:
+        return _IDENTITIES[n]
+    except KeyError:
+        return _IDENTITIES.setdefault(n, Sparse(units(n)[:n], n))
 
 
 def dims(M):
@@ -339,7 +364,7 @@ def kron(A, B, row=0, nrows=None):
     if nrows is None:
         nrows = row + A.nrows * B.nrows
     if not A or not B:
-        return Sparse((), nrows)
+        return zeros(nrows, 0)
     rb = B.nrows
     ub = [Bl[0][0] if len(Bl) == 1 and Bl[0][1] == 1 else None for Bl in B]
     u = units(nrows) if any(k is not None for k in ub) else None
@@ -661,10 +686,11 @@ class Subquotient:
     def coords(self, B):
         """The coordinates of the classes of the columns of B on the cyclic
         generators, reduced mod the torsion orders, as an ngens-row matrix.
-        Raises ValueError if some column is not in Z."""
+        Callers ask only for columns of Z, so a column outside Z is a fault
+        of the library and raises AssertionError."""
         C = self._Z.coords(B)
         if C is None:
-            raise ValueError("a column is not in the subgroup Z")
+            raise AssertionError("a column is not in the subgroup Z")
         return self.reduce(mat_mul(self._transforms[0], C))
 
     def reduce(self, M):

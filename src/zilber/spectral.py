@@ -10,8 +10,6 @@ reindexing is applied.
 
 from __future__ import annotations
 
-import copy
-
 from . import intlinalg as la
 from .filtration import skeletal_filtration
 from .simplicial import CheckCertificate
@@ -431,7 +429,8 @@ class PagePairing:
     def corrupted(self, key, i, j):
         """A copy with the sign of one generator product flipped (for
         negative controls)."""
-        other = copy.copy(self)
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__)
         other.products = {k: [list(row) for row in tbl]
                           for k, tbl in self.products.items()}
         other.products[key][i][j] = tuple(

@@ -237,10 +237,10 @@ class Subquotient:
 
     def coords(self, B):
         """The generator coordinates of the columns of B, row i reduced mod
-        orders[i]; ValueError if some column is not in Z."""
+        orders[i]; AssertionError if some column is not in Z."""
         C = self.Z.coords(B)
         if C is None:
-            raise ValueError("a column is not in the subgroup Z")
+            raise AssertionError("a column is not in the subgroup Z")
         o = self.orders
         return la.Sparse([tuple([(i, x % o[i] if o[i] else x) for i, x in col
                                  if not o[i] or x % o[i]])

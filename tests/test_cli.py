@@ -385,6 +385,22 @@ def test_a_shape_fault_inside_the_library_exits_3(capsys, monkeypatch):
         "error": "dimension mismatch in mat_mul: 2x3 times 2x3", "exit": 3}
 
 
+def test_a_page_fault_inside_the_library_exits_3(capsys, monkeypatch):
+    # with Z_r built as {x in F_p : dx in F_(p-r+1)}, some differential
+    # meets a lift whose boundary leaves the target's Z_r: a fault of the
+    # library, not an input error
+    from zilber import spectral
+
+    z_key = spectral._Store.z_key
+    monkeypatch.setattr(spectral._Store, "z_key", lambda self, r, p, n:
+                        z_key(self, max(r - 1, 0), p, n))
+    code, rep, err = run(capsys, ["ss", "random", "--trials", "50",
+                                  "--p-max", "4"])
+    assert code == 3 and rep is None
+    assert json.loads(err) == {"error": "a column is not in the subgroup Z",
+                               "exit": 3}
+
+
 @pytest.mark.parametrize("exc", [KeyError("missing operator"),
                                  TypeError("unhashable type: 'list'")])
 def test_library_key_and_type_errors_exit_3(capsys, monkeypatch, exc):

@@ -64,6 +64,9 @@ def test_rows_alternate_checkouts_and_a_failing_run_exits_1(monkeypatch,
                                          "aw", "--dim-bound", "8"]
     assert ladder.ROWS["ez-aw-d5-8"] == ["ez", "delta5", "delta5", "--check",
                                          "aw", "--dim-bound", "8"]
+    # the free path at Δ⁶×Δ⁶, where per-object costs show in the peak RSS
+    assert ladder.ROWS["ez-aw-d6-12"] == ["ez", "delta6", "delta6", "--check",
+                                          "aw", "--dim-bound", "12"]
     # associativity whose normalized side grows with the bound
     assert ladder.ROWS["ez-assoc-d3-9"] == ["ez", "delta3", "delta3",
                                             "--third", "delta3", "--check",
